@@ -6,11 +6,15 @@ as JSON), ``hodograph`` (chart-grid solve of the field system as CSV) and
 ``build-rational`` (construct and check a flow bundle).
 
 A JSON config file may supply any long-option value; explicit flags win
-over the file.  Outputs are byte-reproducible for a fixed config and seed:
+over the file.  The parser is the only schema: a config key is an option's
+``dest`` and its value is checked against the option's type, ``nargs`` and
+``choices``.  Outputs are byte-reproducible for a fixed config and seed:
 CSV numbers use 17 significant digits, JSON is sorted and indented.
 
-Exit codes: 0 success, 2 config or schema error, 3 partial run (domain
-exit), 4 start point rejected, 5 verification failure.
+Commands raise on bad input; ``main`` maps the exception to an exit code
+through ``EXIT_CODES``.  Exit codes: 0 success, 2 config, schema or input
+error, 3 partial run (domain exit), 4 start point rejected, 5 verification
+failure.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -31,7 +34,6 @@ from .errors import (
     NoConvergence,
     SingularMetric,
     SingularPoint,
-    UnknownExample,
 )
 from .flow import TrajectoryConfig, conservation_drift, integrate
 from .geometry import gaussian_curvature, hamiltonian, momentum_on_level
@@ -48,9 +50,16 @@ from .integrals import (
     BracketScanConfig,
     FirstIntegral,
     functional_independence_rank,
+    hamiltonian_integral,
     level_set_bracket_scan,
 )
-from .rational import FAMILIES, EllipticHalf, LogNu1, LogRadial, PolynomialCos, build_bundle, condition_D, pde511_residual
+from .rational import (
+    build_bundle,
+    bundle_from_descriptor,
+    condition_D,
+    pde511_residual,
+    solution_from_descriptor,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,49 +70,24 @@ EXIT_VERIFY = 5
 CURVED_FLOOR = 1e-3
 FLAT_CEILING = 1e-6
 
-_GLOBAL_KEYS = {"seed": int, "out_dir": str, "tol": float}
-_COMMAND_KEYS = {
-    "list": {"bundle": str},
-    "simulate": {
-        "example": str,
-        "phase": list,
-        "position": list,
-        "angle": float,
-        "t_end": float,
-        "method": str,
-        "step": float,
-        "rel_tol": float,
-        "abs_tol": float,
-        "record_every": int,
-        "out": str,
-    },
-    "verify": {"example": str, "corrupt": bool, "out": str},
-    "hodograph": {
-        "alpha": float,
-        "beta": float,
-        "gamma": float,
-        "delta": float,
-        "epsilon": float,
-        "zeta": float,
-        "grid": list,
-        "bbox": list,
-        "fd_step": float,
-        "out": str,
-    },
-    "build-rational": {
-        "family": str,
-        "k": int,
-        "psi0": float,
-        "gamma": float,
-        "c_energy": float,
-        "rho_range": list,
-        "out": str,
-    },
-}
-
 
 class ConfigError(Exception):
     """A config file or flag combination violates the documented schema."""
+
+
+class BadStart(Exception):
+    """The start point of a simulation is outside the chart, singular, or
+    has a non-finite energy."""
+
+
+# Ordered: the first entry whose types match the raised exception decides
+# the exit code and the stderr prefix.  Anything else is a bug and raises.
+EXIT_CODES = (
+    (BadStart, EXIT_BAD_START, "start point rejected: "),
+    ((SingularPoint, NoConvergence), EXIT_CONFIG, "grid crosses a singular point: "),
+    (OSError, EXIT_CONFIG, "file error: "),
+    ((ConfigError, ValueError, MagflowsError), EXIT_CONFIG, ""),
+)
 
 
 def _fmt(value: float) -> str:
@@ -125,14 +109,67 @@ def _write_json(path: Path, payload) -> None:
     )
 
 
-def _load_config(path: Optional[str], command: str) -> dict:
+def _out_path(out_dir: str, name: str) -> Path:
+    directory = Path(out_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    return directory / name
+
+
+def _check(value, threshold, passed) -> dict:
+    """One entry of a JSON check report."""
+    return {"value": value, "threshold": threshold, "pass": bool(passed)}
+
+
+# ---------------------------------------------------------------------------
+# config files: the schema is the parser
+# ---------------------------------------------------------------------------
+
+
+def config_actions(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The parser actions a config file for ``command`` may set, by dest."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = parser._actions + sub.choices[command]._actions
+    return {a.dest: a for a in actions if a.dest not in ("config", "help", "command")}
+
+
+def _fits(action: argparse.Action, value) -> bool:
+    """Whether a config value is what ``action`` parses from its flag."""
+    if action.nargs == 0:  # store_true
+        return isinstance(value, bool)
+    if isinstance(action.nargs, int):  # nargs=N: a list of N values
+        return (
+            isinstance(value, list)
+            and len(value) == action.nargs
+            and all(_fits_one(action, v) for v in value)
+        )
+    return _fits_one(action, value)
+
+
+def _fits_one(action: argparse.Action, value) -> bool:
+    if isinstance(value, bool):
+        return False
+    if action.choices is not None:
+        return value in action.choices
+    return isinstance(value, {int: int, float: (int, float)}.get(action.type, str))
+
+
+def _describe(action: argparse.Action) -> str:
+    if action.nargs == 0:
+        return "true or false"
+    if action.choices is not None:
+        one = f"one of {list(action.choices)}"
+    else:
+        one = {int: "an integer", float: "a number"}.get(action.type, "a string")
+    return f"a list of {action.nargs}, each {one}" if isinstance(action.nargs, int) else one
+
+
+def _load_config(path, actions: dict) -> dict:
+    """Read a config file and check it against ``actions``; numbers are
+    converted with the option's type, as the parser converts flags."""
     if path is None:
         return {}
-    allowed = dict(_GLOBAL_KEYS)
-    allowed.update(_COMMAND_KEYS[command])
     try:
-        raw = Path(path).read_text(encoding="utf-8")
-        data = json.loads(raw)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}")
     except json.JSONDecodeError as exc:
@@ -140,39 +177,14 @@ def _load_config(path: Optional[str], command: str) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     for key, value in data.items():
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {key!r} for command {command!r}")
-        want = allowed[key]
-        if want is float:
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        elif want is int:
-            ok = isinstance(value, int) and not isinstance(value, bool)
-        elif want is bool:
-            ok = isinstance(value, bool)
-        elif want is list:
-            ok = isinstance(value, list) and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-            )
-        else:
-            ok = isinstance(value, str)
-        if not ok:
-            raise ConfigError(f"config key {key!r} must be of type {want.__name__}")
+        action = actions.get(key)
+        if action is None:
+            raise ConfigError(f"unknown config key {key!r} for this command")
+        if not _fits(action, value):
+            raise ConfigError(f"config key {key!r} must be {_describe(action)}")
+        if action.type is not None:
+            data[key] = [action.type(v) for v in value] if isinstance(value, list) else action.type(value)
     return data
-
-
-def _merge(args: argparse.Namespace, config: dict, key: str, default=None):
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
-
-
-def _out_path(out_dir: str, name: str) -> Path:
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory / name
 
 
 # ---------------------------------------------------------------------------
@@ -180,30 +192,21 @@ def _out_path(out_dir: str, name: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def cmd_list(args: argparse.Namespace, config: dict) -> int:
+def cmd_list(args: argparse.Namespace) -> int:
     rows = []
     for entry in list_examples():
         kinds = "+".join(f.kind for f in entry.integrals)
         chart = ",".join(entry.system.coords)
         rows.append((entry.name, chart, entry.system.energy / 2.0, kinds))
-    bundle_path = _merge(args, config, "bundle")
-    if bundle_path is not None:
-        from .rational import bundle_from_descriptor
-
+    if args.bundle is not None:
         try:
-            descriptor = json.loads(Path(bundle_path).read_text(encoding="utf-8"))
-            bundle = bundle_from_descriptor(descriptor)
-        except (OSError, json.JSONDecodeError, ValueError, MagflowsError) as exc:
-            print(f"bundle descriptor rejected: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        rows.append(
-            (
-                f"bundle:{bundle.z.family}",
-                "rho,psi",
-                bundle.c_energy / 2.0,
-                "rational",
-            )
-        )
+            data = json.loads(Path(args.bundle).read_text(encoding="utf-8"))
+            if isinstance(data, dict):  # a build-rational report wraps its descriptor
+                data = data.get("descriptor", data)
+            bundle = bundle_from_descriptor(data)
+        except (OSError, ValueError, MagflowsError) as exc:
+            raise ConfigError(f"bundle descriptor rejected: {exc}") from exc
+        rows.append((f"bundle:{bundle.z.family}", "rho,psi", bundle.c_energy / 2.0, "rational"))
     print(f"{'name':<18} {'chart':<10} {'level':<8} integrals")
     for name, chart, level, kinds in rows:
         print(f"{name:<18} {chart:<10} {level:<8g} {kinds}")
@@ -215,57 +218,38 @@ def cmd_list(args: argparse.Namespace, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _initial_phase(entry, args, config):
-    phase = _merge(args, config, "phase")
-    position = _merge(args, config, "position")
-    angle = _merge(args, config, "angle")
-    if phase is not None and (position is not None or angle is not None):
+def _initial_phase(entry, args) -> np.ndarray:
+    if args.phase is not None and (args.position is not None or args.angle is not None):
         raise ConfigError("give either a full phase or a position with an angle")
-    if phase is not None:
-        if len(phase) != 4:
-            raise ConfigError("phase needs exactly four numbers: q1 q2 p1 p2")
-        return np.asarray([float(v) for v in phase])
-    if position is None or angle is None:
+    if args.phase is None and (args.position is None or args.angle is None):
         raise ConfigError("simulate needs --phase, or --position with --angle")
-    if len(position) != 2:
-        raise ConfigError("position needs exactly two numbers: q1 q2")
-    x, y = (float(v) for v in position)
-    p1, p2 = momentum_on_level(entry.system, x, y, float(angle))
-    return np.asarray([x, y, p1, p2])
-
-
-def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
     try:
-        entry = get_example(_merge(args, config, "example"))
-    except UnknownExample as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        phase0 = _initial_phase(entry, args, config)
+        if args.phase is not None:
+            phase = np.asarray(args.phase, dtype=float)
+        else:
+            x, y = args.position
+            phase = np.asarray([x, y, *momentum_on_level(entry.system, x, y, args.angle)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = hamiltonian(entry.system, phase)
     except (SingularMetric, DomainError) as exc:
-        print(f"start point rejected: {exc}", file=sys.stderr)
-        return EXIT_BAD_START
-    if not entry.system.domain.contains(phase0[0], phase0[1]):
-        print(
-            f"start point ({phase0[0]}, {phase0[1]}) is outside the declared domain",
-            file=sys.stderr,
-        )
-        return EXIT_BAD_START
+        raise BadStart(exc) from exc
+    if not np.isfinite(energy):
+        raise BadStart(f"H = {energy} at {phase.tolist()} is not finite")
+    return phase
 
-    t_end = _merge(args, config, "t_end", 10.0)
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    entry = get_example(args.example)
+    phase0 = _initial_phase(entry, args)
     traj_config = TrajectoryConfig(
-        t_end=float(t_end),
-        method=_merge(args, config, "method", "embedded_rk45"),
-        step=_merge(args, config, "step"),
-        rel_tol=float(_merge(args, config, "rel_tol", 1e-11)),
-        abs_tol=float(_merge(args, config, "abs_tol", 1e-12)),
-        record_every=int(_merge(args, config, "record_every", 1)),
+        t_end=args.t_end,
+        method=args.method,
+        step=args.step,
+        rel_tol=args.rel_tol,
+        abs_tol=args.abs_tol,
+        record_every=args.record_every,
     )
-    try:
-        trajectory = integrate(entry.system, phase0, traj_config)
-    except ValueError as exc:
-        print(f"bad trajectory configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    trajectory = integrate(entry.system, phase0, traj_config)
 
     header = ["t", "q1", "q2", "p1", "p2", "H"] + [f.name for f in entry.integrals]
     rows = []
@@ -278,8 +262,7 @@ def cmd_simulate(args: argparse.Namespace, config: dict) -> int:
             except GuardError:
                 row.append(float("nan"))
         rows.append(row)
-    out_name = _merge(args, config, "out", f"{entry.name}_trace.csv")
-    path = _out_path(args.resolved_out_dir, out_name)
+    path = _out_path(args.out_dir, args.out or f"{entry.name}_trace.csv")
     _write_csv(path, header, rows)
     print(f"wrote {path}")
     if trajectory.domain_exit:
@@ -332,108 +315,55 @@ def _corrupted(integral: FirstIntegral) -> FirstIntegral:
 def _verify_example(entry, tol: float, rng, corrupt: bool) -> dict:
     checks = {}
     scan_config = BracketScanConfig()
-    for integral in entry.integrals:
-        report = level_set_bracket_scan(entry.system, integral, config=scan_config)
-        checks[f"bracket_scan_{integral.name}"] = {
-            "value": report.max_abs,
-            "threshold": tol,
-            "pass": bool(report.max_abs <= tol),
-        }
+    scanned = list(entry.integrals)
     if corrupt:
-        report = level_set_bracket_scan(
-            entry.system, _corrupted(entry.integrals[0]), config=scan_config
-        )
-        name = f"bracket_scan_{entry.integrals[0].name}_corrupt"
-        checks[name] = {
-            "value": report.max_abs,
-            "threshold": tol,
-            "pass": bool(report.max_abs <= tol),
-        }
+        scanned.append(_corrupted(entry.integrals[0]))
+    for integral in scanned:
+        report = level_set_bracket_scan(entry.system, integral, config=scan_config)
+        checks[f"bracket_scan_{integral.name}"] = _check(report.max_abs, tol, report.max_abs <= tol)
 
+    ham = hamiltonian_integral(entry.system)
+    conserved = (*entry.integrals, ham)
     traj_config = TrajectoryConfig(t_end=10.0)
-    drifts = {f.name: 0.0 for f in entry.integrals}
-    drift_h = 0.0
+    drifts = {f.name: 0.0 for f in conserved}
     for phase in entry.sample_phases:
         trajectory = integrate(entry.system, phase, traj_config)
-        for integral in entry.integrals:
+        for integral in conserved:
             report = conservation_drift(entry.system, trajectory, integral)
             drifts[integral.name] = max(drifts[integral.name], report.max_abs_drift)
-        report = conservation_drift(
-            entry.system,
-            trajectory,
-            lambda s: hamiltonian(entry.system, s, check_domain=False),
-        )
-        drift_h = max(drift_h, report.max_abs_drift)
     for name, value in drifts.items():
-        checks[f"drift_{name}"] = {
-            "value": value,
-            "threshold": tol,
-            "pass": bool(value <= tol),
-        }
-    checks["drift_H"] = {"value": drift_h, "threshold": tol, "pass": bool(drift_h <= tol)}
+        checks[f"drift_{name}"] = _check(value, tol, value <= tol)
 
     kmax = max(
         abs(gaussian_curvature(entry.system.metric, px, py, h=1e-4))
         for px, py in entry.curvature_probes
     )
     if entry.curvature_kind == "flat":
-        checks["curvature_flat"] = {
-            "value": kmax,
-            "threshold": FLAT_CEILING,
-            "pass": bool(kmax <= FLAT_CEILING),
-        }
+        checks["curvature_flat"] = _check(kmax, FLAT_CEILING, kmax <= FLAT_CEILING)
     else:
-        checks["curvature_nontrivial"] = {
-            "value": kmax,
-            "threshold": CURVED_FLOOR,
-            "pass": bool(kmax > CURVED_FLOOR),
-        }
+        checks["curvature_nontrivial"] = _check(kmax, CURVED_FLOOR, kmax > CURVED_FLOOR)
 
     if entry.independent_count is not None:
-        fns = [
-            FirstIntegral(
-                name="H",
-                kind="quadratic",
-                func=lambda s: hamiltonian(entry.system, s, check_domain=False),
-            )
-        ] + list(entry.integrals)
         ranks = [
-            functional_independence_rank(fns, phase)
+            functional_independence_rank([ham, *entry.integrals], phase)
             for phase in _random_phases(entry.system, rng, 20)
         ]
-        value = min(ranks)
-        checks["independence_rank"] = {
-            "value": value,
-            "threshold": entry.independent_count,
-            "pass": bool(
-                value == entry.independent_count and max(ranks) == entry.independent_count
-            ),
-        }
+        want = entry.independent_count
+        checks["independence_rank"] = _check(min(ranks), want, min(ranks) == want == max(ranks))
     return checks
 
 
-def cmd_verify(args: argparse.Namespace, config: dict) -> int:
-    target = _merge(args, config, "example", "all")
-    if target == "all":
-        entries = list_examples()
-    else:
-        try:
-            entries = [get_example(target)]
-        except UnknownExample as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_CONFIG
-    rng = np.random.default_rng(args.resolved_seed)
-    corrupt = bool(_merge(args, config, "corrupt", False))
-    tol = args.resolved_tol
+def cmd_verify(args: argparse.Namespace) -> int:
+    entries = list_examples() if args.example == "all" else [get_example(args.example)]
+    rng = np.random.default_rng(args.seed)
     payload = {}
     all_pass = True
     for entry in entries:
-        checks = _verify_example(entry, tol, rng, corrupt)
+        checks = _verify_example(entry, args.tol, rng, args.corrupt)
         payload[entry.name] = checks
         all_pass = all_pass and all(c["pass"] for c in checks.values())
     payload["all_pass"] = all_pass
-    out_name = _merge(args, config, "out", "verify.json")
-    path = _out_path(args.resolved_out_dir, out_name)
+    path = _out_path(args.out_dir, args.out)
     _write_json(path, payload)
     print(f"wrote {path}")
     print("PASS" if all_pass else "FAIL")
@@ -445,27 +375,14 @@ def cmd_verify(args: argparse.Namespace, config: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_hodograph(args: argparse.Namespace, config: dict) -> int:
-    try:
-        constants = HodographConstants(
-            alpha=float(_merge(args, config, "alpha", 0.0)),
-            beta=float(_merge(args, config, "beta", 0.0)),
-            gamma=float(_merge(args, config, "gamma", 0.0)),
-            delta=float(_merge(args, config, "delta", 0.0)),
-            epsilon=float(_merge(args, config, "epsilon", 1.0)),
-            zeta=float(_merge(args, config, "zeta", 2.0)),
-        )
-    except DomainError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
-    grid = _merge(args, config, "grid", [20, 20])
-    bbox = _merge(args, config, "bbox", [0.5, 2.5, 0.5, 2.5])
-    if len(grid) != 2 or len(bbox) != 4:
-        print("grid needs two entries and bbox four", file=sys.stderr)
-        return EXIT_CONFIG
-    fd_step = float(_merge(args, config, "fd_step", 1e-4))
-    nx, ny = (int(v) for v in grid)
-    x0, x1, y0, y1 = (float(v) for v in bbox)
+def cmd_hodograph(args: argparse.Namespace) -> int:
+    constants = HodographConstants(
+        args.alpha, args.beta, args.gamma, args.delta, args.epsilon, args.zeta
+    )
+    nx, ny = args.grid
+    if min(nx, ny) < 1:
+        raise ConfigError(f"grid entries must be at least 1, got {nx} x {ny}")
+    x0, x1, y0, y1 = args.bbox
 
     cache: dict = {}
 
@@ -479,32 +396,27 @@ def cmd_hodograph(args: argparse.Namespace, config: dict) -> int:
 
     header = ["x", "y", "f", "g", "Lambda", "u0", "Omega", "res1", "res2", "pde41_inf"]
     rows = []
-    try:
-        for x in np.linspace(x0, x1, nx):
-            for y in np.linspace(y0, y1, ny):
-                point = sampler(x, y)
-                omega = magnetic_from_fg(sampler, x, y, h=1e-3)
-                r1, r2 = algebraic_residual(constants, x, y, point.f, point.g)
-                residual = pde41_residual_fd(sampler, x, y, h=fd_step)
-                rows.append(
-                    [
-                        x,
-                        y,
-                        point.f,
-                        point.g,
-                        point.lam,
-                        point.u0,
-                        omega,
-                        r1,
-                        r2,
-                        float(np.max(np.abs(residual))),
-                    ]
-                )
-    except (SingularPoint, NoConvergence) as exc:
-        print(f"grid crosses a singular point: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_name = _merge(args, config, "out", "hodograph.csv")
-    path = _out_path(args.resolved_out_dir, out_name)
+    for x in np.linspace(x0, x1, nx):
+        for y in np.linspace(y0, y1, ny):
+            point = sampler(x, y)
+            omega = magnetic_from_fg(sampler, x, y, h=1e-3)
+            r1, r2 = algebraic_residual(constants, x, y, point.f, point.g)
+            residual = pde41_residual_fd(sampler, x, y, h=args.fd_step)
+            rows.append(
+                [
+                    x,
+                    y,
+                    point.f,
+                    point.g,
+                    point.lam,
+                    point.u0,
+                    omega,
+                    r1,
+                    r2,
+                    float(np.max(np.abs(residual))),
+                ]
+            )
+    path = _out_path(args.out_dir, args.out)
     _write_csv(path, header, rows)
     print(f"wrote {path}")
     return EXIT_OK
@@ -514,61 +426,26 @@ def cmd_hodograph(args: argparse.Namespace, config: dict) -> int:
 # build-rational
 # ---------------------------------------------------------------------------
 
-_DEFAULT_RANGES = {
-    "poly-cos": (0.05, 5.0),
-    "log-radial": (0.05, 5.0),
-    "log-nu1": (0.05, 5.0),
-    "elliptic-half": (0.1, 3.0),
-}
 
+def cmd_build_rational(args: argparse.Namespace) -> int:
+    params = {"k": args.k, "psi0": args.psi0} if args.family == "poly-cos" else {}
+    solution = solution_from_descriptor({"family": args.family, "parameters": params})
+    bundle = build_bundle(
+        solution,
+        gamma=args.gamma,
+        c_energy=args.c_energy,
+        rho_range=args.rho_range or solution.default_rho_range,
+        check=False,
+    )
 
-def _make_solution(family: str, args, config):
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
-    if family == "poly-cos":
-        return PolynomialCos(
-            int(_merge(args, config, "k", 2)),
-            psi0=float(_merge(args, config, "psi0", 0.0)),
-        )
-    if family == "log-radial":
-        return LogRadial()
-    if family == "log-nu1":
-        return LogNu1()
-    return EllipticHalf()
-
-
-def cmd_build_rational(args: argparse.Namespace, config: dict) -> int:
-    family = _merge(args, config, "family")
-    try:
-        solution = _make_solution(family, args, config)
-    except (ConfigError, DomainError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
-    rho_range = _merge(args, config, "rho_range", list(_DEFAULT_RANGES[family]))
-    if len(rho_range) != 2:
-        print("rho_range needs exactly two numbers", file=sys.stderr)
-        return EXIT_CONFIG
-    rho_range = (float(rho_range[0]), float(rho_range[1]))
-    try:
-        bundle = build_bundle(
-            solution,
-            gamma=float(_merge(args, config, "gamma", 1.0)),
-            c_energy=float(_merge(args, config, "c_energy", 1.0)),
-            rho_range=rho_range,
-            check=False,
-        )
-    except (DomainError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
-
-    rng = np.random.default_rng(args.resolved_seed)
-    tol = args.resolved_tol
+    rng = np.random.default_rng(args.seed)
+    tol = args.tol
     lo, hi = bundle.rho_range
     pde_max = 0.0
     for _ in range(200):
         rho = rng.uniform(lo, hi)
         psi = rng.uniform(0.0, solution.psi_period)
-        pde_max = max(pde_max, abs(pde511_residual(solution, rho, psi)))
+        pde_max = max(pde_max, abs(pde511_residual(solution, rho, psi, scaled=True)))
     d_min = min(
         condition_D(solution, rho, psi)
         for rho in np.linspace(lo + 1e-9, hi, 30)
@@ -576,21 +453,13 @@ def cmd_build_rational(args: argparse.Namespace, config: dict) -> int:
     )
     try:
         scan = level_set_bracket_scan(bundle.as_system(), bundle.as_integral())
-        scan_check = {
-            "value": scan.max_abs,
-            "threshold": tol,
-            "pass": bool(scan.max_abs <= tol),
-        }
+        scan_check = _check(scan.max_abs, tol, scan.max_abs <= tol)
     except (GuardError, DomainError) as exc:
-        scan_check = {"value": None, "threshold": tol, "pass": False, "error": str(exc)}
+        scan_check = {**_check(None, tol, False), "error": str(exc)}
 
     checks = {
-        "pde_residual_max": {
-            "value": pde_max,
-            "threshold": 1e-10,
-            "pass": bool(pde_max <= 1e-10),
-        },
-        "d_min": {"value": d_min, "threshold": 1e-10, "pass": bool(d_min > 1e-10)},
+        "pde_residual_max": _check(pde_max, 1e-10, pde_max <= 1e-10),
+        "d_min": _check(d_min, 1e-10, d_min > 1e-10),
         "bracket_scan_max": scan_check,
     }
     all_pass = all(c["pass"] for c in checks.values())
@@ -599,8 +468,7 @@ def cmd_build_rational(args: argparse.Namespace, config: dict) -> int:
         "checks": checks,
         "all_pass": all_pass,
     }
-    out_name = _merge(args, config, "out", f"bundle_{family}.json")
-    path = _out_path(args.resolved_out_dir, out_name)
+    path = _out_path(args.out_dir, args.out or f"bundle_{args.family}.json")
     _write_json(path, payload)
     print(f"wrote {path}")
     print("PASS" if all_pass else "FAIL")
@@ -618,52 +486,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="integrable magnetic flow catalog, verification and construction",
     )
     parser.add_argument("--config", help="JSON config file; flags override its fields")
-    parser.add_argument("--seed", type=int, help="seed for sampled checks (default 0)")
-    parser.add_argument("--out-dir", help="directory for output files (default .)")
-    parser.add_argument("--tol", type=float, help="pass threshold for scans (default 1e-6)")
+    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks (default 0)")
+    parser.add_argument("--out-dir", default=".", help="directory for output files (default .)")
+    parser.add_argument("--tol", type=float, default=1e-6, help="pass threshold for scans (default 1e-6)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list", help="print the example table")
-    p.add_argument("--bundle", help="JSON bundle descriptor to append as an extra row")
+    p.add_argument("--bundle", help="bundle descriptor, or build-rational report, to append as a row")
 
     p = sub.add_parser("simulate", help="integrate one example and write a CSV trace")
     p.add_argument("example", nargs="?", help="catalog example name")
     p.add_argument("--phase", nargs=4, type=float, metavar=("Q1", "Q2", "P1", "P2"))
     p.add_argument("--position", nargs=2, type=float, metavar=("Q1", "Q2"))
     p.add_argument("--angle", type=float, help="momentum angle on the declared level")
-    p.add_argument("--t-end", type=float)
-    p.add_argument("--method", choices=("embedded_rk45", "fixed_rk4"))
+    p.add_argument("--t-end", type=float, default=10.0)
+    p.add_argument("--method", choices=("embedded_rk45", "fixed_rk4"), default="embedded_rk45")
     p.add_argument("--step", type=float, help="fixed step size")
-    p.add_argument("--rel-tol", type=float)
-    p.add_argument("--abs-tol", type=float)
-    p.add_argument("--record-every", type=int)
+    p.add_argument("--rel-tol", type=float, default=1e-11)
+    p.add_argument("--abs-tol", type=float, default=1e-12)
+    p.add_argument("--record-every", type=int, default=1)
     p.add_argument("--out", help="output CSV name")
 
     p = sub.add_parser("verify", help="run conservation, bracket and curvature checks")
-    p.add_argument("example", nargs="?", help="example name or 'all'")
+    p.add_argument("example", nargs="?", default="all", help="example name or 'all'")
     p.add_argument(
         "--corrupt",
         action="store_true",
-        default=None,
         help="also scan a deliberately broken integral (negative control)",
     )
-    p.add_argument("--out", help="output JSON name")
+    p.add_argument("--out", default="verify.json", help="output JSON name")
 
     p = sub.add_parser("hodograph", help="solve the field system on a chart grid")
-    for name in ("alpha", "beta", "gamma", "delta", "epsilon", "zeta"):
-        p.add_argument(f"--{name}", type=float)
-    p.add_argument("--grid", nargs=2, type=int, metavar=("NX", "NY"))
-    p.add_argument("--bbox", nargs=4, type=float, metavar=("X0", "X1", "Y0", "Y1"))
-    p.add_argument("--fd-step", type=float, help="step for the system residual column")
-    p.add_argument("--out", help="output CSV name")
+    for name, default in zip(("alpha", "beta", "gamma", "delta", "epsilon", "zeta"),
+                             (0.0, 0.0, 0.0, 0.0, 1.0, 2.0)):
+        p.add_argument(f"--{name}", type=float, default=default)
+    p.add_argument("--grid", nargs=2, type=int, default=[20, 20], metavar=("NX", "NY"))
+    p.add_argument("--bbox", nargs=4, type=float, default=[0.5, 2.5, 0.5, 2.5],
+                   metavar=("X0", "X1", "Y0", "Y1"))
+    p.add_argument("--fd-step", type=float, default=1e-4, help="step for the system residual column")
+    p.add_argument("--out", default="hodograph.csv", help="output CSV name")
 
     p = sub.add_parser("build-rational", help="construct a flow bundle and check it")
     p.add_argument("family", nargs="?", help="radial family name")
-    p.add_argument("--k", type=int, help="polynomial degree (poly-cos)")
-    p.add_argument("--psi0", type=float, help="angular offset (poly-cos)")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--c-energy", type=float)
-    p.add_argument("--rho-range", nargs=2, type=float, metavar=("LO", "HI"))
+    p.add_argument("--k", type=int, default=2, help="polynomial degree (poly-cos)")
+    p.add_argument("--psi0", type=float, default=0.0, help="angular offset (poly-cos)")
+    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--c-energy", type=float, default=1.0)
+    p.add_argument("--rho-range", nargs=2, type=float, metavar=("LO", "HI"),
+                   help="working rho interval (default: the family's)")
     p.add_argument("--out", help="output JSON name")
     return parser
 
@@ -681,22 +551,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config, args.command)
-        args.resolved_seed = int(_merge(args, config, "seed", 0))
-        args.resolved_out_dir = str(_merge(args, config, "out_dir", "."))
-        args.resolved_tol = float(_merge(args, config, "tol", 1e-6))
-        if args.command in ("simulate", "verify", "build-rational"):
-            positional = {"simulate": "example", "verify": "example", "build-rational": "family"}
-            key = positional[args.command]
-            if getattr(args, key) is None and key not in config:
-                if args.command == "verify":
-                    pass
-                else:
-                    raise ConfigError(f"{args.command} needs a {key} argument")
-        return _DISPATCH[args.command](args, config)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
+        actions = config_actions(parser, args.command)
+        config = _load_config(args.config, actions)
+        if config:  # config values become defaults, so explicit flags still win
+            for key, value in config.items():
+                actions[key].default = value
+            args = parser.parse_args(argv)
+        return _DISPATCH[args.command](args)
+    except Exception as exc:
+        for types, code, prefix in EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"{prefix}{exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

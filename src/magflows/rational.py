@@ -63,12 +63,14 @@ class ZSolution:
     ``partials`` and the three third-order partials entering the metric
     partials via ``third_partials``.  ``valid_rho`` is the open interval
     on which the formulas make sense; ``psi_period`` is the period of the
-    generated integral in the angular variable.
+    generated integral in the angular variable; ``default_rho_range`` is
+    the working annulus used when none is given.
     """
 
     family: str = ""
     psi_period: float = TWO_PI
     valid_rho: tuple = (-math.inf, math.inf)
+    default_rho_range: tuple = (0.05, 5.0)
 
     def params(self) -> dict:
         return {}
@@ -205,6 +207,7 @@ class EllipticHalf(ZSolution):
     family = "elliptic-half"
     psi_period = 2.0 * TWO_PI
     valid_rho = (-1.0, math.inf)
+    default_rho_range = (0.1, 3.0)
 
     def _radial(self, rho):
         m = -rho
@@ -249,7 +252,7 @@ def solution_from_descriptor(entry: dict) -> ZSolution:
         raise ValueError("solution descriptor must be an object")
     family = entry.get("family")
     if family not in FAMILIES:
-        raise ValueError(f"unknown solution family {family!r}")
+        raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
     params = entry.get("parameters", {})
     if not isinstance(params, dict):
         raise ValueError("'parameters' must be an object")
@@ -259,10 +262,19 @@ def solution_from_descriptor(entry: dict) -> ZSolution:
         raise ValueError(f"bad parameters for family {family!r}: {exc}") from None
 
 
-def pde511_residual(z: ZSolution, rho: float, psi: float) -> float:
-    """Residual of the generating equation; zero for exact solutions."""
+def pde511_residual(z: ZSolution, rho: float, psi: float, scaled: bool = False) -> float:
+    """Residual of the generating equation; zero for exact solutions.
+
+    ``scaled`` divides it by max(1, |rho (rho + 1) Z_rr| + |rho Z_r| + |Z_pp|),
+    the size of the terms that cancel, so that round-off on large terms
+    reads as round-off.
+    """
     _, z_r, _, z_rr, _, z_pp = z.partials(rho, psi)
-    return rho * (rho + 1.0) * z_rr + rho * z_r + z_pp
+    terms = (rho * (rho + 1.0) * z_rr, rho * z_r, z_pp)
+    residual = terms[0] + terms[1] + terms[2]
+    if scaled:
+        residual /= max(1.0, abs(terms[0]) + abs(terms[1]) + abs(terms[2]))
+    return residual
 
 
 def condition_D(z: ZSolution, rho: float, psi: float) -> float:
@@ -498,10 +510,10 @@ def build_bundle(
 ) -> RationalFlowBundle:
     """Assemble a bundle, screening the working annulus for degeneracies.
 
-    The screen evaluates the generating-equation residual (sanity, the
-    families are exact) and the discriminant on a coarse grid; any
-    |D| < 1e-10 raises DegenerateD, since the metric and the integral both
-    collapse where D vanishes.
+    The screen evaluates the generating-equation residual relative to its
+    terms (sanity, the families are exact) and the discriminant on a
+    coarse grid; any |D| < 1e-10 raises DegenerateD, since the metric and
+    the integral both collapse where D vanishes.
     """
     lo, hi = float(rho_range[0]), float(rho_range[1])
     if not (lo < hi):
@@ -521,10 +533,10 @@ def build_bundle(
         n_r, n_p = grid
         for rho in np.linspace(lo, hi, n_r):
             for psi in np.linspace(0.0, z.psi_period, n_p, endpoint=False):
-                res = pde511_residual(z, float(rho), float(psi))
+                res = pde511_residual(z, float(rho), float(psi), scaled=True)
                 if abs(res) > 1e-8:
                     raise DomainError(
-                        f"generating-equation residual {res:.3e} at "
+                        f"relative generating-equation residual {res:.3e} at "
                         f"({rho}, {psi}); the profile is not a solution"
                     )
                 d = condition_D(z, float(rho), float(psi))

@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from magflows.cli import main
+from magflows import rational
+from magflows.cli import build_parser, config_actions, main
 from magflows.hodograph import HodographConstants, closed_form_abzero
 from magflows.rational import PolynomialCos, build_bundle
 
@@ -292,3 +293,94 @@ class TestBuildRational:
         code, _, err = _run(["--out-dir", str(tmp_path), "build-rational"], capsys)
         assert code == 2
         assert "family" in err
+
+
+class TestErrorContract:
+    # argv that once ended in a traceback, a wrong exit code or a false
+    # failure, with the documented exit code each must give
+    CASES = [
+        (["simulate", "ex1", "--phase", "0", "0", "1", "0", "--method", "fixed_rk4"], 2),
+        (["simulate", "ex1", "--phase", "0", "0", "1", "0", "--t-end", "-1"], 2),
+        (["simulate", "ex1", "--phase", "0", "0", "1e200", "0"], 4),
+        (["hodograph", "--grid", "0", "3"], 2),
+        (["hodograph", "--alpha", "0.1", "--beta", "-0.05", "--gamma", "0.5",
+          "--delta", "-0.3", "--grid", "12", "12"], 2),
+        (["build-rational", "poly-cos", "--k", "100"], 2),
+        (["build-rational", "poly-cos", "--k", "6"], 0),
+        (["build-rational", "poly-cos", "--k", "7"], 0),
+        (["build-rational", "poly-cos", "--k", "12"], 0),
+        (["build-rational", "log-nu1", "--rho-range", "0.261", "3.031"], 5),
+        (["--config", "{config}", "simulate", "ex1", "--phase", "0", "0", "1", "0"], 2),
+    ]
+
+    @pytest.mark.parametrize("argv, want", CASES)
+    def test_documented_exit_code(self, argv, want, tmp_path, capsys):
+        config = tmp_path / "bad_method.json"
+        config.write_text(json.dumps({"method": "rk2"}))
+        argv = [a.format(config=config) for a in argv]
+        code, _, err = _run(["--out-dir", str(tmp_path)] + argv, capsys)
+        assert code == want, err
+        if code in (2, 4):
+            assert not list(tmp_path.glob("*.csv"))
+
+    def test_perturbed_profile_fails_its_residual_check(self, tmp_path, capsys, monkeypatch):
+        """Negative control for the scaled residual: a degree-6 profile with
+        one coefficient off by 1e-6 relative is no longer a solution."""
+
+        class Perturbed(PolynomialCos):
+            def __init__(self, k, psi0=0.0):
+                super().__init__(k, psi0)
+                self.coeffs[2] *= 1.0 + 1e-6
+
+        monkeypatch.setitem(rational.FAMILIES, "poly-cos", Perturbed)
+        code, _, _ = _run(
+            ["--out-dir", str(tmp_path), "build-rational", "poly-cos", "--k", "6"], capsys)
+        assert code == 5
+        payload = json.loads((tmp_path / "bundle_poly-cos.json").read_text())
+        assert payload["checks"]["pde_residual_max"]["pass"] is False
+        assert payload["checks"]["pde_residual_max"]["value"] > 1e-8
+
+    @pytest.mark.parametrize("k", ["2", "12"])
+    def test_list_reads_the_build_rational_report(self, k, tmp_path, capsys):
+        """list --bundle accepts the file build-rational writes."""
+        code, _, _ = _run(
+            ["--out-dir", str(tmp_path), "build-rational", "poly-cos", "--k", k,
+             "--c-energy", "1.5"], capsys)
+        assert code == 0
+        code, out, _ = _run(
+            ["list", "--bundle", str(tmp_path / "bundle_poly-cos.json")], capsys)
+        assert code == 0
+        assert out.splitlines()[-1].split() == ["bundle:poly-cos", "rho,psi", "0.75", "rational"]
+
+    def test_config_keys_are_pinned(self):
+        """The accepted config keys of each command; any change to the config
+        contract shows up here."""
+        shared = {"seed", "out_dir", "tol"}
+        want = {
+            "list": {"bundle"},
+            "simulate": {"example", "phase", "position", "angle", "t_end", "method", "step",
+                         "rel_tol", "abs_tol", "record_every", "out"},
+            "verify": {"example", "corrupt", "out"},
+            "hodograph": {"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "grid", "bbox",
+                          "fd_step", "out"},
+            "build-rational": {"family", "k", "psi0", "gamma", "c_energy", "rho_range", "out"},
+        }
+        parser = build_parser()
+        for command, keys in want.items():
+            assert set(config_actions(parser, command)) == keys | shared, command
+
+    @pytest.mark.parametrize("command, config", [
+        ("hodograph", {"grid": [4, 4.5]}),
+        ("hodograph", {"grid": [4, 4, 4]}),
+        ("hodograph", {"alpha": "0.1"}),
+        ("hodograph", {"alpha": True}),
+        ("verify", {"corrupt": 1}),
+        ("verify", {"seed": 1.5}),
+        ("simulate", {"method": "rk2"}),
+    ])
+    def test_config_values_checked_against_the_parser(self, command, config, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        code, _, err = _run(["--config", str(path), "--out-dir", str(tmp_path), command], capsys)
+        assert code == 2
+        assert f"config key {next(iter(config))!r} must be" in err

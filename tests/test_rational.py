@@ -78,6 +78,26 @@ class TestKeyEquation:
             psi = rng.uniform(0.0, z.psi_period)
             assert abs(pde511_residual(z, rho, psi)) <= 1e-10
 
+    def test_scaled_residual_separates_roundoff_from_error(self):
+        """Relative to the size of its terms, the residual of an exact
+        high-degree profile is round-off, while a profile with one
+        coefficient off by 1e-6 relative stays far above round-off; the
+        bundle screen accepts the first and rejects the second."""
+        exact = PolynomialCos(12)
+        perturbed = PolynomialCos(6)
+        perturbed.coeffs[2] *= 1.0 + 1e-6
+        points = [(rho, psi) for rho in np.linspace(0.1, 4.9, 9) for psi in (0.0, 0.4)]
+
+        def worst(z, scaled):
+            return max(abs(pde511_residual(z, rho, psi, scaled=scaled)) for rho, psi in points)
+
+        assert worst(exact, scaled=False) > 1e-8
+        assert worst(exact, scaled=True) <= 1e-14
+        assert worst(perturbed, scaled=True) > 1e-8
+        build_bundle(exact)
+        with pytest.raises(DomainError, match="not a solution"):
+            build_bundle(perturbed)
+
 
 class TestPartials:
     @pytest.mark.parametrize("z", ALL_SOLUTIONS, ids=lambda z: z.family)
