@@ -66,6 +66,24 @@ def _phases(system: MagneticSystem, points_angles) -> np.ndarray:
     return np.array(rows)
 
 
+def _rational_integral(name: str, parts: Callable, level: Optional[float] = None):
+    """The rational integral N/D from ``parts(state) -> (N, D, grad N,
+    grad D)``, with its quotient-rule gradient and the guard |D| >= 1e-8."""
+
+    def func(state):
+        num, den, _, _ = parts(state)
+        return num / den
+
+    def grad(state):
+        num, den, ng, dg = parts(state)
+        return (ng * den - num * dg) / (den * den)
+
+    def guard(state):
+        return abs(parts(state)[1]) >= 1e-8
+
+    return FirstIntegral(name, "rational", func, grad=grad, level=level, guard=guard)
+
+
 # ---------------------------------------------------------------------------
 # ex1: uniform field on the Euclidean plane
 # ---------------------------------------------------------------------------
@@ -242,46 +260,19 @@ def _make_ex4() -> CatalogEntry:
         name="inverse-radius conformal chart",
     )
 
-    def f_num_den(state):
+    def f_parts(state):
         x, y, p1, p2 = state
         r = math.hypot(x, y)
-        num = (r - x) * p1 - y * p2 + gamma * y
-        den = y * p1 + (r - x) * p2 + gamma * (r - x)
-        return r, num, den
-
-    def f_func(state):
-        _, num, den = f_num_den(state)
-        return num / den
-
-    def f_guard(state):
-        _, _, den = f_num_den(state)
-        return abs(den) >= 1e-8
-
-    def f_grad(state):
-        x, y, p1, p2 = state
-        r = math.hypot(x, y)
-        num = (r - x) * p1 - y * p2 + gamma * y
-        den = y * p1 + (r - x) * p2 + gamma * (r - x)
         rx, ry = x / r, y / r
-        n_x = (rx - 1.0) * p1
-        n_y = ry * p1 - p2 + gamma
-        n_p1, n_p2 = r - x, -y
-        d_x = (rx - 1.0) * p2 + gamma * (rx - 1.0)
-        d_y = p1 + ry * p2 + gamma * ry
-        d_p1, d_p2 = y, r - x
-        inv2 = 1.0 / (den * den)
-        return np.array(
-            [
-                (n_x * den - num * d_x) * inv2,
-                (n_y * den - num * d_y) * inv2,
-                (n_p1 * den - num * d_p1) * inv2,
-                (n_p2 * den - num * d_p2) * inv2,
-            ]
+        num = (r - x) * p1 - y * p2 + gamma * y
+        den = y * p1 + (r - x) * p2 + gamma * (r - x)
+        num_grad = np.array([(rx - 1.0) * p1, ry * p1 - p2 + gamma, r - x, -y])
+        den_grad = np.array(
+            [(rx - 1.0) * p2 + gamma * (rx - 1.0), p1 + ry * p2 + gamma * ry, y, r - x]
         )
+        return num, den, num_grad, den_grad
 
-    f_rational = FirstIntegral(
-        name="F", kind="rational", func=f_func, grad=f_grad, guard=f_guard
-    )
+    f_rational = _rational_integral("F", f_parts)
 
     def f1_func(state):
         x, y, p1, p2 = state
@@ -348,11 +339,7 @@ def _make_ex5() -> CatalogEntry:
     system = MagneticSystem(
         metric=Metric(components=components, partials=partials),
         field=lambda rho, psi: gamma * math.cos(2.0 * psi),
-        domain=ChartDomain(
-            bbox=(0.05, 5.0, 0.0, 2.0 * math.pi),
-            predicate=predicate,
-            periods=(None, 2.0 * math.pi),
-        ),
+        domain=ChartDomain(bbox=(0.05, 5.0, 0.0, 2.0 * math.pi), predicate=predicate),
         energy=c,
         name="rational flow, quadratic radial profile",
         coords=("rho", "psi"),
@@ -393,21 +380,7 @@ def _make_ex5() -> CatalogEntry:
         )
         return num, den, num_grad, den_grad
 
-    def func(state):
-        num, den, _, _ = num_den_parts(state)
-        return num / den
-
-    def grad(state):
-        num, den, ng, dg = num_den_parts(state)
-        return (ng * den - num * dg) / (den * den)
-
-    def guard(state):
-        _, den, _, _ = num_den_parts(state)
-        return abs(den) >= 1e-8
-
-    integral = FirstIntegral(
-        name="F", kind="rational", func=func, grad=grad, level=c, guard=guard
-    )
+    integral = _rational_integral("F", num_den_parts, level=c)
 
     def parametrize(rho, psi, phi):
         s = math.sqrt(g2 * (1.0 + rho))
@@ -482,11 +455,7 @@ def _make_ex6() -> CatalogEntry:
     system = MagneticSystem(
         metric=Metric(components=components, partials=partials),
         field=lambda rho, psi: -gamma * math.cos(psi) / (2.0 * rho * (rho + 1.0) ** 2),
-        domain=ChartDomain(
-            bbox=(0.1, 3.0, 0.0, 2.0 * math.pi),
-            predicate=predicate,
-            periods=(None, 2.0 * math.pi),
-        ),
+        domain=ChartDomain(bbox=(0.1, 3.0, 0.0, 2.0 * math.pi), predicate=predicate),
         energy=c,
         name="rational flow, logarithmic profile",
         coords=("rho", "psi"),
@@ -535,21 +504,7 @@ def _make_ex6() -> CatalogEntry:
         )
         return num, den, num_grad, den_grad
 
-    def func(state):
-        num, den, _, _ = num_den_parts(state)
-        return num / den
-
-    def grad(state):
-        num, den, ng, dg = num_den_parts(state)
-        return (ng * den - num * dg) / (den * den)
-
-    def guard(state):
-        _, den, _, _ = num_den_parts(state)
-        return abs(den) >= 1e-8
-
-    integral = FirstIntegral(
-        name="F", kind="rational", func=func, grad=grad, level=c, guard=guard
-    )
+    integral = _rational_integral("F", num_den_parts, level=c)
 
     def parametrize(rho, psi, phi):
         p_r = gamma * (

@@ -1,14 +1,15 @@
 """Integration of the magnetic geodesic flow.
 
-The equations of motion come from the magnetic Poisson bracket:
+The equations of motion are the magnetic Hamiltonian vector field X_H:
 
     dq1/dt = dH/dp1,          dq2/dt = dH/dp2,
     dp1/dt = -dH/dq1 + Omega * dH/dp2,
     dp2/dt = -dH/dq2 - Omega * dH/dp1,
 
-with H = (1/2) p^T G(q)^{-1} p.  Spatial derivatives of H use analytic
-metric partials when the metric carries them, otherwise central finite
-differences of the metric components.
+with H = (1/2) p^T G(q)^{-1} p.  :func:`magnetic_rhs` adds only the domain
+check: H and its gradient come from
+:func:`magflows.geometry.hamiltonian_gradient` and X_H from
+:func:`magflows.geometry.vector_field`.
 
 Two steppers are provided: the classic fixed-step fourth-order scheme and
 a Dormand-Prince embedded 4(5) pair with a proportional step controller
@@ -26,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, EvaluationError, SingularMetric, StepFailure
-from .geometry import MagneticSystem
+from .geometry import MagneticSystem, hamiltonian_gradient, vector_field
 
 __all__ = [
     "TrajectoryConfig",
@@ -100,24 +101,11 @@ class ConservationReport:
 
 
 def magnetic_rhs(system: MagneticSystem, phase, check_domain: bool = True) -> np.ndarray:
-    """Right-hand side (dq1, dq2, dp1, dp2) of the flow at a phase point."""
-    state = np.asarray(phase, dtype=float)
-    x, y, p1, p2 = state
+    """Right-hand side (dq1, dq2, dp1, dp2) = X_H of the flow at a phase point."""
+    x, y = phase[0], phase[1]
     if check_domain:
         system.require_inside(x, y)
-    ginv = system.metric.inverse(x, y)
-    p = np.array([p1, p2])
-    w = ginv @ p  # dH/dp, also the velocity
-    (dgx, dgy) = system.metric.component_partials(x, y)
-    # dH/dq_k = -(1/2) w^T (dG/dq_k) w
-    gx = np.array([[dgx[0], dgx[1]], [dgx[1], dgx[2]]])
-    gy = np.array([[dgy[0], dgy[1]], [dgy[1], dgy[2]]])
-    h_x = -0.5 * float(w @ gx @ w)
-    h_y = -0.5 * float(w @ gy @ w)
-    omega = system.field(x, y)
-    return np.array(
-        [w[0], w[1], -h_x + omega * w[1], -h_y - omega * w[0]]
-    )
+    return vector_field(system, x, y, hamiltonian_gradient(system, phase))
 
 
 # Dormand-Prince 4(5) tableau

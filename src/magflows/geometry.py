@@ -5,8 +5,11 @@ Conventions used throughout the package:
 * a chart point is a pair of floats ``(x, y)``;
 * a phase point is a length-4 vector ``(x, y, p1, p2)`` with the momenta
   living in the cotangent fibre;
-* the Hamiltonian is ``H = (1/2) g^{ij} p_i p_j``;
-* the magnetic field is the coefficient ``Omega(x, y)`` of ``dx ^ dy``.
+* the Hamiltonian is ``H = (1/2) g^{ij} p_i p_j``; :func:`hamiltonian` and
+  :func:`hamiltonian_gradient` are the only places that contract G^{-1};
+* the magnetic field is the coefficient ``Omega(x, y)`` of ``dx ^ dy``; it
+  enters only through :func:`vector_field`, the field X_G of a phase
+  function G, so the flow is X_H and the bracket is {F, G} = dF(X_G).
 
 Metric components are supplied as analytic functions.  Spatial derivatives
 of the components default to central finite differences with step
@@ -29,6 +32,8 @@ __all__ = [
     "MagneticSystem",
     "conformal_metric",
     "hamiltonian",
+    "hamiltonian_gradient",
+    "vector_field",
     "momentum_on_level",
     "gaussian_curvature",
     "FD_PARTIAL_STEP",
@@ -52,13 +57,11 @@ class ChartDomain:
     ``predicate`` is the strict membership test; operations refuse to
     evaluate outside it.  ``bbox = (xmin, xmax, ymin, ymax)`` is the
     sampling window used by grid scans (for unbounded domains it is just
-    a reasonable window, not a restriction).  ``periods`` holds the
-    period of each coordinate or None for a non-periodic one.
+    a reasonable window, not a restriction).
     """
 
     bbox: tuple[float, float, float, float]
     predicate: Optional[Callable[[float, float], bool]] = None
-    periods: tuple[Optional[float], Optional[float]] = (None, None)
 
     def contains(self, x: float, y: float) -> bool:
         if not (np.isfinite(x) and np.isfinite(y)):
@@ -97,16 +100,8 @@ class Metric:
         g11, g12, g22 = self.components(x, y)
         return g11 * g22 - g12 * g12
 
-    def check_positive_definite(self, x: float, y: float) -> None:
-        g11, g12, g22 = self.components(x, y)
-        det = g11 * g22 - g12 * g12
-        if not (g11 > 0.0 and det > 0.0):
-            raise SingularMetric(
-                f"metric not positive definite at ({x}, {y}): "
-                f"g11 = {g11}, det = {det}"
-            )
-
     def inverse(self, x: float, y: float) -> np.ndarray:
+        """G^{-1}; raises SingularMetric where G is not positive definite."""
         g11, g12, g22 = self.components(x, y)
         det = g11 * g22 - g12 * g12
         if det <= 0.0 or g11 <= 0.0:
@@ -187,14 +182,39 @@ class MagneticSystem:
             raise DomainError(f"point ({x}, {y}) outside the working domain")
 
 
+def _velocity(system: MagneticSystem, x, y, p1, p2) -> tuple[float, float]:
+    """dH/dp = G^{-1} p, the velocity, from one inverse-metric evaluation."""
+    (i11, i12), (_, i22) = system.metric.inverse(x, y).tolist()
+    return i11 * p1 + i12 * p2, i12 * p1 + i22 * p2
+
+
 def hamiltonian(system: MagneticSystem, phase, check_domain: bool = True) -> float:
     """Kinetic Hamiltonian H = (1/2) p^T G(q)^{-1} p at a phase point."""
-    q1, q2, p1, p2 = np.asarray(phase, dtype=float)
+    x, y, p1, p2 = map(float, phase)
     if check_domain:
-        system.require_inside(q1, q2)
-    ginv = system.metric.inverse(q1, q2)
-    p = np.array([p1, p2])
-    return 0.5 * float(p @ ginv @ p)
+        system.require_inside(x, y)
+    w1, w2 = _velocity(system, x, y, p1, p2)
+    return 0.5 * (p1 * w1 + p2 * w2)
+
+
+def hamiltonian_gradient(system: MagneticSystem, phase) -> tuple[float, float, float, float]:
+    """Phase gradient (H_x, H_y, H_p1, H_p2) of the Hamiltonian, without a
+    domain check: dH/dp = w = G^{-1} p and dH/dq_k = -(1/2) w^T (dG/dq_k) w."""
+    x, y, p1, p2 = map(float, phase)
+    w1, w2 = _velocity(system, x, y, p1, p2)
+    (e_x, f_x, g_x), (e_y, f_y, g_y) = system.metric.component_partials(x, y)
+    h_x = -0.5 * (e_x * w1 * w1 + 2.0 * f_x * w1 * w2 + g_x * w2 * w2)
+    h_y = -0.5 * (e_y * w1 * w1 + 2.0 * f_y * w1 * w2 + g_y * w2 * w2)
+    return h_x, h_y, w1, w2
+
+
+def vector_field(system: MagneticSystem, x: float, y: float, grad) -> np.ndarray:
+    """Magnetic Hamiltonian vector field X_G at (x, y) of a function G with
+    phase gradient ``grad`` = (G_x, G_y, G_p1, G_p2):
+    X_G = (G_p1, G_p2, -G_x + Omega G_p2, -G_y - Omega G_p1)."""
+    g_x, g_y, g_p1, g_p2 = grad
+    omega = system.field(x, y)
+    return np.array([g_p1, g_p2, -g_x + omega * g_p2, -g_y - omega * g_p1])
 
 
 def momentum_on_level(

@@ -288,6 +288,8 @@ def pde41_residual_fd(sampler: Sampler, x: float, y: float, h: float = 1e-4) -> 
     U = (Lambda, u0, f, g) are O(h^2) central differences, so on an exact
     solution the residual decreases as h^2.
     """
+    if not h > 0.0:
+        raise ValueError(f"difference step must be positive, got {h}")
     u0 = _uvec(sampler(x, y))
     ux = (_uvec(sampler(x + h, y)) - _uvec(sampler(x - h, y))) / (2.0 * h)
     uy = (_uvec(sampler(x, y + h)) - _uvec(sampler(x, y - h))) / (2.0 * h)
@@ -298,6 +300,8 @@ def pde41_residual_fd(sampler: Sampler, x: float, y: float, h: float = 1e-4) -> 
 def magnetic_from_fg(sampler: Sampler, x: float, y: float, h: float = 1e-4) -> float:
     """Magnetic coefficient Omega = (g_x - f_y)/4 by Richardson-extrapolated
     central differences of the sampled fields."""
+    if not h > 0.0:
+        raise ValueError(f"difference step must be positive, got {h}")
 
     def gx(step):
         return (sampler(x + step, y).g - sampler(x - step, y).g) / (2.0 * step)

@@ -2,26 +2,35 @@
 
 The magnetic bracket of two phase-space functions F, G is
 
-    {F, G} = sum_i (F_{q^i} G_{p_i} - F_{p_i} G_{q^i})
-             + Omega (F_{p_1} G_{p_2} - F_{p_2} G_{p_1}),
+    {F, G} = dF(X_G) = sum_i (F_{q^i} G_{p_i} - F_{p_i} G_{q^i})
+                       + Omega (F_{p_1} G_{p_2} - F_{p_2} G_{p_1}),
 
-and F is a first integral when {F, H} vanishes, either at every energy or
-only on one level set {H = C/2}.  Partial derivatives come from analytic
-gradients when an integral carries them; otherwise central differences
-with one Richardson extrapolation step (combining h and h/2, fourth-order
-accurate) keep the residual of a true integral well below the 1e-6 pass
-threshold even for bulky quartic expressions.
+with X_G from :func:`magflows.geometry.vector_field` and H, dH from
+:mod:`magflows.geometry`; F is a first integral when {F, H} vanishes,
+either at every energy or only on one level set {H = C/2}.  Partial
+derivatives of F come from analytic gradients when an integral carries
+them; otherwise central differences with one Richardson extrapolation step
+(combining h and h/2, fourth-order accurate) keep the residual of a true
+integral well below the 1e-6 pass threshold even for bulky quartic
+expressions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, GuardError, SingularMetric
-from .geometry import MagneticSystem, momentum_on_level
+from .geometry import (
+    MagneticSystem,
+    hamiltonian,
+    hamiltonian_gradient,
+    momentum_on_level,
+    vector_field,
+)
 
 __all__ = [
     "FirstIntegral",
@@ -68,10 +77,7 @@ class FirstIntegral:
         return self.guard is None or bool(self.guard(np.asarray(state, dtype=float)))
 
     def __call__(self, state) -> float:
-        state = np.asarray(state, dtype=float)
-        if not self.admits(state):
-            raise GuardError(f"{self.name}: guard rejected phase {state.tolist()}")
-        return float(self.func(state))
+        return float(self.func(_guarded((self,), state)))
 
 
 @dataclass(frozen=True)
@@ -108,55 +114,23 @@ class ResidualReport:
 
 
 def hamiltonian_integral(system: MagneticSystem) -> FirstIntegral:
-    """The Hamiltonian packaged as a FirstIntegral with analytic gradient.
-
-    The momentum gradient is exact (dH/dp = G^{-1} p); the spatial
-    gradient uses the metric's component partials, so it is analytic
-    exactly when the metric carries analytic partials.
-    """
-
-    def func(state):
-        x, y, p1, p2 = state
-        ginv = system.metric.inverse(x, y)
-        p = np.array([p1, p2])
-        return 0.5 * float(p @ ginv @ p)
-
-    def grad(state):
-        x, y, p1, p2 = state
-        ginv = system.metric.inverse(x, y)
-        p = np.array([p1, p2])
-        w = ginv @ p
-        dgx, dgy = system.metric.component_partials(x, y)
-        gx = np.array([[dgx[0], dgx[1]], [dgx[1], dgx[2]]])
-        gy = np.array([[dgy[0], dgy[1]], [dgy[1], dgy[2]]])
-        return np.array(
-            [-0.5 * float(w @ gx @ w), -0.5 * float(w @ gy @ w), w[0], w[1]]
-        )
-
-    return FirstIntegral(name="H", kind="quadratic", func=func, grad=grad, level=None)
+    """The Hamiltonian packaged as a FirstIntegral with analytic gradient."""
+    func = partial(hamiltonian, system, check_domain=False)
+    return FirstIntegral("H", "quadratic", func, grad=partial(hamiltonian_gradient, system))
 
 
 def _fd_gradient(fn: Callable, state: np.ndarray, h: float) -> np.ndarray:
-    """Gradient of fn over (x, y, p1, p2): Richardson-extrapolated
-    central differences with per-coordinate step scaling."""
+    """Gradient of fn over (x, y, p1, p2): central differences at steps
+    h_i and h_i / 2, h_i = h max(1, |state_i|), combined by one Richardson
+    step."""
     out = np.empty(4)
     for i in range(4):
-        hi = h * max(1.0, abs(state[i]))
-        out[i] = _richardson_partial(fn, state, i, hi)
+        e = np.zeros(4)
+        e[i] = h * max(1.0, abs(state[i]))
+        d1 = (fn(state + e) - fn(state - e)) / (2.0 * e[i])
+        d2 = (fn(state + 0.5 * e) - fn(state - 0.5 * e)) / e[i]
+        out[i] = (4.0 * d2 - d1) / 3.0
     return out
-
-
-def _richardson_partial(fn, state, i, h):
-    def central(step):
-        up = state.copy()
-        dn = state.copy()
-        up[i] += step
-        dn[i] -= step
-        return (fn(up) - fn(dn)) / (2.0 * step)
-
-    d1 = central(h)
-    d2 = central(0.5 * h)
-    return (4.0 * d2 - d1) / 3.0
 
 
 def _gradient_of(obj, state, h):
@@ -167,32 +141,38 @@ def _gradient_of(obj, state, h):
     return _fd_gradient(fn, state, h)
 
 
+def _bracket(system: MagneticSystem, state, f_grad, g_grad) -> float:
+    """{F, G} = dF(X_G) from the two phase gradients."""
+    return float(np.dot(f_grad, vector_field(system, state[0], state[1], g_grad)))
+
+
+def _guarded(objs, phase) -> np.ndarray:
+    """The phase as an array; GuardError where an integral's guard rejects it."""
+    state = np.asarray(phase, dtype=float)
+    for obj in objs:
+        if isinstance(obj, FirstIntegral) and not obj.admits(state):
+            raise GuardError(f"{obj.name}: guard rejected phase {state.tolist()}")
+    return state
+
+
 def magnetic_bracket_pair(
     system: MagneticSystem, f_int, g_int, phase, h: float = 1e-5
 ) -> float:
-    """Magnetic bracket {F, G} of two integrals (or plain callables)."""
-    state = np.asarray(phase, dtype=float)
-    system.require_inside(state[0], state[1])
-    for obj in (f_int, g_int):
-        if isinstance(obj, FirstIntegral) and not obj.admits(state):
-            raise GuardError(f"{obj.name}: guard rejected phase {state.tolist()}")
-    fg = _gradient_of(f_int, state, h)
-    gg = _gradient_of(g_int, state, h)
-    omega = system.field(state[0], state[1])
-    return float(
-        fg[0] * gg[2]
-        - fg[2] * gg[0]
-        + fg[1] * gg[3]
-        - fg[3] * gg[1]
-        + omega * (fg[2] * gg[3] - fg[3] * gg[2])
-    )
+    """Magnetic bracket {F, G} = dF(X_G) of two integrals (or plain callables)."""
+    system.require_inside(phase[0], phase[1])
+    state = _guarded((f_int, g_int), phase)
+    return _bracket(system, state, _gradient_of(f_int, state, h), _gradient_of(g_int, state, h))
 
 
 def magnetic_bracket_fd(
     system: MagneticSystem, integral, phase, h: float = 1e-5
 ) -> float:
-    """Magnetic bracket {F, H} of an integral with the Hamiltonian."""
-    return magnetic_bracket_pair(system, integral, hamiltonian_integral(system), phase, h)
+    """Magnetic bracket {F, H} = dF(X_H) of an integral with the Hamiltonian."""
+    system.require_inside(phase[0], phase[1])
+    state = _guarded((integral,), phase)
+    return _bracket(
+        system, state, _gradient_of(integral, state, h), hamiltonian_gradient(system, state)
+    )
 
 
 def level_set_bracket_scan(
@@ -205,12 +185,12 @@ def level_set_bracket_scan(
 
     Grid points outside the domain predicate, and phases rejected by the
     integral's guard, are skipped (not failed): rational integrals have
-    genuine poles inside otherwise fine domains.
+    genuine poles inside otherwise fine domains.  The guard is evaluated
+    once per sample.
     """
     if config is None:
         config = BracketScanConfig()
     c = system.energy if energy is None else float(energy)
-    ham = hamiltonian_integral(system)
     points = system.domain.grid(config.nx, config.ny, margin=config.grid_margin)
     if len(points) == 0:
         raise DomainError("no grid point passed the domain predicate")
@@ -221,17 +201,15 @@ def level_set_bracket_scan(
     worst = None
     for x, y in points:
         try:
-            ell_ok = True
             p_samples = [momentum_on_level(system, x, y, phi, energy=c) for phi in angles]
         except SingularMetric:
-            ell_ok = False
-        if not ell_ok:
             continue
         for phi, (p1, p2) in zip(angles, p_samples):
             state = np.array([x, y, p1, p2])
             if not integral.admits(state):
                 continue
-            val = abs(magnetic_bracket_pair(system, integral, ham, state, config.h))
+            val = abs(_bracket(system, state, _gradient_of(integral, state, config.h),
+                               hamiltonian_gradient(system, state)))
             sumsq += val * val
             count += 1
             if val > max_abs:
@@ -253,13 +231,8 @@ def functional_independence_rank(
     analytic when available) and counts singular values above 1e-8 times
     the largest.
     """
-    state = np.asarray(phase, dtype=float)
-    rows = []
-    for fn in fns:
-        if isinstance(fn, FirstIntegral) and not fn.admits(state):
-            raise GuardError(f"{fn.name}: guard rejected phase {state.tolist()}")
-        rows.append(_gradient_of(fn, state, h))
-    jac = np.vstack(rows)
+    state = _guarded(fns, phase)
+    jac = np.vstack([_gradient_of(fn, state, h) for fn in fns])
     sv = np.linalg.svd(jac, compute_uv=False)
     if sv[0] == 0.0:
         return 0

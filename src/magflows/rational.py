@@ -358,31 +358,45 @@ class RationalFlowBundle:
     def discriminant(self, rho, psi):
         return condition_D(self.z, rho, psi)
 
+    def _coefficients(self, rho, psi):
+        """Half-angle cosine and sine, the partials of Z from one ``_core``
+        call, and the coefficient block (a0, a1, b0, b1, D, t) with
+        t = Z_rp - Z_p / rho."""
+        core = self._core(rho, psi)
+        z_r, z_p, z_rr, z_rp, z_pp, _ = core
+        c, s = math.cos(0.5 * psi), math.sin(0.5 * psi)
+        a0 = rho * z_rp * s + z_pp * c + rho * z_r * c - z_p * s
+        b0 = rho * z_rp * c - z_pp * s - rho * z_r * s - z_p * c
+        a1 = -rho * z_rr * s - z_rp * c + (z_p / rho) * c
+        b1 = -rho * z_rr * c + z_rp * s - (z_p / rho) * s
+        t = z_rp - z_p / rho
+        d = rho * (rho + 1.0) * z_rr * z_rr + t * t
+        return c, s, core, (a0, a1, b0, b1, d, t)
+
     def integral_coefficients(self, rho, psi):
         """Momentum coefficients (a0, a1, b0, b1) and discriminant D of the
         rational integral (a0 p_r + a1 p_p + gamma D sin(psi/2)) /
         (b0 p_r + b1 p_p + gamma D cos(psi/2))."""
-        z_r, z_p, z_rr, z_rp, z_pp, _ = self._core(rho, psi)
-        ch, sh = math.cos(0.5 * psi), math.sin(0.5 * psi)
-        a0 = rho * z_rp * sh + z_pp * ch + rho * z_r * ch - z_p * sh
-        b0 = rho * z_rp * ch - z_pp * sh - rho * z_r * sh - z_p * ch
-        a1 = -rho * z_rr * sh - z_rp * ch + (z_p / rho) * ch
-        b1 = -rho * z_rr * ch + z_rp * sh - (z_p / rho) * sh
-        t = z_rp - z_p / rho
-        d = rho * (rho + 1.0) * z_rr * z_rr + t * t
-        return a0, a1, b0, b1, d
+        return self._coefficients(rho, psi)[3][:5]
 
-    def integral_value(self, state) -> float:
+    def _quotient(self, state):
+        """Numerator and denominator of the integral at a phase point, with
+        everything ``_coefficients`` returns; NearPole where the denominator
+        is below the floor."""
         rho, psi, p_r, p_p = state
-        a0, a1, b0, b1, d = self.integral_coefficients(rho, psi)
-        ch, sh = math.cos(0.5 * psi), math.sin(0.5 * psi)
-        den = b0 * p_r + b1 * p_p + self.gamma * d * ch
-        if abs(den) < self.denominator_floor:
+        c, s, core, coeffs = self._coefficients(rho, psi)
+        a0, a1, b0, b1, d, _ = coeffs
+        den = b0 * p_r + b1 * p_p + self.gamma * d * c
+        if not abs(den) >= self.denominator_floor:
             raise NearPole(
                 f"integral denominator {den:.3e} below floor at "
                 f"(rho, psi) = ({rho}, {psi})"
             )
-        num = a0 * p_r + a1 * p_p + self.gamma * d * sh
+        num = a0 * p_r + a1 * p_p + self.gamma * d * s
+        return num, den, c, s, core, coeffs
+
+    def integral_value(self, state) -> float:
+        num, den = self._quotient(state)[:2]
         return num / den
 
     def integral_gradient(self, state) -> np.ndarray:
@@ -394,18 +408,11 @@ class RationalFlowBundle:
         solution.
         """
         rho, psi, p_r, p_p = state
-        z_r, z_p, z_rr, z_rp, z_pp, _ = self._core(rho, psi)
+        num, den, c, s, core, (a0, a1, b0, b1, d, t) = self._quotient(state)
+        z_r, z_p, z_rr, z_rp, z_pp, _ = core
         z_rrr, z_rrp, z_rpp = self.z.third_partials(rho, psi)
         z_ppp = -rho * (rho + 1.0) * z_rrp - rho * z_rp
-        c, s = math.cos(0.5 * psi), math.sin(0.5 * psi)
         g = self.gamma
-
-        a0 = rho * z_rp * s + z_pp * c + rho * z_r * c - z_p * s
-        b0 = rho * z_rp * c - z_pp * s - rho * z_r * s - z_p * c
-        a1 = -rho * z_rr * s - z_rp * c + (z_p / rho) * c
-        b1 = -rho * z_rr * c + z_rp * s - (z_p / rho) * s
-        t = z_rp - z_p / rho
-        d = rho * (rho + 1.0) * z_rr * z_rr + t * t
 
         a0_r = rho * z_rrp * s + z_rpp * c + z_r * c + rho * z_rr * c
         b0_r = rho * z_rrp * c - z_rpp * s - z_r * s - rho * z_rr * s
@@ -425,13 +432,6 @@ class RationalFlowBundle:
         t_p = z_rpp - z_pp / rho
         d_p = 2.0 * rho * (rho + 1.0) * z_rr * z_rrp + 2.0 * t * t_p
 
-        num = a0 * p_r + a1 * p_p + g * d * s
-        den = b0 * p_r + b1 * p_p + g * d * c
-        if abs(den) < self.denominator_floor:
-            raise NearPole(
-                f"integral denominator {den:.3e} below floor at "
-                f"(rho, psi) = ({rho}, {psi})"
-            )
         num_grad = np.array([
             a0_r * p_r + a1_r * p_p + g * d_r * s,
             a0_p * p_r + a1_p * p_p + g * (d_p * s + 0.5 * d * c),
@@ -447,13 +447,11 @@ class RationalFlowBundle:
         return (num_grad * den - num * den_grad) / (den * den)
 
     def _denominator_ok(self, state) -> bool:
-        rho, psi, p_r, p_p = state
         try:
-            _, _, b0, b1, d = self.integral_coefficients(rho, psi)
-        except DomainError:
+            self._quotient(state)
+        except (DomainError, NearPole):
             return False
-        den = b0 * p_r + b1 * p_p + self.gamma * d * math.cos(0.5 * psi)
-        return abs(den) >= self.denominator_floor
+        return True
 
     def as_system(self, name: Optional[str] = None) -> MagneticSystem:
         lo, hi = self.rho_range
@@ -462,11 +460,7 @@ class RationalFlowBundle:
         def predicate(rho, psi):
             return lo < rho < hi and vlo < rho < vhi and rho != 0.0
 
-        domain = ChartDomain(
-            bbox=(lo, hi, 0.0, self.z.psi_period),
-            predicate=predicate,
-            periods=(None, self.z.psi_period),
-        )
+        domain = ChartDomain(bbox=(lo, hi, 0.0, self.z.psi_period), predicate=predicate)
         metric = Metric(components=self.metric_components, partials=self.metric_partials)
         return MagneticSystem(
             metric=metric,
@@ -515,6 +509,8 @@ def build_bundle(
     coarse grid; any |D| < 1e-10 raises DegenerateD, since the metric and
     the integral both collapse where D vanishes.
     """
+    if not c_energy > 0.0:
+        raise DomainError(f"energy constant must be positive, got {c_energy}")
     lo, hi = float(rho_range[0]), float(rho_range[1])
     if not (lo < hi):
         raise DomainError(f"empty rho range ({lo}, {hi})")
@@ -560,8 +556,6 @@ def bundle_from_descriptor(entry: dict) -> RationalFlowBundle:
         lo, hi = float(rho_range[0]), float(rho_range[1])
     except (TypeError, ValueError, IndexError):
         raise ValueError("bundle descriptor has malformed numeric fields") from None
-    if c_energy <= 0.0:
-        raise ValueError("c_energy must be positive")
     try:
         return build_bundle(z, gamma=gamma, c_energy=c_energy, rho_range=(lo, hi))
     except (DomainError, DegenerateD) as exc:

@@ -8,7 +8,12 @@ import pytest
 from magflows.catalog import EXAMPLE_NAMES, get_example, list_examples
 from magflows.errors import UnknownExample
 from magflows.flow import TrajectoryConfig, conservation_drift, integrate
-from magflows.geometry import gaussian_curvature, hamiltonian, momentum_on_level
+from magflows.geometry import (
+    gaussian_curvature,
+    hamiltonian,
+    hamiltonian_gradient,
+    momentum_on_level,
+)
 from magflows.integrals import magnetic_bracket_fd
 
 ALL_NAMES = ["ex1", "ex2", "ex2b", "ex3", "ex4", "ex5", "ex6"]
@@ -82,6 +87,28 @@ class TestDeclaredLevel:
         for phase in entry.sample_phases:
             np.testing.assert_allclose(hamiltonian(entry.system, phase),
                                        target, atol=1e-13)
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_hamiltonian_gradient_matches_differences(self, name):
+        """hamiltonian_gradient tracks Richardson differences of H, on and
+        off the declared level."""
+        entry = get_example(name)
+        system = entry.system
+        for phase in entry.sample_phases:
+            for state in (phase, phase * np.array([1.0, 1.0, 1.7, -0.6])):
+                got = np.asarray(hamiltonian_gradient(system, state))
+                want = np.zeros(4)
+                for i in range(4):
+                    e = np.zeros(4)
+                    e[i] = 1e-5 * max(1.0, abs(state[i]))
+
+                    def central(step):
+                        return (hamiltonian(system, state + step)
+                                - hamiltonian(system, state - step)) / (2.0 * step[i])
+
+                    want[i] = (4.0 * central(0.5 * e) - central(e)) / 3.0
+                scale = max(1.0, float(np.max(np.abs(got))))
+                np.testing.assert_allclose(got / scale, want / scale, atol=1e-7)
 
     @pytest.mark.parametrize("name", ALL_NAMES)
     def test_conservation_over_flow(self, name):

@@ -311,6 +311,9 @@ class TestErrorContract:
         (["build-rational", "poly-cos", "--k", "12"], 0),
         (["build-rational", "log-nu1", "--rho-range", "0.261", "3.031"], 5),
         (["--config", "{config}", "simulate", "ex1", "--phase", "0", "0", "1", "0"], 2),
+        (["hodograph", "--fd-step", "0", "--grid", "2", "2"], 2),
+        (["hodograph", "--fd-step=-1e-4", "--grid", "2", "2"], 2),
+        (["build-rational", "poly-cos", "--c-energy", "0"], 2),
     ]
 
     @pytest.mark.parametrize("argv, want", CASES)

@@ -179,7 +179,7 @@ class TestExample3Surface:
         x0, x1, y0, y1 = EXAMPLE3_BBOX
         for x in np.linspace(x0 + 0.01, x1 - 0.01, 8):
             for y in np.linspace(y0 + 0.01, y1 - 0.01, 8):
-                system.metric.check_positive_definite(float(x), float(y))
+                system.metric.inverse(float(x), float(y))
 
     def test_metric_values_at_reference_point(self):
         """At (4, 0) the metric matrix is diag(512, 512)."""

@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from magflows.catalog import get_example
+from magflows.catalog import get_example, list_examples
 from magflows.errors import DomainError, GuardError
-from magflows.geometry import ChartDomain, MagneticSystem, Metric, hamiltonian, momentum_on_level
+from magflows.geometry import (
+    ChartDomain,
+    MagneticSystem,
+    Metric,
+    hamiltonian,
+    momentum_on_level,
+    vector_field,
+)
 from magflows.integrals import (
     BracketScanConfig,
     FirstIntegral,
@@ -85,14 +92,14 @@ class TestMagneticBracket:
             assert abs(value) <= 1e-8
 
     def test_hamiltonian_self_bracket(self):
-        """{H, H} vanishes identically."""
-        ex5 = get_example("ex5")
-        ham = hamiltonian_integral(ex5.system)
+        """{H, H} vanishes identically on every catalog chart."""
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            phase = _random_phase(ex5.system, rng)
-            value = magnetic_bracket_pair(ex5.system, ham, ham, phase)
-            assert abs(value) <= 1e-10
+        for entry in list_examples():
+            ham = hamiltonian_integral(entry.system)
+            for _ in range(20):
+                phase = _random_phase(entry.system, rng)
+                value = magnetic_bracket_pair(entry.system, ham, ham, phase)
+                assert abs(value) <= 1e-10
 
     def test_level_specific_integral_on_level(self):
         """Example 5's integral commutes on {H = C/2} to 1e-7."""
@@ -126,20 +133,25 @@ class TestMagneticBracket:
         assert worst > 1e-3
 
     def test_antisymmetry_with_analytic_partials(self):
-        """{F, H} = -{H, F} to 1e-12 when both carry gradients."""
-        ex5 = get_example("ex5")
-        integral = ex5.integrals[0]
-        ham = hamiltonian_integral(ex5.system)
+        """On every catalog chart u . X_v = -v . X_u for any gradients u, v,
+        and {F, H} = -{H, F} to round-off when both carry gradients."""
         rng = np.random.default_rng(5)
-        count = 0
-        while count < 20:
-            phase = _random_phase(ex5.system, rng)
-            if not integral.admits(phase):
-                continue
-            forward = magnetic_bracket_pair(ex5.system, integral, ham, phase)
-            backward = magnetic_bracket_pair(ex5.system, ham, integral, phase)
-            assert abs(forward + backward) <= 1e-12
-            count += 1
+        for entry in list_examples():
+            system = entry.system
+            ham = hamiltonian_integral(system)
+            analytic = [f for f in entry.integrals if f.grad is not None]
+            for _ in range(20):
+                phase = _random_phase(system, rng)
+                u, v = rng.normal(size=(2, 4))
+                forward = u @ vector_field(system, phase[0], phase[1], v)
+                backward = v @ vector_field(system, phase[0], phase[1], u)
+                assert abs(forward + backward) <= 1e-12 * max(1.0, abs(forward))
+                for integral in analytic:
+                    if not integral.admits(phase):
+                        continue
+                    forward = magnetic_bracket_pair(system, integral, ham, phase)
+                    backward = magnetic_bracket_pair(system, ham, integral, phase)
+                    assert abs(forward + backward) <= 1e-12 * max(1.0, abs(forward))
 
     def test_fd_and_pair_agree(self):
         """The difference-quotient route tracks the gradient route."""

@@ -1,14 +1,17 @@
 """Radial solution families, flow bundles, chart maps and invariants."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magflows.catalog import get_example
 from magflows.errors import DegenerateD, DomainError, NearPole
 from magflows.flow import TrajectoryConfig, conservation_drift, integrate
-from magflows.geometry import hamiltonian, momentum_on_level
+from magflows.geometry import hamiltonian, hamiltonian_gradient, momentum_on_level
 from magflows.rational import (
     FAMILIES,
     EllipticHalf,
@@ -45,6 +48,19 @@ BUNDLE_SOLUTIONS = [s for s in ALL_SOLUTIONS
 def _random_rho(z, rng, lo=0.06, hi=4.5):
     vlo, vhi = z.valid_rho
     return rng.uniform(max(lo, vlo + 0.05), min(hi, vhi - 0.05 if np.isfinite(vhi) else hi))
+
+
+def _richardson_gradient(fn, state, h=1e-6):
+    """Central differences at steps h_i and h_i / 2 combined by one
+    Richardson step, h_i = h max(1, |state_i|)."""
+    want = np.zeros(4)
+    for i in range(4):
+        e = np.zeros(4)
+        e[i] = h * max(1.0, abs(state[i]))
+        d1 = (fn(state + e) - fn(state - e)) / (2 * e[i])
+        d2 = (fn(state + 0.5 * e) - fn(state - 0.5 * e)) / e[i]
+        want[i] = (4.0 * d2 - d1) / 3.0
+    return want
 
 
 class TestKeyEquation:
@@ -269,9 +285,11 @@ class TestBundleIntegral:
 
     @pytest.mark.parametrize("z", BUNDLE_SOLUTIONS, ids=lambda z: z.family)
     def test_gradient_matches_differences(self, z):
-        """Analytic integral gradients track Richardson differences."""
+        """Analytic gradients of the integral and of H track Richardson
+        differences."""
         rr = (0.1, 3.0) if isinstance(z, EllipticHalf) else (0.05, 5.0)
         bundle = build_bundle(z, rho_range=rr)
+        system = bundle.as_system()
         rng = np.random.default_rng(6)
         checked = 0
         while checked < 15:
@@ -284,16 +302,11 @@ class TestBundleIntegral:
                 got = bundle.integral_gradient(state)
             except (NearPole, DomainError):
                 continue
-            want = np.zeros(4)
-            for i in range(4):
-                h = 1e-6 * max(1.0, abs(state[i]))
-                e = np.zeros(4)
-                e[i] = h
-                d1 = (bundle.integral_value(state + e)
-                      - bundle.integral_value(state - e)) / (2 * h)
-                d2 = (bundle.integral_value(state + 0.5 * e)
-                      - bundle.integral_value(state - 0.5 * e)) / h
-                want[i] = (4.0 * d2 - d1) / 3.0
+            want = _richardson_gradient(bundle.integral_value, state)
+            scale = max(1.0, float(np.max(np.abs(got))))
+            np.testing.assert_allclose(got / scale, want / scale, atol=1e-6)
+            got = np.asarray(hamiltonian_gradient(system, state))
+            want = _richardson_gradient(lambda s: hamiltonian(system, s, False), state)
             scale = max(1.0, float(np.max(np.abs(got))))
             np.testing.assert_allclose(got / scale, want / scale, atol=1e-6)
             checked += 1
@@ -355,16 +368,21 @@ class TestDualPath:
 
 
 class TestDescriptors:
-    def test_roundtrip(self):
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(z=st.sampled_from(BUNDLE_SOLUTIONS), gamma=st.floats(0.1, 10.0),
+           c_energy=st.floats(0.1, 10.0), lo=st.floats(0.0, 0.45),
+           hi=st.floats(0.55, 1.0))
+    def test_roundtrip(self, z, gamma, c_energy, lo, hi):
         """descriptor() -> bundle_from_descriptor reproduces the bundle."""
-        bundle = build_bundle(PolynomialCos(2), gamma=1.4, c_energy=0.8,
-                              rho_range=(0.2, 2.5))
-        clone = bundle_from_descriptor(bundle.descriptor())
-        assert clone.gamma == bundle.gamma
-        assert clone.c_energy == bundle.c_energy
-        assert clone.rho_range == bundle.rho_range
-        np.testing.assert_allclose(clone.metric_components(1.0, 0.5),
-                                   bundle.metric_components(1.0, 0.5), rtol=1e-15)
+        dlo, dhi = z.default_rho_range
+        rho_range = (dlo + lo * (dhi - dlo), dlo + hi * (dhi - dlo))
+        bundle = build_bundle(z, gamma=gamma, c_energy=c_energy, rho_range=rho_range)
+        clone = bundle_from_descriptor(json.loads(json.dumps(bundle.descriptor())))
+        assert clone.descriptor() == bundle.descriptor()
+        assert clone.z.descriptor() == z.descriptor()
+        rho = 0.5 * (rho_range[0] + rho_range[1])
+        np.testing.assert_allclose(clone.metric_components(rho, 0.5),
+                                   bundle.metric_components(rho, 0.5), rtol=1e-15)
 
     def test_solution_descriptor_roundtrip(self):
         """Family descriptors rebuild the same solution values."""
@@ -452,15 +470,13 @@ class TestRiemannInvariants:
         assert rho == 0.0
         np.testing.assert_allclose(psi, 1.1, rtol=1e-15)
 
-    def test_roundtrip_hyperbolic_strip(self):
-        """100 random hyperbolic points roundtrip to 1e-12."""
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            rho = rng.uniform(-0.999, -0.001)
-            psi = rng.uniform(-3.0, 3.0)
-            r1, r2 = riemann_invariants(rho, psi)
-            back = from_riemann(r1, r2)
-            np.testing.assert_allclose(back, (rho, psi), rtol=1e-12, atol=1e-12)
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(rho=st.floats(-0.999, -0.001), psi=st.floats(-3.0, 3.0))
+    def test_roundtrip_hyperbolic_strip(self, rho, psi):
+        """Hyperbolic points roundtrip through the invariants to 1e-12."""
+        r1, r2 = riemann_invariants(rho, psi)
+        back = from_riemann(r1, r2)
+        np.testing.assert_allclose(back, (rho, psi), rtol=1e-12, atol=1e-12)
 
     def test_outside_strip_rejected(self):
         """Elliptic-side points have no real invariants."""
