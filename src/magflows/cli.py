@@ -300,13 +300,20 @@ def _random_phases(system, rng, count):
 
 
 def _corrupted(integral: FirstIntegral) -> FirstIntegral:
+    """The control F + 0.01 x, with gradient dF + 0.01 dx when F has one."""
     def broken(state, _f=integral.func):
         return _f(state) + 0.01 * state[0]
+
+    broken_grad = None
+    if integral.grad is not None:
+        def broken_grad(state, _g=integral.grad):
+            return np.asarray(_g(state), dtype=float) + (0.01, 0.0, 0.0, 0.0)
 
     return FirstIntegral(
         name=f"{integral.name}_corrupt",
         kind=integral.kind,
         func=broken,
+        grad=broken_grad,
         level=integral.level,
         guard=integral.guard,
     )

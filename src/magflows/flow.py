@@ -102,10 +102,10 @@ class ConservationReport:
 
 def magnetic_rhs(system: MagneticSystem, phase, check_domain: bool = True) -> np.ndarray:
     """Right-hand side (dq1, dq2, dp1, dp2) = X_H of the flow at a phase point."""
-    x, y = phase[0], phase[1]
+    x, y, p1, p2 = map(float, phase)
     if check_domain:
         system.require_inside(x, y)
-    return vector_field(system, x, y, hamiltonian_gradient(system, phase))
+    return vector_field(system, x, y, hamiltonian_gradient(system, (x, y, p1, p2)))
 
 
 # Dormand-Prince 4(5) tableau

@@ -101,19 +101,24 @@ class Metric:
         return g11 * g22 - g12 * g12
 
     def inverse(self, x: float, y: float) -> np.ndarray:
-        """G^{-1}; raises SingularMetric where G is not positive definite."""
+        """G^{-1}; raises SingularMetric where G is not positive definite
+        (written so that NaN components fail the test too)."""
         g11, g12, g22 = self.components(x, y)
         det = g11 * g22 - g12 * g12
-        if det <= 0.0 or g11 <= 0.0:
+        if not (det > 0.0 and g11 > 0.0):
             raise SingularMetric(
                 f"metric not positive definite at ({x}, {y}): det = {det}"
             )
         return np.array([[g22, -g12], [-g12, g11]], dtype=float) / det
 
     def cholesky(self, x: float, y: float) -> np.ndarray:
-        """Lower-triangular L with positive diagonal and G = L L^T."""
+        """Lower-triangular L with positive diagonal and G = L L^T; raises
+        SingularMetric on the same test as :meth:`inverse`."""
+        g11, g12, g22 = self.components(x, y)
+        if not (g11 * g22 - g12 * g12 > 0.0 and g11 > 0.0):
+            raise SingularMetric(f"metric not positive definite at ({x}, {y})")
         try:
-            return np.linalg.cholesky(self.matrix(x, y))
+            return np.linalg.cholesky(np.array([[g11, g12], [g12, g22]], dtype=float))
         except np.linalg.LinAlgError as exc:
             raise SingularMetric(
                 f"Cholesky factorization failed at ({x}, {y})"
@@ -199,8 +204,13 @@ def hamiltonian(system: MagneticSystem, phase, check_domain: bool = True) -> flo
 
 def hamiltonian_gradient(system: MagneticSystem, phase) -> tuple[float, float, float, float]:
     """Phase gradient (H_x, H_y, H_p1, H_p2) of the Hamiltonian, without a
-    domain check: dH/dp = w = G^{-1} p and dH/dq_k = -(1/2) w^T (dG/dq_k) w."""
-    x, y, p1, p2 = map(float, phase)
+    domain check: dH/dp = w = G^{-1} p and dH/dq_k = -(1/2) w^T (dG/dq_k) w.
+
+    ``phase`` = (x, y, p1, p2) at one chart point; p1 and p2 may be arrays
+    of momenta, over which the four components broadcast.  The geometry of
+    the point is evaluated once either way.
+    """
+    x, y, p1, p2 = phase
     w1, w2 = _velocity(system, x, y, p1, p2)
     (e_x, f_x, g_x), (e_y, f_y, g_y) = system.metric.component_partials(x, y)
     h_x = -0.5 * (e_x * w1 * w1 + 2.0 * f_x * w1 * w2 + g_x * w2 * w2)
@@ -211,7 +221,10 @@ def hamiltonian_gradient(system: MagneticSystem, phase) -> tuple[float, float, f
 def vector_field(system: MagneticSystem, x: float, y: float, grad) -> np.ndarray:
     """Magnetic Hamiltonian vector field X_G at (x, y) of a function G with
     phase gradient ``grad`` = (G_x, G_y, G_p1, G_p2):
-    X_G = (G_p1, G_p2, -G_x + Omega G_p2, -G_y - Omega G_p1)."""
+    X_G = (G_p1, G_p2, -G_x + Omega G_p2, -G_y - Omega G_p1).
+
+    Shape (4,) for one gradient; (4, n) when the four components are
+    arrays of n values at the same chart point."""
     g_x, g_y, g_p1, g_p2 = grad
     omega = system.field(x, y)
     return np.array([g_p1, g_p2, -g_x + omega * g_p2, -g_y - omega * g_p1])
@@ -228,15 +241,18 @@ def momentum_on_level(
 
     Returns p = sqrt(C) * L * (cos phi, sin phi) with L the lower
     Cholesky factor of G(x, y); then H = (C/2)(cos, sin) L^T G^{-1} L
-    (cos, sin)^T = C/2 identically in phi.
+    (cos, sin)^T = C/2 identically in phi.  ``phi`` may be an array of
+    angles: the factor is computed once and (p1, p2) are arrays.  The
+    product is written out elementwise, so an angle gives the same bits
+    alone or inside an array.
     """
     c = system.energy if energy is None else float(energy)
     if not c > 0.0:
         raise DomainError(f"energy constant must be positive, got {c}")
     system.require_inside(x, y)
-    ell = system.metric.cholesky(x, y)
-    p = np.sqrt(c) * ell @ np.array([np.cos(phi), np.sin(phi)])
-    return float(p[0]), float(p[1])
+    (l11, _), (l21, l22) = (np.sqrt(c) * system.metric.cholesky(x, y)).tolist()
+    cos, sin = np.cos(phi), np.sin(phi)
+    return l11 * cos, l21 * cos + l22 * sin
 
 
 def gaussian_curvature(metric: Metric, x: float, y: float, h: float = 1e-4) -> float:

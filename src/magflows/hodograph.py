@@ -323,6 +323,10 @@ def magnetic_from_fg(sampler: Sampler, x: float, y: float, h: float = 1e-4) -> f
 # |S| > 1e-6 (the integral divides by S^2); re-verified by the test suite.
 EXAMPLE3_BBOX = (3.0, 5.0, -0.72, 0.72)
 
+# imaginary steps i h e_k of the integral's complex-step gradient
+_COMPLEX_STEP = 1e-20
+_COMPLEX_STEPS = 1j * _COMPLEX_STEP * np.eye(4)
+
 
 def _poly_r(x, y, a, b):
     return x * x - 8.0 * a * x + y * y + 8.0 * b * y
@@ -430,7 +434,8 @@ def example3_system(
     """The curved chart system with its quadratic integral on {H = 1/2}.
 
     The metric and integral are polynomial in the chart point; the metric
-    carries hand-differentiated analytic partials.  With the default
+    carries hand-differentiated analytic partials and the integral a
+    complex-step gradient of its own formula.  With the default
     constants (alpha = 1, beta = 0) the metric is positive definite on a
     neighborhood of (4, 0); the shipped bounding box is the empirically
     verified rectangle.  At alpha = beta = 0 the metric is nowhere
@@ -511,11 +516,17 @@ def example3_system(
             a11 * p1 * p1 + a12 * p1 * p2 + a22 * p2 * p2 + b1 * p1 + b2 * p2 + cc
         ) / (s * s)
 
+    def grad(state):
+        # complex step (Squire & Trapp 1998): func is a rational function,
+        # so Im F(state + i h e_k) / h is dF/dstate_k without cancellation
+        probes = (np.asarray(state, dtype=float) + _COMPLEX_STEPS).tolist()
+        return np.array([func(z).imag for z in probes]) / _COMPLEX_STEP
+
     def guard(state):
         s = _poly_s(state[0], state[1], a, b)
         return s * s >= 1e-8
 
     integral = FirstIntegral(
-        name="F", kind="quadratic", func=func, level=1.0, guard=guard
+        name="F", kind="quadratic", func=func, grad=grad, level=1.0, guard=guard
     )
     return system, integral

@@ -8,11 +8,18 @@ The magnetic bracket of two phase-space functions F, G is
 with X_G from :func:`magflows.geometry.vector_field` and H, dH from
 :mod:`magflows.geometry`; F is a first integral when {F, H} vanishes,
 either at every energy or only on one level set {H = C/2}.  Partial
-derivatives of F come from analytic gradients when an integral carries
-them; otherwise central differences with one Richardson extrapolation step
-(combining h and h/2, fourth-order accurate) keep the residual of a true
-integral well below the 1e-6 pass threshold even for bulky quartic
-expressions.
+derivatives of F come from exact gradients when an integral carries them
+(analytic for the catalog's rational integrals, a complex step of the
+formula for ex3's quadratic one, dF + 0.01 dx for the ``--corrupt``
+control); otherwise central differences with one Richardson extrapolation
+step (combining h and h/2, fourth-order accurate) keep the residual of a
+true integral well below the 1e-6 pass threshold.
+
+:func:`level_set_bracket_scan` evaluates what depends on the chart point
+alone (Cholesky factor, G^{-1}, dG and Omega) once per grid point, for all
+angles at once; only the integral's guard and gradient are evaluated per
+sample.  Each sample gives the same bits as :func:`magnetic_bracket_fd`
+at that phase.
 """
 
 from __future__ import annotations
@@ -183,10 +190,13 @@ def level_set_bracket_scan(
 ) -> ResidualReport:
     """Scan |{F, H}| over a domain grid with momenta on {H = energy/2}.
 
-    Grid points outside the domain predicate, and phases rejected by the
-    integral's guard, are skipped (not failed): rational integrals have
-    genuine poles inside otherwise fine domains.  The guard is evaluated
-    once per sample.
+    Grid points outside the domain predicate, points where the metric is
+    not positive definite, and phases rejected by the integral's guard are
+    skipped (not failed): rational integrals have genuine poles inside
+    otherwise fine domains.  Everything that depends on the chart point
+    alone (Cholesky factor, G^{-1}, dG, Omega) is evaluated once per grid
+    point, for all angles at once; the integral's guard and gradient are
+    evaluated once per sample.
     """
     if config is None:
         config = BracketScanConfig()
@@ -201,15 +211,17 @@ def level_set_bracket_scan(
     worst = None
     for x, y in points:
         try:
-            p_samples = [momentum_on_level(system, x, y, phi, energy=c) for phi in angles]
+            p1, p2 = momentum_on_level(system, x, y, angles, energy=c)
+            dh = hamiltonian_gradient(system, (x, y, p1, p2))
         except SingularMetric:
             continue
-        for phi, (p1, p2) in zip(angles, p_samples):
-            state = np.array([x, y, p1, p2])
+        # contiguous rows, so np.dot adds in the order a single-sample bracket does
+        flows = np.ascontiguousarray(vector_field(system, x, y, dh).T)
+        for phi, q1, q2, x_h in zip(angles, p1, p2, flows):
+            state = np.array([x, y, q1, q2])
             if not integral.admits(state):
                 continue
-            val = abs(_bracket(system, state, _gradient_of(integral, state, config.h),
-                               hamiltonian_gradient(system, state)))
+            val = abs(float(np.dot(_gradient_of(integral, state, config.h), x_h)))
             sumsq += val * val
             count += 1
             if val > max_abs:

@@ -1,13 +1,19 @@
 """Command line driver: outputs, exit codes, config merging, determinism."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magflows import rational
-from magflows.cli import build_parser, config_actions, main
+from magflows.catalog import get_example, list_examples
+from magflows.cli import _corrupted, build_parser, config_actions, main
 from magflows.hodograph import HodographConstants, closed_form_abzero
 from magflows.rational import PolynomialCos, build_bundle
 
@@ -203,6 +209,18 @@ class TestVerify:
         assert code == 2
 
 
+    @pytest.mark.parametrize("name", [entry.name for entry in list_examples()])
+    def test_corrupt_control_carries_its_gradient(self, name):
+        """The --corrupt control F + 0.01 x has the exact gradient
+        dF + 0.01 e_x, so its scan differences nothing."""
+        entry = get_example(name)
+        integral = entry.integrals[0]
+        control = _corrupted(integral)
+        for phase in entry.sample_phases:
+            want = np.asarray(integral.grad(phase)) + [0.01, 0.0, 0.0, 0.0]
+            np.testing.assert_array_equal(control.grad(phase), want)
+
+
 class TestHodograph:
     def test_grid_matches_closed_form(self, tmp_path, capsys):
         """With the first two constants zero the CSV matches closed form."""
@@ -387,3 +405,55 @@ class TestErrorContract:
         code, _, err = _run(["--config", str(path), "--out-dir", str(tmp_path), command], capsys)
         assert code == 2
         assert f"config key {next(iter(config))!r} must be" in err
+
+
+_BAD_NUMBERS = st.sampled_from(["0", "-1", "-1e300", "nan", "-inf", "abc", "1e", ""])
+# a finite float in about half of the draws, else a huge, infinite or bad value
+_NUMBERS = st.one_of(st.floats(-3.0, 3.0).map(repr), st.floats(-5.0, 5.0).map(repr),
+                     st.sampled_from(["1e300", "inf"]), _BAD_NUMBERS)
+
+
+@st.composite
+def _cheap_argv(draw):
+    """list, simulate runs of at most 0.5 time units, and bad numeric
+    options; a single value is passed as --option=value so that negative
+    numbers reach the option instead of being read as flags."""
+    kind = draw(st.sampled_from(["list", "simulate", "simulate", "bad"]))
+    if kind == "list":
+        return ["list"]
+    example = draw(st.sampled_from(["ex1", "ex2", "ex2b", "ex3", "ex4", "ex5", "ex6", "ex9"]))
+    if kind == "simulate":
+        argv = ["simulate", example, f"--t-end={draw(st.sampled_from(['0.05', '0.2', '0.5']))}"]
+        if draw(st.booleans()):
+            argv += ["--phase"] + [draw(_NUMBERS) for _ in range(4)]
+        else:
+            argv += ["--position", draw(_NUMBERS), draw(_NUMBERS), f"--angle={draw(_NUMBERS)}"]
+        option = draw(st.sampled_from(["--rel-tol", "--abs-tol", "--record-every", "--step"]))
+        return argv + [f"{option}={draw(_NUMBERS)}"]
+    option = draw(st.sampled_from([
+        ["simulate", example, "--phase", "0.1", "0.1", "1", "0", "--t-end"],
+        ["simulate", example, "--phase", "0.1", "0.1", "1", "0", "--method=fixed_rk4",
+         "--t-end=0.1", "--step"],
+        ["hodograph", "--grid", "3", "3", "--fd-step"],
+        ["build-rational", "poly-cos", "--k"],
+        ["build-rational", "log-radial", "--c-energy"],
+        ["--seed"],
+    ]))
+    return option[:-1] + [f"{option[-1]}={draw(_BAD_NUMBERS)}"]
+
+
+class TestFuzzedArgv:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(argv=_cheap_argv())
+    def test_documented_exit_code_and_no_traceback(self, argv):
+        """Any argv of cheap commands ends in a documented exit code with
+        no traceback on stderr."""
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out_dir:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(["--out-dir", out_dir] + argv)
+                except SystemExit as exc:  # argparse rejects malformed options
+                    code = exc.code
+        assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

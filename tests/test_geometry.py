@@ -82,6 +82,15 @@ class TestMetric:
         with pytest.raises(SingularMetric):
             metric.cholesky(0.0, 0.0)
 
+    def test_nan_metric_rejected(self):
+        """NaN components fail the positive-definiteness test of both
+        inverse and cholesky instead of giving a NaN matrix."""
+        metric = Metric(components=lambda x, y: (math.nan, 0.0, 1.0))
+        with pytest.raises(SingularMetric):
+            metric.inverse(0.0, 0.0)
+        with pytest.raises(SingularMetric):
+            metric.cholesky(0.0, 0.0)
+
     def test_fd_partials_match_analytic(self):
         """Default difference-quotient partials track supplied ones."""
         analytic = Metric(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from magflows.catalog import get_example
 from magflows.errors import DomainError, SingularPoint
 from magflows.flow import TrajectoryConfig, conservation_drift, integrate
 from magflows.geometry import hamiltonian, momentum_on_level
@@ -22,7 +23,12 @@ from magflows.hodograph import (
     pde41_residual_fd,
     reconstruct_fields,
 )
-from magflows.integrals import level_set_bracket_scan, magnetic_bracket_pair, hamiltonian_integral
+from magflows.integrals import (
+    _fd_gradient,
+    hamiltonian_integral,
+    level_set_bracket_scan,
+    magnetic_bracket_pair,
+)
 
 RNG = np.random.default_rng(0)
 
@@ -206,6 +212,16 @@ class TestExample3Surface:
         system, integral = example3_system()
         report = level_set_bracket_scan(system, integral)
         assert report.max_abs <= 1e-6
+
+    def test_integral_gradient_matches_differences(self):
+        """The complex-step gradient of the integral agrees with Richardson
+        differences of the same formula at the catalog sample phases, to
+        the differences' own error."""
+        _, integral = example3_system()
+        for phase in get_example("ex3").sample_phases:
+            got = integral.grad(phase)
+            want = _fd_gradient(integral.func, phase, 1e-5)
+            np.testing.assert_allclose(got, want, rtol=0, atol=2e-7 * np.max(np.abs(got)))
 
     def test_integral_conserved_along_flow(self):
         """Trajectory drift of the quadratic integral stays below 1e-6."""

@@ -1,12 +1,15 @@
 """Magnetic brackets, level-set scans and functional independence."""
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from magflows import integrals, rational
 from magflows.catalog import get_example, list_examples
-from magflows.errors import DomainError, GuardError
+from magflows.errors import DomainError, GuardError, SingularMetric
 from magflows.geometry import (
     ChartDomain,
     MagneticSystem,
@@ -212,6 +215,117 @@ class TestLevelSetScan:
         report = level_set_bracket_scan(ex3.system, ex3.integrals[0])
         assert report.worst is not None and len(report.worst) == 3
         assert ex3.system.domain.contains(report.worst[0], report.worst[1])
+
+
+def _reference_scan(system, integral, config):
+    """The scan written per sample: momentum_on_level and magnetic_bracket_fd
+    for each angle on its own."""
+    points = system.domain.grid(config.nx, config.ny, margin=config.grid_margin)
+    angles = np.linspace(0.0, 2.0 * np.pi, config.n_angles, endpoint=False)
+    max_abs, sumsq, count, worst = 0.0, 0.0, 0, None
+    for x, y in points:
+        try:
+            momenta = [momentum_on_level(system, x, y, phi) for phi in angles]
+        except SingularMetric:
+            continue
+        for phi, (p1, p2) in zip(angles, momenta):
+            try:
+                val = abs(magnetic_bracket_fd(system, integral, np.array([x, y, p1, p2]),
+                                              h=config.h))
+            except GuardError:
+                continue
+            sumsq += val * val
+            count += 1
+            if val > max_abs:
+                max_abs, worst = val, (float(x), float(y), float(phi))
+    return max_abs, math.sqrt(sumsq / count), count, worst
+
+
+SCAN_CASES = [(entry.name, i) for entry in list_examples() for i in range(len(entry.integrals))]
+SCAN_FAMILIES = {
+    "poly-cos": lambda: rational.PolynomialCos(3),
+    "log-radial": rational.LogRadial,
+    "log-nu1": rational.LogNu1,
+    "elliptic-half": rational.EllipticHalf,
+}
+
+
+class TestScanEquivalence:
+    COARSE = BracketScanConfig(nx=6, ny=6, n_angles=4)
+
+    @pytest.mark.parametrize("name, index", SCAN_CASES + [(f, 0) for f in SCAN_FAMILIES])
+    def test_matches_per_sample_reference(self, name, index):
+        """Evaluating the chart point once for all angles changes no sample,
+        on every catalog integral and one bundle per family: the arithmetic
+        of each sample is unchanged, so the report is equal bit for bit."""
+        if name in SCAN_FAMILIES:
+            bundle = rational.build_bundle(SCAN_FAMILIES[name]())
+            system, integral = bundle.as_system(), bundle.as_integral()
+        else:
+            entry = get_example(name)
+            system, integral = entry.system, entry.integrals[index]
+        report = level_set_bracket_scan(system, integral, config=self.COARSE)
+        want = _reference_scan(system, integral, self.COARSE)
+        assert (report.max_abs, report.rms, report.count, report.worst) == want
+
+    def test_chart_point_work_does_not_grow_with_angles(self):
+        """Metric components, partials and field are called a fixed number
+        of times per grid point (Cholesky and G^{-1}, dG, Omega), however
+        many angles are sampled."""
+        entry = get_example("ex5")
+        calls = Counter()
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        metric = entry.system.metric
+        system = dataclasses.replace(
+            entry.system,
+            metric=Metric(counted("components", metric.components),
+                          counted("partials", metric.partials)),
+            field=counted("field", entry.system.field),
+        )
+        for n_angles in (4, 12):
+            config = BracketScanConfig(nx=6, ny=6, n_angles=n_angles)
+            points = len(system.domain.grid(6, 6, margin=config.grid_margin))
+            calls.clear()
+            level_set_bracket_scan(system, entry.integrals[0], config=config)
+            assert calls == {"components": 2 * points, "partials": points, "field": points}
+
+    def test_gradient_free_integral_uses_differences(self, monkeypatch):
+        """An integral without a gradient is differenced once per sample;
+        one with a gradient never is."""
+        calls = Counter()
+        fd_gradient = integrals._fd_gradient
+
+        def counted(*args):
+            calls["fd"] += 1
+            return fd_gradient(*args)
+
+        monkeypatch.setattr(integrals, "_fd_gradient", counted)
+        ex2 = get_example("ex2")
+        exact = ex2.integrals[0]
+        plain = dataclasses.replace(exact, grad=None)
+        with_grad = level_set_bracket_scan(ex2.system, exact, config=self.COARSE)
+        assert calls["fd"] == 0
+        differenced = level_set_bracket_scan(ex2.system, plain, config=self.COARSE)
+        assert calls["fd"] == differenced.count == with_grad.count
+        assert differenced.max_abs <= 1e-8
+
+    def test_nan_metric_points_are_skipped(self):
+        """Grid points where the metric is NaN are skipped like singular
+        ones, so the report stays finite."""
+        metric = Metric(components=lambda x, y: (math.nan if x > 0.5 else 1.0, 0.0, 1.0))
+        system = MagneticSystem(metric=metric, field=lambda x, y: 0.0,
+                                domain=ChartDomain(bbox=(0.0, 1.0, 0.0, 1.0)))
+        linear = FirstIntegral(name="F", kind="linear", func=lambda s: s[2])
+        config = BracketScanConfig(nx=4, ny=4, n_angles=4, grid_margin=0.0)
+        report = level_set_bracket_scan(system, linear, config=config)
+        assert report.count == 2 * 4 * 4
+        assert report.max_abs == report.rms == 0.0
 
 
 class TestIndependenceRank:
