@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -554,7 +555,15 @@ _DISPATCH = {
 }
 
 
+# argparse takes "-5e-05" for an option string: it reads negative numbers
+# only in plain decimals, so such values are rewritten in the shortest plain
+# decimal that reads back as the same float
+_EXPONENT_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+
 def main(argv=None) -> int:
+    argv = [np.format_float_positional(float(a), trim="-") if _EXPONENT_NEGATIVE.fullmatch(a)
+            else a for a in (sys.argv[1:] if argv is None else argv)]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

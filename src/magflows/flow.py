@@ -7,9 +7,10 @@ The equations of motion are the magnetic Hamiltonian vector field X_H:
     dp2/dt = -dH/dq2 - Omega * dH/dp1,
 
 with H = (1/2) p^T G(q)^{-1} p.  :func:`magnetic_rhs` adds only the domain
-check: H and its gradient come from
-:func:`magflows.geometry.hamiltonian_gradient` and X_H from
-:func:`magflows.geometry.vector_field`.
+check: it evaluates the chart point's local geometry once
+(:meth:`magflows.geometry.MagneticSystem.local_geometry`), and H's
+gradient from :func:`magflows.geometry.hamiltonian_gradient` and X_H from
+:func:`magflows.geometry.vector_field` both read that one evaluation.
 
 Two steppers are provided: the classic fixed-step fourth-order scheme and
 a Dormand-Prince embedded 4(5) pair with a proportional step controller
@@ -105,7 +106,8 @@ def magnetic_rhs(system: MagneticSystem, phase, check_domain: bool = True) -> np
     x, y, p1, p2 = map(float, phase)
     if check_domain:
         system.require_inside(x, y)
-    return vector_field(system, x, y, hamiltonian_gradient(system, (x, y, p1, p2)))
+    local = system.local_geometry(x, y)
+    return vector_field(system, x, y, hamiltonian_gradient(system, (x, y, p1, p2), local), local)
 
 
 # Dormand-Prince 4(5) tableau

@@ -9,7 +9,10 @@ Conventions used throughout the package:
   :func:`hamiltonian_gradient` are the only places that contract G^{-1};
 * the magnetic field is the coefficient ``Omega(x, y)`` of ``dx ^ dy``; it
   enters only through :func:`vector_field`, the field X_G of a phase
-  function G, so the flow is X_H and the bracket is {F, G} = dF(X_G).
+  function G, so the flow is X_H and the bracket is {F, G} = dF(X_G);
+* both read G^{-1}, dG and Omega of a chart point from one
+  :meth:`MagneticSystem.local_geometry` call, built from the metric and
+  the field unless the chart supplies all three from one evaluation.
 
 Metric components are supplied as analytic functions.  Spatial derivatives
 of the components default to central finite differences with step
@@ -19,6 +22,7 @@ partials, which every catalog system does.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -50,6 +54,16 @@ Partials = Callable[
 ]
 
 
+def _inverse(g, x: float, y: float) -> tuple[float, float, float]:
+    """Entries (i11, i12, i22) of G^{-1} from the components g = (g11, g12,
+    g22); SingularMetric where G is not positive definite (NaN fails too)."""
+    g11, g12, g22 = g
+    det = g11 * g22 - g12 * g12
+    if not (det > 0.0 and g11 > 0.0):
+        raise SingularMetric(f"metric not positive definite at ({x}, {y}): det = {det}")
+    return g22 / det, -g12 / det, g11 / det
+
+
 @dataclass(frozen=True)
 class ChartDomain:
     """Working domain of a chart.
@@ -64,7 +78,7 @@ class ChartDomain:
     predicate: Optional[Callable[[float, float], bool]] = None
 
     def contains(self, x: float, y: float) -> bool:
-        if not (np.isfinite(x) and np.isfinite(y)):
+        if not (math.isfinite(x) and math.isfinite(y)):
             return False
         if self.predicate is None:
             return True
@@ -101,22 +115,15 @@ class Metric:
         return g11 * g22 - g12 * g12
 
     def inverse(self, x: float, y: float) -> np.ndarray:
-        """G^{-1}; raises SingularMetric where G is not positive definite
-        (written so that NaN components fail the test too)."""
-        g11, g12, g22 = self.components(x, y)
-        det = g11 * g22 - g12 * g12
-        if not (det > 0.0 and g11 > 0.0):
-            raise SingularMetric(
-                f"metric not positive definite at ({x}, {y}): det = {det}"
-            )
-        return np.array([[g22, -g12], [-g12, g11]], dtype=float) / det
+        """G^{-1}; raises SingularMetric where G is not positive definite."""
+        i11, i12, i22 = _inverse(self.components(x, y), x, y)
+        return np.array([[i11, i12], [i12, i22]], dtype=float)
 
     def cholesky(self, x: float, y: float) -> np.ndarray:
         """Lower-triangular L with positive diagonal and G = L L^T; raises
         SingularMetric on the same test as :meth:`inverse`."""
-        g11, g12, g22 = self.components(x, y)
-        if not (g11 * g22 - g12 * g12 > 0.0 and g11 > 0.0):
-            raise SingularMetric(f"metric not positive definite at ({x}, {y})")
+        g11, g12, g22 = g = self.components(x, y)
+        _inverse(g, x, y)
         try:
             return np.linalg.cholesky(np.array([[g11, g12], [g12, g22]], dtype=float))
         except np.linalg.LinAlgError as exc:
@@ -168,7 +175,9 @@ class MagneticSystem:
     """A metric, a magnetic field coefficient and a working domain.
 
     ``energy`` is the constant C > 0; integrals attached to the system
-    are guaranteed (at least) on the level set {H = C/2}.
+    are guaranteed (at least) on the level set {H = C/2}.  ``local``, when
+    given, returns (G, dG, Omega) of a chart point from one evaluation and
+    must agree with ``metric`` and ``field``.
     """
 
     metric: Metric
@@ -177,6 +186,7 @@ class MagneticSystem:
     energy: float = 1.0
     name: str = ""
     coords: tuple[str, str] = ("q1", "q2")
+    local: Optional[Callable[[float, float], tuple]] = None
 
     def __post_init__(self):
         if not self.energy > 0.0:
@@ -186,10 +196,21 @@ class MagneticSystem:
         if not self.domain.contains(x, y):
             raise DomainError(f"point ({x}, {y}) outside the working domain")
 
+    def local_geometry(self, x: float, y: float) -> tuple:
+        """(G^{-1}, dG, Omega) at a chart point: the entries (i11, i12, i22)
+        of the inverse metric (SingularMetric where G is not positive
+        definite), the component partials and the field coefficient; from
+        one call of ``local`` when the chart supplies it."""
+        if self.local is not None:
+            g, dg, omega = self.local(x, y)
+            return _inverse(g, x, y), dg, omega
+        (i11, i12), (_, i22) = self.metric.inverse(x, y).tolist()
+        return (i11, i12, i22), self.metric.component_partials(x, y), self.field(x, y)
 
-def _velocity(system: MagneticSystem, x, y, p1, p2) -> tuple[float, float]:
-    """dH/dp = G^{-1} p, the velocity, from one inverse-metric evaluation."""
-    (i11, i12), (_, i22) = system.metric.inverse(x, y).tolist()
+
+def _velocity(inverse, p1, p2) -> tuple[float, float]:
+    """dH/dp = G^{-1} p, the velocity, from the entries of G^{-1}."""
+    i11, i12, i22 = inverse
     return i11 * p1 + i12 * p2, i12 * p1 + i22 * p2
 
 
@@ -198,35 +219,38 @@ def hamiltonian(system: MagneticSystem, phase, check_domain: bool = True) -> flo
     x, y, p1, p2 = map(float, phase)
     if check_domain:
         system.require_inside(x, y)
-    w1, w2 = _velocity(system, x, y, p1, p2)
+    w1, w2 = _velocity(_inverse(system.metric.components(x, y), x, y), p1, p2)
     return 0.5 * (p1 * w1 + p2 * w2)
 
 
-def hamiltonian_gradient(system: MagneticSystem, phase) -> tuple[float, float, float, float]:
+def hamiltonian_gradient(system: MagneticSystem, phase, local=None) -> tuple:
     """Phase gradient (H_x, H_y, H_p1, H_p2) of the Hamiltonian, without a
     domain check: dH/dp = w = G^{-1} p and dH/dq_k = -(1/2) w^T (dG/dq_k) w.
 
     ``phase`` = (x, y, p1, p2) at one chart point; p1 and p2 may be arrays
-    of momenta, over which the four components broadcast.  The geometry of
-    the point is evaluated once either way.
+    of momenta, over which the four components broadcast.  ``local`` is
+    the point's :meth:`MagneticSystem.local_geometry`, evaluated here when
+    not given.
     """
     x, y, p1, p2 = phase
-    w1, w2 = _velocity(system, x, y, p1, p2)
-    (e_x, f_x, g_x), (e_y, f_y, g_y) = system.metric.component_partials(x, y)
+    inverse, dg, _ = system.local_geometry(x, y) if local is None else local
+    w1, w2 = _velocity(inverse, p1, p2)
+    (e_x, f_x, g_x), (e_y, f_y, g_y) = dg
     h_x = -0.5 * (e_x * w1 * w1 + 2.0 * f_x * w1 * w2 + g_x * w2 * w2)
     h_y = -0.5 * (e_y * w1 * w1 + 2.0 * f_y * w1 * w2 + g_y * w2 * w2)
     return h_x, h_y, w1, w2
 
 
-def vector_field(system: MagneticSystem, x: float, y: float, grad) -> np.ndarray:
+def vector_field(system: MagneticSystem, x: float, y: float, grad, local=None) -> np.ndarray:
     """Magnetic Hamiltonian vector field X_G at (x, y) of a function G with
     phase gradient ``grad`` = (G_x, G_y, G_p1, G_p2):
     X_G = (G_p1, G_p2, -G_x + Omega G_p2, -G_y - Omega G_p1).
 
-    Shape (4,) for one gradient; (4, n) when the four components are
-    arrays of n values at the same chart point."""
+    Omega is read from ``local`` (as in :func:`hamiltonian_gradient`) when
+    given.  Shape (4,) for one gradient; (4, n) when the four components
+    are arrays of n values at the same chart point."""
     g_x, g_y, g_p1, g_p2 = grad
-    omega = system.field(x, y)
+    omega = system.field(x, y) if local is None else local[2]
     return np.array([g_p1, g_p2, -g_x + omega * g_p2, -g_y - omega * g_p1])
 
 

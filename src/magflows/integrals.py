@@ -212,11 +212,12 @@ def level_set_bracket_scan(
     for x, y in points:
         try:
             p1, p2 = momentum_on_level(system, x, y, angles, energy=c)
-            dh = hamiltonian_gradient(system, (x, y, p1, p2))
+            local = system.local_geometry(x, y)
+            dh = hamiltonian_gradient(system, (x, y, p1, p2), local)
         except SingularMetric:
             continue
         # contiguous rows, so np.dot adds in the order a single-sample bracket does
-        flows = np.ascontiguousarray(vector_field(system, x, y, dh).T)
+        flows = np.ascontiguousarray(vector_field(system, x, y, dh, local).T)
         for phi, q1, q2, x_h in zip(angles, p1, p2, flows):
             state = np.array([x, y, q1, q2])
             if not integral.admits(state):

@@ -8,11 +8,16 @@ Every solution Z(rho, psi) of
 with nonvanishing discriminant D = rho (rho + 1) Z_rr^2 + (Z_rp - Z_p/rho)^2
 generates a metric, a magnetic coefficient and a first integral that is a
 ratio of two expressions linear in momenta, conserved on the energy level
-{H = C/2}.  This module ships four closed-form solution families with
-analytic partials through third order (the metric partials need them), the
+{H = C/2}.  This module ships four closed-form solution families, the
 bundle assembly, the chart-to-plane map, and the Riemann-invariant
 coordinates that diagonalize the underlying quasilinear system on the
 hyperbolic strip -1 < rho < 0.
+
+Every family has the form Z = R(rho) cos(nu (psi + psi0)) (nu = k for
+poly-cos, 1 for log-nu1, 1/2 for elliptic-half, 0 for log-radial) and
+supplies only its radial jet, nu and psi0; :meth:`ZSolution.jet` gives the
+nine partials of Z through third order by the product rule.  A bundle
+builds its metric, metric partials and field from one jet per point.
 """
 
 from __future__ import annotations
@@ -26,13 +31,7 @@ import numpy as np
 from .errors import DegenerateD, DomainError, NearPole
 from .geometry import ChartDomain, MagneticSystem, Metric
 from .integrals import FirstIntegral
-from .specfun import (
-    elliptic_E,
-    elliptic_K,
-    elliptic_d2E,
-    elliptic_dE,
-    terminating_2f1_coeffs,
-)
+from .specfun import elliptic_jet, terminating_2f1_coeffs
 
 __all__ = [
     "ZSolution",
@@ -57,17 +56,19 @@ TWO_PI = 2.0 * math.pi
 
 
 class ZSolution:
-    """A closed-form solution of the generating linear equation.
+    """A closed-form solution Z = R(rho) cos(nu (psi + psi0)) of the
+    generating linear equation, given by ``_radial`` (R, R', R'', R'''),
+    ``nu`` and ``psi0``.
 
-    Subclasses provide partial derivatives through second order via
-    ``partials`` and the three third-order partials entering the metric
-    partials via ``third_partials``.  ``valid_rho`` is the open interval
-    on which the formulas make sense; ``psi_period`` is the period of the
-    generated integral in the angular variable; ``default_rho_range`` is
-    the working annulus used when none is given.
+    ``valid_rho`` is the open interval on which the formulas make sense;
+    ``psi_period`` is the period of the generated integral in the angular
+    variable; ``default_rho_range`` is the working annulus used when none
+    is given.
     """
 
     family: str = ""
+    nu: float = 0.0
+    psi0: float = 0.0
     psi_period: float = TWO_PI
     valid_rho: tuple = (-math.inf, math.inf)
     default_rho_range: tuple = (0.05, 5.0)
@@ -75,24 +76,34 @@ class ZSolution:
     def params(self) -> dict:
         return {}
 
-    def check_rho(self, rho: float) -> None:
+    def _radial(self, rho: float) -> tuple[float, float, float, float]:
+        """(R, R', R'', R''') at rho."""
+        raise NotImplementedError
+
+    def jet(self, rho: float, psi: float) -> tuple:
+        """(Z, Z_r, Z_p, Z_rr, Z_rp, Z_pp, Z_rrr, Z_rrp, Z_rpp) at one chart
+        point, by the product rule from one radial jet."""
         lo, hi = self.valid_rho
         if not (lo < rho < hi):
-            raise DomainError(
-                f"rho = {rho} outside the validity interval ({lo}, {hi}) "
-                f"of family {self.family!r}"
-            )
+            raise DomainError(f"rho = {rho} outside the validity interval ({lo}, {hi}) "
+                              f"of family {self.family!r}")
+        r, r1, r2, r3 = self._radial(rho)
+        nu = self.nu
+        u = nu * (psi + self.psi0)
+        c, s = math.cos(u), math.sin(u)
+        return (r * c, r1 * c, -nu * r * s, r2 * c, -nu * r1 * s, -nu * nu * r * c,
+                r3 * c, -nu * r2 * s, -nu * nu * r1 * c)
 
     def partials(self, rho: float, psi: float):
         """(Z, Z_r, Z_p, Z_rr, Z_rp, Z_pp) at one chart point."""
-        raise NotImplementedError
+        return self.jet(rho, psi)[:6]
 
     def third_partials(self, rho: float, psi: float):
         """(Z_rrr, Z_rrp, Z_rpp) at one chart point."""
-        raise NotImplementedError
+        return self.jet(rho, psi)[6:]
 
     def value(self, rho: float, psi: float) -> float:
-        return self.partials(rho, psi)[0]
+        return self.jet(rho, psi)[0]
 
     def descriptor(self) -> dict:
         return {"family": self.family, "parameters": self.params()}
@@ -112,15 +123,14 @@ class PolynomialCos(ZSolution):
         if k < 1:
             raise DomainError("the polynomial family needs k >= 1")
         raw = terminating_2f1_coeffs(k)
-        self.k = int(k)
+        self.k = self.nu = int(k)
         self.psi0 = float(psi0)
         self.coeffs = [c / raw[-1] for c in raw]  # monic in rho^k
-        self.psi_period = TWO_PI
 
     def params(self) -> dict:
         return {"k": self.k, "psi0": self.psi0}
 
-    def _radial(self, rho: float):
+    def _radial(self, rho):
         p = p1 = p2 = p3 = 0.0
         for j in range(self.k, 0, -1):
             c = self.coeffs[j - 1]
@@ -133,23 +143,9 @@ class PolynomialCos(ZSolution):
                 p3 += c * j * (j - 1) * (j - 2) * rho ** (j - 3)
         return p, p1, p2, p3
 
-    def partials(self, rho, psi):
-        k = self.k
-        u = k * (psi + self.psi0)
-        cu, su = math.cos(u), math.sin(u)
-        p, p1, p2, _ = self._radial(rho)
-        return (p * cu, p1 * cu, -k * p * su, p2 * cu, -k * p1 * su, -k * k * p * cu)
-
-    def third_partials(self, rho, psi):
-        k = self.k
-        u = k * (psi + self.psi0)
-        cu, su = math.cos(u), math.sin(u)
-        _, p1, p2, p3 = self._radial(rho)
-        return (p3 * cu, -k * p2 * su, -k * k * p1 * cu)
-
 
 class LogRadial(ZSolution):
-    """Z = ln(1 + rho), the angle-independent solution.
+    """Z = ln(1 + rho), the angle-independent solution (nu = 0).
 
     The generated flow is flat and admits a closed-form transition to the
     plane chart; see ``xy_to_chart_logradial``.
@@ -158,21 +154,16 @@ class LogRadial(ZSolution):
     family = "log-radial"
     valid_rho = (-1.0, math.inf)
 
-    def partials(self, rho, psi):
-        self.check_rho(rho)
+    def _radial(self, rho):
         s = 1.0 + rho
-        return (math.log(s), 1.0 / s, 0.0, -1.0 / (s * s), 0.0, 0.0)
-
-    def third_partials(self, rho, psi):
-        self.check_rho(rho)
-        s = 1.0 + rho
-        return (2.0 / s ** 3, 0.0, 0.0)
+        return math.log(s), 1.0 / s, -1.0 / (s * s), 2.0 / s ** 3
 
 
 class LogNu1(ZSolution):
     """Z = (rho ln(1 + 1/rho) - 1) cos(psi) on rho > 0."""
 
     family = "log-nu1"
+    nu = 1.0
     valid_rho = (0.0, math.inf)
 
     def _radial(self, rho):
@@ -184,27 +175,17 @@ class LogNu1(ZSolution):
         a3 = (3.0 * rho + 1.0) / (rho * rho * s ** 3)
         return a, a1, a2, a3
 
-    def partials(self, rho, psi):
-        self.check_rho(rho)
-        cp, sp = math.cos(psi), math.sin(psi)
-        a, a1, a2, _ = self._radial(rho)
-        return (a * cp, a1 * cp, -a * sp, a2 * cp, -a1 * sp, -a * cp)
-
-    def third_partials(self, rho, psi):
-        self.check_rho(rho)
-        cp, sp = math.cos(psi), math.sin(psi)
-        _, a1, a2, a3 = self._radial(rho)
-        return (a3 * cp, -a2 * sp, -a1 * cp)
-
 
 class EllipticHalf(ZSolution):
     """Z = S(rho) cos(psi/2) with S built from complete elliptic integrals.
 
     S(rho) = (4/pi) (E(-rho) - K(-rho)); the half-angle makes the integral
-    4 pi periodic in psi.  Valid on rho > -1.
+    4 pi periodic in psi.  Valid on rho > -1.  The radial jet takes K, E,
+    dE/dm and d2E/dm2 from one AGM run.
     """
 
     family = "elliptic-half"
+    nu = 0.5
     psi_period = 2.0 * TWO_PI
     valid_rho = (-1.0, math.inf)
     default_rho_range = (0.1, 3.0)
@@ -212,30 +193,13 @@ class EllipticHalf(ZSolution):
     def _radial(self, rho):
         m = -rho
         one_m = 1.0 - m
-        kk = elliptic_K(m)
-        ee = elliptic_E(m)
-        de = elliptic_dE(m)
-        d2e = elliptic_d2E(m)
+        kk, ee, de, d2e = elliptic_jet(m)
         w = ee - kk
         w1 = -ee / (2.0 * one_m)
         w2 = -de / (2.0 * one_m) - ee / (2.0 * one_m * one_m)
         w3 = -d2e / (2.0 * one_m) - de / (one_m * one_m) - ee / (one_m ** 3)
         c = 4.0 / math.pi
         return c * w, -c * w1, c * w2, -c * w3
-
-    def partials(self, rho, psi):
-        self.check_rho(rho)
-        h = 0.5 * psi
-        ch, sh = math.cos(h), math.sin(h)
-        s, s1, s2, _ = self._radial(rho)
-        return (s * ch, s1 * ch, -0.5 * s * sh, s2 * ch, -0.5 * s1 * sh, -0.25 * s * ch)
-
-    def third_partials(self, rho, psi):
-        self.check_rho(rho)
-        h = 0.5 * psi
-        ch, sh = math.cos(h), math.sin(h)
-        _, s1, s2, s3 = self._radial(rho)
-        return (s3 * ch, -0.5 * s2 * sh, -0.25 * s1 * ch)
 
 
 FAMILIES = {
@@ -300,36 +264,30 @@ class RationalFlowBundle:
     rho_range: tuple = (0.05, 5.0)
     denominator_floor: float = 1e-8
 
-    def _core(self, rho, psi):
-        z = self.z
-        z.check_rho(rho)
+    def _jet(self, rho, psi):
+        """``ZSolution.jet``; DomainError also at rho = 0."""
         if rho == 0.0:
             raise DomainError("the chart degenerates at rho = 0")
-        _, z_r, z_p, z_rr, z_rp, z_pp = z.partials(rho, psi)
+        return self.z.jet(rho, psi)
+
+    def local_geometry(self, rho, psi):
+        """Metric components, their partials and the magnetic coefficient
+        (gamma/2) Z_rr at a chart point, all from one jet of Z: the
+        bundle's ``MagneticSystem.local_geometry``."""
+        _, _, z_p, zeta, z_rp, z_pp, z_rrr, z_rrp, z_rpp = self._jet(rho, psi)
         w = rho * z_rp - z_p
-        return z_r, z_p, z_rr, z_rp, z_pp, w
-
-    def metric_components(self, rho, psi):
-        _, _, z_rr, _, _, w = self._core(rho, psi)
         g2, c = self.gamma * self.gamma, self.c_energy
-        pre = g2 * (rho + 1.0) / (c * rho ** 4)
+        r4 = rho ** 4
         q = rho * (rho + 1.0)
-        g_rr = pre * (rho ** 4 * z_rr * z_rr + w * w)
-        g_rp = -pre * rho * rho * z_rr * w
-        g_pp = (g2 * (rho + 1.0) / (c * rho * rho)) * (q * q * z_rr * z_rr + w * w)
-        return g_rr, g_rp, g_pp
-
-    def metric_partials(self, rho, psi):
-        _, _, zeta, _, z_pp, w = self._core(rho, psi)
-        z_rrr, z_rrp, z_rpp = self.z.third_partials(rho, psi)
-        g2, c = self.gamma * self.gamma, self.c_energy
+        pre = g2 * (rho + 1.0) / (c * r4)
+        pre2 = g2 * (rho + 1.0) / (c * rho * rho)
+        base_rr = r4 * zeta * zeta + w * w
+        base_pp = q * q * zeta * zeta + w * w
+        components = (pre * base_rr, -pre * rho * rho * zeta * w, pre2 * base_pp)
         zeta_r, zeta_p = z_rrr, z_rrp
         w_r = rho * z_rrp
         w_p = rho * z_rpp - z_pp
-        pre = g2 * (rho + 1.0) / (c * rho ** 4)
         pre_r = -g2 * (3.0 * rho + 4.0) / (c * rho ** 5)
-        r4 = rho ** 4
-        base_rr = r4 * zeta * zeta + w * w
         d_rr_r = pre_r * base_rr + pre * (
             4.0 * rho ** 3 * zeta * zeta + 2.0 * r4 * zeta * zeta_r + 2.0 * w * w_r
         )
@@ -339,31 +297,31 @@ class RationalFlowBundle:
             + pre * (2.0 * rho * zeta * w + rho * rho * zeta_r * w + rho * rho * zeta * w_r)
         )
         d_rp_p = -pre * rho * rho * (zeta_p * w + zeta * w_p)
-        pre2 = g2 * (rho + 1.0) / (c * rho * rho)
         pre2_r = -g2 * (rho + 2.0) / (c * rho ** 3)
-        q = rho * (rho + 1.0)
         q_r = 2.0 * rho + 1.0
-        base_pp = q * q * zeta * zeta + w * w
         d_pp_r = pre2_r * base_pp + pre2 * (
             2.0 * q * q_r * zeta * zeta + 2.0 * q * q * zeta * zeta_r + 2.0 * w * w_r
         )
         d_pp_p = pre2 * (2.0 * q * q * zeta * zeta_p + 2.0 * w * w_p)
-        return (d_rr_r, d_rp_r, d_pp_r), (d_rr_p, d_rp_p, d_pp_p)
+        partials = (d_rr_r, d_rp_r, d_pp_r), (d_rr_p, d_rp_p, d_pp_p)
+        return components, partials, 0.5 * self.gamma * zeta
+
+    def metric_components(self, rho, psi):
+        return self.local_geometry(rho, psi)[0]
+
+    def metric_partials(self, rho, psi):
+        return self.local_geometry(rho, psi)[1]
 
     def omega(self, rho, psi):
         """Magnetic coefficient (gamma/2) Z_rr."""
-        _, _, z_rr, _, _, _ = self._core(rho, psi)
-        return 0.5 * self.gamma * z_rr
-
-    def discriminant(self, rho, psi):
-        return condition_D(self.z, rho, psi)
+        return self.local_geometry(rho, psi)[2]
 
     def _coefficients(self, rho, psi):
-        """Half-angle cosine and sine, the partials of Z from one ``_core``
-        call, and the coefficient block (a0, a1, b0, b1, D, t) with
+        """Half-angle cosine and sine, the jet of Z from one ``_jet`` call,
+        and the coefficient block (a0, a1, b0, b1, D, t) with
         t = Z_rp - Z_p / rho."""
-        core = self._core(rho, psi)
-        z_r, z_p, z_rr, z_rp, z_pp, _ = core
+        jet = self._jet(rho, psi)
+        _, z_r, z_p, z_rr, z_rp, z_pp = jet[:6]
         c, s = math.cos(0.5 * psi), math.sin(0.5 * psi)
         a0 = rho * z_rp * s + z_pp * c + rho * z_r * c - z_p * s
         b0 = rho * z_rp * c - z_pp * s - rho * z_r * s - z_p * c
@@ -371,7 +329,7 @@ class RationalFlowBundle:
         b1 = -rho * z_rr * c + z_rp * s - (z_p / rho) * s
         t = z_rp - z_p / rho
         d = rho * (rho + 1.0) * z_rr * z_rr + t * t
-        return c, s, core, (a0, a1, b0, b1, d, t)
+        return c, s, jet, (a0, a1, b0, b1, d, t)
 
     def integral_coefficients(self, rho, psi):
         """Momentum coefficients (a0, a1, b0, b1) and discriminant D of the
@@ -384,7 +342,7 @@ class RationalFlowBundle:
         everything ``_coefficients`` returns; NearPole where the denominator
         is below the floor."""
         rho, psi, p_r, p_p = state
-        c, s, core, coeffs = self._coefficients(rho, psi)
+        c, s, jet, coeffs = self._coefficients(rho, psi)
         a0, a1, b0, b1, d, _ = coeffs
         den = b0 * p_r + b1 * p_p + self.gamma * d * c
         if not abs(den) >= self.denominator_floor:
@@ -393,7 +351,7 @@ class RationalFlowBundle:
                 f"(rho, psi) = ({rho}, {psi})"
             )
         num = a0 * p_r + a1 * p_p + self.gamma * d * s
-        return num, den, c, s, core, coeffs
+        return num, den, c, s, jet, coeffs
 
     def integral_value(self, state) -> float:
         num, den = self._quotient(state)[:2]
@@ -408,9 +366,8 @@ class RationalFlowBundle:
         solution.
         """
         rho, psi, p_r, p_p = state
-        num, den, c, s, core, (a0, a1, b0, b1, d, t) = self._quotient(state)
-        z_r, z_p, z_rr, z_rp, z_pp, _ = core
-        z_rrr, z_rrp, z_rpp = self.z.third_partials(rho, psi)
+        num, den, c, s, jet, (a0, a1, b0, b1, d, t) = self._quotient(state)
+        _, z_r, z_p, z_rr, z_rp, z_pp, z_rrr, z_rrp, z_rpp = jet
         z_ppp = -rho * (rho + 1.0) * z_rrp - rho * z_rp
         g = self.gamma
 
@@ -465,6 +422,7 @@ class RationalFlowBundle:
         return MagneticSystem(
             metric=metric,
             field=self.omega,
+            local=self.local_geometry,
             domain=domain,
             energy=self.c_energy,
             name=name or f"rational flow ({self.z.family})",

@@ -3,16 +3,18 @@
 The solution families of the rational-integral pipeline need 2F1 only for
 real parameters, and only where the Pochhammer series either terminates
 (a or b a nonpositive integer) or converges (|z| < 1).  The complete
-elliptic integrals K and E are computed by the arithmetic-geometric mean,
-which converges quadratically and is accurate to machine precision for
-every parameter m < 1, including m < 0.
+elliptic integrals K and E are computed together by one run of the
+arithmetic-geometric mean, which converges quadratically and is accurate
+to machine precision for every parameter m < 1, including m < 0.
 
-Derivatives of K and E follow the classical identities
+Derivatives of K and E follow the classical identities (DLMF 19.4)
 
-    dK/dm = (E - (1-m) K) / (2 m (1-m)),
-    dE/dm = (E - K) / (2 m),
+    dK/dm   = (E - (1-m) K) / (2 m (1-m)),
+    dE/dm   = (E - K) / (2 m),
+    d2E/dm2 = -E / (4 m (1-m)) - (E - K) / (2 m^2),
 
-which are 0/0 at m = 0; a short Maclaurin series takes over for |m| below
+the last from differentiating the second with E' - K' = -E / (2 (1-m)).
+They are 0/0 at m = 0; a short Maclaurin series takes over for |m| below
 1e-4 so the derivative routines stay accurate through the origin.
 """
 
@@ -35,6 +37,7 @@ __all__ = [
     "elliptic_dK",
     "elliptic_dE",
     "elliptic_d2E",
+    "elliptic_jet",
 ]
 
 _MAX_TERMS = 4000
@@ -139,6 +142,25 @@ def terminating_2f1_coeffs(k: int) -> list[float]:
     return coeffs
 
 
+def _agm(m: float) -> tuple[float, float]:
+    """K(m) and E(m), m < 1, from one arithmetic-geometric mean run of 1
+    and sqrt(1-m): K = pi / (2 a_N), and the companion sum gives
+    E = K (1 - sum_n 2^{n-1} c_n^2), c_0^2 = m, c_n = (a_{n-1} - b_{n-1})/2.
+    """
+    a, b = 1.0, math.sqrt(1.0 - m)
+    s = 0.5 * m
+    f = 0.5
+    for _ in range(_AGM_MAX_ITER):
+        if abs(a - b) <= _AGM_GAP * max(abs(a), abs(b)):
+            break
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        f *= 2.0
+        s += f * c * c
+    k = math.pi / (2.0 * a)
+    return k, k * (1.0 - s)
+
+
 def elliptic_K(m: float) -> float:
     """Complete elliptic integral of the first kind, parameter convention
     K(m) = integral_0^{pi/2} (1 - m sin^2 t)^{-1/2} dt.
@@ -148,43 +170,41 @@ def elliptic_K(m: float) -> float:
     """
     if m >= 1.0:
         raise DomainError(f"K(m) requires m < 1, got {m}")
-    a, b = 1.0, math.sqrt(1.0 - m)
-    for _ in range(_AGM_MAX_ITER):
-        if abs(a - b) <= _AGM_GAP * max(abs(a), abs(b)):
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
+    return _agm(m)[0]
 
 
 def elliptic_E(m: float) -> float:
     """Complete elliptic integral of the second kind,
     E(m) = integral_0^{pi/2} (1 - m sin^2 t)^{1/2} dt.
 
-    Same AGM iteration as :func:`elliptic_K` with the companion sum
-    E = K (1 - sum_n 2^{n-1} c_n^2), where c_0^2 = m and
-    c_n = (a_{n-1} - b_{n-1})/2.  Valid for m <= 1; E(1) = 1 exactly.
+    The same AGM run as :func:`elliptic_K`, with its companion sum.  Valid
+    for m <= 1; E(1) = 1 exactly.
     """
     if m > 1.0:
         raise DomainError(f"E(m) requires m <= 1, got {m}")
     if m == 1.0:
         return 1.0
-    a, b = 1.0, math.sqrt(1.0 - m)
-    s = 0.5 * m
-    f = 0.5
-    for _ in range(_AGM_MAX_ITER):
-        c = 0.5 * (a - b)
-        if abs(c) <= _AGM_GAP * max(abs(a), abs(b)):
-            break
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        f *= 2.0
-        s += f * c * c
-    k_val = math.pi / (2.0 * a)
-    return k_val * (1.0 - s)
+    return _agm(m)[1]
 
 
 # Maclaurin coefficients of K and E (prefactor pi/2):
 #   K = (pi/2) [1 + m/4 + 9 m^2/64 + 25 m^3/256 + 1225 m^4/16384 + ...]
 #   E = (pi/2) [1 - m/4 - 3 m^2/64 - 5 m^3/256 -  175 m^4/16384 - ...]
+
+
+def elliptic_jet(m: float) -> tuple[float, float, float, float]:
+    """(K, E, dE/dm, d2E/dm2) at m < 1 from one AGM run; the derivatives
+    are the closed forms of the module docstring, or the series near 0."""
+    if m >= 1.0:
+        raise DomainError(f"the elliptic jet requires m < 1, got {m}")
+    k, e = _agm(m)
+    if abs(m) < _SMALL_M:
+        de = (math.pi / 2.0) * (-0.25 - m * (3.0 / 32.0 + m * (15.0 / 256.0)))
+        d2e = (math.pi / 2.0) * (-3.0 / 32.0 - m * (15.0 / 128.0 + m * (525.0 / 4096.0)))
+    else:
+        de = (e - k) / (2.0 * m)
+        d2e = -e / (4.0 * m * (1.0 - m)) - (e - k) / (2.0 * m * m)
+    return k, e, de, d2e
 
 
 def elliptic_dK(m: float) -> float:
@@ -193,34 +213,16 @@ def elliptic_dK(m: float) -> float:
         raise DomainError(f"dK/dm requires m < 1, got {m}")
     if abs(m) < _SMALL_M:
         return (math.pi / 2.0) * (0.25 + m * (9.0 / 32.0 + m * (75.0 / 256.0)))
-    e, k = elliptic_E(m), elliptic_K(m)
+    k, e = _agm(m)
     return (e - (1.0 - m) * k) / (2.0 * m * (1.0 - m))
 
 
 def elliptic_dE(m: float) -> float:
-    """Derivative dE/dm; closed form away from 0, series through 0."""
-    if m > 1.0:
-        raise DomainError(f"dE/dm requires m <= 1, got {m}")
-    if abs(m) < _SMALL_M:
-        return (math.pi / 2.0) * (-0.25 - m * (3.0 / 32.0 + m * (15.0 / 256.0)))
-    return (elliptic_E(m) - elliptic_K(m)) / (2.0 * m)
+    """Derivative dE/dm, m < 1; closed form away from 0, series through 0."""
+    return elliptic_jet(m)[2]
 
 
 def elliptic_d2E(m: float) -> float:
-    """Second derivative d2E/dm2.
-
-    Differentiating dE/dm = (E - K)/(2m) and using E' - K' =
-    -E/(2(1-m)) gives
-
-        E'' = -E / (4 m (1-m)) - (E - K) / (2 m^2),
-
-    with the same small-|m| series switch as the first derivatives.
-    """
-    if m > 1.0:
-        raise DomainError(f"d2E/dm2 requires m <= 1, got {m}")
-    if abs(m) < _SMALL_M:
-        return (math.pi / 2.0) * (
-            -3.0 / 32.0 - m * (15.0 / 128.0 + m * (525.0 / 4096.0))
-        )
-    e, k = elliptic_E(m), elliptic_K(m)
-    return -e / (4.0 * m * (1.0 - m)) - (e - k) / (2.0 * m * m)
+    """Second derivative d2E/dm2, m < 1; closed form away from 0, series
+    through 0."""
+    return elliptic_jet(m)[3]

@@ -86,6 +86,18 @@ class TestSimulate:
         _, data = _read_csv(tmp_path / "ex5_trace.csv")
         np.testing.assert_allclose(data[0, 5], 0.5, atol=1e-12)
 
+    @pytest.mark.parametrize("x, y", [(-5.388484097113011e-05, -1e-3), (-2.5e-300, -7e22)])
+    def test_negative_exponent_values_are_exact(self, x, y, tmp_path, capsys):
+        """Negative values in exponent form, as repr prints them, are read
+        as values and parse to the same floats."""
+        code, _, err = _run(
+            ["--out-dir", str(tmp_path), "simulate", "ex1", "--phase", repr(x), repr(y),
+             "1", "-1E-1", "--t-end", "0.01"],
+            capsys)
+        assert code == 0, err
+        first = (tmp_path / "ex1_trace.csv").read_text().splitlines()[1].split(",")
+        assert [float(v) for v in first[1:5]] == [x, y, 1.0, -0.1]
+
     def test_conflicting_start_rejected(self, tmp_path, capsys):
         """--phase combined with --position is a config error."""
         code, _, err = _run(
@@ -332,6 +344,8 @@ class TestErrorContract:
         (["hodograph", "--fd-step", "0", "--grid", "2", "2"], 2),
         (["hodograph", "--fd-step=-1e-4", "--grid", "2", "2"], 2),
         (["build-rational", "poly-cos", "--c-energy", "0"], 2),
+        (["simulate", "ex3", "--position", "4.056293433098854", "-5.388484097113011e-05",
+          "--angle", "5.33"], 0),
     ]
 
     @pytest.mark.parametrize("argv, want", CASES)

@@ -1,16 +1,20 @@
 """Radial solution families, flow bundles, chart maps and invariants."""
 
+import dataclasses
 import json
 import math
+from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magflows import specfun
 from magflows.catalog import get_example
 from magflows.errors import DegenerateD, DomainError, NearPole
-from magflows.flow import TrajectoryConfig, conservation_drift, integrate
+from magflows.flow import TrajectoryConfig, conservation_drift, integrate, magnetic_rhs
 from magflows.geometry import hamiltonian, hamiltonian_gradient, momentum_on_level
 from magflows.rational import (
     FAMILIES,
@@ -18,6 +22,7 @@ from magflows.rational import (
     LogNu1,
     LogRadial,
     PolynomialCos,
+    ZSolution,
     build_bundle,
     bundle_from_descriptor,
     characteristic_speeds,
@@ -163,6 +168,92 @@ class TestPartials:
             LogRadial().partials(-1.5, 0.0)
         with pytest.raises(DomainError):
             LogNu1().partials(-0.5, 0.0)
+
+
+def _poly_cos_z(k, psi0):
+    """rho 2F1(1-k, 1+k; 2; -rho) cos(k (psi + psi0)), scaled to be monic
+    in rho: the hypergeometric closed form of the poly-cos family."""
+    lead = (mpmath.rf(1 - k, k - 1) * mpmath.rf(1 + k, k - 1)
+            / (mpmath.rf(2, k - 1) * mpmath.factorial(k - 1)) * (-1) ** (k - 1))
+    return lambda r, p: r * mpmath.hyp2f1(1 - k, 1 + k, 2, -r) / lead * mpmath.cos(k * (p + psi0))
+
+
+# each family with its closed form Z(rho, psi) in mpmath and a rho window
+CLOSED_FORMS = [
+    pytest.param(PolynomialCos(1), _poly_cos_z(1, 0.0), (0.05, 5.0), id="poly-cos-k1"),
+    pytest.param(PolynomialCos(3, psi0=0.4), _poly_cos_z(3, 0.4), (0.05, 5.0), id="poly-cos-k3"),
+    pytest.param(PolynomialCos(6), _poly_cos_z(6, 0.0), (0.05, 3.0), id="poly-cos-k6"),
+    pytest.param(LogRadial(), lambda r, p: mpmath.log(1 + r), (-0.9, 5.0), id="log-radial"),
+    pytest.param(LogNu1(), lambda r, p: (r * mpmath.log(1 + 1 / r) - 1) * mpmath.cos(p),
+                 (0.05, 5.0), id="log-nu1"),
+    pytest.param(EllipticHalf(), lambda r, p: (4 / mpmath.pi * (mpmath.ellipe(-r) - mpmath.ellipk(-r))
+                                               * mpmath.cos(p / 2)), (-0.9, 3.0), id="elliptic-half"),
+]
+JET_ORDERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2)]
+
+
+class TestJet:
+    @pytest.mark.parametrize("z, closed_form, window", CLOSED_FORMS)
+    def test_matches_mpmath_derivatives(self, z, closed_form, window):
+        """All nine partials of the jet equal mpmath.diff of the family's
+        closed form at random (rho, psi), to 1e-13 of the largest one (the
+        angle nu (psi + psi0) alone carries a rounding error of about
+        eps |nu (psi + psi0)| <= 1e-14)."""
+        rng = np.random.default_rng(11)
+        for _ in range(6):
+            rho, psi = rng.uniform(*window), rng.uniform(0.0, z.psi_period)
+            jet = z.jet(rho, psi)
+            with mpmath.workdps(40):
+                want = [float(mpmath.diff(closed_form, (mpmath.mpf(rho), mpmath.mpf(psi)), order))
+                        for order in JET_ORDERS]
+            np.testing.assert_allclose(jet, want, rtol=0.0,
+                                       atol=1e-13 * max(abs(v) for v in want))
+            assert z.partials(rho, psi) + z.third_partials(rho, psi) == jet
+
+    @pytest.mark.parametrize("z", BUNDLE_SOLUTIONS, ids=lambda z: z.family)
+    def test_one_jet_per_rhs_call(self, z, monkeypatch):
+        """A bundle's magnetic_rhs evaluates the jet of Z once; on
+        elliptic-half that is one AGM run."""
+        system = build_bundle(z, rho_range=z.default_rho_range).as_system()
+        calls = Counter()
+        jet, agm = ZSolution.jet, specfun._agm
+
+        def counted_jet(self, rho, psi):
+            calls["jet"] += 1
+            return jet(self, rho, psi)
+
+        def counted_agm(m):
+            calls["agm"] += 1
+            return agm(m)
+
+        monkeypatch.setattr(ZSolution, "jet", counted_jet)
+        monkeypatch.setattr(specfun, "_agm", counted_agm)
+        rng = np.random.default_rng(12)
+        for n in range(1, 6):
+            phase = _random_phase_in_range(system, rng)
+            magnetic_rhs(system, phase)
+            assert calls["jet"] == n
+            assert calls["agm"] == (n if isinstance(z, EllipticHalf) else 0)
+
+    @pytest.mark.parametrize("z", BUNDLE_SOLUTIONS, ids=lambda z: z.family)
+    def test_local_geometry_equals_default_path(self, z):
+        """The bundle's one-jet local geometry gives the same bits as the
+        default built from metric components, partials and field, and so
+        does magnetic_rhs."""
+        system = build_bundle(z, rho_range=z.default_rho_range).as_system()
+        default = dataclasses.replace(system, local=None)
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            phase = _random_phase_in_range(system, rng)
+            assert system.local_geometry(*phase[:2]) == default.local_geometry(*phase[:2])
+            assert (magnetic_rhs(system, phase).tobytes()
+                    == magnetic_rhs(default, phase).tobytes())
+
+
+def _random_phase_in_range(system, rng):
+    lo, hi, _, period = system.domain.bbox
+    x = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
+    return np.array([x, rng.uniform(0.0, period), *rng.normal(size=2)])
 
 
 class TestConditionD:

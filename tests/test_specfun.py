@@ -1,7 +1,7 @@
 """Hypergeometric and elliptic helpers against independent references.
 
 scipy supplies the AGM-independent elliptic values and mpmath the 2F1
-oracle; everything else is checked against identities (Legendre relation,
+oracle and the elliptic-jet oracle; everything else is checked against identities (Legendre relation,
 contiguous-derivative identity, polynomial termination).
 """
 
@@ -12,12 +12,15 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from magflows import specfun
 from magflows.errors import CoefficientOverflow, SeriesDivergence
 from magflows.specfun import (
     elliptic_E,
     elliptic_K,
+    elliptic_d2E,
     elliptic_dE,
     elliptic_dK,
+    elliptic_jet,
     hyp2f1,
     terminating_2f1_coeffs,
 )
@@ -162,3 +165,48 @@ class TestEllipticDerivatives:
         """Near m = 0 the closed forms switch to series and stay smooth."""
         np.testing.assert_allclose(elliptic_dK(1e-6), math.pi / 8.0, rtol=1e-5)
         np.testing.assert_allclose(elliptic_dE(1e-6), -math.pi / 8.0, rtol=1e-5)
+
+
+# both sides of the series switch at |m| = 1e-4, and a spread over [-5, 0.9]
+JET_PARAMETERS = [-5.0, -2.5, -1.0, -0.3, -1e-3, -1.0001e-4, -1e-4, -9.999e-5, -1e-6, 0.0,
+                  1e-6, 9.999e-5, 1e-4, 1.0001e-4, 1e-3, 0.3, 0.6, 0.9]
+
+
+class TestEllipticJet:
+    @pytest.mark.parametrize("m", JET_PARAMETERS)
+    def test_matches_mpmath(self, m):
+        """K, E, dE/dm and d2E/dm2 from one AGM run agree with mpmath.
+
+        K and E hold to 2e-15 relative.  The closed-form derivatives divide
+        a difference of size K by m and m^2, so their error is bounded by
+        8 eps K / |m| and 8 eps K / m^2; below |m| = 1e-4 the series stop at
+        m^2 and their truncation errors stay below 0.1 |m|^3 and 0.3 |m|^3.
+        """
+        k, e, de, d2e = elliptic_jet(m)
+        with mpmath.workdps(40):
+            mm = mpmath.mpf(m)
+            want = [float(v) for v in (mpmath.ellipk(mm), mpmath.ellipe(mm),
+                                       mpmath.diff(mpmath.ellipe, mm),
+                                       mpmath.diff(mpmath.ellipe, mm, 2))]
+        eps = np.finfo(float).eps
+        if abs(m) < 1e-4:
+            bounds = (0.1 * abs(m) ** 3, 0.3 * abs(m) ** 3)
+        else:
+            bounds = (8 * eps * k / abs(m), 8 * eps * k / m**2)
+        np.testing.assert_allclose((k, e), want[:2], rtol=2e-15, atol=0.0)
+        assert abs(de - want[2]) <= bounds[0] + 2e-15 * abs(want[2])
+        assert abs(d2e - want[3]) <= bounds[1] + 2e-15 * abs(want[3])
+
+    @pytest.mark.parametrize("m", JET_PARAMETERS)
+    def test_public_functions_are_views(self, m):
+        """elliptic_K, elliptic_E, elliptic_dE and elliptic_d2E return the
+        jet's entries bit for bit."""
+        assert (elliptic_K(m), elliptic_E(m), elliptic_dE(m), elliptic_d2E(m)) == elliptic_jet(m)
+
+    def test_one_agm_run(self, monkeypatch):
+        """The jet runs the arithmetic-geometric mean once."""
+        calls = []
+        agm = specfun._agm
+        monkeypatch.setattr(specfun, "_agm", lambda m: calls.append(m) or agm(m))
+        elliptic_jet(-0.7)
+        assert calls == [-0.7]
