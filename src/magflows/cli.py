@@ -32,21 +32,12 @@ from .errors import (
     DomainError,
     GuardError,
     MagflowsError,
-    NoConvergence,
     SingularMetric,
     SingularPoint,
 )
 from .flow import TrajectoryConfig, conservation_drift, integrate
 from .geometry import gaussian_curvature, hamiltonian, momentum_on_level
-from .hodograph import (
-    FieldPoint,
-    HodographConstants,
-    algebraic_residual,
-    continued_solve,
-    magnetic_from_fg,
-    pde41_residual_fd,
-    reconstruct_fields,
-)
+from .hodograph import HodographConstants, algebraic_residual, solve_fields
 from .integrals import (
     BracketScanConfig,
     FirstIntegral,
@@ -85,7 +76,7 @@ class BadStart(Exception):
 # the exit code and the stderr prefix.  Anything else is a bug and raises.
 EXIT_CODES = (
     (BadStart, EXIT_BAD_START, "start point rejected: "),
-    ((SingularPoint, NoConvergence), EXIT_CONFIG, "grid crosses a singular point: "),
+    (SingularPoint, EXIT_CONFIG, "grid crosses a singular point: "),
     (OSError, EXIT_CONFIG, "file error: "),
     ((ConfigError, ValueError, MagflowsError), EXIT_CONFIG, ""),
 )
@@ -388,42 +379,17 @@ def cmd_hodograph(args: argparse.Namespace) -> int:
         args.alpha, args.beta, args.gamma, args.delta, args.epsilon, args.zeta
     )
     nx, ny = args.grid
-    if min(nx, ny) < 1:
-        raise ConfigError(f"grid entries must be at least 1, got {nx} x {ny}")
+    if min(nx, ny) < 1 or not all(np.isfinite(args.bbox)):
+        raise ConfigError(f"need grid entries >= 1 and a finite bbox, got {nx} x {ny}, {args.bbox}")
     x0, x1, y0, y1 = args.bbox
-
-    cache: dict = {}
-
-    def sampler(x: float, y: float) -> FieldPoint:
-        key = (x, y)
-        if key not in cache:
-            result = continued_solve(constants, x, y)
-            lam, u0 = reconstruct_fields(constants, result.f, result.g)
-            cache[key] = FieldPoint(f=result.f, g=result.g, lam=lam, u0=u0)
-        return cache[key]
-
     header = ["x", "y", "f", "g", "Lambda", "u0", "Omega", "res1", "res2", "pde41_inf"]
     rows = []
     for x in np.linspace(x0, x1, nx):
         for y in np.linspace(y0, y1, ny):
-            point = sampler(x, y)
-            omega = magnetic_from_fg(sampler, x, y, h=1e-3)
+            point, omega, residual = solve_fields(constants, x, y)
             r1, r2 = algebraic_residual(constants, x, y, point.f, point.g)
-            residual = pde41_residual_fd(sampler, x, y, h=args.fd_step)
-            rows.append(
-                [
-                    x,
-                    y,
-                    point.f,
-                    point.g,
-                    point.lam,
-                    point.u0,
-                    omega,
-                    r1,
-                    r2,
-                    float(np.max(np.abs(residual))),
-                ]
-            )
+            rows.append([x, y, point.f, point.g, point.lam, point.u0, omega, r1, r2,
+                         float(np.max(np.abs(residual)))])
     path = _out_path(args.out_dir, args.out)
     _write_csv(path, header, rows)
     print(f"wrote {path}")
@@ -531,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", nargs=2, type=int, default=[20, 20], metavar=("NX", "NY"))
     p.add_argument("--bbox", nargs=4, type=float, default=[0.5, 2.5, 0.5, 2.5],
                    metavar=("X0", "X1", "Y0", "Y1"))
-    p.add_argument("--fd-step", type=float, default=1e-4, help="step for the system residual column")
     p.add_argument("--out", default="hodograph.csv", help="output CSV name")
 
     p = sub.add_parser("build-rational", help="construct a flow bundle and check it")

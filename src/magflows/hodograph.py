@@ -9,8 +9,11 @@ a solution, the conformal factor and the potential constant follow
 algebraically and the magnetic field is Omega = (g_x - f_y)/4.
 
 At alpha = beta = 0 the system has a closed-form solution (real cube-root
-branch), which both seeds the Newton continuation to nonzero alpha, beta
-and serves as an exact oracle for the solver.
+branch), which both seeds the continuation to nonzero alpha, beta and
+serves as an exact oracle for the solver.  The continuation follows that
+branch and reports a fold as SingularPoint.  The derivatives of the fields,
+and so Omega and the first-order system residual, come exactly from the
+Jacobian at the solution by the implicit function theorem.
 
 The module also assembles the curved quadratic-integral system in the
 transformed chart (X, Y): an explicit polynomial metric, field and
@@ -42,6 +45,7 @@ __all__ = [
     "algebraic_jacobian",
     "newton_solve",
     "continued_solve",
+    "solve_fields",
     "reconstruct_fields",
     "closed_form_abzero",
     "pde41_residual_fd",
@@ -63,6 +67,9 @@ class HodographConstants:
     zeta: float = 2.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
         if self.zeta == 0.0:
             raise DomainError("zeta = 0 admits only trivial solutions")
 
@@ -184,31 +191,47 @@ def newton_solve(
     )
 
 
-def continued_solve(
-    k: HodographConstants,
-    x: float,
-    y: float,
-    step: float = 0.02,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-) -> NewtonResult:
-    """Solve at general (alpha, beta) by continuation from the closed form.
-
-    Seeds with the exact alpha = beta = 0 solution at the same remaining
-    constants, then walks (alpha, beta) to the target in increments of at
-    most ``step`` (in the max norm), Newton-correcting at each stage.
+def continued_solve(k: HodographConstants, x: float, y: float) -> NewtonResult:
+    """Follow the branch of the closed form along (alpha, beta) = t (alpha*,
+    beta*), t from 0 to 1 (Allgower & Georg, ch. 2): Euler predictor along
+    -J^{-1} dR/dt, exact as (R(t+1) - R(t-1))/2 since R is quadratic in t,
+    and Newton corrector.  A step halves when the corrector fails, sign(det J)
+    leaves its seed value, or the trapezoid rule on the end tangents misses
+    the step by over a quarter of its length plus 1e-12 of round-off (a jump
+    to another branch); it doubles after at most 3 iterations.  A step
+    below 1e-4 means the branch folds, and raises SingularPoint.
     """
-    seed, _ = closed_form_abzero(k.with_ab(0.0, 0.0), x, y)
-    f, g = seed.f, seed.g
-    reach = max(abs(k.alpha), abs(k.beta))
-    n_stages = max(1, int(math.ceil(reach / step)))
-    result = None
-    for i in range(1, n_stages + 1):
-        t = i / n_stages
-        ki = k.with_ab(t * k.alpha, t * k.beta)
-        result = newton_solve(ki, x, y, (f, g), tol=tol, max_iter=max_iter)
-        f, g = result.f, result.g
-    return result
+    def at(t):
+        return k.with_ab(t * k.alpha, t * k.beta)
+
+    def tangent(t, point):
+        jac = algebraic_jacobian(at(t), x, y, *point)
+        rate = np.subtract(algebraic_residual(at(t + 1.0), x, y, *point),
+                           algebraic_residual(at(t - 1.0), x, y, *point))
+        return np.sign(np.linalg.det(jac)), np.linalg.solve(jac, -0.5 * rate)
+
+    seed, _ = closed_form_abzero(at(0.0), x, y)
+    t, h, point = 0.0, 1.0, np.array([seed.f, seed.g])
+    sign, slope = tangent(0.0, point)
+    while h >= 1e-4:
+        t_new = 1.0 if h >= 1.0 - t else t + h
+        step = t_new - t
+        try:
+            result = newton_solve(at(t_new), x, y, point + step * slope)
+            new = np.array([result.f, result.g])
+            new_sign, new_slope = tangent(t_new, new)
+            miss = np.linalg.norm(new - point - 0.5 * step * (slope + new_slope))
+            ok = new_sign == sign and miss <= 0.25 * np.linalg.norm(new - point) + 1e-12
+        except (NoConvergence, SingularJacobian):
+            ok = False
+        if not ok:
+            h = 0.5 * step
+        elif t_new == 1.0:
+            return result
+        else:
+            t, point, slope = t_new, new, new_slope
+            h = 2.0 * step if result.iterations <= 3 else step
+    raise SingularPoint(f"the branch of the closed form folds at t = {t:.3g} at ({x}, {y})")
 
 
 def reconstruct_fields(k: HodographConstants, f: float, g: float) -> tuple[float, float]:
@@ -250,11 +273,8 @@ def closed_form_abzero(k: HodographConstants, x: float, y: float):
     return FieldPoint(f=f, g=g, lam=lam, u0=u0), omega
 
 
-# Coefficient matrices of the first-order system satisfied by
-# U = (Lambda, u0, f, g):  A(U) U_x + B(U) U_y = 0.
-
-
 def _system_matrices(lam: float, f: float, g: float):
+    """A(U), B(U) of the first-order system A U_x + B U_y = 0, U = (Lambda, u0, f, g)."""
     a = np.array(
         [
             [0.0, 0.0, 1.0, 0.0],
@@ -272,6 +292,21 @@ def _system_matrices(lam: float, f: float, g: float):
         ]
     )
     return a, b
+
+
+def solve_fields(k: HodographConstants, x: float, y: float):
+    """(FieldPoint, Omega = (g_x - f_y)/4, residual A U_x + B U_y) at one
+    chart point from one continued solve.  R depends on (x, y) only through
+    2 zeta y in R1 and 2 zeta x in R2, so d(f, g)/d(x, y) = -J^{-1} 2 zeta
+    [[0, 1], [1, 0]] exactly; (Lambda, u0) follow by the chain rule.
+    """
+    f, g = continued_solve(k, x, y)[:2]
+    lam, u0 = reconstruct_fields(k, f, g)
+    d = -2.0 * k.zeta * np.linalg.solve(algebraic_jacobian(k, x, y, f, g), [[0.0, 1.0], [1.0, 0.0]])
+    a8, b8 = 8.0 * k.alpha / k.zeta, 8.0 * k.beta / k.zeta
+    du = np.array([[-f + a8, -g - b8], [a8, b8], [1.0, 0.0], [0.0, 1.0]]) @ d
+    a, b = _system_matrices(lam, f, g)
+    return FieldPoint(f, g, lam, u0), 0.25 * (d[1, 0] - d[0, 1]), a @ du[:, 0] + b @ du[:, 1]
 
 
 Sampler = Callable[[float, float], FieldPoint]

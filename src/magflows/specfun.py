@@ -14,8 +14,9 @@ Derivatives of K and E follow the classical identities (DLMF 19.4)
     d2E/dm2 = -E / (4 m (1-m)) - (E - K) / (2 m^2),
 
 the last from differentiating the second with E' - K' = -E / (2 (1-m)).
-They are 0/0 at m = 0; a short Maclaurin series takes over for |m| below
-1e-4 so the derivative routines stay accurate through the origin.
+They are 0/0 at m = 0 and cancel to O(eps / m^2) near it, so for |m| below
+0.05 the derivatives come from the Maclaurin series of K and E summed to
+convergence instead.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ _MAX_TERMS = 4000
 _SERIES_EPS = 1e-16
 _AGM_GAP = 1e-15
 _AGM_MAX_ITER = 40
-# switch from the closed-form derivative identities to Maclaurin series
-_SMALL_M = 1e-4
+# switch from the closed-form derivative identities to Maclaurin series;
+# shipped elliptic-half outputs use m <= -0.1, on the closed-form side
+_SMALL_M = 0.05
 
 
 def _nonpositive_integer(x: float) -> bool:
@@ -187,9 +189,21 @@ def elliptic_E(m: float) -> float:
     return _agm(m)[1]
 
 
-# Maclaurin coefficients of K and E (prefactor pi/2):
-#   K = (pi/2) [1 + m/4 + 9 m^2/64 + 25 m^3/256 + 1225 m^4/16384 + ...]
-#   E = (pi/2) [1 - m/4 - 3 m^2/64 - 5 m^3/256 -  175 m^4/16384 - ...]
+def _series_derivatives(m: float) -> tuple[float, float, float]:
+    """(dK/dm, dE/dm, d2E/dm2) at |m| < _SMALL_M from the Maclaurin series
+    K = (pi/2) sum c_n m^n and E = (pi/2) sum c_n m^n / (1 - 2n), where
+    c_0 = 1 and c_n = c_{n-1} ((2n-1)/(2n))^2, summed to convergence."""
+    c, power, lower = 1.0, 1.0, 0.0  # c_n, m^(n-1), m^(n-2)
+    dk = de = d2e = 0.0
+    for n in range(1, _MAX_TERMS):
+        c *= ((2 * n - 1) / (2 * n)) ** 2
+        e_n = c / (1 - 2 * n)
+        terms = (n * c * power, n * e_n * power, n * (n - 1) * e_n * lower)
+        dk, de, d2e = dk + terms[0], de + terms[1], d2e + terms[2]
+        if n > 1 and all(abs(t) <= _SERIES_EPS * abs(v) for t, v in zip(terms, (dk, de, d2e))):
+            break
+        power, lower = power * m, power
+    return tuple(0.5 * math.pi * v for v in (dk, de, d2e))
 
 
 def elliptic_jet(m: float) -> tuple[float, float, float, float]:
@@ -199,8 +213,7 @@ def elliptic_jet(m: float) -> tuple[float, float, float, float]:
         raise DomainError(f"the elliptic jet requires m < 1, got {m}")
     k, e = _agm(m)
     if abs(m) < _SMALL_M:
-        de = (math.pi / 2.0) * (-0.25 - m * (3.0 / 32.0 + m * (15.0 / 256.0)))
-        d2e = (math.pi / 2.0) * (-3.0 / 32.0 - m * (15.0 / 128.0 + m * (525.0 / 4096.0)))
+        _, de, d2e = _series_derivatives(m)
     else:
         de = (e - k) / (2.0 * m)
         d2e = -e / (4.0 * m * (1.0 - m)) - (e - k) / (2.0 * m * m)
@@ -212,7 +225,7 @@ def elliptic_dK(m: float) -> float:
     if m >= 1.0:
         raise DomainError(f"dK/dm requires m < 1, got {m}")
     if abs(m) < _SMALL_M:
-        return (math.pi / 2.0) * (0.25 + m * (9.0 / 32.0 + m * (75.0 / 256.0)))
+        return _series_derivatives(m)[0]
     k, e = _agm(m)
     return (e - (1.0 - m) * k) / (2.0 * m * (1.0 - m))
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -271,6 +272,21 @@ class TestHodograph:
         assert code == 2
         assert "trivial" in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--alpha", "inf", "--grid", "2", "2"], "alpha must be finite"),
+        (["--zeta", "nan"], "zeta must be finite"),
+        (["--epsilon", "nan"], "epsilon must be finite"),
+        (["--bbox", "0", "1", "0", "nan"], "finite bbox"),
+    ])
+    def test_non_finite_input_named_before_any_solve(self, argv, named, tmp_path, capsys):
+        """A non-finite constant or bbox entry exits 2 with its name and
+        raises no floating-point warning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = _run(["--out-dir", str(tmp_path), "hodograph", *argv], capsys)
+        assert code == 2
+        assert named in err
+
     def test_bad_grid_shape(self, tmp_path, capsys):
         config = tmp_path / "hod.json"
         config.write_text(json.dumps({"grid": [4]}))
@@ -341,11 +357,13 @@ class TestErrorContract:
         (["build-rational", "poly-cos", "--k", "12"], 0),
         (["build-rational", "log-nu1", "--rho-range", "0.261", "3.031"], 5),
         (["--config", "{config}", "simulate", "ex1", "--phase", "0", "0", "1", "0"], 2),
-        (["hodograph", "--fd-step", "0", "--grid", "2", "2"], 2),
-        (["hodograph", "--fd-step=-1e-4", "--grid", "2", "2"], 2),
+        (["hodograph", "--alpha", "inf", "--grid", "2", "2"], 2),
+        (["hodograph", "--zeta", "nan"], 2),
         (["build-rational", "poly-cos", "--c-energy", "0"], 2),
         (["simulate", "ex3", "--position", "4.056293433098854", "-5.388484097113011e-05",
           "--angle", "5.33"], 0),
+        (["hodograph", "--epsilon", "nan"], 2),
+        (["hodograph", "--bbox", "0", "1", "0", "nan"], 2),
     ]
 
     @pytest.mark.parametrize("argv, want", CASES)
@@ -397,7 +415,7 @@ class TestErrorContract:
                          "rel_tol", "abs_tol", "record_every", "out"},
             "verify": {"example", "corrupt", "out"},
             "hodograph": {"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "grid", "bbox",
-                          "fd_step", "out"},
+                          "out"},
             "build-rational": {"family", "k", "psi0", "gamma", "c_energy", "rho_range", "out"},
         }
         parser = build_parser()
@@ -448,7 +466,8 @@ def _cheap_argv(draw):
         ["simulate", example, "--phase", "0.1", "0.1", "1", "0", "--t-end"],
         ["simulate", example, "--phase", "0.1", "0.1", "1", "0", "--method=fixed_rk4",
          "--t-end=0.1", "--step"],
-        ["hodograph", "--grid", "3", "3", "--fd-step"],
+        ["hodograph", "--grid", "3", "3", "--alpha"],
+        ["hodograph", "--grid", "3", "3", "--zeta"],
         ["build-rational", "poly-cos", "--k"],
         ["build-rational", "log-radial", "--c-energy"],
         ["--seed"],

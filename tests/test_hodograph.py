@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from magflows import cli, hodograph
 from magflows.catalog import get_example
-from magflows.errors import DomainError, SingularPoint
+from magflows.errors import DomainError, NoConvergence, SingularJacobian, SingularPoint
 from magflows.flow import TrajectoryConfig, conservation_drift, integrate
 from magflows.geometry import hamiltonian, momentum_on_level
 from magflows.hodograph import (
@@ -22,6 +23,7 @@ from magflows.hodograph import (
     newton_solve,
     pde41_residual_fd,
     reconstruct_fields,
+    solve_fields,
 )
 from magflows.integrals import (
     _fd_gradient,
@@ -53,6 +55,13 @@ class TestConstants:
         """zeta = 0 only admits trivial solutions and is refused."""
         with pytest.raises(DomainError, match="trivial"):
             HodographConstants(zeta=0.0)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constant_named(self, name, value):
+        """A non-finite constant is refused by name before any solve."""
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            HodographConstants(**{name: value})
 
     def test_with_ab(self):
         """with_ab swaps in new continuation targets, all else equal."""
@@ -176,6 +185,134 @@ class TestFirstOrderSystem:
             _, omega = closed_form_abzero(K0, x, y)
             got = magnetic_from_fg(sampler, x, y, h=1e-3)
             np.testing.assert_allclose(got, omega, atol=1e-10)
+
+
+def _walk(k, x, y, stages):
+    """Reference continuation: Newton at `stages` equal steps in t."""
+    point, _ = closed_form_abzero(k.with_ab(0.0, 0.0), x, y)
+    f, g = point.f, point.g
+    for i in range(1, stages + 1):
+        result = newton_solve(k.with_ab(i / stages * k.alpha, i / stages * k.beta), x, y, (f, g))
+        f, g = result.f, result.g
+    return f, g
+
+
+class TestBranchFollowing:
+    def test_matches_a_fine_fixed_walk(self):
+        """On seeded draws the adaptive continuation lands where a 200-stage
+        walk does, and reports a fold exactly where the walk stalls."""
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            k = HodographConstants(rng.uniform(-0.12, 0.12), rng.uniform(-0.08, 0.08),
+                                   rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0, 2),
+                                   rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 3.0))
+            x, y = rng.uniform(0.5, 2.5, size=2)
+            try:
+                want = _walk(k, x, y, 200)
+            except (NoConvergence, SingularJacobian):
+                with pytest.raises(SingularPoint):
+                    continued_solve(k, x, y)
+                continue
+            result = continued_solve(k, x, y)
+            np.testing.assert_allclose((result.f, result.g), want, rtol=1e-9, atol=1e-10)
+
+    @pytest.mark.parametrize("k, x, y", [
+        # without the sign(det J) test the corrector lands on another root
+        # whose tangents pass the trapezoid test
+        (HodographConstants(0.28297609661457046, 0.2935953523574713, -0.2648716428449718,
+                            0.7483691700084141, 0.21891671574672844, 2.0385255858909805),
+         0.6832481478983656, 1.9936647497610407),
+        (HodographConstants(-0.3587754294911119, 0.17088299396568973, 0.08349993454871774,
+                            0.05173229731486595, 1.3571917725524036, -2.2109873835244134),
+         1.783186686143244, 1.4775763787097056),
+    ])
+    def test_stays_on_the_branch(self, k, x, y):
+        """Far from the closed form (|alpha| > 0.28) the continuation still
+        ends on the branch that a 400-stage walk follows."""
+        result = continued_solve(k, x, y)
+        np.testing.assert_allclose((result.f, result.g), _walk(k, x, y, 400), rtol=1e-9)
+
+    @pytest.mark.parametrize("k, x, y, t_fold", [
+        (HodographConstants(0.1, -0.05, 0.5, -0.3, 1.0, 2.0), 0.5, 0.5, 0.897),
+        # a full step from the seed lands on another root with the same
+        # sign(det J); only the tangent check sees the jump
+        (HodographConstants(0.07547655475809525, -0.02189461708260023, -0.09910003299532577,
+                            -0.39460805718873604, 0.9123835671973766, 0.500945212205376),
+         0.5838538178305677, 1.544206856389028, 0.64),
+    ])
+    def test_fold_is_reported(self, k, x, y, t_fold):
+        """Where the branch folds before t = 1 the continuation raises
+        SingularPoint near the fold instead of returning another root."""
+        with pytest.raises(NoConvergence):
+            _walk(k, x, y, 400)
+        with pytest.raises(SingularPoint, match=r"folds at t = ([\d.]+)") as err:
+            continued_solve(k, x, y)
+        assert float(err.value.args[0].split("t = ")[1].split()[0]) == pytest.approx(t_fold, abs=0.01)
+
+
+class TestSolveFields:
+    def test_omega_matches_closed_form(self):
+        """At alpha = beta = 0, Omega = -2/(3c) to 1e-14 relative, and the
+        fields equal the closed form."""
+        for _ in range(40):
+            x, y = RNG.uniform(0.4, 3.0, size=2)
+            point, omega, residual = solve_fields(K0, x, y)
+            exact, want = closed_form_abzero(K0, x, y)
+            np.testing.assert_allclose(omega, want, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose((point.f, point.g, point.lam, point.u0),
+                                       (exact.f, exact.g, exact.lam, exact.u0), rtol=1e-14)
+            assert np.max(np.abs(residual)) <= 1e-13
+
+    def test_derivatives_match_difference_oracles(self):
+        """On continuation solutions the exact Omega agrees with the
+        Richardson difference of magnetic_from_fg, and the exact residual
+        is the limit that pde41_residual_fd approaches as h^2."""
+        k = K0.with_ab(0.1, 0.05)
+
+        def sampler(x, y):
+            return solve_fields(k, x, y)[0]
+
+        for x, y in ((0.8, 1.1), (1.9, 0.7), (1.4, 2.2)):
+            _, omega, residual = solve_fields(k, x, y)
+            np.testing.assert_allclose(omega, magnetic_from_fg(sampler, x, y, h=1e-3),
+                                       rtol=1e-10)
+            assert np.max(np.abs(residual)) <= 1e-13
+            coarse, fine = (np.max(np.abs(pde41_residual_fd(sampler, x, y, h=h) - residual))
+                            for h in (1e-3, 5e-4))
+            assert coarse / fine == pytest.approx(4.0, rel=0.2)
+
+    def test_one_continued_solve_per_grid_point(self, tmp_path, monkeypatch):
+        """magflows hodograph solves each grid point once and re-solves at
+        no difference-stencil neighbour."""
+        calls = []
+        solve = hodograph.continued_solve
+        monkeypatch.setattr(hodograph, "continued_solve",
+                            lambda k, x, y: calls.append((x, y)) or solve(k, x, y))
+        argv = ["--out-dir", str(tmp_path), "hodograph", "--alpha", "0.1", "--beta", "0.05",
+                "--grid", "3", "4", "--bbox", "0.8", "1.8", "0.8", "1.8"]
+        assert cli.main(argv) == 0
+        assert len(calls) == 12 == len(set(calls))
+
+    @pytest.mark.parametrize("extra", [["--gamma", "0.5", "--delta", "-0.3", "--grid", "6", "6"],
+                                       ["--alpha", "0.1", "--beta", "0.05", "--grid", "4", "4",
+                                        "--bbox", "0.8", "1.8", "0.8", "1.8"],
+                                       ["--alpha", "-0.04", "--beta", "0.03", "--grid", "5", "5"]])
+    def test_grid_residuals(self, extra, tmp_path):
+        """Every row of a hodograph grid has res1, res2 <= 1e-12 and an
+        exact first-order system residual <= 1e-13."""
+        assert cli.main(["--out-dir", str(tmp_path), "hodograph", *extra]) == 0
+        data = np.loadtxt(tmp_path / "hodograph.csv", delimiter=",", skiprows=1)
+        assert np.max(np.abs(data[:, 7:9])) <= 1e-12
+        assert np.max(data[:, 9]) <= 1e-13
+
+    def test_fold_names_the_grid_point(self, tmp_path, capsys):
+        """The grid whose first point lies past a fold exits 2 and names it."""
+        argv = ["--out-dir", str(tmp_path), "hodograph", "--alpha", "0.1", "--beta", "-0.05",
+                "--gamma", "0.5", "--delta", "-0.3", "--grid", "12", "12"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "(0.5, 0.5)" in err and "t = 0.897" in err
+        assert not list(tmp_path.glob("*.csv"))
 
 
 class TestExample3Surface:

@@ -203,6 +203,19 @@ class TestEllipticJet:
         jet's entries bit for bit."""
         assert (elliptic_K(m), elliptic_E(m), elliptic_dE(m), elliptic_d2E(m)) == elliptic_jet(m)
 
+    @pytest.mark.parametrize("m", [-0.0499, -0.01, -1e-3, -1.01e-4, -1e-4, 0.0, 1e-4, 1.01e-4,
+                                   1e-3, 0.01, 0.0499])
+    def test_series_near_zero_to_round_off(self, m):
+        """Below |m| = 0.05 the derivatives come from the Maclaurin series
+        summed to convergence: dK/dm, dE/dm and d2E/dm2 hold to 1e-15
+        relative, where the closed forms cancel to O(eps / m^2)."""
+        with mpmath.workdps(40):
+            mm = mpmath.mpf(m)
+            want = [float(mpmath.diff(mpmath.ellipk, mm)), float(mpmath.diff(mpmath.ellipe, mm)),
+                    float(mpmath.diff(mpmath.ellipe, mm, 2))]
+        got = (elliptic_dK(m), *elliptic_jet(m)[2:])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
     def test_one_agm_run(self, monkeypatch):
         """The jet runs the arithmetic-geometric mean once."""
         calls = []
