@@ -25,7 +25,7 @@ from .geometry import (
     momentum_on_level,
 )
 from .hodograph import example3_system
-from .integrals import FirstIntegral
+from .integrals import FirstIntegral, gradient_rows
 
 __all__ = [
     "CatalogEntry",
@@ -68,18 +68,33 @@ def _phases(system: MagneticSystem, points_angles) -> np.ndarray:
 
 def _rational_integral(name: str, parts: Callable, level: Optional[float] = None):
     """The rational integral N/D from ``parts(state) -> (N, D, grad N,
-    grad D)``, with its quotient-rule gradient and the guard |D| >= 1e-8."""
+    grad D)``, with its quotient-rule gradient and the guard |D| >= 1e-8.
+    The block of the last phase is kept, so the guard, the value and the
+    gradient at one phase share one ``parts`` evaluation."""
+    last = [None, None]
+
+    def block(state):
+        # the bits of the phase; a tuple for momenta arrays, so that a
+        # phase of one momentum never shares a key with an array of one
+        x, y, p1, p2 = state
+        if np.ndim(p1) == 0:
+            key = np.asarray(state, dtype=float).tobytes()
+        else:
+            key = np.array([x, y], dtype=float).tobytes(), p1.tobytes(), p2.tobytes()
+        if key != last[0]:
+            last[:] = key, parts(state)
+        return last[1]
 
     def func(state):
-        num, den, _, _ = parts(state)
+        num, den, _, _ = block(state)
         return num / den
 
     def grad(state):
-        num, den, ng, dg = parts(state)
+        num, den, ng, dg = block(state)
         return (ng * den - num * dg) / (den * den)
 
     def guard(state):
-        return abs(parts(state)[1]) >= 1e-8
+        return abs(block(state)[1]) >= 1e-8
 
     return FirstIntegral(name, "rational", func, grad=grad, level=level, guard=guard)
 
@@ -121,11 +136,11 @@ def _make_ex1() -> CatalogEntry:
     )
 
     def func(state):
-        return math.cos(state[2] / b - state[1])
+        return np.cos(state[2] / b - state[1])
 
     def grad(state):
-        s = math.sin(state[2] / b - state[1])
-        return np.array([0.0, s, -s / b, 0.0])
+        s = np.sin(state[2] / b - state[1])
+        return gradient_rows(s, (0.0, s, -s / b, 0.0))
 
     integral = FirstIntegral(name="F", kind="transcendental", func=func, grad=grad)
     return CatalogEntry(
@@ -170,7 +185,7 @@ def _channel_entry(
         return state[2] + potential(state[1])
 
     def grad(state):
-        return np.array([0.0, potential_prime(state[1]), 1.0, 0.0])
+        return gradient_rows(state[2], (0.0, potential_prime(state[1]), 1.0, 0.0))
 
     integral = FirstIntegral(name="F1", kind="linear", func=func, grad=grad)
     return CatalogEntry(
@@ -266,9 +281,9 @@ def _make_ex4() -> CatalogEntry:
         rx, ry = x / r, y / r
         num = (r - x) * p1 - y * p2 + gamma * y
         den = y * p1 + (r - x) * p2 + gamma * (r - x)
-        num_grad = np.array([(rx - 1.0) * p1, ry * p1 - p2 + gamma, r - x, -y])
-        den_grad = np.array(
-            [(rx - 1.0) * p2 + gamma * (rx - 1.0), p1 + ry * p2 + gamma * ry, y, r - x]
+        num_grad = gradient_rows(p1, ((rx - 1.0) * p1, ry * p1 - p2 + gamma, r - x, -y))
+        den_grad = gradient_rows(
+            p1, ((rx - 1.0) * p2 + gamma * (rx - 1.0), p1 + ry * p2 + gamma * ry, y, r - x)
         )
         return num, den, num_grad, den_grad
 
@@ -281,9 +296,7 @@ def _make_ex4() -> CatalogEntry:
     def f1_grad(state):
         x, y, p1, p2 = state
         r = math.hypot(x, y)
-        return np.array(
-            [p2 - 0.5 * gamma * x / r, -p1 - 0.5 * gamma * y / r, -y, x]
-        )
+        return gradient_rows(p1, (p2 - 0.5 * gamma * x / r, -p1 - 0.5 * gamma * y / r, -y, x))
 
     f1_linear = FirstIntegral(name="F1", kind="linear", func=f1_func, grad=f1_grad)
     return CatalogEntry(
@@ -358,26 +371,22 @@ def _make_ex5() -> CatalogEntry:
         disc = 1.0 + 2.0 * rho + c4
         num = ch * a * p_r + s15 * p_p + gamma * disc * sh
         den = -sh * b * p_r - c15 * p_p + gamma * disc * ch
-        num_grad = np.array(
-            [
-                ch * (1.0 - 2.0 * cp) * p_r + 2.0 * gamma * sh,
-                (-0.5 * sh * a + ch * (2.0 * rho * sp + 2.0 * s2)) * p_r
-                + 1.5 * c15 * p_p
-                + gamma * (-4.0 * s4 * sh + 0.5 * disc * ch),
-                ch * a,
-                s15,
-            ]
-        )
-        den_grad = np.array(
-            [
-                -sh * (1.0 + 2.0 * cp) * p_r + 2.0 * gamma * ch,
-                (-0.5 * ch * b - sh * (-2.0 * rho * sp + 2.0 * s2)) * p_r
-                + 1.5 * s15 * p_p
-                + gamma * (-4.0 * s4 * ch - 0.5 * disc * sh),
-                -sh * b,
-                -c15,
-            ]
-        )
+        num_grad = gradient_rows(p_r, (
+            ch * (1.0 - 2.0 * cp) * p_r + 2.0 * gamma * sh,
+            (-0.5 * sh * a + ch * (2.0 * rho * sp + 2.0 * s2)) * p_r
+            + 1.5 * c15 * p_p
+            + gamma * (-4.0 * s4 * sh + 0.5 * disc * ch),
+            ch * a,
+            s15,
+        ))
+        den_grad = gradient_rows(p_r, (
+            -sh * (1.0 + 2.0 * cp) * p_r + 2.0 * gamma * ch,
+            (-0.5 * ch * b - sh * (-2.0 * rho * sp + 2.0 * s2)) * p_r
+            + 1.5 * s15 * p_p
+            + gamma * (-4.0 * s4 * ch - 0.5 * disc * sh),
+            -sh * b,
+            -c15,
+        ))
         return num, den, num_grad, den_grad
 
     integral = _rational_integral("F", num_den_parts, level=c)
@@ -476,32 +485,28 @@ def _make_ex6() -> CatalogEntry:
         den = 2.0 * q * (-p_r * q * s15 - p_p * mfac * ch) + gamma * disc * ch
         pfac_r, pfac_p = 1.0 + 2.0 * cp, -(1.0 + 2.0 * rho) * sp
         mfac_r, mfac_p = 1.0 - 2.0 * cp, (1.0 + 2.0 * rho) * sp
-        num_grad = np.array(
-            [
-                2.0 * dq * (p_r * q * c15 + p_p * pfac * sh)
-                + 2.0 * q * (p_r * dq * c15 + p_p * pfac_r * sh)
-                + 2.0 * gamma * sh,
-                2.0 * q * (
-                    -1.5 * p_r * q * s15 + p_p * (pfac_p * sh + 0.5 * pfac * ch)
-                )
-                + gamma * (2.0 * s2 * sh + 0.5 * disc * ch),
-                2.0 * q * q * c15,
-                2.0 * q * pfac * sh,
-            ]
-        )
-        den_grad = np.array(
-            [
-                2.0 * dq * (-p_r * q * s15 - p_p * mfac * ch)
-                + 2.0 * q * (-p_r * dq * s15 - p_p * mfac_r * ch)
-                + 2.0 * gamma * ch,
-                2.0 * q * (
-                    -1.5 * p_r * q * c15 - p_p * (mfac_p * ch - 0.5 * mfac * sh)
-                )
-                + gamma * (2.0 * s2 * ch - 0.5 * disc * sh),
-                -2.0 * q * q * s15,
-                -2.0 * q * mfac * ch,
-            ]
-        )
+        num_grad = gradient_rows(p_r, (
+            2.0 * dq * (p_r * q * c15 + p_p * pfac * sh)
+            + 2.0 * q * (p_r * dq * c15 + p_p * pfac_r * sh)
+            + 2.0 * gamma * sh,
+            2.0 * q * (
+                -1.5 * p_r * q * s15 + p_p * (pfac_p * sh + 0.5 * pfac * ch)
+            )
+            + gamma * (2.0 * s2 * sh + 0.5 * disc * ch),
+            2.0 * q * q * c15,
+            2.0 * q * pfac * sh,
+        ))
+        den_grad = gradient_rows(p_r, (
+            2.0 * dq * (-p_r * q * s15 - p_p * mfac * ch)
+            + 2.0 * q * (-p_r * dq * s15 - p_p * mfac_r * ch)
+            + 2.0 * gamma * ch,
+            2.0 * q * (
+                -1.5 * p_r * q * c15 - p_p * (mfac_p * ch - 0.5 * mfac * sh)
+            )
+            + gamma * (2.0 * s2 * ch - 0.5 * disc * sh),
+            -2.0 * q * q * s15,
+            -2.0 * q * mfac * ch,
+        ))
         return num, den, num_grad, den_grad
 
     integral = _rational_integral("F", num_den_parts, level=c)

@@ -120,16 +120,20 @@ class Metric:
         return np.array([[i11, i12], [i12, i22]], dtype=float)
 
     def cholesky(self, x: float, y: float) -> np.ndarray:
-        """Lower-triangular L with positive diagonal and G = L L^T; raises
-        SingularMetric on the same test as :meth:`inverse`."""
+        """Lower-triangular L with positive diagonal and G = L L^T, in
+        closed form: l11 = sqrt(g11), l21 = g12 (1 / l11), l22 = sqrt(g22 -
+        l21^2), which gives LAPACK's factor bit for bit.  Raises
+        SingularMetric on the test of :meth:`inverse`, or where g22 - l21^2
+        is not positive after round-off."""
         g11, g12, g22 = g = self.components(x, y)
         _inverse(g, x, y)
-        try:
-            return np.linalg.cholesky(np.array([[g11, g12], [g12, g22]], dtype=float))
-        except np.linalg.LinAlgError as exc:
-            raise SingularMetric(
-                f"Cholesky factorization failed at ({x}, {y})"
-            ) from exc
+        l11 = math.sqrt(g11)
+        l21 = g12 * (1.0 / l11)
+        schur = g22 - l21 * l21
+        if not schur > 0.0:
+            raise SingularMetric(f"Cholesky factorization failed at ({x}, {y}): "
+                                 f"g22 - l21^2 = {schur}")
+        return np.array([[l11, 0.0], [l21, math.sqrt(schur)]])
 
     def component_partials(self, x: float, y: float, h: Optional[float] = None):
         """Spatial partials of (g11, g12, g22): analytic if available,
@@ -215,8 +219,10 @@ def _velocity(inverse, p1, p2) -> tuple[float, float]:
 
 
 def hamiltonian(system: MagneticSystem, phase, check_domain: bool = True) -> float:
-    """Kinetic Hamiltonian H = (1/2) p^T G(q)^{-1} p at a phase point."""
-    x, y, p1, p2 = map(float, phase)
+    """Kinetic Hamiltonian H = (1/2) p^T G(q)^{-1} p at a phase point; p1
+    and p2 may be arrays of momenta at the chart point."""
+    x, y, p1, p2 = phase
+    x, y = float(x), float(y)
     if check_domain:
         system.require_inside(x, y)
     w1, w2 = _velocity(_inverse(system.metric.components(x, y), x, y), p1, p2)

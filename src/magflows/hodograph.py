@@ -35,7 +35,7 @@ from .errors import (
     SingularPoint,
 )
 from .geometry import ChartDomain, MagneticSystem, Metric
-from .integrals import FirstIntegral
+from .integrals import FirstIntegral, gradient_rows
 
 __all__ = [
     "HodographConstants",
@@ -227,11 +227,24 @@ def continued_solve(k: HodographConstants, x: float, y: float) -> NewtonResult:
         if not ok:
             h = 0.5 * step
         elif t_new == 1.0:
-            return result
+            return _polished(k, x, y, result)
         else:
             t, point, slope = t_new, new, new_slope
             h = 2.0 * step if result.iterations <= 3 else step
     raise SingularPoint(f"the branch of the closed form folds at t = {t:.3g} at ({x}, {y})")
+
+
+def _polished(k: HodographConstants, x: float, y: float, root: NewtonResult) -> NewtonResult:
+    """The root after one more Newton step with the Jacobian at it, kept
+    when max |R| does not grow: ``newton_solve`` stops at max |R| <= 1e-12
+    absolute, which leaves f and g off by up to about 1e-12 relative."""
+    r = algebraic_residual(k, x, y, root.f, root.g)
+    delta = np.linalg.solve(algebraic_jacobian(k, x, y, root.f, root.g), np.negative(r))
+    f, g = float(root.f + delta[0]), float(root.g + delta[1])
+    rnorm = float(np.max(np.abs(algebraic_residual(k, x, y, f, g))))
+    if rnorm <= root.residual_inf:
+        return root._replace(f=f, g=g, residual_inf=rnorm)
+    return root
 
 
 def reconstruct_fields(k: HodographConstants, f: float, g: float) -> tuple[float, float]:
@@ -358,9 +371,9 @@ def magnetic_from_fg(sampler: Sampler, x: float, y: float, h: float = 1e-4) -> f
 # |S| > 1e-6 (the integral divides by S^2); re-verified by the test suite.
 EXAMPLE3_BBOX = (3.0, 5.0, -0.72, 0.72)
 
-# imaginary steps i h e_k of the integral's complex-step gradient
+# step h of the integral's complex-step gradient, and i h as a numpy scalar
 _COMPLEX_STEP = 1e-20
-_COMPLEX_STEPS = 1j * _COMPLEX_STEP * np.eye(4)
+_COMPLEX_STEP_I = np.complex128(1j * _COMPLEX_STEP)
 
 
 def _poly_r(x, y, a, b):
@@ -553,9 +566,16 @@ def example3_system(
 
     def grad(state):
         # complex step (Squire & Trapp 1998): func is a rational function,
-        # so Im F(state + i h e_k) / h is dF/dstate_k without cancellation
-        probes = (np.asarray(state, dtype=float) + _COMPLEX_STEPS).tolist()
-        return np.array([func(z).imag for z in probes]) / _COMPLEX_STEP
+        # so Im F(state + i h e_k) / h is dF/dstate_k without cancellation.
+        # Momenta are always evaluated as arrays, a single phase as an array
+        # of one: numpy rounds complex products of arrays and of scalars
+        # differently, and a sample must not depend on how many come with it.
+        x, y, p1, p2 = state
+        q1, q2 = np.atleast_1d(p1), np.atleast_1d(p2)
+        probes = ((x + _COMPLEX_STEP_I, y, q1, q2), (x, y + _COMPLEX_STEP_I, q1, q2),
+                  (x, y, q1 + _COMPLEX_STEP_I, q2), (x, y, q1, q2 + _COMPLEX_STEP_I))
+        rows = gradient_rows(q1, [func(z).imag for z in probes]) / _COMPLEX_STEP
+        return rows if np.ndim(p1) else rows[:, 0]
 
     def guard(state):
         s = _poly_s(state[0], state[1], a, b)

@@ -15,11 +15,15 @@ control); otherwise central differences with one Richardson extrapolation
 step (combining h and h/2, fourth-order accurate) keep the residual of a
 true integral well below the 1e-6 pass threshold.
 
-:func:`level_set_bracket_scan` evaluates what depends on the chart point
-alone (Cholesky factor, G^{-1}, dG and Omega) once per grid point, for all
-angles at once; only the integral's guard and gradient are evaluated per
-sample.  Each sample gives the same bits as :func:`magnetic_bracket_fd`
-at that phase.
+An integral's ``func``, ``grad`` and ``guard`` take a phase (x, y, p1, p2)
+at one chart point whose momenta p1, p2 may be arrays, as
+:func:`magflows.geometry.hamiltonian_gradient` does, so
+:func:`level_set_bracket_scan` evaluates everything for all angles of a
+grid point at once: the chart geometry (Cholesky factor, G^{-1}, dG and
+Omega), the guard mask and the gradient, one call each.  The bracket is
+one written-out sum over the four gradient rows, and a single phase is
+its n = 1 case, so each sample gives the same bits as
+:func:`magnetic_bracket_fd` at that phase.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
     "magnetic_bracket_fd",
     "magnetic_bracket_pair",
     "level_set_bracket_scan",
+    "gradient_rows",
     "functional_independence_rank",
 ]
 
@@ -57,20 +62,24 @@ KINDS = ("linear", "quadratic", "rational", "transcendental")
 class FirstIntegral:
     """A scalar phase-space function with conservation metadata.
 
-    ``func`` maps a length-4 phase vector to a float.  ``grad`` is an
-    optional analytic gradient (dF/dx, dF/dy, dF/dp1, dF/dp2).  ``level``
-    is None for an integral conserved at every energy and the energy
-    constant C for one valid only on {H = C/2}.  ``guard`` returns False
-    where evaluation must be refused (for instance near the zero set of a
-    rational integral's denominator).
+    ``func``, the optional exact gradient ``grad`` = (dF/dx, dF/dy,
+    dF/dp1, dF/dp2) and the optional ``guard`` take a phase (x, y, p1, p2)
+    at one chart point; p1 and p2 may be arrays of n momenta, over which
+    they broadcast elementwise with the same bits as n scalar calls.
+    ``func`` then returns n values, ``grad`` shape (4, n) instead of (4,),
+    and ``guard`` a bool mask instead of a bool; the guard is False where
+    evaluation must be refused (for instance near the zero set of a
+    rational integral's denominator), and func and grad are only asked for
+    phases it admits.  ``level`` is None for an integral conserved at every
+    energy and the energy constant C for one valid only on {H = C/2}.
     """
 
     name: str
     kind: str
-    func: Callable[[np.ndarray], float]
-    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    func: Callable
+    grad: Optional[Callable] = None
     level: Optional[float] = None
-    guard: Optional[Callable[[np.ndarray], bool]] = None
+    guard: Optional[Callable] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -140,17 +149,34 @@ def _fd_gradient(fn: Callable, state: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _gradient_of(obj, state, h):
+def gradient_rows(momentum, rows) -> np.ndarray:
+    """The four gradient rows as one array, filled row by row: shape (4,)
+    for a scalar ``momentum`` and (4, n) for n momenta, scalar rows
+    broadcasting along the momenta."""
+    out = np.empty((4,) + np.shape(momentum))
+    out[0], out[1], out[2], out[3] = rows
+    return out
+
+
+def _gradient_of(obj, phase, h):
+    """Phase gradient of an integral or callable at a phase whose momenta
+    may be arrays: its exact ``grad`` when it has one, else the Richardson
+    differences of each sample on its own."""
     grad = getattr(obj, "grad", None)
     if grad is not None:
-        return np.asarray(grad(state), dtype=float)
+        return np.asarray(grad(phase), dtype=float)
     fn = obj.func if isinstance(obj, FirstIntegral) else obj
-    return _fd_gradient(fn, state, h)
+    x, y, p1, p2 = phase
+    if np.ndim(p1) == 0:
+        return _fd_gradient(fn, np.array(phase, dtype=float), h)
+    return np.array([_fd_gradient(fn, np.array([x, y, q1, q2], dtype=float), h)
+                     for q1, q2 in zip(p1, p2)]).T
 
 
-def _bracket(system: MagneticSystem, state, f_grad, g_grad) -> float:
-    """{F, G} = dF(X_G) from the two phase gradients."""
-    return float(np.dot(f_grad, vector_field(system, state[0], state[1], g_grad)))
+def _pairing(grad, flow):
+    """dF(X) = sum_i F_i X_i written out over the four rows, so n samples
+    give the bits of n single ones."""
+    return grad[0] * flow[0] + grad[1] * flow[1] + grad[2] * flow[2] + grad[3] * flow[3]
 
 
 def _guarded(objs, phase) -> np.ndarray:
@@ -168,7 +194,8 @@ def magnetic_bracket_pair(
     """Magnetic bracket {F, G} = dF(X_G) of two integrals (or plain callables)."""
     system.require_inside(phase[0], phase[1])
     state = _guarded((f_int, g_int), phase)
-    return _bracket(system, state, _gradient_of(f_int, state, h), _gradient_of(g_int, state, h))
+    x_g = vector_field(system, state[0], state[1], _gradient_of(g_int, state, h))
+    return float(_pairing(_gradient_of(f_int, state, h), x_g))
 
 
 def magnetic_bracket_fd(
@@ -177,9 +204,8 @@ def magnetic_bracket_fd(
     """Magnetic bracket {F, H} = dF(X_H) of an integral with the Hamiltonian."""
     system.require_inside(phase[0], phase[1])
     state = _guarded((integral,), phase)
-    return _bracket(
-        system, state, _gradient_of(integral, state, h), hamiltonian_gradient(system, state)
-    )
+    x_h = vector_field(system, state[0], state[1], hamiltonian_gradient(system, state))
+    return float(_pairing(_gradient_of(integral, state, h), x_h))
 
 
 def level_set_bracket_scan(
@@ -193,10 +219,9 @@ def level_set_bracket_scan(
     Grid points outside the domain predicate, points where the metric is
     not positive definite, and phases rejected by the integral's guard are
     skipped (not failed): rational integrals have genuine poles inside
-    otherwise fine domains.  Everything that depends on the chart point
-    alone (Cholesky factor, G^{-1}, dG, Omega) is evaluated once per grid
-    point, for all angles at once; the integral's guard and gradient are
-    evaluated once per sample.
+    otherwise fine domains.  Each grid point is evaluated once for all
+    angles: the chart geometry (Cholesky factor, G^{-1}, dG, Omega), the
+    guard mask and the integral's gradient at the admitted momenta.
     """
     if config is None:
         config = BracketScanConfig()
@@ -213,21 +238,24 @@ def level_set_bracket_scan(
         try:
             p1, p2 = momentum_on_level(system, x, y, angles, energy=c)
             local = system.local_geometry(x, y)
-            dh = hamiltonian_gradient(system, (x, y, p1, p2), local)
         except SingularMetric:
             continue
-        # contiguous rows, so np.dot adds in the order a single-sample bracket does
-        flows = np.ascontiguousarray(vector_field(system, x, y, dh, local).T)
-        for phi, q1, q2, x_h in zip(angles, p1, p2, flows):
-            state = np.array([x, y, q1, q2])
-            if not integral.admits(state):
+        phase = (x, y, p1, p2)
+        admitted = np.ones(angles.shape, dtype=bool)
+        if integral.guard is not None:
+            admitted &= integral.guard(phase)
+            if not admitted.any():
                 continue
-            val = abs(float(np.dot(_gradient_of(integral, state, config.h), x_h)))
+            if not admitted.all():
+                phase = (x, y, p1[admitted], p2[admitted])
+        x_h = vector_field(system, x, y, hamiltonian_gradient(system, phase, local), local)
+        values = np.abs(_pairing(_gradient_of(integral, phase, config.h), x_h))
+        for phi, val in zip(angles[admitted].tolist(), values.tolist()):
             sumsq += val * val
             count += 1
             if val > max_abs:
                 max_abs = val
-                worst = (float(x), float(y), float(phi))
+                worst = (float(x), float(y), phi)
     if count == 0:
         raise GuardError("guard rejected every sampled phase")
     return ResidualReport(

@@ -23,14 +23,14 @@ builds its metric, metric partials and field from one jet per point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import DegenerateD, DomainError, NearPole
 from .geometry import ChartDomain, MagneticSystem, Metric
-from .integrals import FirstIntegral
+from .integrals import FirstIntegral, gradient_rows
 from .specfun import elliptic_jet, terminating_2f1_coeffs
 
 __all__ = [
@@ -263,12 +263,19 @@ class RationalFlowBundle:
     c_energy: float = 1.0
     rho_range: tuple = (0.05, 5.0)
     denominator_floor: float = 1e-8
+    _last_jet: list = field(default_factory=lambda: [None, None], init=False,
+                            repr=False, compare=False)
 
     def _jet(self, rho, psi):
-        """``ZSolution.jet``; DomainError also at rho = 0."""
-        if rho == 0.0:
-            raise DomainError("the chart degenerates at rho = 0")
-        return self.z.jet(rho, psi)
+        """``ZSolution.jet``, kept for the last chart point, so that the
+        metric, its partials, the field and the integral at one point share
+        one evaluation; DomainError also at rho = 0."""
+        last = self._last_jet
+        if (rho, psi) != last[0]:
+            if rho == 0.0:
+                raise DomainError("the chart degenerates at rho = 0")
+            last[:] = (rho, psi), self.z.jet(rho, psi)
+        return last[1]
 
     def local_geometry(self, rho, psi):
         """Metric components, their partials and the magnetic coefficient
@@ -338,23 +345,28 @@ class RationalFlowBundle:
         return self._coefficients(rho, psi)[3][:5]
 
     def _quotient(self, state):
-        """Numerator and denominator of the integral at a phase point, with
-        everything ``_coefficients`` returns; NearPole where the denominator
-        is below the floor."""
+        """Numerator and denominator of the integral at a phase point whose
+        momenta may be arrays, with everything ``_coefficients`` returns."""
         rho, psi, p_r, p_p = state
         c, s, jet, coeffs = self._coefficients(rho, psi)
         a0, a1, b0, b1, d, _ = coeffs
         den = b0 * p_r + b1 * p_p + self.gamma * d * c
-        if not abs(den) >= self.denominator_floor:
-            raise NearPole(
-                f"integral denominator {den:.3e} below floor at "
-                f"(rho, psi) = ({rho}, {psi})"
-            )
         num = a0 * p_r + a1 * p_p + self.gamma * d * s
         return num, den, c, s, jet, coeffs
 
-    def integral_value(self, state) -> float:
-        num, den = self._quotient(state)[:2]
+    def _checked_quotient(self, state):
+        """``_quotient``; NearPole where a denominator is below the floor."""
+        quotient = self._quotient(state)
+        admitted = abs(quotient[1]) >= self.denominator_floor
+        if not (admitted.all() if isinstance(admitted, np.ndarray) else admitted):
+            raise NearPole(
+                f"integral denominator {np.min(np.abs(quotient[1])):.3e} below floor at "
+                f"(rho, psi) = ({state[0]}, {state[1]})"
+            )
+        return quotient
+
+    def integral_value(self, state):
+        num, den = self._checked_quotient(state)[:2]
         return num / den
 
     def integral_gradient(self, state) -> np.ndarray:
@@ -366,7 +378,7 @@ class RationalFlowBundle:
         solution.
         """
         rho, psi, p_r, p_p = state
-        num, den, c, s, jet, (a0, a1, b0, b1, d, t) = self._quotient(state)
+        num, den, c, s, jet, (a0, a1, b0, b1, d, t) = self._checked_quotient(state)
         _, z_r, z_p, z_rr, z_rp, z_pp, z_rrr, z_rrp, z_rpp = jet
         z_ppp = -rho * (rho + 1.0) * z_rrp - rho * z_rp
         g = self.gamma
@@ -389,26 +401,26 @@ class RationalFlowBundle:
         t_p = z_rpp - z_pp / rho
         d_p = 2.0 * rho * (rho + 1.0) * z_rr * z_rrp + 2.0 * t * t_p
 
-        num_grad = np.array([
+        num_grad = gradient_rows(p_r, (
             a0_r * p_r + a1_r * p_p + g * d_r * s,
             a0_p * p_r + a1_p * p_p + g * (d_p * s + 0.5 * d * c),
             a0,
             a1,
-        ])
-        den_grad = np.array([
+        ))
+        den_grad = gradient_rows(p_r, (
             b0_r * p_r + b1_r * p_p + g * d_r * c,
             b0_p * p_r + b1_p * p_p + g * (d_p * c - 0.5 * d * s),
             b0,
             b1,
-        ])
+        ))
         return (num_grad * den - num * den_grad) / (den * den)
 
-    def _denominator_ok(self, state) -> bool:
+    def _denominator_ok(self, state):
+        """The integral's guard: a bool, or a mask over an array of momenta."""
         try:
-            self._quotient(state)
-        except (DomainError, NearPole):
+            return abs(self._quotient(state)[1]) >= self.denominator_floor
+        except DomainError:
             return False
-        return True
 
     def as_system(self, name: Optional[str] = None) -> MagneticSystem:
         lo, hi = self.rho_range

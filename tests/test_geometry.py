@@ -74,6 +74,40 @@ class TestMetric:
         low = metric.cholesky(0.7, -0.2)
         np.testing.assert_allclose(low @ low.T, metric.matrix(0.7, -0.2), atol=1e-14)
 
+    def test_cholesky_matches_lapack_bit_for_bit(self):
+        """The closed-form factor equals numpy's LAPACK factor bit for bit
+        on seeded random SPD matrices, well and ill conditioned."""
+        rng = np.random.default_rng(20)
+        checked = 0
+        for i in range(3000):
+            a = rng.normal(size=(2, 2))
+            g = a @ a.T + np.diag(10.0 ** rng.uniform(-12.0, 3.0, size=2))
+            if i % 2:
+                # near-singular: condition numbers up to about 1e15
+                off = 1.0 - 10.0 ** rng.uniform(-15.0, -1.0)
+                g = np.array([[1.0, off], [off, 1.0]]) * 10.0 ** rng.uniform(-6.0, 6.0)
+            try:
+                want = np.linalg.cholesky(g)
+            except np.linalg.LinAlgError:
+                continue
+            metric = Metric(components=lambda x, y, g=g: (g[0, 0], g[0, 1], g[1, 1]))
+            got = metric.cholesky(0.0, 0.0)
+            assert got.tobytes() == want.tobytes()
+            checked += 1
+        assert checked > 2900
+
+    def test_cholesky_rejects_round_off_breakdown(self):
+        """g11 > 0 and det > 0 pass the inverse's test, but g22 - l21^2
+        rounds to 0: SingularMetric, as LAPACK refuses the factor too."""
+        g = (3.521126228224603, 0.24876732149455005, 0.017575393846296767)
+        assert g[0] * g[2] - g[1] * g[1] > 0.0
+        metric = Metric(components=lambda x, y: g)
+        metric.inverse(0.0, 0.0)
+        with pytest.raises(SingularMetric):
+            metric.cholesky(0.0, 0.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(metric.matrix(0.0, 0.0))
+
     def test_singular_rejected(self):
         """A non-positive-definite point raises SingularMetric."""
         metric = Metric(components=lambda x, y: (1.0, 2.0, 1.0))

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -248,6 +249,41 @@ class TestBranchFollowing:
         with pytest.raises(SingularPoint, match=r"folds at t = ([\d.]+)") as err:
             continued_solve(k, x, y)
         assert float(err.value.args[0].split("t = ")[1].split()[0]) == pytest.approx(t_fold, abs=0.01)
+
+
+def _mp_root(k, x, y, f, g, iterations=3):
+    """Newton on the algebraic system in 40-digit arithmetic from (f, g)."""
+    with mpmath.workdps(40):
+        a, b, z = (mpmath.mpf(v) for v in (k.alpha, k.beta, k.zeta))
+        x, y, f, g = (mpmath.mpf(v) for v in (x, y, f, g))
+        for _ in range(iterations):
+            r1, r2 = algebraic_residual(k, x, y, f, g)
+            j11 = -z * z * g * g - 12 * b * z * g - 3 * z * z * f * f + 52 * a * z * f - 192 * a * a
+            j12 = -2 * z * z * f * g - 12 * b * z * f + 12 * a * z * g + 64 * a * b
+            j21 = 2 * z * z * f * g - 12 * a * z * g + 12 * b * z * f - 64 * a * b
+            j22 = z * z * f * f - 12 * a * z * f + 3 * z * z * g * g + 52 * b * z * g + 192 * b * b
+            det = j11 * j22 - j12 * j21
+            f, g = f - (j22 * r1 - j12 * r2) / det, g - (j11 * r2 - j21 * r1) / det
+        return f, g
+
+
+class TestPolishedRoot:
+    @pytest.mark.parametrize("alpha, beta", [(0.0462, 0.0303), (0.0401, 0.0247)])
+    def test_csv_fields_match_40_digit_roots(self, alpha, beta, tmp_path):
+        """The f and g that magflows hodograph prints are the roots to
+        1e-15 of |(f, g)|: the accepted root takes one more Newton step."""
+        argv = ["--out-dir", str(tmp_path), "hodograph", "--alpha", str(alpha),
+                "--beta", str(beta), "--out", "h.csv"]
+        assert cli.main(argv) == 0
+        k = HodographConstants(alpha=alpha, beta=beta, epsilon=1.0)
+        rows = np.loadtxt(tmp_path / "h.csv", delimiter=",", skiprows=1)
+        assert len(rows) == 400
+        worst = 0.0
+        for x, y, f, g in rows[:, :4]:
+            mf, mg = _mp_root(k, x, y, f, g)
+            err = mpmath.sqrt((mf - f) ** 2 + (mg - g) ** 2) / mpmath.sqrt(mf * mf + mg * mg)
+            worst = max(worst, float(err))
+        assert worst <= 1e-15
 
 
 class TestSolveFields:

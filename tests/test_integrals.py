@@ -7,8 +7,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from magflows import integrals, rational
+from magflows import catalog, hodograph, integrals, rational
 from magflows.catalog import get_example, list_examples
+from magflows.cli import _corrupted
 from magflows.errors import DomainError, GuardError, SingularMetric
 from magflows.geometry import (
     ChartDomain,
@@ -326,6 +327,139 @@ class TestScanEquivalence:
         report = level_set_bracket_scan(system, linear, config=config)
         assert report.count == 2 * 4 * 4
         assert report.max_abs == report.rms == 0.0
+
+
+def _bundle(family):
+    bundle = rational.build_bundle(SCAN_FAMILIES[family]())
+    return bundle.as_system(), bundle.as_integral()
+
+
+def _assert_broadcasts(integral, x, y, p1, p2):
+    """guard, func and grad at n momenta of one chart point give the bits
+    of n calls at single phases; func and grad are asked only where the
+    guard admits.  Returns the guard mask."""
+    singles = [np.array([x, y, q1, q2]) for q1, q2 in zip(p1, p2)]
+    admitted = np.ones(len(singles), dtype=bool)
+    if integral.guard is not None:
+        admitted &= integral.guard((x, y, p1, p2))
+        assert admitted.tolist() == [bool(integral.guard(s)) for s in singles]
+    phase = (x, y, p1[admitted], p2[admitted])
+    singles = [s for s, ok in zip(singles, admitted) if ok]
+    values, grads = integral.func(phase), integral.grad(phase)
+    assert np.shape(grads) == (4, len(singles))
+    for value, grad, single in zip(values, grads.T, singles):
+        assert np.float64(value).tobytes() == np.float64(integral.func(single)).tobytes()
+        assert grad.tobytes() == np.asarray(integral.grad(single), dtype=float).tobytes()
+    return admitted
+
+
+BROADCAST_CASES = SCAN_CASES + [(entry.name, "corrupt") for entry in list_examples()]
+
+
+class TestBroadcastContract:
+    """The guard and gradient of every integral take the momenta of all
+    angles of a chart point at once, so a bracket scan calls each once per
+    grid point."""
+
+    ANGLES = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+
+    @pytest.mark.parametrize("name, index", BROADCAST_CASES)
+    def test_catalog_arrays_equal_single_phases(self, name, index):
+        """16 momenta on the level at each sample point, bit for bit; the
+        ``--corrupt`` control of each entry too."""
+        entry = get_example(name)
+        integral = _corrupted(entry.integrals[0]) if index == "corrupt" else entry.integrals[index]
+        for x, y in entry.sample_phases[:, :2]:
+            p1, p2 = momentum_on_level(entry.system, x, y, self.ANGLES)
+            assert _assert_broadcasts(integral, x, y, p1, p2).all()
+
+    @pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
+    def test_bundle_arrays_equal_single_phases(self, family):
+        system, integral = _bundle(family)
+        for x, y in ((1.0, 0.4), (2.2, 1.9), (0.6, 4.0)):
+            p1, p2 = momentum_on_level(system, x, y, self.ANGLES)
+            assert _assert_broadcasts(integral, x, y, p1, p2).all()
+
+    @pytest.mark.parametrize("name", sorted(SCAN_FAMILIES) + ["ex5", "ex6"])
+    def test_guard_rejects_part_of_the_angles(self, name):
+        """A momentum on the pole line of the integral among 15 on the
+        level: the mask rejects it alone and the other samples keep their
+        bits.  ex5 and ex6 share the pole line of their bundles."""
+        if name in SCAN_FAMILIES:
+            bundle = rational.build_bundle(SCAN_FAMILIES[name]())
+            system, integral = bundle.as_system(), bundle.as_integral()
+        else:
+            entry = get_example(name)
+            bundle = rational.bundle_from_descriptor(entry.bundle_descriptor)
+            system, integral = entry.system, entry.integrals[0]
+        rho, psi = 1.0, 0.4
+        _, _, b0, _, d = bundle.integral_coefficients(rho, psi)
+        p1, p2 = momentum_on_level(system, rho, psi, self.ANGLES[:15])
+        p1 = np.insert(p1, 5, -bundle.gamma * d * math.cos(0.5 * psi) / b0)
+        p2 = np.insert(p2, 5, 0.0)
+        admitted = _assert_broadcasts(integral, rho, psi, p1, p2)
+        assert np.flatnonzero(~admitted).tolist() == [5]
+
+    @pytest.mark.parametrize("n_angles", [4, 12])
+    def test_one_rational_block_per_grid_point(self, n_angles, monkeypatch):
+        """ex5's (N, D, grad N, grad D) transcription is evaluated once per
+        grid point: the guard and the gradient share it."""
+        calls = Counter()
+        make = catalog._rational_integral
+
+        def counting(name, parts, level=None):
+            def counted(state):
+                calls["parts"] += 1
+                return parts(state)
+            return make(name, counted, level)
+
+        monkeypatch.setattr(catalog, "_rational_integral", counting)
+        ex5 = get_example("ex5")
+        config = BracketScanConfig(nx=6, ny=6, n_angles=n_angles)
+        points = len(ex5.system.domain.grid(6, 6, margin=config.grid_margin))
+        report = level_set_bracket_scan(ex5.system, ex5.integrals[0], config=config)
+        assert report.count == points * n_angles
+        assert calls["parts"] == points
+
+    @pytest.mark.parametrize("n_angles", [4, 12])
+    @pytest.mark.parametrize("family", ["poly-cos", "elliptic-half"])
+    def test_one_z_jet_per_grid_point(self, family, n_angles, monkeypatch):
+        """A bundle scan evaluates Z's jet once per grid point: the Cholesky
+        factor, G^{-1}, dG, Omega, the guard and the gradient share it."""
+        system, integral = _bundle(family)
+        calls = Counter()
+        jet = rational.ZSolution.jet
+
+        def counted(self, rho, psi):
+            calls["jet"] += 1
+            return jet(self, rho, psi)
+
+        monkeypatch.setattr(rational.ZSolution, "jet", counted)
+        config = BracketScanConfig(nx=6, ny=6, n_angles=n_angles)
+        points = len(system.domain.grid(6, 6, margin=config.grid_margin))
+        level_set_bracket_scan(system, integral, config=config)
+        assert calls["jet"] == points
+
+    @pytest.mark.parametrize("n_angles", [4, 12])
+    def test_four_complex_step_evaluations_per_grid_point(self, n_angles, monkeypatch):
+        """ex3's complex-step gradient evaluates the integral's formula 4
+        times per grid point, once per phase direction, for all angles.
+        ``_poly_w`` is evaluated once per call of the formula and nowhere
+        else."""
+        calls = Counter()
+        poly_w = hodograph._poly_w
+
+        def counted(*args):
+            calls["func"] += 1
+            return poly_w(*args)
+
+        monkeypatch.setattr(hodograph, "_poly_w", counted)
+        ex3 = get_example("ex3")
+        config = BracketScanConfig(nx=6, ny=6, n_angles=n_angles)
+        points = len(ex3.system.domain.grid(6, 6, margin=config.grid_margin))
+        report = level_set_bracket_scan(ex3.system, ex3.integrals[0], config=config)
+        assert report.count == points * n_angles
+        assert calls["func"] == 4 * points
 
 
 class TestIndependenceRank:
