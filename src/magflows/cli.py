@@ -246,8 +246,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     header = ["t", "q1", "q2", "p1", "p2", "H"] + [f.name for f in entry.integrals]
     rows = []
     for t, state in zip(trajectory.times, trajectory.states):
-        row = [t, state[0], state[1], state[2], state[3]]
-        row.append(hamiltonian(entry.system, state, check_domain=False))
+        values = state.tolist()
+        row = [t, *values, hamiltonian(entry.system, values, check_domain=False)]
         for integral in entry.integrals:
             try:
                 row.append(integral(state))

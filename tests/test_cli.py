@@ -364,6 +364,8 @@ class TestErrorContract:
           "--angle", "5.33"], 0),
         (["hodograph", "--epsilon", "nan"], 2),
         (["hodograph", "--bbox", "0", "1", "0", "nan"], 2),
+        (["simulate", "ex1", "--position", "0", "0", "--angle", "0", "--t-end", "inf"], 2),
+        (["simulate", "ex1", "--position", "0", "0", "--angle", "0", "--rel-tol", "inf"], 2),
     ]
 
     @pytest.mark.parametrize("argv, want", CASES)
@@ -447,15 +449,16 @@ _NUMBERS = st.one_of(st.floats(-3.0, 3.0).map(repr), st.floats(-5.0, 5.0).map(re
 
 @st.composite
 def _cheap_argv(draw):
-    """list, simulate runs of at most 0.5 time units, and bad numeric
-    options; a single value is passed as --option=value so that negative
-    numbers reach the option instead of being read as flags."""
+    """list, simulate runs of at most 0.5 time units or of an infinite
+    end time (rejected), and bad numeric options; a single value is passed
+    as --option=value so that negative numbers reach the option instead of
+    being read as flags."""
     kind = draw(st.sampled_from(["list", "simulate", "simulate", "bad"]))
     if kind == "list":
         return ["list"]
     example = draw(st.sampled_from(["ex1", "ex2", "ex2b", "ex3", "ex4", "ex5", "ex6", "ex9"]))
     if kind == "simulate":
-        argv = ["simulate", example, f"--t-end={draw(st.sampled_from(['0.05', '0.2', '0.5']))}"]
+        argv = ["simulate", example, f"--t-end={draw(st.sampled_from(['0.05', '0.2', '0.5', 'inf']))}"]
         if draw(st.booleans()):
             argv += ["--phase"] + [draw(_NUMBERS) for _ in range(4)]
         else:

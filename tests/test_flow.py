@@ -1,12 +1,16 @@
 """Equations of motion, the two integrators and the drift diagnostics."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from magflows import flow
 from magflows.catalog import get_example, larmor_orbit, list_examples
-from magflows.errors import EvaluationError
+from magflows.errors import DomainError, EvaluationError, SingularMetric
 from magflows.flow import (
     TrajectoryConfig,
     conservation_drift,
@@ -14,7 +18,8 @@ from magflows.flow import (
     integrate,
     magnetic_rhs,
 )
-from magflows.geometry import ChartDomain, MagneticSystem, Metric, hamiltonian
+from magflows.geometry import ChartDomain, MagneticSystem, Metric, hamiltonian, momentum_on_level
+from magflows.rational import EllipticHalf, build_bundle
 
 RNG = np.random.default_rng(0)
 
@@ -140,6 +145,224 @@ class TestIntegrate:
             final = np.asarray(back.states[-1])
             recovered = np.array([final[0], final[1], -final[2], -final[3]])
             np.testing.assert_allclose(recovered, phase0, atol=1e-10)
+
+
+class TestTrajectoryConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"t_end": math.inf},
+        {"t_end": 1.0, "rel_tol": math.inf},
+        {"t_end": 1.0, "abs_tol": math.inf},
+        {"t_end": 1.0, "method": "fixed_rk4", "step": math.inf},
+    ])
+    def test_non_finite_settings_are_rejected(self, kwargs):
+        """An infinite end time made the minimum step infinite and the
+        step-halving loop endless."""
+        with pytest.raises(ValueError, match="finite"):
+            TrajectoryConfig(**kwargs)
+
+
+class TestWorkCounts:
+    @staticmethod
+    def _count_rhs(monkeypatch, corrupt_call=None):
+        """Wrap flow.magnetic_rhs in a closure that counts its calls; the
+        call numbered ``corrupt_call`` returns an infinite dp1."""
+        calls = []
+        real = flow.magnetic_rhs
+
+        def counting(system, phase, *args, **kwargs):
+            calls.append(phase)
+            out = real(system, phase, *args, **kwargs)
+            if len(calls) == corrupt_call:
+                out[2] = math.inf
+            return out
+
+        monkeypatch.setattr(flow, "magnetic_rhs", counting)
+        return calls
+
+    def test_every_trial_step_makes_seven_evaluations(self, monkeypatch):
+        calls = self._count_rhs(monkeypatch)
+        ex1 = get_example("ex1")
+        trajectory = integrate(ex1.system, ex1.sample_phases[0], TrajectoryConfig(t_end=3.0))
+        assert trajectory.rhs_evals == len(calls) == 7 * trajectory.accepted
+        assert trajectory.rejected == 0
+
+    def test_fixed_step_makes_four_evaluations(self, monkeypatch):
+        calls = self._count_rhs(monkeypatch)
+        ex1 = get_example("ex1")
+        config = TrajectoryConfig(t_end=1.0, method="fixed_rk4", step=0.01)
+        trajectory = integrate(ex1.system, ex1.sample_phases[0], config)
+        assert trajectory.rhs_evals == len(calls) == 4 * trajectory.accepted == 400
+
+    def test_rejections_are_split_by_cause(self, monkeypatch):
+        """On the orbit that leaves ex6's chart, a boundary rejection stops
+        at the stage that raised; the split adds up to ``rejected``."""
+        calls = self._count_rhs(monkeypatch)
+        ex6 = get_example("ex6")
+        trajectory = integrate(ex6.system, (1.0, 0.6, 1.0, 0.5), TrajectoryConfig(t_end=20.0))
+        assert trajectory.domain_exit
+        assert trajectory.rhs_evals == len(calls)
+        assert trajectory.rejected_boundary > 0 and trajectory.rejected_error > 0
+        assert trajectory.rejected_nonfinite == 0
+        assert trajectory.rejected == (trajectory.rejected_error + trajectory.rejected_boundary
+                                       + trajectory.rejected_nonfinite)
+        complete = trajectory.accepted + trajectory.rejected_error
+        assert 7 * complete + trajectory.rejected_boundary <= trajectory.rhs_evals
+        assert trajectory.rhs_evals < 7 * (complete + trajectory.rejected_boundary)
+
+    def test_non_finite_end_state_is_its_own_cause(self, monkeypatch):
+        """An infinite rate at stage 6 of the third trial step gives an
+        infinite momentum at an end point inside the chart."""
+        calls = self._count_rhs(monkeypatch, corrupt_call=2 * 7 + 6)
+        ex1 = get_example("ex1")
+        trajectory = integrate(ex1.system, ex1.sample_phases[0], TrajectoryConfig(t_end=3.0))
+        assert trajectory.rejected_nonfinite == 1
+        assert trajectory.rejected == 1
+        assert trajectory.rhs_evals == len(calls) == 7 * (trajectory.accepted + 1)
+
+
+# Dormand-Prince 4(5): Hairer, Norsett & Wanner, Solving ODEs I, Table II.5.2
+_F = Fraction
+DP_NODES = [_F(1, 5), _F(3, 10), _F(4, 5), _F(8, 9), _F(1), _F(1)]
+DP_ROWS = [
+    [_F(1, 5)],
+    [_F(3, 40), _F(9, 40)],
+    [_F(44, 45), _F(-56, 15), _F(32, 9)],
+    [_F(19372, 6561), _F(-25360, 2187), _F(64448, 6561), _F(-212, 729)],
+    [_F(9017, 3168), _F(-355, 33), _F(46732, 5247), _F(49, 176), _F(-5103, 18656)],
+    [_F(35, 384), _F(0), _F(500, 1113), _F(125, 192), _F(-2187, 6784), _F(11, 84)],
+]
+DP_B5 = DP_ROWS[-1] + [_F(0)]
+DP_B4 = [_F(5179, 57600), _F(0), _F(7571, 16695), _F(393, 640), _F(-92097, 339200),
+         _F(187, 2100), _F(1, 40)]
+
+
+def _numpy_rk4_step(rhs, y, h):
+    """The array form of the classic step that fixed_rk4 reproduces."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _numpy_fixed(system, phase0, t_end, step):
+    y, t, states = np.asarray(phase0, dtype=float), 0.0, []
+    states.append(y)
+    while t < t_end * (1.0 - 1e-14):
+        h = min(step, t_end - t)
+        y = _numpy_rk4_step(lambda s: magnetic_rhs(system, s), y, h)
+        t += h
+        states.append(y)
+    return np.array(states)
+
+
+def _numpy_adaptive(system, phase0, t_end, rel_tol=1e-11, abs_tol=1e-12):
+    """Dormand-Prince stepping on arrays with matrix-vector stage sums, and
+    the same step control: returns (final state, exit time or None)."""
+    rows = [np.array([float(a) for a in row]) for row in DP_ROWS]
+    b5 = np.array([float(b) for b in DP_B5])
+    e = np.array([float(b5 - b4) for b5, b4 in zip(DP_B5, DP_B4)])
+    y, t, h, h_min = np.asarray(phase0, dtype=float), 0.0, 1e-3 * t_end, 1e-12 * t_end
+    while t < t_end * (1.0 - 1e-14):
+        h = min(h, t_end - t)
+        try:
+            k = np.empty((7, 4))
+            k[0] = magnetic_rhs(system, y)
+            for i, row in enumerate(rows, start=1):
+                k[i] = magnetic_rhs(system, y + h * (row @ k[:i]))
+            y_new, err = y + h * (b5 @ k), h * (e @ k)
+        except (DomainError, SingularMetric):
+            h *= 0.5
+            if h < h_min:
+                return y, t
+            continue
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        if err_norm <= 1.0:
+            t, y = t + h, y_new
+            factor = 5.0 if err_norm == 0.0 else 0.9 * err_norm ** -0.2
+        else:
+            factor = max(0.2, 0.9 * err_norm ** -0.2)
+        h *= min(5.0, max(0.2, factor))
+    return y, None
+
+
+@pytest.fixture(scope="module")
+def elliptic_half():
+    return build_bundle(EllipticHalf(), rho_range=(0.1, 3.0)).as_system()
+
+
+class TestFloatStepping:
+    def test_tableau_reference_is_consistent(self):
+        """Each row sums to its node and both weight rows sum to one."""
+        for row, node in zip(DP_ROWS, DP_NODES):
+            assert sum(row) == node
+        assert sum(DP_B5) == sum(DP_B4) == 1
+
+    def test_written_out_coefficients_are_the_fractions(self):
+        """Stage rows _Aij, weights _Bj and error weights _Ej = b5 - b4,
+        each the double nearest to its fraction; zero entries have none."""
+        expected = {f"_A{i}{j}": a for i, row in enumerate(DP_ROWS[:-1], start=2)
+                    for j, a in enumerate(row, start=1)}
+        expected.update({f"_B{j}": b for j, b in enumerate(DP_B5, start=1) if b})
+        expected.update({f"_E{j}": b5 - b4 for j, (b5, b4) in
+                         enumerate(zip(DP_B5, DP_B4), start=1) if b5 != b4})
+        assert len(expected) == 15 + 5 + 6
+        for name, value in expected.items():
+            assert getattr(flow, name) == float(value), name
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        values=st.lists(st.floats(-10.0, 10.0), min_size=12, max_size=12),
+        abs_tol=st.floats(1e-15, 1.0),
+        rel_tol=st.floats(1e-15, 1.0),
+    )
+    def test_error_norm_is_numpys_bit_for_bit(self, values, abs_tol, rel_tol):
+        err, y, y_new = values[:4], values[4:8], values[8:]
+        with np.errstate(over="ignore"):
+            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+            want = np.sqrt(np.mean((np.array(err) / scale) ** 2))
+        assert flow._error_norm(err, y, y_new, abs_tol, rel_tol) == want
+
+    def test_error_norm_overflows_to_inf(self):
+        """q * q overflows to inf where q ** 2 raises OverflowError."""
+        norm = flow._error_norm([1e200, 0.0, 0.0, 0.0], [1.0] * 4, [1.0] * 4, 1.0, 1.0)
+        assert norm == math.inf
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex2b", "ex3", "ex4", "ex5", "ex6"])
+    def test_fixed_rk4_matches_the_array_step_bit_for_bit(self, name):
+        entry = get_example(name)
+        config = TrajectoryConfig(t_end=1.0, method="fixed_rk4", step=0.01)
+        trajectory = integrate(entry.system, entry.sample_phases[0], config)
+        want = _numpy_fixed(entry.system, entry.sample_phases[0], 1.0, 0.01)
+        assert trajectory.states.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", ["ex1", "ex6 until t = 7.9", "ex6 leaving", "elliptic-half",
+                                      "elliptic-half leaving"])
+    def test_adaptive_matches_the_array_reference(self, case, elliptic_half):
+        """Round-off in the stage sums moves the step sizes, so an orbit
+        that ends at t_end agrees to 1e-13 relative, and one that leaves
+        the chart gives up within two minimum steps of the reference."""
+        ex1, ex6 = get_example("ex1").system, get_example("ex6").system
+
+        def on_level(rho, psi, phi):
+            return (rho, psi, *momentum_on_level(elliptic_half, rho, psi, phi))
+
+        system, phase0, t_end = {
+            "ex1": (ex1, (0.2, -0.3, 0.8, 0.5), 10.0),
+            "ex6 until t = 7.9": (ex6, (1.0, 0.6, 1.0, 0.5), 7.9),
+            "ex6 leaving": (ex6, (1.0, 0.6, 1.0, 0.5), 20.0),
+            "elliptic-half": (elliptic_half, on_level(2.0, 0.1, 1.0), 1.0),
+            "elliptic-half leaving": (elliptic_half, on_level(1.2, 0.3, 0.7), 1.0),
+        }[case]
+        trajectory = integrate(system, phase0, TrajectoryConfig(t_end=t_end))
+        want, exit_time = _numpy_adaptive(system, phase0, t_end)
+        assert trajectory.domain_exit == (exit_time is not None) == case.endswith("leaving")
+        if exit_time is None:
+            final = trajectory.states[-1]
+            assert np.max(np.abs(final - want)) <= 1e-13 * np.max(np.abs(want))
+        else:
+            assert abs(trajectory.exit_time - exit_time) <= 2 * 1e-12 * t_end
 
 
 class TestConservationDrift:
