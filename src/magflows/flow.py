@@ -10,7 +10,9 @@ with H = (1/2) p^T G(q)^{-1} p.  :func:`magnetic_rhs` adds only the domain
 check: it evaluates the chart point's local geometry once
 (:meth:`magflows.geometry.MagneticSystem.local_geometry`), and H's
 gradient from :func:`magflows.geometry.hamiltonian_gradient` and X_H from
-:func:`magflows.geometry.vector_field` both read that one evaluation.
+:func:`magflows.geometry.vector_field` both read that one evaluation.  The
+whole path runs on Python floats: G^{-1} is three floats and X_H a list of
+four, so a stage of either stepper builds no ndarray.
 
 Two steppers are provided: the classic fixed-step fourth-order scheme and
 a Dormand-Prince embedded 4(5) pair with a proportional step controller
@@ -125,15 +127,17 @@ class ConservationReport:
     drift_series: np.ndarray = field(repr=False)
 
 
-def magnetic_rhs(system: MagneticSystem, phase, check_domain: bool = True) -> np.ndarray:
-    """Right-hand side (dq1, dq2, dp1, dp2) = X_H of the flow at a phase point."""
+def magnetic_rhs(system: MagneticSystem, phase, check_domain: bool = True) -> list:
+    """Right-hand side [dq1, dq2, dp1, dp2] = X_H of the flow at a phase
+    point, as a list of four floats.  An ndarray phase is read through
+    ``tolist``; the components of any other sequence are used as given."""
     if isinstance(phase, np.ndarray):
         phase = phase.tolist()
-    x, y, p1, p2 = map(float, phase)
+    x, y, p1, p2 = phase
     if check_domain:
         system.require_inside(x, y)
     local = system.local_geometry(x, y)
-    return vector_field(system, x, y, hamiltonian_gradient(system, (x, y, p1, p2), local), local)
+    return vector_field(system, x, y, hamiltonian_gradient(system, phase, local), local)
 
 
 # Dormand-Prince 4(5) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -254,7 +258,7 @@ def integrate(system: MagneticSystem, phase0, config: TrajectoryConfig) -> Traje
 
     def rhs(state):
         rec.rhs_evals += 1
-        return magnetic_rhs(system, state).tolist()
+        return magnetic_rhs(system, state)
 
     if config.method == "fixed_rk4":
         t, y = _integrate_fixed(system, y, rhs, rec, config)

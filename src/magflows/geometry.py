@@ -106,18 +106,10 @@ class Metric:
     components: Components
     partials: Optional[Partials] = None
 
-    def matrix(self, x: float, y: float) -> np.ndarray:
-        g11, g12, g22 = self.components(x, y)
-        return np.array([[g11, g12], [g12, g22]], dtype=float)
-
-    def det(self, x: float, y: float) -> float:
-        g11, g12, g22 = self.components(x, y)
-        return g11 * g22 - g12 * g12
-
-    def inverse(self, x: float, y: float) -> np.ndarray:
-        """G^{-1}; raises SingularMetric where G is not positive definite."""
-        i11, i12, i22 = _inverse(self.components(x, y), x, y)
-        return np.array([[i11, i12], [i12, i22]], dtype=float)
+    def inverse(self, x: float, y: float) -> tuple[float, float, float]:
+        """Entries (i11, i12, i22) of G^{-1} as floats; raises
+        SingularMetric where G is not positive definite."""
+        return _inverse(self.components(x, y), x, y)
 
     def cholesky(self, x: float, y: float) -> np.ndarray:
         """Lower-triangular L with positive diagonal and G = L L^T, in
@@ -208,8 +200,7 @@ class MagneticSystem:
         if self.local is not None:
             g, dg, omega = self.local(x, y)
             return _inverse(g, x, y), dg, omega
-        (i11, i12), (_, i22) = self.metric.inverse(x, y).tolist()
-        return (i11, i12, i22), self.metric.component_partials(x, y), self.field(x, y)
+        return self.metric.inverse(x, y), self.metric.component_partials(x, y), self.field(x, y)
 
 
 def _velocity(inverse, p1, p2) -> tuple[float, float]:
@@ -247,17 +238,18 @@ def hamiltonian_gradient(system: MagneticSystem, phase, local=None) -> tuple:
     return h_x, h_y, w1, w2
 
 
-def vector_field(system: MagneticSystem, x: float, y: float, grad, local=None) -> np.ndarray:
+def vector_field(system: MagneticSystem, x: float, y: float, grad, local=None) -> list:
     """Magnetic Hamiltonian vector field X_G at (x, y) of a function G with
     phase gradient ``grad`` = (G_x, G_y, G_p1, G_p2):
     X_G = (G_p1, G_p2, -G_x + Omega G_p2, -G_y - Omega G_p1).
 
     Omega is read from ``local`` (as in :func:`hamiltonian_gradient`) when
-    given.  Shape (4,) for one gradient; (4, n) when the four components
+    given.  Returns the list of the four components: floats for one
+    gradient of floats, arrays of n values when the gradient's components
     are arrays of n values at the same chart point."""
     g_x, g_y, g_p1, g_p2 = grad
     omega = system.field(x, y) if local is None else local[2]
-    return np.array([g_p1, g_p2, -g_x + omega * g_p2, -g_y - omega * g_p1])
+    return [g_p1, g_p2, -g_x + omega * g_p2, -g_y - omega * g_p1]
 
 
 def momentum_on_level(

@@ -477,10 +477,15 @@ def build_bundle(
     The screen evaluates the generating-equation residual relative to its
     terms (sanity, the families are exact) and the discriminant on a
     coarse grid; any |D| < 1e-10 raises DegenerateD, since the metric and
-    the integral both collapse where D vanishes.
+    the integral both collapse where D vanishes.  A non-finite or zero
+    gamma (the metric scales with gamma^2) or a non-finite or non-positive
+    ``c_energy`` raises DomainError.
     """
-    if not c_energy > 0.0:
-        raise DomainError(f"energy constant must be positive, got {c_energy}")
+    gamma, c_energy = float(gamma), float(c_energy)
+    if not (math.isfinite(gamma) and gamma != 0.0):
+        raise DomainError(f"gamma must be finite and non-zero, got {gamma}")
+    if not (math.isfinite(c_energy) and c_energy > 0.0):
+        raise DomainError(f"energy constant must be positive and finite, got {c_energy}")
     lo, hi = float(rho_range[0]), float(rho_range[1])
     if not (lo < hi):
         raise DomainError(f"empty rho range ({lo}, {hi})")
@@ -493,7 +498,7 @@ def build_bundle(
     if lo <= 0.0 <= hi:
         raise DomainError("the working rho range must exclude 0")
     bundle = RationalFlowBundle(
-        z=z, gamma=float(gamma), c_energy=float(c_energy), rho_range=(lo, hi)
+        z=z, gamma=gamma, c_energy=c_energy, rho_range=(lo, hi)
     )
     if check:
         n_r, n_p = grid

@@ -329,6 +329,30 @@ class TestBuildRational:
         np.testing.assert_allclose(payload["descriptor"]["psi_period"],
                                    4.0 * math.pi, rtol=1e-15)
 
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", 0.0), ("gamma", math.nan), ("gamma", math.inf), ("gamma", -math.inf),
+        ("c_energy", math.inf), ("c_energy", math.nan),
+    ])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_impossible_constants_exit_2(self, key, value, via, tmp_path, capsys):
+        """A zero or non-finite gamma, or a non-finite energy constant,
+        exits 2 naming the constant, before any scan: no floating-point
+        warning and no report."""
+        argv = ["--out-dir", str(tmp_path), "build-rational", "poly-cos"]
+        if via == "flag":
+            argv.append(f"--{key.replace('_', '-')}={value!r}")
+        else:
+            config = tmp_path / "constants.json"
+            config.write_text(json.dumps({key: value}))
+            argv = ["--config", str(config)] + argv
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(argv, capsys)
+        assert code == 2
+        assert ("gamma" if key == "gamma" else "energy constant") in err
+        assert not list(tmp_path.glob("bundle_*.json"))
+        assert "wrote" not in out
+
     def test_unknown_family(self, tmp_path, capsys):
         code, _, err = _run(
             ["--out-dir", str(tmp_path), "build-rational", "spline"], capsys)
@@ -478,6 +502,56 @@ def _cheap_argv(draw):
     return option[:-1] + [f"{option[-1]}={draw(_BAD_NUMBERS)}"]
 
 
+# raw JSON values for a config file: non-finite numbers (NaN and Infinity
+# are the JSON extensions Python reads; 1e999 overflows to inf), zero and
+# negative numbers, and values of the wrong type
+_BAD_JSON_NUMBERS = ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "0", "-1"]
+_WRONG_TYPES = ['"1.0"', "true", "null", "[]", "{}", "[1.0]"]
+
+
+def _bad_lists(n):
+    """Raw JSON lists for an option of ``n`` numbers: empty, inverted or
+    non-finite entries, and lists of the wrong length."""
+    lists = ["[]", "[1.0]", "[" + ", ".join(["1.0"] * (n + 1)) + "]"]
+    for bad in ("NaN", "Infinity", "-1e999"):
+        lists.append("[" + ", ".join(["1.0"] * (n - 1) + [bad]) + "]")
+    if n == 2:
+        lists += ["[2.0, 1.0]", "[1.0, 1.0]", "[-1.0, -2.0]"]
+    else:
+        lists += ["[2.5, 0.5, 0.5, 2.5]", "[0.5, 0.5, 0.5, 2.5]", "[0.5, 2.5, 2.5, 0.5]"]
+    return lists
+
+
+# per command: the argv after the config file, a cheap base config, the
+# scalar keys and the list keys with their lengths
+_CONFIG_COMMANDS = [
+    (["simulate", "ex1"], {"position": [0.1, 0.2], "angle": 0.3, "t_end": 0.2},
+     ["t_end", "angle", "step", "rel_tol", "abs_tol", "record_every", "example", "seed"],
+     {"position": 2, "phase": 4}),
+    (["hodograph"], {"grid": [2, 2]},
+     ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "out"],
+     {"bbox": 4, "grid": 2}),
+    (["build-rational", "poly-cos"], {},
+     ["gamma", "c_energy", "k", "family"],
+     {"rho_range": 2}),
+]
+
+
+@st.composite
+def _cheap_config(draw):
+    """A cheap command whose config file sets one option to a non-finite
+    number, a value of the wrong type, or an empty, inverted or non-finite
+    range; returns (argv, config text)."""
+    argv, base, scalars, lists = draw(st.sampled_from(_CONFIG_COMMANDS))
+    key = draw(st.sampled_from(scalars + sorted(lists)))
+    pool = _bad_lists(lists[key]) if key in lists else _BAD_JSON_NUMBERS
+    value = draw(st.sampled_from(pool + _WRONG_TYPES))
+    fields = {k: json.dumps(v) for k, v in base.items()}
+    fields[key] = value
+    text = "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in fields.items()) + "}"
+    return argv, text
+
+
 class TestFuzzedArgv:
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(argv=_cheap_argv())
@@ -492,4 +566,23 @@ class TestFuzzedArgv:
                 except SystemExit as exc:  # argparse rejects malformed options
                     code = exc.code
         assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(case=_cheap_config())
+    def test_config_file_documented_exit_code_and_no_traceback(self, case):
+        """A config file with non-finite numbers, wrong types or empty or
+        inverted ranges ends in a documented exit code with no traceback."""
+        argv, text = case
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out_dir:
+            config = f"{out_dir}/config.json"
+            with open(config, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(["--config", config, "--out-dir", out_dir] + argv)
+                except SystemExit as exc:  # argparse rejects a missing positional
+                    code = exc.code
+        assert code in (0, 2, 3, 4, 5), (argv, text, err.getvalue())
         assert "Traceback" not in err.getvalue()

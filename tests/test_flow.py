@@ -52,6 +52,21 @@ class TestMagneticRhs:
             rhs = magnetic_rhs(ex1.system, (0.1, 0.2, p[0], p[1]))
             np.testing.assert_allclose(p[0] * rhs[2] + p[1] * rhs[3], 0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("name", [entry.name for entry in list_examples()])
+    def test_returns_a_list_of_four_floats(self, name):
+        """An ndarray, a tuple or a list phase gives a list of four Python
+        floats, with the same bits for each."""
+        entry = get_example(name)
+        phase = entry.sample_phases[0]
+        want = magnetic_rhs(entry.system, phase)
+        assert type(want) is list
+        assert [type(v) for v in want] == [float] * 4
+        for given_phase in (tuple(phase.tolist()), phase.tolist()):
+            got = magnetic_rhs(entry.system, given_phase)
+            assert type(got) is list
+            assert [type(v) for v in got] == [float] * 4
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
 
 class TestIntegrate:
     def test_free_motion_is_exact(self):
@@ -250,7 +265,7 @@ def _numpy_fixed(system, phase0, t_end, step):
     states.append(y)
     while t < t_end * (1.0 - 1e-14):
         h = min(step, t_end - t)
-        y = _numpy_rk4_step(lambda s: magnetic_rhs(system, s), y, h)
+        y = _numpy_rk4_step(lambda s: np.asarray(magnetic_rhs(system, s)), y, h)
         t += h
         states.append(y)
     return np.array(states)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magflows.catalog import get_example, list_examples
 from magflows.errors import DomainError, SingularMetric
 from magflows.geometry import (
     ChartDomain,
@@ -15,7 +16,9 @@ from magflows.geometry import (
     conformal_metric,
     gaussian_curvature,
     hamiltonian,
+    hamiltonian_gradient,
     momentum_on_level,
+    vector_field,
 )
 
 def _euclidean():
@@ -54,25 +57,32 @@ class TestChartDomain:
             assert x > 1.0
 
 
+def _matrix(e11, e12, e22):
+    """The symmetric 2x2 matrix with entries (e11, e12, e22), such as the
+    components of G or the entries of G^{-1}."""
+    return np.array([[e11, e12], [e12, e22]], dtype=float)
+
+
 class TestMetric:
-    def test_matrix_and_determinant(self):
-        """Components map straight into the 2x2 matrix."""
+    def test_inverse_is_three_floats(self):
+        """inverse gives the entries (i11, i12, i22) of G^{-1} as floats:
+        (g22, -g12, g11) / det, with det = 2 * 3 - 0.5^2 = 5.75."""
         metric = Metric(components=lambda x, y: (2.0, 0.5, 3.0))
-        mat = metric.matrix(0.0, 0.0)
-        np.testing.assert_allclose(mat, [[2.0, 0.5], [0.5, 3.0]])
-        np.testing.assert_allclose(metric.det(0.0, 0.0), 5.75)
+        inverse = metric.inverse(0.0, 0.0)
+        assert [type(v) for v in inverse] == [float, float, float]
+        assert inverse == (3.0 / 5.75, -0.5 / 5.75, 2.0 / 5.75)
 
     def test_inverse(self):
         """matrix @ inverse = identity."""
         metric = Metric(components=lambda x, y: (2.0, 0.5, 3.0))
-        product = metric.matrix(1.0, 2.0) @ metric.inverse(1.0, 2.0)
+        product = _matrix(*metric.components(1.0, 2.0)) @ _matrix(*metric.inverse(1.0, 2.0))
         np.testing.assert_allclose(product, np.eye(2), atol=1e-14)
 
     def test_cholesky_reconstructs(self):
         """L L^T recovers the matrix for a positive definite metric."""
         metric = Metric(components=lambda x, y: (2.0 + x * x, 0.3, 1.5))
         low = metric.cholesky(0.7, -0.2)
-        np.testing.assert_allclose(low @ low.T, metric.matrix(0.7, -0.2), atol=1e-14)
+        np.testing.assert_allclose(low @ low.T, _matrix(*metric.components(0.7, -0.2)), atol=1e-14)
 
     def test_cholesky_matches_lapack_bit_for_bit(self):
         """The closed-form factor equals numpy's LAPACK factor bit for bit
@@ -106,7 +116,7 @@ class TestMetric:
         with pytest.raises(SingularMetric):
             metric.cholesky(0.0, 0.0)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(metric.matrix(0.0, 0.0))
+            np.linalg.cholesky(_matrix(*metric.components(0.0, 0.0)))
 
     def test_singular_rejected(self):
         """A non-positive-definite point raises SingularMetric."""
@@ -164,6 +174,34 @@ class TestHamiltonian:
             hamiltonian(system, (2.0, 0.0, 1.0, 0.0))
         value = hamiltonian(system, (2.0, 0.0, 1.0, 0.0), check_domain=False)
         np.testing.assert_allclose(value, 0.5, rtol=1e-15)
+
+
+class TestVectorField:
+    @pytest.mark.parametrize("name", [entry.name for entry in list_examples()])
+    @pytest.mark.parametrize("shared_local", [True, False])
+    def test_array_of_momenta_equals_single_calls(self, name, shared_local):
+        """X_H over an array of 16 momenta at a chart point is a list of
+        four arrays whose columns are the bits of 16 single calls, each a
+        list of four floats; with Omega read from the local geometry or
+        from the field."""
+        entry = get_example(name)
+        system = entry.system
+        x, y = entry.sample_phases[0][:2].tolist()
+        angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+        p1, p2 = momentum_on_level(system, x, y, angles)
+        local = system.local_geometry(x, y)
+
+        def x_h(m1, m2):
+            grad = hamiltonian_gradient(system, (x, y, m1, m2), local)
+            return vector_field(system, x, y, grad, local if shared_local else None)
+
+        batch = x_h(p1, p2)
+        assert type(batch) is list and len(batch) == 4
+        for i, (m1, m2) in enumerate(zip(p1.tolist(), p2.tolist())):
+            single = x_h(m1, m2)
+            assert type(single) is list
+            assert [type(v) for v in single] == [float] * 4
+            assert np.array(single).tobytes() == np.array([c[i] for c in batch]).tobytes()
 
 
 class TestMomentumOnLevel:

@@ -246,8 +246,8 @@ class TestJet:
         for _ in range(20):
             phase = _random_phase_in_range(system, rng)
             assert system.local_geometry(*phase[:2]) == default.local_geometry(*phase[:2])
-            assert (magnetic_rhs(system, phase).tobytes()
-                    == magnetic_rhs(default, phase).tobytes())
+            assert (np.array(magnetic_rhs(system, phase)).tobytes()
+                    == np.array(magnetic_rhs(default, phase)).tobytes())
 
 
 def _random_phase_in_range(system, rng):
@@ -301,6 +301,16 @@ class TestBuildBundle:
         """The log-nu1 field vanishes at psi = pi/2."""
         bundle = build_bundle(LogNu1(), gamma=1.0)
         np.testing.assert_allclose(bundle.omega(1.0, math.pi / 2.0), 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("constants", [
+        {"gamma": 0.0}, {"gamma": math.nan}, {"gamma": math.inf}, {"gamma": -math.inf},
+        {"c_energy": math.inf}, {"c_energy": math.nan}, {"c_energy": 0.0},
+    ])
+    def test_impossible_constants_rejected(self, constants):
+        """The metric scales with gamma^2 / C: a zero or non-finite gamma
+        or a non-finite or non-positive C is refused before any screen."""
+        with pytest.raises(DomainError, match=("gamma" if "gamma" in constants else "energy")):
+            build_bundle(PolynomialCos(2), **constants)
 
     def test_degenerate_family_rejected(self):
         """The k = 1 polynomial cannot form a bundle."""
