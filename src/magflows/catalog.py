@@ -334,7 +334,7 @@ def _make_ex5() -> CatalogEntry:
         g22 = p * (1.0 + 2.0 * rho + 2.0 * rho * rho + (1.0 + 2.0 * rho) * c4)
         return g11, g12, g22
 
-    def partials(rho, psi):
+    def dg(rho, psi):
         p = pref(rho)
         dp = 2.0 * g2 / c
         c4, s4 = math.cos(4.0 * psi), math.sin(4.0 * psi)
@@ -350,7 +350,7 @@ def _make_ex5() -> CatalogEntry:
         return (-cc * cc + 0.02) < rho < 50.0
 
     system = MagneticSystem(
-        metric=Metric(components=components, partials=partials),
+        metric=Metric(components=components, partials=dg),
         field=lambda rho, psi: gamma * math.cos(2.0 * psi),
         domain=ChartDomain(bbox=(0.05, 5.0, 0.0, 2.0 * math.pi), predicate=predicate),
         energy=c,
@@ -441,7 +441,7 @@ def _make_ex6() -> CatalogEntry:
         a22 = 2.0 * rho * rho * (rho + 1.0) ** 2
         return p * a11, p * a12, p * a22
 
-    def partials(rho, psi):
+    def dg(rho, psi):
         p = pref(rho)
         dp = pref_prime(rho)
         c2, s2 = math.cos(2.0 * psi), math.sin(2.0 * psi)
@@ -462,7 +462,7 @@ def _make_ex6() -> CatalogEntry:
         return 0.02 < rho < 40.0
 
     system = MagneticSystem(
-        metric=Metric(components=components, partials=partials),
+        metric=Metric(components=components, partials=dg),
         field=lambda rho, psi: -gamma * math.cos(psi) / (2.0 * rho * (rho + 1.0) ** 2),
         domain=ChartDomain(bbox=(0.1, 3.0, 0.0, 2.0 * math.pi), predicate=predicate),
         energy=c,

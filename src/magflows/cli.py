@@ -292,17 +292,15 @@ def _random_phases(system, rng, count):
 
 
 def _corrupted(integral: FirstIntegral) -> FirstIntegral:
-    """The control F + 0.01 x, with gradient dF + 0.01 dx when F has one;
-    both broadcast over arrays of momenta as F does."""
+    """The control F + 0.01 x with gradient dF + 0.01 dx; both broadcast
+    over arrays of momenta as F does."""
     def broken(state, _f=integral.func):
         return _f(state) + 0.01 * state[0]
 
-    broken_grad = None
-    if integral.grad is not None:
-        def broken_grad(state, _g=integral.grad):
-            grad = np.array(_g(state), dtype=float)
-            grad[0] += 0.01
-            return grad
+    def broken_grad(state, _g=integral.grad):
+        grad = np.array(_g(state), dtype=float)
+        grad[0] += 0.01
+        return grad
 
     return FirstIntegral(
         name=f"{integral.name}_corrupt",

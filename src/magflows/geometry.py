@@ -14,10 +14,10 @@ Conventions used throughout the package:
   :meth:`MagneticSystem.local_geometry` call, built from the metric and
   the field unless the chart supplies all three from one evaluation.
 
-Metric components are supplied as analytic functions.  Spatial derivatives
-of the components default to central finite differences with step
-``1e-5 * max(1, |coordinate|)`` and can be overridden with analytic
-partials, which every catalog system does.
+A metric is supplied as analytic components together with their exact
+spatial partials.  Only :func:`gaussian_curvature` differentiates a metric
+numerically: it is the independent oracle for the flat and curved
+checks.
 """
 
 from __future__ import annotations
@@ -40,10 +40,7 @@ __all__ = [
     "vector_field",
     "momentum_on_level",
     "gaussian_curvature",
-    "FD_PARTIAL_STEP",
 ]
-
-FD_PARTIAL_STEP = 1e-5
 
 # component triples are ordered (g11, g12, g22)
 Components = Callable[[float, float], tuple[float, float, float]]
@@ -98,13 +95,13 @@ class ChartDomain:
 class Metric:
     """Symmetric 2x2 metric tensor field on a chart.
 
-    ``components(x, y)`` returns ``(g11, g12, g22)``.  ``partials`` is
-    optional; when absent, :meth:`component_partials` falls back to
-    central finite differences of ``components``.
+    ``components(x, y)`` returns ``(g11, g12, g22)`` and ``partials(x,
+    y)`` their exact spatial partials ``((g11_x, g12_x, g22_x), (g11_y,
+    g12_y, g22_y))``.
     """
 
     components: Components
-    partials: Optional[Partials] = None
+    partials: Partials
 
     def inverse(self, x: float, y: float) -> tuple[float, float, float]:
         """Entries (i11, i12, i22) of G^{-1} as floats; raises
@@ -127,43 +124,25 @@ class Metric:
                                  f"g22 - l21^2 = {schur}")
         return np.array([[l11, 0.0], [l21, math.sqrt(schur)]])
 
-    def component_partials(self, x: float, y: float, h: Optional[float] = None):
-        """Spatial partials of (g11, g12, g22): analytic if available,
-        otherwise central FD with per-coordinate step scaling."""
-        if self.partials is not None:
-            return self.partials(x, y)
-        if h is None:
-            h = FD_PARTIAL_STEP
-        hx = h * max(1.0, abs(x))
-        hy = h * max(1.0, abs(y))
-        cxp = np.asarray(self.components(x + hx, y))
-        cxm = np.asarray(self.components(x - hx, y))
-        cyp = np.asarray(self.components(x, y + hy))
-        cym = np.asarray(self.components(x, y - hy))
-        dx = (cxp - cxm) / (2.0 * hx)
-        dy = (cyp - cym) / (2.0 * hy)
-        return (tuple(dx), tuple(dy))
+    def component_partials(self, x: float, y: float):
+        """Spatial partials of (g11, g12, g22) at a chart point."""
+        return self.partials(x, y)
 
 
-def conformal_metric(factor, factor_partials=None) -> Metric:
-    """Metric Lambda(x, y) * (dx^2 + dy^2) from a scalar conformal factor.
-
-    ``factor_partials(x, y) -> (Lambda_x, Lambda_y)`` is optional and,
-    when given, is lifted to analytic component partials.
-    """
+def conformal_metric(factor, factor_partials) -> Metric:
+    """Metric Lambda(x, y) * (dx^2 + dy^2) from a scalar conformal factor
+    and its partials ``factor_partials(x, y) -> (Lambda_x, Lambda_y)``,
+    lifted to the component partials."""
 
     def components(x, y):
         lam = factor(x, y)
         return (lam, 0.0, lam)
 
-    partials = None
-    if factor_partials is not None:
+    def dg(x, y):
+        lx, ly = factor_partials(x, y)
+        return ((lx, 0.0, lx), (ly, 0.0, ly))
 
-        def partials(x, y):
-            lx, ly = factor_partials(x, y)
-            return ((lx, 0.0, lx), (ly, 0.0, ly))
-
-    return Metric(components=components, partials=partials)
+    return Metric(components=components, partials=dg)
 
 
 @dataclass(frozen=True)
@@ -283,8 +262,7 @@ def gaussian_curvature(metric: Metric, x: float, y: float, h: float = 1e-4) -> f
     All first and second derivatives of the components E = g11, F = g12,
     G = g22 are O(h^2) central differences of ``metric.components``, so
     the result converges at second order in h.  Intended as a plain FD
-    oracle; it deliberately ignores any analytic partials the metric may
-    carry.
+    oracle; it deliberately ignores the metric's analytic partials.
     """
 
     def comp(a, b):

@@ -500,7 +500,7 @@ def example3_system(
         g22 = -0.5 * r * _poly_t2(x, y, a, b)
         return g11, g12, g22
 
-    def partials(x, y):
+    def dg(x, y):
         r = _poly_r(x, y, a, b)
         rx, ry = _poly_r_grad(x, y, a, b)
         t1 = _poly_t1(x, y, a, b)
@@ -532,7 +532,7 @@ def example3_system(
             return False
         return positive_definite(x, y)
 
-    metric = Metric(components=components, partials=partials)
+    metric = Metric(components=components, partials=dg)
     system = MagneticSystem(
         metric=metric,
         field=lambda x, y: -_poly_n(x, y, a, b),

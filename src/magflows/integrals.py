@@ -7,13 +7,10 @@ The magnetic bracket of two phase-space functions F, G is
 
 with X_G from :func:`magflows.geometry.vector_field` and H, dH from
 :mod:`magflows.geometry`; F is a first integral when {F, H} vanishes,
-either at every energy or only on one level set {H = C/2}.  Partial
-derivatives of F come from exact gradients when an integral carries them
-(analytic for the catalog's rational integrals, a complex step of the
-formula for ex3's quadratic one, dF + 0.01 dx for the ``--corrupt``
-control); otherwise central differences with one Richardson extrapolation
-step (combining h and h/2, fourth-order accurate) keep the residual of a
-true integral well below the 1e-6 pass threshold.
+either at every energy or only on one level set {H = C/2}.  Every
+integral carries its exact gradient: analytic for the catalog's rational
+integrals, a complex step of the formula for ex3's quadratic one, dF +
+0.01 dx for the ``--corrupt`` control.
 
 An integral's ``func``, ``grad`` and ``guard`` take a phase (x, y, p1, p2)
 at one chart point whose momenta p1, p2 may be arrays, as
@@ -23,7 +20,8 @@ grid point at once: the chart geometry (Cholesky factor, G^{-1}, dG and
 Omega), the guard mask and the gradient, one call each.  The bracket is
 one written-out sum over the four gradient rows, and a single phase is
 its n = 1 case, so each sample gives the same bits as
-:func:`magnetic_bracket_fd` at that phase.
+:func:`magnetic_bracket_pair` with :func:`hamiltonian_integral` at that
+phase.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ __all__ = [
     "BracketScanConfig",
     "ResidualReport",
     "hamiltonian_integral",
-    "magnetic_bracket_fd",
     "magnetic_bracket_pair",
     "level_set_bracket_scan",
     "gradient_rows",
@@ -62,8 +59,8 @@ KINDS = ("linear", "quadratic", "rational", "transcendental")
 class FirstIntegral:
     """A scalar phase-space function with conservation metadata.
 
-    ``func``, the optional exact gradient ``grad`` = (dF/dx, dF/dy,
-    dF/dp1, dF/dp2) and the optional ``guard`` take a phase (x, y, p1, p2)
+    ``func``, its exact gradient ``grad`` = (dF/dx, dF/dy, dF/dp1,
+    dF/dp2) and the optional ``guard`` take a phase (x, y, p1, p2)
     at one chart point; p1 and p2 may be arrays of n momenta, over which
     they broadcast elementwise with the same bits as n scalar calls.
     ``func`` then returns n values, ``grad`` shape (4, n) instead of (4,),
@@ -77,7 +74,7 @@ class FirstIntegral:
     name: str
     kind: str
     func: Callable
-    grad: Optional[Callable] = None
+    grad: Callable
     level: Optional[float] = None
     guard: Optional[Callable] = None
 
@@ -103,14 +100,11 @@ class BracketScanConfig:
     nx: int = 20
     ny: int = 20
     n_angles: int = 16
-    h: float = 1e-5
     grid_margin: float = 0.02
 
     def __post_init__(self):
         if min(self.nx, self.ny, self.n_angles) < 2:
             raise ValueError("scan resolutions must be >= 2")
-        if not self.h > 0.0:
-            raise ValueError("FD step must be positive")
 
 
 @dataclass(frozen=True)
@@ -135,20 +129,6 @@ def hamiltonian_integral(system: MagneticSystem) -> FirstIntegral:
     return FirstIntegral("H", "quadratic", func, grad=partial(hamiltonian_gradient, system))
 
 
-def _fd_gradient(fn: Callable, state: np.ndarray, h: float) -> np.ndarray:
-    """Gradient of fn over (x, y, p1, p2): central differences at steps
-    h_i and h_i / 2, h_i = h max(1, |state_i|), combined by one Richardson
-    step."""
-    out = np.empty(4)
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = h * max(1.0, abs(state[i]))
-        d1 = (fn(state + e) - fn(state - e)) / (2.0 * e[i])
-        d2 = (fn(state + 0.5 * e) - fn(state - 0.5 * e)) / e[i]
-        out[i] = (4.0 * d2 - d1) / 3.0
-    return out
-
-
 def gradient_rows(momentum, rows) -> np.ndarray:
     """The four gradient rows as one array, filled row by row: shape (4,)
     for a scalar ``momentum`` and (4, n) for n momenta, scalar rows
@@ -156,21 +136,6 @@ def gradient_rows(momentum, rows) -> np.ndarray:
     out = np.empty((4,) + np.shape(momentum))
     out[0], out[1], out[2], out[3] = rows
     return out
-
-
-def _gradient_of(obj, phase, h):
-    """Phase gradient of an integral or callable at a phase whose momenta
-    may be arrays: its exact ``grad`` when it has one, else the Richardson
-    differences of each sample on its own."""
-    grad = getattr(obj, "grad", None)
-    if grad is not None:
-        return np.asarray(grad(phase), dtype=float)
-    fn = obj.func if isinstance(obj, FirstIntegral) else obj
-    x, y, p1, p2 = phase
-    if np.ndim(p1) == 0:
-        return _fd_gradient(fn, np.array(phase, dtype=float), h)
-    return np.array([_fd_gradient(fn, np.array([x, y, q1, q2], dtype=float), h)
-                     for q1, q2 in zip(p1, p2)]).T
 
 
 def _pairing(grad, flow):
@@ -183,29 +148,18 @@ def _guarded(objs, phase) -> np.ndarray:
     """The phase as an array; GuardError where an integral's guard rejects it."""
     state = np.asarray(phase, dtype=float)
     for obj in objs:
-        if isinstance(obj, FirstIntegral) and not obj.admits(state):
+        if not obj.admits(state):
             raise GuardError(f"{obj.name}: guard rejected phase {state.tolist()}")
     return state
 
 
-def magnetic_bracket_pair(
-    system: MagneticSystem, f_int, g_int, phase, h: float = 1e-5
-) -> float:
-    """Magnetic bracket {F, G} = dF(X_G) of two integrals (or plain callables)."""
+def magnetic_bracket_pair(system: MagneticSystem, f_int, g_int, phase) -> float:
+    """Magnetic bracket {F, G} = dF(X_G) of two integrals; {F, H} when
+    ``g_int`` is :func:`hamiltonian_integral`."""
     system.require_inside(phase[0], phase[1])
     state = _guarded((f_int, g_int), phase)
-    x_g = vector_field(system, state[0], state[1], _gradient_of(g_int, state, h))
-    return float(_pairing(_gradient_of(f_int, state, h), x_g))
-
-
-def magnetic_bracket_fd(
-    system: MagneticSystem, integral, phase, h: float = 1e-5
-) -> float:
-    """Magnetic bracket {F, H} = dF(X_H) of an integral with the Hamiltonian."""
-    system.require_inside(phase[0], phase[1])
-    state = _guarded((integral,), phase)
-    x_h = vector_field(system, state[0], state[1], hamiltonian_gradient(system, state))
-    return float(_pairing(_gradient_of(integral, state, h), x_h))
+    x_g = vector_field(system, state[0], state[1], g_int.grad(state))
+    return float(_pairing(f_int.grad(state), x_g))
 
 
 def level_set_bracket_scan(
@@ -249,7 +203,7 @@ def level_set_bracket_scan(
             if not admitted.all():
                 phase = (x, y, p1[admitted], p2[admitted])
         x_h = vector_field(system, x, y, hamiltonian_gradient(system, phase, local), local)
-        values = np.abs(_pairing(_gradient_of(integral, phase, config.h), x_h))
+        values = np.abs(_pairing(integral.grad(phase), x_h))
         for phi, val in zip(angles[admitted].tolist(), values.tolist()):
             sumsq += val * val
             count += 1
@@ -263,17 +217,14 @@ def level_set_bracket_scan(
     )
 
 
-def functional_independence_rank(
-    fns: Sequence, phase, h: float = 1e-5
-) -> int:
-    """Rank of the Jacobian of k phase functions at a point.
+def functional_independence_rank(fns: Sequence, phase) -> int:
+    """Rank of the Jacobian of k integrals at a point.
 
-    Builds the k-by-4 Jacobian (rows = gradients over (x, y, p1, p2),
-    analytic when available) and counts singular values above 1e-8 times
-    the largest.
+    Builds the k-by-4 Jacobian (rows = exact gradients over (x, y, p1,
+    p2)) and counts singular values above 1e-8 times the largest.
     """
     state = _guarded(fns, phase)
-    jac = np.vstack([_gradient_of(fn, state, h) for fn in fns])
+    jac = np.vstack([fn.grad(state) for fn in fns])
     sv = np.linalg.svd(jac, compute_uv=False)
     if sv[0] == 0.0:
         return 0

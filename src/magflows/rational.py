@@ -94,14 +94,6 @@ class ZSolution:
         return (r * c, r1 * c, -nu * r * s, r2 * c, -nu * r1 * s, -nu * nu * r * c,
                 r3 * c, -nu * r2 * s, -nu * nu * r1 * c)
 
-    def partials(self, rho: float, psi: float):
-        """(Z, Z_r, Z_p, Z_rr, Z_rp, Z_pp) at one chart point."""
-        return self.jet(rho, psi)[:6]
-
-    def third_partials(self, rho: float, psi: float):
-        """(Z_rrr, Z_rrp, Z_rpp) at one chart point."""
-        return self.jet(rho, psi)[6:]
-
     def value(self, rho: float, psi: float) -> float:
         return self.jet(rho, psi)[0]
 
@@ -125,6 +117,8 @@ class PolynomialCos(ZSolution):
         raw = terminating_2f1_coeffs(k)
         self.k = self.nu = int(k)
         self.psi0 = float(psi0)
+        if not math.isfinite(self.psi0):
+            raise DomainError(f"psi0 must be finite, got {self.psi0}")
         self.coeffs = [c / raw[-1] for c in raw]  # monic in rho^k
 
     def params(self) -> dict:
@@ -233,7 +227,7 @@ def pde511_residual(z: ZSolution, rho: float, psi: float, scaled: bool = False) 
     the size of the terms that cancel, so that round-off on large terms
     reads as round-off.
     """
-    _, z_r, _, z_rr, _, z_pp = z.partials(rho, psi)
+    _, z_r, _, z_rr, _, z_pp = z.jet(rho, psi)[:6]
     terms = (rho * (rho + 1.0) * z_rr, rho * z_r, z_pp)
     residual = terms[0] + terms[1] + terms[2]
     if scaled:
@@ -245,7 +239,7 @@ def condition_D(z: ZSolution, rho: float, psi: float) -> float:
     """Discriminant whose zeros must be excluded from a working domain."""
     if rho == 0.0:
         raise DomainError("the discriminant is undefined at rho = 0")
-    _, _, z_p, z_rr, z_rp, _ = z.partials(rho, psi)
+    _, _, z_p, z_rr, z_rp, _ = z.jet(rho, psi)[:6]
     t = z_rp - z_p / rho
     return rho * (rho + 1.0) * z_rr * z_rr + t * t
 
@@ -545,7 +539,7 @@ def chart_to_xy(z: ZSolution, rho: float, psi: float) -> tuple[float, float]:
     """
     if rho == 0.0:
         raise DomainError("the chart map degenerates at rho = 0")
-    _, z_r, z_p, _, _, _ = z.partials(rho, psi)
+    _, z_r, z_p = z.jet(rho, psi)[:3]
     cp, sp = math.cos(psi), math.sin(psi)
     x = -z_r * cp + (z_p / rho) * sp
     y = z_r * sp + (z_p / rho) * cp

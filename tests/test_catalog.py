@@ -14,7 +14,8 @@ from magflows.geometry import (
     hamiltonian_gradient,
     momentum_on_level,
 )
-from magflows.integrals import magnetic_bracket_fd
+from magflows.integrals import hamiltonian_integral, magnetic_bracket_pair
+from richardson import richardson_gradient
 
 ALL_NAMES = ["ex1", "ex2", "ex2b", "ex3", "ex4", "ex5", "ex6"]
 
@@ -97,16 +98,7 @@ class TestDeclaredLevel:
         for phase in entry.sample_phases:
             for state in (phase, phase * np.array([1.0, 1.0, 1.7, -0.6])):
                 got = np.asarray(hamiltonian_gradient(system, state))
-                want = np.zeros(4)
-                for i in range(4):
-                    e = np.zeros(4)
-                    e[i] = 1e-5 * max(1.0, abs(state[i]))
-
-                    def central(step):
-                        return (hamiltonian(system, state + step)
-                                - hamiltonian(system, state - step)) / (2.0 * step[i])
-
-                    want[i] = (4.0 * central(0.5 * e) - central(e)) / 3.0
+                want = richardson_gradient(lambda s: hamiltonian(system, s), state, 1e-5)
                 scale = max(1.0, float(np.max(np.abs(got))))
                 np.testing.assert_allclose(got / scale, want / scale, atol=1e-7)
 
@@ -132,8 +124,8 @@ class TestDeclaredLevel:
             phase = (x, y, p1, p2)
             if not entry.integrals[0].admits(phase):
                 continue
-            worst = max(worst, abs(magnetic_bracket_fd(
-                entry.system, entry.integrals[0], phase)))
+            worst = max(worst, abs(magnetic_bracket_pair(
+                entry.system, entry.integrals[0], hamiltonian_integral(entry.system), phase)))
         assert worst > 1e-3
 
 

@@ -390,6 +390,8 @@ class TestErrorContract:
         (["hodograph", "--bbox", "0", "1", "0", "nan"], 2),
         (["simulate", "ex1", "--position", "0", "0", "--angle", "0", "--t-end", "inf"], 2),
         (["simulate", "ex1", "--position", "0", "0", "--angle", "0", "--rel-tol", "inf"], 2),
+        (["build-rational", "poly-cos", "--psi0", "nan"], 2),
+        (["build-rational", "poly-cos", "--psi0", "inf"], 2),
     ]
 
     @pytest.mark.parametrize("argv, want", CASES)
@@ -400,7 +402,7 @@ class TestErrorContract:
         code, _, err = _run(["--out-dir", str(tmp_path)] + argv, capsys)
         assert code == want, err
         if code in (2, 4):
-            assert not list(tmp_path.glob("*.csv"))
+            assert [p.name for p in tmp_path.iterdir()] == [config.name]
 
     def test_perturbed_profile_fails_its_residual_check(self, tmp_path, capsys, monkeypatch):
         """Negative control for the scaled residual: a degree-6 profile with

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magflows.catalog import get_example, list_examples
+from magflows.catalog import EXAMPLE_NAMES, get_example, list_examples
 from magflows.errors import DomainError, SingularMetric
 from magflows.geometry import (
     ChartDomain,
@@ -20,10 +20,16 @@ from magflows.geometry import (
     momentum_on_level,
     vector_field,
 )
+from richardson import metric_partials
+
+
+def _zero_partials(x, y):
+    """Exact partials of a constant metric."""
+    return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+
 
 def _euclidean():
-    return Metric(components=lambda x, y: (1.0, 0.0, 1.0),
-                  partials=lambda x, y: ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
+    return Metric(components=lambda x, y: (1.0, 0.0, 1.0), partials=_zero_partials)
 
 
 def _euclidean_system(energy=1.0):
@@ -67,20 +73,21 @@ class TestMetric:
     def test_inverse_is_three_floats(self):
         """inverse gives the entries (i11, i12, i22) of G^{-1} as floats:
         (g22, -g12, g11) / det, with det = 2 * 3 - 0.5^2 = 5.75."""
-        metric = Metric(components=lambda x, y: (2.0, 0.5, 3.0))
+        metric = Metric(components=lambda x, y: (2.0, 0.5, 3.0), partials=_zero_partials)
         inverse = metric.inverse(0.0, 0.0)
         assert [type(v) for v in inverse] == [float, float, float]
         assert inverse == (3.0 / 5.75, -0.5 / 5.75, 2.0 / 5.75)
 
     def test_inverse(self):
         """matrix @ inverse = identity."""
-        metric = Metric(components=lambda x, y: (2.0, 0.5, 3.0))
+        metric = Metric(components=lambda x, y: (2.0, 0.5, 3.0), partials=_zero_partials)
         product = _matrix(*metric.components(1.0, 2.0)) @ _matrix(*metric.inverse(1.0, 2.0))
         np.testing.assert_allclose(product, np.eye(2), atol=1e-14)
 
     def test_cholesky_reconstructs(self):
         """L L^T recovers the matrix for a positive definite metric."""
-        metric = Metric(components=lambda x, y: (2.0 + x * x, 0.3, 1.5))
+        metric = Metric(components=lambda x, y: (2.0 + x * x, 0.3, 1.5),
+                        partials=lambda x, y: ((2.0 * x, 0.0, 0.0), (0.0, 0.0, 0.0)))
         low = metric.cholesky(0.7, -0.2)
         np.testing.assert_allclose(low @ low.T, _matrix(*metric.components(0.7, -0.2)), atol=1e-14)
 
@@ -100,7 +107,8 @@ class TestMetric:
                 want = np.linalg.cholesky(g)
             except np.linalg.LinAlgError:
                 continue
-            metric = Metric(components=lambda x, y, g=g: (g[0, 0], g[0, 1], g[1, 1]))
+            metric = Metric(components=lambda x, y, g=g: (g[0, 0], g[0, 1], g[1, 1]),
+                            partials=_zero_partials)
             got = metric.cholesky(0.0, 0.0)
             assert got.tobytes() == want.tobytes()
             checked += 1
@@ -111,7 +119,7 @@ class TestMetric:
         rounds to 0: SingularMetric, as LAPACK refuses the factor too."""
         g = (3.521126228224603, 0.24876732149455005, 0.017575393846296767)
         assert g[0] * g[2] - g[1] * g[1] > 0.0
-        metric = Metric(components=lambda x, y: g)
+        metric = Metric(components=lambda x, y: g, partials=_zero_partials)
         metric.inverse(0.0, 0.0)
         with pytest.raises(SingularMetric):
             metric.cholesky(0.0, 0.0)
@@ -120,7 +128,7 @@ class TestMetric:
 
     def test_singular_rejected(self):
         """A non-positive-definite point raises SingularMetric."""
-        metric = Metric(components=lambda x, y: (1.0, 2.0, 1.0))
+        metric = Metric(components=lambda x, y: (1.0, 2.0, 1.0), partials=_zero_partials)
         with pytest.raises(SingularMetric):
             metric.inverse(0.0, 0.0)
         with pytest.raises(SingularMetric):
@@ -129,28 +137,37 @@ class TestMetric:
     def test_nan_metric_rejected(self):
         """NaN components fail the positive-definiteness test of both
         inverse and cholesky instead of giving a NaN matrix."""
-        metric = Metric(components=lambda x, y: (math.nan, 0.0, 1.0))
+        metric = Metric(components=lambda x, y: (math.nan, 0.0, 1.0), partials=_zero_partials)
         with pytest.raises(SingularMetric):
             metric.inverse(0.0, 0.0)
         with pytest.raises(SingularMetric):
             metric.cholesky(0.0, 0.0)
 
-    def test_fd_partials_match_analytic(self):
-        """Default difference-quotient partials track supplied ones."""
-        analytic = Metric(
-            components=lambda x, y: (1.0 + x * x, x * y, 2.0 + y * y),
-            partials=lambda x, y: ((2.0 * x, y, 0.0), (0.0, x, 2.0 * y)),
-        )
-        plain = Metric(components=analytic.components)
-        got = np.asarray(plain.component_partials(0.6, -1.1))
-        want = np.asarray(analytic.component_partials(0.6, -1.1))
-        np.testing.assert_allclose(got, want, atol=1e-9)
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_partials_match_differences(self, name):
+        """Every catalog metric's exact partials track Richardson
+        differences of its components at the entry's curvature probes."""
+        entry = get_example(name)
+        metric = entry.system.metric
+        for x, y in entry.curvature_probes:
+            got = np.asarray(metric.component_partials(x, y))
+            want = metric_partials(metric, x, y, 1e-4)
+            scale = max(1.0, float(np.max(np.abs(got))))
+            np.testing.assert_allclose(got / scale, want / scale, atol=1e-9)
+
+    def test_exact_partials_required(self):
+        """A metric, or a conformal factor, without partials is refused."""
+        with pytest.raises(TypeError):
+            Metric(components=lambda x, y: (1.0, 0.0, 1.0))
+        with pytest.raises(TypeError):
+            conformal_metric(lambda x, y: 1.0)
 
 
 class TestConformalMetric:
     def test_components(self):
         """conformal_metric(f) gives (f, 0, f)."""
-        metric = conformal_metric(lambda x, y: 2.0 + math.cos(y))
+        metric = conformal_metric(lambda x, y: 2.0 + math.cos(y),
+                                  lambda x, y: (0.0, -math.sin(y)))
         g11, g12, g22 = metric.components(0.3, 0.9)
         np.testing.assert_allclose(g11, 2.0 + math.cos(0.9), rtol=1e-15)
         assert g12 == 0.0
@@ -210,7 +227,8 @@ class TestMomentumOnLevel:
            phi=st.floats(0.0, 2.0 * math.pi), energy=st.floats(1e-3, 1e3))
     def test_hits_half_energy_for_any_angle(self, x, y, phi, energy):
         """H equals C/2 at every point, angle and energy constant C."""
-        metric = Metric(components=lambda x, y: (2.0 + x * x, 0.4, 1.0 + y * y))
+        metric = Metric(components=lambda x, y: (2.0 + x * x, 0.4, 1.0 + y * y),
+                        partials=lambda x, y: ((2.0 * x, 0.0, 0.0), (0.0, 0.0, 2.0 * y)))
         domain = ChartDomain(bbox=(-2.0, 2.0, -2.0, 2.0))
         system = MagneticSystem(metric=metric, field=lambda x, y: 1.0,
                                 domain=domain, energy=energy, name="bumpy")
@@ -238,7 +256,8 @@ class TestGaussianCurvature:
 
     def test_conformal_oracle(self):
         """K = (1 - y^2)/(1 + y^2) for the factor 1/(1 + y^2)."""
-        metric = conformal_metric(lambda x, y: 1.0 / (1.0 + y * y))
+        metric = conformal_metric(lambda x, y: 1.0 / (1.0 + y * y),
+                                  lambda x, y: (0.0, -2.0 * y / (1.0 + y * y) ** 2))
         for y in (0.0, 0.4, -0.9, 1.7):
             want = (1.0 - y * y) / (1.0 + y * y)
             got = gaussian_curvature(metric, 0.2, y, h=1e-4)
@@ -246,13 +265,17 @@ class TestGaussianCurvature:
 
     def test_sphere_patch(self):
         """The stereographic round-sphere factor gives K = 1."""
-        metric = conformal_metric(lambda x, y: 4.0 / (1.0 + x * x + y * y) ** 2)
+        metric = conformal_metric(
+            lambda x, y: 4.0 / (1.0 + x * x + y * y) ** 2,
+            lambda x, y: (-16.0 * x / (1.0 + x * x + y * y) ** 3,
+                          -16.0 * y / (1.0 + x * x + y * y) ** 3))
         got = gaussian_curvature(metric, 0.3, -0.5, h=1e-4)
         np.testing.assert_allclose(got, 1.0, atol=1e-7)
 
     def test_stable_under_halving(self):
         """Halving the stencil step moves the value only slightly."""
-        metric = conformal_metric(lambda x, y: 2.0 + math.cos(y))
+        metric = conformal_metric(lambda x, y: 2.0 + math.cos(y),
+                                  lambda x, y: (0.0, -math.sin(y)))
         k1 = gaussian_curvature(metric, 0.0, 0.7, h=1e-4)
         k2 = gaussian_curvature(metric, 0.0, 0.7, h=5e-5)
         assert abs(k1 - k2) < 1e-6 * max(1.0, abs(k1))

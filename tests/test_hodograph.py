@@ -27,11 +27,11 @@ from magflows.hodograph import (
     solve_fields,
 )
 from magflows.integrals import (
-    _fd_gradient,
     hamiltonian_integral,
     level_set_bracket_scan,
     magnetic_bracket_pair,
 )
+from richardson import metric_partials, richardson_gradient
 
 RNG = np.random.default_rng(0)
 
@@ -370,13 +370,7 @@ class TestExample3Surface:
         """Hand partials of the cubic-surface metric track FD."""
         system, _ = example3_system()
         for x, y in ((4.0, 0.0), (3.6, 0.3), (4.5, -0.5)):
-            want = np.zeros((2, 3))
-            h = 1e-6
-            for j, comp in enumerate((0, 1, 2)):
-                want[0, j] = (system.metric.components(x + h, y)[comp]
-                              - system.metric.components(x - h, y)[comp]) / (2 * h)
-                want[1, j] = (system.metric.components(x, y + h)[comp]
-                              - system.metric.components(x, y - h)[comp]) / (2 * h)
+            want = metric_partials(system.metric, x, y, 1e-6)
             got = np.asarray(system.metric.partials(x, y))
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-4)
 
@@ -393,7 +387,7 @@ class TestExample3Surface:
         _, integral = example3_system()
         for phase in get_example("ex3").sample_phases:
             got = integral.grad(phase)
-            want = _fd_gradient(integral.func, phase, 1e-5)
+            want = richardson_gradient(integral.func, phase, 1e-5)
             np.testing.assert_allclose(got, want, rtol=0, atol=2e-7 * np.max(np.abs(got)))
 
     def test_integral_conserved_along_flow(self):

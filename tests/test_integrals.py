@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from magflows import catalog, hodograph, integrals, rational
+from magflows import catalog, hodograph, rational
 from magflows.catalog import get_example, list_examples
 from magflows.cli import _corrupted
 from magflows.errors import DomainError, GuardError, SingularMetric
@@ -25,11 +25,22 @@ from magflows.integrals import (
     functional_independence_rank,
     hamiltonian_integral,
     level_set_bracket_scan,
-    magnetic_bracket_fd,
     magnetic_bracket_pair,
 )
+from richardson import richardson_gradient
 
 RNG = np.random.default_rng(0)
+
+
+def _zero_partials(x, y):
+    """Exact partials of a constant metric."""
+    return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+
+
+def _momentum_p1():
+    """The linear integral p1 with its exact gradient."""
+    return FirstIntegral(name="F", kind="linear", func=lambda s: s[2],
+                         grad=lambda s: (0.0, 0.0, 1.0, 0.0))
 
 
 def _random_phase(system, rng, on_level=True, energy=None):
@@ -65,6 +76,7 @@ class TestFirstIntegral:
         """Calling past the guard raises GuardError."""
         integral = FirstIntegral(name="F", kind="rational",
                                  func=lambda s: 1.0 / s[2],
+                                 grad=lambda s: (0.0, 0.0, -1.0 / s[2] ** 2, 0.0),
                                  guard=lambda s: abs(s[2]) > 1e-8)
         assert integral.admits((0.0, 0.0, 1.0, 0.0))
         assert not integral.admits((0.0, 0.0, 0.0, 1.0))
@@ -92,7 +104,8 @@ class TestMagneticBracket:
         rng = np.random.default_rng(1)
         for _ in range(50):
             phase = _random_phase(ex2.system, rng, on_level=False)
-            value = magnetic_bracket_fd(ex2.system, ex2.integrals[0], phase)
+            value = magnetic_bracket_pair(ex2.system, ex2.integrals[0],
+                                          hamiltonian_integral(ex2.system), phase)
             assert abs(value) <= 1e-8
 
     def test_hamiltonian_self_bracket(self):
@@ -158,13 +171,22 @@ class TestMagneticBracket:
                     assert abs(forward + backward) <= 1e-12 * max(1.0, abs(forward))
 
     def test_fd_and_pair_agree(self):
-        """The difference-quotient route tracks the gradient route."""
+        """The bracket with Richardson differences of F in place of its
+        exact gradient tracks the bracket with the gradient."""
         ex2 = get_example("ex2")
+        exact = ex2.integrals[0]
+        differenced = dataclasses.replace(
+            exact, grad=lambda s: richardson_gradient(exact.func, s, 1e-5))
         phase = np.array([0.3, -0.4, 0.8, 0.1])
-        fd = magnetic_bracket_fd(ex2.system, ex2.integrals[0], phase)
-        pair = magnetic_bracket_pair(ex2.system, ex2.integrals[0],
-                                     hamiltonian_integral(ex2.system), phase)
+        ham = hamiltonian_integral(ex2.system)
+        fd = magnetic_bracket_pair(ex2.system, differenced, ham, phase)
+        pair = magnetic_bracket_pair(ex2.system, exact, ham, phase)
         np.testing.assert_allclose(fd, pair, atol=1e-9)
+
+    def test_exact_gradient_required(self):
+        """An integral without a gradient is refused."""
+        with pytest.raises(TypeError):
+            FirstIntegral(name="F", kind="linear", func=lambda s: s[2])
 
 
 class TestLevelSetScan:
@@ -184,29 +206,23 @@ class TestLevelSetScan:
     def test_corrupted_integral_detected(self):
         """Adding 0.01 q1 to a true integral pushes the scan past 1e-3."""
         ex3 = get_example("ex3")
-        true_integral = ex3.integrals[0]
-        corrupted = FirstIntegral(
-            name="F_corrupt", kind=true_integral.kind,
-            func=lambda s: true_integral.func(s) + 0.01 * s[0],
-            level=true_integral.level, guard=true_integral.guard)
-        report = level_set_bracket_scan(ex3.system, corrupted)
+        report = level_set_bracket_scan(ex3.system, _corrupted(ex3.integrals[0]))
         assert report.max_abs > 1e-3
 
     def test_empty_grid_raises(self):
         """A predicate that rejects everything is a domain error."""
-        metric = Metric(components=lambda x, y: (1.0, 0.0, 1.0))
+        metric = Metric(components=lambda x, y: (1.0, 0.0, 1.0), partials=_zero_partials)
         domain = ChartDomain(bbox=(0.0, 1.0, 0.0, 1.0), predicate=lambda x, y: False)
         system = MagneticSystem(metric=metric, field=lambda x, y: 0.0,
                                 domain=domain, energy=1.0, name="empty")
         with pytest.raises(DomainError):
-            level_set_bracket_scan(system, FirstIntegral(
-                name="F", kind="linear", func=lambda s: s[2]))
+            level_set_bracket_scan(system, _momentum_p1())
 
     def test_all_guarded_raises(self):
         """A guard that rejects every phase is reported as GuardError."""
         ex1 = get_example("ex1")
         blocked = FirstIntegral(name="F", kind="rational", func=lambda s: 0.0,
-                                guard=lambda s: False)
+                                grad=lambda s: (0.0, 0.0, 0.0, 0.0), guard=lambda s: False)
         with pytest.raises(GuardError):
             level_set_bracket_scan(ex1.system, blocked)
 
@@ -219,8 +235,9 @@ class TestLevelSetScan:
 
 
 def _reference_scan(system, integral, config):
-    """The scan written per sample: momentum_on_level and magnetic_bracket_fd
-    for each angle on its own."""
+    """The scan written per sample: momentum_on_level and the bracket with
+    H for each angle on its own."""
+    ham = hamiltonian_integral(system)
     points = system.domain.grid(config.nx, config.ny, margin=config.grid_margin)
     angles = np.linspace(0.0, 2.0 * np.pi, config.n_angles, endpoint=False)
     max_abs, sumsq, count, worst = 0.0, 0.0, 0, None
@@ -231,8 +248,8 @@ def _reference_scan(system, integral, config):
             continue
         for phi, (p1, p2) in zip(angles, momenta):
             try:
-                val = abs(magnetic_bracket_fd(system, integral, np.array([x, y, p1, p2]),
-                                              h=config.h))
+                val = abs(magnetic_bracket_pair(system, integral, ham,
+                                                np.array([x, y, p1, p2])))
             except GuardError:
                 continue
             sumsq += val * val
@@ -296,35 +313,15 @@ class TestScanEquivalence:
             level_set_bracket_scan(system, entry.integrals[0], config=config)
             assert calls == {"components": 2 * points, "partials": points, "field": points}
 
-    def test_gradient_free_integral_uses_differences(self, monkeypatch):
-        """An integral without a gradient is differenced once per sample;
-        one with a gradient never is."""
-        calls = Counter()
-        fd_gradient = integrals._fd_gradient
-
-        def counted(*args):
-            calls["fd"] += 1
-            return fd_gradient(*args)
-
-        monkeypatch.setattr(integrals, "_fd_gradient", counted)
-        ex2 = get_example("ex2")
-        exact = ex2.integrals[0]
-        plain = dataclasses.replace(exact, grad=None)
-        with_grad = level_set_bracket_scan(ex2.system, exact, config=self.COARSE)
-        assert calls["fd"] == 0
-        differenced = level_set_bracket_scan(ex2.system, plain, config=self.COARSE)
-        assert calls["fd"] == differenced.count == with_grad.count
-        assert differenced.max_abs <= 1e-8
-
     def test_nan_metric_points_are_skipped(self):
         """Grid points where the metric is NaN are skipped like singular
         ones, so the report stays finite."""
-        metric = Metric(components=lambda x, y: (math.nan if x > 0.5 else 1.0, 0.0, 1.0))
+        metric = Metric(components=lambda x, y: (math.nan if x > 0.5 else 1.0, 0.0, 1.0),
+                        partials=_zero_partials)
         system = MagneticSystem(metric=metric, field=lambda x, y: 0.0,
                                 domain=ChartDomain(bbox=(0.0, 1.0, 0.0, 1.0)))
-        linear = FirstIntegral(name="F", kind="linear", func=lambda s: s[2])
         config = BracketScanConfig(nx=4, ny=4, n_angles=4, grid_margin=0.0)
-        report = level_set_bracket_scan(system, linear, config=config)
+        report = level_set_bracket_scan(system, _momentum_p1(), config=config)
         assert report.count == 2 * 4 * 4
         assert report.max_abs == report.rms == 0.0
 
