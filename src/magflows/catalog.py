@@ -6,6 +6,9 @@ few sample phase points on the reference energy level.  Entries generated
 by the rational-integral machinery (ex5, ex6) are deliberately transcribed
 here as explicit formulas rather than built through
 :mod:`magflows.rational`; tests compare the two routes against each other.
+Only the (N, D, grad N, grad D) formulas of the rational integrals of ex4,
+ex5 and ex6 live here; :func:`magflows.integrals.rational_integral` turns
+them into integrals, as it does for every bundle.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .geometry import (
     momentum_on_level,
 )
 from .hodograph import example3_system
-from .integrals import FirstIntegral, gradient_rows
+from .integrals import FirstIntegral, gradient_rows, rational_integral
 
 __all__ = [
     "CatalogEntry",
@@ -64,39 +67,6 @@ def _phases(system: MagneticSystem, points_angles) -> np.ndarray:
         p = momentum_on_level(system, x, y, phi)
         rows.append([x, y, p[0], p[1]])
     return np.array(rows)
-
-
-def _rational_integral(name: str, parts: Callable, level: Optional[float] = None):
-    """The rational integral N/D from ``parts(state) -> (N, D, grad N,
-    grad D)``, with its quotient-rule gradient and the guard |D| >= 1e-8.
-    The block of the last phase is kept, so the guard, the value and the
-    gradient at one phase share one ``parts`` evaluation."""
-    last = [None, None]
-
-    def block(state):
-        # the bits of the phase; a tuple for momenta arrays, so that a
-        # phase of one momentum never shares a key with an array of one
-        x, y, p1, p2 = state
-        if np.ndim(p1) == 0:
-            key = np.asarray(state, dtype=float).tobytes()
-        else:
-            key = np.array([x, y], dtype=float).tobytes(), p1.tobytes(), p2.tobytes()
-        if key != last[0]:
-            last[:] = key, parts(state)
-        return last[1]
-
-    def func(state):
-        num, den, _, _ = block(state)
-        return num / den
-
-    def grad(state):
-        num, den, ng, dg = block(state)
-        return (ng * den - num * dg) / (den * den)
-
-    def guard(state):
-        return abs(block(state)[1]) >= 1e-8
-
-    return FirstIntegral(name, "rational", func, grad=grad, level=level, guard=guard)
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +248,20 @@ def _make_ex4() -> CatalogEntry:
     def f_parts(state):
         x, y, p1, p2 = state
         r = math.hypot(x, y)
-        rx, ry = x / r, y / r
         num = (r - x) * p1 - y * p2 + gamma * y
         den = y * p1 + (r - x) * p2 + gamma * (r - x)
-        num_grad = gradient_rows(p1, ((rx - 1.0) * p1, ry * p1 - p2 + gamma, r - x, -y))
-        den_grad = gradient_rows(
-            p1, ((rx - 1.0) * p2 + gamma * (rx - 1.0), p1 + ry * p2 + gamma * ry, y, r - x)
-        )
-        return num, den, num_grad, den_grad
 
-    f_rational = _rational_integral("F", f_parts)
+        def grads():
+            rx, ry = x / r, y / r
+            num_grad = gradient_rows(p1, ((rx - 1.0) * p1, ry * p1 - p2 + gamma, r - x, -y))
+            den_grad = gradient_rows(
+                p1, ((rx - 1.0) * p2 + gamma * (rx - 1.0), p1 + ry * p2 + gamma * ry, y, r - x)
+            )
+            return num_grad, den_grad
+
+        return num, den, grads
+
+    f_rational = rational_integral("F", f_parts)
 
     def f1_func(state):
         x, y, p1, p2 = state
@@ -361,35 +335,39 @@ def _make_ex5() -> CatalogEntry:
     def num_den_parts(state):
         rho, psi, p_r, p_p = state
         ch, sh = math.cos(0.5 * psi), math.sin(0.5 * psi)
-        cp, sp = math.cos(psi), math.sin(psi)
+        cp = math.cos(psi)
         c2 = math.cos(2.0 * psi)
-        s2 = math.sin(2.0 * psi)
-        c4, s4 = math.cos(4.0 * psi), math.sin(4.0 * psi)
+        c4 = math.cos(4.0 * psi)
         c15, s15 = math.cos(1.5 * psi), math.sin(1.5 * psi)
         a = rho - 2.0 * rho * cp - c2
         b = rho + 2.0 * rho * cp - c2
         disc = 1.0 + 2.0 * rho + c4
         num = ch * a * p_r + s15 * p_p + gamma * disc * sh
         den = -sh * b * p_r - c15 * p_p + gamma * disc * ch
-        num_grad = gradient_rows(p_r, (
-            ch * (1.0 - 2.0 * cp) * p_r + 2.0 * gamma * sh,
-            (-0.5 * sh * a + ch * (2.0 * rho * sp + 2.0 * s2)) * p_r
-            + 1.5 * c15 * p_p
-            + gamma * (-4.0 * s4 * sh + 0.5 * disc * ch),
-            ch * a,
-            s15,
-        ))
-        den_grad = gradient_rows(p_r, (
-            -sh * (1.0 + 2.0 * cp) * p_r + 2.0 * gamma * ch,
-            (-0.5 * ch * b - sh * (-2.0 * rho * sp + 2.0 * s2)) * p_r
-            + 1.5 * s15 * p_p
-            + gamma * (-4.0 * s4 * ch - 0.5 * disc * sh),
-            -sh * b,
-            -c15,
-        ))
-        return num, den, num_grad, den_grad
 
-    integral = _rational_integral("F", num_den_parts, level=c)
+        def grads():
+            sp, s2, s4 = math.sin(psi), math.sin(2.0 * psi), math.sin(4.0 * psi)
+            num_grad = gradient_rows(p_r, (
+                ch * (1.0 - 2.0 * cp) * p_r + 2.0 * gamma * sh,
+                (-0.5 * sh * a + ch * (2.0 * rho * sp + 2.0 * s2)) * p_r
+                + 1.5 * c15 * p_p
+                + gamma * (-4.0 * s4 * sh + 0.5 * disc * ch),
+                ch * a,
+                s15,
+            ))
+            den_grad = gradient_rows(p_r, (
+                -sh * (1.0 + 2.0 * cp) * p_r + 2.0 * gamma * ch,
+                (-0.5 * ch * b - sh * (-2.0 * rho * sp + 2.0 * s2)) * p_r
+                + 1.5 * s15 * p_p
+                + gamma * (-4.0 * s4 * ch - 0.5 * disc * sh),
+                -sh * b,
+                -c15,
+            ))
+            return num_grad, den_grad
+
+        return num, den, grads
+
+    integral = rational_integral("F", num_den_parts, level=c)
 
     def parametrize(rho, psi, phi):
         s = math.sqrt(g2 * (1.0 + rho))
@@ -473,43 +451,48 @@ def _make_ex6() -> CatalogEntry:
     def num_den_parts(state):
         rho, psi, p_r, p_p = state
         ch, sh = math.cos(0.5 * psi), math.sin(0.5 * psi)
-        cp, sp = math.cos(psi), math.sin(psi)
-        c2, s2 = math.cos(2.0 * psi), math.sin(2.0 * psi)
+        cp = math.cos(psi)
+        c2 = math.cos(2.0 * psi)
         c15, s15 = math.cos(1.5 * psi), math.sin(1.5 * psi)
         q = rho * (rho + 1.0)
-        dq = 2.0 * rho + 1.0
         pfac = 1.0 + rho + (1.0 + 2.0 * rho) * cp
         mfac = 1.0 + rho - (1.0 + 2.0 * rho) * cp
         disc = 1.0 + 2.0 * rho - c2
         num = 2.0 * q * (p_r * q * c15 + p_p * pfac * sh) + gamma * disc * sh
         den = 2.0 * q * (-p_r * q * s15 - p_p * mfac * ch) + gamma * disc * ch
-        pfac_r, pfac_p = 1.0 + 2.0 * cp, -(1.0 + 2.0 * rho) * sp
-        mfac_r, mfac_p = 1.0 - 2.0 * cp, (1.0 + 2.0 * rho) * sp
-        num_grad = gradient_rows(p_r, (
-            2.0 * dq * (p_r * q * c15 + p_p * pfac * sh)
-            + 2.0 * q * (p_r * dq * c15 + p_p * pfac_r * sh)
-            + 2.0 * gamma * sh,
-            2.0 * q * (
-                -1.5 * p_r * q * s15 + p_p * (pfac_p * sh + 0.5 * pfac * ch)
-            )
-            + gamma * (2.0 * s2 * sh + 0.5 * disc * ch),
-            2.0 * q * q * c15,
-            2.0 * q * pfac * sh,
-        ))
-        den_grad = gradient_rows(p_r, (
-            2.0 * dq * (-p_r * q * s15 - p_p * mfac * ch)
-            + 2.0 * q * (-p_r * dq * s15 - p_p * mfac_r * ch)
-            + 2.0 * gamma * ch,
-            2.0 * q * (
-                -1.5 * p_r * q * c15 - p_p * (mfac_p * ch - 0.5 * mfac * sh)
-            )
-            + gamma * (2.0 * s2 * ch - 0.5 * disc * sh),
-            -2.0 * q * q * s15,
-            -2.0 * q * mfac * ch,
-        ))
-        return num, den, num_grad, den_grad
 
-    integral = _rational_integral("F", num_den_parts, level=c)
+        def grads():
+            sp, s2 = math.sin(psi), math.sin(2.0 * psi)
+            dq = 2.0 * rho + 1.0
+            pfac_r, pfac_p = 1.0 + 2.0 * cp, -(1.0 + 2.0 * rho) * sp
+            mfac_r, mfac_p = 1.0 - 2.0 * cp, (1.0 + 2.0 * rho) * sp
+            num_grad = gradient_rows(p_r, (
+                2.0 * dq * (p_r * q * c15 + p_p * pfac * sh)
+                + 2.0 * q * (p_r * dq * c15 + p_p * pfac_r * sh)
+                + 2.0 * gamma * sh,
+                2.0 * q * (
+                    -1.5 * p_r * q * s15 + p_p * (pfac_p * sh + 0.5 * pfac * ch)
+                )
+                + gamma * (2.0 * s2 * sh + 0.5 * disc * ch),
+                2.0 * q * q * c15,
+                2.0 * q * pfac * sh,
+            ))
+            den_grad = gradient_rows(p_r, (
+                2.0 * dq * (-p_r * q * s15 - p_p * mfac * ch)
+                + 2.0 * q * (-p_r * dq * s15 - p_p * mfac_r * ch)
+                + 2.0 * gamma * ch,
+                2.0 * q * (
+                    -1.5 * p_r * q * c15 - p_p * (mfac_p * ch - 0.5 * mfac * sh)
+                )
+                + gamma * (2.0 * s2 * ch - 0.5 * disc * sh),
+                -2.0 * q * q * s15,
+                -2.0 * q * mfac * ch,
+            ))
+            return num_grad, den_grad
+
+        return num, den, grads
+
+    integral = rational_integral("F", num_den_parts, level=c)
 
     def parametrize(rho, psi, phi):
         p_r = gamma * (

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -539,6 +540,8 @@ def main(argv=None) -> int:
             for key, value in config.items():
                 actions[key].default = value
             args = parser.parse_args(argv)
+        if not (math.isfinite(args.tol) and args.tol > 0.0):
+            raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
         return _DISPATCH[args.command](args)
     except Exception as exc:
         for types, code, prefix in EXIT_CODES:

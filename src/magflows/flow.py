@@ -113,10 +113,6 @@ class Trajectory:
     def rejected(self) -> int:
         return self.rejected_error + self.rejected_boundary + self.rejected_nonfinite
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 @dataclass(frozen=True)
 class ConservationReport:

@@ -10,7 +10,9 @@ with X_G from :func:`magflows.geometry.vector_field` and H, dH from
 either at every energy or only on one level set {H = C/2}.  Every
 integral carries its exact gradient: analytic for the catalog's rational
 integrals, a complex step of the formula for ex3's quadratic one, dF +
-0.01 dx for the ``--corrupt`` control.
+0.01 dx for the ``--corrupt`` control.  Every integral rational in the
+momenta, the catalog's ex4-ex6 and each bundle's, is built here by
+:func:`rational_integral` from its (N, D) parts.
 
 An integral's ``func``, ``grad`` and ``guard`` take a phase (x, y, p1, p2)
 at one chart point whose momenta p1, p2 may be arrays, as
@@ -26,6 +28,7 @@ phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -46,6 +49,7 @@ __all__ = [
     "BracketScanConfig",
     "ResidualReport",
     "hamiltonian_integral",
+    "rational_integral",
     "magnetic_bracket_pair",
     "level_set_bracket_scan",
     "gradient_rows",
@@ -116,17 +120,50 @@ class ResidualReport:
     count: int
     worst: Optional[tuple] = None
 
-    def __str__(self):
-        return (
-            f"max |res| = {self.max_abs:.3e}, rms = {self.rms:.3e} "
-            f"over {self.count} samples"
-        )
-
 
 def hamiltonian_integral(system: MagneticSystem) -> FirstIntegral:
     """The Hamiltonian packaged as a FirstIntegral with analytic gradient."""
     func = partial(hamiltonian, system, check_domain=False)
     return FirstIntegral("H", "quadratic", func, grad=partial(hamiltonian_gradient, system))
+
+
+def rational_integral(name: str, parts: Callable, level: Optional[float] = None) -> FirstIntegral:
+    """The rational integral N/D, with its quotient-rule gradient and the
+    guard |D| >= 1e-8.
+
+    ``parts(state)`` returns ``(N, D, grads)``, where ``grads()`` gives
+    (grad N, grad D) and is called only by the gradient, so the guard and
+    the value never build gradient rows.  The ``parts`` of the last phase
+    is kept, so the guard, the value and the gradient at one phase share
+    one evaluation.
+    """
+    last = [None, None]
+
+    def block(state):
+        # the bits of the phase; a tuple for momenta arrays, so that a
+        # phase of one momentum never shares a key with an array of one
+        x, y, p1, p2 = state
+        if np.ndim(p1) == 0:
+            key = np.asarray(state, dtype=float).tobytes()
+        else:
+            key = np.array([x, y], dtype=float).tobytes(), p1.tobytes(), p2.tobytes()
+        if key != last[0]:
+            last[:] = key, parts(state)
+        return last[1]
+
+    def func(state):
+        num, den, _ = block(state)
+        return num / den
+
+    def grad(state):
+        num, den, grads = block(state)
+        num_grad, den_grad = grads()
+        return (num_grad * den - num * den_grad) / (den * den)
+
+    def guard(state):
+        return abs(block(state)[1]) >= 1e-8
+
+    return FirstIntegral(name, "rational", func, grad=grad, level=level, guard=guard)
 
 
 def gradient_rows(momentum, rows) -> np.ndarray:
@@ -175,7 +212,9 @@ def level_set_bracket_scan(
     skipped (not failed): rational integrals have genuine poles inside
     otherwise fine domains.  Each grid point is evaluated once for all
     angles: the chart geometry (Cholesky factor, G^{-1}, dG, Omega), the
-    guard mask and the integral's gradient at the admitted momenta.
+    guard mask and the integral's gradient at the admitted momenta.  A
+    NaN sample sets ``max_abs`` to infinity, with ``worst`` at the first
+    such sample, so that it fails any threshold.
     """
     if config is None:
         config = BracketScanConfig()
@@ -207,6 +246,8 @@ def level_set_bracket_scan(
         for phi, val in zip(angles[admitted].tolist(), values.tolist()):
             sumsq += val * val
             count += 1
+            if val != val:  # a NaN sample fails the scan like an infinite one
+                val = math.inf
             if val > max_abs:
                 max_abs = val
                 worst = (float(x), float(y), phi)

@@ -17,7 +17,9 @@ Every family has the form Z = R(rho) cos(nu (psi + psi0)) (nu = k for
 poly-cos, 1 for log-nu1, 1/2 for elliptic-half, 0 for log-radial) and
 supplies only its radial jet, nu and psi0; :meth:`ZSolution.jet` gives the
 nine partials of Z through third order by the product rule.  A bundle
-builds its metric, metric partials and field from one jet per point.
+builds its metric, metric partials and field from one jet per point.  Its
+integral is :func:`magflows.integrals.rational_integral` over the bundle's
+(N, D) parts, which owns the guard, the pole floor and the quotient rule.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .errors import DegenerateD, DomainError, NearPole
 from .geometry import ChartDomain, MagneticSystem, Metric
-from .integrals import FirstIntegral, gradient_rows
+from .integrals import FirstIntegral, gradient_rows, rational_integral
 from .specfun import elliptic_jet, terminating_2f1_coeffs
 
 __all__ = [
@@ -256,7 +258,6 @@ class RationalFlowBundle:
     gamma: float = 1.0
     c_energy: float = 1.0
     rho_range: tuple = (0.05, 5.0)
-    denominator_floor: float = 1e-8
     _last_jet: list = field(default_factory=lambda: [None, None], init=False,
                             repr=False, compare=False)
 
@@ -338,33 +339,10 @@ class RationalFlowBundle:
         (b0 p_r + b1 p_p + gamma D cos(psi/2))."""
         return self._coefficients(rho, psi)[3][:5]
 
-    def _quotient(self, state):
-        """Numerator and denominator of the integral at a phase point whose
-        momenta may be arrays, with everything ``_coefficients`` returns."""
-        rho, psi, p_r, p_p = state
-        c, s, jet, coeffs = self._coefficients(rho, psi)
-        a0, a1, b0, b1, d, _ = coeffs
-        den = b0 * p_r + b1 * p_p + self.gamma * d * c
-        num = a0 * p_r + a1 * p_p + self.gamma * d * s
-        return num, den, c, s, jet, coeffs
-
-    def _checked_quotient(self, state):
-        """``_quotient``; NearPole where a denominator is below the floor."""
-        quotient = self._quotient(state)
-        admitted = abs(quotient[1]) >= self.denominator_floor
-        if not (admitted.all() if isinstance(admitted, np.ndarray) else admitted):
-            raise NearPole(
-                f"integral denominator {np.min(np.abs(quotient[1])):.3e} below floor at "
-                f"(rho, psi) = ({state[0]}, {state[1]})"
-            )
-        return quotient
-
-    def integral_value(self, state):
-        num, den = self._checked_quotient(state)[:2]
-        return num / den
-
-    def integral_gradient(self, state) -> np.ndarray:
-        """Phase gradient of the rational integral by the quotient rule.
+    def _parts(self, state):
+        """Numerator, denominator and deferred (grad N, grad D) of the
+        integral at a phase whose momenta may be arrays; the parts that
+        :func:`magflows.integrals.rational_integral` takes.
 
         Coordinate derivatives of the coefficients need third partials of
         Z; the missing Z_ppp is expressed through the defining equation,
@@ -372,49 +350,48 @@ class RationalFlowBundle:
         solution.
         """
         rho, psi, p_r, p_p = state
-        num, den, c, s, jet, (a0, a1, b0, b1, d, t) = self._checked_quotient(state)
-        _, z_r, z_p, z_rr, z_rp, z_pp, z_rrr, z_rrp, z_rpp = jet
-        z_ppp = -rho * (rho + 1.0) * z_rrp - rho * z_rp
+        c, s, jet, (a0, a1, b0, b1, d, t) = self._coefficients(rho, psi)
         g = self.gamma
+        num = a0 * p_r + a1 * p_p + g * d * s
+        den = b0 * p_r + b1 * p_p + g * d * c
 
-        a0_r = rho * z_rrp * s + z_rpp * c + z_r * c + rho * z_rr * c
-        b0_r = rho * z_rrp * c - z_rpp * s - z_r * s - rho * z_rr * s
-        a1_r = -(z_rr + rho * z_rrr) * s - z_rrp * c + (z_rp / rho - z_p / rho ** 2) * c
-        b1_r = -(z_rr + rho * z_rrr) * c + z_rrp * s - (z_rp / rho - z_p / rho ** 2) * s
-        t_r = z_rrp - z_rp / rho + z_p / rho ** 2
-        d_r = (2.0 * rho + 1.0) * z_rr * z_rr + 2.0 * rho * (rho + 1.0) * z_rr * z_rrr + 2.0 * t * t_r
+        def grads():
+            _, z_r, z_p, z_rr, z_rp, z_pp, z_rrr, z_rrp, z_rpp = jet
+            z_ppp = -rho * (rho + 1.0) * z_rrp - rho * z_rp
 
-        a0_p = (rho * z_rpp * s + z_ppp * c + 1.5 * rho * z_rp * c
-                - 1.5 * z_pp * s - 0.5 * rho * z_r * s - 0.5 * z_p * c)
-        b0_p = (rho * z_rpp * c - z_ppp * s - 1.5 * rho * z_rp * s
-                - 1.5 * z_pp * c - 0.5 * rho * z_r * c + 0.5 * z_p * s)
-        a1_p = (-rho * z_rrp * s - 0.5 * rho * z_rr * c - z_rpp * c
-                + 0.5 * z_rp * s + (z_pp / rho) * c - 0.5 * (z_p / rho) * s)
-        b1_p = (-rho * z_rrp * c + 0.5 * rho * z_rr * s + z_rpp * s
-                + 0.5 * z_rp * c - (z_pp / rho) * s - 0.5 * (z_p / rho) * c)
-        t_p = z_rpp - z_pp / rho
-        d_p = 2.0 * rho * (rho + 1.0) * z_rr * z_rrp + 2.0 * t * t_p
+            a0_r = rho * z_rrp * s + z_rpp * c + z_r * c + rho * z_rr * c
+            b0_r = rho * z_rrp * c - z_rpp * s - z_r * s - rho * z_rr * s
+            a1_r = -(z_rr + rho * z_rrr) * s - z_rrp * c + (z_rp / rho - z_p / rho ** 2) * c
+            b1_r = -(z_rr + rho * z_rrr) * c + z_rrp * s - (z_rp / rho - z_p / rho ** 2) * s
+            t_r = z_rrp - z_rp / rho + z_p / rho ** 2
+            d_r = (2.0 * rho + 1.0) * z_rr * z_rr + 2.0 * rho * (rho + 1.0) * z_rr * z_rrr + 2.0 * t * t_r
 
-        num_grad = gradient_rows(p_r, (
-            a0_r * p_r + a1_r * p_p + g * d_r * s,
-            a0_p * p_r + a1_p * p_p + g * (d_p * s + 0.5 * d * c),
-            a0,
-            a1,
-        ))
-        den_grad = gradient_rows(p_r, (
-            b0_r * p_r + b1_r * p_p + g * d_r * c,
-            b0_p * p_r + b1_p * p_p + g * (d_p * c - 0.5 * d * s),
-            b0,
-            b1,
-        ))
-        return (num_grad * den - num * den_grad) / (den * den)
+            a0_p = (rho * z_rpp * s + z_ppp * c + 1.5 * rho * z_rp * c
+                    - 1.5 * z_pp * s - 0.5 * rho * z_r * s - 0.5 * z_p * c)
+            b0_p = (rho * z_rpp * c - z_ppp * s - 1.5 * rho * z_rp * s
+                    - 1.5 * z_pp * c - 0.5 * rho * z_r * c + 0.5 * z_p * s)
+            a1_p = (-rho * z_rrp * s - 0.5 * rho * z_rr * c - z_rpp * c
+                    + 0.5 * z_rp * s + (z_pp / rho) * c - 0.5 * (z_p / rho) * s)
+            b1_p = (-rho * z_rrp * c + 0.5 * rho * z_rr * s + z_rpp * s
+                    + 0.5 * z_rp * c - (z_pp / rho) * s - 0.5 * (z_p / rho) * c)
+            t_p = z_rpp - z_pp / rho
+            d_p = 2.0 * rho * (rho + 1.0) * z_rr * z_rrp + 2.0 * t * t_p
 
-    def _denominator_ok(self, state):
-        """The integral's guard: a bool, or a mask over an array of momenta."""
-        try:
-            return abs(self._quotient(state)[1]) >= self.denominator_floor
-        except DomainError:
-            return False
+            num_grad = gradient_rows(p_r, (
+                a0_r * p_r + a1_r * p_p + g * d_r * s,
+                a0_p * p_r + a1_p * p_p + g * (d_p * s + 0.5 * d * c),
+                a0,
+                a1,
+            ))
+            den_grad = gradient_rows(p_r, (
+                b0_r * p_r + b1_r * p_p + g * d_r * c,
+                b0_p * p_r + b1_p * p_p + g * (d_p * c - 0.5 * d * s),
+                b0,
+                b1,
+            ))
+            return num_grad, den_grad
+
+        return num, den, grads
 
     def as_system(self, name: Optional[str] = None) -> MagneticSystem:
         lo, hi = self.rho_range
@@ -436,14 +413,7 @@ class RationalFlowBundle:
         )
 
     def as_integral(self, name: str = "F") -> FirstIntegral:
-        return FirstIntegral(
-            name=name,
-            kind="rational",
-            func=self.integral_value,
-            grad=self.integral_gradient,
-            level=self.c_energy,
-            guard=self._denominator_ok,
-        )
+        return rational_integral(name, self._parts, self.c_energy)
 
     def descriptor(self) -> dict:
         d = self.z.descriptor()

@@ -392,6 +392,10 @@ class TestErrorContract:
         (["simulate", "ex1", "--position", "0", "0", "--angle", "0", "--rel-tol", "inf"], 2),
         (["build-rational", "poly-cos", "--psi0", "nan"], 2),
         (["build-rational", "poly-cos", "--psi0", "inf"], 2),
+        (["--tol", "inf", "verify", "ex1", "--corrupt"], 2),
+        (["--tol", "nan", "verify", "ex1", "--corrupt"], 2),
+        (["--tol", "-1", "verify", "ex1", "--corrupt"], 2),
+        (["--tol", "0", "build-rational", "poly-cos"], 2),
     ]
 
     @pytest.mark.parametrize("argv, want", CASES)
@@ -403,6 +407,18 @@ class TestErrorContract:
         assert code == want, err
         if code in (2, 4):
             assert [p.name for p in tmp_path.iterdir()] == [config.name]
+
+    @pytest.mark.parametrize("value", ["Infinity", "NaN", "-1", "0"])
+    def test_bad_tol_from_config_file(self, value, tmp_path, capsys):
+        """A non-finite or non-positive tol from a config file exits 2 and
+        writes no report, as the flag does."""
+        config = tmp_path / "tol.json"
+        config.write_text('{"tol": %s}' % value)
+        code, _, err = _run(["--config", str(config), "--out-dir", str(tmp_path),
+                             "verify", "ex1", "--corrupt"], capsys)
+        assert code == 2, err
+        assert "--tol must be positive and finite" in err
+        assert [p.name for p in tmp_path.iterdir()] == [config.name]
 
     def test_perturbed_profile_fails_its_residual_check(self, tmp_path, capsys, monkeypatch):
         """Negative control for the scaled residual: a degree-6 profile with

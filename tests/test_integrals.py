@@ -7,10 +7,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from magflows import catalog, hodograph, rational
+from magflows import catalog, hodograph, integrals, rational
 from magflows.catalog import get_example, list_examples
-from magflows.cli import _corrupted
+from magflows.cli import _corrupted, main as cli_main
 from magflows.errors import DomainError, GuardError, SingularMetric
+from magflows.flow import TrajectoryConfig, conservation_drift, integrate
 from magflows.geometry import (
     ChartDomain,
     MagneticSystem,
@@ -233,6 +234,31 @@ class TestLevelSetScan:
         assert report.worst is not None and len(report.worst) == 3
         assert ex3.system.domain.contains(report.worst[0], report.worst[1])
 
+    @pytest.mark.parametrize("everywhere", [True, False], ids=["all-nan", "one-nan"])
+    def test_nan_sample_fails_the_scan(self, everywhere):
+        """A NaN bracket sample makes max_abs infinite, with the worst
+        sample at the first NaN, whether every sample is NaN or one."""
+        ex1 = get_example("ex1")
+        f = ex1.integrals[0]
+        config = BracketScanConfig(nx=4, ny=4, n_angles=4)
+        points = ex1.system.domain.grid(4, 4, margin=config.grid_margin)
+        angles = np.linspace(0.0, 2.0 * np.pi, 4, endpoint=False)
+        x_bad, y_bad = points[0] if everywhere else points[5]
+
+        def grad(state):
+            rows = np.array(f.grad(state), dtype=float)
+            if everywhere:
+                rows[:] = np.nan
+            elif (state[0], state[1]) == (x_bad, y_bad):
+                rows[:, 2] = np.nan
+            return rows
+
+        broken = FirstIntegral("F", f.kind, f.func, grad=grad)
+        report = level_set_bracket_scan(ex1.system, broken, config=config)
+        assert report.max_abs == math.inf
+        phi = angles[0] if everywhere else angles[2]
+        assert report.worst == (float(x_bad), float(y_bad), float(phi))
+
 
 def _reference_scan(system, integral, config):
     """The scan written per sample: momentum_on_level and the bracket with
@@ -331,6 +357,39 @@ def _bundle(family):
     return bundle.as_system(), bundle.as_integral()
 
 
+def _rational_case(name):
+    """System and rational integral of a catalog entry or a bundle family;
+    build it after :func:`_count_rational_parts` so that it is counted."""
+    if name in SCAN_FAMILIES:
+        return _bundle(name)
+    entry = get_example(name)
+    return entry.system, entry.integrals[0]
+
+
+def _count_rational_parts(monkeypatch):
+    """Counts of the ``parts`` and ``grads`` calls of every rational
+    integral that the catalog or a bundle builds after this call."""
+    calls = Counter()
+    make = integrals.rational_integral
+
+    def counting(name, parts, level=None):
+        def counted_parts(state):
+            calls["parts"] += 1
+            num, den, grads = parts(state)
+
+            def counted_grads():
+                calls["grads"] += 1
+                return grads()
+
+            return num, den, counted_grads
+
+        return make(name, counted_parts, level)
+
+    for module in (catalog, rational):
+        monkeypatch.setattr(module, "rational_integral", counting)
+    return calls
+
+
 def _assert_broadcasts(integral, x, y, p1, p2):
     """guard, func and grad at n momenta of one chart point give the bits
     of n calls at single phases; func and grad are asked only where the
@@ -398,25 +457,39 @@ class TestBroadcastContract:
         assert np.flatnonzero(~admitted).tolist() == [5]
 
     @pytest.mark.parametrize("n_angles", [4, 12])
-    def test_one_rational_block_per_grid_point(self, n_angles, monkeypatch):
-        """ex5's (N, D, grad N, grad D) transcription is evaluated once per
-        grid point: the guard and the gradient share it."""
-        calls = Counter()
-        make = catalog._rational_integral
-
-        def counting(name, parts, level=None):
-            def counted(state):
-                calls["parts"] += 1
-                return parts(state)
-            return make(name, counted, level)
-
-        monkeypatch.setattr(catalog, "_rational_integral", counting)
-        ex5 = get_example("ex5")
+    @pytest.mark.parametrize("name", ["ex5", "poly-cos"])
+    def test_one_rational_block_per_grid_point(self, name, n_angles, monkeypatch):
+        """A rational integral's (N, D) parts are evaluated once per grid
+        point, where the guard and the gradient share them, and its
+        gradient rows are built once per grid point: ex5's transcription
+        and a bundle alike."""
+        calls = _count_rational_parts(monkeypatch)
+        system, integral = _rational_case(name)
         config = BracketScanConfig(nx=6, ny=6, n_angles=n_angles)
-        points = len(ex5.system.domain.grid(6, 6, margin=config.grid_margin))
-        report = level_set_bracket_scan(ex5.system, ex5.integrals[0], config=config)
+        points = len(system.domain.grid(6, 6, margin=config.grid_margin))
+        report = level_set_bracket_scan(system, integral, config=config)
         assert report.count == points * n_angles
-        assert calls["parts"] == points
+        assert calls == {"parts": points, "grads": points}
+
+    @pytest.mark.parametrize("name", ["ex4", "ex5", "ex6", "poly-cos"])
+    def test_values_never_build_gradient_rows(self, name, monkeypatch, tmp_path):
+        """The guard and the value read N and D only: drift along an orbit
+        and the rows of simulate evaluate the parts once per recorded
+        state and never ask for (grad N, grad D)."""
+        calls = _count_rational_parts(monkeypatch)
+        system, integral = _rational_case(name)
+        p1, p2 = momentum_on_level(system, 1.0, 0.7, 0.8)
+        trajectory = integrate(system, (1.0, 0.7, p1, p2), TrajectoryConfig(t_end=1.0))
+        conservation_drift(system, trajectory, integral)
+        assert calls == {"parts": len(trajectory)}
+        if name in SCAN_FAMILIES:
+            return
+        calls.clear()
+        argv = ["--out-dir", str(tmp_path), "simulate", name, "--position", "1.0", "0.7",
+                "--angle", "0.8", "--t-end", "1", "--out", "trace.csv"]
+        assert cli_main(argv) == 0
+        rows = len((tmp_path / "trace.csv").read_text().splitlines()) - 1
+        assert calls == {"parts": rows}
 
     @pytest.mark.parametrize("n_angles", [4, 12])
     @pytest.mark.parametrize("family", ["poly-cos", "elliptic-half"])

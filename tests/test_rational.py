@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from magflows import specfun
 from magflows.catalog import get_example
-from magflows.errors import DegenerateD, DomainError, NearPole
+from magflows.errors import DegenerateD, DomainError, GuardError, NearPole
 from magflows.flow import TrajectoryConfig, conservation_drift, integrate, magnetic_rhs
 from magflows.geometry import hamiltonian, hamiltonian_gradient, momentum_on_level
 from magflows.rational import (
@@ -345,9 +345,9 @@ class TestBuildBundle:
 class TestBundleIntegral:
     def test_rest_momentum_value(self):
         """With zero momentum the integral reduces to tan(psi/2)."""
-        bundle = build_bundle(PolynomialCos(2))
+        integral = build_bundle(PolynomialCos(2)).as_integral()
         for psi in (0.2, 0.9, 2.0):
-            np.testing.assert_allclose(bundle.integral_value((1.3, psi, 0.0, 0.0)),
+            np.testing.assert_allclose(integral((1.3, psi, 0.0, 0.0)),
                                        math.tan(psi / 2.0), rtol=1e-12)
 
     def test_matches_catalog_at_reference_point(self):
@@ -356,14 +356,24 @@ class TestBundleIntegral:
         bundle = build_bundle(PolynomialCos(2), gamma=1.0, c_energy=1.0)
         p1, p2 = ex5.momentum_parametrization(1.0, 0.4, 1.1)
         phase = (1.0, 0.4, p1, p2)
-        np.testing.assert_allclose(bundle.integral_value(phase),
+        np.testing.assert_allclose(bundle.as_integral()(phase),
                                    ex5.integrals[0](phase), atol=1e-10)
 
     def test_near_pole_guarded(self):
-        """A denominator below the floor raises NearPole."""
-        bundle = build_bundle(PolynomialCos(2))
-        with pytest.raises(NearPole):
-            bundle.integral_value((1.0, math.pi, 0.0, 0.0))
+        """A denominator below the floor is refused: the guard rejects the
+        phase and evaluating there raises GuardError."""
+        integral = build_bundle(PolynomialCos(2)).as_integral()
+        phase = (1.0, math.pi, 0.0, 0.0)
+        assert not integral.admits(phase)
+        with pytest.raises(GuardError):
+            integral(phase)
+
+    def test_guard_outside_the_chart_raises(self):
+        """Off the family's validity interval the guard raises the jet's
+        DomainError instead of answering."""
+        integral = build_bundle(LogNu1(), rho_range=(0.05, 5.0)).as_integral()
+        with pytest.raises(DomainError):
+            integral.admits((-0.5, 0.3, 0.1, 0.2))
 
     @pytest.mark.parametrize("z", BUNDLE_SOLUTIONS, ids=lambda z: z.family)
     def test_gradient_matches_differences(self, z):
@@ -371,7 +381,7 @@ class TestBundleIntegral:
         differences."""
         rr = (0.1, 3.0) if isinstance(z, EllipticHalf) else (0.05, 5.0)
         bundle = build_bundle(z, rho_range=rr)
-        system = bundle.as_system()
+        system, integral = bundle.as_system(), bundle.as_integral()
         rng = np.random.default_rng(6)
         checked = 0
         while checked < 15:
@@ -379,12 +389,12 @@ class TestBundleIntegral:
                               rng.uniform(0.0, z.psi_period),
                               rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)])
             try:
-                if abs(bundle.integral_value(state)) > 25.0:
+                if not integral.admits(state) or abs(integral(state)) > 25.0:
                     continue
-                got = bundle.integral_gradient(state)
-            except (NearPole, DomainError):
+                got = integral.grad(state)
+            except DomainError:
                 continue
-            want = richardson_gradient(bundle.integral_value, state, 1e-6)
+            want = richardson_gradient(integral.func, state, 1e-6)
             scale = max(1.0, float(np.max(np.abs(got))))
             np.testing.assert_allclose(got / scale, want / scale, atol=1e-6)
             got = np.asarray(hamiltonian_gradient(system, state))
@@ -409,7 +419,7 @@ class TestDualPath:
         """The generic bundle equals the catalog entry at random phases."""
         entry = get_example(name)
         bundle = bundle_from_descriptor(entry.bundle_descriptor)
-        system = entry.system
+        system, bundle_integral = entry.system, bundle.as_integral()
         rng = np.random.default_rng(7)
         checked = 0
         while checked < 100:
@@ -427,7 +437,7 @@ class TestDualPath:
             integral = entry.integrals[0]
             if not integral.admits(phase):
                 continue
-            np.testing.assert_allclose(bundle.integral_value(phase),
+            np.testing.assert_allclose(bundle_integral(phase),
                                        integral(phase), rtol=1e-10, atol=1e-10)
             checked += 1
 
