@@ -94,9 +94,21 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
+def _json_value(value):
+    """The payload with each non-finite float as the string "inf", "-inf"
+    or "nan", which strict JSON can carry."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(float(value))
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item) for item in value]
+    return value
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
+        json.dumps(_json_value(payload), sort_keys=True, indent=2, allow_nan=False) + "\n",
         encoding="ascii",
         newline="\n",
     )
@@ -417,11 +429,10 @@ def cmd_build_rational(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     tol = args.tol
     lo, hi = bundle.rho_range
-    pde_max = 0.0
-    for _ in range(200):
-        rho = rng.uniform(lo, hi)
-        psi = rng.uniform(0.0, solution.psi_period)
-        pde_max = max(pde_max, abs(pde511_residual(solution, rho, psi, scaled=True)))
+    residuals = [pde511_residual(solution, rng.uniform(lo, hi), rng.uniform(0.0, solution.psi_period),
+                                 scaled=True) for _ in range(200)]
+    # np.max keeps a NaN residual, where max() would drop it
+    pde_max = float(np.max(np.abs(residuals)))
     d_min = min(
         condition_D(solution, rho, psi)
         for rho in np.linspace(lo + 1e-9, hi, 30)

@@ -16,13 +16,26 @@ four, so a stage of either stepper builds no ndarray.
 
 Two steppers are provided: the classic fixed-step fourth-order scheme and
 a Dormand-Prince embedded 4(5) pair with a proportional step controller
-(safety 0.9, growth factor clamped to [0.2, 5.0]).  Both step on lists of
-four Python floats, and every stage sum is written out left to right, so
-the bits of a trajectory depend only on IEEE double arithmetic and not on
-the BLAS kernel numpy picks at run time.  Trajectories that leave the
-chart domain stop early and carry a ``domain_exit`` flag rather than
-raising.  A :class:`Trajectory` also counts its right-hand-side
-evaluations and its rejected steps by cause.
+(safety 0.9, growth factor clamped to [0.2, 5.0]).  Both step on four
+named Python floats per stage, and every stage sum is written out left to
+right, so the bits of a trajectory depend only on IEEE double arithmetic
+and not on the BLAS kernel numpy picks at run time.
+
+Trajectories that leave the chart domain stop early and carry a
+``domain_exit`` flag rather than raising.  The fixed-step scheme stops at
+its last whole step inside the chart.  The adaptive one locates the chart
+edge: when a stage of a trial step falls outside the chart, the tangent
+line (q1, q2) + s (dq1/dt, dq2/dt) at the last accepted state is bisected
+on the chart predicate, which needs no further right-hand-side call (the
+rates at that state are stage 7 of the step that reached it).  The next
+trial step goes to 0.99 of the predicted crossing, and the run ends once
+the predicted crossing is within 1e-11 * t_end.  The last recorded state
+therefore lies inside the chart, and its time is ``exit_time``.  When the
+tangent stays inside the chart over the failed step (a singular metric
+inside the chart, or a path bending out), the step is halved instead, and
+a step below 1e-12 * t_end ends the run as a flagged exit.  A
+:class:`Trajectory` also counts its right-hand-side evaluations and its
+rejected steps by cause.
 """
 
 from __future__ import annotations
@@ -94,6 +107,13 @@ class Trajectory:
     estimate was above the tolerance (``rejected_error``), a stage or the
     end point was outside the chart (``rejected_boundary``), or the end
     state was not finite (``rejected_nonfinite``).
+
+    ``exit_time`` is None for a run that reached ``t_end``.  For one that
+    left the chart it is the time of the last recorded state, which lies
+    inside the chart: for the adaptive method within 1e-11 * t_end of the
+    crossing predicted along the tangent there (or at a step underflow,
+    where a singular metric stopped the run inside the chart), for the
+    fixed-step method at the last whole step inside.
     """
 
     times: np.ndarray
@@ -154,34 +174,58 @@ _SAFETY = 0.9
 _SHRINK_LIMIT = 0.2
 _GROWTH_LIMIT = 5.0
 _MIN_STEP_FRACTION = 1e-12
+# a run that leaves the chart ends once the predicted crossing is within
+# _EXIT_FRACTION * t_end; each step towards it goes _APPROACH of the way
+_EXIT_FRACTION = 1e-11
+_APPROACH = 0.99
 
 
 def _rk4_step(rhs, y, h):
     half = 0.5 * h
-    k1 = rhs(y)
-    k2 = rhs([v + half * a for v, a in zip(y, k1)])
-    k3 = rhs([v + half * b for v, b in zip(y, k2)])
-    k4 = rhs([v + h * c for v, c in zip(y, k3)])
+    y1, y2, y3, y4 = y
+    a1, a2, a3, a4 = rhs(y)
+    b1, b2, b3, b4 = rhs([y1 + half * a1, y2 + half * a2, y3 + half * a3, y4 + half * a4])
+    c1, c2, c3, c4 = rhs([y1 + half * b1, y2 + half * b2, y3 + half * b3, y4 + half * b4])
+    d1, d2, d3, d4 = rhs([y1 + h * c1, y2 + h * c2, y3 + h * c3, y4 + h * c4])
     sixth = h / 6.0
-    return [v + sixth * (a + 2.0 * b + 2.0 * c + d) for v, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    return [y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+            y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+            y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+            y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)]
 
 
 def _dp_step(rhs, y, h):
-    """One Dormand-Prince trial step: returns (y5, error estimate)."""
-    k1 = rhs(y)
-    k2 = rhs([v + h * (_A21 * a) for v, a in zip(y, k1)])
-    k3 = rhs([v + h * (_A31 * a + _A32 * b) for v, a, b in zip(y, k1, k2)])
-    k4 = rhs([v + h * (_A41 * a + _A42 * b + _A43 * c) for v, a, b, c in zip(y, k1, k2, k3)])
-    k5 = rhs([v + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-              for v, a, b, c, d in zip(y, k1, k2, k3, k4)])
-    k6 = rhs([v + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-              for v, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)])
-    y5 = [v + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-          for v, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)]
+    """One Dormand-Prince trial step: returns (y5, error estimate, rhs at
+    y5).  Stage j's rates are the floats named by the j-th letter."""
+    y1, y2, y3, y4 = y
+    a1, a2, a3, a4 = rhs(y)
+    b1, b2, b3, b4 = rhs([y1 + h * (_A21 * a1), y2 + h * (_A21 * a2),
+                          y3 + h * (_A21 * a3), y4 + h * (_A21 * a4)])
+    c1, c2, c3, c4 = rhs([y1 + h * (_A31 * a1 + _A32 * b1), y2 + h * (_A31 * a2 + _A32 * b2),
+                          y3 + h * (_A31 * a3 + _A32 * b3), y4 + h * (_A31 * a4 + _A32 * b4)])
+    d1, d2, d3, d4 = rhs([y1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1),
+                          y2 + h * (_A41 * a2 + _A42 * b2 + _A43 * c2),
+                          y3 + h * (_A41 * a3 + _A42 * b3 + _A43 * c3),
+                          y4 + h * (_A41 * a4 + _A42 * b4 + _A43 * c4)])
+    e1, e2, e3, e4 = rhs([y1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
+                          y2 + h * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
+                          y3 + h * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3),
+                          y4 + h * (_A51 * a4 + _A52 * b4 + _A53 * c4 + _A54 * d4)])
+    f1, f2, f3, f4 = rhs([y1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
+                          y2 + h * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
+                          y3 + h * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3 + _A65 * e3),
+                          y4 + h * (_A61 * a4 + _A62 * b4 + _A63 * c4 + _A64 * d4 + _A65 * e4)])
+    y5 = [y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * f1),
+          y2 + h * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * f2),
+          y3 + h * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * f3),
+          y4 + h * (_B1 * a4 + _B3 * c4 + _B4 * d4 + _B5 * e4 + _B6 * f4)]
     k7 = rhs(y5)
-    err = [h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
-           for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)]
-    return y5, err
+    g1, g2, g3, g4 = k7
+    err = [h * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1),
+           h * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2),
+           h * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * f3 + _E7 * g3),
+           h * (_E1 * a4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * f4 + _E7 * g4)]
+    return y5, err, k7
 
 
 def _error_norm(err, y, y_new, abs_tol, rel_tol):
@@ -190,11 +234,14 @@ def _error_norm(err, y, y_new, abs_tol, rel_tol):
     The squares are summed left to right, as numpy's mean of four values
     does; ``q * q`` overflows to inf where ``q ** 2`` would raise.
     """
-    total = 0.0
-    for e, a, b in zip(err, y, y_new):
-        q = e / (abs_tol + rel_tol * max(abs(a), abs(b)))
-        total += q * q
-    return math.sqrt(total / 4)
+    e1, e2, e3, e4 = err
+    y1, y2, y3, y4 = y
+    z1, z2, z3, z4 = y_new
+    q1 = e1 / (abs_tol + rel_tol * max(abs(y1), abs(z1)))
+    q2 = e2 / (abs_tol + rel_tol * max(abs(y2), abs(z2)))
+    q3 = e3 / (abs_tol + rel_tol * max(abs(y3), abs(z3)))
+    q4 = e4 / (abs_tol + rel_tol * max(abs(y4), abs(z4)))
+    return math.sqrt((q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4) / 4)
 
 
 class _Recorder:
@@ -242,8 +289,9 @@ def integrate(system: MagneticSystem, phase0, config: TrajectoryConfig) -> Traje
     DomainError
         If the initial point is outside the domain.
     StepFailure
-        If the adaptive controller underflows its minimum step for a
-        reason other than a domain boundary, or a state goes non-finite.
+        If the adaptive controller underflows its minimum step on the
+        error estimate or on non-finite states, or a fixed step gives a
+        non-finite state.
     """
     phase = np.asarray(phase0, dtype=float)
     if phase.shape != (4,):
@@ -259,7 +307,7 @@ def integrate(system: MagneticSystem, phase0, config: TrajectoryConfig) -> Traje
     if config.method == "fixed_rk4":
         t, y = _integrate_fixed(system, y, rhs, rec, config)
     else:
-        t, y = _integrate_adaptive(y, rhs, rec, config)
+        t, y = _integrate_adaptive(system, y, rhs, rec, config)
     return rec.build(t, y)
 
 
@@ -285,27 +333,65 @@ def _integrate_fixed(system, y, rhs, rec, config):
     return t, y
 
 
-def _integrate_adaptive(y, rhs, rec, config):
+def _tangent_exit(contains, y, f, s_out, width):
+    """Where the tangent line (q1, q2) + s (dq1, dq2) of the state y with
+    rates f leaves the chart, by bisection of ``contains`` on [0, s_out]:
+    (s_in, s_out), the line inside at s_in and outside at s_out, with
+    s_out - s_in <= width; None when the line is inside at s_out."""
+    x, q, dx, dq = y[0], y[1], f[0], f[1]
+    if contains(x + s_out * dx, q + s_out * dq):
+        return None
+    s_in = 0.0
+    while s_out - s_in > width:
+        s = 0.5 * (s_in + s_out)
+        if contains(x + s * dx, q + s * dq):
+            s_in = s
+        else:
+            s_out = s
+    return s_in, s_out
+
+
+def _integrate_adaptive(system, y, rhs, rec, config):
+    contains = system.domain.contains
     t = 0.0
     t_end = config.t_end
     h_min = _MIN_STEP_FRACTION * t_end
+    exit_tol = _EXIT_FRACTION * t_end
     h = min(1e-3 * t_end, t_end)
+    f = None  # the rates at y: stage 7 of the step that reached y
     while t < t_end * (1.0 - 1e-14):
         h = min(h, t_end - t)
         if h < h_min:
             raise StepFailure(f"step underflow at t = {t}: h = {h}")
         try:
-            y_new, err = _dp_step(rhs, y, h)
+            y_new, err, f_new = _dp_step(rhs, y, h)
         except (DomainError, SingularMetric):
-            # a stage left the chart (stage 7 is evaluated at y_new, so this
-            # covers the end point too); could be an overshoot of an open
-            # boundary: shrink and retry, give up (flagged, not raised) once
-            # the step underflows
-            h *= 0.5
+            # a stage left the chart or met a singular metric (stage 7 is
+            # evaluated at y_new, so this covers the end point too): find
+            # where the tangent at y leaves the chart and step to just
+            # inside that point, or end the run once it is close enough
             rec.rejected_boundary += 1
-            if h < h_min:
+            if f is None:
+                try:
+                    f = rhs(y)
+                except (DomainError, SingularMetric):
+                    rec.exit_time = t
+                    break
+            bracket = _tangent_exit(contains, y, f, h, 0.25 * exit_tol)
+            if bracket is None:
+                # the tangent stays inside: a singular metric inside the
+                # chart, or a path that bends out; halve, and give up
+                # (flagged, not raised) once the step underflows
+                h *= 0.5
+                if h < h_min:
+                    rec.exit_time = t
+                    break
+                continue
+            s_in, s_out = bracket
+            if s_out <= exit_tol:
                 rec.exit_time = t
                 break
+            h = _APPROACH * s_in
             continue
         if not all(map(math.isfinite, y_new)):
             h *= 0.5
@@ -317,6 +403,7 @@ def _integrate_adaptive(y, rhs, rec, config):
         if err_norm <= 1.0:
             t += h
             y = y_new
+            f = f_new
             rec.push(t, y)
             factor = _GROWTH_LIMIT if err_norm == 0.0 else _SAFETY * err_norm ** -0.2
         else:

@@ -29,6 +29,7 @@ phase.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -57,6 +58,9 @@ __all__ = [
 ]
 
 KINDS = ("linear", "quadratic", "rational", "transcendental")
+
+# the bytes of four doubles: a memo key that tells -0.0 from 0.0
+_PACK_PHASE = struct.Struct("4d").pack
 
 
 @dataclass(frozen=True)
@@ -94,7 +98,13 @@ class FirstIntegral:
         return self.guard is None or bool(self.guard(np.asarray(state, dtype=float)))
 
     def __call__(self, state) -> float:
-        return float(self.func(_guarded((self,), state)))
+        """F at one phase, read once into a list of four floats that the
+        guard and ``func`` both take; GuardError where the guard rejects it."""
+        x, y, p1, p2 = state.tolist() if isinstance(state, np.ndarray) else state
+        phase = [float(x), float(y), float(p1), float(p2)]
+        if self.guard is not None and not self.guard(phase):
+            raise GuardError(f"{self.name}: guard rejected phase {phase}")
+        return float(self.func(phase))
 
 
 @dataclass(frozen=True)
@@ -143,10 +153,10 @@ def rational_integral(name: str, parts: Callable, level: Optional[float] = None)
         # the bits of the phase; a tuple for momenta arrays, so that a
         # phase of one momentum never shares a key with an array of one
         x, y, p1, p2 = state
-        if np.ndim(p1) == 0:
-            key = np.asarray(state, dtype=float).tobytes()
-        else:
+        if isinstance(p1, np.ndarray):
             key = np.array([x, y], dtype=float).tobytes(), p1.tobytes(), p2.tobytes()
+        else:
+            key = _PACK_PHASE(x, y, p1, p2)
         if key != last[0]:
             last[:] = key, parts(state)
         return last[1]

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from magflows import rational
 from magflows.catalog import get_example, list_examples
-from magflows.cli import _corrupted, build_parser, config_actions, main
+from magflows import cli
+from magflows.cli import _check, _corrupted, _write_json, build_parser, config_actions, main
 from magflows.hodograph import HodographConstants, closed_form_abzero
 from magflows.rational import PolynomialCos, build_bundle
 
@@ -23,6 +24,15 @@ def _run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def _read_strict_json(path):
+    """A report parsed by a reader that refuses NaN and Infinity."""
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
 
 
 def _read_csv(path):
@@ -353,6 +363,15 @@ class TestBuildRational:
         assert not list(tmp_path.glob("bundle_*.json"))
         assert "wrote" not in out
 
+    def test_nan_residual_fails_its_check(self, tmp_path, capsys, monkeypatch):
+        """A NaN PDE residual is kept by the maximum, not dropped."""
+        monkeypatch.setattr(cli, "pde511_residual", lambda *args, **kwargs: math.nan)
+        code, out, _ = _run(["--out-dir", str(tmp_path), "build-rational", "poly-cos"], capsys)
+        assert code == 5
+        assert "FAIL" in out
+        check = _read_strict_json(tmp_path / "bundle_poly-cos.json")["checks"]["pde_residual_max"]
+        assert check == {"value": "nan", "threshold": 1e-10, "pass": False}
+
     def test_unknown_family(self, tmp_path, capsys):
         code, _, err = _run(
             ["--out-dir", str(tmp_path), "build-rational", "spline"], capsys)
@@ -363,6 +382,24 @@ class TestBuildRational:
         code, _, err = _run(["--out-dir", str(tmp_path), "build-rational"], capsys)
         assert code == 2
         assert "family" in err
+
+
+class TestJsonReports:
+    def test_non_finite_values_are_strict_json(self, tmp_path):
+        """inf, -inf and NaN are written as strings that a strict reader
+        accepts."""
+        payload = {"scan": _check(math.inf, 1e-6, False),
+                   "values": (-math.inf, np.float64("nan"), 0.5)}
+        _write_json(tmp_path / "report.json", payload)
+        got = _read_strict_json(tmp_path / "report.json")
+        assert got == {"scan": {"value": "inf", "threshold": 1e-6, "pass": False},
+                       "values": ["-inf", "nan", 0.5]}
+
+    def test_finite_reports_are_unchanged(self, tmp_path):
+        payload = {"b": [_check(1.25e-13, 1e-6, True), (1, 2.5)], "a": {"x": -0.0, "y": None}}
+        _write_json(tmp_path / "report.json", payload)
+        want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / "report.json").read_text() == want
 
 
 class TestErrorContract:

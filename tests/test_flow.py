@@ -1,12 +1,14 @@
 """Equations of motion, the two integrators and the drift diagnostics."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from magflows import flow
 from magflows.catalog import get_example, larmor_orbit, list_examples
@@ -224,6 +226,19 @@ class TestWorkCounts:
         assert 7 * complete + trajectory.rejected_boundary <= trajectory.rhs_evals
         assert trajectory.rhs_evals < 7 * (complete + trajectory.rejected_boundary)
 
+    def test_exit_orbit_counts(self, monkeypatch):
+        """The ex6 orbit that leaves the chart: five trial steps meet the
+        edge, each stops at stage 2, and locating the edge makes no call of
+        its own, as the rates at the last state are stage 7 of its step."""
+        calls = self._count_rhs(monkeypatch)
+        ex6 = get_example("ex6")
+        trajectory = integrate(ex6.system, (1.0, 0.6, 1.0, 0.5), TrajectoryConfig(t_end=20.0))
+        assert trajectory.domain_exit
+        counts = (trajectory.accepted, trajectory.rejected_error, trajectory.rejected_boundary,
+                  trajectory.rejected_nonfinite, trajectory.rhs_evals, len(trajectory))
+        assert counts == (702, 3, 5, 0, 4945, 703)
+        assert len(calls) == 7 * (702 + 3) + 2 * 5
+
     def test_non_finite_end_state_is_its_own_cause(self, monkeypatch):
         """An infinite rate at stage 6 of the third trial step gives an
         infinite momentum at an end point inside the chart."""
@@ -273,24 +288,19 @@ def _numpy_fixed(system, phase0, t_end, step):
 
 def _numpy_adaptive(system, phase0, t_end, rel_tol=1e-11, abs_tol=1e-12):
     """Dormand-Prince stepping on arrays with matrix-vector stage sums, and
-    the same step control: returns (final state, exit time or None)."""
+    the same step control, for an orbit that stays in its chart: returns
+    the final state."""
     rows = [np.array([float(a) for a in row]) for row in DP_ROWS]
     b5 = np.array([float(b) for b in DP_B5])
     e = np.array([float(b5 - b4) for b5, b4 in zip(DP_B5, DP_B4)])
-    y, t, h, h_min = np.asarray(phase0, dtype=float), 0.0, 1e-3 * t_end, 1e-12 * t_end
+    y, t, h = np.asarray(phase0, dtype=float), 0.0, 1e-3 * t_end
     while t < t_end * (1.0 - 1e-14):
         h = min(h, t_end - t)
-        try:
-            k = np.empty((7, 4))
-            k[0] = magnetic_rhs(system, y)
-            for i, row in enumerate(rows, start=1):
-                k[i] = magnetic_rhs(system, y + h * (row @ k[:i]))
-            y_new, err = y + h * (b5 @ k), h * (e @ k)
-        except (DomainError, SingularMetric):
-            h *= 0.5
-            if h < h_min:
-                return y, t
-            continue
+        k = np.empty((7, 4))
+        k[0] = magnetic_rhs(system, y)
+        for i, row in enumerate(rows, start=1):
+            k[i] = magnetic_rhs(system, y + h * (row @ k[:i]))
+        y_new, err = y + h * (b5 @ k), h * (e @ k)
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
         if err_norm <= 1.0:
@@ -299,7 +309,26 @@ def _numpy_adaptive(system, phase0, t_end, rel_tol=1e-11, abs_tol=1e-12):
         else:
             factor = max(0.2, 0.9 * err_norm ** -0.2)
         h *= min(5.0, max(0.2, factor))
-    return y, None
+    return y
+
+
+def _left_to_right(weights, k):
+    """sum_j w_j k_j over the nonzero weights, accumulated left to right."""
+    terms = [float(w) * kj for w, kj in zip(weights, k) if w]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _array_dp_step(rhs, y, h):
+    """One Dormand-Prince step on arrays, straight from the DP_ROWS, DP_B5
+    and DP_B4 fractions: returns (y5, error estimate, rates at y5)."""
+    k = [np.array(rhs(y))]
+    for row in DP_ROWS:
+        k.append(np.array(rhs(y + h * _left_to_right(row, k))))
+    errors = [b5 - b4 for b5, b4 in zip(DP_B5, DP_B4)]
+    return y + h * _left_to_right(DP_B5, k), h * _left_to_right(errors, k), k[-1]
 
 
 @pytest.fixture(scope="module")
@@ -352,32 +381,138 @@ class TestFloatStepping:
         want = _numpy_fixed(entry.system, entry.sample_phases[0], 1.0, 0.01)
         assert trajectory.states.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("case", ["ex1", "ex6 until t = 7.9", "ex6 leaving", "elliptic-half",
-                                      "elliptic-half leaving"])
+    @pytest.mark.parametrize("case", ["ex1", "ex6 until t = 7.9", "elliptic-half"])
     def test_adaptive_matches_the_array_reference(self, case, elliptic_half):
         """Round-off in the stage sums moves the step sizes, so an orbit
-        that ends at t_end agrees to 1e-13 relative, and one that leaves
-        the chart gives up within two minimum steps of the reference."""
+        that ends at t_end agrees to 1e-13 relative."""
         ex1, ex6 = get_example("ex1").system, get_example("ex6").system
-
-        def on_level(rho, psi, phi):
-            return (rho, psi, *momentum_on_level(elliptic_half, rho, psi, phi))
-
         system, phase0, t_end = {
             "ex1": (ex1, (0.2, -0.3, 0.8, 0.5), 10.0),
             "ex6 until t = 7.9": (ex6, (1.0, 0.6, 1.0, 0.5), 7.9),
-            "ex6 leaving": (ex6, (1.0, 0.6, 1.0, 0.5), 20.0),
-            "elliptic-half": (elliptic_half, on_level(2.0, 0.1, 1.0), 1.0),
-            "elliptic-half leaving": (elliptic_half, on_level(1.2, 0.3, 0.7), 1.0),
+            "elliptic-half": (elliptic_half, _on_level(elliptic_half, 2.0, 0.1, 1.0), 1.0),
         }[case]
         trajectory = integrate(system, phase0, TrajectoryConfig(t_end=t_end))
-        want, exit_time = _numpy_adaptive(system, phase0, t_end)
-        assert trajectory.domain_exit == (exit_time is not None) == case.endswith("leaving")
-        if exit_time is None:
-            final = trajectory.states[-1]
-            assert np.max(np.abs(final - want)) <= 1e-13 * np.max(np.abs(want))
+        want = _numpy_adaptive(system, phase0, t_end)
+        assert not trajectory.domain_exit
+        final = trajectory.states[-1]
+        assert np.max(np.abs(final - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        name=st.sampled_from(["ex1", "ex2", "ex2b", "ex3", "ex4", "ex5", "ex6"]),
+        index=st.integers(0, 2),
+        h=st.floats(1e-4, 0.2),
+    )
+    def test_dp_step_matches_the_tableau_bit_for_bit(self, name, index, h):
+        """The written-out step is the array step of the tableau's
+        fractions, each stage sum taken left to right over its nonzero
+        entries."""
+        entry = get_example(name)
+        phase = entry.sample_phases[index]
+
+        def rhs(state):
+            return magnetic_rhs(entry.system, state)
+
+        try:
+            want = _array_dp_step(rhs, np.asarray(phase, dtype=float), h)
+        except (DomainError, SingularMetric):
+            assume(False)
+        got = flow._dp_step(rhs, list(phase), h)
+        for a, b in zip(got, want):
+            assert np.array(a).tobytes() == b.tobytes()
+
+
+def _on_level(system, rho, psi, phi):
+    return (rho, psi, *momentum_on_level(system, rho, psi, phi))
+
+
+def _half_plane(x_b):
+    """ex1's uniform field on the chart x < x_b."""
+    ex1 = get_example("ex1").system
+    domain = ChartDomain(bbox=(-8.0, x_b, -8.0, 8.0), predicate=lambda x, y: x < x_b)
+    return dataclasses.replace(ex1, domain=domain, name=f"ex1 on x < {x_b}")
+
+
+def _larmor_crossing(phase0, x_b):
+    """First t > 0 with x(t) = x_b on the Larmor circle of B = 1:
+    x(t) = x0 + p1 sin t + p2 (1 - cos t), so p1 sin t - p2 cos t =
+    r sin(t - alpha) = x_b - x0 - p2."""
+    x0, _, p1, p2 = phase0
+    r, alpha = math.hypot(p1, p2), math.atan2(p2, p1)
+    arc = math.asin((x_b - x0 - p2) / r)
+    return min((alpha + arc) % (2.0 * math.pi), (alpha + math.pi - arc) % (2.0 * math.pi))
+
+
+class TestChartExit:
+    """The adaptive method ends an orbit that leaves its chart at a
+    recorded state inside the chart, next to the crossing."""
+
+    @pytest.mark.parametrize("phase0, x_b", [
+        ((0.0, 0.0, 1.0, 0.0), 0.5),
+        ((0.2, -0.3, 0.8, 0.6), 1.0),
+        ((0.0, 0.0, -0.6, 0.8), 0.9),
+    ])
+    def test_larmor_half_plane_crossing(self, phase0, x_b):
+        """The exit time is the closed-form crossing to 1e-9."""
+        system = _half_plane(x_b)
+        t_cross = _larmor_crossing(phase0, x_b)
+        np.testing.assert_allclose(larmor_orbit(phase0, t_cross)[0], x_b, rtol=1e-14)
+        trajectory = integrate(system, phase0, TrajectoryConfig(t_end=10.0))
+        assert trajectory.domain_exit
+        assert trajectory.exit_time == trajectory.times[-1]
+        assert abs(trajectory.exit_time - t_cross) <= 1e-9
+        last = trajectory.states[-1]
+        assert system.domain.contains(last[0], last[1])
+        np.testing.assert_allclose(last, larmor_orbit(phase0, trajectory.exit_time), atol=1e-10)
+
+    @pytest.mark.parametrize("case", ["ex6", "elliptic-half"])
+    def test_crossing_matches_solve_ivp(self, case, elliptic_half):
+        """On a curved chart the exit time is scipy's event location on a
+        DOP853 solution at tolerance 1e-12, to 1e-9."""
+        if case == "ex6":
+            system, phase0, t_end, edge = get_example("ex6").system, (1.0, 0.6, 1.0, 0.5), 20.0, 0.02
         else:
-            assert abs(trajectory.exit_time - exit_time) <= 2 * 1e-12 * t_end
+            system, t_end, edge = elliptic_half, 1.0, 3.0
+            phase0 = _on_level(elliptic_half, 1.2, 0.3, 0.7)
+
+        def at_edge(t, y):
+            return y[0] - edge
+
+        at_edge.terminal = True
+        solution = solve_ivp(lambda t, y: magnetic_rhs(system, y, check_domain=False),
+                             (0.0, t_end), list(phase0), method="DOP853",
+                             rtol=1e-12, atol=1e-12, events=at_edge)
+        (t_cross,) = solution.t_events[0]
+        trajectory = integrate(system, phase0, TrajectoryConfig(t_end=t_end))
+        assert trajectory.domain_exit
+        assert trajectory.exit_time == trajectory.times[-1]
+        assert abs(trajectory.exit_time - t_cross) <= 1e-9
+        assert system.domain.contains(trajectory.states[-1][0], trajectory.states[-1][1])
+
+    def test_singular_metric_inside_the_chart_is_a_flagged_exit(self):
+        """g22 = 1 - x degenerates on x = 1 in a chart without a predicate.
+        The tangent stays inside, so the step is halved, and the run ends
+        as a flagged exit once the step underflows."""
+        metric = Metric(components=lambda x, y: (1.0, 0.0, 1.0 - x),
+                        partials=lambda x, y: ((0.0, 0.0, -1.0), (0.0, 0.0, 0.0)))
+        system = MagneticSystem(metric=metric, field=lambda x, y: 0.0,
+                                domain=ChartDomain(bbox=(-2.0, 2.0, -2.0, 2.0)),
+                                energy=1.0, name="degenerate on x = 1")
+        trajectory = integrate(system, (0.0, 0.0, 1.0, 0.0), TrajectoryConfig(t_end=2.0))
+        assert trajectory.domain_exit
+        assert trajectory.exit_time == trajectory.times[-1]
+        assert 1.0 - 1e-9 < trajectory.exit_time < 1.0
+
+    def test_singular_start_is_a_flagged_exit(self):
+        """A start on a degenerate metric ends at t = 0 after one trial."""
+        metric = Metric(components=lambda x, y: (1.0, 0.0, -x),
+                        partials=lambda x, y: ((0.0, 0.0, -1.0), (0.0, 0.0, 0.0)))
+        system = MagneticSystem(metric=metric, field=lambda x, y: 0.0,
+                                domain=ChartDomain(bbox=(-2.0, 2.0, -2.0, 2.0)),
+                                energy=1.0, name="degenerate at x >= 0")
+        trajectory = integrate(system, (0.0, 0.0, 1.0, 0.0), TrajectoryConfig(t_end=1.0))
+        assert trajectory.domain_exit and trajectory.exit_time == 0.0
+        assert (trajectory.rejected_boundary, trajectory.rhs_evals, len(trajectory)) == (1, 2, 1)
 
 
 class TestConservationDrift:

@@ -84,6 +84,21 @@ class TestFirstIntegral:
         with pytest.raises(GuardError):
             integral((0.0, 0.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("name", ["ex5", "poly-cos"])
+    def test_one_phase_is_read_once(self, name, monkeypatch):
+        """An ndarray row and the same values as a list give the same bits
+        from one evaluation of the parts; the memo still tells -0.0 from
+        0.0."""
+        calls = _count_rational_parts(monkeypatch)
+        system, integral = _rational_case(name)
+        row = np.array([1.0, 0.7, *momentum_on_level(system, 1.0, 0.7, 0.8)])
+        value = integral(row)
+        assert integral(row.tolist()).hex() == value.hex()
+        assert calls == {"parts": 1}
+        integral([1.0, 0.7, row[2], 0.0])
+        integral([1.0, 0.7, row[2], -0.0])
+        assert calls == {"parts": 3}
+
     def test_bundle_pole_is_guarded(self):
         """A phase on the rational integral's pole line is rejected."""
         from magflows.rational import PolynomialCos, build_bundle
