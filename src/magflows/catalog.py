@@ -76,12 +76,13 @@ def _phases(system: MagneticSystem, points_angles) -> np.ndarray:
 _EX1_B = 1.0
 
 
-def larmor_orbit(phase0, t: float, b: float = _EX1_B) -> np.ndarray:
-    """Exact trajectory of the uniform-field flat system.
+def larmor_orbit(phase0, t: float) -> np.ndarray:
+    """Exact trajectory of ex1, the flat system with uniform field b.
 
     Momenta rotate with angular velocity -b; positions integrate them.
     Serves as the reference solution in integrator convergence checks.
     """
+    b = _EX1_B
     x0, y0, p10, p20 = (float(v) for v in phase0)
     cb, sb = math.cos(b * t), math.sin(b * t)
     p1 = p10 * cb + p20 * sb

@@ -422,7 +422,7 @@ def cmd_build_rational(args: argparse.Namespace) -> int:
         solution,
         gamma=args.gamma,
         c_energy=args.c_energy,
-        rho_range=args.rho_range or solution.default_rho_range,
+        rho_range=args.rho_range,
         check=False,
     )
 

@@ -16,15 +16,16 @@ and so Omega and the first-order system residual, come exactly from the
 Jacobian at the solution by the implicit function theorem.
 
 The module also assembles the curved quadratic-integral system in the
-transformed chart (X, Y): an explicit polynomial metric, field and
-quadratic integral, valid on the energy level {H = 1/2}.
+transformed chart (X, Y) at the constants alpha = 1, beta = 0: an explicit
+polynomial metric, field and quadratic integral, valid on the energy level
+{H = 1/2}.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -148,19 +149,18 @@ def newton_solve(
     y: float,
     guess,
     tol: float = 1e-12,
-    max_iter: int = 50,
 ) -> NewtonResult:
     """Damped Newton iteration on the algebraic system at one point.
 
     Steps are halved (up to 30 times) until the residual sup-norm
-    decreases; the returned record carries the Jacobian condition number
-    at the solution.
+    decreases; after 50 steps NoConvergence is raised.  The returned
+    record carries the Jacobian condition number at the solution.
     """
     f, g = float(guess[0]), float(guess[1])
     r = np.array(algebraic_residual(k, x, y, f, g))
     rnorm = float(np.max(np.abs(r)))
     cond = float("nan")
-    for it in range(max_iter + 1):
+    for it in range(51):
         jac = algebraic_jacobian(k, x, y, f, g)
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[1] <= 1e-14 * max(sv[0], 1.0):
@@ -186,7 +186,7 @@ def newton_solve(
                 f"line search stalled at ({x}, {y}) with residual {rnorm}"
             )
     raise NoConvergence(
-        f"no convergence after {max_iter} iterations at ({x}, {y}); "
+        f"no convergence after 50 iterations at ({x}, {y}); "
         f"residual {rnorm}"
     )
 
@@ -366,7 +366,7 @@ def magnetic_from_fg(sampler: Sampler, x: float, y: float, h: float = 1e-4) -> f
 # Curved quadratic-integral system in the transformed chart (X, Y)
 # ---------------------------------------------------------------------------
 
-# Working rectangle for the default constants alpha = 1, beta = 0,
+# Working rectangle of the curved system at alpha = 1, beta = 0,
 # determined by grid-scanning positive-definiteness of the metric and
 # |S| > 1e-6 (the integral divides by S^2); re-verified by the test suite.
 EXAMPLE3_BBOX = (3.0, 5.0, -0.72, 0.72)
@@ -376,141 +376,116 @@ _COMPLEX_STEP = 1e-20
 _COMPLEX_STEP_I = np.complex128(1j * _COMPLEX_STEP)
 
 
-def _poly_r(x, y, a, b):
-    return x * x - 8.0 * a * x + y * y + 8.0 * b * y
+def _poly_r(x, y):
+    return x * x - 8.0 * x + y * y
 
 
-def _poly_r_grad(x, y, a, b):
-    return 2.0 * x - 8.0 * a, 2.0 * y + 8.0 * b
-
-
-def _poly_s(x, y, a, b):
+def _poly_s(x, y):
     return (
         3.0 * x ** 4
-        - 44.0 * x ** 3 * a
-        + 6.0 * x * x * (y * y + 34.0 * a * a + 10.0 * y * b + 18.0 * b * b)
-        - 12.0 * x * a * (5.0 * y * y + 24.0 * a * a + 48.0 * y * b + 88.0 * b * b)
-        + (3.0 * y + 8.0 * b)
-        * (y ** 3 + 12.0 * y * y * b + 256.0 * a * a * b + 36.0 * y * (a * a + b * b))
+        - 44.0 * x ** 3
+        + 6.0 * x * x * (y * y + 34.0)
+        - 12.0 * x * (5.0 * y * y + 24.0)
+        + 3.0 * y * (y ** 3 + 36.0 * y)
     )
 
 
-def _poly_m(x, y, a, b):
+def _poly_m(x, y):
     # cross factor of the integral's quadratic part
-    return x * y - 3.0 * a * y + 3.0 * x * b - 8.0 * a * b
+    return x * y - 3.0 * y
 
 
-def _poly_w(x, y, a, b):
-    return (3.0 * x - 8.0 * a) * (x - 6.0 * a) + y * (y + 6.0 * b)
+def _poly_w(x, y):
+    return (3.0 * x - 8.0) * (x - 6.0) + y * y
 
 
-def _poly_n(x, y, a, b):
+def _poly_n(x, y):
     # also the negated magnetic coefficient
-    return (x - 6.0 * a) * (x - 2.0 * a) + (y + 2.0 * b) * (y + 6.0 * b)
+    return (x - 6.0) * (x - 2.0) + y * y
 
 
-def _poly_t1(x, y, a, b):
+def _poly_t1(x, y):
     return (
         9.0 * x ** 4
         + 10.0 * x * x * y * y
         + y ** 4
-        - 156.0 * a * x ** 3
-        - 76.0 * a * x * y * y
-        + 964.0 * x * x * a * a
-        + 132.0 * y * y * a * a
-        - 2496.0 * x * a ** 3
-        + 2304.0 * a ** 4
-        + 4.0 * y * (3.0 * y * y + (5.0 * x - 24.0 * a) * (3.0 * x - 8.0 * a)) * b
-        + 4.0 * (9.0 * y * y + (3.0 * x - 8.0 * a) ** 2) * b * b
+        - 156.0 * x ** 3
+        - 76.0 * x * y * y
+        + 964.0 * x * x
+        + 132.0 * y * y
+        - 2496.0 * x
+        + 2304.0
     )
 
 
-def _poly_t1_grad(x, y, a, b):
+def _poly_t1_grad(x, y):
     t1x = (
         36.0 * x ** 3
         + 20.0 * x * y * y
-        - 468.0 * a * x * x
-        - 76.0 * a * y * y
-        + 1928.0 * x * a * a
-        - 2496.0 * a ** 3
-        + 4.0 * y * b * (30.0 * x - 112.0 * a)
-        + 24.0 * b * b * (3.0 * x - 8.0 * a)
+        - 468.0 * x * x
+        - 76.0 * y * y
+        + 1928.0 * x
+        - 2496.0
     )
-    t1y = (
-        20.0 * x * x * y
-        + 4.0 * y ** 3
-        - 152.0 * a * x * y
-        + 264.0 * y * a * a
-        + 4.0 * b * (9.0 * y * y + (5.0 * x - 24.0 * a) * (3.0 * x - 8.0 * a))
-        + 72.0 * b * b * y
-    )
+    t1y = 20.0 * x * x * y + 4.0 * y ** 3 - 152.0 * x * y + 264.0 * y
     return t1x, t1y
 
 
-def _poly_t2(x, y, a, b):
+def _poly_t2(x, y):
     return (
         x ** 4
-        - 12.0 * x ** 3 * a
-        - 4.0 * x * a * (3.0 * y + 8.0 * b) * (5.0 * y + 24.0 * b)
-        + 2.0 * x * x * (5.0 * y * y + 18.0 * a * a + 38.0 * y * b + 66.0 * b * b)
-        + (3.0 * y + 8.0 * b) ** 2 * (4.0 * a * a + (y + 6.0 * b) ** 2)
+        - 12.0 * x ** 3
+        - 4.0 * x * (3.0 * y) * (5.0 * y)
+        + 2.0 * x * x * (5.0 * y * y + 18.0)
+        + (3.0 * y) ** 2 * (4.0 + y ** 2)
     )
 
 
-def _poly_t2_grad(x, y, a, b):
+def _poly_t2_grad(x, y):
     t2x = (
         4.0 * x ** 3
-        - 36.0 * x * x * a
-        - 4.0 * a * (3.0 * y + 8.0 * b) * (5.0 * y + 24.0 * b)
-        + 4.0 * x * (5.0 * y * y + 18.0 * a * a + 38.0 * y * b + 66.0 * b * b)
+        - 36.0 * x * x
+        - 4.0 * (3.0 * y) * (5.0 * y)
+        + 4.0 * x * (5.0 * y * y + 18.0)
     )
     t2y = (
-        -4.0 * x * a * (30.0 * y + 112.0 * b)
-        + 2.0 * x * x * (10.0 * y + 38.0 * b)
-        + 6.0 * (3.0 * y + 8.0 * b) * (4.0 * a * a + (y + 6.0 * b) ** 2)
-        + 2.0 * (3.0 * y + 8.0 * b) ** 2 * (y + 6.0 * b)
+        -4.0 * x * (30.0 * y)
+        + 2.0 * x * x * (10.0 * y)
+        + 6.0 * (3.0 * y) * (4.0 + y ** 2)
+        + 2.0 * (3.0 * y) ** 2 * y
     )
     return t2x, t2y
 
 
-def example3_system(
-    alpha: float = 1.0,
-    beta: float = 0.0,
-    bbox: Optional[tuple] = None,
-    s_floor: float = 1e-6,
-) -> tuple[MagneticSystem, FirstIntegral]:
-    """The curved chart system with its quadratic integral on {H = 1/2}.
+def example3_system() -> tuple[MagneticSystem, FirstIntegral]:
+    """The curved chart system with its quadratic integral on {H = 1/2},
+    at the hodograph constants alpha = 1, beta = 0.
 
     The metric and integral are polynomial in the chart point; the metric
     carries hand-differentiated analytic partials and the integral a
-    complex-step gradient of its own formula.  With the default
-    constants (alpha = 1, beta = 0) the metric is positive definite on a
-    neighborhood of (4, 0); the shipped bounding box is the empirically
-    verified rectangle.  At alpha = beta = 0 the metric is nowhere
-    positive definite and no working domain exists.
+    complex-step gradient of its own formula.  The metric is positive
+    definite on a neighborhood of (4, 0); the working domain is
+    ``EXAMPLE3_BBOX`` less the points where |S| <= 1e-6.
     """
-    a, b = float(alpha), float(beta)
-    if bbox is None:
-        bbox = EXAMPLE3_BBOX
 
     def components(x, y):
-        r = _poly_r(x, y, a, b)
-        g11 = -0.5 * r * _poly_t1(x, y, a, b)
-        g12 = -4.0 * r * _poly_m(x, y, a, b) * _poly_n(x, y, a, b)
-        g22 = -0.5 * r * _poly_t2(x, y, a, b)
+        r = _poly_r(x, y)
+        g11 = -0.5 * r * _poly_t1(x, y)
+        g12 = -4.0 * r * _poly_m(x, y) * _poly_n(x, y)
+        g22 = -0.5 * r * _poly_t2(x, y)
         return g11, g12, g22
 
     def dg(x, y):
-        r = _poly_r(x, y, a, b)
-        rx, ry = _poly_r_grad(x, y, a, b)
-        t1 = _poly_t1(x, y, a, b)
-        t1x, t1y = _poly_t1_grad(x, y, a, b)
-        t2 = _poly_t2(x, y, a, b)
-        t2x, t2y = _poly_t2_grad(x, y, a, b)
-        m = _poly_m(x, y, a, b)
-        mx, my = y + 3.0 * b, x - 3.0 * a
-        n = _poly_n(x, y, a, b)
-        nx, ny = 2.0 * x - 8.0 * a, 2.0 * y + 8.0 * b
+        r = _poly_r(x, y)
+        # R and N differ by a constant, so they share one gradient
+        rx, ry = nx, ny = 2.0 * x - 8.0, 2.0 * y
+        t1 = _poly_t1(x, y)
+        t1x, t1y = _poly_t1_grad(x, y)
+        t2 = _poly_t2(x, y)
+        t2x, t2y = _poly_t2_grad(x, y)
+        m = _poly_m(x, y)
+        mx, my = y, x - 3.0
+        n = _poly_n(x, y)
         dg11x = -0.5 * (rx * t1 + r * t1x)
         dg11y = -0.5 * (ry * t1 + r * t1y)
         dg12x = -4.0 * (rx * m * n + r * mx * n + r * m * nx)
@@ -523,20 +498,20 @@ def example3_system(
         g11, g12, g22 = components(x, y)
         return g11 > 0.0 and g11 * g22 - g12 * g12 > 0.0
 
-    x0, x1, y0, y1 = bbox
+    x0, x1, y0, y1 = EXAMPLE3_BBOX
 
     def predicate(x, y):
         if not (x0 <= x <= x1 and y0 <= y <= y1):
             return False
-        if abs(_poly_s(x, y, a, b)) <= s_floor:
+        if abs(_poly_s(x, y)) <= 1e-6:
             return False
         return positive_definite(x, y)
 
     metric = Metric(components=components, partials=dg)
     system = MagneticSystem(
         metric=metric,
-        field=lambda x, y: -_poly_n(x, y, a, b),
-        domain=ChartDomain(bbox=bbox, predicate=predicate),
+        field=lambda x, y: -_poly_n(x, y),
+        domain=ChartDomain(bbox=EXAMPLE3_BBOX, predicate=predicate),
         energy=1.0,
         name="quadratic-hodograph chart",
         coords=("X", "Y"),
@@ -544,22 +519,15 @@ def example3_system(
 
     def func(state):
         x, y, p1, p2 = state
-        s = _poly_s(x, y, a, b)
-        m = _poly_m(x, y, a, b)
-        w = _poly_w(x, y, a, b)
+        s = _poly_s(x, y)
+        m = _poly_m(x, y)
+        w = _poly_w(x, y)
         a11 = 16.0 * m * m
         a22 = 4.0 * w * w
         a12 = -16.0 * m * w
-        b1 = 2.0 * s * (
-            -16.0 * x * a * b
-            + x * x * (y + 6.0 * b)
-            - y * (y + 6.0 * b) * (3.0 * y + 8.0 * b)
-        )
-        b2 = s * (
-            -2.0 * (x - 6.0 * a) * (3.0 * x * x - y * y - 8.0 * x * a)
-            - 32.0 * y * a * b
-        )
-        cc = s * s * (x * x + y * y - 4.0 * x * a + 12.0 * y * b)
+        b1 = 2.0 * s * (x * x * y - y * y * (3.0 * y))
+        b2 = s * (-2.0 * (x - 6.0) * (3.0 * x * x - y * y - 8.0 * x))
+        cc = s * s * (x * x + y * y - 4.0 * x)
         return (
             a11 * p1 * p1 + a12 * p1 * p2 + a22 * p2 * p2 + b1 * p1 + b2 * p2 + cc
         ) / (s * s)
@@ -578,7 +546,7 @@ def example3_system(
         return rows if np.ndim(p1) else rows[:, 0]
 
     def guard(state):
-        s = _poly_s(state[0], state[1], a, b)
+        s = _poly_s(state[0], state[1])
         return s * s >= 1e-8
 
     integral = FirstIntegral(

@@ -211,7 +211,7 @@ def solution_from_descriptor(entry: dict) -> ZSolution:
     if not isinstance(entry, dict):
         raise ValueError("solution descriptor must be an object")
     family = entry.get("family")
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
     params = entry.get("parameters", {})
     if not isinstance(params, dict):
@@ -237,13 +237,19 @@ def pde511_residual(z: ZSolution, rho: float, psi: float, scaled: bool = False) 
     return residual
 
 
+def _discriminant(rho: float, jet: tuple) -> tuple[float, float]:
+    """(D, t) from a jet of Z, with t = Z_rp - Z_p / rho and
+    D = rho (rho + 1) Z_rr^2 + t^2."""
+    _, _, z_p, z_rr, z_rp = jet[:5]
+    t = z_rp - z_p / rho
+    return rho * (rho + 1.0) * z_rr * z_rr + t * t, t
+
+
 def condition_D(z: ZSolution, rho: float, psi: float) -> float:
     """Discriminant whose zeros must be excluded from a working domain."""
     if rho == 0.0:
         raise DomainError("the discriminant is undefined at rho = 0")
-    _, _, z_p, z_rr, z_rp, _ = z.jet(rho, psi)[:6]
-    t = z_rp - z_p / rho
-    return rho * (rho + 1.0) * z_rr * z_rr + t * t
+    return _discriminant(rho, z.jet(rho, psi))[0]
 
 
 @dataclass(frozen=True)
@@ -255,9 +261,9 @@ class RationalFlowBundle:
     """
 
     z: ZSolution
-    gamma: float = 1.0
-    c_energy: float = 1.0
-    rho_range: tuple = (0.05, 5.0)
+    gamma: float
+    c_energy: float
+    rho_range: tuple
     _last_jet: list = field(default_factory=lambda: [None, None], init=False,
                             repr=False, compare=False)
 
@@ -329,8 +335,7 @@ class RationalFlowBundle:
         b0 = rho * z_rp * c - z_pp * s - rho * z_r * s - z_p * c
         a1 = -rho * z_rr * s - z_rp * c + (z_p / rho) * c
         b1 = -rho * z_rr * c + z_rp * s - (z_p / rho) * s
-        t = z_rp - z_p / rho
-        d = rho * (rho + 1.0) * z_rr * z_rr + t * t
+        d, t = _discriminant(rho, jet)
         return c, s, jet, (a0, a1, b0, b1, d, t)
 
     def integral_coefficients(self, rho, psi):
@@ -393,7 +398,7 @@ class RationalFlowBundle:
 
         return num, den, grads
 
-    def as_system(self, name: Optional[str] = None) -> MagneticSystem:
+    def as_system(self) -> MagneticSystem:
         lo, hi = self.rho_range
         vlo, vhi = self.z.valid_rho
 
@@ -408,12 +413,12 @@ class RationalFlowBundle:
             local=self.local_geometry,
             domain=domain,
             energy=self.c_energy,
-            name=name or f"rational flow ({self.z.family})",
+            name=f"rational flow ({self.z.family})",
             coords=("rho", "psi"),
         )
 
-    def as_integral(self, name: str = "F") -> FirstIntegral:
-        return rational_integral(name, self._parts, self.c_energy)
+    def as_integral(self) -> FirstIntegral:
+        return rational_integral("F", self._parts, self.c_energy)
 
     def descriptor(self) -> dict:
         d = self.z.descriptor()
@@ -432,15 +437,15 @@ def build_bundle(
     z: ZSolution,
     gamma: float = 1.0,
     c_energy: float = 1.0,
-    rho_range: tuple = (0.05, 5.0),
+    rho_range: Optional[tuple] = None,
     check: bool = True,
-    grid: tuple = (13, 24),
 ) -> RationalFlowBundle:
     """Assemble a bundle, screening the working annulus for degeneracies.
 
-    The screen evaluates the generating-equation residual relative to its
+    Without ``rho_range`` the family's ``default_rho_range`` is used.  The
+    screen evaluates the generating-equation residual relative to its
     terms (sanity, the families are exact) and the discriminant on a
-    coarse grid; any |D| < 1e-10 raises DegenerateD, since the metric and
+    13 x 24 grid; any |D| < 1e-10 raises DegenerateD, since the metric and
     the integral both collapse where D vanishes.  A non-finite or zero
     gamma (the metric scales with gamma^2) or a non-finite or non-positive
     ``c_energy`` raises DomainError.
@@ -450,6 +455,8 @@ def build_bundle(
         raise DomainError(f"gamma must be finite and non-zero, got {gamma}")
     if not (math.isfinite(c_energy) and c_energy > 0.0):
         raise DomainError(f"energy constant must be positive and finite, got {c_energy}")
+    if rho_range is None:
+        rho_range = z.default_rho_range
     lo, hi = float(rho_range[0]), float(rho_range[1])
     if not (lo < hi):
         raise DomainError(f"empty rho range ({lo}, {hi})")
@@ -465,9 +472,8 @@ def build_bundle(
         z=z, gamma=gamma, c_energy=c_energy, rho_range=(lo, hi)
     )
     if check:
-        n_r, n_p = grid
-        for rho in np.linspace(lo, hi, n_r):
-            for psi in np.linspace(0.0, z.psi_period, n_p, endpoint=False):
+        for rho in np.linspace(lo, hi, 13):
+            for psi in np.linspace(0.0, z.psi_period, 24, endpoint=False):
                 res = pde511_residual(z, float(rho), float(psi), scaled=True)
                 if abs(res) > 1e-8:
                     raise DomainError(
@@ -491,9 +497,9 @@ def bundle_from_descriptor(entry: dict) -> RationalFlowBundle:
     try:
         gamma = float(entry.get("gamma", 1.0))
         c_energy = float(entry.get("c_energy", 1.0))
-        rho_range = entry.get("rho_range", [0.05, 5.0])
+        rho_range = entry.get("rho_range", z.default_rho_range)
         lo, hi = float(rho_range[0]), float(rho_range[1])
-    except (TypeError, ValueError, IndexError):
+    except (TypeError, ValueError, LookupError):
         raise ValueError("bundle descriptor has malformed numeric fields") from None
     try:
         return build_bundle(z, gamma=gamma, c_energy=c_energy, rho_range=(lo, hi))

@@ -78,7 +78,7 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     PoleInC
         If c is in {0, -1, -2, ...}.
     SeriesDivergence
-        If |z| >= 1 in the non-polynomial case, or 500 terms did not
+        If |z| >= 1 in the non-polynomial case, or 4000 terms did not
         reach the stopping criterion.
     """
     if _nonpositive_integer(c):
@@ -133,7 +133,7 @@ def terminating_2f1_coeffs(k: int) -> list[float]:
         If k > 60 (documented limit; the coefficients grow roughly
         like 4^k).
     """
-    if int(k) != k or k < 1:
+    if not (math.isfinite(k) and k >= 1 and int(k) == k):
         raise DomainError(f"polynomial degree must be a positive integer, got {k}")
     k = int(k)
     if k > 60:

@@ -62,10 +62,20 @@ class TestList:
         assert len(lines) == 9
         assert lines[-1].startswith("bundle:poly-cos")
 
-    def test_malformed_bundle_rejected(self, tmp_path, capsys):
-        """A broken descriptor file exits with the config code."""
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"family": "nope"}', id="unknown-family"),
+        pytest.param('{"family": ["poly-cos"]}', id="family-list"),
+        pytest.param('{"family": "poly-cos", "parameters": {"k": Infinity}}', id="infinite-k"),
+        pytest.param('{"family": "poly-cos", "parameters": {"k": 2}, "rho_range": {}}',
+                     id="rho-range-object"),
+        pytest.param('{"family": "poly-cos", "parameters": {"k": 2}, "rho_range": [1]}',
+                     id="rho-range-short"),
+    ])
+    def test_malformed_bundle_rejected(self, text, tmp_path, capsys):
+        """A broken descriptor file exits with the config code and a
+        message, not an exception."""
         path = tmp_path / "bad.json"
-        path.write_text("{\"family\": \"nope\"}")
+        path.write_text(text)
         code, _, err = _run(["list", "--bundle", str(path)], capsys)
         assert code == 2
         assert "rejected" in err

@@ -476,6 +476,15 @@ class TestDescriptors:
         np.testing.assert_allclose(clone.metric_components(rho, 0.5),
                                    bundle.metric_components(rho, 0.5), rtol=1e-15)
 
+    @pytest.mark.parametrize("z", [PolynomialCos(2), LogRadial(), LogNu1(), EllipticHalf()],
+                             ids=lambda z: z.family)
+    def test_default_rho_range(self, z):
+        """Without a rho range, a bundle built directly or from a
+        descriptor works on its family's default range."""
+        assert build_bundle(z).rho_range == z.default_rho_range
+        bundle = bundle_from_descriptor(z.descriptor())
+        assert bundle.rho_range == z.default_rho_range
+
     def test_solution_descriptor_roundtrip(self):
         """Family descriptors rebuild the same solution values."""
         for z in ALL_SOLUTIONS:
