@@ -20,6 +20,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -83,14 +84,11 @@ EXIT_CODES = (
 )
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    """One line per row, each cell ``%.17g``: the bytes of
+    ``format(float(v), ".17g")``."""
+    line = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header), *(line % tuple(row) for row in rows)]
     path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
@@ -171,8 +169,6 @@ def _describe(action: argparse.Action) -> str:
 def _load_config(path, actions: dict) -> dict:
     """Read a config file and check it against ``actions``; numbers are
     converted with the option's type, as the parser converts flags."""
-    if path is None:
-        return {}
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -258,12 +254,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     header = ["t", "q1", "q2", "p1", "p2", "H"] + [f.name for f in entry.integrals]
     rows = []
-    for t, state in zip(trajectory.times, trajectory.states):
-        values = state.tolist()
+    for t, values in zip(trajectory.times.tolist(), trajectory.states.tolist()):
         row = [t, *values, hamiltonian(entry.system, values, check_domain=False)]
         for integral in entry.integrals:
             try:
-                row.append(integral(state))
+                row.append(integral(values))
             except GuardError:
                 row.append(float("nan"))
         rows.append(row)
@@ -389,6 +384,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_hodograph(args: argparse.Namespace) -> int:
+    """Solve the field system on the grid and write one CSV row per point.
+
+    ``Lambda`` is the conformal factor as written by ``reconstruct_fields``;
+    its sign is not changed.  {H = 1/2} of Lambda (dx^2 + dy^2) has real
+    points only where Lambda > 0, which holds exactly on the disc
+    (f - 8 alpha/zeta)^2 + (g + 8 beta/zeta)^2 < 64 (alpha^2 + beta^2)/zeta^2
+    for zeta > 0 (and for any zeta != 0).  The disc is empty at
+    alpha = beta = 0, so the default grid describes no real flow.
+    """
     constants = HodographConstants(
         args.alpha, args.beta, args.gamma, args.delta, args.epsilon, args.zeta
     )
@@ -524,6 +528,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every call to :func:`main` in this process, built on
+    first use; nothing writes to it after that."""
+    return build_parser()
+
+
 _DISPATCH = {
     "list": cmd_list,
     "simulate": cmd_simulate,
@@ -542,13 +553,14 @@ _EXPONENT_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 def main(argv=None) -> int:
     argv = [np.format_float_positional(float(a), trim="-") if _EXPONENT_NEGATIVE.fullmatch(a)
             else a for a in (sys.argv[1:] if argv is None else argv)]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
-        actions = config_actions(parser, args.command)
-        config = _load_config(args.config, actions)
-        if config:  # config values become defaults, so explicit flags still win
-            for key, value in config.items():
+        if args.config is not None:
+            # config values become the defaults of a private parser, so
+            # explicit flags still win and the shared parser never changes
+            parser = build_parser()
+            actions = config_actions(parser, args.command)
+            for key, value in _load_config(args.config, actions).items():
                 actions[key].default = value
             args = parser.parse_args(argv)
         if not (math.isfinite(args.tol) and args.tol > 0.0):

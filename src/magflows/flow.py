@@ -418,26 +418,26 @@ def conservation_drift(
 ) -> ConservationReport:
     """Evaluate ``scalar`` at every recorded state and report its drift.
 
-    ``scalar`` takes a length-4 phase vector.  A raised exception or a
-    non-finite value anywhere along the trajectory becomes
-    :class:`EvaluationError`.
+    ``scalar`` receives each state as a list of four floats (x, y, p1, p2).
+    A raised exception or a non-finite value anywhere along the trajectory
+    becomes :class:`EvaluationError`.
     """
-    values = np.empty(len(trajectory))
-    for i, state in enumerate(trajectory.states):
+    values = []
+    for i, state in enumerate(trajectory.states.tolist()):
         try:
             v = float(scalar(state))
         except Exception as exc:
             raise EvaluationError(
                 f"scalar undefined at t = {trajectory.times[i]}: {exc}"
             ) from exc
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise EvaluationError(
                 f"scalar non-finite at t = {trajectory.times[i]}"
             )
-        values[i] = v
-    drift = values - values[0]
+        values.append(v)
+    drift = np.array(values) - values[0]
     return ConservationReport(
-        initial_value=float(values[0]),
+        initial_value=values[0],
         max_abs_drift=float(np.max(np.abs(drift))),
         drift_series=drift,
     )

@@ -448,7 +448,9 @@ def build_bundle(
     13 x 24 grid; any |D| < 1e-10 raises DegenerateD, since the metric and
     the integral both collapse where D vanishes.  A non-finite or zero
     gamma (the metric scales with gamma^2) or a non-finite or non-positive
-    ``c_energy`` raises DomainError.
+    ``c_energy`` raises DomainError, as does a range at whose ends the
+    radial profile's jet is not finite (a tiny or huge rho), with or
+    without ``check``.
     """
     gamma, c_energy = float(gamma), float(c_energy)
     if not (math.isfinite(gamma) and gamma != 0.0):
@@ -468,6 +470,14 @@ def build_bundle(
         )
     if lo <= 0.0 <= hi:
         raise DomainError("the working rho range must exclude 0")
+    for rho in (lo, hi):  # the closed forms fail at extreme rho, not in between
+        try:
+            finite = all(map(math.isfinite, z.jet(rho, 0.0)))
+        except ArithmeticError:  # rho * rho underflows to 0, rho ** 3 overflows
+            finite = False
+        if not finite:
+            raise DomainError(f"the profile of family {z.family!r} does not evaluate "
+                              f"to finite numbers at rho = {rho}")
     bundle = RationalFlowBundle(
         z=z, gamma=gamma, c_energy=c_energy, rho_range=(lo, hi)
     )

@@ -70,6 +70,7 @@ class TestList:
                      id="rho-range-object"),
         pytest.param('{"family": "poly-cos", "parameters": {"k": 2}, "rho_range": [1]}',
                      id="rho-range-short"),
+        pytest.param('{"family": "log-nu1", "rho_range": [1e-300, 1]}', id="tiny-rho"),
     ])
     def test_malformed_bundle_rejected(self, text, tmp_path, capsys):
         """A broken descriptor file exits with the config code and a
@@ -382,6 +383,19 @@ class TestBuildRational:
         check = _read_strict_json(tmp_path / "bundle_poly-cos.json")["checks"]["pde_residual_max"]
         assert check == {"value": "nan", "threshold": 1e-10, "pass": False}
 
+    @pytest.mark.parametrize("family, lo, hi", [
+        ("log-nu1", "1e-300", "1"), ("log-nu1", "1", "1e300"), ("poly-cos", "1", "1e300"),
+        ("log-radial", "1", "1e300"), ("elliptic-half", "1", "1e200"),
+    ])
+    def test_range_beyond_the_closed_form_exit_2(self, family, lo, hi, tmp_path, capsys):
+        """A rho range at whose end the profile underflows or overflows
+        exits 2 with a one-line message and writes no report."""
+        code, out, err = _run(["--out-dir", str(tmp_path), "build-rational", family,
+                               "--rho-range", lo, hi], capsys)
+        assert code == 2
+        assert err.count("\n") == 1 and "does not evaluate to finite numbers" in err
+        assert "wrote" not in out and not list(tmp_path.iterdir())
+
     def test_unknown_family(self, tmp_path, capsys):
         code, _, err = _run(
             ["--out-dir", str(tmp_path), "build-rational", "spline"], capsys)
@@ -392,6 +406,50 @@ class TestBuildRational:
         code, _, err = _run(["--out-dir", str(tmp_path), "build-rational"], capsys)
         assert code == 2
         assert "family" in err
+
+
+class TestSharedParser:
+    ARGV = ["simulate", "ex1", "--phase", "0", "0", "1", "0", "--out", "trace.csv"]
+
+    def _trace(self, out_dir, capsys, config=None):
+        head = [] if config is None else ["--config", str(config)]
+        code, _, err = _run(head + ["--out-dir", str(out_dir)] + self.ARGV, capsys)
+        return code, err, (out_dir / "trace.csv").read_bytes() if code == 0 else None
+
+    @staticmethod
+    def _defaults(parser):
+        return {dest: action.default for dest, action in config_actions(parser, "simulate").items()}
+
+    def test_config_runs_leave_the_next_call_on_the_defaults(self, tmp_path, capsys):
+        """A config that sets t_end, then one that exits 2 on a bad tol,
+        leave the shared parser as built: the next plain run writes the
+        bytes of a run with the defaults."""
+        cli._shared_parser.cache_clear()
+        _, _, want = self._trace(tmp_path / "fresh", capsys)
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps({"t_end": 1.0}))
+        code, _, short = self._trace(tmp_path / "config", capsys, config)
+        assert code == 0 and short != want
+        assert self._trace(tmp_path / "after", capsys)[2] == want
+        config.write_text(json.dumps({"t_end": 1.0, "tol": -1.0}))
+        code, err, _ = self._trace(tmp_path / "bad", capsys, config)
+        assert code == 2 and "--tol must be positive and finite" in err
+        assert self._trace(tmp_path / "after_bad", capsys)[2] == want
+        assert self._defaults(cli._shared_parser()) == self._defaults(build_parser())
+
+
+class TestWriteCsv:
+    def test_cells_are_format_17g(self, tmp_path):
+        """Each cell is format(float(v), ".17g"), non-finite values,
+        signed zero, subnormals, numpy scalars and ints included."""
+        row = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1,
+               np.float64(1.0 / 3.0), 7]
+        header = [f"c{i}" for i in range(len(row))]
+        cli._write_csv(tmp_path / "row.csv", header, [row, row[::-1]])
+        lines = (tmp_path / "row.csv").read_bytes().decode("ascii").split("\n")
+        assert lines[0] == ",".join(header) and lines[3] == ""
+        assert lines[1].split(",") == [format(float(v), ".17g") for v in row]
+        assert lines[2].split(",") == [format(float(v), ".17g") for v in row[::-1]]
 
 
 class TestJsonReports:

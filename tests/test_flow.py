@@ -549,6 +549,19 @@ class TestConservationDrift:
         report = conservation_drift(ex1.system, trajectory, ex1.integrals[0])
         np.testing.assert_allclose(report.initial_value, math.cos(1.0), rtol=1e-12)
 
+    def test_series_matches_the_scalar_on_each_row(self):
+        """The drift of ex5's H and F, evaluated on the states as lists of
+        floats, is bit-identical to the scalar on each ndarray row."""
+        ex5 = get_example("ex5")
+        trajectory = integrate(ex5.system, ex5.sample_phases[0], TrajectoryConfig(t_end=2.0))
+        for scalar in (lambda s: hamiltonian(ex5.system, s, check_domain=False),
+                       ex5.integrals[0]):
+            report = conservation_drift(ex5.system, trajectory, scalar)
+            values = np.array([float(scalar(row)) for row in trajectory.states])
+            assert report.drift_series.tobytes() == (values - values[0]).tobytes()
+            assert report.initial_value == values[0]
+            assert report.max_abs_drift == float(np.max(np.abs(values - values[0])))
+
     def test_broken_scalar_wrapped(self):
         """A scalar that raises becomes EvaluationError, not a crash."""
         ex1 = get_example("ex1")
