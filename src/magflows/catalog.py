@@ -54,12 +54,6 @@ class CatalogEntry:
     independent_count: Optional[int] = None
     bundle_descriptor: Optional[dict] = field(default=None)
 
-    def integral_named(self, name: str) -> FirstIntegral:
-        for f in self.integrals:
-            if f.name == name:
-                return f
-        raise UnknownExample(f"{self.name} has no integral named {name!r}")
-
 
 def _phases(system: MagneticSystem, points_angles) -> np.ndarray:
     rows = []

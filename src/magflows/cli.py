@@ -48,10 +48,10 @@ from .integrals import (
     level_set_bracket_scan,
 )
 from .rational import (
+    SCREEN_BOUND,
     build_bundle,
     bundle_from_descriptor,
-    condition_D,
-    pde511_residual,
+    profile_screen,
     solution_from_descriptor,
 )
 
@@ -429,19 +429,8 @@ def cmd_build_rational(args: argparse.Namespace) -> int:
         rho_range=args.rho_range,
         check=False,
     )
-
-    rng = np.random.default_rng(args.seed)
     tol = args.tol
-    lo, hi = bundle.rho_range
-    residuals = [pde511_residual(solution, rng.uniform(lo, hi), rng.uniform(0.0, solution.psi_period),
-                                 scaled=True) for _ in range(200)]
-    # np.max keeps a NaN residual, where max() would drop it
-    pde_max = float(np.max(np.abs(residuals)))
-    d_min = min(
-        condition_D(solution, rho, psi)
-        for rho in np.linspace(lo + 1e-9, hi, 30)
-        for psi in np.linspace(0.0, solution.psi_period, 30)
-    )
+    pde_max, d_min = profile_screen(solution, *bundle.rho_range)
     try:
         scan = level_set_bracket_scan(bundle.as_system(), bundle.as_integral())
         scan_check = _check(scan.max_abs, tol, scan.max_abs <= tol)
@@ -449,8 +438,8 @@ def cmd_build_rational(args: argparse.Namespace) -> int:
         scan_check = {**_check(None, tol, False), "error": str(exc)}
 
     checks = {
-        "pde_residual_max": _check(pde_max, 1e-10, pde_max <= 1e-10),
-        "d_min": _check(d_min, 1e-10, d_min > 1e-10),
+        "pde_residual_max": _check(pde_max, SCREEN_BOUND, pde_max <= SCREEN_BOUND),
+        "d_min": _check(d_min, SCREEN_BOUND, d_min >= SCREEN_BOUND),
         "bracket_scan_max": scan_check,
     }
     all_pass = all(c["pass"] for c in checks.values())

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -56,7 +56,6 @@ __all__ = [
     "magnetic_rhs",
     "integrate",
     "conservation_drift",
-    "convergence_order",
 ]
 
 
@@ -441,35 +440,3 @@ def conservation_drift(
         max_abs_drift=float(np.max(np.abs(drift))),
         drift_series=drift,
     )
-
-
-def convergence_order(
-    system: MagneticSystem,
-    phase0,
-    scalar: Callable,
-    steps: Sequence[float],
-    t_end: float = 10.0,
-) -> float:
-    """Observed order of fixed-step drift decay for a conserved scalar.
-
-    Integrates with the fixed-step scheme at each step size, measures the
-    maximum drift of ``scalar`` and returns the least-squares slope of
-    log(drift) against log(step).  Returns ``nan`` when the regression is
-    degenerate: a drift at the round-off floor (an exactly conserved
-    scalar) carries no order information.
-    """
-    steps = list(steps)
-    if len(steps) < 3:
-        raise ValueError("need at least 3 step sizes")
-    drifts = []
-    for h in steps:
-        config = TrajectoryConfig(t_end=t_end, method="fixed_rk4", step=float(h))
-        traj = integrate(system, phase0, config)
-        if traj.domain_exit:
-            raise StepFailure(f"orbit left the domain at step size {h}")
-        drifts.append(conservation_drift(system, traj, scalar).max_abs_drift)
-    drifts = np.asarray(drifts)
-    if np.any(drifts < 1e-14):
-        return float("nan")
-    slope = np.polyfit(np.log(np.asarray(steps, dtype=float)), np.log(drifts), 1)[0]
-    return float(slope)

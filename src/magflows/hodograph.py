@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,6 @@ __all__ = [
     "solve_fields",
     "reconstruct_fields",
     "closed_form_abzero",
-    "pde41_residual_fd",
-    "magnetic_from_fg",
     "example3_system",
     "EXAMPLE3_BBOX",
 ]
@@ -320,46 +318,6 @@ def solve_fields(k: HodographConstants, x: float, y: float):
     du = np.array([[-f + a8, -g - b8], [a8, b8], [1.0, 0.0], [0.0, 1.0]]) @ d
     a, b = _system_matrices(lam, f, g)
     return FieldPoint(f, g, lam, u0), 0.25 * (d[1, 0] - d[0, 1]), a @ du[:, 0] + b @ du[:, 1]
-
-
-Sampler = Callable[[float, float], FieldPoint]
-
-
-def _uvec(pt: FieldPoint) -> np.ndarray:
-    return np.array([pt.lam, pt.u0, pt.f, pt.g])
-
-
-def pde41_residual_fd(sampler: Sampler, x: float, y: float, h: float = 1e-4) -> np.ndarray:
-    """Residual of the governing first-order system at one point.
-
-    ``sampler`` maps a chart point to a FieldPoint; derivatives of
-    U = (Lambda, u0, f, g) are O(h^2) central differences, so on an exact
-    solution the residual decreases as h^2.
-    """
-    if not h > 0.0:
-        raise ValueError(f"difference step must be positive, got {h}")
-    u0 = _uvec(sampler(x, y))
-    ux = (_uvec(sampler(x + h, y)) - _uvec(sampler(x - h, y))) / (2.0 * h)
-    uy = (_uvec(sampler(x, y + h)) - _uvec(sampler(x, y - h))) / (2.0 * h)
-    a, b = _system_matrices(u0[0], u0[2], u0[3])
-    return a @ ux + b @ uy
-
-
-def magnetic_from_fg(sampler: Sampler, x: float, y: float, h: float = 1e-4) -> float:
-    """Magnetic coefficient Omega = (g_x - f_y)/4 by Richardson-extrapolated
-    central differences of the sampled fields."""
-    if not h > 0.0:
-        raise ValueError(f"difference step must be positive, got {h}")
-
-    def gx(step):
-        return (sampler(x + step, y).g - sampler(x - step, y).g) / (2.0 * step)
-
-    def fy(step):
-        return (sampler(x, y + step).f - sampler(x, y - step).f) / (2.0 * step)
-
-    g_x = (4.0 * gx(0.5 * h) - gx(h)) / 3.0
-    f_y = (4.0 * fy(0.5 * h) - fy(h)) / 3.0
-    return 0.25 * (g_x - f_y)
 
 
 # ---------------------------------------------------------------------------

@@ -90,10 +90,6 @@ class FirstIntegral:
         if self.kind not in KINDS:
             raise ValueError(f"unknown integral kind {self.kind!r}")
 
-    @property
-    def all_levels(self) -> bool:
-        return self.level is None
-
     def admits(self, state) -> bool:
         return self.guard is None or bool(self.guard(np.asarray(state, dtype=float)))
 

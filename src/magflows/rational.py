@@ -44,6 +44,7 @@ __all__ = [
     "FAMILIES",
     "pde511_residual",
     "condition_D",
+    "profile_screen",
     "RationalFlowBundle",
     "build_bundle",
     "bundle_from_descriptor",
@@ -55,6 +56,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+# bound of the profile screen on the scaled residual and on the smallest |D|
+SCREEN_BOUND = 1e-10
 
 
 class ZSolution:
@@ -229,7 +232,12 @@ def pde511_residual(z: ZSolution, rho: float, psi: float, scaled: bool = False) 
     the size of the terms that cancel, so that round-off on large terms
     reads as round-off.
     """
-    _, z_r, _, z_rr, _, z_pp = z.jet(rho, psi)[:6]
+    return _residual(rho, z.jet(rho, psi), scaled)
+
+
+def _residual(rho: float, jet: tuple, scaled: bool) -> float:
+    """:func:`pde511_residual` from a jet of Z."""
+    _, z_r, _, z_rr, _, z_pp = jet[:6]
     terms = (rho * (rho + 1.0) * z_rr, rho * z_r, z_pp)
     residual = terms[0] + terms[1] + terms[2]
     if scaled:
@@ -250,6 +258,29 @@ def condition_D(z: ZSolution, rho: float, psi: float) -> float:
     if rho == 0.0:
         raise DomainError("the discriminant is undefined at rho = 0")
     return _discriminant(rho, z.jet(rho, psi))[0]
+
+
+def profile_screen(z: ZSolution, lo: float, hi: float) -> tuple[float, float]:
+    """(largest scaled generating-equation residual, smallest |D|) over a
+    30 x 30 grid of [lo, hi] x [0, psi_period], from one jet per point.
+
+    The smallest |D| is 0 where D changes sign between grid neighbours,
+    since a zero of D lies between them.  A NaN anywhere is kept in the
+    result.  The range must exclude 0.
+    """
+    psis = np.linspace(0.0, z.psi_period, 30).tolist()
+    residuals, discriminants = [], []
+    for rho in np.linspace(lo, hi, 30).tolist():
+        row = []
+        for psi in psis:
+            jet = z.jet(rho, psi)
+            residuals.append(_residual(rho, jet, scaled=True))
+            row.append(_discriminant(rho, jet)[0])
+        discriminants.append(row)
+    d = np.array(discriminants)
+    sign = np.sign(d)
+    crossed = np.any(sign[1:] * sign[:-1] < 0.0) or np.any(sign[:, 1:] * sign[:, :-1] < 0.0)
+    return float(np.max(np.abs(residuals))), 0.0 if crossed else float(np.min(np.abs(d)))
 
 
 @dataclass(frozen=True)
@@ -443,14 +474,14 @@ def build_bundle(
     """Assemble a bundle, screening the working annulus for degeneracies.
 
     Without ``rho_range`` the family's ``default_rho_range`` is used.  The
-    screen evaluates the generating-equation residual relative to its
-    terms (sanity, the families are exact) and the discriminant on a
-    13 x 24 grid; any |D| < 1e-10 raises DegenerateD, since the metric and
-    the integral both collapse where D vanishes.  A non-finite or zero
-    gamma (the metric scales with gamma^2) or a non-finite or non-positive
-    ``c_energy`` raises DomainError, as does a range at whose ends the
-    radial profile's jet is not finite (a tiny or huge rho), with or
-    without ``check``.
+    screen is :func:`profile_screen`: a scaled generating-equation residual
+    above 1e-10 raises DomainError (sanity, the families are exact), and a
+    smallest |D| below 1e-10, or a sign change of D, raises DegenerateD,
+    since the metric and the integral both collapse where D vanishes.  A
+    non-finite or zero gamma (the metric scales with gamma^2) or a
+    non-finite or non-positive ``c_energy`` raises DomainError, as does a
+    range at whose ends the radial profile's jet is not finite (a tiny or
+    huge rho), with or without ``check``.
     """
     gamma, c_energy = float(gamma), float(c_energy)
     if not (math.isfinite(gamma) and gamma != 0.0):
@@ -482,19 +513,16 @@ def build_bundle(
         z=z, gamma=gamma, c_energy=c_energy, rho_range=(lo, hi)
     )
     if check:
-        for rho in np.linspace(lo, hi, 13):
-            for psi in np.linspace(0.0, z.psi_period, 24, endpoint=False):
-                res = pde511_residual(z, float(rho), float(psi), scaled=True)
-                if abs(res) > 1e-8:
-                    raise DomainError(
-                        f"relative generating-equation residual {res:.3e} at "
-                        f"({rho}, {psi}); the profile is not a solution"
-                    )
-                d = condition_D(z, float(rho), float(psi))
-                if abs(d) < 1e-10:
-                    raise DegenerateD(
-                        f"|D| = {abs(d):.3e} at (rho, psi) = ({rho}, {psi})"
-                    )
+        residual, d_min = profile_screen(z, lo, hi)
+        if not residual <= SCREEN_BOUND:
+            raise DomainError(
+                f"relative generating-equation residual {residual:.3e} on rho in "
+                f"[{lo}, {hi}]; the profile is not a solution"
+            )
+        if not d_min >= SCREEN_BOUND:
+            raise DegenerateD(
+                f"|D| = {d_min:.3e} on rho in [{lo}, {hi}] (0 where D changes sign)"
+            )
     return bundle
 
 

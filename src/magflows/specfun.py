@@ -7,16 +7,15 @@ elliptic integrals K and E are computed together by one run of the
 arithmetic-geometric mean, which converges quadratically and is accurate
 to machine precision for every parameter m < 1, including m < 0.
 
-Derivatives of K and E follow the classical identities (DLMF 19.4)
+The derivatives of E follow the classical identities (DLMF 19.4)
 
-    dK/dm   = (E - (1-m) K) / (2 m (1-m)),
     dE/dm   = (E - K) / (2 m),
     d2E/dm2 = -E / (4 m (1-m)) - (E - K) / (2 m^2),
 
-the last from differentiating the second with E' - K' = -E / (2 (1-m)).
+the second from differentiating the first with E' - K' = -E / (2 (1-m)).
 They are 0/0 at m = 0 and cancel to O(eps / m^2) near it, so for |m| below
-0.05 the derivatives come from the Maclaurin series of K and E summed to
-convergence instead.
+0.05 they come from the Maclaurin series of E summed to convergence
+instead.
 """
 
 from __future__ import annotations
@@ -33,11 +32,6 @@ from .errors import (
 __all__ = [
     "hyp2f1",
     "terminating_2f1_coeffs",
-    "elliptic_K",
-    "elliptic_E",
-    "elliptic_dK",
-    "elliptic_dE",
-    "elliptic_d2E",
     "elliptic_jet",
 ]
 
@@ -163,79 +157,35 @@ def _agm(m: float) -> tuple[float, float]:
     return k, k * (1.0 - s)
 
 
-def elliptic_K(m: float) -> float:
-    """Complete elliptic integral of the first kind, parameter convention
-    K(m) = integral_0^{pi/2} (1 - m sin^2 t)^{-1/2} dt.
-
-    Arithmetic-geometric mean of 1 and sqrt(1-m); valid for every m < 1
-    (logarithmic pole at m = 1).
-    """
-    if m >= 1.0:
-        raise DomainError(f"K(m) requires m < 1, got {m}")
-    return _agm(m)[0]
-
-
-def elliptic_E(m: float) -> float:
-    """Complete elliptic integral of the second kind,
-    E(m) = integral_0^{pi/2} (1 - m sin^2 t)^{1/2} dt.
-
-    The same AGM run as :func:`elliptic_K`, with its companion sum.  Valid
-    for m <= 1; E(1) = 1 exactly.
-    """
-    if m > 1.0:
-        raise DomainError(f"E(m) requires m <= 1, got {m}")
-    if m == 1.0:
-        return 1.0
-    return _agm(m)[1]
-
-
-def _series_derivatives(m: float) -> tuple[float, float, float]:
-    """(dK/dm, dE/dm, d2E/dm2) at |m| < _SMALL_M from the Maclaurin series
-    K = (pi/2) sum c_n m^n and E = (pi/2) sum c_n m^n / (1 - 2n), where
-    c_0 = 1 and c_n = c_{n-1} ((2n-1)/(2n))^2, summed to convergence."""
+def _series_derivatives(m: float) -> tuple[float, float]:
+    """(dE/dm, d2E/dm2) at |m| < _SMALL_M from the Maclaurin series
+    E = (pi/2) sum c_n m^n / (1 - 2n), where c_0 = 1 and
+    c_n = c_{n-1} ((2n-1)/(2n))^2 are the coefficients of K, summed to
+    convergence."""
     c, power, lower = 1.0, 1.0, 0.0  # c_n, m^(n-1), m^(n-2)
-    dk = de = d2e = 0.0
+    de = d2e = 0.0
     for n in range(1, _MAX_TERMS):
         c *= ((2 * n - 1) / (2 * n)) ** 2
         e_n = c / (1 - 2 * n)
-        terms = (n * c * power, n * e_n * power, n * (n - 1) * e_n * lower)
-        dk, de, d2e = dk + terms[0], de + terms[1], d2e + terms[2]
-        if n > 1 and all(abs(t) <= _SERIES_EPS * abs(v) for t, v in zip(terms, (dk, de, d2e))):
+        t1, t2 = n * e_n * power, n * (n - 1) * e_n * lower
+        de, d2e = de + t1, d2e + t2
+        if n > 1 and abs(t1) <= _SERIES_EPS * abs(de) and abs(t2) <= _SERIES_EPS * abs(d2e):
             break
         power, lower = power * m, power
-    return tuple(0.5 * math.pi * v for v in (dk, de, d2e))
+    return 0.5 * math.pi * de, 0.5 * math.pi * d2e
 
 
 def elliptic_jet(m: float) -> tuple[float, float, float, float]:
-    """(K, E, dE/dm, d2E/dm2) at m < 1 from one AGM run; the derivatives
-    are the closed forms of the module docstring, or the series near 0."""
+    """(K, E, dE/dm, d2E/dm2) at m < 1 from one AGM run, in the parameter
+    convention K(m) = int_0^{pi/2} (1 - m sin^2 t)^{-1/2} dt and
+    E(m) = int_0^{pi/2} (1 - m sin^2 t)^{1/2} dt; the derivatives are the
+    closed forms of the module docstring, or the series near 0."""
     if m >= 1.0:
         raise DomainError(f"the elliptic jet requires m < 1, got {m}")
     k, e = _agm(m)
     if abs(m) < _SMALL_M:
-        _, de, d2e = _series_derivatives(m)
+        de, d2e = _series_derivatives(m)
     else:
         de = (e - k) / (2.0 * m)
         d2e = -e / (4.0 * m * (1.0 - m)) - (e - k) / (2.0 * m * m)
     return k, e, de, d2e
-
-
-def elliptic_dK(m: float) -> float:
-    """Derivative dK/dm; closed form away from 0, series through 0."""
-    if m >= 1.0:
-        raise DomainError(f"dK/dm requires m < 1, got {m}")
-    if abs(m) < _SMALL_M:
-        return _series_derivatives(m)[0]
-    k, e = _agm(m)
-    return (e - (1.0 - m) * k) / (2.0 * m * (1.0 - m))
-
-
-def elliptic_dE(m: float) -> float:
-    """Derivative dE/dm, m < 1; closed form away from 0, series through 0."""
-    return elliptic_jet(m)[2]
-
-
-def elliptic_d2E(m: float) -> float:
-    """Second derivative d2E/dm2, m < 1; closed form away from 0, series
-    through 0."""
-    return elliptic_jet(m)[3]

@@ -376,12 +376,38 @@ class TestBuildRational:
 
     def test_nan_residual_fails_its_check(self, tmp_path, capsys, monkeypatch):
         """A NaN PDE residual is kept by the maximum, not dropped."""
-        monkeypatch.setattr(cli, "pde511_residual", lambda *args, **kwargs: math.nan)
+        monkeypatch.setattr(rational, "_residual", lambda *args, **kwargs: math.nan)
         code, out, _ = _run(["--out-dir", str(tmp_path), "build-rational", "poly-cos"], capsys)
         assert code == 5
         assert "FAIL" in out
         check = _read_strict_json(tmp_path / "bundle_poly-cos.json")["checks"]["pde_residual_max"]
         assert check == {"value": "nan", "threshold": 1e-10, "pass": False}
+
+    @pytest.mark.parametrize("argv, build_code, list_code", [
+        (["log-radial", "--rho-range", "-0.9", "-0.1"], 0, 0),
+        (["elliptic-half", "--rho-range", "-0.9", "-0.1"], 5, 2),
+        (["poly-cos", "--rho-range", "-0.9", "-0.1"], 5, 2),
+        (["poly-cos", "--k", "1"], 5, 2),
+    ])
+    def test_list_agrees_with_the_report(self, argv, build_code, list_code, tmp_path, capsys):
+        """build-rational and list --bundle read one screen: a report whose
+        d_min fails is refused by list with exit 2 and no traceback, and a
+        report whose screen passes is listed."""
+        code, _, _ = _run(["--out-dir", str(tmp_path), "build-rational", *argv, "--out", "b.json"],
+                          capsys)
+        assert code == build_code
+        d_min = _read_strict_json(tmp_path / "b.json")["checks"]["d_min"]
+        assert d_min["pass"] is (list_code == 0)
+        code, _, err = _run(["list", "--bundle", str(tmp_path / "b.json")], capsys)
+        assert code == list_code
+        assert "Traceback" not in err
+
+    def test_report_does_not_depend_on_the_seed(self, tmp_path, capsys):
+        """The screen samples nothing at random: two seeds give the same bytes."""
+        for seed in ("0", "7"):
+            _run(["--seed", seed, "--out-dir", str(tmp_path), "build-rational", "log-nu1",
+                  "--out", f"seed_{seed}.json"], capsys)
+        assert (tmp_path / "seed_0.json").read_bytes() == (tmp_path / "seed_7.json").read_bytes()
 
     @pytest.mark.parametrize("family, lo, hi", [
         ("log-nu1", "1e-300", "1"), ("log-nu1", "1", "1e300"), ("poly-cos", "1", "1e300"),

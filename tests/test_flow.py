@@ -16,12 +16,12 @@ from magflows.errors import DomainError, EvaluationError, SingularMetric
 from magflows.flow import (
     TrajectoryConfig,
     conservation_drift,
-    convergence_order,
     integrate,
     magnetic_rhs,
 )
 from magflows.geometry import ChartDomain, MagneticSystem, Metric, hamiltonian, momentum_on_level
 from magflows.rational import EllipticHalf, build_bundle
+from oracles import convergence_order
 
 RNG = np.random.default_rng(0)
 

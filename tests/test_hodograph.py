@@ -20,9 +20,7 @@ from magflows.hodograph import (
     closed_form_abzero,
     continued_solve,
     example3_system,
-    magnetic_from_fg,
     newton_solve,
-    pde41_residual_fd,
     reconstruct_fields,
     solve_fields,
 )
@@ -31,6 +29,7 @@ from magflows.integrals import (
     level_set_bracket_scan,
     magnetic_bracket_pair,
 )
+from oracles import omega_fd, pde41_residual_fd
 from richardson import metric_partials, richardson_gradient
 
 RNG = np.random.default_rng(0)
@@ -184,7 +183,7 @@ class TestFirstOrderSystem:
         sampler = _closed_form_sampler(K0)
         for x, y in ((0.8, 0.8), (1.5, 2.0), (2.2, 1.1)):
             _, omega = closed_form_abzero(K0, x, y)
-            got = magnetic_from_fg(sampler, x, y, h=1e-3)
+            got = omega_fd(sampler, x, y, h=1e-3)
             np.testing.assert_allclose(got, omega, atol=1e-10)
 
 
@@ -301,7 +300,7 @@ class TestSolveFields:
 
     def test_derivatives_match_difference_oracles(self):
         """On continuation solutions the exact Omega agrees with the
-        Richardson difference of magnetic_from_fg, and the exact residual
+        Richardson difference of omega_fd, and the exact residual
         is the limit that pde41_residual_fd approaches as h^2."""
         k = K0.with_ab(0.1, 0.05)
 
@@ -310,7 +309,7 @@ class TestSolveFields:
 
         for x, y in ((0.8, 1.1), (1.9, 0.7), (1.4, 2.2)):
             _, omega, residual = solve_fields(k, x, y)
-            np.testing.assert_allclose(omega, magnetic_from_fg(sampler, x, y, h=1e-3),
+            np.testing.assert_allclose(omega, omega_fd(sampler, x, y, h=1e-3),
                                        rtol=1e-10)
             assert np.max(np.abs(residual)) <= 1e-13
             coarse, fine = (np.max(np.abs(pde41_residual_fd(sampler, x, y, h=h) - residual))

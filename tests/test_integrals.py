@@ -70,8 +70,8 @@ class TestFirstIntegral:
         """level=None admits every energy; a set level is specific."""
         ex1 = get_example("ex1")
         ex5 = get_example("ex5")
-        assert ex1.integrals[0].all_levels
-        assert not ex5.integrals[0].all_levels
+        assert ex1.integrals[0].level is None
+        assert ex5.integrals[0].level == ex5.system.energy
 
     def test_guard_raises(self):
         """Calling past the guard raises GuardError."""

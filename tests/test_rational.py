@@ -30,6 +30,7 @@ from magflows.rational import (
     condition_D,
     from_riemann,
     pde511_residual,
+    profile_screen,
     riemann_invariants,
     solution_from_descriptor,
     xy_to_chart_logradial,
@@ -303,6 +304,28 @@ class TestBuildBundle:
         """The k = 1 polynomial cannot form a bundle."""
         with pytest.raises(DegenerateD):
             build_bundle(PolynomialCos(1))
+
+    @pytest.mark.parametrize("z", [PolynomialCos(2), EllipticHalf()], ids=lambda z: z.family)
+    def test_sign_change_of_D_rejected(self, z):
+        """On (-0.9, -0.1) every grid value of |D| exceeds 2e-4, but D
+        changes sign between grid neighbours, so a zero of D lies between
+        them: the screen reads |D| = 0 and the build raises DegenerateD."""
+        grid = [(rho, psi) for rho in np.linspace(-0.9, -0.1, 30)
+                for psi in np.linspace(0.0, z.psi_period, 30)]
+        values = [condition_D(z, rho, psi) for rho, psi in grid]
+        assert min(map(abs, values)) > 2e-4 and min(values) < 0.0 < max(values)
+        residual, d_min = profile_screen(z, -0.9, -0.1)
+        assert residual <= 1e-15 and d_min == 0.0
+        with pytest.raises(DegenerateD, match="changes sign"):
+            build_bundle(z, rho_range=(-0.9, -0.1))
+
+    def test_screen_reads_one_jet_per_grid_point(self, monkeypatch):
+        """The screen evaluates Z's jet once at each of the 30 x 30 points."""
+        calls = []
+        jet = PolynomialCos.jet
+        monkeypatch.setattr(PolynomialCos, "jet", lambda z, rho, psi: calls.append(rho) or jet(z, rho, psi))
+        profile_screen(PolynomialCos(2), 0.05, 5.0)
+        assert len(calls) == 900
 
     def test_bad_ranges_rejected(self):
         """Empty, zero-crossing or out-of-validity ranges are refused."""

@@ -1,8 +1,9 @@
 """Hypergeometric and elliptic helpers against independent references.
 
 scipy supplies the AGM-independent elliptic values and mpmath the 2F1
-oracle and the elliptic-jet oracle; everything else is checked against identities (Legendre relation,
-contiguous-derivative identity, polynomial termination).
+oracle and the elliptic-jet oracle; everything else is checked against
+identities (Legendre relation, contiguous-derivative identity, polynomial
+termination).
 """
 
 import math
@@ -13,17 +14,8 @@ import pytest
 import scipy.special as sp
 
 from magflows import specfun
-from magflows.errors import CoefficientOverflow, SeriesDivergence
-from magflows.specfun import (
-    elliptic_E,
-    elliptic_K,
-    elliptic_d2E,
-    elliptic_dE,
-    elliptic_dK,
-    elliptic_jet,
-    hyp2f1,
-    terminating_2f1_coeffs,
-)
+from magflows.errors import CoefficientOverflow, DomainError, SeriesDivergence
+from magflows.specfun import elliptic_jet, hyp2f1, terminating_2f1_coeffs
 
 RNG = np.random.default_rng(0)
 
@@ -104,12 +96,19 @@ class TestTerminatingCoeffs:
             terminating_2f1_coeffs(61)
 
 
+def elliptic_K(m):
+    return elliptic_jet(m)[0]
+
+
+def elliptic_E(m):
+    return elliptic_jet(m)[1]
+
+
 class TestEllipticIntegrals:
     def test_special_values(self):
-        """K(0) = E(0) = pi/2 and E(1) = 1."""
+        """K(0) = E(0) = pi/2."""
         np.testing.assert_allclose(elliptic_K(0.0), math.pi / 2.0, rtol=1e-15)
         np.testing.assert_allclose(elliptic_E(0.0), math.pi / 2.0, rtol=1e-15)
-        np.testing.assert_allclose(elliptic_E(1.0), 1.0, rtol=1e-15)
 
     @pytest.mark.parametrize("m", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9])
     def test_against_scipy(self, m):
@@ -140,36 +139,37 @@ class TestEllipticIntegrals:
 
     def test_domain_guard(self):
         """K diverges at m = 1 and is refused there."""
-        from magflows.errors import DomainError
-
         with pytest.raises(DomainError):
-            elliptic_K(1.0)
+            elliptic_jet(1.0)
 
 
 class TestEllipticDerivatives:
     @pytest.mark.parametrize("m", [0.15, 0.4, 0.65, 0.85])
     def test_dK_matches_differences(self, m):
-        """dK/dm agrees with a central difference of the AGM value."""
+        """dK/dm = (E - (1-m) K) / (2 m (1-m)) from the jet's K and E
+        agrees with a central difference of the AGM value."""
         h = 1e-6
         fd = (elliptic_K(m + h) - elliptic_K(m - h)) / (2.0 * h)
-        np.testing.assert_allclose(elliptic_dK(m), fd, rtol=1e-8)
+        k, e = elliptic_jet(m)[:2]
+        np.testing.assert_allclose((e - (1.0 - m) * k) / (2.0 * m * (1.0 - m)), fd, rtol=1e-8)
 
     @pytest.mark.parametrize("m", [0.15, 0.4, 0.65, 0.85])
     def test_dE_matches_differences(self, m):
         """dE/dm agrees with a central difference of the AGM value."""
         h = 1e-6
         fd = (elliptic_E(m + h) - elliptic_E(m - h)) / (2.0 * h)
-        np.testing.assert_allclose(elliptic_dE(m), fd, rtol=1e-8)
+        np.testing.assert_allclose(elliptic_jet(m)[2], fd, rtol=1e-8)
 
     def test_small_modulus_series_branch(self):
         """Near m = 0 the closed forms switch to series and stay smooth."""
-        np.testing.assert_allclose(elliptic_dK(1e-6), math.pi / 8.0, rtol=1e-5)
-        np.testing.assert_allclose(elliptic_dE(1e-6), -math.pi / 8.0, rtol=1e-5)
+        np.testing.assert_allclose(elliptic_jet(1e-6)[2], -math.pi / 8.0, rtol=1e-5)
 
 
-# both sides of the series switch at |m| = 1e-4, and a spread over [-5, 0.9]
-JET_PARAMETERS = [-5.0, -2.5, -1.0, -0.3, -1e-3, -1.0001e-4, -1e-4, -9.999e-5, -1e-6, 0.0,
-                  1e-6, 9.999e-5, 1e-4, 1.0001e-4, 1e-3, 0.3, 0.6, 0.9]
+# both sides of the series switch at |m| = specfun._SMALL_M = 0.05, and a
+# spread over [-5, 0.9]
+JET_PARAMETERS = [-5.0, -2.5, -1.0, -0.3, -0.0501, -0.0499, -1e-3, -1.0001e-4, -1e-4, -9.999e-5,
+                  -1e-6, 0.0, 1e-6, 9.999e-5, 1e-4, 1.0001e-4, 1e-3, 0.0499, 0.0501, 0.3, 0.6,
+                  0.9]
 
 
 class TestEllipticJet:
@@ -179,8 +179,8 @@ class TestEllipticJet:
 
         K and E hold to 2e-15 relative.  The closed-form derivatives divide
         a difference of size K by m and m^2, so their error is bounded by
-        8 eps K / |m| and 8 eps K / m^2; below |m| = 1e-4 the series stop at
-        m^2 and their truncation errors stay below 0.1 |m|^3 and 0.3 |m|^3.
+        8 eps K / |m| and 8 eps K / m^2; below |m| = 0.05 the series summed
+        to convergence hold to 1e-15 relative.
         """
         k, e, de, d2e = elliptic_jet(m)
         with mpmath.workdps(40):
@@ -188,33 +188,24 @@ class TestEllipticJet:
             want = [float(v) for v in (mpmath.ellipk(mm), mpmath.ellipe(mm),
                                        mpmath.diff(mpmath.ellipe, mm),
                                        mpmath.diff(mpmath.ellipe, mm, 2))]
-        eps = np.finfo(float).eps
-        if abs(m) < 1e-4:
-            bounds = (0.1 * abs(m) ** 3, 0.3 * abs(m) ** 3)
-        else:
-            bounds = (8 * eps * k / abs(m), 8 * eps * k / m**2)
         np.testing.assert_allclose((k, e), want[:2], rtol=2e-15, atol=0.0)
-        assert abs(de - want[2]) <= bounds[0] + 2e-15 * abs(want[2])
-        assert abs(d2e - want[3]) <= bounds[1] + 2e-15 * abs(want[3])
-
-    @pytest.mark.parametrize("m", JET_PARAMETERS)
-    def test_public_functions_are_views(self, m):
-        """elliptic_K, elliptic_E, elliptic_dE and elliptic_d2E return the
-        jet's entries bit for bit."""
-        assert (elliptic_K(m), elliptic_E(m), elliptic_dE(m), elliptic_d2E(m)) == elliptic_jet(m)
+        if abs(m) < specfun._SMALL_M:
+            np.testing.assert_allclose((de, d2e), want[2:], rtol=1e-15, atol=0.0)
+        else:
+            eps = np.finfo(float).eps
+            assert abs(de - want[2]) <= 8 * eps * k / abs(m) + 2e-15 * abs(want[2])
+            assert abs(d2e - want[3]) <= 8 * eps * k / m**2 + 2e-15 * abs(want[3])
 
     @pytest.mark.parametrize("m", [-0.0499, -0.01, -1e-3, -1.01e-4, -1e-4, 0.0, 1e-4, 1.01e-4,
                                    1e-3, 0.01, 0.0499])
     def test_series_near_zero_to_round_off(self, m):
         """Below |m| = 0.05 the derivatives come from the Maclaurin series
-        summed to convergence: dK/dm, dE/dm and d2E/dm2 hold to 1e-15
-        relative, where the closed forms cancel to O(eps / m^2)."""
+        summed to convergence: dE/dm and d2E/dm2 hold to 1e-15 relative,
+        where the closed forms cancel to O(eps / m^2)."""
         with mpmath.workdps(40):
             mm = mpmath.mpf(m)
-            want = [float(mpmath.diff(mpmath.ellipk, mm)), float(mpmath.diff(mpmath.ellipe, mm)),
-                    float(mpmath.diff(mpmath.ellipe, mm, 2))]
-        got = (elliptic_dK(m), *elliptic_jet(m)[2:])
-        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+            want = [float(mpmath.diff(mpmath.ellipe, mm)), float(mpmath.diff(mpmath.ellipe, mm, 2))]
+        np.testing.assert_allclose(elliptic_jet(m)[2:], want, rtol=1e-15, atol=0.0)
 
     def test_one_agm_run(self, monkeypatch):
         """The jet runs the arithmetic-geometric mean once."""
