@@ -6,9 +6,10 @@ few sample phase points on the reference energy level.  Entries generated
 by the rational-integral machinery (ex5, ex6) are deliberately transcribed
 here as explicit formulas rather than built through
 :mod:`magflows.rational`; tests compare the two routes against each other.
-Only the (N, D, grad N, grad D) formulas of the rational integrals of ex4,
-ex5 and ex6 live here; :func:`magflows.integrals.rational_integral` turns
-them into integrals, as it does for every bundle.
+The rational integrals of ex4, ex5 and ex6 are written here only as the
+momentum coefficient triples of their numerator and denominator and the
+chart partials of those; :func:`magflows.integrals.rational_integral`
+turns them into integrals, as it does for every bundle.
 """
 
 from __future__ import annotations
@@ -240,21 +241,15 @@ def _make_ex4() -> CatalogEntry:
         name="inverse-radius conformal chart",
     )
 
-    def f_parts(state):
-        x, y, p1, p2 = state
+    def f_parts(x, y):
         r = math.hypot(x, y)
-        num = (r - x) * p1 - y * p2 + gamma * y
-        den = y * p1 + (r - x) * p2 + gamma * (r - x)
 
-        def grads():
+        def partials():
             rx, ry = x / r, y / r
-            num_grad = gradient_rows(p1, ((rx - 1.0) * p1, ry * p1 - p2 + gamma, r - x, -y))
-            den_grad = gradient_rows(
-                p1, ((rx - 1.0) * p2 + gamma * (rx - 1.0), p1 + ry * p2 + gamma * ry, y, r - x)
-            )
-            return num_grad, den_grad
+            return (((rx - 1.0, 0.0, 0.0), (ry, -1.0, gamma)),
+                    ((0.0, rx - 1.0, gamma * (rx - 1.0)), (1.0, ry, gamma * ry)))
 
-        return num, den, grads
+        return (r - x, -y, gamma * y), (y, r - x, gamma * (r - x)), partials
 
     f_rational = rational_integral("F", f_parts)
 
@@ -327,8 +322,7 @@ def _make_ex5() -> CatalogEntry:
         coords=("rho", "psi"),
     )
 
-    def num_den_parts(state):
-        rho, psi, p_r, p_p = state
+    def num_den_parts(rho, psi):
         ch, sh = math.cos(0.5 * psi), math.sin(0.5 * psi)
         cp = math.cos(psi)
         c2 = math.cos(2.0 * psi)
@@ -337,30 +331,18 @@ def _make_ex5() -> CatalogEntry:
         a = rho - 2.0 * rho * cp - c2
         b = rho + 2.0 * rho * cp - c2
         disc = 1.0 + 2.0 * rho + c4
-        num = ch * a * p_r + s15 * p_p + gamma * disc * sh
-        den = -sh * b * p_r - c15 * p_p + gamma * disc * ch
 
-        def grads():
+        def partials():
             sp, s2, s4 = math.sin(psi), math.sin(2.0 * psi), math.sin(4.0 * psi)
-            num_grad = gradient_rows(p_r, (
-                ch * (1.0 - 2.0 * cp) * p_r + 2.0 * gamma * sh,
-                (-0.5 * sh * a + ch * (2.0 * rho * sp + 2.0 * s2)) * p_r
-                + 1.5 * c15 * p_p
-                + gamma * (-4.0 * s4 * sh + 0.5 * disc * ch),
-                ch * a,
-                s15,
-            ))
-            den_grad = gradient_rows(p_r, (
-                -sh * (1.0 + 2.0 * cp) * p_r + 2.0 * gamma * ch,
-                (-0.5 * ch * b - sh * (-2.0 * rho * sp + 2.0 * s2)) * p_r
-                + 1.5 * s15 * p_p
-                + gamma * (-4.0 * s4 * ch - 0.5 * disc * sh),
-                -sh * b,
-                -c15,
-            ))
-            return num_grad, den_grad
+            num_r = (ch * (1.0 - 2.0 * cp), 0.0, 2.0 * gamma * sh)
+            num_p = (-0.5 * sh * a + ch * (2.0 * rho * sp + 2.0 * s2), 1.5 * c15,
+                     gamma * (-4.0 * s4 * sh + 0.5 * disc * ch))
+            den_r = (-sh * (1.0 + 2.0 * cp), 0.0, 2.0 * gamma * ch)
+            den_p = (-0.5 * ch * b - sh * (-2.0 * rho * sp + 2.0 * s2), 1.5 * s15,
+                     gamma * (-4.0 * s4 * ch - 0.5 * disc * sh))
+            return (num_r, num_p), (den_r, den_p)
 
-        return num, den, grads
+        return (ch * a, s15, gamma * disc * sh), (-sh * b, -c15, gamma * disc * ch), partials
 
     integral = rational_integral("F", num_den_parts, level=c)
 
@@ -443,8 +425,7 @@ def _make_ex6() -> CatalogEntry:
         coords=("rho", "psi"),
     )
 
-    def num_den_parts(state):
-        rho, psi, p_r, p_p = state
+    def num_den_parts(rho, psi):
         ch, sh = math.cos(0.5 * psi), math.sin(0.5 * psi)
         cp = math.cos(psi)
         c2 = math.cos(2.0 * psi)
@@ -453,39 +434,23 @@ def _make_ex6() -> CatalogEntry:
         pfac = 1.0 + rho + (1.0 + 2.0 * rho) * cp
         mfac = 1.0 + rho - (1.0 + 2.0 * rho) * cp
         disc = 1.0 + 2.0 * rho - c2
-        num = 2.0 * q * (p_r * q * c15 + p_p * pfac * sh) + gamma * disc * sh
-        den = 2.0 * q * (-p_r * q * s15 - p_p * mfac * ch) + gamma * disc * ch
 
-        def grads():
+        def partials():
             sp, s2 = math.sin(psi), math.sin(2.0 * psi)
             dq = 2.0 * rho + 1.0
             pfac_r, pfac_p = 1.0 + 2.0 * cp, -(1.0 + 2.0 * rho) * sp
             mfac_r, mfac_p = 1.0 - 2.0 * cp, (1.0 + 2.0 * rho) * sp
-            num_grad = gradient_rows(p_r, (
-                2.0 * dq * (p_r * q * c15 + p_p * pfac * sh)
-                + 2.0 * q * (p_r * dq * c15 + p_p * pfac_r * sh)
-                + 2.0 * gamma * sh,
-                2.0 * q * (
-                    -1.5 * p_r * q * s15 + p_p * (pfac_p * sh + 0.5 * pfac * ch)
-                )
-                + gamma * (2.0 * s2 * sh + 0.5 * disc * ch),
-                2.0 * q * q * c15,
-                2.0 * q * pfac * sh,
-            ))
-            den_grad = gradient_rows(p_r, (
-                2.0 * dq * (-p_r * q * s15 - p_p * mfac * ch)
-                + 2.0 * q * (-p_r * dq * s15 - p_p * mfac_r * ch)
-                + 2.0 * gamma * ch,
-                2.0 * q * (
-                    -1.5 * p_r * q * c15 - p_p * (mfac_p * ch - 0.5 * mfac * sh)
-                )
-                + gamma * (2.0 * s2 * ch - 0.5 * disc * sh),
-                -2.0 * q * q * s15,
-                -2.0 * q * mfac * ch,
-            ))
-            return num_grad, den_grad
+            num_r = (4.0 * q * dq * c15, 2.0 * (dq * pfac + q * pfac_r) * sh, 2.0 * gamma * sh)
+            num_p = (-3.0 * q * q * s15, 2.0 * q * (pfac_p * sh + 0.5 * pfac * ch),
+                     gamma * (2.0 * s2 * sh + 0.5 * disc * ch))
+            den_r = (-4.0 * q * dq * s15, -2.0 * (dq * mfac + q * mfac_r) * ch, 2.0 * gamma * ch)
+            den_p = (-3.0 * q * q * c15, -2.0 * q * (mfac_p * ch - 0.5 * mfac * sh),
+                     gamma * (2.0 * s2 * ch - 0.5 * disc * sh))
+            return (num_r, num_p), (den_r, den_p)
 
-        return num, den, grads
+        num = (2.0 * q * q * c15, 2.0 * q * pfac * sh, gamma * disc * sh)
+        den = (-2.0 * q * q * s15, -2.0 * q * mfac * ch, gamma * disc * ch)
+        return num, den, partials
 
     integral = rational_integral("F", num_den_parts, level=c)
 

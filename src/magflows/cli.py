@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angle", type=float, help="momentum angle on the declared level")
     p.add_argument("--t-end", type=float, default=10.0)
     p.add_argument("--method", choices=("embedded_rk45", "fixed_rk4"), default="embedded_rk45")
-    p.add_argument("--step", type=float, help="fixed step size")
+    p.add_argument("--step", type=float, help="step size of fixed_rk4")
     p.add_argument("--rel-tol", type=float, default=1e-11)
     p.add_argument("--abs-tol", type=float, default=1e-12)
     p.add_argument("--record-every", type=int, default=1)

@@ -64,9 +64,10 @@ class TrajectoryConfig:
     """Integration settings.
 
     ``method`` is ``"fixed_rk4"`` (requires ``step``) or
-    ``"embedded_rk45"`` (uses ``rel_tol``/``abs_tol``).  ``record_every``
-    keeps every n-th accepted state; the initial and final states are
-    always recorded.  Times and tolerances must be finite.
+    ``"embedded_rk45"`` (uses ``rel_tol``/``abs_tol`` and refuses a
+    ``step``).  ``record_every`` keeps every n-th accepted state; the
+    initial and final states are always recorded.  Times and tolerances
+    must be finite.
     """
 
     t_end: float
@@ -91,6 +92,8 @@ class TrajectoryConfig:
             if self.step is None or not self.step > 0.0:
                 raise ValueError("fixed_rk4 requires a positive step")
         else:
+            if self.step is not None:
+                raise ValueError("embedded_rk45 chooses its own steps; a step is only for fixed_rk4")
             if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
                 raise ValueError("adaptive tolerances must be positive")
         if self.record_every < 1:
@@ -142,15 +145,15 @@ class ConservationReport:
     drift_series: np.ndarray = field(repr=False)
 
 
-def magnetic_rhs(system: MagneticSystem, phase, check_domain: bool = True) -> list:
+def magnetic_rhs(system: MagneticSystem, phase) -> list:
     """Right-hand side [dq1, dq2, dp1, dp2] = X_H of the flow at a phase
-    point, as a list of four floats.  An ndarray phase is read through
-    ``tolist``; the components of any other sequence are used as given."""
+    point inside the chart domain, as a list of four floats.  An ndarray
+    phase is read through ``tolist``; the components of any other sequence
+    are used as given."""
     if isinstance(phase, np.ndarray):
         phase = phase.tolist()
     x, y, p1, p2 = phase
-    if check_domain:
-        system.require_inside(x, y)
+    system.require_inside(x, y)
     local = system.local_geometry(x, y)
     return vector_field(system, x, y, hamiltonian_gradient(system, phase, local), local)
 

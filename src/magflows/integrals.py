@@ -12,7 +12,9 @@ integral carries its exact gradient: analytic for the catalog's rational
 integrals, a complex step of the formula for ex3's quadratic one, dF +
 0.01 dx for the ``--corrupt`` control.  Every integral rational in the
 momenta, the catalog's ex4-ex6 and each bundle's, is built here by
-:func:`rational_integral` from its (N, D) parts.
+:func:`rational_integral` from the momentum coefficients of its numerator
+and denominator at a chart point and their chart partials; the momentum
+algebra, the guard and the quotient rule live only there.
 
 An integral's ``func``, ``grad`` and ``guard`` take a phase (x, y, p1, p2)
 at one chart point whose momenta p1, p2 may be arrays, as
@@ -59,8 +61,8 @@ __all__ = [
 
 KINDS = ("linear", "quadratic", "rational", "transcendental")
 
-# the bytes of four doubles: a memo key that tells -0.0 from 0.0
-_PACK_PHASE = struct.Struct("4d").pack
+# the bytes of a chart point: a memo key that tells -0.0 from 0.0
+_PACK_POINT = struct.Struct("2d").pack
 
 
 @dataclass(frozen=True)
@@ -133,41 +135,50 @@ def hamiltonian_integral(system: MagneticSystem) -> FirstIntegral:
     return FirstIntegral("H", "quadratic", func, grad=partial(hamiltonian_gradient, system))
 
 
-def rational_integral(name: str, parts: Callable, level: Optional[float] = None) -> FirstIntegral:
-    """The rational integral N/D, with its quotient-rule gradient and the
-    guard |D| >= 1e-8.
+def _linear(c, p1, p2):
+    """c1 p1 + c2 p2 + c0 for a coefficient triple c = (c1, c2, c0)."""
+    return c[0] * p1 + c[1] * p2 + c[2]
 
-    ``parts(state)`` returns ``(N, D, grads)``, where ``grads()`` gives
-    (grad N, grad D) and is called only by the gradient, so the guard and
-    the value never build gradient rows.  The ``parts`` of the last phase
-    is kept, so the guard, the value and the gradient at one phase share
-    one evaluation.
+
+def rational_integral(name: str, parts: Callable, level: Optional[float] = None) -> FirstIntegral:
+    """The integral N/D of two expressions linear in the momenta, with its
+    quotient-rule gradient and the guard |D| >= 1e-8.
+
+    ``parts(x, y)`` returns ``(a, b, partials)`` at a chart point: the
+    coefficient triples a = (a1, a2, a0) of N = a1 p1 + a2 p2 + a0 and
+    b = (b1, b2, b0) of D = b1 p1 + b2 p2 + b0, and ``partials()``, which
+    gives their chart partials ((a_x, a_y), (b_x, b_y)) as triples and is
+    called only by the gradient.  Chart row k of the gradient is
+    (N_k D - N D_k) / D^2 with N_k = a1_k p1 + a2_k p2 + a0_k, and momentum
+    row i is (a_i D - N b_i) / D^2.  The ``parts`` of the last chart point
+    is kept, so the guard, the value and the gradient at any momenta of one
+    point share one evaluation.
     """
     last = [None, None]
 
-    def block(state):
-        # the bits of the phase; a tuple for momenta arrays, so that a
-        # phase of one momentum never shares a key with an array of one
-        x, y, p1, p2 = state
-        if isinstance(p1, np.ndarray):
-            key = np.array([x, y], dtype=float).tobytes(), p1.tobytes(), p2.tobytes()
-        else:
-            key = _PACK_PHASE(x, y, p1, p2)
+    def parts_at(x, y):
+        key = _PACK_POINT(x, y)
         if key != last[0]:
-            last[:] = key, parts(state)
+            last[:] = key, parts(x, y)
         return last[1]
 
     def func(state):
-        num, den, _ = block(state)
-        return num / den
+        x, y, p1, p2 = state
+        a, b, _ = parts_at(x, y)
+        return _linear(a, p1, p2) / _linear(b, p1, p2)
 
     def grad(state):
-        num, den, grads = block(state)
-        num_grad, den_grad = grads()
+        x, y, p1, p2 = state
+        a, b, partials = parts_at(x, y)
+        num, den = _linear(a, p1, p2), _linear(b, p1, p2)
+        (a_x, a_y), (b_x, b_y) = partials()
+        num_grad = gradient_rows(p1, (_linear(a_x, p1, p2), _linear(a_y, p1, p2), a[0], a[1]))
+        den_grad = gradient_rows(p1, (_linear(b_x, p1, p2), _linear(b_y, p1, p2), b[0], b[1]))
         return (num_grad * den - num * den_grad) / (den * den)
 
     def guard(state):
-        return abs(block(state)[1]) >= 1e-8
+        x, y, p1, p2 = state
+        return abs(_linear(parts_at(x, y)[1], p1, p2)) >= 1e-8
 
     return FirstIntegral(name, "rational", func, grad=grad, level=level, guard=guard)
 

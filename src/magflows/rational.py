@@ -18,8 +18,9 @@ poly-cos, 1 for log-nu1, 1/2 for elliptic-half, 0 for log-radial) and
 supplies only its radial jet, nu and psi0; :meth:`ZSolution.jet` gives the
 nine partials of Z through third order by the product rule.  A bundle
 builds its metric, metric partials and field from one jet per point.  Its
-integral is :func:`magflows.integrals.rational_integral` over the bundle's
-(N, D) parts, which owns the guard, the pole floor and the quotient rule.
+integral is :func:`magflows.integrals.rational_integral` over the
+momentum coefficients of N and D and their chart partials, from the same
+jet; the momentum algebra, the guard and the quotient rule live there.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateD, DomainError, NearPole
 from .geometry import ChartDomain, MagneticSystem, Metric
-from .integrals import FirstIntegral, gradient_rows, rational_integral
+from .integrals import FirstIntegral, rational_integral
 from .specfun import elliptic_jet, terminating_2f1_coeffs
 
 __all__ = [
@@ -355,10 +356,23 @@ class RationalFlowBundle:
         """Magnetic coefficient (gamma/2) Z_rr."""
         return self.local_geometry(rho, psi)[2]
 
-    def _coefficients(self, rho, psi):
-        """Half-angle cosine and sine, the jet of Z from one ``_jet`` call,
-        and the coefficient block (a0, a1, b0, b1, D, t) with
-        t = Z_rp - Z_p / rho."""
+    def integral_coefficients(self, rho, psi):
+        """Momentum coefficient triples (a0, a1, gamma D sin(psi/2)) of the
+        rational integral's numerator and (b0, b1, gamma D cos(psi/2)) of
+        its denominator: the coefficients of p_r and p_p and the constant
+        term, with D the discriminant."""
+        return self._parts(rho, psi)[:2]
+
+    def _parts(self, rho, psi):
+        """The coefficient triples of :meth:`integral_coefficients` and their
+        deferred chart partials, all from one ``_jet`` call: the parts that
+        :func:`magflows.integrals.rational_integral` takes.
+
+        Coordinate derivatives of the coefficients need third partials of
+        Z; the missing Z_ppp is expressed through the defining equation,
+        Z_ppp = -rho (rho + 1) Z_rrp - rho Z_rp, exact on every shipped
+        solution.
+        """
         jet = self._jet(rho, psi)
         _, z_r, z_p, z_rr, z_rp, z_pp = jet[:6]
         c, s = math.cos(0.5 * psi), math.sin(0.5 * psi)
@@ -367,31 +381,9 @@ class RationalFlowBundle:
         a1 = -rho * z_rr * s - z_rp * c + (z_p / rho) * c
         b1 = -rho * z_rr * c + z_rp * s - (z_p / rho) * s
         d, t = _discriminant(rho, jet)
-        return c, s, jet, (a0, a1, b0, b1, d, t)
-
-    def integral_coefficients(self, rho, psi):
-        """Momentum coefficients (a0, a1, b0, b1) and discriminant D of the
-        rational integral (a0 p_r + a1 p_p + gamma D sin(psi/2)) /
-        (b0 p_r + b1 p_p + gamma D cos(psi/2))."""
-        return self._coefficients(rho, psi)[3][:5]
-
-    def _parts(self, state):
-        """Numerator, denominator and deferred (grad N, grad D) of the
-        integral at a phase whose momenta may be arrays; the parts that
-        :func:`magflows.integrals.rational_integral` takes.
-
-        Coordinate derivatives of the coefficients need third partials of
-        Z; the missing Z_ppp is expressed through the defining equation,
-        Z_ppp = -rho (rho + 1) Z_rrp - rho Z_rp, exact on every shipped
-        solution.
-        """
-        rho, psi, p_r, p_p = state
-        c, s, jet, (a0, a1, b0, b1, d, t) = self._coefficients(rho, psi)
         g = self.gamma
-        num = a0 * p_r + a1 * p_p + g * d * s
-        den = b0 * p_r + b1 * p_p + g * d * c
 
-        def grads():
+        def partials():
             _, z_r, z_p, z_rr, z_rp, z_pp, z_rrr, z_rrp, z_rpp = jet
             z_ppp = -rho * (rho + 1.0) * z_rrp - rho * z_rp
 
@@ -413,21 +405,10 @@ class RationalFlowBundle:
             t_p = z_rpp - z_pp / rho
             d_p = 2.0 * rho * (rho + 1.0) * z_rr * z_rrp + 2.0 * t * t_p
 
-            num_grad = gradient_rows(p_r, (
-                a0_r * p_r + a1_r * p_p + g * d_r * s,
-                a0_p * p_r + a1_p * p_p + g * (d_p * s + 0.5 * d * c),
-                a0,
-                a1,
-            ))
-            den_grad = gradient_rows(p_r, (
-                b0_r * p_r + b1_r * p_p + g * d_r * c,
-                b0_p * p_r + b1_p * p_p + g * (d_p * c - 0.5 * d * s),
-                b0,
-                b1,
-            ))
-            return num_grad, den_grad
+            return (((a0_r, a1_r, g * d_r * s), (a0_p, a1_p, g * (d_p * s + 0.5 * d * c))),
+                    ((b0_r, b1_r, g * d_r * c), (b0_p, b1_p, g * (d_p * c - 0.5 * d * s))))
 
-        return num, den, grads
+        return (a0, a1, g * d * s), (b0, b1, g * d * c), partials
 
     def as_system(self) -> MagneticSystem:
         lo, hi = self.rho_range

@@ -527,6 +527,7 @@ class TestErrorContract:
         (["--tol", "nan", "verify", "ex1", "--corrupt"], 2),
         (["--tol", "-1", "verify", "ex1", "--corrupt"], 2),
         (["--tol", "0", "build-rational", "poly-cos"], 2),
+        (["simulate", "ex1", "--phase", "0", "0", "1", "0", "--t-end", "1", "--step", "0.1"], 2),
     ]
 
     @pytest.mark.parametrize("argv, want", CASES)

@@ -177,6 +177,14 @@ class TestTrajectoryConfig:
         with pytest.raises(ValueError, match="finite"):
             TrajectoryConfig(**kwargs)
 
+    def test_adaptive_method_refuses_a_step(self):
+        """embedded_rk45 chooses its own steps, so a step given with it
+        would be silently ignored."""
+        with pytest.raises(ValueError, match="only for fixed_rk4"):
+            TrajectoryConfig(t_end=1.0, step=0.1)
+        with pytest.raises(ValueError, match="only for fixed_rk4"):
+            TrajectoryConfig(t_end=1.0, method="embedded_rk45", step=0.1)
+
 
 class TestWorkCounts:
     @staticmethod
@@ -479,7 +487,9 @@ class TestChartExit:
             return y[0] - edge
 
         at_edge.terminal = True
-        solution = solve_ivp(lambda t, y: magnetic_rhs(system, y, check_domain=False),
+        # the reference runs past the chart predicate to meet the event
+        unbounded = dataclasses.replace(system, domain=ChartDomain(system.domain.bbox))
+        solution = solve_ivp(lambda t, y: magnetic_rhs(unbounded, y),
                              (0.0, t_end), list(phase0), method="DOP853",
                              rtol=1e-12, atol=1e-12, events=at_edge)
         (t_cross,) = solution.t_events[0]

@@ -87,8 +87,8 @@ class TestFirstIntegral:
     @pytest.mark.parametrize("name", ["ex5", "poly-cos"])
     def test_one_phase_is_read_once(self, name, monkeypatch):
         """An ndarray row and the same values as a list give the same bits
-        from one evaluation of the parts; the memo still tells -0.0 from
-        0.0."""
+        from one evaluation of the parts; new momenta at the same chart
+        point reuse it, and the memo tells psi = -0.0 from 0.0."""
         calls = _count_rational_parts(monkeypatch)
         system, integral = _rational_case(name)
         row = np.array([1.0, 0.7, *momentum_on_level(system, 1.0, 0.7, 0.8)])
@@ -96,16 +96,18 @@ class TestFirstIntegral:
         assert integral(row.tolist()).hex() == value.hex()
         assert calls == {"parts": 1}
         integral([1.0, 0.7, row[2], 0.0])
-        integral([1.0, 0.7, row[2], -0.0])
-        assert calls == {"parts": 3}
+        integral.grad(np.array([1.0, 0.7, -row[2], row[3]]))
+        assert calls == {"parts": 1, "grads": 1}
+        integral([1.0, 0.0, row[2], row[3]])
+        integral([1.0, -0.0, row[2], row[3]])
+        assert calls["parts"] == 3
 
     def test_bundle_pole_is_guarded(self):
         """A phase on the rational integral's pole line is rejected."""
         from magflows.rational import PolynomialCos, build_bundle
 
         bundle = build_bundle(PolynomialCos(2))
-        a0, a1, b0, b1, d = bundle.integral_coefficients(1.0, 0.4)
-        c0 = bundle.gamma * d * math.cos(0.2)
+        _, (b0, _, c0) = bundle.integral_coefficients(1.0, 0.4)
         pole = np.array([1.0, 0.4, -c0 / b0, 0.0])
         integral = bundle.as_integral()
         assert not integral.admits(pole)
@@ -381,22 +383,39 @@ def _rational_case(name):
     return entry.system, entry.integrals[0]
 
 
+# chart points inside every bundle family's default chart
+BUNDLE_POINTS = ((1.0, 0.4), (2.2, 1.9), (0.6, 4.0))
+
+
+def _rational_parts(name, monkeypatch):
+    """The ``parts`` of the rational integral of a catalog entry or a
+    bundle family, with the chart points to read it at: the entry's
+    sample points or :data:`BUNDLE_POINTS`."""
+    if name in SCAN_FAMILIES:
+        return rational.build_bundle(SCAN_FAMILIES[name]())._parts, BUNDLE_POINTS
+    # the entry then holds its rational integral's parts in its place
+    monkeypatch.setattr(catalog, "rational_integral", lambda _, parts, level=None: parts)
+    entry = get_example(name)
+    return entry.integrals[0], entry.sample_phases[:, :2]
+
+
 def _count_rational_parts(monkeypatch):
-    """Counts of the ``parts`` and ``grads`` calls of every rational
-    integral that the catalog or a bundle builds after this call."""
+    """Counts of the ``parts`` calls, and of the ``partials`` calls under
+    "grads", of every rational integral that the catalog or a bundle
+    builds after this call."""
     calls = Counter()
     make = integrals.rational_integral
 
     def counting(name, parts, level=None):
-        def counted_parts(state):
+        def counted_parts(x, y):
             calls["parts"] += 1
-            num, den, grads = parts(state)
+            a, b, partials = parts(x, y)
 
-            def counted_grads():
+            def counted_partials():
                 calls["grads"] += 1
-                return grads()
+                return partials()
 
-            return num, den, counted_grads
+            return a, b, counted_partials
 
         return make(name, counted_parts, level)
 
@@ -447,7 +466,7 @@ class TestBroadcastContract:
     @pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
     def test_bundle_arrays_equal_single_phases(self, family):
         system, integral = _bundle(family)
-        for x, y in ((1.0, 0.4), (2.2, 1.9), (0.6, 4.0)):
+        for x, y in BUNDLE_POINTS:
             p1, p2 = momentum_on_level(system, x, y, self.ANGLES)
             assert _assert_broadcasts(integral, x, y, p1, p2).all()
 
@@ -464,9 +483,9 @@ class TestBroadcastContract:
             bundle = rational.bundle_from_descriptor(entry.bundle_descriptor)
             system, integral = entry.system, entry.integrals[0]
         rho, psi = 1.0, 0.4
-        _, _, b0, _, d = bundle.integral_coefficients(rho, psi)
+        _, (b0, _, c0) = bundle.integral_coefficients(rho, psi)
         p1, p2 = momentum_on_level(system, rho, psi, self.ANGLES[:15])
-        p1 = np.insert(p1, 5, -bundle.gamma * d * math.cos(0.5 * psi) / b0)
+        p1 = np.insert(p1, 5, -c0 / b0)
         p2 = np.insert(p2, 5, 0.0)
         admitted = _assert_broadcasts(integral, rho, psi, p1, p2)
         assert np.flatnonzero(~admitted).tolist() == [5]
@@ -545,6 +564,21 @@ class TestBroadcastContract:
         report = level_set_bracket_scan(ex3.system, ex3.integrals[0], config=config)
         assert report.count == points * n_angles
         assert calls["func"] == 4 * points
+
+
+class TestCoefficientPartials:
+    @pytest.mark.parametrize("name", ["ex4", "ex5", "ex6"] + sorted(SCAN_FAMILIES))
+    def test_partials_match_differences(self, name, monkeypatch):
+        """The chart partials of a rational integral's coefficient triples
+        track Richardson differences of the triples at each entry's sample
+        points, with the scaled tolerance of the metric partials."""
+        parts, points = _rational_parts(name, monkeypatch)
+        for x, y in points:
+            (a_x, a_y), (b_x, b_y) = parts(x, y)[2]()
+            got = np.array([[a_x, b_x], [a_y, b_y]])
+            want = richardson_gradient(lambda q: parts(q[0], q[1])[:2], (x, y), 1e-4)
+            scale = max(1.0, float(np.max(np.abs(got))))
+            np.testing.assert_allclose(got / scale, want / scale, atol=1e-9)
 
 
 class TestIndependenceRank:
