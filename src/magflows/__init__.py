@@ -2,6 +2,8 @@
 rational-in-momenta first integrals: geometry, integration, integral
 checks, and the constructions generating the worked examples."""
 
+from types import ModuleType as _ModuleType
+
 from .catalog import CatalogEntry, EXAMPLE_NAMES, get_example, list_examples
 from .errors import (
     DegenerateD,
@@ -75,67 +77,6 @@ from .specfun import hyp2f1, terminating_2f1_coeffs
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BracketScanConfig",
-    "CatalogEntry",
-    "ChartDomain",
-    "ConservationReport",
-    "DegenerateD",
-    "DomainError",
-    "EXAMPLE_NAMES",
-    "EllipticHalf",
-    "EvaluationError",
-    "FirstIntegral",
-    "GuardError",
-    "HodographConstants",
-    "LogNu1",
-    "LogRadial",
-    "MagflowsError",
-    "MagneticSystem",
-    "Metric",
-    "NearPole",
-    "NoConvergence",
-    "PoleInC",
-    "PolynomialCos",
-    "RationalFlowBundle",
-    "ResidualReport",
-    "SeriesDivergence",
-    "SingularJacobian",
-    "SingularMetric",
-    "SingularPoint",
-    "StepFailure",
-    "Trajectory",
-    "TrajectoryConfig",
-    "UnknownExample",
-    "algebraic_residual",
-    "build_bundle",
-    "bundle_from_descriptor",
-    "chart_to_xy",
-    "characteristic_speeds",
-    "closed_form_abzero",
-    "condition_D",
-    "conformal_metric",
-    "conservation_drift",
-    "continued_solve",
-    "example3_system",
-    "from_riemann",
-    "functional_independence_rank",
-    "gaussian_curvature",
-    "get_example",
-    "hamiltonian",
-    "hamiltonian_integral",
-    "hyp2f1",
-    "integrate",
-    "level_set_bracket_scan",
-    "list_examples",
-    "magnetic_bracket_pair",
-    "magnetic_rhs",
-    "momentum_on_level",
-    "newton_solve",
-    "pde511_residual",
-    "rational_integral",
-    "reconstruct_fields",
-    "riemann_invariants",
-    "terminating_2f1_coeffs",
-    "xy_to_chart_logradial",
-]
+# the public names are the ones imported above
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

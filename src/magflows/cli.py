@@ -402,8 +402,8 @@ def cmd_hodograph(args: argparse.Namespace) -> int:
     x0, x1, y0, y1 = args.bbox
     header = ["x", "y", "f", "g", "Lambda", "u0", "Omega", "res1", "res2", "pde41_inf"]
     rows = []
-    for x in np.linspace(x0, x1, nx):
-        for y in np.linspace(y0, y1, ny):
+    for x in np.linspace(x0, x1, nx).tolist():
+        for y in np.linspace(y0, y1, ny).tolist():
             point, omega, residual = solve_fields(constants, x, y)
             r1, r2 = algebraic_residual(constants, x, y, point.f, point.g)
             rows.append([x, y, point.f, point.g, point.lam, point.u0, omega, r1, r2,
@@ -420,8 +420,13 @@ def cmd_hodograph(args: argparse.Namespace) -> int:
 
 
 def cmd_build_rational(args: argparse.Namespace) -> int:
-    params = {"k": args.k, "psi0": args.psi0} if args.family == "poly-cos" else {}
-    solution = solution_from_descriptor({"family": args.family, "parameters": params})
+    params = {name: value for name, value in (("k", args.k), ("psi0", args.psi0))
+              if value is not None}
+    try:
+        solution = solution_from_descriptor({"family": args.family, "parameters": params})
+    except ValueError as exc:
+        flags = "".join(f" --{name} {value}" for name, value in params.items())
+        raise ConfigError(f"build-rational {args.family}{flags}: {exc}") from exc
     bundle = build_bundle(
         solution,
         gamma=args.gamma,
@@ -482,8 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=float, default=10.0)
     p.add_argument("--method", choices=("embedded_rk45", "fixed_rk4"), default="embedded_rk45")
     p.add_argument("--step", type=float, help="step size of fixed_rk4")
-    p.add_argument("--rel-tol", type=float, default=1e-11)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
+    p.add_argument("--rel-tol", type=float, help="embedded_rk45 only (default 1e-11)")
+    p.add_argument("--abs-tol", type=float, help="embedded_rk45 only (default 1e-12)")
     p.add_argument("--record-every", type=int, default=1)
     p.add_argument("--out", help="output CSV name")
 
@@ -507,8 +512,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-rational", help="construct a flow bundle and check it")
     p.add_argument("family", nargs="?", help="radial family name")
-    p.add_argument("--k", type=int, default=2, help="polynomial degree (poly-cos)")
-    p.add_argument("--psi0", type=float, default=0.0, help="angular offset (poly-cos)")
+    p.add_argument("--k", type=int, help="polynomial degree (poly-cos only, default 2)")
+    p.add_argument("--psi0", type=float, help="angular offset (poly-cos only, default 0)")
     p.add_argument("--gamma", type=float, default=1.0)
     p.add_argument("--c-energy", type=float, default=1.0)
     p.add_argument("--rho-range", nargs=2, type=float, metavar=("LO", "HI"),

@@ -63,18 +63,18 @@ __all__ = [
 class TrajectoryConfig:
     """Integration settings.
 
-    ``method`` is ``"fixed_rk4"`` (requires ``step``) or
-    ``"embedded_rk45"`` (uses ``rel_tol``/``abs_tol`` and refuses a
-    ``step``).  ``record_every`` keeps every n-th accepted state; the
-    initial and final states are always recorded.  Times and tolerances
-    must be finite.
+    ``method`` is ``"fixed_rk4"`` (requires ``step`` and refuses
+    tolerances) or ``"embedded_rk45"`` (uses ``rel_tol``/``abs_tol``,
+    by default 1e-11 and 1e-12, and refuses a ``step``).  ``record_every``
+    keeps every n-th accepted state; the initial and final states are
+    always recorded.  Times and tolerances must be finite.
     """
 
     t_end: float
     method: str = "embedded_rk45"
     step: Optional[float] = None
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-12
+    rel_tol: Optional[float] = None
+    abs_tol: Optional[float] = None
     record_every: int = 1
 
     def __post_init__(self):
@@ -91,9 +91,14 @@ class TrajectoryConfig:
         if self.method == "fixed_rk4":
             if self.step is None or not self.step > 0.0:
                 raise ValueError("fixed_rk4 requires a positive step")
+            if self.rel_tol is not None or self.abs_tol is not None:
+                raise ValueError("fixed_rk4 takes no rel_tol or abs_tol; they are for embedded_rk45")
         else:
             if self.step is not None:
                 raise ValueError("embedded_rk45 chooses its own steps; a step is only for fixed_rk4")
+            # frozen: the adaptive defaults go in through object.__setattr__
+            object.__setattr__(self, "rel_tol", 1e-11 if self.rel_tol is None else self.rel_tol)
+            object.__setattr__(self, "abs_tol", 1e-12 if self.abs_tol is None else self.abs_tol)
             if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
                 raise ValueError("adaptive tolerances must be positive")
         if self.record_every < 1:

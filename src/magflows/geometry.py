@@ -82,13 +82,13 @@ class ChartDomain:
         return bool(self.predicate(x, y))
 
     def grid(self, nx: int, ny: int, margin: float = 0.0):
-        """Accepted points of an nx-by-ny bbox grid, as an (m, 2) array."""
+        """Accepted points of an nx-by-ny bbox grid, as a list of (x, y)
+        float pairs."""
         x0, x1, y0, y1 = self.bbox
         dx, dy = margin * (x1 - x0), margin * (y1 - y0)
-        xs = np.linspace(x0 + dx, x1 - dx, nx)
-        ys = np.linspace(y0 + dy, y1 - dy, ny)
-        pts = [(x, y) for x in xs for y in ys if self.contains(x, y)]
-        return np.asarray(pts, dtype=float).reshape(-1, 2)
+        xs = np.linspace(x0 + dx, x1 - dx, nx).tolist()
+        ys = np.linspace(y0 + dy, y1 - dy, ny).tolist()
+        return [(x, y) for x in xs for y in ys if self.contains(x, y)]
 
 
 @dataclass(frozen=True)

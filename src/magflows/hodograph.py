@@ -11,9 +11,11 @@ algebraically and the magnetic field is Omega = (g_x - f_y)/4.
 At alpha = beta = 0 the system has a closed-form solution (real cube-root
 branch), which both seeds the continuation to nonzero alpha, beta and
 serves as an exact oracle for the solver.  The continuation follows that
-branch and reports a fold as SingularPoint.  The derivatives of the fields,
-and so Omega and the first-order system residual, come exactly from the
-Jacobian at the solution by the implicit function theorem.
+branch and reports a fold as SingularPoint; its Newton corrector ends with
+one full polishing step.  The derivatives of the fields, and so Omega and
+the first-order system residual, come exactly from the Jacobian at the
+solution by the implicit function theorem.  The per-point algebra runs on
+Python floats, with a closed-form 2x2 solve.
 
 The module also assembles the curved quadratic-integral system in the
 transformed chart (X, Y) at the constants alpha = 1, beta = 0: an explicit
@@ -130,15 +132,33 @@ def algebraic_residual(k: HodographConstants, x, y, f, g):
     return r1, r2
 
 
-def algebraic_jacobian(k: HodographConstants, x, y, f, g) -> np.ndarray:
-    """Analytic Jacobian d(R1,R2)/d(f,g); independent of (x, y)."""
+def algebraic_jacobian(k: HodographConstants, x, y, f, g):
+    """Analytic Jacobian d(R1,R2)/d(f,g) as the float rows ((j11, j12),
+    (j21, j22)); independent of (x, y)."""
     a, b, z = k.alpha, k.beta, k.zeta
     z2 = z * z
     j11 = -z2 * g * g - 12.0 * b * z * g - 3.0 * z2 * f * f + 52.0 * a * z * f - 192.0 * a * a
     j12 = -2.0 * z2 * f * g - 12.0 * b * z * f + 12.0 * a * z * g + 64.0 * a * b
     j21 = 2.0 * z2 * f * g - 12.0 * a * z * g + 12.0 * b * z * f - 64.0 * a * b
     j22 = z2 * f * f - 12.0 * a * z * f + 3.0 * z2 * g * g + 52.0 * b * z * g + 192.0 * b * b
-    return np.array([[j11, j12], [j21, j22]])
+    return (j11, j12), (j21, j22)
+
+
+def _solve2(jac, b1: float, b2: float) -> tuple[float, float, float]:
+    """(J^{-1} (b1, b2), det J) by Cramer's rule; SingularJacobian where
+    det J = 0."""
+    (j11, j12), (j21, j22) = jac
+    det = j11 * j22 - j12 * j21
+    if det == 0.0:
+        raise SingularJacobian(f"singular Jacobian {jac}")
+    return (j22 * b1 - j12 * b2) / det, (j11 * b2 - j21 * b1) / det, det
+
+
+def _sup_norm(values) -> float:
+    """max |v| over floats, NaN when any is NaN (a bare ``max`` keeps a NaN
+    only when it comes first)."""
+    sizes = [abs(v) for v in values]
+    return math.nan if any(s != s for s in sizes) else max(sizes)
 
 
 def newton_solve(
@@ -148,16 +168,17 @@ def newton_solve(
     guess,
     tol: float = 1e-12,
 ) -> NewtonResult:
-    """Damped Newton iteration on the algebraic system at one point.
-
-    Steps are halved (up to 30 times) until the residual sup-norm
-    decreases; after 50 steps NoConvergence is raised.  The returned
-    record carries the Jacobian condition number at the solution.
+    """Damped Newton iteration on the algebraic system at one point, on
+    Python floats.  Steps are halved (up to 30 times) until max |R| (NaN
+    when R has a NaN) decreases; after 50 steps NoConvergence is raised.
+    Once max |R| <= tol, which can leave f and g off by about 1e-12
+    relative, one full step with the Jacobian at the root polishes it and
+    is kept when max |R| does not grow.  ``iterations`` counts the steps
+    before the polish; ``jacobian_cond`` is the condition number at the root.
     """
     f, g = float(guess[0]), float(guess[1])
-    r = np.array(algebraic_residual(k, x, y, f, g))
-    rnorm = float(np.max(np.abs(r)))
-    cond = float("nan")
+    r = algebraic_residual(k, x, y, f, g)
+    rnorm = _sup_norm(r)
     for it in range(51):
         jac = algebraic_jacobian(k, x, y, f, g)
         sv = np.linalg.svd(jac, compute_uv=False)
@@ -167,14 +188,18 @@ def newton_solve(
                 f"singular values {sv.tolist()}"
             )
         cond = float(sv[0] / sv[1])
+        df, dg, _ = _solve2(jac, -r[0], -r[1])
         if rnorm <= tol:
+            fp, gp = f + df, g + dg
+            pnorm = _sup_norm(algebraic_residual(k, x, y, fp, gp))
+            if pnorm <= rnorm:
+                return NewtonResult(fp, gp, it, pnorm, cond)
             return NewtonResult(f, g, it, rnorm, cond)
-        delta = np.linalg.solve(jac, -r)
         lam = 1.0
         for _ in range(30):
-            ft, gt = f + lam * delta[0], g + lam * delta[1]
-            rt = np.array(algebraic_residual(k, x, y, ft, gt))
-            rtn = float(np.max(np.abs(rt)))
+            ft, gt = f + lam * df, g + lam * dg
+            rt = algebraic_residual(k, x, y, ft, gt)
+            rtn = _sup_norm(rt)
             if rtn < rnorm:
                 f, g, r, rnorm = ft, gt, rt, rtn
                 break
@@ -194,55 +219,43 @@ def continued_solve(k: HodographConstants, x: float, y: float) -> NewtonResult:
     beta*), t from 0 to 1 (Allgower & Georg, ch. 2): Euler predictor along
     -J^{-1} dR/dt, exact as (R(t+1) - R(t-1))/2 since R is quadratic in t,
     and Newton corrector.  A step halves when the corrector fails, sign(det J)
-    leaves its seed value, or the trapezoid rule on the end tangents misses
-    the step by over a quarter of its length plus 1e-12 of round-off (a jump
-    to another branch); it doubles after at most 3 iterations.  A step
-    below 1e-4 means the branch folds, and raises SingularPoint.
+    (-1, 0 or 1) leaves its seed value, or the trapezoid rule on the end
+    tangents misses the step by over a quarter of its length plus 1e-12 of
+    round-off (a jump to another branch); it doubles after at most 3
+    iterations.  A step below 1e-4 means the branch folds: SingularPoint.
     """
     def at(t):
         return k.with_ab(t * k.alpha, t * k.beta)
 
-    def tangent(t, point):
-        jac = algebraic_jacobian(at(t), x, y, *point)
-        rate = np.subtract(algebraic_residual(at(t + 1.0), x, y, *point),
-                           algebraic_residual(at(t - 1.0), x, y, *point))
-        return np.sign(np.linalg.det(jac)), np.linalg.solve(jac, -0.5 * rate)
+    def tangent(t, f, g):
+        jac = algebraic_jacobian(at(t), x, y, f, g)
+        up = algebraic_residual(at(t + 1.0), x, y, f, g)
+        down = algebraic_residual(at(t - 1.0), x, y, f, g)
+        sf, sg, det = _solve2(jac, -0.5 * (up[0] - down[0]), -0.5 * (up[1] - down[1]))
+        return int(det > 0.0) - int(det < 0.0), sf, sg
 
     seed, _ = closed_form_abzero(at(0.0), x, y)
-    t, h, point = 0.0, 1.0, np.array([seed.f, seed.g])
-    sign, slope = tangent(0.0, point)
+    t, h, f, g = 0.0, 1.0, seed.f, seed.g
+    sign, sf, sg = tangent(0.0, f, g)
     while h >= 1e-4:
         t_new = 1.0 if h >= 1.0 - t else t + h
         step = t_new - t
         try:
-            result = newton_solve(at(t_new), x, y, point + step * slope)
-            new = np.array([result.f, result.g])
-            new_sign, new_slope = tangent(t_new, new)
-            miss = np.linalg.norm(new - point - 0.5 * step * (slope + new_slope))
-            ok = new_sign == sign and miss <= 0.25 * np.linalg.norm(new - point) + 1e-12
+            result = newton_solve(at(t_new), x, y, (f + step * sf, g + step * sg))
+            new_sign, nf, ng = tangent(t_new, result.f, result.g)
+            df, dg = result.f - f, result.g - g
+            miss = math.hypot(df - 0.5 * step * (sf + nf), dg - 0.5 * step * (sg + ng))
+            ok = new_sign == sign and miss <= 0.25 * math.hypot(df, dg) + 1e-12
         except (NoConvergence, SingularJacobian):
             ok = False
         if not ok:
             h = 0.5 * step
         elif t_new == 1.0:
-            return _polished(k, x, y, result)
+            return result
         else:
-            t, point, slope = t_new, new, new_slope
+            t, f, g, sf, sg = t_new, result.f, result.g, nf, ng
             h = 2.0 * step if result.iterations <= 3 else step
     raise SingularPoint(f"the branch of the closed form folds at t = {t:.3g} at ({x}, {y})")
-
-
-def _polished(k: HodographConstants, x: float, y: float, root: NewtonResult) -> NewtonResult:
-    """The root after one more Newton step with the Jacobian at it, kept
-    when max |R| does not grow: ``newton_solve`` stops at max |R| <= 1e-12
-    absolute, which leaves f and g off by up to about 1e-12 relative."""
-    r = algebraic_residual(k, x, y, root.f, root.g)
-    delta = np.linalg.solve(algebraic_jacobian(k, x, y, root.f, root.g), np.negative(r))
-    f, g = float(root.f + delta[0]), float(root.g + delta[1])
-    rnorm = float(np.max(np.abs(algebraic_residual(k, x, y, f, g))))
-    if rnorm <= root.residual_inf:
-        return root._replace(f=f, g=g, residual_inf=rnorm)
-    return root
 
 
 def reconstruct_fields(k: HodographConstants, f: float, g: float) -> tuple[float, float]:
@@ -284,40 +297,34 @@ def closed_form_abzero(k: HodographConstants, x: float, y: float):
     return FieldPoint(f=f, g=g, lam=lam, u0=u0), omega
 
 
-def _system_matrices(lam: float, f: float, g: float):
-    """A(U), B(U) of the first-order system A U_x + B U_y = 0, U = (Lambda, u0, f, g)."""
-    a = np.array(
-        [
-            [0.0, 0.0, 1.0, 0.0],
-            [f, 0.0, lam, 0.0],
-            [2.0, 1.0, 0.0, 0.5 * g],
-            [0.0, 0.0, 0.0, -0.5 * f],
-        ]
+def _system_residual(lam, f, g, ux, uy):
+    """The four rows of A U_x + B U_y of the first-order system
+    A U_x + B U_y = 0, U = (Lambda, u0, f, g), from the value of U and its
+    partials ``ux``, ``uy``."""
+    return (
+        ux[2] + uy[3],
+        f * ux[0] + lam * ux[2] - g * uy[0] - lam * uy[3],
+        2.0 * ux[0] + ux[1] + 0.5 * g * ux[3] - 0.5 * g * uy[2],
+        -0.5 * f * ux[3] + 2.0 * uy[0] - uy[1] + 0.5 * f * uy[2],
     )
-    b = np.array(
-        [
-            [0.0, 0.0, 0.0, 1.0],
-            [-g, 0.0, 0.0, -lam],
-            [0.0, 0.0, -0.5 * g, 0.0],
-            [2.0, -1.0, 0.5 * f, 0.0],
-        ]
-    )
-    return a, b
 
 
 def solve_fields(k: HodographConstants, x: float, y: float):
-    """(FieldPoint, Omega = (g_x - f_y)/4, residual A U_x + B U_y) at one
-    chart point from one continued solve.  R depends on (x, y) only through
-    2 zeta y in R1 and 2 zeta x in R2, so d(f, g)/d(x, y) = -J^{-1} 2 zeta
-    [[0, 1], [1, 0]] exactly; (Lambda, u0) follow by the chain rule.
+    """(FieldPoint, Omega = (g_x - f_y)/4, residual A U_x + B U_y as four
+    floats) at one chart point from one continued solve.  R depends on
+    (x, y) only through 2 zeta y in R1 and 2 zeta x in R2, so
+    d(f, g)/dx = -2 zeta J^{-1} (0, 1) and d(f, g)/dy = -2 zeta J^{-1} (1, 0)
+    exactly; (Lambda, u0) follow by the chain rule.
     """
     f, g = continued_solve(k, x, y)[:2]
     lam, u0 = reconstruct_fields(k, f, g)
-    d = -2.0 * k.zeta * np.linalg.solve(algebraic_jacobian(k, x, y, f, g), [[0.0, 1.0], [1.0, 0.0]])
+    jac = algebraic_jacobian(k, x, y, f, g)
+    fx, gx, _ = _solve2(jac, 0.0, -2.0 * k.zeta)
+    fy, gy, _ = _solve2(jac, -2.0 * k.zeta, 0.0)
     a8, b8 = 8.0 * k.alpha / k.zeta, 8.0 * k.beta / k.zeta
-    du = np.array([[-f + a8, -g - b8], [a8, b8], [1.0, 0.0], [0.0, 1.0]]) @ d
-    a, b = _system_matrices(lam, f, g)
-    return FieldPoint(f, g, lam, u0), 0.25 * (d[1, 0] - d[0, 1]), a @ du[:, 0] + b @ du[:, 1]
+    ux = ((-f + a8) * fx + (-g - b8) * gx, a8 * fx + b8 * gx, fx, gx)
+    uy = ((-f + a8) * fy + (-g - b8) * gy, a8 * fy + b8 * gy, fy, gy)
+    return FieldPoint(f, g, lam, u0), 0.25 * (gx - fy), _system_residual(lam, f, g, ux, uy)
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def level_set_bracket_scan(
                 val = math.inf
             if val > max_abs:
                 max_abs = val
-                worst = (float(x), float(y), phi)
+                worst = (x, y, phi)
     if count == 0:
         raise GuardError("guard rejected every sampled phase")
     return ResidualReport(

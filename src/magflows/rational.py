@@ -25,6 +25,7 @@ jet; the momentum algebra, the guard and the quotient rule live there.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -117,7 +118,7 @@ class PolynomialCos(ZSolution):
 
     family = "poly-cos"
 
-    def __init__(self, k: int, psi0: float = 0.0):
+    def __init__(self, k: int = 2, psi0: float = 0.0):
         if k < 1:
             raise DomainError("the polynomial family needs k >= 1")
         raw = terminating_2f1_coeffs(k)
@@ -211,7 +212,8 @@ FAMILIES = {
 
 
 def solution_from_descriptor(entry: dict) -> ZSolution:
-    """Rebuild a ZSolution from its descriptor dict; ValueError on bad input."""
+    """Rebuild a ZSolution from its descriptor dict; ValueError on bad
+    input, a parameter the family does not take included."""
     if not isinstance(entry, dict):
         raise ValueError("solution descriptor must be an object")
     family = entry.get("family")
@@ -220,6 +222,9 @@ def solution_from_descriptor(entry: dict) -> ZSolution:
     params = entry.get("parameters", {})
     if not isinstance(params, dict):
         raise ValueError("'parameters' must be an object")
+    unknown = sorted(set(params) - set(inspect.signature(FAMILIES[family]).parameters))
+    if unknown:
+        raise ValueError(f"family {family!r} takes no parameter {unknown[0]!r}")
     try:
         return FAMILIES[family](**params)
     except TypeError as exc:

@@ -117,7 +117,11 @@ def terminating_2f1_coeffs(k: int) -> list[float]:
 
     equivalent to c_j = (k+j-1)! / (k (k-j)! (j-1)! j!).  The returned
     normalization fixes c_1 = 1; callers that want a different scaling
-    (for example monic) rescale the list.
+    (for example monic) rescale the list.  The limit k <= 60 is on the
+    coefficients alone: on the default rho range (0.05, 5) the poly-cos
+    bundle passes ``build-rational`` for k <= 17, k = 18 fails the
+    bracket scan's absolute bound (3.0e-6) and k >= 19 fails d_min
+    (9.4e-11 at k = 19), so higher degrees need a range away from 0.05.
 
     Raises
     ------

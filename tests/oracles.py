@@ -16,7 +16,7 @@ import numpy as np
 from magflows.errors import StepFailure
 from magflows.flow import TrajectoryConfig, conservation_drift, integrate
 from magflows.geometry import MagneticSystem
-from magflows.hodograph import FieldPoint, _system_matrices
+from magflows.hodograph import FieldPoint, _system_residual
 from richardson import richardson_gradient
 
 Sampler = Callable[[float, float], FieldPoint]
@@ -38,8 +38,7 @@ def pde41_residual_fd(sampler: Sampler, x: float, y: float, h: float = 1e-4) -> 
     u0 = _uvec(sampler(x, y))
     ux = (_uvec(sampler(x + h, y)) - _uvec(sampler(x - h, y))) / (2.0 * h)
     uy = (_uvec(sampler(x, y + h)) - _uvec(sampler(x, y - h))) / (2.0 * h)
-    a, b = _system_matrices(u0[0], u0[2], u0[3])
-    return a @ ux + b @ uy
+    return np.array(_system_residual(u0[0], u0[2], u0[3], ux, uy))
 
 
 def omega_fd(sampler: Sampler, x: float, y: float, h: float = 1e-3) -> float:

@@ -1,6 +1,7 @@
 """Command line driver: outputs, exit codes, config merging, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from magflows import rational
 from magflows.catalog import get_example, list_examples
-from magflows import cli
+from magflows import cli, hodograph
 from magflows.cli import _check, _corrupted, _write_json, build_parser, config_actions, main
 from magflows.hodograph import HodographConstants, closed_form_abzero
 from magflows.rational import PolynomialCos, build_bundle
@@ -181,6 +182,22 @@ class TestSimulate:
         assert code == 2
         assert "unknown config key" in err
 
+    def test_guard_rejected_row_gets_a_nan_cell(self, tmp_path, capsys, monkeypatch):
+        """A row whose phase the integral's guard rejects gets NaN in that
+        integral's column, and every other row gets F of its state."""
+        entry = get_example("ex1")
+        f = dataclasses.replace(entry.integrals[0], guard=lambda state: state[0] < 0.5)
+        monkeypatch.setattr(cli, "get_example",
+                            lambda name: dataclasses.replace(entry, integrals=(f,)))
+        code, _, err = _run(["--out-dir", str(tmp_path), "simulate", "ex1",
+                             "--phase", "0", "0", "1", "0", "--t-end", "1"], capsys)
+        assert code == 0, err
+        _, data = _read_csv(tmp_path / "ex1_trace.csv")
+        admitted = data[:, 1] < 0.5
+        assert admitted.any() and not admitted.all()
+        assert np.isnan(data[~admitted, 6]).all()
+        assert data[admitted, 6].tolist() == [f(row[1:5]) for row in data[admitted]]
+
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         """Identical invocations write identical bytes."""
         argv = ["simulate", "ex5", "--phase", "1.0", "0.7", "1.970584", "0.5",
@@ -285,6 +302,18 @@ class TestHodograph:
         _, data = _read_csv(tmp_path / "hodograph.csv")
         assert np.max(np.abs(data[:, 7:9])) <= 1e-10
         assert np.max(data[:, 9]) <= 1e-6
+
+    def test_nan_residual_reaches_pde41_inf(self, tmp_path, capsys, monkeypatch):
+        """A NaN in the last row of the first-order residual shows as a NaN
+        pde41_inf, not as the largest of the other three rows."""
+        real = hodograph._system_residual
+        monkeypatch.setattr(hodograph, "_system_residual",
+                            lambda *args: (*real(*args)[:3], math.nan))
+        code, _, err = _run(["--out-dir", str(tmp_path), "hodograph", "--grid", "2", "2"],
+                            capsys)
+        assert code == 0, err
+        _, data = _read_csv(tmp_path / "hodograph.csv")
+        assert np.isnan(data[:, 9]).all() and np.isfinite(data[:, :9]).all()
 
     def test_trivial_constants_rejected(self, tmp_path, capsys):
         """zeta = 0 collapses the family and is refused."""
@@ -433,6 +462,33 @@ class TestBuildRational:
         assert code == 2
         assert "family" in err
 
+    @pytest.mark.parametrize("family", ["log-radial", "log-nu1", "elliptic-half"])
+    @pytest.mark.parametrize("flag, value", [("k", 5), ("psi0", 1.0)])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_poly_cos_parameter_refused_elsewhere(self, family, flag, value, source, tmp_path,
+                                                  capsys):
+        """--k and --psi0 shape only poly-cos; any other family exits 2 with
+        a message naming the flag, whether it came as a flag or from a
+        config file, and writes no report."""
+        head, tail = [], [f"--{flag}", str(value)]
+        if source == "config":
+            config = tmp_path / "params.json"
+            config.write_text(json.dumps({flag: value}))
+            head, tail = ["--config", str(config)], []
+        out_dir = tmp_path / "out"
+        code, out, err = _run(head + ["--out-dir", str(out_dir), "build-rational", family, *tail],
+                              capsys)
+        assert code == 2
+        assert f"--{flag} {value}" in err and f"takes no parameter {flag!r}" in err
+        assert "wrote" not in out and not out_dir.exists()
+
+    def test_poly_cos_defaults(self, tmp_path, capsys):
+        """Without --k and --psi0, poly-cos is built at k = 2, psi0 = 0."""
+        code, _, err = _run(["--out-dir", str(tmp_path), "build-rational", "poly-cos"], capsys)
+        assert code == 0, err
+        report = _read_strict_json(tmp_path / "bundle_poly-cos.json")
+        assert report["descriptor"]["parameters"] == {"k": 2, "psi0": 0.0}
+
 
 class TestSharedParser:
     ARGV = ["simulate", "ex1", "--phase", "0", "0", "1", "0", "--out", "trace.csv"]
@@ -528,6 +584,9 @@ class TestErrorContract:
         (["--tol", "-1", "verify", "ex1", "--corrupt"], 2),
         (["--tol", "0", "build-rational", "poly-cos"], 2),
         (["simulate", "ex1", "--phase", "0", "0", "1", "0", "--t-end", "1", "--step", "0.1"], 2),
+        (["build-rational", "log-radial", "--k", "5", "--psi0", "1.0"], 2),
+        (["simulate", "ex1", "--phase", "0", "0", "1", "0", "--t-end", "1", "--method", "fixed_rk4",
+          "--step", "0.1", "--rel-tol", "5"], 2),
     ]
 
     @pytest.mark.parametrize("argv, want", CASES)

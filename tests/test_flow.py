@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 
 from magflows import flow
 from magflows.catalog import get_example, larmor_orbit, list_examples
-from magflows.errors import DomainError, EvaluationError, SingularMetric
+from magflows.errors import DomainError, EvaluationError, SingularMetric, StepFailure
 from magflows.flow import (
     TrajectoryConfig,
     conservation_drift,
@@ -185,6 +185,18 @@ class TestTrajectoryConfig:
         with pytest.raises(ValueError, match="only for fixed_rk4"):
             TrajectoryConfig(t_end=1.0, method="embedded_rk45", step=0.1)
 
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    def test_fixed_method_refuses_a_tolerance(self, name):
+        """fixed_rk4 has no error control, so a tolerance given with it
+        would be silently ignored."""
+        with pytest.raises(ValueError, match="fixed_rk4 takes no rel_tol or abs_tol"):
+            TrajectoryConfig(t_end=1.0, method="fixed_rk4", step=0.1, **{name: 1e-6})
+
+    def test_adaptive_tolerance_defaults(self):
+        config = TrajectoryConfig(t_end=1.0)
+        assert (config.rel_tol, config.abs_tol) == (1e-11, 1e-12)
+        assert config == TrajectoryConfig(t_end=1.0, rel_tol=1e-11, abs_tol=1e-12)
+
 
 class TestWorkCounts:
     @staticmethod
@@ -256,6 +268,17 @@ class TestWorkCounts:
         assert trajectory.rejected_nonfinite == 1
         assert trajectory.rejected == 1
         assert trajectory.rhs_evals == len(calls) == 7 * (trajectory.accepted + 1)
+
+    def test_fixed_step_non_finite_end_state_raises(self, monkeypatch):
+        """An infinite rate at stage 4 of the second fixed step gives an
+        infinite momentum at an end point inside the chart: the fixed-step
+        scheme cannot shorten the step, so it raises."""
+        calls = self._count_rhs(monkeypatch, corrupt_call=4 + 4)
+        ex1 = get_example("ex1")
+        config = TrajectoryConfig(t_end=1.0, method="fixed_rk4", step=0.1)
+        with pytest.raises(StepFailure, match="non-finite state at t = 0.2"):
+            integrate(ex1.system, (0.0, 0.0, 1.0, 0.0), config)
+        assert len(calls) == 8
 
 
 # Dormand-Prince 4(5): Hairer, Norsett & Wanner, Solving ODEs I, Table II.5.2
@@ -523,6 +546,67 @@ class TestChartExit:
         trajectory = integrate(system, (0.0, 0.0, 1.0, 0.0), TrajectoryConfig(t_end=1.0))
         assert trajectory.domain_exit and trajectory.exit_time == 0.0
         assert (trajectory.rejected_boundary, trajectory.rhs_evals, len(trajectory)) == (1, 2, 1)
+
+
+class TestFixedStepEnds:
+    """How a fixed-step run ends: at a chart exit found by a stage or by
+    the end point, and with the final state recorded whatever
+    ``record_every`` is."""
+
+    @staticmethod
+    def _free_towards(x_b):
+        """Free motion on the chart x < x_b."""
+        free = _free_system()
+        return dataclasses.replace(free, domain=ChartDomain(
+            bbox=(-2.0, x_b, -2.0, 2.0), predicate=lambda x, y: x < x_b))
+
+    def _stage_exit(self, record_every):
+        # unit speed along x from x = 0 in steps of 0.3: the fourth step's
+        # second stage, at x = 1.05, is the first point outside x < 1
+        config = TrajectoryConfig(t_end=2.0, method="fixed_rk4", step=0.3,
+                                  record_every=record_every)
+        return integrate(self._free_towards(1.0), (0.0, 0.0, 1.0, 0.0), config)
+
+    def test_stage_outside_the_chart_ends_the_run(self):
+        """The run ends at the last whole step, after the two calls of the
+        step whose stage left the chart."""
+        trajectory = self._stage_exit(1)
+        assert trajectory.domain_exit
+        assert trajectory.exit_time == trajectory.times[-1] == 0.3 + 0.3 + 0.3
+        assert (trajectory.accepted, trajectory.rhs_evals, len(trajectory)) == (3, 4 * 3 + 2, 4)
+        assert trajectory.states[-1].tolist() == [0.3 + 0.3 + 0.3, 0.0, 1.0, 0.0]
+
+    def test_end_point_outside_the_chart_ends_the_run(self):
+        """A chart that lacks only the end point of the first step: its four
+        stages are inside, and the end-point test stops the run at t = 0."""
+        ex1 = get_example("ex1").system
+        phase0 = (0.0, 0.0, 1.0, 0.0)
+        one_step = TrajectoryConfig(t_end=0.5, method="fixed_rk4", step=0.5)
+        end = tuple(integrate(ex1, phase0, one_step).states[-1, :2].tolist())
+        holed = dataclasses.replace(ex1, domain=ChartDomain(
+            bbox=ex1.domain.bbox, predicate=lambda x, y: (x, y) != end))
+        config = TrajectoryConfig(t_end=2.0, method="fixed_rk4", step=0.5)
+        trajectory = integrate(holed, phase0, config)
+        assert trajectory.domain_exit and trajectory.exit_time == 0.0
+        assert (trajectory.accepted, trajectory.rhs_evals, len(trajectory)) == (0, 4, 1)
+
+    def test_final_state_recorded_at_t_end(self):
+        """Four steps with record_every = 3 keep t = 0.75 and then the
+        final state at t = 1, the same state an every-step run ends on."""
+        ex1 = get_example("ex1").system
+        runs = [integrate(ex1, (0.0, 0.0, 1.0, 0.0), TrajectoryConfig(
+            t_end=1.0, method="fixed_rk4", step=0.25, record_every=every)) for every in (1, 3)]
+        assert runs[1].times.tolist() == [0.0, 0.75, 1.0]
+        assert runs[1].states[-1].tolist() == runs[0].states[-1].tolist()
+        assert not runs[1].domain_exit
+
+    def test_final_state_recorded_on_exit(self):
+        """Three steps before the exit with record_every = 2 keep t = 0.6
+        and then the last state inside the chart."""
+        every_step, thinned = self._stage_exit(1), self._stage_exit(2)
+        assert thinned.times.tolist() == [0.0, 0.3 + 0.3, 0.3 + 0.3 + 0.3]
+        assert thinned.states[-1].tolist() == every_step.states[-1].tolist()
+        assert thinned.exit_time == thinned.times[-1]
 
 
 class TestConservationDrift:

@@ -111,6 +111,17 @@ class TestNewton:
             assert result.iterations <= 50
             assert np.isfinite(result.jacobian_cond)
 
+    def test_nan_residual_never_converges(self, monkeypatch):
+        """R2 = NaN at the closed-form root, where R1 is round-off: max |R|
+        is NaN, not R1, so neither the stopping test nor the line search
+        accepts a point."""
+        real = hodograph.algebraic_residual
+        monkeypatch.setattr(hodograph, "algebraic_residual",
+                            lambda *args: (real(*args)[0], math.nan))
+        point, _ = closed_form_abzero(K0, 1.3, 0.9)
+        with pytest.raises(NoConvergence, match="line search stalled"):
+            newton_solve(K0, 1.3, 0.9, (point.f, point.g))
+
     def test_jacobian_matches_differences(self):
         """The analytic 2x2 Jacobian agrees with central differences."""
         f, g = 0.37, -0.85

@@ -329,6 +329,23 @@ class TestScanEquivalence:
         want = _reference_scan(system, integral, self.COARSE)
         assert (report.max_abs, report.rms, report.count, report.worst) == want
 
+    def test_guard_admitting_some_angles(self):
+        """A guard that admits three of eight angles at every grid point
+        (p2 > 0.1 on ex1's unit circle: pi/4, pi/2, 3 pi/4): the scan takes
+        exactly those samples, each equal to magnetic_bracket_pair there.
+        The corrupted integral's bracket, 0.01 p1, differs between the
+        admitted angles, so a sample paired with the wrong angle shows."""
+        config = BracketScanConfig(nx=6, ny=6, n_angles=8)
+        ex1 = get_example("ex1")
+        guarded = dataclasses.replace(_corrupted(ex1.integrals[0]),
+                                      guard=lambda state: state[3] > 0.1)
+        report = level_set_bracket_scan(ex1.system, guarded, config=config)
+        assert (report.max_abs, report.rms, report.count, report.worst) == _reference_scan(
+            ex1.system, guarded, config)
+        points = ex1.system.domain.grid(6, 6, margin=config.grid_margin)
+        assert report.count == 3 * len(points)
+        assert report.worst == (*points[0], np.pi / 4)
+
     def test_chart_point_work_does_not_grow_with_angles(self):
         """Metric components, partials and field are called a fixed number
         of times per grid point (Cholesky and G^{-1}, dG, Omega), however

@@ -528,6 +528,19 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             bundle_from_descriptor(bad_energy)
 
+    @pytest.mark.parametrize("family", ["log-radial", "log-nu1", "elliptic-half"])
+    @pytest.mark.parametrize("name", ["k", "psi0"])
+    def test_parameter_the_family_does_not_take(self, family, name):
+        """Only poly-cos takes k and psi0; any other family refuses them by
+        name instead of dropping them."""
+        with pytest.raises(ValueError, match=f"{family!r} takes no parameter {name!r}"):
+            solution_from_descriptor({"family": family, "parameters": {name: 1}})
+
+    def test_poly_cos_defaults(self):
+        """A poly-cos descriptor without parameters is k = 2, psi0 = 0."""
+        solution = solution_from_descriptor({"family": "poly-cos"})
+        assert solution.params() == {"k": 2, "psi0": 0.0} == PolynomialCos().params()
+
     @pytest.mark.parametrize("psi0", [math.nan, math.inf, -math.inf])
     def test_non_finite_psi0_rejected(self, psi0):
         """A non-finite angular offset is a DomainError naming psi0, built
