@@ -25,6 +25,7 @@ from .geometry import (
     ChartDomain,
     MagneticSystem,
     Metric,
+    chart_columns,
     conformal_metric,
     momentum_on_level,
 )
@@ -147,11 +148,17 @@ def _channel_entry(
         name=name,
     )
 
+    def u(x, y):
+        return potential(y)
+
+    def u_y(x, y):
+        return potential_prime(y)
+
     def func(state):
-        return state[2] + potential(state[1])
+        return state[2] + chart_columns(u, state[0], state[1])
 
     def grad(state):
-        return gradient_rows(state[2], (0.0, potential_prime(state[1]), 1.0, 0.0))
+        return gradient_rows(state[2], (0.0, chart_columns(u_y, state[0], state[1]), 1.0, 0.0))
 
     integral = FirstIntegral(name="F1", kind="linear", func=func, grad=grad)
     return CatalogEntry(
@@ -255,11 +262,11 @@ def _make_ex4() -> CatalogEntry:
 
     def f1_func(state):
         x, y, p1, p2 = state
-        return -y * p1 + x * p2 - 0.5 * gamma * math.hypot(x, y)
+        return -y * p1 + x * p2 - 0.5 * gamma * chart_columns(math.hypot, x, y)
 
     def f1_grad(state):
         x, y, p1, p2 = state
-        r = math.hypot(x, y)
+        r = chart_columns(math.hypot, x, y)
         return gradient_rows(p1, (p2 - 0.5 * gamma * x / r, -p1 - 0.5 * gamma * y / r, -y, x))
 
     f1_linear = FirstIntegral(name="F1", kind="linear", func=f1_func, grad=f1_grad)

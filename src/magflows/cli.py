@@ -301,12 +301,13 @@ def _random_phases(system, rng, count):
 
 def _corrupted(integral: FirstIntegral) -> FirstIntegral:
     """The control F + 0.01 x with gradient dF + 0.01 dx; both broadcast
-    over arrays of momenta as F does."""
-    def broken(state, _f=integral.func):
-        return _f(state) + 0.01 * state[0]
+    over arrays of momenta and chart columns as F does, and take F's
+    ``chart`` data."""
+    def broken(state, *charts, _f=integral.func):
+        return _f(state, *charts) + 0.01 * state[0]
 
-    def broken_grad(state, _g=integral.grad):
-        grad = np.array(_g(state), dtype=float)
+    def broken_grad(state, *charts, _g=integral.grad):
+        grad = np.array(_g(state, *charts), dtype=float)
         grad[0] += 0.01
         return grad
 
@@ -317,6 +318,7 @@ def _corrupted(integral: FirstIntegral) -> FirstIntegral:
         grad=broken_grad,
         level=integral.level,
         guard=integral.guard,
+        chart=integral.chart,
     )
 
 

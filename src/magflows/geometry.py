@@ -5,6 +5,11 @@ Conventions used throughout the package:
 * a chart point is a pair of floats ``(x, y)``;
 * a phase point is a length-4 vector ``(x, y, p1, p2)`` with the momenta
   living in the cotangent fibre;
+* P chart points are given as chart columns, x and y of shape (P, 1), with
+  momenta of shape (P, n): n momenta at each point.  A function of one
+  float chart point is read at each of them by :func:`chart_columns`, and
+  everything after that is elementwise, so each sample has the bits of
+  the same evaluation at its own point;
 * the Hamiltonian is ``H = (1/2) g^{ij} p_i p_j``; :func:`hamiltonian` and
   :func:`hamiltonian_gradient` are the only places that contract G^{-1};
 * the magnetic field is the coefficient ``Omega(x, y)`` of ``dx ^ dy``; it
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +44,10 @@ __all__ = [
     "hamiltonian",
     "hamiltonian_gradient",
     "vector_field",
+    "chart_columns",
+    "stack_columns",
+    "level_factor",
+    "level_momenta",
     "momentum_on_level",
     "gaussian_curvature",
 ]
@@ -49,6 +59,31 @@ Partials = Callable[
     [float, float],
     tuple[tuple[float, float, float], tuple[float, float, float]],
 ]
+
+
+def stack_columns(values):
+    """The values of a function at P chart points as chart columns: P
+    floats become one (P, 1) column, and P tuples the tuple of their
+    components stacked alike, so P triples unpack into three columns and P
+    pairs of triples into two (3, P, 1) arrays."""
+    if isinstance(values[0], tuple):
+        return tuple(_stacked(part) for part in zip(*values))
+    return _stacked(values)
+
+
+def _stacked(values) -> np.ndarray:
+    """P equally shaped values as one array with the points in a trailing
+    (P, 1) column."""
+    return np.moveaxis(np.array(values, dtype=float), 0, -1)[..., None]
+
+
+def chart_columns(fn, x, y):
+    """``fn(x, y)`` of a function of one float chart point, read at chart
+    columns: at each of the P points of x and y of shape (P, 1), stacked by
+    :func:`stack_columns`.  At one chart point it is ``fn(x, y)`` itself."""
+    if not isinstance(x, np.ndarray):
+        return fn(x, y)
+    return stack_columns([fn(u, v) for u, v in zip(x.ravel().tolist(), y.ravel().tolist())])
 
 
 def _inverse(g, x: float, y: float) -> tuple[float, float, float]:
@@ -188,14 +223,26 @@ def _velocity(inverse, p1, p2) -> tuple[float, float]:
     return i11 * p1 + i12 * p2, i12 * p1 + i22 * p2
 
 
-def hamiltonian(system: MagneticSystem, phase, check_domain: bool = True) -> float:
-    """Kinetic Hamiltonian H = (1/2) p^T G(q)^{-1} p at a phase point; p1
-    and p2 may be arrays of momenta at the chart point."""
-    x, y, p1, p2 = phase
+def _checked_inverse(system: MagneticSystem, check_domain: bool, x, y) -> tuple:
+    """Entries of G^{-1} at one chart point, inside the domain when
+    ``check_domain`` asks for it."""
     x, y = float(x), float(y)
     if check_domain:
         system.require_inside(x, y)
-    w1, w2 = _velocity(_inverse(system.metric.components(x, y), x, y), p1, p2)
+    return _inverse(system.metric.components(x, y), x, y)
+
+
+def hamiltonian(system: MagneticSystem, phase, check_domain: bool = True) -> float:
+    """Kinetic Hamiltonian H = (1/2) p^T G(q)^{-1} p at a phase point; p1
+    and p2 may be arrays of momenta at the chart point, and x, y chart
+    columns."""
+    x, y, p1, p2 = phase
+    # one chart point skips chart_columns: H is read along every trace
+    if isinstance(x, np.ndarray):
+        inverse = chart_columns(partial(_checked_inverse, system, check_domain), x, y)
+    else:
+        inverse = _checked_inverse(system, check_domain, x, y)
+    w1, w2 = _velocity(inverse, p1, p2)
     return 0.5 * (p1 * w1 + p2 * w2)
 
 
@@ -204,12 +251,14 @@ def hamiltonian_gradient(system: MagneticSystem, phase, local=None) -> tuple:
     domain check: dH/dp = w = G^{-1} p and dH/dq_k = -(1/2) w^T (dG/dq_k) w.
 
     ``phase`` = (x, y, p1, p2) at one chart point; p1 and p2 may be arrays
-    of momenta, over which the four components broadcast.  ``local`` is
-    the point's :meth:`MagneticSystem.local_geometry`, evaluated here when
-    not given.
+    of momenta, over which the four components broadcast, and x, y chart
+    columns.  ``local`` is the point's
+    :meth:`MagneticSystem.local_geometry`, or at chart columns the
+    :func:`stack_columns` of the points' ones, evaluated here when not
+    given.
     """
     x, y, p1, p2 = phase
-    inverse, dg, _ = system.local_geometry(x, y) if local is None else local
+    inverse, dg, _ = chart_columns(system.local_geometry, x, y) if local is None else local
     w1, w2 = _velocity(inverse, p1, p2)
     (e_x, f_x, g_x), (e_y, f_y, g_y) = dg
     h_x = -0.5 * (e_x * w1 * w1 + 2.0 * f_x * w1 * w2 + g_x * w2 * w2)
@@ -225,10 +274,39 @@ def vector_field(system: MagneticSystem, x: float, y: float, grad, local=None) -
     Omega is read from ``local`` (as in :func:`hamiltonian_gradient`) when
     given.  Returns the list of the four components: floats for one
     gradient of floats, arrays of n values when the gradient's components
-    are arrays of n values at the same chart point."""
+    are arrays of n values at the same chart point, and (P, n) arrays at
+    chart columns."""
     g_x, g_y, g_p1, g_p2 = grad
-    omega = system.field(x, y) if local is None else local[2]
+    omega = chart_columns(system.field, x, y) if local is None else local[2]
     return [g_p1, g_p2, -g_x + omega * g_p2, -g_y - omega * g_p1]
+
+
+def level_factor(
+    system: MagneticSystem, x: float, y: float, energy: Optional[float] = None
+) -> tuple[float, float, float]:
+    """Entries (l11, l21, l22) of sqrt(C) L at a chart point, with L the
+    lower Cholesky factor of G(x, y) and C = ``energy`` (the system's when
+    not given): the factor that maps the unit circle of angles onto the
+    momenta on {H = C/2}.  DomainError for C <= 0 or a point outside the
+    domain, SingularMetric where the factor does not exist."""
+    c = system.energy if energy is None else float(energy)
+    if not c > 0.0:
+        raise DomainError(f"energy constant must be positive, got {c}")
+    system.require_inside(x, y)
+    (l11, _), (l21, l22) = system.metric.cholesky(x, y).tolist()
+    s = math.sqrt(c)
+    return s * l11, s * l21, s * l22
+
+
+def level_momenta(factor, phi) -> tuple:
+    """Momenta (p1, p2) = F (cos phi, sin phi) for the entries (l11, l21,
+    l22) of a :func:`level_factor` F.  ``phi`` may be an array of n angles,
+    and the entries (P, 1) chart columns, which gives (P, n) momenta.  The
+    product is written out elementwise, so an angle gives the same bits
+    alone, inside an array or at a row of columns."""
+    l11, l21, l22 = factor
+    cos, sin = np.cos(phi), np.sin(phi)
+    return l11 * cos, l21 * cos + l22 * sin
 
 
 def momentum_on_level(
@@ -243,17 +321,10 @@ def momentum_on_level(
     Returns p = sqrt(C) * L * (cos phi, sin phi) with L the lower
     Cholesky factor of G(x, y); then H = (C/2)(cos, sin) L^T G^{-1} L
     (cos, sin)^T = C/2 identically in phi.  ``phi`` may be an array of
-    angles: the factor is computed once and (p1, p2) are arrays.  The
-    product is written out elementwise, so an angle gives the same bits
-    alone or inside an array.
+    angles: the factor is computed once and (p1, p2) are arrays, with the
+    bits of :func:`level_momenta`.
     """
-    c = system.energy if energy is None else float(energy)
-    if not c > 0.0:
-        raise DomainError(f"energy constant must be positive, got {c}")
-    system.require_inside(x, y)
-    (l11, _), (l21, l22) = (np.sqrt(c) * system.metric.cholesky(x, y)).tolist()
-    cos, sin = np.cos(phi), np.sin(phi)
-    return l11 * cos, l21 * cos + l22 * sin
+    return level_momenta(level_factor(system, x, y, energy), phi)
 
 
 def gaussian_curvature(metric: Metric, x: float, y: float, h: float = 1e-4) -> float:

@@ -37,7 +37,7 @@ from .errors import (
     SingularJacobian,
     SingularPoint,
 )
-from .geometry import ChartDomain, MagneticSystem, Metric
+from .geometry import ChartDomain, MagneticSystem, Metric, chart_columns
 from .integrals import FirstIntegral, gradient_rows
 
 __all__ = [
@@ -482,8 +482,8 @@ def example3_system() -> tuple[MagneticSystem, FirstIntegral]:
         coords=("X", "Y"),
     )
 
-    def func(state):
-        x, y, p1, p2 = state
+    def coefficients(x, y):
+        # F = (a11 p1^2 + a12 p1 p2 + a22 p2^2 + b1 p1 + b2 p2 + cc) / S^2
         s = _poly_s(x, y)
         m = _poly_m(x, y)
         w = _poly_w(x, y)
@@ -493,25 +493,37 @@ def example3_system() -> tuple[MagneticSystem, FirstIntegral]:
         b1 = 2.0 * s * (x * x * y - y * y * (3.0 * y))
         b2 = s * (-2.0 * (x - 6.0) * (3.0 * x * x - y * y - 8.0 * x))
         cc = s * s * (x * x + y * y - 4.0 * x)
-        return (
-            a11 * p1 * p1 + a12 * p1 * p2 + a22 * p2 * p2 + b1 * p1 + b2 * p2 + cc
-        ) / (s * s)
+        return a11, a12, a22, b1, b2, cc, s * s
 
-    def grad(state):
+    def func(state):
+        x, y, p1, p2 = state
+        a11, a12, a22, b1, b2, cc, s2 = chart_columns(coefficients, x, y)
+        return (a11 * p1 * p1 + a12 * p1 * p2 + a22 * p2 * p2 + b1 * p1 + b2 * p2 + cc) / s2
+
+    def point_grad(x, y, p1, p2):
         # complex step (Squire & Trapp 1998): func is a rational function,
         # so Im F(state + i h e_k) / h is dF/dstate_k without cancellation.
         # Momenta are always evaluated as arrays, a single phase as an array
         # of one: numpy rounds complex products of arrays and of scalars
         # differently, and a sample must not depend on how many come with it.
-        x, y, p1, p2 = state
         q1, q2 = np.atleast_1d(p1), np.atleast_1d(p2)
         probes = ((x + _COMPLEX_STEP_I, y, q1, q2), (x, y + _COMPLEX_STEP_I, q1, q2),
                   (x, y, q1 + _COMPLEX_STEP_I, q2), (x, y, q1, q2 + _COMPLEX_STEP_I))
         rows = gradient_rows(q1, [func(z).imag for z in probes]) / _COMPLEX_STEP
         return rows if np.ndim(p1) else rows[:, 0]
 
+    def grad(state):
+        x, y, p1, p2 = state
+        if not isinstance(x, np.ndarray):
+            return point_grad(x, y, p1, p2)
+        # at chart columns the step is still taken one chart point at a
+        # time, for the same reason: complex products of columns round
+        # differently again
+        points = zip(x.ravel().tolist(), y.ravel().tolist(), p1, p2)
+        return np.stack([point_grad(*point) for point in points], axis=1)
+
     def guard(state):
-        s = _poly_s(state[0], state[1])
+        s = chart_columns(_poly_s, state[0], state[1])
         return s * s >= 1e-8
 
     integral = FirstIntegral(

@@ -17,13 +17,15 @@ and denominator at a chart point and their chart partials; the momentum
 algebra, the guard and the quotient rule live only there.
 
 An integral's ``func``, ``grad`` and ``guard`` take a phase (x, y, p1, p2)
-at one chart point whose momenta p1, p2 may be arrays, as
-:func:`magflows.geometry.hamiltonian_gradient` does, so
-:func:`level_set_bracket_scan` evaluates everything for all angles of a
-grid point at once: the chart geometry (Cholesky factor, G^{-1}, dG and
-Omega), the guard mask and the gradient, one call each.  The bracket is
-one written-out sum over the four gradient rows, and a single phase is
-its n = 1 case, so each sample gives the same bits as
+whose x and y may be chart columns of shape (P, 1) and whose momenta may
+be arrays, (P, n) at chart columns, as
+:func:`magflows.geometry.hamiltonian_gradient` does; one chart point is the
+P = 1 case.  :func:`level_set_bracket_scan` so evaluates the whole grid at
+once: it reads what is scalar at each grid point in one pass (Cholesky
+factor, G^{-1}, dG, Omega and the integral's ``chart`` data), and then
+runs the momentum algebra, the guard mask, the gradient and the bracket
+once on (P, n) arrays.  The bracket is one written-out sum over the four
+gradient rows, so each sample gives the same bits as
 :func:`magnetic_bracket_pair` with :func:`hamiltonian_integral` at that
 phase.
 """
@@ -43,7 +45,9 @@ from .geometry import (
     MagneticSystem,
     hamiltonian,
     hamiltonian_gradient,
-    momentum_on_level,
+    level_factor,
+    level_momenta,
+    stack_columns,
     vector_field,
 )
 
@@ -70,15 +74,23 @@ class FirstIntegral:
     """A scalar phase-space function with conservation metadata.
 
     ``func``, its exact gradient ``grad`` = (dF/dx, dF/dy, dF/dp1,
-    dF/dp2) and the optional ``guard`` take a phase (x, y, p1, p2)
-    at one chart point; p1 and p2 may be arrays of n momenta, over which
-    they broadcast elementwise with the same bits as n scalar calls.
-    ``func`` then returns n values, ``grad`` shape (4, n) instead of (4,),
-    and ``guard`` a bool mask instead of a bool; the guard is False where
-    evaluation must be refused (for instance near the zero set of a
-    rational integral's denominator), and func and grad are only asked for
-    phases it admits.  ``level`` is None for an integral conserved at every
-    energy and the energy constant C for one valid only on {H = C/2}.
+    dF/dp2) and the optional ``guard`` take a phase (x, y, p1, p2).  x and
+    y are one chart point or chart columns of shape (P, 1); the momenta
+    may be arrays, of shape (P, n) at chart columns, over which everything
+    broadcasts elementwise with the bits of one call per sample.  ``func``
+    then returns the values in the momenta's shape, ``grad`` shape (4,) +
+    that shape, and ``guard`` a bool mask that broadcasts to it; the guard
+    is False where evaluation must be refused (for instance near the zero
+    set of a rational integral's denominator), and func and grad are only
+    asked for phases it admits, or for NaN momenta in their place.
+    ``level`` is None for an integral conserved at every energy and the
+    energy constant C for one valid only on {H = C/2}.
+
+    ``chart``, when given, returns the integral's data at one float chart
+    point, and ``func``, ``grad`` and ``guard`` then take the list of it
+    at the phase's P chart points as an optional second argument, reading
+    it themselves when it is not given.  A bracket scan reads it in its
+    pass over the grid points, next to the chart geometry.
     """
 
     name: str
@@ -87,6 +99,7 @@ class FirstIntegral:
     grad: Callable
     level: Optional[float] = None
     guard: Optional[Callable] = None
+    chart: Optional[Callable] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -150,43 +163,60 @@ def rational_integral(name: str, parts: Callable, level: Optional[float] = None)
     gives their chart partials ((a_x, a_y), (b_x, b_y)) as triples and is
     called only by the gradient.  Chart row k of the gradient is
     (N_k D - N D_k) / D^2 with N_k = a1_k p1 + a2_k p2 + a0_k, and momentum
-    row i is (a_i D - N b_i) / D^2.  The ``parts`` of the last chart point
-    is kept, so the guard, the value and the gradient at any momenta of one
-    point share one evaluation.
+    row i is (a_i D - N b_i) / D^2.  ``parts`` is the integral's ``chart``;
+    at chart columns the triples of the P points are stacked into columns.
+    The ``parts`` of the last chart point is kept, so the guard, the value
+    and the gradient at any momenta of one point share one evaluation.
     """
     last = [None, None]
 
-    def parts_at(x, y):
+    def chart(x, y):
         key = _PACK_POINT(x, y)
         if key != last[0]:
             last[:] = key, parts(x, y)
         return last[1]
 
-    def func(state):
-        x, y, p1, p2 = state
-        a, b, _ = parts_at(x, y)
+    def coefficients(state, charts):
+        """(a, b, partials) at the phase's chart point, or with a, b and
+        the partials' triples as chart columns."""
+        x, y = state[0], state[1]
+        if not isinstance(x, np.ndarray):
+            return chart(x, y) if charts is None else charts[0]
+        if charts is None:
+            charts = [chart(u, v) for u, v in zip(x.ravel().tolist(), y.ravel().tolist())]
+        a, b = stack_columns([(a, b) for a, b, _ in charts])
+        return a, b, lambda: stack_columns([partials() for _, _, partials in charts])
+
+    def func(state, charts=None):
+        _, _, p1, p2 = state
+        a, b, _ = coefficients(state, charts)
         return _linear(a, p1, p2) / _linear(b, p1, p2)
 
-    def grad(state):
-        x, y, p1, p2 = state
-        a, b, partials = parts_at(x, y)
+    def grad(state, charts=None):
+        _, _, p1, p2 = state
+        a, b, partials = coefficients(state, charts)
         num, den = _linear(a, p1, p2), _linear(b, p1, p2)
         (a_x, a_y), (b_x, b_y) = partials()
-        num_grad = gradient_rows(p1, (_linear(a_x, p1, p2), _linear(a_y, p1, p2), a[0], a[1]))
-        den_grad = gradient_rows(p1, (_linear(b_x, p1, p2), _linear(b_y, p1, p2), b[0], b[1]))
-        return (num_grad * den - num * den_grad) / (den * den)
+        # (grad N D - N grad D) / D^2 formed in place, one row of grad D at
+        # a time: at chart columns no second (4, P, n) array is made
+        out = gradient_rows(p1, (_linear(a_x, p1, p2), _linear(a_y, p1, p2), a[0], a[1]))
+        out *= den
+        for k, den_k in enumerate((_linear(b_x, p1, p2), _linear(b_y, p1, p2), b[0], b[1])):
+            out[k] -= num * den_k
+        out /= den * den
+        return out
 
-    def guard(state):
-        x, y, p1, p2 = state
-        return abs(_linear(parts_at(x, y)[1], p1, p2)) >= 1e-8
+    def guard(state, charts=None):
+        _, _, p1, p2 = state
+        return abs(_linear(coefficients(state, charts)[1], p1, p2)) >= 1e-8
 
-    return FirstIntegral(name, "rational", func, grad=grad, level=level, guard=guard)
+    return FirstIntegral(name, "rational", func, grad=grad, level=level, guard=guard, chart=chart)
 
 
 def gradient_rows(momentum, rows) -> np.ndarray:
     """The four gradient rows as one array, filled row by row: shape (4,)
-    for a scalar ``momentum`` and (4, n) for n momenta, scalar rows
-    broadcasting along the momenta."""
+    for a scalar ``momentum`` and (4,) + its shape for an array of
+    momenta, scalar rows and chart columns broadcasting along them."""
     out = np.empty((4,) + np.shape(momentum))
     out[0], out[1], out[2], out[3] = rows
     return out
@@ -216,6 +246,46 @@ def magnetic_bracket_pair(system: MagneticSystem, f_int, g_int, phase) -> float:
     return float(_pairing(f_int.grad(state), x_g))
 
 
+def _chart_args(integral: FirstIntegral, charts: list) -> tuple:
+    """The optional argument of an integral with ``chart`` data: the data
+    at the chart points, read by the scan."""
+    return () if integral.chart is None else (charts,)
+
+
+def _grid_pass(system: MagneticSystem, integral: FirstIntegral, points, c: float) -> tuple:
+    """The one pass over the grid points.  Skips the points where the
+    metric is not positive definite and returns the others as chart
+    columns x, y, with their level factors and local geometries stacked
+    as columns too, and the list of the integral's ``chart`` data at each
+    (empty without ``chart``).  The chart data is read right after the
+    geometry, while a bundle's jet memo still holds the point."""
+    kept, factors, locals_, charts = [], [], [], []
+    for x, y in points:
+        try:
+            factor = level_factor(system, x, y, c)
+            local = system.local_geometry(x, y)
+        except SingularMetric:
+            continue
+        kept.append((x, y))
+        factors.append(factor)
+        locals_.append(local)
+        if integral.chart is not None:
+            charts.append(integral.chart(x, y))
+    if not kept:
+        raise GuardError("guard rejected every sampled phase")
+    return (*stack_columns(kept), stack_columns(factors), stack_columns(locals_), charts)
+
+
+def _bracket_samples(system, integral, phase, local, charts) -> np.ndarray:
+    """|{F, H}| at every sample of a phase at chart columns, ``local``
+    being the stacked local geometry of its points.  The gradients die on
+    return, before the scan builds its report from the samples."""
+    grad = integral.grad(phase, *_chart_args(integral, charts))
+    x_h = vector_field(system, phase[0], phase[1],
+                       hamiltonian_gradient(system, phase, local), local)
+    return np.abs(_pairing(grad, x_h))
+
+
 def level_set_bracket_scan(
     system: MagneticSystem,
     integral: FirstIntegral,
@@ -227,11 +297,14 @@ def level_set_bracket_scan(
     Grid points outside the domain predicate, points where the metric is
     not positive definite, and phases rejected by the integral's guard are
     skipped (not failed): rational integrals have genuine poles inside
-    otherwise fine domains.  Each grid point is evaluated once for all
-    angles: the chart geometry (Cholesky factor, G^{-1}, dG, Omega), the
-    guard mask and the integral's gradient at the admitted momenta.  A
-    NaN sample sets ``max_abs`` to infinity, with ``worst`` at the first
-    such sample, so that it fails any threshold.
+    otherwise fine domains.  The whole grid is evaluated at once.  One
+    pass over the grid points reads what is scalar at each: the Cholesky
+    factor, G^{-1}, dG, Omega and the integral's ``chart`` data.  The
+    momenta of all angles, the guard mask, the integral's gradient and the
+    bracket are then computed once, on chart columns with (P, n) momenta;
+    the gradient sees NaN momenta in place of rejected ones.  A NaN sample
+    sets ``max_abs`` to infinity, with ``worst`` at the first such sample,
+    so that it fails any threshold.
     """
     if config is None:
         config = BracketScanConfig()
@@ -240,38 +313,32 @@ def level_set_bracket_scan(
     if len(points) == 0:
         raise DomainError("no grid point passed the domain predicate")
     angles = np.linspace(0.0, 2.0 * np.pi, config.n_angles, endpoint=False)
-    max_abs = 0.0
-    sumsq = 0.0
-    count = 0
-    worst = None
-    for x, y in points:
-        try:
-            p1, p2 = momentum_on_level(system, x, y, angles, energy=c)
-            local = system.local_geometry(x, y)
-        except SingularMetric:
-            continue
-        phase = (x, y, p1, p2)
-        admitted = np.ones(angles.shape, dtype=bool)
-        if integral.guard is not None:
-            admitted &= integral.guard(phase)
-            if not admitted.any():
-                continue
-            if not admitted.all():
-                phase = (x, y, p1[admitted], p2[admitted])
-        x_h = vector_field(system, x, y, hamiltonian_gradient(system, phase, local), local)
-        values = np.abs(_pairing(integral.grad(phase), x_h))
-        for phi, val in zip(angles[admitted].tolist(), values.tolist()):
-            sumsq += val * val
-            count += 1
-            if val != val:  # a NaN sample fails the scan like an infinite one
-                val = math.inf
-            if val > max_abs:
-                max_abs = val
-                worst = (x, y, phi)
-    if count == 0:
-        raise GuardError("guard rejected every sampled phase")
+    x, y, factor, local, charts = _grid_pass(system, integral, points, c)
+    p1, p2 = level_momenta(factor, angles)
+    admitted = np.ones(p1.shape, dtype=bool)
+    if integral.guard is not None:
+        admitted &= integral.guard((x, y, p1, p2), *_chart_args(integral, charts))
+        rows = admitted.any(axis=1)
+        if not rows.any():
+            raise GuardError("guard rejected every sampled phase")
+        if not rows.all():
+            # every stacked column holds its points on the second-last axis
+            x, y, p1, p2, admitted = (v[rows] for v in (x, y, p1, p2, admitted))
+            local = tuple(part[..., rows, :] for part in local)
+            charts = [v for v, keep in zip(charts, rows.tolist()) if keep]
+        p1, p2 = np.where(admitted, p1, np.nan), np.where(admitted, p2, np.nan)
+    values = _bracket_samples(system, integral, (x, y, p1, p2), local, charts)[admitted]
+    # a NaN sample fails the scan like an infinite one; the first largest
+    # sample is the worst, and rms sums the squares in sample order
+    scores = np.where(np.isnan(values), np.inf, values)
+    k = int(np.argmax(scores))
+    max_abs, worst = float(scores[k]), None
+    if max_abs > 0.0:
+        row, col = np.argwhere(admitted)[k].tolist()
+        worst = (float(x[row, 0]), float(y[row, 0]), float(angles[col]))
+    sumsq = float(np.cumsum(values * values)[-1])
     return ResidualReport(
-        max_abs=max_abs, rms=float(np.sqrt(sumsq / count)), count=count, worst=worst
+        max_abs=max_abs, rms=float(np.sqrt(sumsq / values.size)), count=values.size, worst=worst
     )
 
 

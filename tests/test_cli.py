@@ -589,6 +589,20 @@ class TestErrorContract:
           "--step", "0.1", "--rel-tol", "5"], 2),
     ]
 
+    def test_no_runtime_warning_escapes_a_scan(self, tmp_path, capsys):
+        """With every warning an error, verify all --corrupt, the default
+        build of each family and the pole range of log-nu1 keep their
+        exit codes: no bracket scan evaluates where numpy would warn, not
+        even at the samples its guard rejects."""
+        runs = [(["verify", "all", "--corrupt"], 5)]
+        runs += [(["build-rational", family], 0) for family in sorted(rational.FAMILIES)]
+        runs += [(["build-rational", "log-nu1", "--rho-range", "0.261", "3.031"], 5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv, want in runs:
+                code, _, err = _run(["--out-dir", str(tmp_path)] + argv, capsys)
+                assert code == want, (argv, err)
+
     @pytest.mark.parametrize("argv, want", CASES)
     def test_documented_exit_code(self, argv, want, tmp_path, capsys):
         config = tmp_path / "bad_method.json"

@@ -263,11 +263,13 @@ class TestLevelSetScan:
         x_bad, y_bad = points[0] if everywhere else points[5]
 
         def grad(state):
+            # the scan asks at chart columns: rows has shape (4, P, n)
             rows = np.array(f.grad(state), dtype=float)
             if everywhere:
                 rows[:] = np.nan
-            elif (state[0], state[1]) == (x_bad, y_bad):
-                rows[:, 2] = np.nan
+            else:
+                at_bad = ((state[0] == x_bad) & (state[1] == y_bad)).ravel()
+                rows[:, at_bad, 2] = np.nan
             return rows
 
         broken = FirstIntegral("F", f.kind, f.func, grad=grad)
@@ -345,6 +347,21 @@ class TestScanEquivalence:
         points = ex1.system.domain.grid(6, 6, margin=config.grid_margin)
         assert report.count == 3 * len(points)
         assert report.worst == (*points[0], np.pi / 4)
+
+    def test_guard_rejecting_whole_grid_points(self):
+        """A guard that rejects every angle at the grid points with x <= 0
+        and some angles at the others (p2 > 0.1): the scan drops those
+        points' geometry with them and still equals the per-sample
+        reference, on the corrupted integral so that every sample counts."""
+        config = BracketScanConfig(nx=6, ny=6, n_angles=8)
+        ex1 = get_example("ex1")
+        guarded = dataclasses.replace(_corrupted(ex1.integrals[0]),
+                                      guard=lambda state: (state[0] > 0.0) & (state[3] > 0.1))
+        report = level_set_bracket_scan(ex1.system, guarded, config=config)
+        assert (report.max_abs, report.rms, report.count, report.worst) == _reference_scan(
+            ex1.system, guarded, config)
+        points = ex1.system.domain.grid(6, 6, margin=config.grid_margin)
+        assert report.count == 3 * sum(x > 0.0 for x, _ in points) > 0
 
     def test_chart_point_work_does_not_grow_with_angles(self):
         """Metric components, partials and field are called a fixed number
@@ -461,12 +478,22 @@ def _assert_broadcasts(integral, x, y, p1, p2):
 
 
 BROADCAST_CASES = SCAN_CASES + [(entry.name, "corrupt") for entry in list_examples()]
+COLUMN_CASES = (BROADCAST_CASES + [(entry.name, "H") for entry in list_examples()]
+                + [(family, 0) for family in sorted(SCAN_FAMILIES)])
+
+
+def _counted(calls, key, fn):
+    """``fn`` counting its calls in ``calls[key]``."""
+    def wrapper(*args):
+        calls[key] += 1
+        return fn(*args)
+    return wrapper
 
 
 class TestBroadcastContract:
     """The guard and gradient of every integral take the momenta of all
-    angles of a chart point at once, so a bracket scan calls each once per
-    grid point."""
+    angles of a chart point at once, and chart columns of all grid points
+    at once, so a bracket scan calls each once per scan."""
 
     ANGLES = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 
@@ -506,6 +533,74 @@ class TestBroadcastContract:
         p2 = np.insert(p2, 5, 0.0)
         admitted = _assert_broadcasts(integral, rho, psi, p1, p2)
         assert np.flatnonzero(~admitted).tolist() == [5]
+
+    @pytest.mark.parametrize("name, index", COLUMN_CASES)
+    def test_chart_columns_equal_stacked_points(self, name, index):
+        """func, grad and guard at chart columns, three chart points with
+        16 momenta each, give the bits of the same calls at each point,
+        stacked: every catalog integral, its --corrupt control, H of every
+        entry and a bundle per family.  A rational integral sees one
+        momentum on its pole line at the second point, which the guard
+        alone rejects; it gives the same bits with its ``chart`` data
+        passed in as with the data read by the integral itself."""
+        if name in SCAN_FAMILIES:
+            system, integral = _bundle(name)
+            points = list(BUNDLE_POINTS)
+        else:
+            entry = get_example(name)
+            system, points = entry.system, entry.sample_phases[:, :2].tolist()
+            if index == "corrupt":
+                integral = _corrupted(entry.integrals[0])
+            elif index == "H":
+                integral = hamiltonian_integral(system)
+            else:
+                integral = entry.integrals[index]
+        momenta = [momentum_on_level(system, x, y, self.ANGLES) for x, y in points]
+        p1, p2 = (np.array([m[i] for m in momenta]) for i in (0, 1))
+        if integral.chart is not None:
+            b = integral.chart(*points[1])[1]
+            p1[1, 5], p2[1, 5] = -b[2] / b[0], 0.0
+        x, y = (np.array(points)[:, i:i + 1] for i in (0, 1))
+        # with ``chart`` data, also the calls that are handed it
+        chart_args = [()]
+        if integral.chart is not None:
+            chart_args.append(([integral.chart(u, v) for u, v in points],))
+        admitted = np.ones(p1.shape, dtype=bool)
+        if integral.guard is not None:
+            want = [np.broadcast_to(integral.guard((u, v, q1, q2)), self.ANGLES.shape)
+                    for (u, v), q1, q2 in zip(points, p1, p2)]
+            for args in chart_args:
+                mask = np.broadcast_to(integral.guard((x, y, p1, p2), *args), p1.shape)
+                assert mask.tobytes() == np.array(want).tobytes()
+            admitted &= mask
+        rejected = [16 + 5] if integral.chart is not None else []
+        assert np.flatnonzero(~admitted).tolist() == rejected
+        p1, p2 = np.where(admitted, p1, np.nan), np.where(admitted, p2, np.nan)
+        singles = [(u, v, q1, q2) for (u, v), q1, q2 in zip(points, p1, p2)]
+        want_values = np.array([integral.func(s) for s in singles])
+        want_grads = np.stack([np.asarray(integral.grad(s), dtype=float) for s in singles], axis=1)
+        for args in chart_args:
+            values = np.asarray(integral.func((x, y, p1, p2), *args))
+            grads = np.asarray(integral.grad((x, y, p1, p2), *args), dtype=float)
+            assert values.shape == p1.shape and grads.shape == (4,) + p1.shape
+            assert values[admitted].tobytes() == want_values[admitted].tobytes()
+            assert grads[:, admitted].tobytes() == want_grads[:, admitted].tobytes()
+
+    @pytest.mark.parametrize("name", ["ex5", "poly-cos"])
+    def test_one_guard_and_one_gradient_per_scan(self, name):
+        """A scan asks the integral's guard once and its gradient once for
+        the whole grid, and never its value."""
+        system, integral = _rational_case(name)
+        calls = Counter()
+        counted = dataclasses.replace(
+            integral, func=_counted(calls, "func", integral.func),
+            guard=_counted(calls, "guard", integral.guard),
+            grad=_counted(calls, "grad", integral.grad))
+        config = BracketScanConfig(nx=6, ny=6, n_angles=4)
+        points = len(system.domain.grid(6, 6, margin=config.grid_margin))
+        report = level_set_bracket_scan(system, counted, config=config)
+        assert report.count == points * 4
+        assert calls == {"guard": 1, "grad": 1}
 
     @pytest.mark.parametrize("n_angles", [4, 12])
     @pytest.mark.parametrize("name", ["ex5", "poly-cos"])
