@@ -55,6 +55,7 @@ from .integrals import (
     hamiltonian_integral,
     level_set_bracket_scan,
     magnetic_bracket_pair,
+    quadratic_integral,
     rational_integral,
 )
 from .rational import (

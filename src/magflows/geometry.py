@@ -282,17 +282,20 @@ def vector_field(system: MagneticSystem, x: float, y: float, grad, local=None) -
 
 
 def level_factor(
-    system: MagneticSystem, x: float, y: float, energy: Optional[float] = None
+    system: MagneticSystem, x: float, y: float, energy: Optional[float] = None,
+    check_domain: bool = True,
 ) -> tuple[float, float, float]:
     """Entries (l11, l21, l22) of sqrt(C) L at a chart point, with L the
     lower Cholesky factor of G(x, y) and C = ``energy`` (the system's when
     not given): the factor that maps the unit circle of angles onto the
-    momenta on {H = C/2}.  DomainError for C <= 0 or a point outside the
-    domain, SingularMetric where the factor does not exist."""
+    momenta on {H = C/2}.  DomainError for C <= 0 or, when
+    ``check_domain`` asks for it, a point outside the domain;
+    SingularMetric where the factor does not exist."""
     c = system.energy if energy is None else float(energy)
     if not c > 0.0:
         raise DomainError(f"energy constant must be positive, got {c}")
-    system.require_inside(x, y)
+    if check_domain:
+        system.require_inside(x, y)
     (l11, _), (l21, l22) = system.metric.cholesky(x, y).tolist()
     s = math.sqrt(c)
     return s * l11, s * l21, s * l22

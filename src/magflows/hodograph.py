@@ -37,8 +37,8 @@ from .errors import (
     SingularJacobian,
     SingularPoint,
 )
-from .geometry import ChartDomain, MagneticSystem, Metric, chart_columns
-from .integrals import FirstIntegral, gradient_rows
+from .geometry import ChartDomain, MagneticSystem, Metric
+from .integrals import FirstIntegral, quadratic_integral
 
 __all__ = [
     "HodographConstants",
@@ -336,11 +336,6 @@ def solve_fields(k: HodographConstants, x: float, y: float):
 # |S| > 1e-6 (the integral divides by S^2); re-verified by the test suite.
 EXAMPLE3_BBOX = (3.0, 5.0, -0.72, 0.72)
 
-# step h of the integral's complex-step gradient, and i h as a numpy scalar
-_COMPLEX_STEP = 1e-20
-_COMPLEX_STEP_I = np.complex128(1j * _COMPLEX_STEP)
-
-
 def _poly_r(x, y):
     return x * x - 8.0 * x + y * y
 
@@ -353,6 +348,12 @@ def _poly_s(x, y):
         - 12.0 * x * (5.0 * y * y + 24.0)
         + 3.0 * y * (y ** 3 + 36.0 * y)
     )
+
+
+def _poly_s_grad(x, y):
+    sx = 12.0 * x ** 3 - 132.0 * x * x + 12.0 * x * (y * y + 34.0) - 12.0 * (5.0 * y * y + 24.0)
+    sy = 12.0 * x * x * y - 120.0 * x * y + 12.0 * y ** 3 + 216.0 * y
+    return sx, sy
 
 
 def _poly_m(x, y):
@@ -426,11 +427,13 @@ def example3_system() -> tuple[MagneticSystem, FirstIntegral]:
     """The curved chart system with its quadratic integral on {H = 1/2},
     at the hodograph constants alpha = 1, beta = 0.
 
-    The metric and integral are polynomial in the chart point; the metric
-    carries hand-differentiated analytic partials and the integral a
-    complex-step gradient of its own formula.  The metric is positive
-    definite on a neighborhood of (4, 0); the working domain is
-    ``EXAMPLE3_BBOX`` less the points where |S| <= 1e-6.
+    The metric and integral are polynomial in the chart point.  The metric
+    carries hand-differentiated analytic partials.  The integral is built
+    by :func:`magflows.integrals.quadratic_integral` from its momentum
+    coefficients over S^2 and their chart partials, written from the same
+    ``_poly_*`` polynomials, each evaluated once per chart point.  The
+    metric is positive definite on a neighborhood of (4, 0); the working
+    domain is ``EXAMPLE3_BBOX`` less the points where |S| <= 1e-6.
     """
 
     def components(x, y):
@@ -482,51 +485,36 @@ def example3_system() -> tuple[MagneticSystem, FirstIntegral]:
         coords=("X", "Y"),
     )
 
-    def coefficients(x, y):
-        # F = (a11 p1^2 + a12 p1 p2 + a22 p2^2 + b1 p1 + b2 p2 + cc) / S^2
+    def parts(x, y):
+        # F = (a11 p1^2 + a12 p1 p2 + a22 p2^2 + b1 p1 + b2 p2 + cc) / S^2,
+        # with b1 = 2 S u, b2 = S v and cc = S^2 e
         s = _poly_s(x, y)
         m = _poly_m(x, y)
         w = _poly_w(x, y)
-        a11 = 16.0 * m * m
-        a22 = 4.0 * w * w
-        a12 = -16.0 * m * w
-        b1 = 2.0 * s * (x * x * y - y * y * (3.0 * y))
-        b2 = s * (-2.0 * (x - 6.0) * (3.0 * x * x - y * y - 8.0 * x))
-        cc = s * s * (x * x + y * y - 4.0 * x)
-        return a11, a12, a22, b1, b2, cc, s * s
+        u = x * x * y - y * y * (3.0 * y)
+        v = -2.0 * (x - 6.0) * (3.0 * x * x - y * y - 8.0 * x)
+        e = x * x + y * y - 4.0 * x
+        s2 = s * s
+        coefficients = (16.0 * m * m, -16.0 * m * w, 4.0 * w * w, 2.0 * s * u, s * v, s2 * e)
 
-    def func(state):
-        x, y, p1, p2 = state
-        a11, a12, a22, b1, b2, cc, s2 = chart_columns(coefficients, x, y)
-        return (a11 * p1 * p1 + a12 * p1 * p2 + a22 * p2 * p2 + b1 * p1 + b2 * p2 + cc) / s2
+        def partials():
+            sx, sy = _poly_s_grad(x, y)
+            mx, my = y, x - 3.0
+            wx, wy = 6.0 * x - 26.0, 2.0 * y
+            ux, uy = 2.0 * x * y, x * x - 9.0 * y * y
+            vx = -2.0 * ((3.0 * x * x - y * y - 8.0 * x) + (x - 6.0) * (6.0 * x - 8.0))
+            vy = 4.0 * y * (x - 6.0)
+            ex, ey = 2.0 * x - 4.0, 2.0 * y
 
-    def point_grad(x, y, p1, p2):
-        # complex step (Squire & Trapp 1998): func is a rational function,
-        # so Im F(state + i h e_k) / h is dF/dstate_k without cancellation.
-        # Momenta are always evaluated as arrays, a single phase as an array
-        # of one: numpy rounds complex products of arrays and of scalars
-        # differently, and a sample must not depend on how many come with it.
-        q1, q2 = np.atleast_1d(p1), np.atleast_1d(p2)
-        probes = ((x + _COMPLEX_STEP_I, y, q1, q2), (x, y + _COMPLEX_STEP_I, q1, q2),
-                  (x, y, q1 + _COMPLEX_STEP_I, q2), (x, y, q1, q2 + _COMPLEX_STEP_I))
-        rows = gradient_rows(q1, [func(z).imag for z in probes]) / _COMPLEX_STEP
-        return rows if np.ndim(p1) else rows[:, 0]
+            def chart_row(sk, mk, wk, uk, vk, ek):
+                return (32.0 * m * mk, -16.0 * (mk * w + m * wk), 8.0 * w * wk,
+                        2.0 * (sk * u + s * uk), sk * v + s * vk,
+                        2.0 * s * sk * e + s2 * ek)
 
-    def grad(state):
-        x, y, p1, p2 = state
-        if not isinstance(x, np.ndarray):
-            return point_grad(x, y, p1, p2)
-        # at chart columns the step is still taken one chart point at a
-        # time, for the same reason: complex products of columns round
-        # differently again
-        points = zip(x.ravel().tolist(), y.ravel().tolist(), p1, p2)
-        return np.stack([point_grad(*point) for point in points], axis=1)
+            return ((chart_row(sx, mx, wx, ux, vx, ex), chart_row(sy, my, wy, uy, vy, ey)),
+                    (2.0 * s * sx, 2.0 * s * sy))
 
-    def guard(state):
-        s = chart_columns(_poly_s, state[0], state[1])
-        return s * s >= 1e-8
+        return coefficients, s2, partials
 
-    integral = FirstIntegral(
-        name="F", kind="quadratic", func=func, grad=grad, level=1.0, guard=guard
-    )
+    integral = quadratic_integral("F", parts, level=1.0)
     return system, integral

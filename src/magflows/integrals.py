@@ -8,13 +8,15 @@ The magnetic bracket of two phase-space functions F, G is
 with X_G from :func:`magflows.geometry.vector_field` and H, dH from
 :mod:`magflows.geometry`; F is a first integral when {F, H} vanishes,
 either at every energy or only on one level set {H = C/2}.  Every
-integral carries its exact gradient: analytic for the catalog's rational
-integrals, a complex step of the formula for ex3's quadratic one, dF +
-0.01 dx for the ``--corrupt`` control.  Every integral rational in the
-momenta, the catalog's ex4-ex6 and each bundle's, is built here by
+integral carries its exact analytic gradient, dF + 0.01 dx for the
+``--corrupt`` control.  Every integral rational in the momenta, the
+catalog's ex4-ex6 and each bundle's, is built here by
 :func:`rational_integral` from the momentum coefficients of its numerator
-and denominator at a chart point and their chart partials; the momentum
-algebra, the guard and the quotient rule live only there.
+and denominator at a chart point and their chart partials; ex3's integral,
+quadratic in the momenta over a chart function, is built alike by
+:func:`quadratic_integral`.  The momentum algebra, the guard and the
+quotient rule of each form live only there, and both read and stack their
+chart data through one memo.
 
 An integral's ``func``, ``grad`` and ``guard`` take a phase (x, y, p1, p2)
 whose x and y may be chart columns of shape (P, 1) and whose momenta may
@@ -57,6 +59,7 @@ __all__ = [
     "ResidualReport",
     "hamiltonian_integral",
     "rational_integral",
+    "quadratic_integral",
     "magnetic_bracket_pair",
     "level_set_bracket_scan",
     "gradient_rows",
@@ -153,6 +156,37 @@ def _linear(c, p1, p2):
     return c[0] * p1 + c[1] * p2 + c[2]
 
 
+def _chart_reader(parts: Callable) -> tuple:
+    """``(chart, coefficients)`` of an integral built from ``parts``.
+
+    ``parts(x, y)`` returns its data at a chart point, a tuple whose last
+    entry is the deferred ``partials()``.  ``chart`` memoizes the data of
+    the last chart point, so the guard, the value and the gradient at any
+    momenta of one point share one evaluation.  ``coefficients(state,
+    charts)`` gives the data at the phase's chart point, or at chart
+    columns with everything but ``partials`` stacked into columns, and a
+    ``partials`` that stacks the partials of the P points alike; ``charts``
+    is the data at the P points when the caller read it already."""
+    last = [None, None]
+
+    def chart(x, y):
+        key = _PACK_POINT(x, y)
+        if key != last[0]:
+            last[:] = key, parts(x, y)
+        return last[1]
+
+    def coefficients(state, charts):
+        x, y = state[0], state[1]
+        if not isinstance(x, np.ndarray):
+            return chart(x, y) if charts is None else charts[0]
+        if charts is None:
+            charts = [chart(u, v) for u, v in zip(x.ravel().tolist(), y.ravel().tolist())]
+        values = stack_columns([data[:-1] for data in charts])
+        return (*values, lambda: stack_columns([data[-1]() for data in charts]))
+
+    return chart, coefficients
+
+
 def rational_integral(name: str, parts: Callable, level: Optional[float] = None) -> FirstIntegral:
     """The integral N/D of two expressions linear in the momenta, with its
     quotient-rule gradient and the guard |D| >= 1e-8.
@@ -163,29 +197,10 @@ def rational_integral(name: str, parts: Callable, level: Optional[float] = None)
     gives their chart partials ((a_x, a_y), (b_x, b_y)) as triples and is
     called only by the gradient.  Chart row k of the gradient is
     (N_k D - N D_k) / D^2 with N_k = a1_k p1 + a2_k p2 + a0_k, and momentum
-    row i is (a_i D - N b_i) / D^2.  ``parts`` is the integral's ``chart``;
-    at chart columns the triples of the P points are stacked into columns.
-    The ``parts`` of the last chart point is kept, so the guard, the value
-    and the gradient at any momenta of one point share one evaluation.
+    row i is (a_i D - N b_i) / D^2.  ``parts`` is the integral's ``chart``,
+    memoized and stacked into chart columns by :func:`_chart_reader`.
     """
-    last = [None, None]
-
-    def chart(x, y):
-        key = _PACK_POINT(x, y)
-        if key != last[0]:
-            last[:] = key, parts(x, y)
-        return last[1]
-
-    def coefficients(state, charts):
-        """(a, b, partials) at the phase's chart point, or with a, b and
-        the partials' triples as chart columns."""
-        x, y = state[0], state[1]
-        if not isinstance(x, np.ndarray):
-            return chart(x, y) if charts is None else charts[0]
-        if charts is None:
-            charts = [chart(u, v) for u, v in zip(x.ravel().tolist(), y.ravel().tolist())]
-        a, b = stack_columns([(a, b) for a, b, _ in charts])
-        return a, b, lambda: stack_columns([partials() for _, _, partials in charts])
+    chart, coefficients = _chart_reader(parts)
 
     def func(state, charts=None):
         _, _, p1, p2 = state
@@ -211,6 +226,57 @@ def rational_integral(name: str, parts: Callable, level: Optional[float] = None)
         return abs(_linear(coefficients(state, charts)[1], p1, p2)) >= 1e-8
 
     return FirstIntegral(name, "rational", func, grad=grad, level=level, guard=guard, chart=chart)
+
+
+def _quadratic(c, p1, p2):
+    """a11 p1^2 + a12 p1 p2 + a22 p2^2 + b1 p1 + b2 p2 + c0 for the six
+    coefficients c = (a11, a12, a22, b1, b2, c0)."""
+    a11, a12, a22, b1, b2, c0 = c
+    return a11 * p1 * p1 + a12 * p1 * p2 + a22 * p2 * p2 + b1 * p1 + b2 * p2 + c0
+
+
+def quadratic_integral(name: str, parts: Callable, level: Optional[float] = None) -> FirstIntegral:
+    """The integral Q/den of an expression Q quadratic in the momenta over
+    a chart function den, with its quotient-rule gradient and the guard
+    den >= 1e-8.
+
+    ``parts(x, y)`` returns ``(c, den, partials)`` at a chart point: the
+    coefficients c = (a11, a12, a22, b1, b2, c0) of Q = a11 p1^2 +
+    a12 p1 p2 + a22 p2^2 + b1 p1 + b2 p2 + c0, the denominator den, and
+    ``partials()``, which gives their chart partials ((c_x, c_y), (den_x,
+    den_y)) and is called only by the gradient.  Chart row k of the
+    gradient is (Q_k - F den_k) / den with Q_k = a11_k p1^2 + ... + c0_k,
+    and the momentum rows are Q_{p1} / den = (2 a11 p1 + a12 p2 + b1) / den
+    and Q_{p2} / den = (a12 p1 + 2 a22 p2 + b2) / den.  ``parts`` is the
+    integral's ``chart``, memoized and stacked into chart columns by
+    :func:`_chart_reader`.
+    """
+    chart, coefficients = _chart_reader(parts)
+
+    def func(state, charts=None):
+        _, _, p1, p2 = state
+        c, den, _ = coefficients(state, charts)
+        return _quadratic(c, p1, p2) / den
+
+    def grad(state, charts=None):
+        _, _, p1, p2 = state
+        c, den, partials = coefficients(state, charts)
+        (c_x, c_y), (den_x, den_y) = partials()
+        a11, a12, a22, b1, b2, _ = c
+        value = _quadratic(c, p1, p2) / den
+        out = gradient_rows(p1, (
+            _quadratic(c_x, p1, p2) - value * den_x,
+            _quadratic(c_y, p1, p2) - value * den_y,
+            2.0 * a11 * p1 + a12 * p2 + b1,
+            a12 * p1 + 2.0 * a22 * p2 + b2,
+        ))
+        out /= den
+        return out
+
+    def guard(state, charts=None):
+        return coefficients(state, charts)[1] >= 1e-8
+
+    return FirstIntegral(name, "quadratic", func, grad=grad, level=level, guard=guard, chart=chart)
 
 
 def gradient_rows(momentum, rows) -> np.ndarray:
@@ -262,7 +328,8 @@ def _grid_pass(system: MagneticSystem, integral: FirstIntegral, points, c: float
     kept, factors, locals_, charts = [], [], [], []
     for x, y in points:
         try:
-            factor = level_factor(system, x, y, c)
+            # the grid holds only points of the domain
+            factor = level_factor(system, x, y, c, check_domain=False)
             local = system.local_geometry(x, y)
         except SingularMetric:
             continue

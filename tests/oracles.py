@@ -5,8 +5,10 @@ the fixed-step order of the integrator.
 O(h^2) central differences of sampled fields; ``solve_fields`` computes the
 same residual exactly, and ``omega_fd`` its Omega = (g_x - f_y)/4 by
 ``richardson_gradient``.  ``convergence_order`` fits the decay of a conserved
-scalar's drift over fixed-step runs.  Exact derivatives elsewhere are
-checked against ``richardson.py``.
+scalar's drift over fixed-step runs.  ``ex3_integral`` transcribes the
+curved system's quadratic integral, and ``complex_step_gradient`` gives its
+gradient by complex step.  Exact derivatives elsewhere are checked against
+``richardson.py``.
 """
 
 from typing import Callable, Sequence
@@ -16,7 +18,7 @@ import numpy as np
 from magflows.errors import StepFailure
 from magflows.flow import TrajectoryConfig, conservation_drift, integrate
 from magflows.geometry import MagneticSystem
-from magflows.hodograph import FieldPoint, _system_residual
+from magflows.hodograph import FieldPoint, _poly_m, _poly_s, _poly_w, _system_residual
 from richardson import richardson_gradient
 
 Sampler = Callable[[float, float], FieldPoint]
@@ -82,3 +84,37 @@ def convergence_order(
         return float("nan")
     slope = np.polyfit(np.log(np.asarray(steps, dtype=float)), np.log(drifts), 1)[0]
     return float(slope)
+
+
+# step h of the complex-step gradient
+COMPLEX_STEP = 1e-20
+
+
+def ex3_integral(state):
+    """ex3's quadratic integral F = (a11 p1^2 + a12 p1 p2 + a22 p2^2 + b1 p1
+    + b2 p2 + cc) / S^2, transcribed from its polynomials at one phase of
+    floats or complex numbers, in the package's operation order."""
+    x, y, p1, p2 = state
+    s = _poly_s(x, y)
+    m = _poly_m(x, y)
+    w = _poly_w(x, y)
+    a11 = 16.0 * m * m
+    a22 = 4.0 * w * w
+    a12 = -16.0 * m * w
+    b1 = 2.0 * s * (x * x * y - y * y * (3.0 * y))
+    b2 = s * (-2.0 * (x - 6.0) * (3.0 * x * x - y * y - 8.0 * x))
+    cc = s * s * (x * x + y * y - 4.0 * x)
+    return (a11 * p1 * p1 + a12 * p1 * p2 + a22 * p2 * p2 + b1 * p1 + b2 * p2 + cc) / (s * s)
+
+
+def complex_step_gradient(fn: Callable, phase) -> np.ndarray:
+    """The gradient of a real-analytic ``fn`` at a phase by complex step
+    (Squire & Trapp 1998): row k is Im fn(phase + i h e_k) / h, free of the
+    cancellation of a difference quotient, so exact to round-off."""
+    phase = [complex(v) for v in phase]
+    rows = []
+    for k in range(len(phase)):
+        probe = list(phase)
+        probe[k] += 1j * COMPLEX_STEP
+        rows.append(fn(probe).imag / COMPLEX_STEP)
+    return np.array(rows)

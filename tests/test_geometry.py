@@ -17,6 +17,7 @@ from magflows.geometry import (
     gaussian_curvature,
     hamiltonian,
     hamiltonian_gradient,
+    level_factor,
     momentum_on_level,
     vector_field,
 )
@@ -247,6 +248,18 @@ class TestMomentumOnLevel:
         system = _euclidean_system()
         with pytest.raises(DomainError):
             momentum_on_level(system, 0.0, 0.0, 0.0, energy=0.0)
+
+    def test_level_factor_domain_check(self):
+        """The level factor refuses a point outside the domain predicate
+        unless the caller has checked the point, and is the same either
+        way inside."""
+        system = MagneticSystem(metric=_euclidean(), field=lambda x, y: 0.0,
+                                domain=ChartDomain(bbox=(-5.0, 5.0, -5.0, 5.0),
+                                                   predicate=lambda x, y: x < 1.0))
+        with pytest.raises(DomainError):
+            level_factor(system, 2.0, 0.0, energy=4.0)
+        assert level_factor(system, 2.0, 0.0, energy=4.0, check_domain=False) == (2.0, 0.0, 2.0)
+        assert level_factor(system, 0.5, 0.0, check_domain=False) == level_factor(system, 0.5, 0.0)
 
 
 class TestGaussianCurvature:

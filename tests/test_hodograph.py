@@ -25,11 +25,12 @@ from magflows.hodograph import (
     solve_fields,
 )
 from magflows.integrals import (
+    BracketScanConfig,
     hamiltonian_integral,
     level_set_bracket_scan,
     magnetic_bracket_pair,
 )
-from oracles import omega_fd, pde41_residual_fd
+from oracles import complex_step_gradient, ex3_integral, omega_fd, pde41_residual_fd
 from richardson import metric_partials, richardson_gradient
 
 RNG = np.random.default_rng(0)
@@ -361,6 +362,17 @@ class TestSolveFields:
         assert not list(tmp_path.glob("*.csv"))
 
 
+def _ex3_columns(system, n=6, n_angles=16):
+    """Chart columns x, y of shape (P, 1) at the n x n scan grid of ex3's
+    domain, with (P, n_angles) momenta on the level."""
+    points = system.domain.grid(n, n, margin=BracketScanConfig().grid_margin)
+    angles = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+    momenta = [momentum_on_level(system, x, y, angles) for x, y in points]
+    p1, p2 = (np.array([m[i] for m in momenta]) for i in (0, 1))
+    x, y = (np.array(points)[:, i:i + 1] for i in (0, 1))
+    return x, y, p1, p2
+
+
 class TestExample3Surface:
     def test_metric_positive_definite_in_window(self):
         """The declared window keeps the metric positive definite."""
@@ -391,14 +403,46 @@ class TestExample3Surface:
         assert report.max_abs <= 1e-6
 
     def test_integral_gradient_matches_differences(self):
-        """The complex-step gradient of the integral agrees with Richardson
-        differences of the same formula at the catalog sample phases, to
-        the differences' own error."""
+        """The analytic quotient-rule gradient of the integral agrees with
+        Richardson differences of its value at the catalog sample phases,
+        to the differences' own error."""
         _, integral = example3_system()
         for phase in get_example("ex3").sample_phases:
             got = integral.grad(phase)
             want = richardson_gradient(integral.func, phase, 1e-5)
             np.testing.assert_allclose(got, want, rtol=0, atol=2e-7 * np.max(np.abs(got)))
+
+    def test_integral_gradient_matches_complex_step(self):
+        """The analytic gradient matches the complex-step oracle of the
+        transcribed formula to 1e-12 relative, at the catalog sample phases
+        and at every sample of 6 x 6 chart columns with 16 momenta each."""
+        system, integral = example3_system()
+        for phase in get_example("ex3").sample_phases:
+            want = complex_step_gradient(ex3_integral, phase)
+            got = np.asarray(integral.grad(phase))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        x, y, p1, p2 = _ex3_columns(system)
+        grads = integral.grad((x, y, p1, p2))
+        assert grads.shape == (4,) + p1.shape
+        for i, j in np.ndindex(p1.shape):
+            want = complex_step_gradient(ex3_integral, (x[i, 0], y[i, 0], p1[i, j], p2[i, j]))
+            got = grads[:, i, j]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_integral_value_is_the_formula(self):
+        """F's value has the bits of the transcribed formula
+        (a11 p1 p1 + a12 p1 p2 + a22 p2 p2 + b1 p1 + b2 p2 + cc) / S^2, at
+        the catalog sample phases and at 6 x 6 chart columns."""
+        system, integral = example3_system()
+        for phase in get_example("ex3").sample_phases.tolist():
+            assert integral(phase) == ex3_integral(phase)
+            assert integral.func(np.array(phase)) == ex3_integral(phase)
+        x, y, p1, p2 = _ex3_columns(system)
+        values = integral.func((x, y, p1, p2))
+        want = [[ex3_integral((u, v, q1, q2)) for q1, q2 in zip(r1, r2)]
+                for u, v, r1, r2 in zip(x[:, 0].tolist(), y[:, 0].tolist(), p1.tolist(), p2.tolist())]
+        assert values.shape == p1.shape
+        assert (values == np.array(want)).all()
 
     def test_integral_conserved_along_flow(self):
         """Trajectory drift of the quadratic integral stays below 1e-6."""

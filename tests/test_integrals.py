@@ -366,7 +366,8 @@ class TestScanEquivalence:
     def test_chart_point_work_does_not_grow_with_angles(self):
         """Metric components, partials and field are called a fixed number
         of times per grid point (Cholesky and G^{-1}, dG, Omega), however
-        many angles are sampled."""
+        many angles are sampled, and the domain predicate once per point
+        of the bbox grid: the grid pass does not test it again."""
         entry = get_example("ex5")
         calls = Counter()
 
@@ -376,19 +377,21 @@ class TestScanEquivalence:
                 return fn(*args)
             return wrapper
 
-        metric = entry.system.metric
+        metric, domain = entry.system.metric, entry.system.domain
         system = dataclasses.replace(
             entry.system,
             metric=Metric(counted("components", metric.components),
                           counted("partials", metric.partials)),
             field=counted("field", entry.system.field),
+            domain=ChartDomain(domain.bbox, counted("predicate", domain.predicate)),
         )
         for n_angles in (4, 12):
             config = BracketScanConfig(nx=6, ny=6, n_angles=n_angles)
             points = len(system.domain.grid(6, 6, margin=config.grid_margin))
             calls.clear()
             level_set_bracket_scan(system, entry.integrals[0], config=config)
-            assert calls == {"components": 2 * points, "partials": points, "field": points}
+            assert calls == {"components": 2 * points, "partials": points, "field": points,
+                             "predicate": 6 * 6}
 
     def test_nan_metric_points_are_skipped(self):
         """Grid points where the metric is NaN are skipped like singular
@@ -423,12 +426,13 @@ BUNDLE_POINTS = ((1.0, 0.4), (2.2, 1.9), (0.6, 4.0))
 
 def _rational_parts(name, monkeypatch):
     """The ``parts`` of the rational integral of a catalog entry or a
-    bundle family, with the chart points to read it at: the entry's
-    sample points or :data:`BUNDLE_POINTS`."""
+    bundle family, or of ex3's quadratic integral, with the chart points
+    to read it at: the entry's sample points or :data:`BUNDLE_POINTS`."""
     if name in SCAN_FAMILIES:
         return rational.build_bundle(SCAN_FAMILIES[name]())._parts, BUNDLE_POINTS
-    # the entry then holds its rational integral's parts in its place
+    # the entry then holds its integral's parts in its place
     monkeypatch.setattr(catalog, "rational_integral", lambda _, parts, level=None: parts)
+    monkeypatch.setattr(hodograph, "quadratic_integral", lambda _, parts, level=None: parts)
     entry = get_example(name)
     return entry.integrals[0], entry.sample_phases[:, :2]
 
@@ -541,8 +545,9 @@ class TestBroadcastContract:
         stacked: every catalog integral, its --corrupt control, H of every
         entry and a bundle per family.  A rational integral sees one
         momentum on its pole line at the second point, which the guard
-        alone rejects; it gives the same bits with its ``chart`` data
-        passed in as with the data read by the integral itself."""
+        alone rejects.  An integral with ``chart`` data, rational or ex3's
+        quadratic one, gives the same bits with that data passed in as
+        with the data read by the integral itself."""
         if name in SCAN_FAMILIES:
             system, integral = _bundle(name)
             points = list(BUNDLE_POINTS)
@@ -557,7 +562,8 @@ class TestBroadcastContract:
                 integral = entry.integrals[index]
         momenta = [momentum_on_level(system, x, y, self.ANGLES) for x, y in points]
         p1, p2 = (np.array([m[i] for m in momenta]) for i in (0, 1))
-        if integral.chart is not None:
+        pole = integral.kind == "rational"
+        if pole:
             b = integral.chart(*points[1])[1]
             p1[1, 5], p2[1, 5] = -b[2] / b[0], 0.0
         x, y = (np.array(points)[:, i:i + 1] for i in (0, 1))
@@ -573,7 +579,7 @@ class TestBroadcastContract:
                 mask = np.broadcast_to(integral.guard((x, y, p1, p2), *args), p1.shape)
                 assert mask.tobytes() == np.array(want).tobytes()
             admitted &= mask
-        rejected = [16 + 5] if integral.chart is not None else []
+        rejected = [16 + 5] if pole else []
         assert np.flatnonzero(~admitted).tolist() == rejected
         p1, p2 = np.where(admitted, p1, np.nan), np.where(admitted, p2, np.nan)
         singles = [(u, v, q1, q2) for (u, v), q1, q2 in zip(points, p1, p2)]
@@ -657,38 +663,34 @@ class TestBroadcastContract:
         assert calls["jet"] == points
 
     @pytest.mark.parametrize("n_angles", [4, 12])
-    def test_four_complex_step_evaluations_per_grid_point(self, n_angles, monkeypatch):
-        """ex3's complex-step gradient evaluates the integral's formula 4
-        times per grid point, once per phase direction, for all angles.
-        ``_poly_w`` is evaluated once per call of the formula and nowhere
-        else."""
+    def test_one_quadratic_block_per_grid_point(self, n_angles, monkeypatch):
+        """ex3's scan evaluates its quadratic integral's ``parts`` exactly
+        once per grid point, where the guard and the gradient share them,
+        for all angles.  ``_poly_w`` is evaluated once per call of
+        ``parts`` and nowhere else."""
         calls = Counter()
-        poly_w = hodograph._poly_w
-
-        def counted(*args):
-            calls["func"] += 1
-            return poly_w(*args)
-
-        monkeypatch.setattr(hodograph, "_poly_w", counted)
+        monkeypatch.setattr(hodograph, "_poly_w", _counted(calls, "parts", hodograph._poly_w))
         ex3 = get_example("ex3")
         config = BracketScanConfig(nx=6, ny=6, n_angles=n_angles)
         points = len(ex3.system.domain.grid(6, 6, margin=config.grid_margin))
         report = level_set_bracket_scan(ex3.system, ex3.integrals[0], config=config)
         assert report.count == points * n_angles
-        assert calls["func"] == 4 * points
+        assert calls == {"parts": points}
 
 
 class TestCoefficientPartials:
-    @pytest.mark.parametrize("name", ["ex4", "ex5", "ex6"] + sorted(SCAN_FAMILIES))
+    @pytest.mark.parametrize("name", ["ex3", "ex4", "ex5", "ex6"] + sorted(SCAN_FAMILIES))
     def test_partials_match_differences(self, name, monkeypatch):
-        """The chart partials of a rational integral's coefficient triples
-        track Richardson differences of the triples at each entry's sample
-        points, with the scaled tolerance of the metric partials."""
+        """The chart partials of an integral's momentum coefficients track
+        Richardson differences of the coefficients at each entry's sample
+        points, with the scaled tolerance of the metric partials: the
+        triples of a rational integral's N and D, and the six coefficients
+        and the denominator S^2 of ex3's quadratic integral."""
         parts, points = _rational_parts(name, monkeypatch)
         for x, y in points:
-            (a_x, a_y), (b_x, b_y) = parts(x, y)[2]()
-            got = np.array([[a_x, b_x], [a_y, b_y]])
-            want = richardson_gradient(lambda q: parts(q[0], q[1])[:2], (x, y), 1e-4)
+            (num_x, num_y), (den_x, den_y) = parts(x, y)[2]()
+            got = np.array([np.hstack([num_x, den_x]), np.hstack([num_y, den_y])])
+            want = richardson_gradient(lambda q: np.hstack(parts(q[0], q[1])[:2]), (x, y), 1e-4)
             scale = max(1.0, float(np.max(np.abs(got))))
             np.testing.assert_allclose(got / scale, want / scale, atol=1e-9)
 

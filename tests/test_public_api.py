@@ -16,8 +16,9 @@ PUBLIC_NAMES = [
     "functional_independence_rank", "gaussian_curvature", "get_example", "hamiltonian",
     "hamiltonian_integral", "hyp2f1", "integrate", "level_set_bracket_scan",
     "list_examples", "magnetic_bracket_pair", "magnetic_rhs", "momentum_on_level",
-    "newton_solve", "pde511_residual", "rational_integral", "reconstruct_fields",
-    "riemann_invariants", "terminating_2f1_coeffs", "xy_to_chart_logradial",
+    "newton_solve", "pde511_residual", "quadratic_integral", "rational_integral",
+    "reconstruct_fields", "riemann_invariants", "terminating_2f1_coeffs",
+    "xy_to_chart_logradial",
 ]
 
 
