@@ -11,7 +11,6 @@ from .errors import (
     EvaluationError,
     GuardError,
     MagflowsError,
-    NearPole,
     NoConvergence,
     PoleInC,
     SeriesDivergence,
@@ -54,7 +53,6 @@ from .integrals import (
     functional_independence_rank,
     hamiltonian_integral,
     level_set_bracket_scan,
-    magnetic_bracket_pair,
     quadratic_integral,
     rational_integral,
 )
@@ -66,13 +64,6 @@ from .rational import (
     RationalFlowBundle,
     build_bundle,
     bundle_from_descriptor,
-    chart_to_xy,
-    characteristic_speeds,
-    condition_D,
-    from_riemann,
-    pde511_residual,
-    riemann_invariants,
-    xy_to_chart_logradial,
 )
 from .specfun import hyp2f1, terminating_2f1_coeffs
 

@@ -37,7 +37,6 @@ __all__ = [
     "EXAMPLE_NAMES",
     "get_example",
     "list_examples",
-    "larmor_orbit",
 ]
 
 
@@ -69,27 +68,8 @@ def _phases(system: MagneticSystem, points_angles) -> np.ndarray:
 # ex1: uniform field on the Euclidean plane
 # ---------------------------------------------------------------------------
 
-_EX1_B = 1.0
-
-
-def larmor_orbit(phase0, t: float) -> np.ndarray:
-    """Exact trajectory of ex1, the flat system with uniform field b.
-
-    Momenta rotate with angular velocity -b; positions integrate them.
-    Serves as the reference solution in integrator convergence checks.
-    """
-    b = _EX1_B
-    x0, y0, p10, p20 = (float(v) for v in phase0)
-    cb, sb = math.cos(b * t), math.sin(b * t)
-    p1 = p10 * cb + p20 * sb
-    p2 = -p10 * sb + p20 * cb
-    x = x0 + (p10 * sb + p20 * (1.0 - cb)) / b
-    y = y0 + (-p10 * (1.0 - cb) + p20 * sb) / b
-    return np.array([x, y, p1, p2])
-
-
 def _make_ex1() -> CatalogEntry:
-    b = _EX1_B
+    b = 1.0
     metric = Metric(
         components=lambda x, y: (1.0, 0.0, 1.0),
         partials=lambda x, y: ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),

@@ -37,10 +37,6 @@ class GuardError(MagflowsError):
     """A first integral's domain guard rejected the requested phase point."""
 
 
-class NearPole(GuardError):
-    """Denominator of a rational expression too close to zero."""
-
-
 class DegenerateD(GuardError):
     """The discriminant-like quantity D of the rational-integral
     construction is too close to zero for the bundle to be built."""

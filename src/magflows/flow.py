@@ -63,7 +63,8 @@ __all__ = [
 class TrajectoryConfig:
     """Integration settings.
 
-    ``method`` is ``"fixed_rk4"`` (requires ``step`` and refuses
+    ``method`` is ``"fixed_rk4"`` (requires a ``step`` of at least
+    1e-12 * ``t_end``, the adaptive method's smallest step, and refuses
     tolerances) or ``"embedded_rk45"`` (uses ``rel_tol``/``abs_tol``,
     by default 1e-11 and 1e-12, and refuses a ``step``).  ``record_every``
     keeps every n-th accepted state; the initial and final states are
@@ -89,8 +90,10 @@ class TrajectoryConfig:
         if self.method not in ("fixed_rk4", "embedded_rk45"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "fixed_rk4":
-            if self.step is None or not self.step > 0.0:
-                raise ValueError("fixed_rk4 requires a positive step")
+            # below the adaptive method's smallest step, t += step can stop advancing
+            if self.step is None or not self.step >= _MIN_STEP_FRACTION * self.t_end:
+                raise ValueError(f"fixed_rk4 requires a step of at least "
+                                 f"{_MIN_STEP_FRACTION:g} * t_end, got {self.step}")
             if self.rel_tol is not None or self.abs_tol is not None:
                 raise ValueError("fixed_rk4 takes no rel_tol or abs_tol; they are for embedded_rk45")
         else:

@@ -27,14 +27,13 @@ once: it reads what is scalar at each grid point in one pass (Cholesky
 factor, G^{-1}, dG, Omega and the integral's ``chart`` data), and then
 runs the momentum algebra, the guard mask, the gradient and the bracket
 once on (P, n) arrays.  The bracket is one written-out sum over the four
-gradient rows, so each sample gives the same bits as
-:func:`magnetic_bracket_pair` with :func:`hamiltonian_integral` at that
-phase.
+gradient rows, so each sample gives the same bits as the single-phase
+bracket oracle ``magnetic_bracket_pair`` in ``tests/oracles.py`` with
+:func:`hamiltonian_integral` at that phase.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from functools import partial
@@ -60,7 +59,6 @@ __all__ = [
     "hamiltonian_integral",
     "rational_integral",
     "quadratic_integral",
-    "magnetic_bracket_pair",
     "level_set_bracket_scan",
     "gradient_rows",
     "functional_independence_rank",
@@ -301,15 +299,6 @@ def _guarded(objs, phase) -> np.ndarray:
         if not obj.admits(state):
             raise GuardError(f"{obj.name}: guard rejected phase {state.tolist()}")
     return state
-
-
-def magnetic_bracket_pair(system: MagneticSystem, f_int, g_int, phase) -> float:
-    """Magnetic bracket {F, G} = dF(X_G) of two integrals; {F, H} when
-    ``g_int`` is :func:`hamiltonian_integral`."""
-    system.require_inside(phase[0], phase[1])
-    state = _guarded((f_int, g_int), phase)
-    x_g = vector_field(system, state[0], state[1], g_int.grad(state))
-    return float(_pairing(f_int.grad(state), x_g))
 
 
 def _chart_args(integral: FirstIntegral, charts: list) -> tuple:

@@ -9,9 +9,7 @@ with nonvanishing discriminant D = rho (rho + 1) Z_rr^2 + (Z_rp - Z_p/rho)^2
 generates a metric, a magnetic coefficient and a first integral that is a
 ratio of two expressions linear in momenta, conserved on the energy level
 {H = C/2}.  This module ships four closed-form solution families, the
-bundle assembly, the chart-to-plane map, and the Riemann-invariant
-coordinates that diagonalize the underlying quasilinear system on the
-hyperbolic strip -1 < rho < 0.
+profile screen and the bundle assembly.
 
 Every family has the form Z = R(rho) cos(nu (psi + psi0)) (nu = k for
 poly-cos, 1 for log-nu1, 1/2 for elliptic-half, 0 for log-radial) and
@@ -32,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateD, DomainError, NearPole
+from .errors import DegenerateD, DomainError
 from .geometry import ChartDomain, MagneticSystem, Metric
 from .integrals import FirstIntegral, rational_integral
 from .specfun import elliptic_jet, terminating_2f1_coeffs
@@ -44,17 +42,10 @@ __all__ = [
     "LogNu1",
     "EllipticHalf",
     "FAMILIES",
-    "pde511_residual",
-    "condition_D",
     "profile_screen",
     "RationalFlowBundle",
     "build_bundle",
     "bundle_from_descriptor",
-    "chart_to_xy",
-    "xy_to_chart_logradial",
-    "riemann_invariants",
-    "from_riemann",
-    "characteristic_speeds",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -148,8 +139,7 @@ class PolynomialCos(ZSolution):
 class LogRadial(ZSolution):
     """Z = ln(1 + rho), the angle-independent solution (nu = 0).
 
-    The generated flow is flat and admits a closed-form transition to the
-    plane chart; see ``xy_to_chart_logradial``.
+    The generated flow is flat.
     """
 
     family = "log-radial"
@@ -231,18 +221,14 @@ def solution_from_descriptor(entry: dict) -> ZSolution:
         raise ValueError(f"bad parameters for family {family!r}: {exc}") from None
 
 
-def pde511_residual(z: ZSolution, rho: float, psi: float, scaled: bool = False) -> float:
-    """Residual of the generating equation; zero for exact solutions.
+def _residual(rho: float, jet: tuple, scaled: bool) -> float:
+    """Residual of the generating equation from a jet of Z; zero for exact
+    solutions.
 
     ``scaled`` divides it by max(1, |rho (rho + 1) Z_rr| + |rho Z_r| + |Z_pp|),
     the size of the terms that cancel, so that round-off on large terms
     reads as round-off.
     """
-    return _residual(rho, z.jet(rho, psi), scaled)
-
-
-def _residual(rho: float, jet: tuple, scaled: bool) -> float:
-    """:func:`pde511_residual` from a jet of Z."""
     _, z_r, _, z_rr, _, z_pp = jet[:6]
     terms = (rho * (rho + 1.0) * z_rr, rho * z_r, z_pp)
     residual = terms[0] + terms[1] + terms[2]
@@ -257,13 +243,6 @@ def _discriminant(rho: float, jet: tuple) -> tuple[float, float]:
     _, _, z_p, z_rr, z_rp = jet[:5]
     t = z_rp - z_p / rho
     return rho * (rho + 1.0) * z_rr * z_rr + t * t, t
-
-
-def condition_D(z: ZSolution, rho: float, psi: float) -> float:
-    """Discriminant whose zeros must be excluded from a working domain."""
-    if rho == 0.0:
-        raise DomainError("the discriminant is undefined at rho = 0")
-    return _discriminant(rho, z.jet(rho, psi))[0]
 
 
 def profile_screen(z: ZSolution, lo: float, hi: float) -> tuple[float, float]:
@@ -361,16 +340,12 @@ class RationalFlowBundle:
         """Magnetic coefficient (gamma/2) Z_rr."""
         return self.local_geometry(rho, psi)[2]
 
-    def integral_coefficients(self, rho, psi):
+    def _parts(self, rho, psi):
         """Momentum coefficient triples (a0, a1, gamma D sin(psi/2)) of the
         rational integral's numerator and (b0, b1, gamma D cos(psi/2)) of
-        its denominator: the coefficients of p_r and p_p and the constant
-        term, with D the discriminant."""
-        return self._parts(rho, psi)[:2]
-
-    def _parts(self, rho, psi):
-        """The coefficient triples of :meth:`integral_coefficients` and their
-        deferred chart partials, all from one ``_jet`` call: the parts that
+        its denominator (the coefficients of p_r and p_p and the constant
+        term, with D the discriminant) and their deferred chart partials,
+        all from one ``_jet`` call: the parts that
         :func:`magflows.integrals.rational_integral` takes.
 
         Coordinate derivatives of the coefficients need third partials of
@@ -466,8 +441,9 @@ def build_bundle(
     since the metric and the integral both collapse where D vanishes.  A
     non-finite or zero gamma (the metric scales with gamma^2) or a
     non-finite or non-positive ``c_energy`` raises DomainError, as does a
-    range at whose ends the radial profile's jet is not finite (a tiny or
-    huge rho), with or without ``check``.
+    range at whose ends the radial profile's jet or the bundle's local
+    geometry is not finite (a tiny or huge rho, a huge gamma or a tiny
+    C), with or without ``check``.
     """
     gamma, c_energy = float(gamma), float(c_energy)
     if not (math.isfinite(gamma) and gamma != 0.0):
@@ -487,17 +463,21 @@ def build_bundle(
         )
     if lo <= 0.0 <= hi:
         raise DomainError("the working rho range must exclude 0")
-    for rho in (lo, hi):  # the closed forms fail at extreme rho, not in between
-        try:
-            finite = all(map(math.isfinite, z.jet(rho, 0.0)))
-        except ArithmeticError:  # rho * rho underflows to 0, rho ** 3 overflows
-            finite = False
-        if not finite:
-            raise DomainError(f"the profile of family {z.family!r} does not evaluate "
-                              f"to finite numbers at rho = {rho}")
     bundle = RationalFlowBundle(
         z=z, gamma=gamma, c_energy=c_energy, rho_range=(lo, hi)
     )
+    # the closed forms and the prefactors gamma^2 / (C rho^n) fail at
+    # extreme rho, not in between
+    for rho in (lo, hi):
+        try:
+            components, (d_r, d_p), omega = bundle.local_geometry(rho, 0.0)
+            values = (*bundle._jet(rho, 0.0), *components, *d_r, *d_p, omega)
+            finite = all(map(math.isfinite, values))
+        except ArithmeticError:  # rho * rho or C rho^5 underflows to 0, rho ** 3 overflows
+            finite = False
+        if not finite:
+            raise DomainError(f"the bundle of family {z.family!r} does not evaluate "
+                              f"to finite numbers at rho = {rho}")
     if check:
         residual, d_min = profile_screen(z, lo, hi)
         if not residual <= SCREEN_BOUND:
@@ -529,64 +509,3 @@ def bundle_from_descriptor(entry: dict) -> RationalFlowBundle:
         return build_bundle(z, gamma=gamma, c_energy=c_energy, rho_range=(lo, hi))
     except (DomainError, DegenerateD) as exc:
         raise ValueError(str(exc)) from None
-
-
-def chart_to_xy(z: ZSolution, rho: float, psi: float) -> tuple[float, float]:
-    """Plane coordinates of a chart point:
-
-    x = -Z_r cos(psi) + (Z_p / rho) sin(psi),
-    y =  Z_r sin(psi) + (Z_p / rho) cos(psi).
-    """
-    if rho == 0.0:
-        raise DomainError("the chart map degenerates at rho = 0")
-    _, z_r, z_p = z.jet(rho, psi)[:3]
-    cp, sp = math.cos(psi), math.sin(psi)
-    x = -z_r * cp + (z_p / rho) * sp
-    y = z_r * sp + (z_p / rho) * cp
-    return x, y
-
-
-def xy_to_chart_logradial(x: float, y: float) -> tuple[float, float]:
-    """Closed-form inverse of the chart map for the log-radial profile."""
-    r = math.hypot(x, y)
-    if r == 0.0:
-        raise DomainError("the inverse chart map is singular at the origin")
-    rho = 1.0 / r - 1.0
-    psi = math.atan2(y, -x)
-    return rho, psi
-
-
-def riemann_invariants(rho: float, psi: float) -> tuple[float, float]:
-    """Riemann invariants of the hyperbolic strip -1 < rho < 0.
-
-    Principal branch: r1 >= r2 with r1 - r2 in (0, 2 pi], and
-    psi = (r1 + r2)/2, rho = -sin^2((r1 - r2)/4).
-    """
-    if not (-1.0 < rho < 0.0):
-        raise DomainError(f"rho = {rho} is outside the hyperbolic strip (-1, 0)")
-    theta = math.asin(math.sqrt(-rho))
-    return psi + 2.0 * theta, psi - 2.0 * theta
-
-
-def from_riemann(r1: float, r2: float) -> tuple[float, float]:
-    """Chart point from Riemann invariants (left inverse of
-    ``riemann_invariants`` on the principal branch)."""
-    psi = 0.5 * (r1 + r2)
-    s = math.sin(0.25 * (r1 - r2))
-    return -s * s, psi
-
-
-def characteristic_speeds(r1: float, r2: float) -> tuple[float, float]:
-    """Characteristic slopes tan((3 r1 + r2)/4) and tan((r1 + 3 r2)/4).
-
-    Each invariant is transported with its own slope; NearPole is raised
-    within 1e-6 of a tangent pole.
-    """
-    speeds = []
-    for arg in (0.25 * (3.0 * r1 + r2), 0.25 * (r1 + 3.0 * r2)):
-        d = (arg - 0.5 * math.pi) % math.pi
-        d = min(d, math.pi - d)
-        if d < 1e-6:
-            raise NearPole(f"characteristic slope pole near argument {arg}")
-        speeds.append(math.tan(arg))
-    return speeds[0], speeds[1]

@@ -1,5 +1,5 @@
-"""The tests' difference oracles for the first-order field system and for
-the fixed-step order of the integrator.
+"""The tests' oracles: code that only the tests call, each a reference
+that the package's own route is checked against.
 
 ``pde41_residual_fd`` takes the derivatives of U = (Lambda, u0, f, g) by
 O(h^2) central differences of sampled fields; ``solve_fields`` computes the
@@ -7,18 +7,28 @@ same residual exactly, and ``omega_fd`` its Omega = (g_x - f_y)/4 by
 ``richardson_gradient``.  ``convergence_order`` fits the decay of a conserved
 scalar's drift over fixed-step runs.  ``ex3_integral`` transcribes the
 curved system's quadratic integral, and ``complex_step_gradient`` gives its
-gradient by complex step.  Exact derivatives elsewhere are checked against
+gradient by complex step.  ``magnetic_bracket_pair`` is the bracket at one
+phase, which every bracket-scan sample must equal bit for bit;
+``larmor_orbit`` is ex1's exact trajectory; ``pde511_residual`` and
+``condition_D`` evaluate the generating equation's residual and D at one
+chart point, through the helpers that the profile screen calls; and
+``chart_to_xy`` with ``xy_to_chart_logradial`` is the chart-to-plane map of
+the rational families.  Exact derivatives elsewhere are checked against
 ``richardson.py``.
 """
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from magflows.errors import StepFailure
+from magflows.catalog import get_example
+from magflows.errors import DomainError, StepFailure
 from magflows.flow import TrajectoryConfig, conservation_drift, integrate
-from magflows.geometry import MagneticSystem
+from magflows.geometry import MagneticSystem, vector_field
 from magflows.hodograph import FieldPoint, _poly_m, _poly_s, _poly_w, _system_residual
+from magflows.integrals import _guarded, _pairing
+from magflows.rational import ZSolution, _discriminant, _residual
 from richardson import richardson_gradient
 
 Sampler = Callable[[float, float], FieldPoint]
@@ -118,3 +128,70 @@ def complex_step_gradient(fn: Callable, phase) -> np.ndarray:
         probe[k] += 1j * COMPLEX_STEP
         rows.append(fn(probe).imag / COMPLEX_STEP)
     return np.array(rows)
+
+
+def magnetic_bracket_pair(system: MagneticSystem, f_int, g_int, phase) -> float:
+    """Magnetic bracket {F, G} = dF(X_G) of two integrals; {F, H} when
+    ``g_int`` is :func:`hamiltonian_integral`."""
+    system.require_inside(phase[0], phase[1])
+    state = _guarded((f_int, g_int), phase)
+    x_g = vector_field(system, state[0], state[1], g_int.grad(state))
+    return float(_pairing(f_int.grad(state), x_g))
+
+
+# ex1's uniform field
+_EX1_B = get_example("ex1").system.field(0.0, 0.0)
+
+
+def larmor_orbit(phase0, t: float) -> np.ndarray:
+    """Exact trajectory of ex1, the flat system with uniform field b.
+
+    Momenta rotate with angular velocity -b; positions integrate them.
+    Serves as the reference solution in integrator convergence checks.
+    """
+    b = _EX1_B
+    x0, y0, p10, p20 = (float(v) for v in phase0)
+    cb, sb = math.cos(b * t), math.sin(b * t)
+    p1 = p10 * cb + p20 * sb
+    p2 = -p10 * sb + p20 * cb
+    x = x0 + (p10 * sb + p20 * (1.0 - cb)) / b
+    y = y0 + (-p10 * (1.0 - cb) + p20 * sb) / b
+    return np.array([x, y, p1, p2])
+
+
+def pde511_residual(z: ZSolution, rho: float, psi: float, scaled: bool = False) -> float:
+    """Residual of the generating equation at one chart point; ``scaled``
+    as in the profile screen."""
+    return _residual(rho, z.jet(rho, psi), scaled)
+
+
+def condition_D(z: ZSolution, rho: float, psi: float) -> float:
+    """Discriminant whose zeros must be excluded from a working domain."""
+    if rho == 0.0:
+        raise DomainError("the discriminant is undefined at rho = 0")
+    return _discriminant(rho, z.jet(rho, psi))[0]
+
+
+def chart_to_xy(z: ZSolution, rho: float, psi: float) -> tuple[float, float]:
+    """Plane coordinates of a chart point:
+
+    x = -Z_r cos(psi) + (Z_p / rho) sin(psi),
+    y =  Z_r sin(psi) + (Z_p / rho) cos(psi).
+    """
+    if rho == 0.0:
+        raise DomainError("the chart map degenerates at rho = 0")
+    _, z_r, z_p = z.jet(rho, psi)[:3]
+    cp, sp = math.cos(psi), math.sin(psi)
+    x = -z_r * cp + (z_p / rho) * sp
+    y = z_r * sp + (z_p / rho) * cp
+    return x, y
+
+
+def xy_to_chart_logradial(x: float, y: float) -> tuple[float, float]:
+    """Closed-form inverse of the chart map for the log-radial profile."""
+    r = math.hypot(x, y)
+    if r == 0.0:
+        raise DomainError("the inverse chart map is singular at the origin")
+    rho = 1.0 / r - 1.0
+    psi = math.atan2(y, -x)
+    return rho, psi

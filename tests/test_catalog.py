@@ -14,7 +14,8 @@ from magflows.geometry import (
     hamiltonian_gradient,
     momentum_on_level,
 )
-from magflows.integrals import hamiltonian_integral, magnetic_bracket_pair
+from magflows.integrals import hamiltonian_integral
+from oracles import magnetic_bracket_pair
 from richardson import richardson_gradient
 
 ALL_NAMES = ["ex1", "ex2", "ex2b", "ex3", "ex4", "ex5", "ex6"]

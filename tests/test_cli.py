@@ -587,6 +587,8 @@ class TestErrorContract:
         (["build-rational", "log-radial", "--k", "5", "--psi0", "1.0"], 2),
         (["simulate", "ex1", "--phase", "0", "0", "1", "0", "--t-end", "1", "--method", "fixed_rk4",
           "--step", "0.1", "--rel-tol", "5"], 2),
+        (["build-rational", "poly-cos", "--c-energy", "1e-320"], 2),
+        (["simulate", "ex1", "--phase", "0", "0", "1", "0", "--method", "fixed_rk4", "--step", "1e-17"], 2),
     ]
 
     def test_no_runtime_warning_escapes_a_scan(self, tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from magflows import flow
-from magflows.catalog import get_example, larmor_orbit, list_examples
+from magflows.catalog import get_example, list_examples
 from magflows.errors import DomainError, EvaluationError, SingularMetric, StepFailure
 from magflows.flow import (
     TrajectoryConfig,
@@ -21,7 +21,7 @@ from magflows.flow import (
 )
 from magflows.geometry import ChartDomain, MagneticSystem, Metric, hamiltonian, momentum_on_level
 from magflows.rational import EllipticHalf, build_bundle
-from oracles import convergence_order
+from oracles import convergence_order, larmor_orbit
 
 RNG = np.random.default_rng(0)
 
@@ -191,6 +191,16 @@ class TestTrajectoryConfig:
         would be silently ignored."""
         with pytest.raises(ValueError, match="fixed_rk4 takes no rel_tol or abs_tol"):
             TrajectoryConfig(t_end=1.0, method="fixed_rk4", step=0.1, **{name: 1e-6})
+
+    @pytest.mark.parametrize("step", [1e-300, 1e-17, 0.5e-12 * 8.0])
+    def test_fixed_step_below_the_adaptive_floor_is_rejected(self, step):
+        """0.125 + 1e-17 == 0.125, so a fixed step that small stops t from
+        advancing and the run never ends.  A step below 1e-12 * t_end, the
+        adaptive method's smallest step, is refused when the config is
+        built, and a step at that floor is taken; nothing is integrated."""
+        with pytest.raises(ValueError, match="at least 1e-12 \\* t_end"):
+            TrajectoryConfig(t_end=8.0, method="fixed_rk4", step=step)
+        assert TrajectoryConfig(t_end=8.0, method="fixed_rk4", step=1e-12 * 8.0).step == 8e-12
 
     def test_adaptive_tolerance_defaults(self):
         config = TrajectoryConfig(t_end=1.0)

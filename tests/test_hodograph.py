@@ -28,9 +28,14 @@ from magflows.integrals import (
     BracketScanConfig,
     hamiltonian_integral,
     level_set_bracket_scan,
-    magnetic_bracket_pair,
 )
-from oracles import complex_step_gradient, ex3_integral, omega_fd, pde41_residual_fd
+from oracles import (
+    complex_step_gradient,
+    ex3_integral,
+    magnetic_bracket_pair,
+    omega_fd,
+    pde41_residual_fd,
+)
 from richardson import metric_partials, richardson_gradient
 
 RNG = np.random.default_rng(0)

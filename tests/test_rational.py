@@ -1,4 +1,4 @@
-"""Radial solution families, flow bundles, chart maps and invariants."""
+"""Radial solution families, profile screen, flow bundles and the chart map."""
 
 import dataclasses
 import json
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from magflows import specfun
 from magflows.catalog import get_example
-from magflows.errors import DegenerateD, DomainError, GuardError, NearPole
+from magflows.errors import DegenerateD, DomainError, GuardError
 from magflows.flow import TrajectoryConfig, conservation_drift, integrate, magnetic_rhs
 from magflows.geometry import hamiltonian, hamiltonian_gradient, momentum_on_level
 from magflows.rational import (
@@ -25,16 +25,10 @@ from magflows.rational import (
     ZSolution,
     build_bundle,
     bundle_from_descriptor,
-    characteristic_speeds,
-    chart_to_xy,
-    condition_D,
-    from_riemann,
-    pde511_residual,
     profile_screen,
-    riemann_invariants,
     solution_from_descriptor,
-    xy_to_chart_logradial,
 )
+from oracles import chart_to_xy, condition_D, pde511_residual, xy_to_chart_logradial
 from richardson import metric_partials, richardson_gradient
 
 RNG = np.random.default_rng(0)
@@ -300,6 +294,18 @@ class TestBuildBundle:
         with pytest.raises(DomainError, match=("gamma" if "gamma" in constants else "energy")):
             build_bundle(PolynomialCos(2), **constants)
 
+    @pytest.mark.parametrize("constants", [{"c_energy": 1e-320}, {"gamma": 1e160}],
+                             ids=["tiny-energy", "huge-gamma"])
+    def test_geometry_not_finite_at_a_range_end_rejected(self, constants):
+        """C rho^5 underflows to 0 at rho = 0.05 when C = 1e-320, and
+        gamma^2 overflows when gamma = 1e160: the local geometry at a range
+        end is not finite, so the build raises DomainError before any
+        screen, and a descriptor with those constants is a ValueError."""
+        with pytest.raises(DomainError, match="finite numbers at rho = 0.05"):
+            build_bundle(PolynomialCos(2), **constants)
+        with pytest.raises(ValueError, match="finite numbers at rho = 0.05"):
+            bundle_from_descriptor({"family": "poly-cos", **constants})
+
     def test_degenerate_family_rejected(self):
         """The k = 1 polynomial cannot form a bundle."""
         with pytest.raises(DegenerateD):
@@ -360,8 +366,8 @@ class TestBuildBundle:
             np.testing.assert_allclose(bundle.omega(rho, psi),
                                        bundle.omega(rho, psi + period),
                                        rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(bundle.integral_coefficients(rho, psi),
-                                       bundle.integral_coefficients(rho, psi + 2.0 * period),
+            np.testing.assert_allclose(bundle._parts(rho, psi)[:2],
+                                       bundle._parts(rho, psi + 2.0 * period)[:2],
                                        rtol=1e-10, atol=1e-12)
 
 
@@ -602,58 +608,3 @@ class TestChartMap:
         with pytest.raises(DomainError):
             chart_to_xy(LogRadial(), 0.0, 1.0)
 
-
-class TestRiemannInvariants:
-    def test_reference_point(self):
-        """from_riemann(pi, 0) = (-1/2, pi/2)."""
-        rho, psi = from_riemann(math.pi, 0.0)
-        np.testing.assert_allclose(rho, -0.5, rtol=1e-15)
-        np.testing.assert_allclose(psi, math.pi / 2.0, rtol=1e-15)
-
-    def test_equal_invariants_collapse(self):
-        """r1 = r2 maps to the rho = 0 edge."""
-        rho, psi = from_riemann(1.1, 1.1)
-        assert rho == 0.0
-        np.testing.assert_allclose(psi, 1.1, rtol=1e-15)
-
-    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
-    @given(rho=st.floats(-0.999, -0.001), psi=st.floats(-3.0, 3.0))
-    def test_roundtrip_hyperbolic_strip(self, rho, psi):
-        """Hyperbolic points roundtrip through the invariants to 1e-12."""
-        r1, r2 = riemann_invariants(rho, psi)
-        back = from_riemann(r1, r2)
-        np.testing.assert_allclose(back, (rho, psi), rtol=1e-12, atol=1e-12)
-
-    def test_outside_strip_rejected(self):
-        """Elliptic-side points have no real invariants."""
-        with pytest.raises(DomainError):
-            riemann_invariants(0.5, 0.0)
-        with pytest.raises(DomainError):
-            riemann_invariants(-1.5, 0.0)
-
-
-class TestCharacteristicSpeeds:
-    def test_reference_values(self):
-        """(0,0) -> (0,0) and (pi, 0) -> (-1, 1)."""
-        np.testing.assert_allclose(characteristic_speeds(0.0, 0.0), (0.0, 0.0), atol=1e-15)
-        np.testing.assert_allclose(characteristic_speeds(math.pi, 0.0), (-1.0, 1.0),
-                                   rtol=1e-12)
-
-    def test_monotone_in_own_invariant(self):
-        """d lambda_1 / d r1 > 0 away from the tangent poles."""
-        h = 1e-6
-        for r1 in np.linspace(-1.2, 1.2, 30):
-            for r2 in np.linspace(-1.2, 1.2, 30):
-                arg1 = 0.25 * (3.0 * r1 + r2)
-                arg2 = 0.25 * (r1 + 3.0 * r2)
-                if min(abs((a - math.pi / 2) % math.pi) for a in (arg1, arg2)) < 1e-2:
-                    continue
-                up = characteristic_speeds(r1 + h, r2)[0]
-                down = characteristic_speeds(r1 - h, r2)[0]
-                assert (up - down) / (2.0 * h) > 0.0
-
-    def test_pole_guard(self):
-        """Arguments within 1e-6 of a tangent pole raise NearPole."""
-        with pytest.raises(NearPole):
-            characteristic_speeds(2.0 * math.pi / 3.0 + 1e-9, 0.0)
-        characteristic_speeds(2.0 * math.pi / 3.0 + 1e-4, 0.0)
