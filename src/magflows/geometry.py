@@ -143,12 +143,12 @@ class Metric:
         SingularMetric where G is not positive definite."""
         return _inverse(self.components(x, y), x, y)
 
-    def cholesky(self, x: float, y: float) -> np.ndarray:
-        """Lower-triangular L with positive diagonal and G = L L^T, in
-        closed form: l11 = sqrt(g11), l21 = g12 (1 / l11), l22 = sqrt(g22 -
-        l21^2), which gives LAPACK's factor bit for bit.  Raises
-        SingularMetric on the test of :meth:`inverse`, or where g22 - l21^2
-        is not positive after round-off."""
+    def cholesky(self, x: float, y: float) -> tuple[float, float, float]:
+        """Entries (l11, l21, l22) of the lower-triangular L with positive
+        diagonal and G = L L^T, in closed form: l11 = sqrt(g11), l21 = g12
+        (1 / l11), l22 = sqrt(g22 - l21^2), which gives LAPACK's factor bit
+        for bit.  Raises SingularMetric on the test of :meth:`inverse`, or
+        where g22 - l21^2 is not positive after round-off."""
         g11, g12, g22 = g = self.components(x, y)
         _inverse(g, x, y)
         l11 = math.sqrt(g11)
@@ -157,7 +157,7 @@ class Metric:
         if not schur > 0.0:
             raise SingularMetric(f"Cholesky factorization failed at ({x}, {y}): "
                                  f"g22 - l21^2 = {schur}")
-        return np.array([[l11, 0.0], [l21, math.sqrt(schur)]])
+        return l11, l21, math.sqrt(schur)
 
     def component_partials(self, x: float, y: float):
         """Spatial partials of (g11, g12, g22) at a chart point."""
@@ -296,7 +296,7 @@ def level_factor(
         raise DomainError(f"energy constant must be positive, got {c}")
     if check_domain:
         system.require_inside(x, y)
-    (l11, _), (l21, l22) = system.metric.cholesky(x, y).tolist()
+    l11, l21, l22 = system.metric.cholesky(x, y)
     s = math.sqrt(c)
     return s * l11, s * l21, s * l22
 

@@ -15,7 +15,8 @@ branch and reports a fold as SingularPoint; its Newton corrector ends with
 one full polishing step.  The derivatives of the fields, and so Omega and
 the first-order system residual, come exactly from the Jacobian at the
 solution by the implicit function theorem.  The per-point algebra runs on
-Python floats, with a closed-form 2x2 solve.
+Python floats, with a closed-form 2x2 solve and closed-form singular
+values for the Jacobian's conditioning.
 
 The module also assembles the curved quadratic-integral system in the
 transformed chart (X, Y) at the constants alpha = 1, beta = 0: an explicit
@@ -154,6 +155,15 @@ def _solve2(jac, b1: float, b2: float) -> tuple[float, float, float]:
     return (j22 * b1 - j12 * b2) / det, (j11 * b2 - j21 * b1) / det, det
 
 
+def _singular_values(jac) -> tuple[float, float]:
+    """Singular values s0 >= s1 of the rows ((a, b), (c, d)) in closed form:
+    s0 = sqrt((|J|_F^2 + sqrt(|J|_F^4 - 4 det^2)) / 2) = (hypot(a + d, b - c)
+    + hypot(a - d, b + c)) / 2 and s1 = |det| / s0 (0 where s0 is 0 or NaN)."""
+    (a, b), (c, d) = jac
+    s0 = 0.5 * (math.hypot(a + d, b - c) + math.hypot(a - d, b + c))
+    return s0, abs(a * d - b * c) / s0 if s0 > 0.0 else 0.0
+
+
 def _sup_norm(values) -> float:
     """max |v| over floats, NaN when any is NaN (a bare ``max`` keeps a NaN
     only when it comes first)."""
@@ -174,20 +184,20 @@ def newton_solve(
     Once max |R| <= tol, which can leave f and g off by about 1e-12
     relative, one full step with the Jacobian at the root polishes it and
     is kept when max |R| does not grow.  ``iterations`` counts the steps
-    before the polish; ``jacobian_cond`` is the condition number at the root.
+    before the polish; ``jacobian_cond`` = s0 / s1 is the condition number
+    at the root, from the closed-form singular values s0 >= s1 of J, and
+    SingularJacobian is raised where s1 <= 1e-14 max(s0, 1) or J is not finite.
     """
     f, g = float(guess[0]), float(guess[1])
     r = algebraic_residual(k, x, y, f, g)
     rnorm = _sup_norm(r)
     for it in range(51):
         jac = algebraic_jacobian(k, x, y, f, g)
-        sv = np.linalg.svd(jac, compute_uv=False)
-        if sv[1] <= 1e-14 * max(sv[0], 1.0):
-            raise SingularJacobian(
-                f"singular Jacobian at ({x}, {y}), f = {f}, g = {g}: "
-                f"singular values {sv.tolist()}"
-            )
-        cond = float(sv[0] / sv[1])
+        s0, s1 = _singular_values(jac)
+        if not s1 > 1e-14 * max(s0, 1.0):
+            raise SingularJacobian(f"singular Jacobian at ({x}, {y}), f = {f}, g = {g}: "
+                                   f"singular values {[s0, s1]}")
+        cond = s0 / s1
         df, dg, _ = _solve2(jac, -r[0], -r[1])
         if rnorm <= tol:
             fp, gp = f + df, g + dg

@@ -15,10 +15,15 @@ Every family has the form Z = R(rho) cos(nu (psi + psi0)) (nu = k for
 poly-cos, 1 for log-nu1, 1/2 for elliptic-half, 0 for log-radial) and
 supplies only its radial jet, nu and psi0; :meth:`ZSolution.jet` gives the
 nine partials of Z through third order by the product rule.  A bundle
-builds its metric, metric partials and field from one jet per point.  Its
-integral is :func:`magflows.integrals.rational_integral` over the
-momentum coefficients of N and D and their chart partials, from the same
-jet; the momentum algebra, the guard and the quotient rule live there.
+reads everything from one jet per point.  Its metric is G = k M^T M, with
+k = gamma^2 (rho + 1) / C and the frame M of columns (Z_rr, W) and
+(rho W, -(rho + 1) Z_rr), W = (rho Z_rp - Z_p) / rho^2; det M = -D / rho.
+M is linear in the jet, and the metric partials follow from M's by one
+product rule.  Its integral is
+:func:`magflows.integrals.rational_integral` over the momentum
+coefficients of N and D, each pair the half-angle rotation (u s + v c,
+u c - v s), c, s = cos, sin(psi/2), of two forms U, V linear in momenta,
+so F = tan(psi/2 + atan2(V, U)).
 """
 
 from __future__ import annotations
@@ -268,12 +273,25 @@ def profile_screen(z: ZSolution, lo: float, hi: float) -> tuple[float, float]:
     return float(np.max(np.abs(residuals))), 0.0 if crossed else float(np.min(np.abs(d)))
 
 
+def _gram(m) -> tuple[float, float, float]:
+    """Entries (11, 12, 22) of M^T M, M given row by row as (m11, m12, m21, m22)."""
+    m11, m12, m21, m22 = m
+    return m11 * m11 + m21 * m21, m11 * m12 + m21 * m22, m12 * m12 + m22 * m22
+
+
+def _rotate(u, v, c, s) -> tuple:
+    """The triples (u_i s + v_i c) and (u_i c - v_i s) of three pairs (u_i, v_i)."""
+    return ((u[0] * s + v[0] * c, u[1] * s + v[1] * c, u[2] * s + v[2] * c),
+            (u[0] * c - v[0] * s, u[1] * c - v[1] * s, u[2] * c - v[2] * s))
+
+
 @dataclass(frozen=True)
 class RationalFlowBundle:
-    """Metric, magnetic coefficient and rational integral generated by Z.
-
-    All metric partials are analytic, assembled from the third-order
-    partials of Z.  The integral is only conserved on {H = C/2}.
+    """Metric G = k M^T M, magnetic coefficient and rational integral
+    generated by Z, from its frame: the scale k = gamma^2 (rho + 1) / C and
+    M with columns (Z_rr, W) and (rho W, -(rho + 1) Z_rr), W = (rho Z_rp -
+    Z_p) / rho^2, so det G = (k D / rho)^2.  The integral's coefficient
+    pairs are half-angle rotations; it is only conserved on {H = C/2}.
     """
 
     z: ZSolution
@@ -294,101 +312,78 @@ class RationalFlowBundle:
             last[:] = (rho, psi), self.z.jet(rho, psi)
         return last[1]
 
-    def local_geometry(self, rho, psi):
-        """Metric components, their partials and the magnetic coefficient
-        (gamma/2) Z_rr at a chart point, all from one jet of Z: the
-        bundle's ``MagneticSystem.local_geometry``."""
-        _, _, z_p, zeta, z_rp, z_pp, z_rrr, z_rrp, z_rpp = self._jet(rho, psi)
-        w = rho * z_rp - z_p
-        g2, c = self.gamma * self.gamma, self.c_energy
-        r4 = rho ** 4
-        q = rho * (rho + 1.0)
-        pre = g2 * (rho + 1.0) / (c * r4)
-        pre2 = g2 * (rho + 1.0) / (c * rho * rho)
-        base_rr = r4 * zeta * zeta + w * w
-        base_pp = q * q * zeta * zeta + w * w
-        components = (pre * base_rr, -pre * rho * rho * zeta * w, pre2 * base_pp)
-        zeta_r, zeta_p = z_rrr, z_rrp
-        w_r = rho * z_rrp
-        w_p = rho * z_rpp - z_pp
-        pre_r = -g2 * (3.0 * rho + 4.0) / (c * rho ** 5)
-        d_rr_r = pre_r * base_rr + pre * (
-            4.0 * rho ** 3 * zeta * zeta + 2.0 * r4 * zeta * zeta_r + 2.0 * w * w_r
-        )
-        d_rr_p = pre * (2.0 * r4 * zeta * zeta_p + 2.0 * w * w_p)
-        d_rp_r = -(
-            pre_r * rho * rho * zeta * w
-            + pre * (2.0 * rho * zeta * w + rho * rho * zeta_r * w + rho * rho * zeta * w_r)
-        )
-        d_rp_p = -pre * rho * rho * (zeta_p * w + zeta * w_p)
-        pre2_r = -g2 * (rho + 2.0) / (c * rho ** 3)
-        q_r = 2.0 * rho + 1.0
-        d_pp_r = pre2_r * base_pp + pre2 * (
-            2.0 * q * q_r * zeta * zeta + 2.0 * q * q * zeta * zeta_r + 2.0 * w * w_r
-        )
-        d_pp_p = pre2 * (2.0 * q * q * zeta * zeta_p + 2.0 * w * w_p)
-        partials = (d_rr_r, d_rp_r, d_pp_r), (d_rr_p, d_rp_p, d_pp_p)
-        return components, partials, 0.5 * self.gamma * zeta
+    def _frame(self, rho, psi):
+        """(k, M) at a chart point from the memoized jet, with M row by row
+        as (Z_rr, rho W, W, -(rho + 1) Z_rr)."""
+        _, _, z_p, z_rr, z_rp = self._jet(rho, psi)[:5]
+        w = (rho * z_rp - z_p) / (rho * rho)
+        k = self.gamma * self.gamma * (rho + 1.0) / self.c_energy
+        return k, (z_rr, rho * w, w, -(rho + 1.0) * z_rr)
 
     def metric_components(self, rho, psi):
-        return self.local_geometry(rho, psi)[0]
+        k, m = self._frame(rho, psi)
+        g11, g12, g22 = _gram(m)
+        return k * g11, k * g12, k * g22
+
+    def local_geometry(self, rho, psi):
+        """Metric components, their partials dG = dk M^T M + k (dM^T M +
+        M^T dM) from the frame's rho and psi partials r and p (k_psi = 0),
+        and the magnetic coefficient (gamma/2) Z_rr at a chart point, all
+        from one jet of Z: the bundle's ``MagneticSystem.local_geometry``."""
+        k, m = self._frame(rho, psi)
+        m11, m12, m21, m22 = m
+        z_rr, _, z_pp, z_rrr, z_rrp, z_rpp = self._jet(rho, psi)[3:]
+        g11, g12, g22 = _gram(m)
+        w_p = (rho * z_rpp - z_pp) / (rho * rho)
+        r11, r12, r21, r22 = z_rrr, z_rrp - m21, (z_rrp - 2.0 * m21) / rho, -z_rr - (rho + 1.0) * z_rrr
+        p11, p12, p21, p22 = z_rrp, rho * w_p, w_p, -(rho + 1.0) * z_rrp
+        k_r, k2 = self.gamma * self.gamma / self.c_energy, 2.0 * k
+        partials = ((k_r * g11 + k2 * (m11 * r11 + m21 * r21),
+                     k_r * g12 + k * (m11 * r12 + r11 * m12 + m21 * r22 + r21 * m22),
+                     k_r * g22 + k2 * (m12 * r12 + m22 * r22)),
+                    (k2 * (m11 * p11 + m21 * p21),
+                     k * (m11 * p12 + p11 * m12 + m21 * p22 + p21 * m22),
+                     k2 * (m12 * p12 + m22 * p22)))
+        return (k * g11, k * g12, k * g22), partials, 0.5 * self.gamma * z_rr
 
     def metric_partials(self, rho, psi):
         return self.local_geometry(rho, psi)[1]
 
     def omega(self, rho, psi):
         """Magnetic coefficient (gamma/2) Z_rr."""
-        return self.local_geometry(rho, psi)[2]
+        return 0.5 * self.gamma * self._jet(rho, psi)[3]
 
     def _parts(self, rho, psi):
-        """Momentum coefficient triples (a0, a1, gamma D sin(psi/2)) of the
-        rational integral's numerator and (b0, b1, gamma D cos(psi/2)) of
-        its denominator (the coefficients of p_r and p_p and the constant
-        term, with D the discriminant) and their deferred chart partials,
-        all from one ``_jet`` call: the parts that
-        :func:`magflows.integrals.rational_integral` takes.
-
-        Coordinate derivatives of the coefficients need third partials of
-        Z; the missing Z_ppp is expressed through the defining equation,
-        Z_ppp = -rho (rho + 1) Z_rrp - rho Z_rp, exact on every shipped
-        solution.
+        """Momentum coefficient triples (p_r, p_p, constant) of the
+        integral's numerator and denominator and their deferred chart
+        partials from one ``_jet`` call, as
+        :func:`magflows.integrals.rational_integral` takes them: the
+        rotations (u s + v c) and (u c - v s), c, s = cos, sin(psi/2), of
+        (u, v) = (rho Z_rp - Z_p, Z_pp + rho Z_r), (-rho Z_rr, -t) and
+        (gamma D, 0), with D, t from the discriminant.  A rho partial
+        rotates (u_r, v_r), a psi partial (u_p - v/2, v_p + u/2), with
+        Z_ppp = -rho (rho + 1) Z_rrp - rho Z_rp from the defining equation.
         """
         jet = self._jet(rho, psi)
         _, z_r, z_p, z_rr, z_rp, z_pp = jet[:6]
         c, s = math.cos(0.5 * psi), math.sin(0.5 * psi)
-        a0 = rho * z_rp * s + z_pp * c + rho * z_r * c - z_p * s
-        b0 = rho * z_rp * c - z_pp * s - rho * z_r * s - z_p * c
-        a1 = -rho * z_rr * s - z_rp * c + (z_p / rho) * c
-        b1 = -rho * z_rr * c + z_rp * s - (z_p / rho) * s
         d, t = _discriminant(rho, jet)
         g = self.gamma
+        u, v = (rho * z_rp - z_p, -rho * z_rr, g * d), (z_pp + rho * z_r, -t, 0.0)
 
         def partials():
-            _, z_r, z_p, z_rr, z_rp, z_pp, z_rrr, z_rrp, z_rpp = jet
-            z_ppp = -rho * (rho + 1.0) * z_rrp - rho * z_rp
+            z_rrr, z_rrp, z_rpp = jet[6:]
+            q = rho * (rho + 1.0)
+            t_r, t_p = z_rrp - z_rp / rho + z_p / rho ** 2, z_rpp - z_pp / rho
+            d_r = (2.0 * rho + 1.0) * z_rr * z_rr + 2.0 * q * z_rr * z_rrr + 2.0 * t * t_r
+            d_p = 2.0 * q * z_rr * z_rrp + 2.0 * t * t_p
+            a_r, b_r = _rotate((rho * z_rrp, -z_rr - rho * z_rrr, g * d_r),
+                               (z_rpp + z_r + rho * z_rr, -t_r, 0.0), c, s)
+            a_p, b_p = _rotate((rho * z_rpp - z_pp - 0.5 * v[0], -rho * z_rrp - 0.5 * v[1], g * d_p),
+                               (0.5 * u[0] - q * z_rrp, 0.5 * u[1] - t_p, 0.5 * u[2]), c, s)
+            return (a_r, a_p), (b_r, b_p)
 
-            a0_r = rho * z_rrp * s + z_rpp * c + z_r * c + rho * z_rr * c
-            b0_r = rho * z_rrp * c - z_rpp * s - z_r * s - rho * z_rr * s
-            a1_r = -(z_rr + rho * z_rrr) * s - z_rrp * c + (z_rp / rho - z_p / rho ** 2) * c
-            b1_r = -(z_rr + rho * z_rrr) * c + z_rrp * s - (z_rp / rho - z_p / rho ** 2) * s
-            t_r = z_rrp - z_rp / rho + z_p / rho ** 2
-            d_r = (2.0 * rho + 1.0) * z_rr * z_rr + 2.0 * rho * (rho + 1.0) * z_rr * z_rrr + 2.0 * t * t_r
-
-            a0_p = (rho * z_rpp * s + z_ppp * c + 1.5 * rho * z_rp * c
-                    - 1.5 * z_pp * s - 0.5 * rho * z_r * s - 0.5 * z_p * c)
-            b0_p = (rho * z_rpp * c - z_ppp * s - 1.5 * rho * z_rp * s
-                    - 1.5 * z_pp * c - 0.5 * rho * z_r * c + 0.5 * z_p * s)
-            a1_p = (-rho * z_rrp * s - 0.5 * rho * z_rr * c - z_rpp * c
-                    + 0.5 * z_rp * s + (z_pp / rho) * c - 0.5 * (z_p / rho) * s)
-            b1_p = (-rho * z_rrp * c + 0.5 * rho * z_rr * s + z_rpp * s
-                    + 0.5 * z_rp * c - (z_pp / rho) * s - 0.5 * (z_p / rho) * c)
-            t_p = z_rpp - z_pp / rho
-            d_p = 2.0 * rho * (rho + 1.0) * z_rr * z_rrp + 2.0 * t * t_p
-
-            return (((a0_r, a1_r, g * d_r * s), (a0_p, a1_p, g * (d_p * s + 0.5 * d * c))),
-                    ((b0_r, b1_r, g * d_r * c), (b0_p, b1_p, g * (d_p * c - 0.5 * d * s))))
-
-        return (a0, a1, g * d * s), (b0, b1, g * d * c), partials
+        return (*_rotate(u, v, c, s), partials)
 
     def as_system(self) -> MagneticSystem:
         lo, hi = self.rho_range
@@ -413,16 +408,8 @@ class RationalFlowBundle:
         return rational_integral("F", self._parts, self.c_energy)
 
     def descriptor(self) -> dict:
-        d = self.z.descriptor()
-        d.update(
-            {
-                "gamma": self.gamma,
-                "c_energy": self.c_energy,
-                "rho_range": [self.rho_range[0], self.rho_range[1]],
-                "psi_period": self.z.psi_period,
-            }
-        )
-        return d
+        return {**self.z.descriptor(), "gamma": self.gamma, "c_energy": self.c_energy,
+                "rho_range": list(self.rho_range), "psi_period": self.z.psi_period}
 
 
 def build_bundle(
@@ -443,7 +430,9 @@ def build_bundle(
     non-finite or non-positive ``c_energy`` raises DomainError, as does a
     range at whose ends the radial profile's jet or the bundle's local
     geometry is not finite (a tiny or huge rho, a huge gamma or a tiny
-    C), with or without ``check``.
+    C), or det G is 0 or not finite where D is not 0 (gamma^2 / C so
+    small or large that the metric underflows or overflows), with or
+    without ``check``.
     """
     gamma, c_energy = float(gamma), float(c_energy)
     if not (math.isfinite(gamma) and gamma != 0.0):
@@ -457,27 +446,27 @@ def build_bundle(
         raise DomainError(f"empty rho range ({lo}, {hi})")
     vlo, vhi = z.valid_rho
     if lo <= vlo or hi >= vhi:
-        raise DomainError(
-            f"rho range ({lo}, {hi}) leaves the validity interval "
-            f"({vlo}, {vhi}) of family {z.family!r}"
-        )
+        raise DomainError(f"rho range ({lo}, {hi}) leaves the validity interval "
+                          f"({vlo}, {vhi}) of family {z.family!r}")
     if lo <= 0.0 <= hi:
         raise DomainError("the working rho range must exclude 0")
-    bundle = RationalFlowBundle(
-        z=z, gamma=gamma, c_energy=c_energy, rho_range=(lo, hi)
-    )
-    # the closed forms and the prefactors gamma^2 / (C rho^n) fail at
-    # extreme rho, not in between
+    bundle = RationalFlowBundle(z=z, gamma=gamma, c_energy=c_energy, rho_range=(lo, hi))
+    # the closed forms and the scale gamma^2 / C fail at extreme rho or
+    # constants, not in between
     for rho in (lo, hi):
         try:
-            components, (d_r, d_p), omega = bundle.local_geometry(rho, 0.0)
-            values = (*bundle._jet(rho, 0.0), *components, *d_r, *d_p, omega)
-            finite = all(map(math.isfinite, values))
-        except ArithmeticError:  # rho * rho or C rho^5 underflows to 0, rho ** 3 overflows
+            jet = bundle._jet(rho, 0.0)
+            (g11, g12, g22), (d_r, d_p), omega = bundle.local_geometry(rho, 0.0)
+            finite = all(map(math.isfinite, (*jet, g11, g12, g22, *d_r, *d_p, omega)))
+        except ArithmeticError:  # rho * rho underflows to 0, rho ** 3 overflows
             finite = False
         if not finite:
             raise DomainError(f"the bundle of family {z.family!r} does not evaluate "
                               f"to finite numbers at rho = {rho}")
+        det, d = g11 * g22 - g12 * g12, _discriminant(rho, jet)[0]
+        if d != 0.0 and not 0.0 < abs(det) < math.inf:
+            raise DomainError(f"det G = {det} at rho = {rho}, where D = {d:.6g}: the metric "
+                              f"scale gamma^2 / C = {gamma * gamma / c_energy:.3g} is out of range")
     if check:
         residual, d_min = profile_screen(z, lo, hi)
         if not residual <= SCREEN_BOUND:

@@ -589,6 +589,10 @@ class TestErrorContract:
           "--step", "0.1", "--rel-tol", "5"], 2),
         (["build-rational", "poly-cos", "--c-energy", "1e-320"], 2),
         (["simulate", "ex1", "--phase", "0", "0", "1", "0", "--method", "fixed_rk4", "--step", "1e-17"], 2),
+        (["build-rational", "poly-cos", "--gamma", "1e-200"], 2),
+        (["build-rational", "poly-cos", "--gamma", "1e150"], 2),
+        (["build-rational", "poly-cos", "--c-energy", "1e300"], 2),
+        (["build-rational", "poly-cos", "--k", "1"], 5),
     ]
 
     def test_no_runtime_warning_escapes_a_scan(self, tmp_path, capsys):

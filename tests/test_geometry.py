@@ -89,12 +89,14 @@ class TestMetric:
         """L L^T recovers the matrix for a positive definite metric."""
         metric = Metric(components=lambda x, y: (2.0 + x * x, 0.3, 1.5),
                         partials=lambda x, y: ((2.0 * x, 0.0, 0.0), (0.0, 0.0, 0.0)))
-        low = metric.cholesky(0.7, -0.2)
+        l11, l21, l22 = metric.cholesky(0.7, -0.2)
+        low = np.array([[l11, 0.0], [l21, l22]])
         np.testing.assert_allclose(low @ low.T, _matrix(*metric.components(0.7, -0.2)), atol=1e-14)
 
     def test_cholesky_matches_lapack_bit_for_bit(self):
-        """The closed-form factor equals numpy's LAPACK factor bit for bit
-        on seeded random SPD matrices, well and ill conditioned."""
+        """The closed-form entries, with the zero above the diagonal, equal
+        numpy's LAPACK factor bit for bit on seeded random SPD matrices,
+        well and ill conditioned."""
         rng = np.random.default_rng(20)
         checked = 0
         for i in range(3000):
@@ -110,8 +112,8 @@ class TestMetric:
                 continue
             metric = Metric(components=lambda x, y, g=g: (g[0, 0], g[0, 1], g[1, 1]),
                             partials=_zero_partials)
-            got = metric.cholesky(0.0, 0.0)
-            assert got.tobytes() == want.tobytes()
+            l11, l21, l22 = metric.cholesky(0.0, 0.0)
+            assert np.array([[l11, 0.0], [l21, l22]]).tobytes() == want.tobytes()
             checked += 1
         assert checked > 2900
 

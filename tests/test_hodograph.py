@@ -116,6 +116,8 @@ class TestNewton:
             assert result.residual_inf <= 1e-13
             assert result.iterations <= 50
             assert np.isfinite(result.jacobian_cond)
+            jac = algebraic_jacobian(K0, x, y, result.f, result.g)
+            np.testing.assert_allclose(result.jacobian_cond, np.linalg.cond(jac), rtol=1e-8)
 
     def test_nan_residual_never_converges(self, monkeypatch):
         """R2 = NaN at the closed-form root, where R1 is round-off: max |R|
@@ -126,6 +128,34 @@ class TestNewton:
                             lambda *args: (real(*args)[0], math.nan))
         point, _ = closed_form_abzero(K0, 1.3, 0.9)
         with pytest.raises(NoConvergence, match="line search stalled"):
+            newton_solve(K0, 1.3, 0.9, (point.f, point.g))
+
+    def test_closed_form_singular_values_match_svd(self):
+        """The closed-form singular values equal LAPACK's to 2e-15 of the
+        larger one, on seeded random 2x2 matrices and on rank-one matrices
+        perturbed by 1e-16 to 1e-6 of their size."""
+        rng = np.random.default_rng(21)
+        for i in range(4000):
+            scale = 10.0 ** rng.uniform(-6.0, 6.0)
+            if i % 2:
+                jac = np.outer(rng.normal(size=2), rng.normal(size=2)) * scale
+                jac += rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-16.0, -6.0) * np.abs(jac).max()
+            else:
+                jac = rng.normal(size=(2, 2)) * scale
+            want = np.linalg.svd(jac, compute_uv=False)
+            s0, s1 = hodograph._singular_values(jac.tolist())
+            assert abs(s0 - want[0]) <= 2e-15 * want[0]
+            assert abs(s1 - want[1]) <= 2e-15 * want[0]
+
+    @pytest.mark.parametrize("jac", [((0.0, 0.0), (0.0, 0.0)), ((math.nan, 1.0), (0.0, 1.0)),
+                                     ((math.inf, 1.0), (0.0, 1.0))], ids=["zero", "nan", "inf"])
+    def test_degenerate_jacobian_is_singular(self, jac, monkeypatch):
+        """A zero Jacobian, or one with a NaN or an infinite entry, fails
+        the singular-value test: SingularJacobian, not a division by zero
+        or a NaN step."""
+        monkeypatch.setattr(hodograph, "algebraic_jacobian", lambda *args: jac)
+        point, _ = closed_form_abzero(K0, 1.3, 0.9)
+        with pytest.raises(SingularJacobian):
             newton_solve(K0, 1.3, 0.9, (point.f, point.g))
 
     def test_jacobian_matches_differences(self):

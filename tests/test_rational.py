@@ -16,12 +16,14 @@ from magflows.catalog import get_example
 from magflows.errors import DegenerateD, DomainError, GuardError
 from magflows.flow import TrajectoryConfig, conservation_drift, integrate, magnetic_rhs
 from magflows.geometry import hamiltonian, hamiltonian_gradient, momentum_on_level
+from magflows.integrals import BracketScanConfig, level_set_bracket_scan
 from magflows.rational import (
     FAMILIES,
     EllipticHalf,
     LogNu1,
     LogRadial,
     PolynomialCos,
+    RationalFlowBundle,
     ZSolution,
     build_bundle,
     bundle_from_descriptor,
@@ -218,6 +220,33 @@ class TestJet:
             assert calls["agm"] == (n if isinstance(z, EllipticHalf) else 0)
 
     @pytest.mark.parametrize("z", BUNDLE_SOLUTIONS, ids=lambda z: z.family)
+    def test_one_local_geometry_per_kept_scan_point(self, z, monkeypatch):
+        """A bracket scan evaluates the bundle's local geometry once at each
+        grid point it keeps: the Cholesky factor reads only the metric
+        components, and a point whose factor fails (here every point past
+        the middle of the rho range) takes none."""
+        local, components = RationalFlowBundle.local_geometry, RationalFlowBundle.metric_components
+        mid = sum(z.default_rho_range) / 2.0
+        calls = Counter()
+
+        def counted_local(self, rho, psi):
+            calls[rho, psi] += 1
+            return local(self, rho, psi)
+
+        def failing_past_mid(self, rho, psi):
+            g11, g12, g22 = components(self, rho, psi)
+            return (g11 if rho < mid else -g11), g12, g22
+
+        monkeypatch.setattr(RationalFlowBundle, "local_geometry", counted_local)
+        monkeypatch.setattr(RationalFlowBundle, "metric_components", failing_past_mid)
+        bundle = build_bundle(z)
+        system, config = bundle.as_system(), BracketScanConfig(nx=6, ny=5, n_angles=4)
+        calls.clear()
+        level_set_bracket_scan(system, bundle.as_integral(), config=config)
+        kept = [(x, y) for x, y in system.domain.grid(6, 5, config.grid_margin) if x < mid]
+        assert len(kept) == 15 and dict(calls) == dict.fromkeys(kept, 1)
+
+    @pytest.mark.parametrize("z", BUNDLE_SOLUTIONS, ids=lambda z: z.family)
     def test_local_geometry_equals_default_path(self, z):
         """The bundle's one-jet local geometry gives the same bits as the
         default built from metric components, partials and field, and so
@@ -304,6 +333,19 @@ class TestBuildBundle:
         with pytest.raises(DomainError, match="finite numbers at rho = 0.05"):
             build_bundle(PolynomialCos(2), **constants)
         with pytest.raises(ValueError, match="finite numbers at rho = 0.05"):
+            bundle_from_descriptor({"family": "poly-cos", **constants})
+
+    @pytest.mark.parametrize("constants", [{"gamma": 1e-200}, {"gamma": 1e150},
+                                           {"c_energy": 1e300}, {"c_energy": 1e-300}],
+                             ids=["tiny-gamma", "large-gamma", "huge-energy", "tiny-energy"])
+    def test_metric_scale_out_of_range_rejected(self, constants):
+        """gamma^2 / C of 1e-400, 1e-300 or 1e300 leaves every metric
+        component finite but makes det G = (k D / rho)^2 round to 0 or
+        overflow where D is not 0: DomainError before any screen, and a
+        descriptor with those constants is a ValueError."""
+        with pytest.raises(DomainError, match="det G = (0.0|inf) at rho = 0.05"):
+            build_bundle(PolynomialCos(2), **constants)
+        with pytest.raises(ValueError, match="metric scale"):
             bundle_from_descriptor({"family": "poly-cos", **constants})
 
     def test_degenerate_family_rejected(self):
@@ -440,6 +482,63 @@ class TestBundleIntegral:
         trajectory = integrate(system, (1.0, 0.7, p1, p2), TrajectoryConfig(t_end=10.0))
         report = conservation_drift(system, trajectory, bundle.as_integral())
         assert report.max_abs_drift <= 1e-6
+
+
+FRAME_CASES = [(z, z.default_rho_range) for z in BUNDLE_SOLUTIONS] + [(LogRadial(), (-0.9, -0.1))]
+
+
+def _frame_id(case):
+    z, (lo, hi) = case
+    return f"{z.family}-{getattr(z, 'k', '')}-{lo}-{hi}"
+
+
+class TestFrameIdentities:
+    """The metric is k M^T M with det M = -D / rho, and the integral is a
+    half-angle rotation of two momentum-linear forms U and V; both are
+    checked against formulas written here from the jet of Z."""
+
+    GAMMA, C_ENERGY = 0.7, 1.3
+
+    @staticmethod
+    def _samples(z, rho_range, rng, n=60):
+        lo, hi = rho_range
+        for _ in range(n):
+            yield rng.uniform(lo, hi), rng.uniform(0.0, z.psi_period)
+
+    @pytest.mark.parametrize("case", FRAME_CASES, ids=_frame_id)
+    def test_det_metric_is_scaled_discriminant(self, case):
+        """det G = (k D / rho)^2, k = gamma^2 (rho + 1) / C, to 1e-12."""
+        z, rho_range = case
+        bundle = build_bundle(z, gamma=self.GAMMA, c_energy=self.C_ENERGY, rho_range=rho_range)
+        for rho, psi in self._samples(z, rho_range, np.random.default_rng(31)):
+            g11, g12, g22 = bundle.metric_components(rho, psi)
+            k = self.GAMMA ** 2 * (rho + 1.0) / self.C_ENERGY
+            want = (k * condition_D(z, rho, psi) / rho) ** 2
+            assert abs(g11 * g22 - g12 * g12 - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("case", FRAME_CASES, ids=_frame_id)
+    def test_integral_is_a_half_angle_rotation(self, case):
+        """F = tan(psi/2 + atan2(V, U)) with U = (rho Z_rp - Z_p) p_r -
+        rho Z_rr p_p + gamma D and V = (Z_pp + rho Z_r) p_r - t p_p, to
+        1e-12 of max(1, |F|), at momenta on the level where |F| <= 10."""
+        z, rho_range = case
+        bundle = build_bundle(z, gamma=self.GAMMA, c_energy=self.C_ENERGY, rho_range=rho_range)
+        system, integral = bundle.as_system(), bundle.as_integral()
+        rng = np.random.default_rng(32)
+        checked = 0
+        for rho, psi in self._samples(z, rho_range, rng):
+            p_r, p_p = momentum_on_level(system, rho, psi, rng.uniform(0.0, 2.0 * math.pi))
+            phase = (rho, psi, p_r, p_p)
+            if not integral.admits(phase) or abs(integral(phase)) > 10.0:
+                continue
+            _, z_r, z_p, z_rr, z_rp, z_pp = z.jet(rho, psi)[:6]
+            t = z_rp - z_p / rho
+            u = (rho * z_rp - z_p) * p_r - rho * z_rr * p_p + self.GAMMA * condition_D(z, rho, psi)
+            v = (z_pp + rho * z_r) * p_r - t * p_p
+            got = integral(phase)
+            assert abs(got - math.tan(0.5 * psi + math.atan2(v, u))) <= 1e-12 * max(1.0, abs(got))
+            checked += 1
+        assert checked >= 30
 
 
 class TestDualPath:
