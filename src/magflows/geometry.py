@@ -20,9 +20,11 @@ Conventions used throughout the package:
   the field unless the chart supplies all three from one evaluation.
 
 A metric is supplied as analytic components together with their exact
-spatial partials.  Only :func:`gaussian_curvature` differentiates a metric
-numerically: it is the independent oracle for the flat and curved
-checks.
+spatial partials.  A metric written from a frame, G = k M^T M (ex3 and the
+rational bundles), takes its components from :func:`_gram` and its
+partials from the one product rule of :func:`_gram_partials`.  Only
+:func:`gaussian_curvature` differentiates a metric numerically: it is the
+independent oracle for the flat and curved checks.
 """
 
 from __future__ import annotations
@@ -94,6 +96,31 @@ def _inverse(g, x: float, y: float) -> tuple[float, float, float]:
     if not (det > 0.0 and g11 > 0.0):
         raise SingularMetric(f"metric not positive definite at ({x}, {y}): det = {det}")
     return g22 / det, -g12 / det, g11 / det
+
+
+def _gram(k: float, m) -> tuple[float, float, float]:
+    """Components (g11, g12, g22) of G = k M^T M, from a scale k and a frame
+    M given row by row as (m11, m12, m21, m22)."""
+    m11, m12, m21, m22 = m
+    return k * (m11 * m11 + m21 * m21), k * (m11 * m12 + m21 * m22), k * (m12 * m12 + m22 * m22)
+
+
+def _gram_partials(k: float, dk, m, dm) -> tuple:
+    """(G, dG) of G = k M^T M, with M as in :func:`_gram`: its components
+    and their partials by the product rule dG = dk M^T M + k (dM^T M +
+    M^T dM), from the partials dk = (k_x, k_y) of the scale and dm =
+    (M_x, M_y) of the frame, each row by row as M is."""
+    m11, m12, m21, m22 = m
+    (k_x, k_y), ((x11, x12, x21, x22), (y11, y12, y21, y22)) = dk, dm
+    g11, g12, g22 = m11 * m11 + m21 * m21, m11 * m12 + m21 * m22, m12 * m12 + m22 * m22
+    k2 = 2.0 * k
+    return (k * g11, k * g12, k * g22), (
+        (k_x * g11 + k2 * (m11 * x11 + m21 * x21),
+         k_x * g12 + k * (m11 * x12 + x11 * m12 + m21 * x22 + x21 * m22),
+         k_x * g22 + k2 * (m12 * x12 + m22 * x22)),
+        (k_y * g11 + k2 * (m11 * y11 + m21 * y21),
+         k_y * g12 + k * (m11 * y12 + y11 * m12 + m21 * y22 + y21 * m22),
+         k_y * g22 + k2 * (m12 * y12 + m22 * y22)))
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,12 @@ solution by the implicit function theorem.  The per-point algebra runs on
 Python floats, with a closed-form 2x2 solve and closed-form singular
 values for the Jacobian's conditioning.
 
-The module also assembles the curved quadratic-integral system in the
-transformed chart (X, Y) at the constants alpha = 1, beta = 0: an explicit
-polynomial metric, field and quadratic integral, valid on the energy level
-{H = 1/2}.
+The module also assembles the curved quadratic-integral system at the
+constants (1, 0, 0, 0, 0, 2), in the hodograph chart (X, Y) = (f, g): R is
+linear in (x, y), so the map (f, g) -> (x, y) is polynomial with Jacobian
+M = -(1/(2 zeta)) ((j21, j22), (j11, j12)), and the metric is the pull-back
+Lambda M^T M of Lambda (dx^2 + dy^2).  Its field and its quadratic
+integral, valid on the energy level {H = 1/2}, are polynomial too.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import (
     SingularJacobian,
     SingularPoint,
 )
-from .geometry import ChartDomain, MagneticSystem, Metric
+from .geometry import ChartDomain, MagneticSystem, Metric, _gram, _gram_partials
 from .integrals import FirstIntegral, quadratic_integral
 
 __all__ = [
@@ -341,29 +343,15 @@ def solve_fields(k: HodographConstants, x: float, y: float):
 # Curved quadratic-integral system in the transformed chart (X, Y)
 # ---------------------------------------------------------------------------
 
-# Working rectangle of the curved system at alpha = 1, beta = 0,
-# determined by grid-scanning positive-definiteness of the metric and
-# |S| > 1e-6 (the integral divides by S^2); re-verified by the test suite.
+# Working rectangle of the curved system at alpha = 1, beta = 0.  On it
+# r <= -14.48 and |S| >= 14.03 (801 x 801 grid), so the metric (-r/2) M^T M
+# is positive definite and the integral's S^2 stays far from 0 everywhere:
+# the domain is the box itself.  The test suite pins r <= -10 and |S| >= 10.
 EXAMPLE3_BBOX = (3.0, 5.0, -0.72, 0.72)
+
 
 def _poly_r(x, y):
     return x * x - 8.0 * x + y * y
-
-
-def _poly_s(x, y):
-    return (
-        3.0 * x ** 4
-        - 44.0 * x ** 3
-        + 6.0 * x * x * (y * y + 34.0)
-        - 12.0 * x * (5.0 * y * y + 24.0)
-        + 3.0 * y * (y ** 3 + 36.0 * y)
-    )
-
-
-def _poly_s_grad(x, y):
-    sx = 12.0 * x ** 3 - 132.0 * x * x + 12.0 * x * (y * y + 34.0) - 12.0 * (5.0 * y * y + 24.0)
-    sy = 12.0 * x * x * y - 120.0 * x * y + 12.0 * y ** 3 + 216.0 * y
-    return sx, sy
 
 
 def _poly_m(x, y):
@@ -371,125 +359,61 @@ def _poly_m(x, y):
     return x * y - 3.0 * y
 
 
+def _poly_q(x, y):
+    return x * x - 6.0 * x + 3.0 * y * y
+
+
 def _poly_w(x, y):
     return (3.0 * x - 8.0) * (x - 6.0) + y * y
 
 
-def _poly_n(x, y):
-    # also the negated magnetic coefficient
-    return (x - 6.0) * (x - 2.0) + y * y
+def _poly_s(x, y):
+    # det M of the frame
+    m = _poly_m(x, y)
+    return _poly_q(x, y) * _poly_w(x, y) - 4.0 * m * m
 
 
-def _poly_t1(x, y):
-    return (
-        9.0 * x ** 4
-        + 10.0 * x * x * y * y
-        + y ** 4
-        - 156.0 * x ** 3
-        - 76.0 * x * y * y
-        + 964.0 * x * x
-        + 132.0 * y * y
-        - 2496.0 * x
-        + 2304.0
-    )
-
-
-def _poly_t1_grad(x, y):
-    t1x = (
-        36.0 * x ** 3
-        + 20.0 * x * y * y
-        - 468.0 * x * x
-        - 76.0 * y * y
-        + 1928.0 * x
-        - 2496.0
-    )
-    t1y = 20.0 * x * x * y + 4.0 * y ** 3 - 152.0 * x * y + 264.0 * y
-    return t1x, t1y
-
-
-def _poly_t2(x, y):
-    return (
-        x ** 4
-        - 12.0 * x ** 3
-        - 4.0 * x * (3.0 * y) * (5.0 * y)
-        + 2.0 * x * x * (5.0 * y * y + 18.0)
-        + (3.0 * y) ** 2 * (4.0 + y ** 2)
-    )
-
-
-def _poly_t2_grad(x, y):
-    t2x = (
-        4.0 * x ** 3
-        - 36.0 * x * x
-        - 4.0 * (3.0 * y) * (5.0 * y)
-        + 4.0 * x * (5.0 * y * y + 18.0)
-    )
-    t2y = (
-        -4.0 * x * (30.0 * y)
-        + 2.0 * x * x * (10.0 * y)
-        + 6.0 * (3.0 * y) * (4.0 + y ** 2)
-        + 2.0 * (3.0 * y) ** 2 * y
-    )
-    return t2x, t2y
+def _ex3_frame(x, y):
+    """(k, M) of the curved system at a chart point: k = -r/2 and the frame M
+    row by row as (-2m, -q, w, 2m), so G = k M^T M.  M is the hodograph
+    map's Jacobian -(1/(2 zeta)) ((j21, j22), (j11, j12)) and k its
+    Lambda at the constants (1, 0, 0, 0, 0, 2), with (f, g) = (x, y)."""
+    m = _poly_m(x, y)
+    return -0.5 * _poly_r(x, y), (-2.0 * m, -_poly_q(x, y), _poly_w(x, y), 2.0 * m)
 
 
 def example3_system() -> tuple[MagneticSystem, FirstIntegral]:
     """The curved chart system with its quadratic integral on {H = 1/2},
     at the hodograph constants alpha = 1, beta = 0.
 
-    The metric and integral are polynomial in the chart point.  The metric
-    carries hand-differentiated analytic partials.  The integral is built
+    The chart is the hodograph one, (f, g) = (x, y).  The metric is the
+    pull-back Lambda M^T M of Lambda (dx^2 + dy^2) through the hodograph
+    map, written from ``_ex3_frame``: its components by
+    :func:`magflows.geometry._gram`, and their partials by the product
+    rule of :func:`magflows.geometry._gram_partials` from the linear
+    partials of k and M.  The field is -(r + 12).  The integral is built
     by :func:`magflows.integrals.quadratic_integral` from its momentum
-    coefficients over S^2 and their chart partials, written from the same
-    ``_poly_*`` polynomials, each evaluated once per chart point.  The
-    metric is positive definite on a neighborhood of (4, 0); the working
-    domain is ``EXAMPLE3_BBOX`` less the points where |S| <= 1e-6.
+    coefficients over S^2, S = det M, and their chart partials, written
+    from the same ``_poly_*`` polynomials, each evaluated once per chart
+    point.  The working domain is ``EXAMPLE3_BBOX``.
     """
 
     def components(x, y):
-        r = _poly_r(x, y)
-        g11 = -0.5 * r * _poly_t1(x, y)
-        g12 = -4.0 * r * _poly_m(x, y) * _poly_n(x, y)
-        g22 = -0.5 * r * _poly_t2(x, y)
-        return g11, g12, g22
+        return _gram(*_ex3_frame(x, y))
 
     def dg(x, y):
-        r = _poly_r(x, y)
-        # R and N differ by a constant, so they share one gradient
-        rx, ry = nx, ny = 2.0 * x - 8.0, 2.0 * y
-        t1 = _poly_t1(x, y)
-        t1x, t1y = _poly_t1_grad(x, y)
-        t2 = _poly_t2(x, y)
-        t2x, t2y = _poly_t2_grad(x, y)
-        m = _poly_m(x, y)
-        mx, my = y, x - 3.0
-        n = _poly_n(x, y)
-        dg11x = -0.5 * (rx * t1 + r * t1x)
-        dg11y = -0.5 * (ry * t1 + r * t1y)
-        dg12x = -4.0 * (rx * m * n + r * mx * n + r * m * nx)
-        dg12y = -4.0 * (ry * m * n + r * my * n + r * m * ny)
-        dg22x = -0.5 * (rx * t2 + r * t2x)
-        dg22y = -0.5 * (ry * t2 + r * t2y)
-        return (dg11x, dg12x, dg22x), (dg11y, dg12y, dg22y)
-
-    def positive_definite(x, y):
-        g11, g12, g22 = components(x, y)
-        return g11 > 0.0 and g11 * g22 - g12 * g12 > 0.0
+        k, m = _ex3_frame(x, y)
+        m_x = (-2.0 * y, 6.0 - 2.0 * x, 6.0 * x - 26.0, 2.0 * y)
+        m_y = (6.0 - 2.0 * x, -6.0 * y, 2.0 * y, 2.0 * x - 6.0)
+        return _gram_partials(k, (4.0 - x, -y), m, (m_x, m_y))[1]
 
     x0, x1, y0, y1 = EXAMPLE3_BBOX
-
-    def predicate(x, y):
-        if not (x0 <= x <= x1 and y0 <= y <= y1):
-            return False
-        if abs(_poly_s(x, y)) <= 1e-6:
-            return False
-        return positive_definite(x, y)
-
     metric = Metric(components=components, partials=dg)
     system = MagneticSystem(
         metric=metric,
-        field=lambda x, y: -_poly_n(x, y),
-        domain=ChartDomain(bbox=EXAMPLE3_BBOX, predicate=predicate),
+        field=lambda x, y: -(_poly_r(x, y) + 12.0),
+        domain=ChartDomain(bbox=EXAMPLE3_BBOX,
+                           predicate=lambda x, y: x0 <= x <= x1 and y0 <= y <= y1),
         energy=1.0,
         name="quadratic-hodograph chart",
         coords=("X", "Y"),
@@ -508,9 +432,11 @@ def example3_system() -> tuple[MagneticSystem, FirstIntegral]:
         coefficients = (16.0 * m * m, -16.0 * m * w, 4.0 * w * w, 2.0 * s * u, s * v, s2 * e)
 
         def partials():
-            sx, sy = _poly_s_grad(x, y)
+            q = _poly_q(x, y)
             mx, my = y, x - 3.0
             wx, wy = 6.0 * x - 26.0, 2.0 * y
+            sx = (2.0 * x - 6.0) * w + q * wx - 8.0 * m * mx
+            sy = 6.0 * y * w + q * wy - 8.0 * m * my
             ux, uy = 2.0 * x * y, x * x - 9.0 * y * y
             vx = -2.0 * ((3.0 * x * x - y * y - 8.0 * x) + (x - 6.0) * (6.0 * x - 8.0))
             vy = 4.0 * y * (x - 6.0)

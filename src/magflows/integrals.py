@@ -44,6 +44,7 @@ import numpy as np
 from .errors import DomainError, GuardError, SingularMetric
 from .geometry import (
     MagneticSystem,
+    _stacked,
     hamiltonian,
     hamiltonian_gradient,
     level_factor,
@@ -164,7 +165,9 @@ def _chart_reader(parts: Callable) -> tuple:
     charts)`` gives the data at the phase's chart point, or at chart
     columns with everything but ``partials`` stacked into columns, and a
     ``partials`` that stacks the partials of the P points alike; ``charts``
-    is the data at the P points when the caller read it already."""
+    is the data at the P points when the caller read it already.  Given an
+    ``entry`` index, it gives that entry of the data alone, and at chart
+    columns stacks only that entry, as a guard needs."""
     last = [None, None]
 
     def chart(x, y):
@@ -173,12 +176,15 @@ def _chart_reader(parts: Callable) -> tuple:
             last[:] = key, parts(x, y)
         return last[1]
 
-    def coefficients(state, charts):
+    def coefficients(state, charts, entry=None):
         x, y = state[0], state[1]
         if not isinstance(x, np.ndarray):
-            return chart(x, y) if charts is None else charts[0]
+            data = chart(x, y) if charts is None else charts[0]
+            return data if entry is None else data[entry]
         if charts is None:
             charts = [chart(u, v) for u, v in zip(x.ravel().tolist(), y.ravel().tolist())]
+        if entry is not None:
+            return _stacked([data[entry] for data in charts])
         values = stack_columns([data[:-1] for data in charts])
         return (*values, lambda: stack_columns([data[-1]() for data in charts]))
 
@@ -221,7 +227,7 @@ def rational_integral(name: str, parts: Callable, level: Optional[float] = None)
 
     def guard(state, charts=None):
         _, _, p1, p2 = state
-        return abs(_linear(coefficients(state, charts)[1], p1, p2)) >= 1e-8
+        return abs(_linear(coefficients(state, charts, 1), p1, p2)) >= 1e-8
 
     return FirstIntegral(name, "rational", func, grad=grad, level=level, guard=guard, chart=chart)
 
@@ -272,7 +278,7 @@ def quadratic_integral(name: str, parts: Callable, level: Optional[float] = None
         return out
 
     def guard(state, charts=None):
-        return coefficients(state, charts)[1] >= 1e-8
+        return coefficients(state, charts, 1) >= 1e-8
 
     return FirstIntegral(name, "quadratic", func, grad=grad, level=level, guard=guard, chart=chart)
 

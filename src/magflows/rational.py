@@ -18,9 +18,9 @@ nine partials of Z through third order by the product rule.  A bundle
 reads everything from one jet per point.  Its metric is G = k M^T M, with
 k = gamma^2 (rho + 1) / C and the frame M of columns (Z_rr, W) and
 (rho W, -(rho + 1) Z_rr), W = (rho Z_rp - Z_p) / rho^2; det M = -D / rho.
-M is linear in the jet, and the metric partials follow from M's by one
-product rule.  Its integral is
-:func:`magflows.integrals.rational_integral` over the momentum
+M is linear in the jet, and the metric partials follow from M's by the
+product rule that ex3's frame uses too (``geometry._gram_partials``).  Its
+integral is :func:`magflows.integrals.rational_integral` over the momentum
 coefficients of N and D, each pair the half-angle rotation (u s + v c,
 u c - v s), c, s = cos, sin(psi/2), of two forms U, V linear in momenta,
 so F = tan(psi/2 + atan2(V, U)).
@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateD, DomainError
-from .geometry import ChartDomain, MagneticSystem, Metric
+from .geometry import ChartDomain, MagneticSystem, Metric, _gram, _gram_partials
 from .integrals import FirstIntegral, rational_integral
 from .specfun import elliptic_jet, terminating_2f1_coeffs
 
@@ -273,12 +273,6 @@ def profile_screen(z: ZSolution, lo: float, hi: float) -> tuple[float, float]:
     return float(np.max(np.abs(residuals))), 0.0 if crossed else float(np.min(np.abs(d)))
 
 
-def _gram(m) -> tuple[float, float, float]:
-    """Entries (11, 12, 22) of M^T M, M given row by row as (m11, m12, m21, m22)."""
-    m11, m12, m21, m22 = m
-    return m11 * m11 + m21 * m21, m11 * m12 + m21 * m22, m12 * m12 + m22 * m22
-
-
 def _rotate(u, v, c, s) -> tuple:
     """The triples (u_i s + v_i c) and (u_i c - v_i s) of three pairs (u_i, v_i)."""
     return ((u[0] * s + v[0] * c, u[1] * s + v[1] * c, u[2] * s + v[2] * c),
@@ -321,30 +315,22 @@ class RationalFlowBundle:
         return k, (z_rr, rho * w, w, -(rho + 1.0) * z_rr)
 
     def metric_components(self, rho, psi):
-        k, m = self._frame(rho, psi)
-        g11, g12, g22 = _gram(m)
-        return k * g11, k * g12, k * g22
+        return _gram(*self._frame(rho, psi))
 
     def local_geometry(self, rho, psi):
-        """Metric components, their partials dG = dk M^T M + k (dM^T M +
-        M^T dM) from the frame's rho and psi partials r and p (k_psi = 0),
-        and the magnetic coefficient (gamma/2) Z_rr at a chart point, all
-        from one jet of Z: the bundle's ``MagneticSystem.local_geometry``."""
+        """Metric components and their partials by the product rule of
+        :func:`magflows.geometry._gram_partials`, from the scale's partials
+        (gamma^2 / C, 0) and the frame's rho and psi partials, and the
+        magnetic coefficient (gamma/2) Z_rr at a chart point, all from one
+        jet of Z: the bundle's ``MagneticSystem.local_geometry``."""
         k, m = self._frame(rho, psi)
-        m11, m12, m21, m22 = m
+        w = m[2]
         z_rr, _, z_pp, z_rrr, z_rrp, z_rpp = self._jet(rho, psi)[3:]
-        g11, g12, g22 = _gram(m)
         w_p = (rho * z_rpp - z_pp) / (rho * rho)
-        r11, r12, r21, r22 = z_rrr, z_rrp - m21, (z_rrp - 2.0 * m21) / rho, -z_rr - (rho + 1.0) * z_rrr
-        p11, p12, p21, p22 = z_rrp, rho * w_p, w_p, -(rho + 1.0) * z_rrp
-        k_r, k2 = self.gamma * self.gamma / self.c_energy, 2.0 * k
-        partials = ((k_r * g11 + k2 * (m11 * r11 + m21 * r21),
-                     k_r * g12 + k * (m11 * r12 + r11 * m12 + m21 * r22 + r21 * m22),
-                     k_r * g22 + k2 * (m12 * r12 + m22 * r22)),
-                    (k2 * (m11 * p11 + m21 * p21),
-                     k * (m11 * p12 + p11 * m12 + m21 * p22 + p21 * m22),
-                     k2 * (m12 * p12 + m22 * p22)))
-        return (k * g11, k * g12, k * g22), partials, 0.5 * self.gamma * z_rr
+        m_r = (z_rrr, z_rrp - w, (z_rrp - 2.0 * w) / rho, -z_rr - (rho + 1.0) * z_rrr)
+        m_p = (z_rrp, rho * w_p, w_p, -(rho + 1.0) * z_rrp)
+        g, dg = _gram_partials(k, (self.gamma * self.gamma / self.c_energy, 0.0), m, (m_r, m_p))
+        return g, dg, 0.5 * self.gamma * z_rr
 
     def metric_partials(self, rho, psi):
         return self.local_geometry(rho, psi)[1]

@@ -7,14 +7,15 @@ same residual exactly, and ``omega_fd`` its Omega = (g_x - f_y)/4 by
 ``richardson_gradient``.  ``convergence_order`` fits the decay of a conserved
 scalar's drift over fixed-step runs.  ``ex3_integral`` transcribes the
 curved system's quadratic integral, and ``complex_step_gradient`` gives its
-gradient by complex step.  ``magnetic_bracket_pair`` is the bracket at one
-phase, which every bracket-scan sample must equal bit for bit;
-``larmor_orbit`` is ex1's exact trajectory; ``pde511_residual`` and
-``condition_D`` evaluate the generating equation's residual and D at one
-chart point, through the helpers that the profile screen calls; and
-``chart_to_xy`` with ``xy_to_chart_logradial`` is the chart-to-plane map of
-the rational families.  Exact derivatives elsewhere are checked against
-``richardson.py``.
+gradient by complex step; ``ex3_quartics`` is the hand-expanded
+transcription of ex3's metric and S that its frame form replaced.
+``magnetic_bracket_pair`` is the bracket at one phase, which every
+bracket-scan sample must equal bit for bit; ``larmor_orbit`` is ex1's exact
+trajectory; ``pde511_residual`` and ``condition_D`` evaluate the generating
+equation's residual and D at one chart point, through the helpers that the
+profile screen calls; and ``chart_to_xy`` with ``xy_to_chart_logradial`` is
+the chart-to-plane map of the rational families.  Exact derivatives
+elsewhere are checked against ``richardson.py``.
 """
 
 import math
@@ -115,6 +116,33 @@ def ex3_integral(state):
     b2 = s * (-2.0 * (x - 6.0) * (3.0 * x * x - y * y - 8.0 * x))
     cc = s * s * (x * x + y * y - 4.0 * x)
     return (a11 * p1 * p1 + a12 * p1 * p2 + a22 * p2 * p2 + b1 * p1 + b2 * p2 + cc) / (s * s)
+
+
+def ex3_quartics(x: float, y: float) -> tuple:
+    """ex3's metric as hand-expanded quartics, the transcription that its
+    frame form replaced: ((g11, g12, g22), their partials, S, (S_x, S_y)),
+    with G = ((-r/2) t1, -4 r m n, (-r/2) t2), n = (x - 6)(x - 2) + y^2
+    and S and every partial expanded and differentiated by hand."""
+    r, m, n = x * x - 8.0 * x + y * y, x * y - 3.0 * y, (x - 6.0) * (x - 2.0) + y * y
+    t1 = (9.0 * x ** 4 + 10.0 * x * x * y * y + y ** 4 - 156.0 * x ** 3 - 76.0 * x * y * y
+          + 964.0 * x * x + 132.0 * y * y - 2496.0 * x + 2304.0)
+    t1x = 36.0 * x ** 3 + 20.0 * x * y * y - 468.0 * x * x - 76.0 * y * y + 1928.0 * x - 2496.0
+    t1y = 20.0 * x * x * y + 4.0 * y ** 3 - 152.0 * x * y + 264.0 * y
+    t2 = (x ** 4 - 12.0 * x ** 3 - 4.0 * x * (3.0 * y) * (5.0 * y) + 2.0 * x * x * (5.0 * y * y + 18.0)
+          + (3.0 * y) ** 2 * (4.0 + y ** 2))
+    t2x = 4.0 * x ** 3 - 36.0 * x * x - 4.0 * (3.0 * y) * (5.0 * y) + 4.0 * x * (5.0 * y * y + 18.0)
+    t2y = (-4.0 * x * (30.0 * y) + 2.0 * x * x * (10.0 * y) + 6.0 * (3.0 * y) * (4.0 + y ** 2)
+           + 2.0 * (3.0 * y) ** 2 * y)
+    s = (3.0 * x ** 4 - 44.0 * x ** 3 + 6.0 * x * x * (y * y + 34.0) - 12.0 * x * (5.0 * y * y + 24.0)
+         + 3.0 * y * (y ** 3 + 36.0 * y))
+    sx = 12.0 * x ** 3 - 132.0 * x * x + 12.0 * x * (y * y + 34.0) - 12.0 * (5.0 * y * y + 24.0)
+    sy = 12.0 * x * x * y - 120.0 * x * y + 12.0 * y ** 3 + 216.0 * y
+    # r and n differ by a constant, so they share one gradient
+    rx, ry, mx, my = 2.0 * x - 8.0, 2.0 * y, y, x - 3.0
+    partials = tuple((-0.5 * (rk * t1 + r * t1k), -4.0 * (rk * m * n + r * mk * n + r * m * rk),
+                      -0.5 * (rk * t2 + r * t2k))
+                     for rk, mk, t1k, t2k in ((rx, mx, t1x, t2x), (ry, my, t1y, t2y)))
+    return (-0.5 * r * t1, -4.0 * r * m * n, -0.5 * r * t2), partials, s, (sx, sy)
 
 
 def complex_step_gradient(fn: Callable, phase) -> np.ndarray:

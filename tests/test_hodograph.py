@@ -32,6 +32,7 @@ from magflows.integrals import (
 from oracles import (
     complex_step_gradient,
     ex3_integral,
+    ex3_quartics,
     magnetic_bracket_pair,
     omega_fd,
     pde41_residual_fd,
@@ -416,6 +417,64 @@ class TestExample3Surface:
         for x in np.linspace(x0 + 0.01, x1 - 0.01, 8):
             for y in np.linspace(y0 + 0.01, y1 - 0.01, 8):
                 system.metric.inverse(float(x), float(y))
+
+    def test_box_keeps_metric_and_s_away_from_zero(self):
+        """On a dense grid of the box, edges included, r <= -10 and
+        |S| >= 10, so G = (-r/2) M^T M is positive definite with det G =
+        (r S / 2)^2 and the integral's S^2 is far from 0: that is why the
+        domain predicate is the box test alone."""
+        x0, x1, y0, y1 = EXAMPLE3_BBOX
+        x, y = np.meshgrid(np.linspace(x0, x1, 801), np.linspace(y0, y1, 801))
+        assert np.max(hodograph._poly_r(x, y)) <= -10.0
+        assert np.min(np.abs(hodograph._poly_s(x, y))) >= 10.0
+        system, _ = example3_system()
+        inside = [(x0, y0), (x1, y1), (x0, y1), (x1, y0), (4.0, 0.0)]
+        assert all(system.domain.contains(u, v) for u, v in inside)
+        outside = [(math.nextafter(x0, 0.0), 0.0), (math.nextafter(x1, 9.0), 0.0),
+                   (4.0, math.nextafter(y0, -1.0)), (4.0, math.nextafter(y1, 1.0))]
+        assert not any(system.domain.contains(u, v) for u, v in outside)
+
+    @staticmethod
+    def _chart_points():
+        x0, x1, y0, y1 = EXAMPLE3_BBOX
+        samples = [(float(p[0]), float(p[1])) for p in get_example("ex3").sample_phases]
+        grid = [(float(u), float(v)) for u in np.linspace(x0, x1, 41) for v in np.linspace(y0, y1, 41)]
+        return samples + grid
+
+    def test_frame_is_the_hodograph_jacobian(self):
+        """ex3 is the hodograph chart at (1, 0, 0, 0, 0, 2), (f, g) = (x, y):
+        its frame M is -(1/(2 zeta)) ((j21, j22), (j11, j12)) from
+        ``algebraic_jacobian``, its scale k is Lambda from
+        ``reconstruct_fields``, its field is (j11 - j22)/(8 zeta) and S is
+        det M, each to 1e-14 relative."""
+        system, _ = example3_system()
+        consts = HodographConstants(1.0, 0.0, 0.0, 0.0, 0.0, 2.0)
+        z = consts.zeta
+        for x, y in self._chart_points():
+            (j11, j12), (j21, j22) = algebraic_jacobian(consts, 0.0, 0.0, x, y)
+            jac = -np.array([j21, j22, j11, j12]) / (2.0 * z)
+            k, frame = hodograph._ex3_frame(x, y)
+            assert np.max(np.abs(np.array(frame) - jac)) <= 1e-14 * np.max(np.abs(jac))
+            lam = reconstruct_fields(consts, x, y)[0]
+            assert abs(k - lam) <= 1e-14 * abs(lam)
+            omega = (j11 - j22) / (8.0 * z)
+            assert abs(system.field(x, y) - omega) <= 1e-14 * abs(omega)
+            det = jac[0] * jac[3] - jac[1] * jac[2]
+            assert abs(hodograph._poly_s(x, y) - det) <= 1e-14 * abs(det)
+
+    def test_frame_matches_quartic_transcription(self):
+        """The frame form's components, their partials, S and the integral
+        denominator's partials 2 S S_k match the hand-expanded quartics of
+        ``ex3_quartics`` to 5e-13 of each group's largest entry."""
+        system, integral = example3_system()
+        for x, y in self._chart_points():
+            g, dg, s, (s_x, s_y) = ex3_quartics(x, y)
+            den_partials = integral.chart(x, y)[2]()[1]
+            pairs = ((system.metric.components(x, y), g), (system.metric.partials(x, y), dg),
+                     (hodograph._poly_s(x, y), s), (den_partials, (2.0 * s * s_x, 2.0 * s * s_y)))
+            for got, want in pairs:
+                got, want = np.asarray(got), np.asarray(want)
+                assert np.max(np.abs(got - want)) <= 5e-13 * np.max(np.abs(want))
 
     def test_metric_values_at_reference_point(self):
         """At (4, 0) the metric matrix is diag(512, 512)."""

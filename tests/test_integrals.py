@@ -666,10 +666,12 @@ class TestBroadcastContract:
     def test_one_quadratic_block_per_grid_point(self, n_angles, monkeypatch):
         """ex3's scan evaluates its quadratic integral's ``parts`` exactly
         once per grid point, where the guard and the gradient share them,
-        for all angles.  ``_poly_w`` is evaluated once per call of
-        ``parts`` and nowhere else."""
+        for all angles.  The ``parts`` that ``example3_system`` hands to
+        ``quadratic_integral`` are counted directly."""
         calls = Counter()
-        monkeypatch.setattr(hodograph, "_poly_w", _counted(calls, "parts", hodograph._poly_w))
+        build = hodograph.quadratic_integral
+        monkeypatch.setattr(hodograph, "quadratic_integral", lambda name, parts, level: build(
+            name, _counted(calls, "parts", parts), level))
         ex3 = get_example("ex3")
         config = BracketScanConfig(nx=6, ny=6, n_angles=n_angles)
         points = len(ex3.system.domain.grid(6, 6, margin=config.grid_margin))
