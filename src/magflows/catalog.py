@@ -1,5 +1,5 @@
-"""Worked example systems: metrics, magnetic coefficients, first integrals
-and level parametrizations, transcribed in closed form.
+"""Worked example systems: metrics, magnetic coefficients and first
+integrals, transcribed in closed form.
 
 Each entry couples a MagneticSystem with its known first integrals and a
 few sample phase points on the reference energy level.  Entries generated
@@ -51,7 +51,6 @@ class CatalogEntry:
     sample_phases: np.ndarray
     curvature_kind: str  # "flat" or "curved"
     curvature_probes: tuple
-    momentum_parametrization: Optional[Callable] = None
     independent_count: Optional[int] = None
     bundle_descriptor: Optional[dict] = field(default=None)
 
@@ -333,12 +332,6 @@ def _make_ex5() -> CatalogEntry:
 
     integral = rational_integral("F", num_den_parts, level=c)
 
-    def parametrize(rho, psi, phi):
-        s = math.sqrt(g2 * (1.0 + rho))
-        p_r = -2.0 * s * math.cos(phi - psi)
-        p_p = -s * (math.sin(phi + 3.0 * psi) + (1.0 + 2.0 * rho) * math.sin(phi - psi))
-        return p_r, p_p
-
     return CatalogEntry(
         name="ex5",
         description="Rational-integral flow generated by the degree-two "
@@ -350,7 +343,6 @@ def _make_ex5() -> CatalogEntry:
         ),
         curvature_kind="curved",
         curvature_probes=((1.0, 0.7), (1.5, 2.4)),
-        momentum_parametrization=parametrize,
         bundle_descriptor={
             "family": "poly-cos",
             "parameters": {"k": 2, "psi0": 0.0},
@@ -441,13 +433,6 @@ def _make_ex6() -> CatalogEntry:
 
     integral = rational_integral("F", num_den_parts, level=c)
 
-    def parametrize(rho, psi, phi):
-        p_r = gamma * (
-            -math.cos(phi) + (1.0 + 2.0 * rho) * math.cos(phi + 2.0 * psi)
-        ) / (2.0 * rho * rho * (1.0 + rho) ** 1.5)
-        p_p = gamma * math.sin(phi + 2.0 * psi) / (rho * math.sqrt(1.0 + rho))
-        return p_r, p_p
-
     return CatalogEntry(
         name="ex6",
         description="Rational-integral flow generated by the logarithmic "
@@ -459,7 +444,6 @@ def _make_ex6() -> CatalogEntry:
         ),
         curvature_kind="curved",
         curvature_probes=((1.0, 0.6), (1.3, 2.0)),
-        momentum_parametrization=parametrize,
         bundle_descriptor={
             "family": "log-nu1",
             "parameters": {},

@@ -64,7 +64,7 @@ class TrajectoryConfig:
     """Integration settings.
 
     ``method`` is ``"fixed_rk4"`` (requires a ``step`` of at least
-    1e-12 * ``t_end``, the adaptive method's smallest step, and refuses
+    ``t_end`` / 1e7, so that a run takes at most 1e7 steps, and refuses
     tolerances) or ``"embedded_rk45"`` (uses ``rel_tol``/``abs_tol``,
     by default 1e-11 and 1e-12, and refuses a ``step``).  ``record_every``
     keeps every n-th accepted state; the initial and final states are
@@ -90,10 +90,10 @@ class TrajectoryConfig:
         if self.method not in ("fixed_rk4", "embedded_rk45"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "fixed_rk4":
-            # below the adaptive method's smallest step, t += step can stop advancing
-            if self.step is None or not self.step >= _MIN_STEP_FRACTION * self.t_end:
+            # 1e7 steps take minutes, 1e12 months, and a tiny step stops t advancing
+            if self.step is None or not self.step >= self.t_end / _MAX_FIXED_STEPS:
                 raise ValueError(f"fixed_rk4 requires a step of at least "
-                                 f"{_MIN_STEP_FRACTION:g} * t_end, got {self.step}")
+                                 f"t_end / {_MAX_FIXED_STEPS:.0f}, got {self.step}")
             if self.rel_tol is not None or self.abs_tol is not None:
                 raise ValueError("fixed_rk4 takes no rel_tol or abs_tol; they are for embedded_rk45")
         else:
@@ -184,6 +184,8 @@ _SAFETY = 0.9
 _SHRINK_LIMIT = 0.2
 _GROWTH_LIMIT = 5.0
 _MIN_STEP_FRACTION = 1e-12
+# the most steps a fixed-step run may take
+_MAX_FIXED_STEPS = 1e7
 # a run that leaves the chart ends once the predicted crossing is within
 # _EXIT_FRACTION * t_end; each step towards it goes _APPROACH of the way
 _EXIT_FRACTION = 1e-11

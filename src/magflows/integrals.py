@@ -364,7 +364,8 @@ def level_set_bracket_scan(
     factor, G^{-1}, dG, Omega and the integral's ``chart`` data.  The
     momenta of all angles, the guard mask, the integral's gradient and the
     bracket are then computed once, on chart columns with (P, n) momenta;
-    the gradient sees NaN momenta in place of rejected ones.  A NaN sample
+    the gradient sees NaN momenta in place of rejected ones, a whole row of
+    them at a point whose every angle is rejected.  A NaN sample
     sets ``max_abs`` to infinity, with ``worst`` at the first such sample,
     so that it fails any threshold.
     """
@@ -380,14 +381,8 @@ def level_set_bracket_scan(
     admitted = np.ones(p1.shape, dtype=bool)
     if integral.guard is not None:
         admitted &= integral.guard((x, y, p1, p2), *_chart_args(integral, charts))
-        rows = admitted.any(axis=1)
-        if not rows.any():
+        if not admitted.any():
             raise GuardError("guard rejected every sampled phase")
-        if not rows.all():
-            # every stacked column holds its points on the second-last axis
-            x, y, p1, p2, admitted = (v[rows] for v in (x, y, p1, p2, admitted))
-            local = tuple(part[..., rows, :] for part in local)
-            charts = [v for v, keep in zip(charts, rows.tolist()) if keep]
         p1, p2 = np.where(admitted, p1, np.nan), np.where(admitted, p2, np.nan)
     values = _bracket_samples(system, integral, (x, y, p1, p2), local, charts)[admitted]
     # a NaN sample fails the scan like an infinite one; the first largest

@@ -13,8 +13,9 @@ profile screen and the bundle assembly.
 
 Every family has the form Z = R(rho) cos(nu (psi + psi0)) (nu = k for
 poly-cos, 1 for log-nu1, 1/2 for elliptic-half, 0 for log-radial) and
-supplies only its radial jet, nu and psi0; :meth:`ZSolution.jet` gives the
-nine partials of Z through third order by the product rule.  A bundle
+supplies only R, R', R'', nu and psi0; :meth:`ZSolution.jet` takes R'''
+from the generating equation differentiated once and gives the nine
+partials of Z through third order by the product rule.  A bundle
 reads everything from one jet per point.  Its metric is G = k M^T M, with
 k = gamma^2 (rho + 1) / C and the frame M of columns (Z_rr, W) and
 (rho W, -(rho + 1) Z_rr), W = (rho Z_rp - Z_p) / rho^2; det M = -D / rho.
@@ -60,8 +61,8 @@ SCREEN_BOUND = 1e-10
 
 class ZSolution:
     """A closed-form solution Z = R(rho) cos(nu (psi + psi0)) of the
-    generating linear equation, given by ``_radial`` (R, R', R'', R'''),
-    ``nu`` and ``psi0``.
+    generating linear equation, given by ``_radial`` (R, R', R''), ``nu``
+    and ``psi0``.
 
     ``valid_rho`` is the open interval on which the formulas make sense;
     ``psi_period`` is the period of the generated integral in the angular
@@ -79,19 +80,26 @@ class ZSolution:
     def params(self) -> dict:
         return {}
 
-    def _radial(self, rho: float) -> tuple[float, float, float, float]:
-        """(R, R', R'', R''') at rho."""
+    def _radial(self, rho: float) -> tuple[float, float, float]:
+        """(R, R', R'') at rho; ``jet`` derives R''' from them."""
         raise NotImplementedError
 
     def jet(self, rho: float, psi: float) -> tuple:
         """(Z, Z_r, Z_p, Z_rr, Z_rp, Z_pp, Z_rrr, Z_rrp, Z_rpp) at one chart
-        point, by the product rule from one radial jet."""
+        point, by the product rule from (R, R', R'') and
+        R''' = ((nu^2 - 1) R' - (3 rho + 1) R'') / (rho (rho + 1)), the rho
+        derivative of rho (rho + 1) R'' + rho R' - nu^2 R = 0.  DomainError
+        where rho (rho + 1) is 0 or not finite."""
         lo, hi = self.valid_rho
         if not (lo < rho < hi):
             raise DomainError(f"rho = {rho} outside the validity interval ({lo}, {hi}) "
                               f"of family {self.family!r}")
-        r, r1, r2, r3 = self._radial(rho)
+        q = rho * (rho + 1.0)
+        if not (q != 0.0 and math.isfinite(q)):
+            raise DomainError(f"the generating equation degenerates at rho = {rho}")
+        r, r1, r2 = self._radial(rho)
         nu = self.nu
+        r3 = ((nu * nu - 1.0) * r1 - (3.0 * rho + 1.0) * r2) / q
         u = nu * (psi + self.psi0)
         c, s = math.cos(u), math.sin(u)
         return (r * c, r1 * c, -nu * r * s, r2 * c, -nu * r1 * s, -nu * nu * r * c,
@@ -128,17 +136,14 @@ class PolynomialCos(ZSolution):
         return {"k": self.k, "psi0": self.psi0}
 
     def _radial(self, rho):
-        p = p1 = p2 = p3 = 0.0
+        p = p1 = p2 = 0.0
         for j in range(self.k, 0, -1):
             c = self.coeffs[j - 1]
-            rj = rho ** j
-            p += c * rj
+            p += c * rho ** j
             p1 += c * j * rho ** (j - 1)
             if j >= 2:
                 p2 += c * j * (j - 1) * rho ** (j - 2)
-            if j >= 3:
-                p3 += c * j * (j - 1) * (j - 2) * rho ** (j - 3)
-        return p, p1, p2, p3
+        return p, p1, p2
 
 
 class LogRadial(ZSolution):
@@ -152,7 +157,7 @@ class LogRadial(ZSolution):
 
     def _radial(self, rho):
         s = 1.0 + rho
-        return math.log(s), 1.0 / s, -1.0 / (s * s), 2.0 / s ** 3
+        return math.log(s), 1.0 / s, -1.0 / (s * s)
 
 
 class LogNu1(ZSolution):
@@ -168,16 +173,15 @@ class LogNu1(ZSolution):
         a = rho * ell - 1.0
         a1 = ell - 1.0 / s
         a2 = -1.0 / (rho * s * s)
-        a3 = (3.0 * rho + 1.0) / (rho * rho * s ** 3)
-        return a, a1, a2, a3
+        return a, a1, a2
 
 
 class EllipticHalf(ZSolution):
     """Z = S(rho) cos(psi/2) with S built from complete elliptic integrals.
 
     S(rho) = (4/pi) (E(-rho) - K(-rho)); the half-angle makes the integral
-    4 pi periodic in psi.  Valid on rho > -1.  The radial jet takes K, E,
-    dE/dm and d2E/dm2 from one AGM run.
+    4 pi periodic in psi.  Valid on rho > -1.  R, R' and R'' take K, E
+    and dE/dm from one AGM run.
     """
 
     family = "elliptic-half"
@@ -189,13 +193,12 @@ class EllipticHalf(ZSolution):
     def _radial(self, rho):
         m = -rho
         one_m = 1.0 - m
-        kk, ee, de, d2e = elliptic_jet(m)
+        kk, ee, de = elliptic_jet(m)
         w = ee - kk
         w1 = -ee / (2.0 * one_m)
         w2 = -de / (2.0 * one_m) - ee / (2.0 * one_m * one_m)
-        w3 = -d2e / (2.0 * one_m) - de / (one_m * one_m) - ee / (one_m ** 3)
         c = 4.0 / math.pi
-        return c * w, -c * w1, c * w2, -c * w3
+        return c * w, -c * w1, c * w2
 
 
 FAMILIES = {
@@ -298,11 +301,9 @@ class RationalFlowBundle:
     def _jet(self, rho, psi):
         """``ZSolution.jet``, kept for the last chart point, so that the
         metric, its partials, the field and the integral at one point share
-        one evaluation; DomainError also at rho = 0."""
+        one evaluation."""
         last = self._last_jet
         if (rho, psi) != last[0]:
-            if rho == 0.0:
-                raise DomainError("the chart degenerates at rho = 0")
             last[:] = (rho, psi), self.z.jet(rho, psi)
         return last[1]
 
@@ -415,8 +416,8 @@ def build_bundle(
     non-finite or zero gamma (the metric scales with gamma^2) or a
     non-finite or non-positive ``c_energy`` raises DomainError, as does a
     range at whose ends the radial profile's jet or the bundle's local
-    geometry is not finite (a tiny or huge rho, a huge gamma or a tiny
-    C), or det G is 0 or not finite where D is not 0 (gamma^2 / C so
+    geometry is not finite (rho = -1, a tiny or huge rho, a huge gamma or
+    a tiny C), or det G is 0 or not finite where D is not 0 (gamma^2 / C so
     small or large that the metric underflows or overflows), with or
     without ``check``.
     """
@@ -444,7 +445,7 @@ def build_bundle(
             jet = bundle._jet(rho, 0.0)
             (g11, g12, g22), (d_r, d_p), omega = bundle.local_geometry(rho, 0.0)
             finite = all(map(math.isfinite, (*jet, g11, g12, g22, *d_r, *d_p, omega)))
-        except ArithmeticError:  # rho * rho underflows to 0, rho ** 3 overflows
+        except (ArithmeticError, DomainError):  # under- or overflow, rho (rho + 1) = 0
             finite = False
         if not finite:
             raise DomainError(f"the bundle of family {z.family!r} does not evaluate "

@@ -7,15 +7,14 @@ elliptic integrals K and E are computed together by one run of the
 arithmetic-geometric mean, which converges quadratically and is accurate
 to machine precision for every parameter m < 1, including m < 0.
 
-The derivatives of E follow the classical identities (DLMF 19.4)
+The derivative of E follows the classical identity (DLMF 19.4)
 
-    dE/dm   = (E - K) / (2 m),
-    d2E/dm2 = -E / (4 m (1-m)) - (E - K) / (2 m^2),
+    dE/dm = (E - K) / (2 m),
 
-the second from differentiating the first with E' - K' = -E / (2 (1-m)).
-They are 0/0 at m = 0 and cancel to O(eps / m^2) near it, so for |m| below
-0.05 they come from the Maclaurin series of E summed to convergence
-instead.
+which is 0/0 at m = 0 and cancels to O(eps / m) near it, so for |m| below
+0.05 it comes from the Maclaurin series of E summed to convergence
+instead.  Higher derivatives are not needed: the elliptic-half profile
+takes its third radial derivative from the generating equation.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ _MAX_TERMS = 4000
 _SERIES_EPS = 1e-16
 _AGM_GAP = 1e-15
 _AGM_MAX_ITER = 40
-# switch from the closed-form derivative identities to Maclaurin series;
+# switch from the closed-form derivative identity to the Maclaurin series;
 # shipped elliptic-half outputs use m <= -0.1, on the closed-form side
 _SMALL_M = 0.05
 
@@ -161,35 +160,30 @@ def _agm(m: float) -> tuple[float, float]:
     return k, k * (1.0 - s)
 
 
-def _series_derivatives(m: float) -> tuple[float, float]:
-    """(dE/dm, d2E/dm2) at |m| < _SMALL_M from the Maclaurin series
+def _series_derivative(m: float) -> float:
+    """dE/dm at |m| < _SMALL_M from the Maclaurin series
     E = (pi/2) sum c_n m^n / (1 - 2n), where c_0 = 1 and
     c_n = c_{n-1} ((2n-1)/(2n))^2 are the coefficients of K, summed to
     convergence."""
-    c, power, lower = 1.0, 1.0, 0.0  # c_n, m^(n-1), m^(n-2)
-    de = d2e = 0.0
+    c, power = 1.0, 1.0  # c_n, m^(n-1)
+    de = 0.0
     for n in range(1, _MAX_TERMS):
         c *= ((2 * n - 1) / (2 * n)) ** 2
-        e_n = c / (1 - 2 * n)
-        t1, t2 = n * e_n * power, n * (n - 1) * e_n * lower
-        de, d2e = de + t1, d2e + t2
-        if n > 1 and abs(t1) <= _SERIES_EPS * abs(de) and abs(t2) <= _SERIES_EPS * abs(d2e):
+        term = n * (c / (1 - 2 * n)) * power
+        de += term
+        if abs(term) <= _SERIES_EPS * abs(de):
             break
-        power, lower = power * m, power
-    return 0.5 * math.pi * de, 0.5 * math.pi * d2e
+        power *= m
+    return 0.5 * math.pi * de
 
 
-def elliptic_jet(m: float) -> tuple[float, float, float, float]:
-    """(K, E, dE/dm, d2E/dm2) at m < 1 from one AGM run, in the parameter
+def elliptic_jet(m: float) -> tuple[float, float, float]:
+    """(K, E, dE/dm) at m < 1 from one AGM run, in the parameter
     convention K(m) = int_0^{pi/2} (1 - m sin^2 t)^{-1/2} dt and
-    E(m) = int_0^{pi/2} (1 - m sin^2 t)^{1/2} dt; the derivatives are the
-    closed forms of the module docstring, or the series near 0."""
+    E(m) = int_0^{pi/2} (1 - m sin^2 t)^{1/2} dt; the derivative is the
+    closed form of the module docstring, or the series near 0."""
     if m >= 1.0:
         raise DomainError(f"the elliptic jet requires m < 1, got {m}")
     k, e = _agm(m)
-    if abs(m) < _SMALL_M:
-        de, d2e = _series_derivatives(m)
-    else:
-        de = (e - k) / (2.0 * m)
-        d2e = -e / (4.0 * m * (1.0 - m)) - (e - k) / (2.0 * m * m)
-    return k, e, de, d2e
+    de = _series_derivative(m) if abs(m) < _SMALL_M else (e - k) / (2.0 * m)
+    return k, e, de

@@ -13,14 +13,19 @@ transcription of ex3's metric and S that its frame form replaced.
 bracket-scan sample must equal bit for bit; ``larmor_orbit`` is ex1's exact
 trajectory; ``pde511_residual`` and ``condition_D`` evaluate the generating
 equation's residual and D at one chart point, through the helpers that the
-profile screen calls; and ``chart_to_xy`` with ``xy_to_chart_logradial`` is
-the chart-to-plane map of the rational families.  Exact derivatives
-elsewhere are checked against ``richardson.py``.
+profile screen calls; ``ex5_level_momenta`` and ``ex6_level_momenta``
+(``LEVEL_MOMENTA`` by name) give closed-form momenta on the level
+{H = 1/2} of ex5 and ex6; ``radial_third`` is each family's R''' written
+out by hand, which the jet derives from the generating equation instead;
+and ``chart_to_xy`` with ``xy_to_chart_logradial`` is the chart-to-plane
+map of the rational families.  Exact derivatives elsewhere are checked
+against ``richardson.py``.
 """
 
 import math
 from typing import Callable, Sequence
 
+import mpmath
 import numpy as np
 
 from magflows.catalog import get_example
@@ -194,9 +199,8 @@ def pde511_residual(z: ZSolution, rho: float, psi: float, scaled: bool = False) 
 
 
 def condition_D(z: ZSolution, rho: float, psi: float) -> float:
-    """Discriminant whose zeros must be excluded from a working domain."""
-    if rho == 0.0:
-        raise DomainError("the discriminant is undefined at rho = 0")
+    """Discriminant whose zeros must be excluded from a working domain;
+    the jet raises DomainError at rho = 0."""
     return _discriminant(rho, z.jet(rho, psi))[0]
 
 
@@ -204,15 +208,64 @@ def chart_to_xy(z: ZSolution, rho: float, psi: float) -> tuple[float, float]:
     """Plane coordinates of a chart point:
 
     x = -Z_r cos(psi) + (Z_p / rho) sin(psi),
-    y =  Z_r sin(psi) + (Z_p / rho) cos(psi).
+    y =  Z_r sin(psi) + (Z_p / rho) cos(psi),
+
+    DomainError at rho = 0, where the jet refuses.
     """
-    if rho == 0.0:
-        raise DomainError("the chart map degenerates at rho = 0")
     _, z_r, z_p = z.jet(rho, psi)[:3]
     cp, sp = math.cos(psi), math.sin(psi)
     x = -z_r * cp + (z_p / rho) * sp
     y = z_r * sp + (z_p / rho) * cp
     return x, y
+
+
+# the gamma of the ex5 and ex6 catalog entries
+_EX56_GAMMA = 1.0
+
+
+def ex5_level_momenta(rho: float, psi: float, phi: float) -> tuple[float, float]:
+    """ex5's momenta (p_r, p_p) on {H = 1/2} at a chart point, in closed
+    form with the angle phi as parameter."""
+    g2 = _EX56_GAMMA * _EX56_GAMMA
+    s = math.sqrt(g2 * (1.0 + rho))
+    p_r = -2.0 * s * math.cos(phi - psi)
+    p_p = -s * (math.sin(phi + 3.0 * psi) + (1.0 + 2.0 * rho) * math.sin(phi - psi))
+    return p_r, p_p
+
+
+def ex6_level_momenta(rho: float, psi: float, phi: float) -> tuple[float, float]:
+    """ex6's momenta (p_r, p_p) on {H = 1/2} at a chart point, in closed
+    form with the angle phi as parameter."""
+    gamma = _EX56_GAMMA
+    p_r = gamma * (
+        -math.cos(phi) + (1.0 + 2.0 * rho) * math.cos(phi + 2.0 * psi)
+    ) / (2.0 * rho * rho * (1.0 + rho) ** 1.5)
+    p_p = gamma * math.sin(phi + 2.0 * psi) / (rho * math.sqrt(1.0 + rho))
+    return p_r, p_p
+
+
+LEVEL_MOMENTA = {"ex5": ex5_level_momenta, "ex6": ex6_level_momenta}
+
+
+def radial_third(z: ZSolution, rho: float) -> float:
+    """R'''(rho) of a family's profile written out by hand: the poly-cos
+    sum differentiated term by term, 2 / (1 + rho)^3 for log-radial,
+    (3 rho + 1) / (rho^2 (rho + 1)^3) for log-nu1, and for elliptic-half
+    the third derivative of (4/pi) (E(-rho) - K(-rho)) by mpmath at 40
+    digits."""
+    if z.family == "poly-cos":
+        p3 = 0.0
+        for j in range(z.k, 2, -1):
+            p3 += z.coeffs[j - 1] * j * (j - 1) * (j - 2) * rho ** (j - 3)
+        return p3
+    if z.family == "log-radial":
+        return 2.0 / (1.0 + rho) ** 3
+    if z.family == "log-nu1":
+        return (3.0 * rho + 1.0) / (rho * rho * (rho + 1.0) ** 3)
+    with mpmath.workdps(40):
+        def profile(r):
+            return 4 / mpmath.pi * (mpmath.ellipe(-r) - mpmath.ellipk(-r))
+        return float(mpmath.diff(profile, mpmath.mpf(rho), 3))
 
 
 def xy_to_chart_logradial(x: float, y: float) -> tuple[float, float]:

@@ -41,6 +41,7 @@ from magflows.rational import (
 )
 from magflows.specfun import elliptic_jet, hyp2f1, terminating_2f1_coeffs
 from oracles import (
+    LEVEL_MOMENTA,
     condition_D,
     convergence_order,
     larmor_orbit,
@@ -277,7 +278,7 @@ def test_a06_generic_builder_matches_catalog():
             worst_diff = max(worst_diff, float(np.max(diffs)),
                              abs(bundle.omega(rho, psi) - system.field(rho, psi)))
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            p1, p2 = entry.momentum_parametrization(rho, psi, phi)
+            p1, p2 = LEVEL_MOMENTA[name](rho, psi, phi)
             phase = np.array([rho, psi, p1, p2])
             worst_level = max(worst_level,
                               abs(hamiltonian(system, phase)

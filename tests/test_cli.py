@@ -593,6 +593,7 @@ class TestErrorContract:
         (["build-rational", "poly-cos", "--gamma", "1e150"], 2),
         (["build-rational", "poly-cos", "--c-energy", "1e300"], 2),
         (["build-rational", "poly-cos", "--k", "1"], 5),
+        (["build-rational", "poly-cos", "--rho-range", "-1", "-0.5"], 2),
     ]
 
     def test_no_runtime_warning_escapes_a_scan(self, tmp_path, capsys):

@@ -195,12 +195,14 @@ class TestTrajectoryConfig:
     @pytest.mark.parametrize("step", [1e-300, 1e-17, 0.5e-12 * 8.0])
     def test_fixed_step_below_the_adaptive_floor_is_rejected(self, step):
         """0.125 + 1e-17 == 0.125, so a fixed step that small stops t from
-        advancing and the run never ends.  A step below 1e-12 * t_end, the
-        adaptive method's smallest step, is refused when the config is
-        built, and a step at that floor is taken; nothing is integrated."""
-        with pytest.raises(ValueError, match="at least 1e-12 \\* t_end"):
-            TrajectoryConfig(t_end=8.0, method="fixed_rk4", step=step)
-        assert TrajectoryConfig(t_end=8.0, method="fixed_rk4", step=1e-12 * 8.0).step == 8e-12
+        advancing and the run never ends, and one of 1e-12 * t_end takes
+        1e12 steps, months of work.  A step below t_end / 1e7 is refused
+        when the config is built, as is one just below t_end / 1e7, and a
+        step of t_end / 1e7 is taken; nothing is integrated."""
+        for small in (step, math.nextafter(8.0 / 1e7, 0.0)):
+            with pytest.raises(ValueError, match="at least t_end / 10000000"):
+                TrajectoryConfig(t_end=8.0, method="fixed_rk4", step=small)
+        assert TrajectoryConfig(t_end=8.0, method="fixed_rk4", step=8.0 / 1e7).step == 8e-7
 
     def test_adaptive_tolerance_defaults(self):
         config = TrajectoryConfig(t_end=1.0)

@@ -350,9 +350,10 @@ class TestScanEquivalence:
 
     def test_guard_rejecting_whole_grid_points(self):
         """A guard that rejects every angle at the grid points with x <= 0
-        and some angles at the others (p2 > 0.1): the scan drops those
-        points' geometry with them and still equals the per-sample
-        reference, on the corrupted integral so that every sample counts."""
+        and some angles at the others (p2 > 0.1): those points keep their
+        rows with NaN momenta, masked out of the samples, and the scan
+        still equals the per-sample reference, on the corrupted integral
+        so that every sample counts."""
         config = BracketScanConfig(nx=6, ny=6, n_angles=8)
         ex1 = get_example("ex1")
         guarded = dataclasses.replace(_corrupted(ex1.integrals[0]),

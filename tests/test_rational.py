@@ -30,7 +30,14 @@ from magflows.rational import (
     profile_screen,
     solution_from_descriptor,
 )
-from oracles import chart_to_xy, condition_D, pde511_residual, xy_to_chart_logradial
+from oracles import (
+    LEVEL_MOMENTA,
+    chart_to_xy,
+    condition_D,
+    pde511_residual,
+    radial_third,
+    xy_to_chart_logradial,
+)
 from richardson import metric_partials, richardson_gradient
 
 RNG = np.random.default_rng(0)
@@ -146,6 +153,42 @@ class TestPartials:
             fd_rpp = (seconds(rho, psi + h)[1] - seconds(rho, psi - h)[1]) / (2 * h)
             np.testing.assert_allclose((z_rrr, z_rrp, z_rpp),
                                        (fd_rrr, fd_rrp, fd_rpp), rtol=1e-4, atol=1e-5)
+
+    # (family, rho range, bound relative to the largest third-order entry):
+    # the default range, the strip -1 < rho < 0 and large rho.  On the
+    # strip the sums for R' and R'' of poly-cos k = 6 cancel to ~1/4000 of
+    # their terms, and R''' divides their rounding, times nu^2 - 1 = 35, by
+    # rho (rho + 1) ~ 0.1; the derived third is 1.2e-13 off there.
+    THIRDS = [(z, rr, 1e-14) for z in (PolynomialCos(2), LogNu1(), EllipticHalf(), LogRadial())
+              for rr in (z.default_rho_range, (-0.9, -0.1), (5.0, 100.0))
+              if rr[0] > z.valid_rho[0]]
+    THIRDS += [(PolynomialCos(6), PolynomialCos.default_rho_range, 1e-14),
+               (PolynomialCos(6), (-0.9, -0.1), 2e-13), (PolynomialCos(6), (5.0, 100.0), 1e-14)]
+
+    @pytest.mark.parametrize("z, rho_range, bound", THIRDS, ids=[
+        f"{z.family}{getattr(z, 'k', '')}-{lo:g}-{hi:g}" for z, (lo, hi), _ in THIRDS])
+    def test_derived_third_matches_hand_written(self, z, rho_range, bound):
+        """Z_rrr from R''' = ((nu^2 - 1) R' - (3 rho + 1) R'') / (rho (rho + 1))
+        matches the family's R''' written out by hand (for elliptic-half,
+        by mpmath), relative to the largest third-order jet entry on the
+        range: 2001 points (201 for elliptic-half, whose mpmath third is
+        slow) at three angles each."""
+        n = 201 if isinstance(z, EllipticHalf) else 2001
+        worst = scale = 0.0
+        for rho in np.linspace(*rho_range, n).tolist():
+            want = radial_third(z, rho)
+            for psi in (0.3, 1.7, 4.0):
+                jet = z.jet(rho, psi)
+                scale = max(scale, *map(abs, jet[6:]))
+                worst = max(worst, abs(jet[6] - want * math.cos(z.nu * (psi + z.psi0))))
+        assert worst <= bound * scale
+
+    @pytest.mark.parametrize("rho", [0.0, -1.0, 1e200])
+    def test_jet_refuses_where_the_equation_degenerates(self, rho):
+        """R''' divides by rho (rho + 1), which is 0 at rho = 0 and -1 and
+        overflows at 1e200: the jet raises DomainError there."""
+        with pytest.raises(DomainError, match="degenerates"):
+            PolynomialCos(2).jet(rho, 0.3)
 
     def test_rho_validity_enforced(self):
         """Evaluation outside the declared interval raises DomainError."""
@@ -425,7 +468,7 @@ class TestBundleIntegral:
         """At (rho, psi, phi) = (1, 0.4, 1.1) both routes agree to 1e-10."""
         ex5 = get_example("ex5")
         bundle = build_bundle(PolynomialCos(2), gamma=1.0, c_energy=1.0)
-        p1, p2 = ex5.momentum_parametrization(1.0, 0.4, 1.1)
+        p1, p2 = LEVEL_MOMENTA["ex5"](1.0, 0.4, 1.1)
         phase = (1.0, 0.4, p1, p2)
         np.testing.assert_allclose(bundle.as_integral()(phase),
                                    ex5.integrals[0](phase), atol=1e-10)
@@ -560,7 +603,7 @@ class TestDualPath:
                                        rtol=1e-10, atol=1e-10)
             np.testing.assert_allclose(bundle.omega(rho, psi),
                                        system.field(rho, psi), rtol=1e-10, atol=1e-10)
-            phase = np.array([rho, psi, *entry.momentum_parametrization(
+            phase = np.array([rho, psi, *LEVEL_MOMENTA[name](
                 rho, psi, rng.uniform(0.0, 2.0 * math.pi))])
             integral = entry.integrals[0]
             if not integral.admits(phase):
@@ -581,7 +624,7 @@ class TestDualPath:
             if not entry.system.domain.contains(rho, psi):
                 continue
             phi = rng.uniform(0.0, 2.0 * math.pi)
-            p1, p2 = entry.momentum_parametrization(rho, psi, phi)
+            p1, p2 = LEVEL_MOMENTA[name](rho, psi, phi)
             h = hamiltonian(entry.system, (rho, psi, p1, p2))
             np.testing.assert_allclose(h, entry.system.energy / 2.0, atol=1e-12)
             count += 1
