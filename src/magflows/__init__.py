@@ -53,8 +53,7 @@ from .integrals import (
     functional_independence_rank,
     hamiltonian_integral,
     level_set_bracket_scan,
-    quadratic_integral,
-    rational_integral,
+    ratio_integral,
 )
 from .rational import (
     EllipticHalf,

@@ -8,8 +8,8 @@ here as explicit formulas rather than built through
 :mod:`magflows.rational`; tests compare the two routes against each other.
 The rational integrals of ex4, ex5 and ex6 are written here only as the
 momentum coefficient triples of their numerator and denominator and the
-chart partials of those; :func:`magflows.integrals.rational_integral`
-turns them into integrals, as it does for every bundle.
+chart partials of those; :func:`magflows.integrals.ratio_integral` turns
+them into integrals, as it does for every bundle and for ex3's pull-back.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .geometry import (
     momentum_on_level,
 )
 from .hodograph import example3_system
-from .integrals import FirstIntegral, gradient_rows, rational_integral
+from .integrals import FirstIntegral, gradient_rows, ratio_integral
 
 __all__ = [
     "CatalogEntry",
@@ -237,7 +237,7 @@ def _make_ex4() -> CatalogEntry:
 
         return (r - x, -y, gamma * y), (y, r - x, gamma * (r - x)), partials
 
-    f_rational = rational_integral("F", f_parts)
+    f_rational = ratio_integral("F", "rational", f_parts)
 
     def f1_func(state):
         x, y, p1, p2 = state
@@ -330,7 +330,7 @@ def _make_ex5() -> CatalogEntry:
 
         return (ch * a, s15, gamma * disc * sh), (-sh * b, -c15, gamma * disc * ch), partials
 
-    integral = rational_integral("F", num_den_parts, level=c)
+    integral = ratio_integral("F", "rational", num_den_parts, level=c)
 
     return CatalogEntry(
         name="ex5",
@@ -431,7 +431,7 @@ def _make_ex6() -> CatalogEntry:
         den = (-2.0 * q * q * s15, -2.0 * q * mfac * ch, gamma * disc * ch)
         return num, den, partials
 
-    integral = rational_integral("F", num_den_parts, level=c)
+    integral = ratio_integral("F", "rational", num_den_parts, level=c)
 
     return CatalogEntry(
         name="ex6",

@@ -86,10 +86,17 @@ EXIT_CODES = (
 
 def _write_csv(path: Path, header, rows) -> None:
     """One line per row, each cell ``%.17g``: the bytes of
-    ``format(float(v), ".17g")``."""
-    line = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header), *(line % tuple(row) for row in rows)]
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    ``format(float(v), ".17g")``.  ``rows`` may be a generator: each line
+    is written as soon as it is formatted, and when making or writing a row
+    raises, the partial file is removed."""
+    line = (",".join(["%.17g"] * len(header)) + "\n").encode("ascii")
+    with path.open("wb") as out:
+        try:
+            out.write((",".join(header) + "\n").encode("ascii"))
+            out.writelines(line % tuple(row) for row in rows)
+        except BaseException:
+            path.unlink()
+            raise
 
 
 def _json_value(value):
@@ -224,6 +231,8 @@ def _initial_phase(entry, args) -> np.ndarray:
         raise ConfigError("give either a full phase or a position with an angle")
     if args.phase is None and (args.position is None or args.angle is None):
         raise ConfigError("simulate needs --phase, or --position with --angle")
+    if args.angle is not None and not math.isfinite(args.angle):
+        raise BadStart(f"--angle must be finite, got {args.angle}")
     try:
         if args.phase is not None:
             phase = np.asarray(args.phase, dtype=float)
@@ -252,18 +261,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     trajectory = integrate(entry.system, phase0, traj_config)
 
+    def rows():
+        for t, values in zip(trajectory.times.tolist(), trajectory.states.tolist()):
+            row = [t, *values, hamiltonian(entry.system, values, check_domain=False)]
+            for integral in entry.integrals:
+                try:
+                    row.append(integral(values))
+                except GuardError:
+                    row.append(float("nan"))
+            yield row
+
     header = ["t", "q1", "q2", "p1", "p2", "H"] + [f.name for f in entry.integrals]
-    rows = []
-    for t, values in zip(trajectory.times.tolist(), trajectory.states.tolist()):
-        row = [t, *values, hamiltonian(entry.system, values, check_domain=False)]
-        for integral in entry.integrals:
-            try:
-                row.append(integral(values))
-            except GuardError:
-                row.append(float("nan"))
-        rows.append(row)
     path = _out_path(args.out_dir, args.out or f"{entry.name}_trace.csv")
-    _write_csv(path, header, rows)
+    _write_csv(path, header, rows())
     print(f"wrote {path}")
     if trajectory.domain_exit:
         print(
@@ -402,16 +412,18 @@ def cmd_hodograph(args: argparse.Namespace) -> int:
     if min(nx, ny) < 1 or not all(np.isfinite(args.bbox)):
         raise ConfigError(f"need grid entries >= 1 and a finite bbox, got {nx} x {ny}, {args.bbox}")
     x0, x1, y0, y1 = args.bbox
+
+    def rows():
+        for x in np.linspace(x0, x1, nx).tolist():
+            for y in np.linspace(y0, y1, ny).tolist():
+                point, omega, residual = solve_fields(constants, x, y)
+                r1, r2 = algebraic_residual(constants, x, y, point.f, point.g)
+                yield [x, y, point.f, point.g, point.lam, point.u0, omega, r1, r2,
+                       float(np.max(np.abs(residual)))]
+
     header = ["x", "y", "f", "g", "Lambda", "u0", "Omega", "res1", "res2", "pde41_inf"]
-    rows = []
-    for x in np.linspace(x0, x1, nx).tolist():
-        for y in np.linspace(y0, y1, ny).tolist():
-            point, omega, residual = solve_fields(constants, x, y)
-            r1, r2 = algebraic_residual(constants, x, y, point.f, point.g)
-            rows.append([x, y, point.f, point.g, point.lam, point.u0, omega, r1, r2,
-                         float(np.max(np.abs(residual)))])
     path = _out_path(args.out_dir, args.out)
-    _write_csv(path, header, rows)
+    _write_csv(path, header, rows())
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -21,9 +21,10 @@ values for the Jacobian's conditioning.
 The module also assembles the curved quadratic-integral system at the
 constants (1, 0, 0, 0, 0, 2), in the hodograph chart (X, Y) = (f, g): R is
 linear in (x, y), so the map (f, g) -> (x, y) is polynomial with Jacobian
-M = -(1/(2 zeta)) ((j21, j22), (j11, j12)), and the metric is the pull-back
-Lambda M^T M of Lambda (dx^2 + dy^2).  Its field and its quadratic
-integral, valid on the energy level {H = 1/2}, are polynomial too.
+M = -(1/(2 zeta)) ((j21, j22), (j11, j12)).  The metric is the pull-back
+Lambda M^T M of Lambda (dx^2 + dy^2), and the integral the pull-back
+through p = M^{-T} P of the flat chart's p1^2 - p2^2 + f p1 - g p2 + u0/2,
+valid on the energy level {H = 1/2}.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     SingularPoint,
 )
 from .geometry import ChartDomain, MagneticSystem, Metric, _gram, _gram_partials
-from .integrals import FirstIntegral, quadratic_integral
+from .integrals import FirstIntegral, ratio_integral
 
 __all__ = [
     "HodographConstants",
@@ -350,36 +351,57 @@ def solve_fields(k: HodographConstants, x: float, y: float):
 EXAMPLE3_BBOX = (3.0, 5.0, -0.72, 0.72)
 
 
-def _poly_r(x, y):
-    return x * x - 8.0 * x + y * y
-
-
-def _poly_m(x, y):
-    # cross factor of the integral's quadratic part
-    return x * y - 3.0 * y
-
-
-def _poly_q(x, y):
-    return x * x - 6.0 * x + 3.0 * y * y
-
-
-def _poly_w(x, y):
-    return (3.0 * x - 8.0) * (x - 6.0) + y * y
-
-
-def _poly_s(x, y):
-    # det M of the frame
-    m = _poly_m(x, y)
-    return _poly_q(x, y) * _poly_w(x, y) - 4.0 * m * m
-
-
 def _ex3_frame(x, y):
-    """(k, M) of the curved system at a chart point: k = -r/2 and the frame M
-    row by row as (-2m, -q, w, 2m), so G = k M^T M.  M is the hodograph
-    map's Jacobian -(1/(2 zeta)) ((j21, j22), (j11, j12)) and k its
-    Lambda at the constants (1, 0, 0, 0, 0, 2), with (f, g) = (x, y)."""
-    m = _poly_m(x, y)
-    return -0.5 * _poly_r(x, y), (-2.0 * m, -_poly_q(x, y), _poly_w(x, y), 2.0 * m)
+    """(k, M) of the curved system at a chart point: k = -r/2 with
+    r = x^2 - 8x + y^2, and the frame M row by row as (-2m, -q, w, 2m) with
+    m = xy - 3y, q = x^2 - 6x + 3y^2 and w = (3x - 8)(x - 6) + y^2, so
+    G = k M^T M.  M is the hodograph map's Jacobian -(1/(2 zeta)) ((j21,
+    j22), (j11, j12)) and k its Lambda at (1, 0, 0, 0, 0, 2), (f, g) = (x, y)."""
+    m = x * y - 3.0 * y
+    q, w = x * x - 6.0 * x + 3.0 * y * y, (3.0 * x - 8.0) * (x - 6.0) + y * y
+    return -0.5 * (x * x - 8.0 * x + y * y), (-2.0 * m, -q, w, 2.0 * m)
+
+
+def _ex3_frame_partials(x, y):
+    """The linear chart partials ((k_x, k_y), (M_x, M_y)) of ``_ex3_frame``."""
+    return (4.0 - x, -y), ((-2.0 * y, 6.0 - 2.0 * x, 6.0 * x - 26.0, 2.0 * y),
+                           (6.0 - 2.0 * x, -6.0 * y, 2.0 * y, 2.0 * x - 6.0))
+
+
+def _pullback_parts(m, dm, f, g, u0, du0) -> tuple:
+    """The chart data, as :func:`magflows.integrals.ratio_integral` takes
+    it, of the flat chart's integral p1^2 - p2^2 + f p1 - g p2 + u0/2 in a
+    hodograph chart, whose coordinates are (f, g).  Its momenta P pull it
+    back through p = M^{-T} P, M = d(x, y)/d(f, g) = (m11, m12, m21, m22):
+    by adj M, S p1 = m22 P1 - m21 P2 and S p2 = m11 P2 - m12 P1 with
+    S = det M, so F = N/D with D = (S^2,) and N = S^2 F of coefficients
+    (m22^2 - m12^2, 2 (m11 m12 - m21 m22), m21^2 - m11^2, S (f m22 + g m12),
+    -S (f m21 + g m11), S^2 u0/2).  ``partials()`` takes their product rule
+    from f_x = g_y = 1, f_y = g_x = 0, du0 and the frame partials ``dm()``,
+    read only there."""
+    m11, m12, m21, m22 = m
+    s = m11 * m22 - m12 * m21
+    b1, b2 = f * m22 + g * m12, f * m21 + g * m11
+    num = (m22 * m22 - m12 * m12, 2.0 * (m11 * m12 - m21 * m22), m21 * m21 - m11 * m11,
+           s * b1, -s * b2, 0.5 * s * s * u0)
+
+    def row(dm_k, b1_fg, b2_fg, u0_k):
+        # the partials of N and D along one chart axis; b1_fg, b2_fg are
+        # the terms of b1, b2 from that axis's partial of f or g
+        k11, k12, k21, k22 = dm_k
+        s_k = k11 * m22 + m11 * k22 - k12 * m21 - m12 * k21
+        return ((2.0 * (m22 * k22 - m12 * k12),
+                 2.0 * (k11 * m12 + m11 * k12 - k21 * m22 - m21 * k22),
+                 2.0 * (m21 * k21 - m11 * k11),
+                 s_k * b1 + s * (b1_fg + f * k22 + g * k12),
+                 -(s_k * b2 + s * (b2_fg + f * k21 + g * k11)),
+                 s * (s_k * u0 + 0.5 * s * u0_k)),
+                (2.0 * s * s_k,))
+
+    def partials():
+        return tuple(zip(*map(row, dm(), (m22, m12), (m21, m11), du0)))
+
+    return num, (s * s,), partials
 
 
 def example3_system() -> tuple[MagneticSystem, FirstIntegral]:
@@ -388,30 +410,25 @@ def example3_system() -> tuple[MagneticSystem, FirstIntegral]:
 
     The chart is the hodograph one, (f, g) = (x, y).  The metric is the
     pull-back Lambda M^T M of Lambda (dx^2 + dy^2) through the hodograph
-    map, written from ``_ex3_frame``: its components by
+    map, from ``_ex3_frame``: its components by
     :func:`magflows.geometry._gram`, and their partials by the product
-    rule of :func:`magflows.geometry._gram_partials` from the linear
-    partials of k and M.  The field is -(r + 12).  The integral is built
-    by :func:`magflows.integrals.quadratic_integral` from its momentum
-    coefficients over S^2, S = det M, and their chart partials, written
-    from the same ``_poly_*`` polynomials, each evaluated once per chart
-    point.  The working domain is ``EXAMPLE3_BBOX``.
+    rule of :func:`magflows.geometry._gram_partials` from
+    ``_ex3_frame_partials``.  The field is -(r + 12).  The integral is the
+    flat chart's, with u0 = 4x, pulled back through the same frame by
+    ``_pullback_parts``.  The working domain is ``EXAMPLE3_BBOX``.
     """
 
     def components(x, y):
         return _gram(*_ex3_frame(x, y))
 
     def dg(x, y):
-        k, m = _ex3_frame(x, y)
-        m_x = (-2.0 * y, 6.0 - 2.0 * x, 6.0 * x - 26.0, 2.0 * y)
-        m_y = (6.0 - 2.0 * x, -6.0 * y, 2.0 * y, 2.0 * x - 6.0)
-        return _gram_partials(k, (4.0 - x, -y), m, (m_x, m_y))[1]
+        (k, m), (dk, dm) = _ex3_frame(x, y), _ex3_frame_partials(x, y)
+        return _gram_partials(k, dk, m, dm)[1]
 
     x0, x1, y0, y1 = EXAMPLE3_BBOX
-    metric = Metric(components=components, partials=dg)
     system = MagneticSystem(
-        metric=metric,
-        field=lambda x, y: -(_poly_r(x, y) + 12.0),
+        metric=Metric(components=components, partials=dg),
+        field=lambda x, y: -(x * x - 8.0 * x + y * y + 12.0),
         domain=ChartDomain(bbox=EXAMPLE3_BBOX,
                            predicate=lambda x, y: x0 <= x <= x1 and y0 <= y <= y1),
         energy=1.0,
@@ -420,37 +437,7 @@ def example3_system() -> tuple[MagneticSystem, FirstIntegral]:
     )
 
     def parts(x, y):
-        # F = (a11 p1^2 + a12 p1 p2 + a22 p2^2 + b1 p1 + b2 p2 + cc) / S^2,
-        # with b1 = 2 S u, b2 = S v and cc = S^2 e
-        s = _poly_s(x, y)
-        m = _poly_m(x, y)
-        w = _poly_w(x, y)
-        u = x * x * y - y * y * (3.0 * y)
-        v = -2.0 * (x - 6.0) * (3.0 * x * x - y * y - 8.0 * x)
-        e = x * x + y * y - 4.0 * x
-        s2 = s * s
-        coefficients = (16.0 * m * m, -16.0 * m * w, 4.0 * w * w, 2.0 * s * u, s * v, s2 * e)
+        return _pullback_parts(_ex3_frame(x, y)[1], lambda: _ex3_frame_partials(x, y)[1],
+                               x, y, 4.0 * x, (4.0, 0.0))
 
-        def partials():
-            q = _poly_q(x, y)
-            mx, my = y, x - 3.0
-            wx, wy = 6.0 * x - 26.0, 2.0 * y
-            sx = (2.0 * x - 6.0) * w + q * wx - 8.0 * m * mx
-            sy = 6.0 * y * w + q * wy - 8.0 * m * my
-            ux, uy = 2.0 * x * y, x * x - 9.0 * y * y
-            vx = -2.0 * ((3.0 * x * x - y * y - 8.0 * x) + (x - 6.0) * (6.0 * x - 8.0))
-            vy = 4.0 * y * (x - 6.0)
-            ex, ey = 2.0 * x - 4.0, 2.0 * y
-
-            def chart_row(sk, mk, wk, uk, vk, ek):
-                return (32.0 * m * mk, -16.0 * (mk * w + m * wk), 8.0 * w * wk,
-                        2.0 * (sk * u + s * uk), sk * v + s * vk,
-                        2.0 * s * sk * e + s2 * ek)
-
-            return ((chart_row(sx, mx, wx, ux, vx, ex), chart_row(sy, my, wy, uy, vy, ey)),
-                    (2.0 * s * sx, 2.0 * s * sy))
-
-        return coefficients, s2, partials
-
-    integral = quadratic_integral("F", parts, level=1.0)
-    return system, integral
+    return system, ratio_integral("F", "quadratic", parts, level=1.0)

@@ -9,14 +9,12 @@ with X_G from :func:`magflows.geometry.vector_field` and H, dH from
 :mod:`magflows.geometry`; F is a first integral when {F, H} vanishes,
 either at every energy or only on one level set {H = C/2}.  Every
 integral carries its exact analytic gradient, dF + 0.01 dx for the
-``--corrupt`` control.  Every integral rational in the momenta, the
-catalog's ex4-ex6 and each bundle's, is built here by
-:func:`rational_integral` from the momentum coefficients of its numerator
-and denominator at a chart point and their chart partials; ex3's integral,
-quadratic in the momenta over a chart function, is built alike by
-:func:`quadratic_integral`.  The momentum algebra, the guard and the
-quotient rule of each form live only there, and both read and stack their
-chart data through one memo.
+``--corrupt`` control.  Every integral that is a ratio N/D of momentum
+polynomials is built here by :func:`ratio_integral` from the coefficients
+of N and D at a chart point and their chart partials: ex3's quadratic N
+over D = S^2, and the linear N and D of the catalog's ex4-ex6 and of each
+bundle.  Its value, its one guard |D| >= 1e-8 and its one quotient rule
+serve every degree, and it reads and stacks its chart data through one memo.
 
 An integral's ``func``, ``grad`` and ``guard`` take a phase (x, y, p1, p2)
 whose x and y may be chart columns of shape (P, 1) and whose momenta may
@@ -58,8 +56,7 @@ __all__ = [
     "BracketScanConfig",
     "ResidualReport",
     "hamiltonian_integral",
-    "rational_integral",
-    "quadratic_integral",
+    "ratio_integral",
     "level_set_bracket_scan",
     "gradient_rows",
     "functional_independence_rank",
@@ -150,11 +147,6 @@ def hamiltonian_integral(system: MagneticSystem) -> FirstIntegral:
     return FirstIntegral("H", "quadratic", func, grad=partial(hamiltonian_gradient, system))
 
 
-def _linear(c, p1, p2):
-    """c1 p1 + c2 p2 + c0 for a coefficient triple c = (c1, c2, c0)."""
-    return c[0] * p1 + c[1] * p2 + c[2]
-
-
 def _chart_reader(parts: Callable) -> tuple:
     """``(chart, coefficients)`` of an integral built from ``parts``.
 
@@ -191,96 +183,69 @@ def _chart_reader(parts: Callable) -> tuple:
     return chart, coefficients
 
 
-def rational_integral(name: str, parts: Callable, level: Optional[float] = None) -> FirstIntegral:
-    """The integral N/D of two expressions linear in the momenta, with its
+def _poly(c, p1, p2):
+    """The momentum polynomial of the coefficients c: c0 for c = (c0,),
+    c1 p1 + c2 p2 + c0 for c = (c1, c2, c0), and a11 p1^2 + a12 p1 p2 +
+    a22 p2^2 + b1 p1 + b2 p2 + c0 for c = (a11, a12, a22, b1, b2, c0)."""
+    if len(c) == 3:
+        return c[0] * p1 + c[1] * p2 + c[2]
+    if len(c) == 6:
+        a11, a12, a22, b1, b2, c0 = c
+        return a11 * p1 * p1 + a12 * p1 * p2 + a22 * p2 * p2 + b1 * p1 + b2 * p2 + c0
+    return c[0]
+
+
+def _poly_momentum_partials(c, p1, p2) -> tuple:
+    """(d/dp1, d/dp2) of :func:`_poly` of the coefficients c."""
+    if len(c) == 6:
+        return 2.0 * c[0] * p1 + c[1] * p2 + c[3], c[1] * p1 + 2.0 * c[2] * p2 + c[4]
+    return (c[0], c[1]) if len(c) == 3 else (0.0, 0.0)
+
+
+def ratio_integral(name: str, kind: str, parts: Callable,
+                   level: Optional[float] = None) -> FirstIntegral:
+    """The integral F = N/D of two polynomials in the momenta, with its
     quotient-rule gradient and the guard |D| >= 1e-8.
 
-    ``parts(x, y)`` returns ``(a, b, partials)`` at a chart point: the
-    coefficient triples a = (a1, a2, a0) of N = a1 p1 + a2 p2 + a0 and
-    b = (b1, b2, b0) of D = b1 p1 + b2 p2 + b0, and ``partials()``, which
-    gives their chart partials ((a_x, a_y), (b_x, b_y)) as triples and is
-    called only by the gradient.  Chart row k of the gradient is
-    (N_k D - N D_k) / D^2 with N_k = a1_k p1 + a2_k p2 + a0_k, and momentum
-    row i is (a_i D - N b_i) / D^2.  ``parts`` is the integral's ``chart``,
-    memoized and stacked into chart columns by :func:`_chart_reader`.
-    """
-    chart, coefficients = _chart_reader(parts)
-
-    def func(state, charts=None):
-        _, _, p1, p2 = state
-        a, b, _ = coefficients(state, charts)
-        return _linear(a, p1, p2) / _linear(b, p1, p2)
-
-    def grad(state, charts=None):
-        _, _, p1, p2 = state
-        a, b, partials = coefficients(state, charts)
-        num, den = _linear(a, p1, p2), _linear(b, p1, p2)
-        (a_x, a_y), (b_x, b_y) = partials()
-        # (grad N D - N grad D) / D^2 formed in place, one row of grad D at
-        # a time: at chart columns no second (4, P, n) array is made
-        out = gradient_rows(p1, (_linear(a_x, p1, p2), _linear(a_y, p1, p2), a[0], a[1]))
-        out *= den
-        for k, den_k in enumerate((_linear(b_x, p1, p2), _linear(b_y, p1, p2), b[0], b[1])):
-            out[k] -= num * den_k
-        out /= den * den
-        return out
-
-    def guard(state, charts=None):
-        _, _, p1, p2 = state
-        return abs(_linear(coefficients(state, charts, 1), p1, p2)) >= 1e-8
-
-    return FirstIntegral(name, "rational", func, grad=grad, level=level, guard=guard, chart=chart)
-
-
-def _quadratic(c, p1, p2):
-    """a11 p1^2 + a12 p1 p2 + a22 p2^2 + b1 p1 + b2 p2 + c0 for the six
-    coefficients c = (a11, a12, a22, b1, b2, c0)."""
-    a11, a12, a22, b1, b2, c0 = c
-    return a11 * p1 * p1 + a12 * p1 * p2 + a22 * p2 * p2 + b1 * p1 + b2 * p2 + c0
-
-
-def quadratic_integral(name: str, parts: Callable, level: Optional[float] = None) -> FirstIntegral:
-    """The integral Q/den of an expression Q quadratic in the momenta over
-    a chart function den, with its quotient-rule gradient and the guard
-    den >= 1e-8.
-
-    ``parts(x, y)`` returns ``(c, den, partials)`` at a chart point: the
-    coefficients c = (a11, a12, a22, b1, b2, c0) of Q = a11 p1^2 +
-    a12 p1 p2 + a22 p2^2 + b1 p1 + b2 p2 + c0, the denominator den, and
-    ``partials()``, which gives their chart partials ((c_x, c_y), (den_x,
-    den_y)) and is called only by the gradient.  Chart row k of the
-    gradient is (Q_k - F den_k) / den with Q_k = a11_k p1^2 + ... + c0_k,
-    and the momentum rows are Q_{p1} / den = (2 a11 p1 + a12 p2 + b1) / den
-    and Q_{p2} / den = (a12 p1 + 2 a22 p2 + b2) / den.  ``parts`` is the
-    integral's ``chart``, memoized and stacked into chart columns by
+    ``parts(x, y)`` returns ``(n, d, partials)`` at a chart point: the
+    coefficient tuples n of N and d of D, each of length 1, 3 or 6 for
+    degree 0, 1 or 2 in the momenta as :func:`_poly` reads them, and
+    ``partials()``, which gives their chart partials ((n_x, n_y), (d_x,
+    d_y)) as tuples of the same lengths and is called only by the
+    gradient.  Row k of the gradient is (N_k D - N D_k) / D^2, with the
+    chart partials N_k = :func:`_poly` of n_k and the momentum partials
+    from :func:`_poly_momentum_partials`.  ``parts`` is the integral's
+    ``chart``, memoized and stacked into chart columns by
     :func:`_chart_reader`.
     """
     chart, coefficients = _chart_reader(parts)
 
     def func(state, charts=None):
         _, _, p1, p2 = state
-        c, den, _ = coefficients(state, charts)
-        return _quadratic(c, p1, p2) / den
+        n, d, _ = coefficients(state, charts)
+        return _poly(n, p1, p2) / _poly(d, p1, p2)
 
     def grad(state, charts=None):
         _, _, p1, p2 = state
-        c, den, partials = coefficients(state, charts)
-        (c_x, c_y), (den_x, den_y) = partials()
-        a11, a12, a22, b1, b2, _ = c
-        value = _quadratic(c, p1, p2) / den
-        out = gradient_rows(p1, (
-            _quadratic(c_x, p1, p2) - value * den_x,
-            _quadratic(c_y, p1, p2) - value * den_y,
-            2.0 * a11 * p1 + a12 * p2 + b1,
-            a12 * p1 + 2.0 * a22 * p2 + b2,
-        ))
-        out /= den
+        n, d, partials = coefficients(state, charts)
+        num, den = _poly(n, p1, p2), _poly(d, p1, p2)
+        (n_x, n_y), (d_x, d_y) = partials()
+        # (grad N D - N grad D) / D^2 formed in place, one row of grad D at
+        # a time: at chart columns no second (4, P, n) array is made
+        out = gradient_rows(p1, (_poly(n_x, p1, p2), _poly(n_y, p1, p2),
+                                 *_poly_momentum_partials(n, p1, p2)))
+        out *= den
+        rows = (_poly(d_x, p1, p2), _poly(d_y, p1, p2), *_poly_momentum_partials(d, p1, p2))
+        for k, den_k in enumerate(rows):
+            out[k] -= num * den_k
+        out /= den * den
         return out
 
     def guard(state, charts=None):
-        return coefficients(state, charts, 1) >= 1e-8
+        _, _, p1, p2 = state
+        return abs(_poly(coefficients(state, charts, 1), p1, p2)) >= 1e-8
 
-    return FirstIntegral(name, "quadratic", func, grad=grad, level=level, guard=guard, chart=chart)
+    return FirstIntegral(name, kind, func, grad=grad, level=level, guard=guard, chart=chart)
 
 
 def gradient_rows(momentum, rows) -> np.ndarray:

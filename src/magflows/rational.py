@@ -21,8 +21,8 @@ k = gamma^2 (rho + 1) / C and the frame M of columns (Z_rr, W) and
 (rho W, -(rho + 1) Z_rr), W = (rho Z_rp - Z_p) / rho^2; det M = -D / rho.
 M is linear in the jet, and the metric partials follow from M's by the
 product rule that ex3's frame uses too (``geometry._gram_partials``).  Its
-integral is :func:`magflows.integrals.rational_integral` over the momentum
-coefficients of N and D, each pair the half-angle rotation (u s + v c,
+integral is :func:`magflows.integrals.ratio_integral` over the momentum
+coefficient triples of N and D, each pair the half-angle rotation (u s + v c,
 u c - v s), c, s = cos, sin(psi/2), of two forms U, V linear in momenta,
 so F = tan(psi/2 + atan2(V, U)).
 """
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DegenerateD, DomainError
 from .geometry import ChartDomain, MagneticSystem, Metric, _gram, _gram_partials
-from .integrals import FirstIntegral, rational_integral
+from .integrals import FirstIntegral, ratio_integral
 from .specfun import elliptic_jet, terminating_2f1_coeffs
 
 __all__ = [
@@ -128,8 +128,9 @@ class PolynomialCos(ZSolution):
         raw = terminating_2f1_coeffs(k)
         self.k = self.nu = int(k)
         self.psi0 = float(psi0)
-        if not math.isfinite(self.psi0):
-            raise DomainError(f"psi0 must be finite, got {self.psi0}")
+        if not math.isfinite(self.k * self.psi0):
+            raise DomainError(f"psi0 and k psi0 must be finite, got psi0 = {self.psi0} "
+                              f"at k = {self.k}")
         self.coeffs = [c / raw[-1] for c in raw]  # monic in rho^k
 
     def params(self) -> dict:
@@ -344,7 +345,7 @@ class RationalFlowBundle:
         """Momentum coefficient triples (p_r, p_p, constant) of the
         integral's numerator and denominator and their deferred chart
         partials from one ``_jet`` call, as
-        :func:`magflows.integrals.rational_integral` takes them: the
+        :func:`magflows.integrals.ratio_integral` takes them: the
         rotations (u s + v c) and (u c - v s), c, s = cos, sin(psi/2), of
         (u, v) = (rho Z_rp - Z_p, Z_pp + rho Z_r), (-rho Z_rr, -t) and
         (gamma D, 0), with D, t from the discriminant.  A rho partial
@@ -392,7 +393,7 @@ class RationalFlowBundle:
         )
 
     def as_integral(self) -> FirstIntegral:
-        return rational_integral("F", self._parts, self.c_energy)
+        return ratio_integral("F", "rational", self._parts, self.c_energy)
 
     def descriptor(self) -> dict:
         return {**self.z.descriptor(), "gamma": self.gamma, "c_energy": self.c_energy,

@@ -2,13 +2,18 @@
 that the package's own route is checked against.
 
 ``pde41_residual_fd`` takes the derivatives of U = (Lambda, u0, f, g) by
-O(h^2) central differences of sampled fields; ``solve_fields`` computes the
-same residual exactly, and ``omega_fd`` its Omega = (g_x - f_y)/4 by
+O(h^2) central differences of sampled fields and forms the system's rows
+from its own transcription; ``solve_fields`` computes the same residual
+exactly, and ``omega_fd`` its Omega = (g_x - f_y)/4 by
 ``richardson_gradient``.  ``convergence_order`` fits the decay of a conserved
-scalar's drift over fixed-step runs.  ``ex3_integral`` transcribes the
-curved system's quadratic integral, and ``complex_step_gradient`` gives its
-gradient by complex step; ``ex3_quartics`` is the hand-expanded
-transcription of ex3's metric and S that its frame form replaced.
+scalar's drift over fixed-step runs.  ``ex3_pullback_integral`` is the
+curved system's quadratic integral pulled back by ``numpy.linalg.solve``
+through the hodograph map's Jacobian, and ``complex_step_gradient`` gives
+its gradient by complex step; ``ex3_transcribed_integral`` and
+``ex3_quartics`` are the hand-expanded transcriptions of ex3's integral on
+the level and of its metric and S, that the pull-back and the frame form
+replaced.  The oracles read only public
+names of :mod:`magflows.hodograph`.
 ``magnetic_bracket_pair`` is the bracket at one phase, which every
 bracket-scan sample must equal bit for bit; ``larmor_orbit`` is ex1's exact
 trajectory; ``pde511_residual`` and ``condition_D`` evaluate the generating
@@ -32,7 +37,12 @@ from magflows.catalog import get_example
 from magflows.errors import DomainError, StepFailure
 from magflows.flow import TrajectoryConfig, conservation_drift, integrate
 from magflows.geometry import MagneticSystem, vector_field
-from magflows.hodograph import FieldPoint, _poly_m, _poly_s, _poly_w, _system_residual
+from magflows.hodograph import (
+    FieldPoint,
+    HodographConstants,
+    algebraic_jacobian,
+    reconstruct_fields,
+)
 from magflows.integrals import _guarded, _pairing
 from magflows.rational import ZSolution, _discriminant, _residual
 from richardson import richardson_gradient
@@ -42,6 +52,17 @@ Sampler = Callable[[float, float], FieldPoint]
 
 def _uvec(pt: FieldPoint) -> np.ndarray:
     return np.array([pt.lam, pt.u0, pt.f, pt.g])
+
+
+def _first_order_rows(lam, f, g, ux, uy) -> tuple:
+    """The four rows of A U_x + B U_y, U = (Lambda, u0, f, g), transcribed
+    apart from the package's ``solve_fields``."""
+    return (
+        ux[2] + uy[3],
+        f * ux[0] + lam * ux[2] - g * uy[0] - lam * uy[3],
+        2.0 * ux[0] + ux[1] + 0.5 * g * ux[3] - 0.5 * g * uy[2],
+        -0.5 * f * ux[3] + 2.0 * uy[0] - uy[1] + 0.5 * f * uy[2],
+    )
 
 
 def pde41_residual_fd(sampler: Sampler, x: float, y: float, h: float = 1e-4) -> np.ndarray:
@@ -56,7 +77,7 @@ def pde41_residual_fd(sampler: Sampler, x: float, y: float, h: float = 1e-4) -> 
     u0 = _uvec(sampler(x, y))
     ux = (_uvec(sampler(x + h, y)) - _uvec(sampler(x - h, y))) / (2.0 * h)
     uy = (_uvec(sampler(x, y + h)) - _uvec(sampler(x, y - h))) / (2.0 * h)
-    return np.array(_system_residual(u0[0], u0[2], u0[3], ux, uy))
+    return np.array(_first_order_rows(u0[0], u0[2], u0[3], ux, uy))
 
 
 def omega_fd(sampler: Sampler, x: float, y: float, h: float = 1e-3) -> float:
@@ -106,14 +127,18 @@ def convergence_order(
 COMPLEX_STEP = 1e-20
 
 
-def ex3_integral(state):
-    """ex3's quadratic integral F = (a11 p1^2 + a12 p1 p2 + a22 p2^2 + b1 p1
-    + b2 p2 + cc) / S^2, transcribed from its polynomials at one phase of
-    floats or complex numbers, in the package's operation order."""
+def ex3_transcribed_integral(state):
+    """ex3's first integral as first transcribed, (a11 p1^2 + a12 p1 p2 +
+    a22 p2^2 + b1 p1 + b2 p2 + cc) / S^2 from the polynomials m = xy - 3y,
+    q = x^2 - 6x + 3y^2, w = (3x - 8)(x - 6) + y^2 and S = q w - 4 m^2, with
+    hand-expanded cubics u, v and e in b1 = 2 S u, b2 = S v and
+    cc = S^2 e.  On the level {H = 1/2} it is twice the pull-back of
+    :func:`ex3_pullback_terms`: it equals 2 F + 4 k (H - 1/2) at every
+    phase, k = -r/2, r = x^2 - 8x + y^2."""
     x, y, p1, p2 = state
-    s = _poly_s(x, y)
-    m = _poly_m(x, y)
-    w = _poly_w(x, y)
+    m = x * y - 3.0 * y
+    w = (3.0 * x - 8.0) * (x - 6.0) + y * y
+    s = (x * x - 6.0 * x + 3.0 * y * y) * w - 4.0 * m * m
     a11 = 16.0 * m * m
     a22 = 4.0 * w * w
     a12 = -16.0 * m * w
@@ -121,6 +146,30 @@ def ex3_integral(state):
     b2 = s * (-2.0 * (x - 6.0) * (3.0 * x * x - y * y - 8.0 * x))
     cc = s * s * (x * x + y * y - 4.0 * x)
     return (a11 * p1 * p1 + a12 * p1 * p2 + a22 * p2 * p2 + b1 * p1 + b2 * p2 + cc) / (s * s)
+
+
+# the hodograph constants of ex3's chart
+EX3_CONSTANTS = HodographConstants(1.0, 0.0, 0.0, 0.0, 0.0, 2.0)
+
+
+def ex3_pullback_terms(state) -> tuple:
+    """The terms (p1^2, -p2^2, f p1, -g p2, u0/2) of the flat chart's
+    integral p1^2 - p2^2 + f p1 - g p2 + u0/2 at a phase (f, g, P1, P2) of
+    ex3's hodograph chart, of floats or complex numbers: M = d(x, y)/d(f, g)
+    from ``algebraic_jacobian`` at ``EX3_CONSTANTS``, the flat momenta p
+    from M^T p = P by ``numpy.linalg.solve``, and u0 from
+    ``reconstruct_fields``.  Their sum is ex3's integral F."""
+    f, g, p1, p2 = state
+    (j11, j12), (j21, j22) = algebraic_jacobian(EX3_CONSTANTS, 0.0, 0.0, f, g)
+    jac = -np.array([[j21, j22], [j11, j12]]) / (2.0 * EX3_CONSTANTS.zeta)
+    q1, q2 = np.linalg.solve(jac.T, np.array([p1, p2]))
+    u0 = reconstruct_fields(EX3_CONSTANTS, f, g)[1]
+    return q1 * q1, -q2 * q2, f * q1, -g * q2, 0.5 * u0
+
+
+def ex3_pullback_integral(state):
+    """ex3's integral F, the sum of :func:`ex3_pullback_terms`."""
+    return sum(ex3_pullback_terms(state))
 
 
 def ex3_quartics(x: float, y: float) -> tuple:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from magflows import rational
 from magflows.catalog import get_example, list_examples
+from magflows.errors import SingularPoint
 from magflows import cli, hodograph
 from magflows.cli import _check, _corrupted, _write_json, build_parser, config_actions, main
 from magflows.hodograph import HodographConstants, closed_form_abzero
@@ -533,6 +534,36 @@ class TestWriteCsv:
         assert lines[1].split(",") == [format(float(v), ".17g") for v in row]
         assert lines[2].split(",") == [format(float(v), ".17g") for v in row[::-1]]
 
+    @staticmethod
+    def _joined_text(header, rows) -> bytes:
+        """The bytes of the writer that joined every line into one text
+        before writing it."""
+        line = ",".join(["%.17g"] * len(header))
+        return ("\n".join([",".join(header), *(line % tuple(row) for row in rows)]) + "\n").encode()
+
+    def test_a_generator_of_rows_writes_the_joined_bytes(self, tmp_path):
+        """Rows from a generator, written line by line, give the bytes of
+        the same rows joined into one text; a header alone gives one
+        line."""
+        rng = np.random.default_rng(3)
+        rows = (rng.standard_normal((50, 5)) * 10.0 ** rng.integers(-300, 300, (50, 5))).tolist()
+        rows[7][2], rows[9][0] = math.nan, -0.0
+        header = ["t", "q1", "q2", "p1", "p2"]
+        cli._write_csv(tmp_path / "gen.csv", header, (row for row in rows))
+        assert (tmp_path / "gen.csv").read_bytes() == self._joined_text(header, rows)
+        cli._write_csv(tmp_path / "empty.csv", header, iter(()))
+        assert (tmp_path / "empty.csv").read_bytes() == self._joined_text(header, [])
+
+    def test_a_row_that_raises_leaves_no_file(self, tmp_path):
+        """A generator that fails after some rows leaves no partial CSV."""
+        def rows():
+            yield [1.0, 2.0]
+            raise SingularPoint("fold")
+
+        with pytest.raises(SingularPoint):
+            cli._write_csv(tmp_path / "partial.csv", ["a", "b"], rows())
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestJsonReports:
     def test_non_finite_values_are_strict_json(self, tmp_path):
@@ -595,6 +626,25 @@ class TestErrorContract:
         (["build-rational", "poly-cos", "--k", "1"], 5),
         (["build-rational", "poly-cos", "--rho-range", "-1", "-0.5"], 2),
     ]
+
+    @pytest.mark.parametrize("argv, want, message", [
+        (["simulate", "ex1", "--position", "0", "0", "--angle", "inf"], 4,
+         "--angle must be finite"),
+        (["simulate", "ex1", "--position", "0", "0", "--angle", "nan"], 4,
+         "--angle must be finite"),
+        (["build-rational", "poly-cos", "--psi0", "1e308"], 2, "psi0 and k psi0 must be finite"),
+        (["build-rational", "poly-cos", "--k", "6", "--psi0", "-5e307"], 2,
+         "psi0 and k psi0 must be finite"),
+    ])
+    def test_non_finite_angle_or_psi0_is_named(self, argv, want, message, tmp_path, capsys):
+        """A non-finite momentum angle, or a psi0 whose k psi0 overflows,
+        is refused before any evaluation: with every warning an error the
+        command keeps its exit code, names the option and writes nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = _run(["--out-dir", str(tmp_path)] + argv, capsys)
+        assert code == want and message in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_runtime_warning_escapes_a_scan(self, tmp_path, capsys):
         """With every warning an error, verify all --corrupt, the default

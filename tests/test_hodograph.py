@@ -31,8 +31,10 @@ from magflows.integrals import (
 )
 from oracles import (
     complex_step_gradient,
-    ex3_integral,
+    ex3_pullback_integral,
+    ex3_pullback_terms,
     ex3_quartics,
+    ex3_transcribed_integral,
     magnetic_bracket_pair,
     omega_fd,
     pde41_residual_fd,
@@ -419,14 +421,16 @@ class TestExample3Surface:
                 system.metric.inverse(float(x), float(y))
 
     def test_box_keeps_metric_and_s_away_from_zero(self):
-        """On a dense grid of the box, edges included, r <= -10 and
-        |S| >= 10, so G = (-r/2) M^T M is positive definite with det G =
-        (r S / 2)^2 and the integral's S^2 is far from 0: that is why the
-        domain predicate is the box test alone."""
+        """On a dense grid of the box, edges included, the frame's scale
+        k = -r/2 has r <= -10 and S = det M has |S| >= 10, so
+        G = (-r/2) M^T M is positive definite with det G = (r S / 2)^2 and
+        the integral's S^2 is far from 0: that is why the domain predicate
+        is the box test alone."""
         x0, x1, y0, y1 = EXAMPLE3_BBOX
         x, y = np.meshgrid(np.linspace(x0, x1, 801), np.linspace(y0, y1, 801))
-        assert np.max(hodograph._poly_r(x, y)) <= -10.0
-        assert np.min(np.abs(hodograph._poly_s(x, y))) >= 10.0
+        k, (m11, m12, m21, m22) = hodograph._ex3_frame(x, y)
+        assert np.max(-2.0 * k) <= -10.0
+        assert np.min(np.abs(m11 * m22 - m12 * m21)) >= 10.0
         system, _ = example3_system()
         inside = [(x0, y0), (x1, y1), (x0, y1), (x1, y0), (4.0, 0.0)]
         assert all(system.domain.contains(u, v) for u, v in inside)
@@ -445,9 +449,9 @@ class TestExample3Surface:
         """ex3 is the hodograph chart at (1, 0, 0, 0, 0, 2), (f, g) = (x, y):
         its frame M is -(1/(2 zeta)) ((j21, j22), (j11, j12)) from
         ``algebraic_jacobian``, its scale k is Lambda from
-        ``reconstruct_fields``, its field is (j11 - j22)/(8 zeta) and S is
-        det M, each to 1e-14 relative."""
-        system, _ = example3_system()
+        ``reconstruct_fields``, its field is (j11 - j22)/(8 zeta) and the
+        integral's denominator is (det M)^2, each to 1e-14 relative."""
+        system, integral = example3_system()
         consts = HodographConstants(1.0, 0.0, 0.0, 0.0, 0.0, 2.0)
         z = consts.zeta
         for x, y in self._chart_points():
@@ -460,18 +464,20 @@ class TestExample3Surface:
             omega = (j11 - j22) / (8.0 * z)
             assert abs(system.field(x, y) - omega) <= 1e-14 * abs(omega)
             det = jac[0] * jac[3] - jac[1] * jac[2]
-            assert abs(hodograph._poly_s(x, y) - det) <= 1e-14 * abs(det)
+            (den,) = integral.chart(x, y)[1]
+            assert abs(den - det * det) <= 1e-14 * det * det
 
     def test_frame_matches_quartic_transcription(self):
-        """The frame form's components, their partials, S and the integral
-        denominator's partials 2 S S_k match the hand-expanded quartics of
-        ``ex3_quartics`` to 5e-13 of each group's largest entry."""
+        """The frame form's components and their partials, and the
+        integral's denominator S^2 and its partials 2 S S_k, match the
+        hand-expanded quartics of ``ex3_quartics`` to 5e-13 of each group's
+        largest entry."""
         system, integral = example3_system()
         for x, y in self._chart_points():
             g, dg, s, (s_x, s_y) = ex3_quartics(x, y)
-            den_partials = integral.chart(x, y)[2]()[1]
+            _, den, partials = integral.chart(x, y)
             pairs = ((system.metric.components(x, y), g), (system.metric.partials(x, y), dg),
-                     (hodograph._poly_s(x, y), s), (den_partials, (2.0 * s * s_x, 2.0 * s * s_y)))
+                     (den, (s * s,)), (partials()[1], ((2.0 * s * s_x,), (2.0 * s * s_y,))))
             for got, want in pairs:
                 got, want = np.asarray(got), np.asarray(want)
                 assert np.max(np.abs(got - want)) <= 5e-13 * np.max(np.abs(want))
@@ -507,36 +513,72 @@ class TestExample3Surface:
             np.testing.assert_allclose(got, want, rtol=0, atol=2e-7 * np.max(np.abs(got)))
 
     def test_integral_gradient_matches_complex_step(self):
-        """The analytic gradient matches the complex-step oracle of the
-        transcribed formula to 1e-12 relative, at the catalog sample phases
-        and at every sample of 6 x 6 chart columns with 16 momenta each."""
+        """The analytic gradient matches the complex step of the pull-back
+        oracle, solved by ``numpy.linalg.solve``, to 1e-12 relative, at the
+        catalog sample phases and at every sample of 6 x 6 chart columns
+        with 16 momenta each."""
         system, integral = example3_system()
         for phase in get_example("ex3").sample_phases:
-            want = complex_step_gradient(ex3_integral, phase)
+            want = complex_step_gradient(ex3_pullback_integral, phase)
             got = np.asarray(integral.grad(phase))
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         x, y, p1, p2 = _ex3_columns(system)
         grads = integral.grad((x, y, p1, p2))
         assert grads.shape == (4,) + p1.shape
         for i, j in np.ndindex(p1.shape):
-            want = complex_step_gradient(ex3_integral, (x[i, 0], y[i, 0], p1[i, j], p2[i, j]))
+            want = complex_step_gradient(ex3_pullback_integral,
+                                         (x[i, 0], y[i, 0], p1[i, j], p2[i, j]))
             got = grads[:, i, j]
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @staticmethod
+    def _random_phases(system, count, seed):
+        """``count`` phases at uniform points of the box, with momenta of
+        uniform angle on the levels {H = e/2}, e log-uniform in [1/4, 4],
+        every other one on the declared level e = 1."""
+        rng = np.random.default_rng(seed)
+        x0, x1, y0, y1 = EXAMPLE3_BBOX
+        phases = []
+        for i in range(count):
+            x, y = rng.uniform(x0, x1), rng.uniform(y0, y1)
+            energy = 1.0 if i % 2 == 0 else 4.0 ** rng.uniform(-1.0, 1.0)
+            p1, p2 = momentum_on_level(system, x, y, rng.uniform(0.0, 2.0 * math.pi), energy=energy)
+            phases.append([x, y, p1, p2])
+        return phases
+
     def test_integral_value_is_the_formula(self):
-        """F's value has the bits of the transcribed formula
-        (a11 p1 p1 + a12 p1 p2 + a22 p2 p2 + b1 p1 + b2 p2 + cc) / S^2, at
-        the catalog sample phases and at 6 x 6 chart columns."""
+        """F is the flat chart's p1^2 - p2^2 + f p1 - g p2 + u0/2 pulled
+        back through the hodograph map's Jacobian: it matches the oracle
+        that solves M^T p = P by ``numpy.linalg.solve`` to 1e-13 of the
+        oracle's largest term, at the catalog sample phases, at 6 x 6 chart
+        columns and at 1 000 random phases on and off the level; a call and
+        ``func`` give the same bits."""
         system, integral = example3_system()
-        for phase in get_example("ex3").sample_phases.tolist():
-            assert integral(phase) == ex3_integral(phase)
-            assert integral.func(np.array(phase)) == ex3_integral(phase)
+        phases = get_example("ex3").sample_phases.tolist() + self._random_phases(system, 1000, 5)
+        for phase in phases:
+            terms = ex3_pullback_terms(phase)
+            assert abs(integral(phase) - sum(terms)) <= 1e-13 * max(abs(t) for t in terms)
+            assert integral(phase) == integral.func(np.array(phase))
         x, y, p1, p2 = _ex3_columns(system)
         values = integral.func((x, y, p1, p2))
-        want = [[ex3_integral((u, v, q1, q2)) for q1, q2 in zip(r1, r2)]
-                for u, v, r1, r2 in zip(x[:, 0].tolist(), y[:, 0].tolist(), p1.tolist(), p2.tolist())]
         assert values.shape == p1.shape
-        assert (values == np.array(want)).all()
+        for i, j in np.ndindex(p1.shape):
+            terms = ex3_pullback_terms((x[i, 0], y[i, 0], p1[i, j], p2[i, j]))
+            assert abs(values[i, j] - sum(terms)) <= 1e-13 * max(abs(t) for t in terms)
+
+    def test_transcription_is_twice_the_integral_on_the_level(self):
+        """The first transcription of ex3's integral equals
+        2 F + 4 k (H - 1/2), k = -r/2 the frame's scale, to 1e-12 of the
+        largest term, at 1 000 random phases on and off the level: on
+        {H = 1/2} it is 2 F.  The terms are the transcription, the shift
+        4 k (H - 1/2) and twice each flat-chart term of F, which may cancel
+        to far less than their size."""
+        system, integral = example3_system()
+        for phase in self._random_phases(system, 1000, 6):
+            old, twice = ex3_transcribed_integral(phase), 2.0 * integral(phase)
+            shift = 4.0 * hodograph._ex3_frame(phase[0], phase[1])[0] * (hamiltonian(system, phase) - 0.5)
+            terms = [old, shift] + [2.0 * t for t in ex3_pullback_terms(phase)]
+            assert abs(old - twice - shift) <= 1e-12 * max(abs(t) for t in terms)
 
     def test_integral_conserved_along_flow(self):
         """Trajectory drift of the quadratic integral stays below 1e-6."""

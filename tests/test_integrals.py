@@ -432,8 +432,8 @@ def _rational_parts(name, monkeypatch):
     if name in SCAN_FAMILIES:
         return rational.build_bundle(SCAN_FAMILIES[name]())._parts, BUNDLE_POINTS
     # the entry then holds its integral's parts in its place
-    monkeypatch.setattr(catalog, "rational_integral", lambda _, parts, level=None: parts)
-    monkeypatch.setattr(hodograph, "quadratic_integral", lambda _, parts, level=None: parts)
+    for module in (catalog, hodograph):
+        monkeypatch.setattr(module, "ratio_integral", lambda _, kind, parts, level=None: parts)
     entry = get_example(name)
     return entry.integrals[0], entry.sample_phases[:, :2]
 
@@ -443,9 +443,9 @@ def _count_rational_parts(monkeypatch):
     "grads", of every rational integral that the catalog or a bundle
     builds after this call."""
     calls = Counter()
-    make = integrals.rational_integral
+    make = integrals.ratio_integral
 
-    def counting(name, parts, level=None):
+    def counting(name, kind, parts, level=None):
         def counted_parts(x, y):
             calls["parts"] += 1
             a, b, partials = parts(x, y)
@@ -456,10 +456,10 @@ def _count_rational_parts(monkeypatch):
 
             return a, b, counted_partials
 
-        return make(name, counted_parts, level)
+        return make(name, kind, counted_parts, level)
 
     for module in (catalog, rational):
-        monkeypatch.setattr(module, "rational_integral", counting)
+        monkeypatch.setattr(module, "ratio_integral", counting)
     return calls
 
 
@@ -668,17 +668,73 @@ class TestBroadcastContract:
         """ex3's scan evaluates its quadratic integral's ``parts`` exactly
         once per grid point, where the guard and the gradient share them,
         for all angles.  The ``parts`` that ``example3_system`` hands to
-        ``quadratic_integral`` are counted directly."""
+        ``ratio_integral`` are counted directly."""
         calls = Counter()
-        build = hodograph.quadratic_integral
-        monkeypatch.setattr(hodograph, "quadratic_integral", lambda name, parts, level: build(
-            name, _counted(calls, "parts", parts), level))
+        build = hodograph.ratio_integral
+        monkeypatch.setattr(hodograph, "ratio_integral", lambda name, kind, parts, level: build(
+            name, kind, _counted(calls, "parts", parts), level))
         ex3 = get_example("ex3")
         config = BracketScanConfig(nx=6, ny=6, n_angles=n_angles)
         points = len(ex3.system.domain.grid(6, 6, margin=config.grid_margin))
         report = level_set_bracket_scan(ex3.system, ex3.integrals[0], config=config)
         assert report.count == points * n_angles
         assert calls == {"parts": points}
+
+
+def _ratio_of_degrees(n_degree, d_degree):
+    """A ``ratio_integral`` of momentum degrees (n_degree, d_degree) whose
+    coefficients are c = a + b x + e x y in the chart point, with exact
+    partials (b + e y, e x); D's constant term is 5 + b x + e x y and its
+    other terms are a tenth of N's, so |D| stays near 5 at small momenta."""
+    length = {0: 1, 1: 3, 2: 6}
+
+    def coefficients(count, scale, constant):
+        a, b, e = (scale * np.linspace(lo, hi, count) for lo, hi in ((0.3, 1.7), (-0.8, 0.9), (0.4, -0.6)))
+        a[-1] = constant
+        return a.tolist(), b.tolist(), e.tolist()
+
+    n_abe = coefficients(length[n_degree], 1.0, 0.25)
+    d_abe = coefficients(length[d_degree], 0.1, 5.0)
+
+    def parts(x, y):
+        def values(abe):
+            return tuple(a + b * x + e * x * y for a, b, e in zip(*abe))
+
+        def partials():
+            return tuple((tuple(b + e * y for _, b, e in zip(*abe)), tuple(e * x for _, _, e in zip(*abe)))
+                         for abe in (n_abe, d_abe))
+
+        return values(n_abe), values(d_abe), partials
+
+    return integrals.ratio_integral("F", "rational", parts)
+
+
+class TestRatioIntegral:
+    POINTS = ((0.3, -0.4), (1.1, 0.7), (-0.6, 0.2))
+
+    @pytest.mark.parametrize("degrees", [(1, 1), (2, 0), (2, 1), (0, 1)])
+    def test_chart_columns_equal_single_phases(self, degrees):
+        """At chart columns of three points with 16 momenta each, guard,
+        value and gradient give the bits of the calls at single phases,
+        for every pair of momentum degrees of N and D; the gradient also
+        tracks Richardson differences of the value."""
+        integral = _ratio_of_degrees(*degrees)
+        rng = np.random.default_rng(sum(degrees))
+        p1, p2 = rng.uniform(-1.0, 1.0, (2, len(self.POINTS), 16))
+        x, y = (np.array(self.POINTS)[:, i:i + 1] for i in (0, 1))
+        singles = [(u, v, q1, q2) for (u, v), r1, r2 in zip(self.POINTS, p1.tolist(), p2.tolist())
+                   for q1, q2 in zip(r1, r2)]
+        mask = np.broadcast_to(integral.guard((x, y, p1, p2)), p1.shape)
+        assert mask.all() and all(integral.guard(s) for s in singles)
+        values, grads = integral.func((x, y, p1, p2)), integral.grad((x, y, p1, p2))
+        assert values.shape == p1.shape and grads.shape == (4,) + p1.shape
+        want_values = np.array([integral.func(s) for s in singles])
+        want_grads = np.stack([integral.grad(s) for s in singles], axis=1)
+        assert values.ravel().tobytes() == want_values.tobytes()
+        assert grads.reshape(4, -1).tobytes() == want_grads.tobytes()
+        for single, grad in zip(singles[::7], want_grads.T[::7]):
+            want = richardson_gradient(integral.func, single, 1e-3)
+            np.testing.assert_allclose(grad, want, rtol=0, atol=1e-9 * max(1.0, np.max(np.abs(want))))
 
 
 class TestCoefficientPartials:

@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "functional_independence_rank", "gaussian_curvature", "get_example", "hamiltonian",
     "hamiltonian_integral", "hyp2f1", "integrate", "level_set_bracket_scan",
     "list_examples", "magnetic_rhs", "momentum_on_level", "newton_solve",
-    "quadratic_integral", "rational_integral", "reconstruct_fields",
+    "ratio_integral", "reconstruct_fields",
     "terminating_2f1_coeffs",
 ]
 
