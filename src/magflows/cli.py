@@ -20,6 +20,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -41,7 +42,6 @@ from .flow import TrajectoryConfig, conservation_drift, integrate
 from .geometry import gaussian_curvature, hamiltonian, momentum_on_level
 from .hodograph import HodographConstants, algebraic_residual, solve_fields
 from .integrals import (
-    BracketScanConfig,
     FirstIntegral,
     functional_independence_rank,
     hamiltonian_integral,
@@ -63,6 +63,8 @@ EXIT_VERIFY = 5
 
 CURVED_FLOOR = 1e-3
 FLAT_CEILING = 1e-6
+# the most points of a hodograph grid: at ~0.1 ms a point, 1e6 take minutes
+_MAX_GRID_POINTS = 10 ** 6
 
 
 class ConfigError(Exception):
@@ -313,34 +315,45 @@ def _corrupted(integral: FirstIntegral) -> FirstIntegral:
     """The control F + 0.01 x with gradient dF + 0.01 dx; both broadcast
     over arrays of momenta and chart columns as F does, and take F's
     ``chart`` data."""
-    def broken(state, *charts, _f=integral.func):
-        return _f(state, *charts) + 0.01 * state[0]
+    def broken(state, *charts):
+        return integral.func(state, *charts) + 0.01 * state[0]
 
-    def broken_grad(state, *charts, _g=integral.grad):
-        grad = np.array(_g(state, *charts), dtype=float)
+    def broken_grad(state, *charts):
+        grad = np.array(integral.grad(state, *charts), dtype=float)
         grad[0] += 0.01
         return grad
 
-    return FirstIntegral(
-        name=f"{integral.name}_corrupt",
-        kind=integral.kind,
-        func=broken,
-        grad=broken_grad,
-        level=integral.level,
-        guard=integral.guard,
-        chart=integral.chart,
-    )
+    return dataclasses.replace(integral, name=f"{integral.name}_corrupt", func=broken,
+                               grad=broken_grad)
+
+
+def _scan_check(system, integral: FirstIntegral, tol: float) -> dict:
+    """The check of a default bracket scan; a failed check with an
+    ``"error"`` entry where the scan raises GuardError or DomainError."""
+    try:
+        report = level_set_bracket_scan(system, integral)
+    except (GuardError, DomainError) as exc:
+        return {**_check(None, tol, False), "error": str(exc)}
+    return _check(report.max_abs, tol, report.max_abs <= tol)
+
+
+def _report(args: argparse.Namespace, name: str, payload: dict) -> int:
+    """Write a check report as JSON, print its path and verdict, and
+    return the exit code of its ``all_pass``."""
+    path = _out_path(args.out_dir, name)
+    _write_json(path, payload)
+    print(f"wrote {path}")
+    print("PASS" if payload["all_pass"] else "FAIL")
+    return EXIT_OK if payload["all_pass"] else EXIT_VERIFY
 
 
 def _verify_example(entry, tol: float, rng, corrupt: bool) -> dict:
     checks = {}
-    scan_config = BracketScanConfig()
     scanned = list(entry.integrals)
     if corrupt:
         scanned.append(_corrupted(entry.integrals[0]))
     for integral in scanned:
-        report = level_set_bracket_scan(entry.system, integral, config=scan_config)
-        checks[f"bracket_scan_{integral.name}"] = _check(report.max_abs, tol, report.max_abs <= tol)
+        checks[f"bracket_scan_{integral.name}"] = _scan_check(entry.system, integral, tol)
 
     ham = hamiltonian_integral(entry.system)
     conserved = (*entry.integrals, ham)
@@ -376,18 +389,9 @@ def _verify_example(entry, tol: float, rng, corrupt: bool) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     entries = list_examples() if args.example == "all" else [get_example(args.example)]
     rng = np.random.default_rng(args.seed)
-    payload = {}
-    all_pass = True
-    for entry in entries:
-        checks = _verify_example(entry, args.tol, rng, args.corrupt)
-        payload[entry.name] = checks
-        all_pass = all_pass and all(c["pass"] for c in checks.values())
-    payload["all_pass"] = all_pass
-    path = _out_path(args.out_dir, args.out)
-    _write_json(path, payload)
-    print(f"wrote {path}")
-    print("PASS" if all_pass else "FAIL")
-    return EXIT_OK if all_pass else EXIT_VERIFY
+    payload = {entry.name: _verify_example(entry, args.tol, rng, args.corrupt) for entry in entries}
+    payload["all_pass"] = all(c["pass"] for checks in payload.values() for c in checks.values())
+    return _report(args, args.out, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +415,15 @@ def cmd_hodograph(args: argparse.Namespace) -> int:
     nx, ny = args.grid
     if min(nx, ny) < 1 or not all(np.isfinite(args.bbox)):
         raise ConfigError(f"need grid entries >= 1 and a finite bbox, got {nx} x {ny}, {args.bbox}")
+    if nx * ny > _MAX_GRID_POINTS:
+        raise ConfigError(f"--grid {nx} {ny} asks for {nx * ny} points; "
+                          f"a grid may have at most {_MAX_GRID_POINTS}")
     x0, x1, y0, y1 = args.bbox
 
     def rows():
+        ys = np.linspace(y0, y1, ny).tolist()
         for x in np.linspace(x0, x1, nx).tolist():
-            for y in np.linspace(y0, y1, ny).tolist():
+            for y in ys:
                 point, omega, residual = solve_fields(constants, x, y)
                 r1, r2 = algebraic_residual(constants, x, y, point.f, point.g)
                 yield [x, y, point.f, point.g, point.lam, point.u0, omega, r1, r2,
@@ -448,30 +456,18 @@ def cmd_build_rational(args: argparse.Namespace) -> int:
         rho_range=args.rho_range,
         check=False,
     )
-    tol = args.tol
     pde_max, d_min = profile_screen(solution, *bundle.rho_range)
-    try:
-        scan = level_set_bracket_scan(bundle.as_system(), bundle.as_integral())
-        scan_check = _check(scan.max_abs, tol, scan.max_abs <= tol)
-    except (GuardError, DomainError) as exc:
-        scan_check = {**_check(None, tol, False), "error": str(exc)}
-
     checks = {
         "pde_residual_max": _check(pde_max, SCREEN_BOUND, pde_max <= SCREEN_BOUND),
         "d_min": _check(d_min, SCREEN_BOUND, d_min >= SCREEN_BOUND),
-        "bracket_scan_max": scan_check,
+        "bracket_scan_max": _scan_check(bundle.as_system(), bundle.as_integral(), args.tol),
     }
-    all_pass = all(c["pass"] for c in checks.values())
     payload = {
         "descriptor": bundle.descriptor(),
         "checks": checks,
-        "all_pass": all_pass,
+        "all_pass": all(c["pass"] for c in checks.values()),
     }
-    path = _out_path(args.out_dir, args.out or f"bundle_{args.family}.json")
-    _write_json(path, payload)
-    print(f"wrote {path}")
-    print("PASS" if all_pass else "FAIL")
-    return EXIT_OK if all_pass else EXIT_VERIFY
+    return _report(args, args.out or f"bundle_{args.family}.json", payload)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,12 @@ Conventions used throughout the package:
 
 A metric is supplied as analytic components together with their exact
 spatial partials.  A metric written from a frame, G = k M^T M (ex3 and the
-rational bundles), takes its components from :func:`_gram` and its
-partials from the one product rule of :func:`_gram_partials`.  Only
-:func:`gaussian_curvature` differentiates a metric numerically: it is the
-independent oracle for the flat and curved checks.
+rational bundles), is a frame chart: :func:`_frame_system` builds its
+system from one frame function, with the components from :func:`_gram`
+and, from one frame call, G, dG and Omega by the one product rule of
+:func:`_gram_partials`.  Only :func:`gaussian_curvature` differentiates a
+metric numerically: it is the independent oracle for the flat and curved
+checks.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ def _gram(k: float, m) -> tuple[float, float, float]:
     return k * (m11 * m11 + m21 * m21), k * (m11 * m12 + m21 * m22), k * (m12 * m12 + m22 * m22)
 
 
-def _gram_partials(k: float, dk, m, dm) -> tuple:
+def _gram_partials(k: float, m, dk, dm) -> tuple:
     """(G, dG) of G = k M^T M, with M as in :func:`_gram`: its components
     and their partials by the product rule dG = dk M^T M + k (dM^T M +
     M^T dM), from the partials dk = (k_x, k_y) of the scale and dm =
@@ -242,6 +244,21 @@ class MagneticSystem:
             g, dg, omega = self.local(x, y)
             return _inverse(g, x, y), dg, omega
         return self.metric.inverse(x, y), self.metric.component_partials(x, y), self.field(x, y)
+
+
+def _frame_system(frame, field, domain: ChartDomain, **fields) -> MagneticSystem:
+    """The system of a frame chart G = k M^T M, with ``frame(x, y)`` = (k,
+    M, dk, dM) as :func:`_gram_partials` takes them, the field coefficient
+    ``field`` and the other :class:`MagneticSystem` ``fields``: components
+    :func:`_gram` of (k, M), and a ``local`` that gives G, dG and Omega
+    from one frame call, whose dG the metric partials are."""
+
+    def local(x, y):
+        return (*_gram_partials(*frame(x, y)), field(x, y))
+
+    metric = Metric(components=lambda x, y: _gram(*frame(x, y)[:2]),
+                    partials=lambda x, y: local(x, y)[1])
+    return MagneticSystem(metric=metric, field=field, domain=domain, local=local, **fields)
 
 
 def _velocity(inverse, p1, p2) -> tuple[float, float]:

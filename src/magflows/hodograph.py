@@ -22,9 +22,10 @@ The module also assembles the curved quadratic-integral system at the
 constants (1, 0, 0, 0, 0, 2), in the hodograph chart (X, Y) = (f, g): R is
 linear in (x, y), so the map (f, g) -> (x, y) is polynomial with Jacobian
 M = -(1/(2 zeta)) ((j21, j22), (j11, j12)).  The metric is the pull-back
-Lambda M^T M of Lambda (dx^2 + dy^2), and the integral the pull-back
-through p = M^{-T} P of the flat chart's p1^2 - p2^2 + f p1 - g p2 + u0/2,
-valid on the energy level {H = 1/2}.
+Lambda M^T M of Lambda (dx^2 + dy^2), a frame chart that
+``geometry._frame_system`` builds as it builds each rational bundle, and
+the integral the pull-back through p = M^{-T} P of the flat chart's
+p1^2 - p2^2 + f p1 - g p2 + u0/2, valid on the energy level {H = 1/2}.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     SingularJacobian,
     SingularPoint,
 )
-from .geometry import ChartDomain, MagneticSystem, Metric, _gram, _gram_partials
+from .geometry import ChartDomain, MagneticSystem, _frame_system
 from .integrals import FirstIntegral, ratio_integral
 
 __all__ = [
@@ -352,20 +353,18 @@ EXAMPLE3_BBOX = (3.0, 5.0, -0.72, 0.72)
 
 
 def _ex3_frame(x, y):
-    """(k, M) of the curved system at a chart point: k = -r/2 with
-    r = x^2 - 8x + y^2, and the frame M row by row as (-2m, -q, w, 2m) with
+    """(k, M, dk, dM) of the curved system at a chart point: k = -r/2 with
+    r = x^2 - 8x + y^2, the frame M row by row as (-2m, -q, w, 2m) with
     m = xy - 3y, q = x^2 - 6x + 3y^2 and w = (3x - 8)(x - 6) + y^2, so
-    G = k M^T M.  M is the hodograph map's Jacobian -(1/(2 zeta)) ((j21,
-    j22), (j11, j12)) and k its Lambda at (1, 0, 0, 0, 0, 2), (f, g) = (x, y)."""
+    G = k M^T M, and their linear chart partials dk = (k_x, k_y) and
+    dM = (M_x, M_y).  M is the hodograph map's Jacobian -(1/(2 zeta))
+    ((j21, j22), (j11, j12)) and k its Lambda at (1, 0, 0, 0, 0, 2),
+    (f, g) = (x, y)."""
     m = x * y - 3.0 * y
     q, w = x * x - 6.0 * x + 3.0 * y * y, (3.0 * x - 8.0) * (x - 6.0) + y * y
-    return -0.5 * (x * x - 8.0 * x + y * y), (-2.0 * m, -q, w, 2.0 * m)
-
-
-def _ex3_frame_partials(x, y):
-    """The linear chart partials ((k_x, k_y), (M_x, M_y)) of ``_ex3_frame``."""
-    return (4.0 - x, -y), ((-2.0 * y, 6.0 - 2.0 * x, 6.0 * x - 26.0, 2.0 * y),
-                           (6.0 - 2.0 * x, -6.0 * y, 2.0 * y, 2.0 * x - 6.0))
+    return (-0.5 * (x * x - 8.0 * x + y * y), (-2.0 * m, -q, w, 2.0 * m), (4.0 - x, -y),
+            ((-2.0 * y, 6.0 - 2.0 * x, 6.0 * x - 26.0, 2.0 * y),
+             (6.0 - 2.0 * x, -6.0 * y, 2.0 * y, 2.0 * x - 6.0)))
 
 
 def _pullback_parts(m, dm, f, g, u0, du0) -> tuple:
@@ -377,8 +376,8 @@ def _pullback_parts(m, dm, f, g, u0, du0) -> tuple:
     S = det M, so F = N/D with D = (S^2,) and N = S^2 F of coefficients
     (m22^2 - m12^2, 2 (m11 m12 - m21 m22), m21^2 - m11^2, S (f m22 + g m12),
     -S (f m21 + g m11), S^2 u0/2).  ``partials()`` takes their product rule
-    from f_x = g_y = 1, f_y = g_x = 0, du0 and the frame partials ``dm()``,
-    read only there."""
+    from f_x = g_y = 1, f_y = g_x = 0, du0 and the frame partials dm =
+    (M_x, M_y)."""
     m11, m12, m21, m22 = m
     s = m11 * m22 - m12 * m21
     b1, b2 = f * m22 + g * m12, f * m21 + g * m11
@@ -399,7 +398,7 @@ def _pullback_parts(m, dm, f, g, u0, du0) -> tuple:
                 (2.0 * s * s_k,))
 
     def partials():
-        return tuple(zip(*map(row, dm(), (m22, m12), (m21, m11), du0)))
+        return tuple(zip(*map(row, dm, (m22, m12), (m21, m11), du0)))
 
     return num, (s * s,), partials
 
@@ -410,34 +409,24 @@ def example3_system() -> tuple[MagneticSystem, FirstIntegral]:
 
     The chart is the hodograph one, (f, g) = (x, y).  The metric is the
     pull-back Lambda M^T M of Lambda (dx^2 + dy^2) through the hodograph
-    map, from ``_ex3_frame``: its components by
-    :func:`magflows.geometry._gram`, and their partials by the product
-    rule of :func:`magflows.geometry._gram_partials` from
-    ``_ex3_frame_partials``.  The field is -(r + 12).  The integral is the
-    flat chart's, with u0 = 4x, pulled back through the same frame by
-    ``_pullback_parts``.  The working domain is ``EXAMPLE3_BBOX``.
+    map, a frame chart of ``_ex3_frame`` built by
+    :func:`magflows.geometry._frame_system`.  The field is -(r + 12).  The
+    integral is the flat chart's, with u0 = 4x, pulled back through the
+    same frame by ``_pullback_parts``.  The working domain is
+    ``EXAMPLE3_BBOX``.
     """
-
-    def components(x, y):
-        return _gram(*_ex3_frame(x, y))
-
-    def dg(x, y):
-        (k, m), (dk, dm) = _ex3_frame(x, y), _ex3_frame_partials(x, y)
-        return _gram_partials(k, dk, m, dm)[1]
-
     x0, x1, y0, y1 = EXAMPLE3_BBOX
-    system = MagneticSystem(
-        metric=Metric(components=components, partials=dg),
-        field=lambda x, y: -(x * x - 8.0 * x + y * y + 12.0),
-        domain=ChartDomain(bbox=EXAMPLE3_BBOX,
-                           predicate=lambda x, y: x0 <= x <= x1 and y0 <= y <= y1),
+    system = _frame_system(
+        _ex3_frame,
+        lambda x, y: -(x * x - 8.0 * x + y * y + 12.0),
+        ChartDomain(bbox=EXAMPLE3_BBOX, predicate=lambda x, y: x0 <= x <= x1 and y0 <= y <= y1),
         energy=1.0,
         name="quadratic-hodograph chart",
         coords=("X", "Y"),
     )
 
     def parts(x, y):
-        return _pullback_parts(_ex3_frame(x, y)[1], lambda: _ex3_frame_partials(x, y)[1],
-                               x, y, 4.0 * x, (4.0, 0.0))
+        _, m, _, dm = _ex3_frame(x, y)
+        return _pullback_parts(m, dm, x, y, 4.0 * x, (4.0, 0.0))
 
     return system, ratio_integral("F", "quadratic", parts, level=1.0)

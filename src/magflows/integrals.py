@@ -14,7 +14,9 @@ polynomials is built here by :func:`ratio_integral` from the coefficients
 of N and D at a chart point and their chart partials: ex3's quadratic N
 over D = S^2, and the linear N and D of the catalog's ex4-ex6 and of each
 bundle.  Its value, its one guard |D| >= 1e-8 and its one quotient rule
-serve every degree, and it reads and stacks its chart data through one memo.
+serve every degree.  It keeps no memo: one call reads its chart data once
+and hands it to the guard and the value, and a scan reads it once per grid
+point.
 
 An integral's ``func``, ``grad`` and ``guard`` take a phase (x, y, p1, p2)
 whose x and y may be chart columns of shape (P, 1) and whose momenta may
@@ -32,7 +34,6 @@ bracket oracle ``magnetic_bracket_pair`` in ``tests/oracles.py`` with
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -64,9 +65,6 @@ __all__ = [
 
 KINDS = ("linear", "quadratic", "rational", "transcendental")
 
-# the bytes of a chart point: a memo key that tells -0.0 from 0.0
-_PACK_POINT = struct.Struct("2d").pack
-
 
 @dataclass(frozen=True)
 class FirstIntegral:
@@ -88,8 +86,9 @@ class FirstIntegral:
     ``chart``, when given, returns the integral's data at one float chart
     point, and ``func``, ``grad`` and ``guard`` then take the list of it
     at the phase's P chart points as an optional second argument, reading
-    it themselves when it is not given.  A bracket scan reads it in its
-    pass over the grid points, next to the chart geometry.
+    it themselves when it is not given.  A call and :meth:`admits` read it
+    once at their phase's chart point; a bracket scan reads it in its pass
+    over the grid points, next to the chart geometry.
     """
 
     name: str
@@ -104,17 +103,25 @@ class FirstIntegral:
         if self.kind not in KINDS:
             raise ValueError(f"unknown integral kind {self.kind!r}")
 
+    def _chart_data(self, phase) -> tuple:
+        """The optional ``chart`` argument at one phase: the list of the
+        data at its one chart point."""
+        return () if self.chart is None else ([self.chart(phase[0], phase[1])],)
+
     def admits(self, state) -> bool:
-        return self.guard is None or bool(self.guard(np.asarray(state, dtype=float)))
+        state = np.asarray(state, dtype=float)
+        return self.guard is None or bool(self.guard(state, *self._chart_data(state)))
 
     def __call__(self, state) -> float:
         """F at one phase, read once into a list of four floats that the
-        guard and ``func`` both take; GuardError where the guard rejects it."""
+        guard and ``func`` both take, with the chart data read once for
+        both; GuardError where the guard rejects it."""
         x, y, p1, p2 = state.tolist() if isinstance(state, np.ndarray) else state
         phase = [float(x), float(y), float(p1), float(p2)]
-        if self.guard is not None and not self.guard(phase):
+        charts = self._chart_data(phase)
+        if self.guard is not None and not self.guard(phase, *charts):
             raise GuardError(f"{self.name}: guard rejected phase {phase}")
-        return float(self.func(phase))
+        return float(self.func(phase, *charts))
 
 
 @dataclass(frozen=True)
@@ -147,40 +154,28 @@ def hamiltonian_integral(system: MagneticSystem) -> FirstIntegral:
     return FirstIntegral("H", "quadratic", func, grad=partial(hamiltonian_gradient, system))
 
 
-def _chart_reader(parts: Callable) -> tuple:
-    """``(chart, coefficients)`` of an integral built from ``parts``.
-
-    ``parts(x, y)`` returns its data at a chart point, a tuple whose last
-    entry is the deferred ``partials()``.  ``chart`` memoizes the data of
-    the last chart point, so the guard, the value and the gradient at any
-    momenta of one point share one evaluation.  ``coefficients(state,
-    charts)`` gives the data at the phase's chart point, or at chart
-    columns with everything but ``partials`` stacked into columns, and a
-    ``partials`` that stacks the partials of the P points alike; ``charts``
-    is the data at the P points when the caller read it already.  Given an
-    ``entry`` index, it gives that entry of the data alone, and at chart
-    columns stacks only that entry, as a guard needs."""
-    last = [None, None]
-
-    def chart(x, y):
-        key = _PACK_POINT(x, y)
-        if key != last[0]:
-            last[:] = key, parts(x, y)
-        return last[1]
+def _chart_reader(parts: Callable) -> Callable:
+    """``coefficients(state, charts)`` of an integral built from ``parts``,
+    whose data at a chart point ends in the deferred ``partials()``: the
+    data at the phase's chart point, or at chart columns all but
+    ``partials`` stacked into columns and a ``partials`` that stacks the P
+    points' alike.  ``charts`` is the data at the P points when the caller
+    read it already.  Given an ``entry`` index, it gives that entry alone,
+    stacking only that at chart columns, as a guard needs."""
 
     def coefficients(state, charts, entry=None):
         x, y = state[0], state[1]
         if not isinstance(x, np.ndarray):
-            data = chart(x, y) if charts is None else charts[0]
+            data = parts(x, y) if charts is None else charts[0]
             return data if entry is None else data[entry]
         if charts is None:
-            charts = [chart(u, v) for u, v in zip(x.ravel().tolist(), y.ravel().tolist())]
+            charts = [parts(u, v) for u, v in zip(x.ravel().tolist(), y.ravel().tolist())]
         if entry is not None:
             return _stacked([data[entry] for data in charts])
         values = stack_columns([data[:-1] for data in charts])
         return (*values, lambda: stack_columns([data[-1]() for data in charts]))
 
-    return chart, coefficients
+    return coefficients
 
 
 def _poly(c, p1, p2):
@@ -215,10 +210,9 @@ def ratio_integral(name: str, kind: str, parts: Callable,
     gradient.  Row k of the gradient is (N_k D - N D_k) / D^2, with the
     chart partials N_k = :func:`_poly` of n_k and the momentum partials
     from :func:`_poly_momentum_partials`.  ``parts`` is the integral's
-    ``chart``, memoized and stacked into chart columns by
-    :func:`_chart_reader`.
+    ``chart``, read at chart columns by :func:`_chart_reader`.
     """
-    chart, coefficients = _chart_reader(parts)
+    coefficients = _chart_reader(parts)
 
     def func(state, charts=None):
         _, _, p1, p2 = state
@@ -245,7 +239,7 @@ def ratio_integral(name: str, kind: str, parts: Callable,
         _, _, p1, p2 = state
         return abs(_poly(coefficients(state, charts, 1), p1, p2)) >= 1e-8
 
-    return FirstIntegral(name, kind, func, grad=grad, level=level, guard=guard, chart=chart)
+    return FirstIntegral(name, kind, func, grad=grad, level=level, guard=guard, chart=parts)
 
 
 def gradient_rows(momentum, rows) -> np.ndarray:
@@ -272,19 +266,14 @@ def _guarded(objs, phase) -> np.ndarray:
     return state
 
 
-def _chart_args(integral: FirstIntegral, charts: list) -> tuple:
-    """The optional argument of an integral with ``chart`` data: the data
-    at the chart points, read by the scan."""
-    return () if integral.chart is None else (charts,)
-
-
 def _grid_pass(system: MagneticSystem, integral: FirstIntegral, points, c: float) -> tuple:
     """The one pass over the grid points.  Skips the points where the
     metric is not positive definite and returns the others as chart
     columns x, y, with their level factors and local geometries stacked
-    as columns too, and the list of the integral's ``chart`` data at each
-    (empty without ``chart``).  The chart data is read right after the
-    geometry, while a bundle's jet memo still holds the point."""
+    as columns too, and the integral's optional chart argument: the list
+    of its ``chart`` data at each point, or nothing without ``chart``.  The
+    chart data is read right after the geometry, while a bundle's jet memo
+    still holds the point."""
     kept, factors, locals_, charts = [], [], [], []
     for x, y in points:
         try:
@@ -300,14 +289,15 @@ def _grid_pass(system: MagneticSystem, integral: FirstIntegral, points, c: float
             charts.append(integral.chart(x, y))
     if not kept:
         raise GuardError("guard rejected every sampled phase")
-    return (*stack_columns(kept), stack_columns(factors), stack_columns(locals_), charts)
+    chart_args = () if integral.chart is None else (charts,)
+    return (*stack_columns(kept), stack_columns(factors), stack_columns(locals_), chart_args)
 
 
-def _bracket_samples(system, integral, phase, local, charts) -> np.ndarray:
+def _bracket_samples(system, integral, phase, local, chart_args) -> np.ndarray:
     """|{F, H}| at every sample of a phase at chart columns, ``local``
     being the stacked local geometry of its points.  The gradients die on
     return, before the scan builds its report from the samples."""
-    grad = integral.grad(phase, *_chart_args(integral, charts))
+    grad = integral.grad(phase, *chart_args)
     x_h = vector_field(system, phase[0], phase[1],
                        hamiltonian_gradient(system, phase, local), local)
     return np.abs(_pairing(grad, x_h))
@@ -341,15 +331,15 @@ def level_set_bracket_scan(
     if len(points) == 0:
         raise DomainError("no grid point passed the domain predicate")
     angles = np.linspace(0.0, 2.0 * np.pi, config.n_angles, endpoint=False)
-    x, y, factor, local, charts = _grid_pass(system, integral, points, c)
+    x, y, factor, local, chart_args = _grid_pass(system, integral, points, c)
     p1, p2 = level_momenta(factor, angles)
     admitted = np.ones(p1.shape, dtype=bool)
     if integral.guard is not None:
-        admitted &= integral.guard((x, y, p1, p2), *_chart_args(integral, charts))
+        admitted &= integral.guard((x, y, p1, p2), *chart_args)
         if not admitted.any():
             raise GuardError("guard rejected every sampled phase")
         p1, p2 = np.where(admitted, p1, np.nan), np.where(admitted, p2, np.nan)
-    values = _bracket_samples(system, integral, (x, y, p1, p2), local, charts)[admitted]
+    values = _bracket_samples(system, integral, (x, y, p1, p2), local, chart_args)[admitted]
     # a NaN sample fails the scan like an infinite one; the first largest
     # sample is the worst, and rms sums the squares in sample order
     scores = np.where(np.isnan(values), np.inf, values)

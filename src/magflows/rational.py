@@ -19,12 +19,12 @@ partials of Z through third order by the product rule.  A bundle
 reads everything from one jet per point.  Its metric is G = k M^T M, with
 k = gamma^2 (rho + 1) / C and the frame M of columns (Z_rr, W) and
 (rho W, -(rho + 1) Z_rr), W = (rho Z_rp - Z_p) / rho^2; det M = -D / rho.
-M is linear in the jet, and the metric partials follow from M's by the
-product rule that ex3's frame uses too (``geometry._gram_partials``).  Its
-integral is :func:`magflows.integrals.ratio_integral` over the momentum
-coefficient triples of N and D, each pair the half-angle rotation (u s + v c,
-u c - v s), c, s = cos, sin(psi/2), of two forms U, V linear in momenta,
-so F = tan(psi/2 + atan2(V, U)).
+M is linear in the jet.  A bundle gives (k, M) and their partials from
+one jet, and ``geometry._frame_system``, which builds ex3 too, makes its
+system.  Its integral is :func:`magflows.integrals.ratio_integral` over
+the momentum coefficient triples of N and D, each pair the half-angle
+rotation (u s + v c, u c - v s), c, s = cos, sin(psi/2), of two forms
+U, V linear in momenta, so F = tan(psi/2 + atan2(V, U)).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateD, DomainError
-from .geometry import ChartDomain, MagneticSystem, Metric, _gram, _gram_partials
+from .geometry import ChartDomain, MagneticSystem, _frame_system, _gram
 from .integrals import FirstIntegral, ratio_integral
 from .specfun import elliptic_jet, terminating_2f1_coeffs
 
@@ -309,33 +309,22 @@ class RationalFlowBundle:
         return last[1]
 
     def _frame(self, rho, psi):
-        """(k, M) at a chart point from the memoized jet, with M row by row
-        as (Z_rr, rho W, W, -(rho + 1) Z_rr)."""
-        _, _, z_p, z_rr, z_rp = self._jet(rho, psi)[:5]
+        """(k, M, dk, dM) at a chart point from the memoized jet, as
+        :func:`magflows.geometry._gram_partials` takes them: the scale k,
+        M row by row as (Z_rr, rho W, W, -(rho + 1) Z_rr), the scale's
+        partials (gamma^2 / C, 0) and M's rho and psi partials."""
+        _, _, z_p, z_rr, z_rp, z_pp, z_rrr, z_rrp, z_rpp = self._jet(rho, psi)
         w = (rho * z_rp - z_p) / (rho * rho)
-        k = self.gamma * self.gamma * (rho + 1.0) / self.c_energy
-        return k, (z_rr, rho * w, w, -(rho + 1.0) * z_rr)
-
-    def metric_components(self, rho, psi):
-        return _gram(*self._frame(rho, psi))
-
-    def local_geometry(self, rho, psi):
-        """Metric components and their partials by the product rule of
-        :func:`magflows.geometry._gram_partials`, from the scale's partials
-        (gamma^2 / C, 0) and the frame's rho and psi partials, and the
-        magnetic coefficient (gamma/2) Z_rr at a chart point, all from one
-        jet of Z: the bundle's ``MagneticSystem.local_geometry``."""
-        k, m = self._frame(rho, psi)
-        w = m[2]
-        z_rr, _, z_pp, z_rrr, z_rrp, z_rpp = self._jet(rho, psi)[3:]
         w_p = (rho * z_rpp - z_pp) / (rho * rho)
         m_r = (z_rrr, z_rrp - w, (z_rrp - 2.0 * w) / rho, -z_rr - (rho + 1.0) * z_rrr)
         m_p = (z_rrp, rho * w_p, w_p, -(rho + 1.0) * z_rrp)
-        g, dg = _gram_partials(k, (self.gamma * self.gamma / self.c_energy, 0.0), m, (m_r, m_p))
-        return g, dg, 0.5 * self.gamma * z_rr
+        g2 = self.gamma * self.gamma
+        return (g2 * (rho + 1.0) / self.c_energy, (z_rr, rho * w, w, -(rho + 1.0) * z_rr),
+                (g2 / self.c_energy, 0.0), (m_r, m_p))
 
-    def metric_partials(self, rho, psi):
-        return self.local_geometry(rho, psi)[1]
+    def metric_components(self, rho, psi):
+        """(g11, g12, g22) at a chart point, as the system's metric gives them."""
+        return _gram(*self._frame(rho, psi)[:2])
 
     def omega(self, rho, psi):
         """Magnetic coefficient (gamma/2) Z_rr."""
@@ -380,13 +369,10 @@ class RationalFlowBundle:
         def predicate(rho, psi):
             return lo < rho < hi and vlo < rho < vhi and rho != 0.0
 
-        domain = ChartDomain(bbox=(lo, hi, 0.0, self.z.psi_period), predicate=predicate)
-        metric = Metric(components=self.metric_components, partials=self.metric_partials)
-        return MagneticSystem(
-            metric=metric,
-            field=self.omega,
-            local=self.local_geometry,
-            domain=domain,
+        return _frame_system(
+            self._frame,
+            self.omega,
+            ChartDomain(bbox=(lo, hi, 0.0, self.z.psi_period), predicate=predicate),
             energy=self.c_energy,
             name=f"rational flow ({self.z.family})",
             coords=("rho", "psi"),
@@ -439,12 +425,13 @@ def build_bundle(
     if lo <= 0.0 <= hi:
         raise DomainError("the working rho range must exclude 0")
     bundle = RationalFlowBundle(z=z, gamma=gamma, c_energy=c_energy, rho_range=(lo, hi))
+    local = bundle.as_system().local
     # the closed forms and the scale gamma^2 / C fail at extreme rho or
     # constants, not in between
     for rho in (lo, hi):
         try:
             jet = bundle._jet(rho, 0.0)
-            (g11, g12, g22), (d_r, d_p), omega = bundle.local_geometry(rho, 0.0)
+            (g11, g12, g22), (d_r, d_p), omega = local(rho, 0.0)
             finite = all(map(math.isfinite, (*jet, g11, g12, g22, *d_r, *d_p, omega)))
         except (ArithmeticError, DomainError):  # under- or overflow, rho (rho + 1) = 0
             finite = False

@@ -346,6 +346,16 @@ class TestHodograph:
             capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("grid", [["1000001", "1"], ["100000000000", "2"]])
+    def test_grid_of_more_than_a_million_points_refused(self, grid, tmp_path, capsys):
+        """A grid of more than 10^6 points exits 2 naming --grid, before
+        any solve or array, and writes no CSV."""
+        code, out, err = _run(["--out-dir", str(tmp_path), "hodograph", "--grid", *grid], capsys)
+        assert code == 2
+        assert "--grid" in err
+        assert "wrote" not in out
+        assert not list(tmp_path.glob("*.csv"))
+
 
 class TestBuildRational:
     def test_polynomial_family_passes(self, tmp_path, capsys):
@@ -403,6 +413,18 @@ class TestBuildRational:
         assert ("gamma" if key == "gamma" else "energy constant") in err
         assert not list(tmp_path.glob("bundle_*.json"))
         assert "wrote" not in out
+
+    def test_scan_that_rejects_every_phase_fails_its_check(self, tmp_path, capsys):
+        """At gamma = 1e-80 the integral's denominator gamma D is below the
+        guard everywhere: the bracket check fails with the scan's error and
+        no value, and the build exits 5."""
+        code, out, _ = _run(["--out-dir", str(tmp_path), "build-rational", "poly-cos",
+                             "--gamma", "1e-80"], capsys)
+        assert code == 5
+        assert "FAIL" in out
+        check = _read_strict_json(tmp_path / "bundle_poly-cos.json")["checks"]["bracket_scan_max"]
+        assert check == {"value": None, "threshold": 1e-6, "pass": False,
+                         "error": "guard rejected every sampled phase"}
 
     def test_nan_residual_fails_its_check(self, tmp_path, capsys, monkeypatch):
         """A NaN PDE residual is kept by the maximum, not dropped."""

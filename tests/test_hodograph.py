@@ -1,6 +1,7 @@
 """Algebraic field solves, continuation and the quadratic-integral surface."""
 
 import math
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from magflows import cli, hodograph
 from magflows.catalog import get_example
 from magflows.errors import DomainError, NoConvergence, SingularJacobian, SingularPoint
-from magflows.flow import TrajectoryConfig, conservation_drift, integrate
+from magflows.flow import TrajectoryConfig, conservation_drift, integrate, magnetic_rhs
 from magflows.geometry import hamiltonian, momentum_on_level
 from magflows.hodograph import (
     EXAMPLE3_BBOX,
@@ -428,7 +429,7 @@ class TestExample3Surface:
         is the box test alone."""
         x0, x1, y0, y1 = EXAMPLE3_BBOX
         x, y = np.meshgrid(np.linspace(x0, x1, 801), np.linspace(y0, y1, 801))
-        k, (m11, m12, m21, m22) = hodograph._ex3_frame(x, y)
+        k, (m11, m12, m21, m22), _, _ = hodograph._ex3_frame(x, y)
         assert np.max(-2.0 * k) <= -10.0
         assert np.min(np.abs(m11 * m22 - m12 * m21)) >= 10.0
         system, _ = example3_system()
@@ -457,7 +458,7 @@ class TestExample3Surface:
         for x, y in self._chart_points():
             (j11, j12), (j21, j22) = algebraic_jacobian(consts, 0.0, 0.0, x, y)
             jac = -np.array([j21, j22, j11, j12]) / (2.0 * z)
-            k, frame = hodograph._ex3_frame(x, y)
+            k, frame, _, _ = hodograph._ex3_frame(x, y)
             assert np.max(np.abs(np.array(frame) - jac)) <= 1e-14 * np.max(np.abs(jac))
             lam = reconstruct_fields(consts, x, y)[0]
             assert abs(k - lam) <= 1e-14 * abs(lam)
@@ -481,6 +482,23 @@ class TestExample3Surface:
             for got, want in pairs:
                 got, want = np.asarray(got), np.asarray(want)
                 assert np.max(np.abs(got - want)) <= 5e-13 * np.max(np.abs(want))
+
+    def test_one_frame_per_rhs(self, monkeypatch):
+        """One ``magnetic_rhs`` evaluates ex3's frame once: G^{-1}, dG and
+        Omega all come from the system's ``local``."""
+        calls = Counter()
+        frame = hodograph._ex3_frame
+
+        def counted(x, y):
+            calls["frame"] += 1
+            return frame(x, y)
+
+        monkeypatch.setattr(hodograph, "_ex3_frame", counted)
+        system, _ = example3_system()
+        phase = get_example("ex3").sample_phases[0]
+        calls.clear()
+        magnetic_rhs(system, phase)
+        assert calls == {"frame": 1}
 
     def test_metric_values_at_reference_point(self):
         """At (4, 0) the metric matrix is diag(512, 512)."""

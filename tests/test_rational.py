@@ -264,37 +264,42 @@ class TestJet:
 
     @pytest.mark.parametrize("z", BUNDLE_SOLUTIONS, ids=lambda z: z.family)
     def test_one_local_geometry_per_kept_scan_point(self, z, monkeypatch):
-        """A bracket scan evaluates the bundle's local geometry once at each
-        grid point it keeps: the Cholesky factor reads only the metric
+        """A bracket scan evaluates the bundle system's ``local`` once at
+        each grid point it keeps: the Cholesky factor reads only the metric
         components, and a point whose factor fails (here every point past
-        the middle of the rho range) takes none."""
-        local, components = RationalFlowBundle.local_geometry, RationalFlowBundle.metric_components
+        the middle of the rho range, where the frame's scale is negated)
+        takes none."""
+        frame = RationalFlowBundle._frame
         mid = sum(z.default_rho_range) / 2.0
         calls = Counter()
 
-        def counted_local(self, rho, psi):
-            calls[rho, psi] += 1
-            return local(self, rho, psi)
-
         def failing_past_mid(self, rho, psi):
-            g11, g12, g22 = components(self, rho, psi)
-            return (g11 if rho < mid else -g11), g12, g22
+            k, *rest = frame(self, rho, psi)
+            return (k if rho < mid else -k, *rest)
 
-        monkeypatch.setattr(RationalFlowBundle, "local_geometry", counted_local)
-        monkeypatch.setattr(RationalFlowBundle, "metric_components", failing_past_mid)
+        monkeypatch.setattr(RationalFlowBundle, "_frame", failing_past_mid)
         bundle = build_bundle(z)
         system, config = bundle.as_system(), BracketScanConfig(nx=6, ny=5, n_angles=4)
-        calls.clear()
+
+        def counted_local(rho, psi, _local=system.local):
+            calls[rho, psi] += 1
+            return _local(rho, psi)
+
+        system = dataclasses.replace(system, local=counted_local)
         level_set_bracket_scan(system, bundle.as_integral(), config=config)
         kept = [(x, y) for x, y in system.domain.grid(6, 5, config.grid_margin) if x < mid]
         assert len(kept) == 15 and dict(calls) == dict.fromkeys(kept, 1)
 
-    @pytest.mark.parametrize("z", BUNDLE_SOLUTIONS, ids=lambda z: z.family)
+    @pytest.mark.parametrize("z", BUNDLE_SOLUTIONS + [None],
+                             ids=lambda z: "ex3" if z is None else z.family)
     def test_local_geometry_equals_default_path(self, z):
-        """The bundle's one-jet local geometry gives the same bits as the
-        default built from metric components, partials and field, and so
-        does magnetic_rhs."""
-        system = build_bundle(z, rho_range=z.default_rho_range).as_system()
+        """A frame chart's one-frame local geometry gives the same bits as
+        the default built from metric components, partials and field, and
+        so does magnetic_rhs: each bundle, and ex3 (``z`` None)."""
+        if z is None:
+            system = get_example("ex3").system
+        else:
+            system = build_bundle(z, rho_range=z.default_rho_range).as_system()
         default = dataclasses.replace(system, local=None)
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -305,9 +310,9 @@ class TestJet:
 
 
 def _random_phase_in_range(system, rng):
-    lo, hi, _, period = system.domain.bbox
+    lo, hi, y0, y1 = system.domain.bbox
     x = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
-    return np.array([x, rng.uniform(0.0, period), *rng.normal(size=2)])
+    return np.array([x, rng.uniform(y0, y1), *rng.normal(size=2)])
 
 
 class TestConditionD:
@@ -434,7 +439,7 @@ class TestBuildBundle:
             bundle = build_bundle(z, rho_range=rr)
             rho, psi = 1.1, 0.9
             want = metric_partials(bundle.as_system().metric, rho, psi, 1e-6)
-            got = np.asarray(bundle.metric_partials(rho, psi))
+            got = np.asarray(bundle.as_system().metric.partials(rho, psi))
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
 
     @pytest.mark.parametrize("z", BUNDLE_SOLUTIONS, ids=lambda z: z.family)
