@@ -55,6 +55,15 @@ class CatalogEntry:
     bundle_descriptor: Optional[dict] = field(default=None)
 
 
+def _local_system(local, **fields) -> MagneticSystem:
+    """The system of a chart whose ``local(x, y)`` gives (G, dG, Omega) from
+    one evaluation, with the other :class:`MagneticSystem` ``fields``: its
+    metric components and partials and its field are read from ``local``."""
+    metric = Metric(components=lambda x, y: local(x, y)[0],
+                    partials=lambda x, y: local(x, y)[1])
+    return MagneticSystem(metric=metric, field=lambda x, y: local(x, y)[2], local=local, **fields)
+
+
 def _phases(system: MagneticSystem, points_angles) -> np.ndarray:
     rows = []
     for x, y, phi in points_angles:
@@ -206,22 +215,18 @@ def _make_ex3() -> CatalogEntry:
 def _make_ex4() -> CatalogEntry:
     gamma = 1.0
 
-    def lam(x, y):
-        return 1.0 / math.hypot(x, y)
-
-    def lam_partials(x, y):
-        r3 = math.hypot(x, y) ** 3
-        return -x / r3, -y / r3
-
-    metric = conformal_metric(lam, lam_partials)
+    def local(x, y):
+        # G = (1/r)(dx^2 + dy^2) and Omega = -gamma / (2 r) from one hypot
+        r = math.hypot(x, y)
+        lam, r3 = 1.0 / r, r ** 3
+        lx, ly = -x / r3, -y / r3
+        return (lam, 0.0, lam), ((lx, 0.0, lx), (ly, 0.0, ly)), -gamma / (2.0 * r)
 
     def predicate(x, y):
-        r = math.hypot(x, y)
-        return 0.05 < r < 40.0
+        return 0.05 < math.hypot(x, y) < 40.0
 
-    system = MagneticSystem(
-        metric=metric,
-        field=lambda x, y: -gamma / (2.0 * math.hypot(x, y)),
+    system = _local_system(
+        local,
         domain=ChartDomain(bbox=(0.5, 2.5, 0.5, 2.5), predicate=predicate),
         energy=1.0,
         name="inverse-radius conformal chart",
@@ -273,35 +278,22 @@ def _make_ex5() -> CatalogEntry:
     gamma, c = 1.0, 1.0
     g2 = gamma * gamma
 
-    def pref(rho):
-        return 2.0 * g2 * (rho + 1.0) / c
-
-    def components(rho, psi):
-        p = pref(rho)
-        c4, s4 = math.cos(4.0 * psi), math.sin(4.0 * psi)
-        g11 = 2.0 * p
-        g12 = p * s4
-        g22 = p * (1.0 + 2.0 * rho + 2.0 * rho * rho + (1.0 + 2.0 * rho) * c4)
-        return g11, g12, g22
-
-    def dg(rho, psi):
-        p = pref(rho)
+    def local(rho, psi):
+        p = 2.0 * g2 * (rho + 1.0) / c
         dp = 2.0 * g2 / c
         c4, s4 = math.cos(4.0 * psi), math.sin(4.0 * psi)
         a22 = 1.0 + 2.0 * rho + 2.0 * rho * rho + (1.0 + 2.0 * rho) * c4
-        d11_r, d11_p = 2.0 * dp, 0.0
-        d12_r, d12_p = dp * s4, 4.0 * p * c4
-        d22_r = dp * a22 + p * (2.0 + 4.0 * rho + 2.0 * c4)
-        d22_p = -4.0 * p * (1.0 + 2.0 * rho) * s4
-        return (d11_r, d12_r, d22_r), (d11_p, d12_p, d22_p)
+        g = (2.0 * p, p * s4, p * a22)
+        dg = ((2.0 * dp, dp * s4, dp * a22 + p * (2.0 + 4.0 * rho + 2.0 * c4)),
+              (0.0, 4.0 * p * c4, -4.0 * p * (1.0 + 2.0 * rho) * s4))
+        return g, dg, gamma * math.cos(2.0 * psi)
 
     def predicate(rho, psi):
         cc = math.cos(2.0 * psi)
         return (-cc * cc + 0.02) < rho < 50.0
 
-    system = MagneticSystem(
-        metric=Metric(components=components, partials=dg),
-        field=lambda rho, psi: gamma * math.cos(2.0 * psi),
+    system = _local_system(
+        local,
         domain=ChartDomain(bbox=(0.05, 5.0, 0.0, 2.0 * math.pi), predicate=predicate),
         energy=c,
         name="rational flow, quadratic radial profile",
@@ -361,23 +353,9 @@ def _make_ex6() -> CatalogEntry:
     gamma, c = 1.0, 1.0
     g2 = gamma * gamma
 
-    def pref(rho):
-        return g2 / (2.0 * c * rho ** 4 * (rho + 1.0) ** 3)
-
-    def pref_prime(rho):
-        return -g2 * (7.0 * rho + 4.0) / (2.0 * c * rho ** 5 * (rho + 1.0) ** 4)
-
-    def components(rho, psi):
-        p = pref(rho)
-        c2, s2 = math.cos(2.0 * psi), math.sin(2.0 * psi)
-        a11 = 1.0 + 2.0 * rho * (rho + 1.0) - (1.0 + 2.0 * rho) * c2
-        a12 = -rho * (rho + 1.0) * s2
-        a22 = 2.0 * rho * rho * (rho + 1.0) ** 2
-        return p * a11, p * a12, p * a22
-
-    def dg(rho, psi):
-        p = pref(rho)
-        dp = pref_prime(rho)
+    def local(rho, psi):
+        p = g2 / (2.0 * c * rho ** 4 * (rho + 1.0) ** 3)
+        dp = -g2 * (7.0 * rho + 4.0) / (2.0 * c * rho ** 5 * (rho + 1.0) ** 4)
         c2, s2 = math.cos(2.0 * psi), math.sin(2.0 * psi)
         a11 = 1.0 + 2.0 * rho * (rho + 1.0) - (1.0 + 2.0 * rho) * c2
         a11_r = 2.0 * (2.0 * rho + 1.0) - 2.0 * c2
@@ -387,17 +365,16 @@ def _make_ex6() -> CatalogEntry:
         a12_p = -2.0 * rho * (rho + 1.0) * c2
         a22 = 2.0 * rho * rho * (rho + 1.0) ** 2
         a22_r = 4.0 * rho * (rho + 1.0) * (2.0 * rho + 1.0)
-        return (
-            (dp * a11 + p * a11_r, dp * a12 + p * a12_r, dp * a22 + p * a22_r),
-            (p * a11_p, p * a12_p, 0.0),
-        )
+        g = (p * a11, p * a12, p * a22)
+        dg = ((dp * a11 + p * a11_r, dp * a12 + p * a12_r, dp * a22 + p * a22_r),
+              (p * a11_p, p * a12_p, 0.0))
+        return g, dg, -gamma * math.cos(psi) / (2.0 * rho * (rho + 1.0) ** 2)
 
     def predicate(rho, psi):
         return 0.02 < rho < 40.0
 
-    system = MagneticSystem(
-        metric=Metric(components=components, partials=dg),
-        field=lambda rho, psi: -gamma * math.cos(psi) / (2.0 * rho * (rho + 1.0) ** 2),
+    system = _local_system(
+        local,
         domain=ChartDomain(bbox=(0.1, 3.0, 0.0, 2.0 * math.pi), predicate=predicate),
         energy=c,
         name="rational flow, logarithmic profile",

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .catalog import get_example, list_examples
+from .catalog import EXAMPLE_NAMES, get_example, list_examples
 from .errors import (
     DomainError,
     GuardError,
@@ -251,6 +251,8 @@ def _initial_phase(entry, args) -> np.ndarray:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.example is None:
+        raise ConfigError(f"simulate needs an example name; available: {', '.join(EXAMPLE_NAMES)}")
     entry = get_example(args.example)
     phase0 = _initial_phase(entry, args)
     traj_config = TrajectoryConfig(

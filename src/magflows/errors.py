@@ -64,4 +64,6 @@ class CoefficientOverflow(MagflowsError):
 
 
 class UnknownExample(MagflowsError, KeyError):
-    """Catalog lookup with an unregistered name."""
+    """Catalog lookup with an unregistered name; prints unquoted."""
+
+    __str__ = MagflowsError.__str__

@@ -6,13 +6,14 @@ The equations of motion are the magnetic Hamiltonian vector field X_H:
     dp1/dt = -dH/dq1 + Omega * dH/dp2,
     dp2/dt = -dH/dq2 - Omega * dH/dp1,
 
-with H = (1/2) p^T G(q)^{-1} p.  :func:`magnetic_rhs` adds only the domain
-check: it evaluates the chart point's local geometry once
-(:meth:`magflows.geometry.MagneticSystem.local_geometry`), and H's
-gradient from :func:`magflows.geometry.hamiltonian_gradient` and X_H from
-:func:`magflows.geometry.vector_field` both read that one evaluation.  The
-whole path runs on Python floats: G^{-1} is three floats and X_H a list of
-four, so a stage of either stepper builds no ndarray.
+with H = (1/2) p^T G(q)^{-1} p.  :func:`magnetic_rhs` is one domain check,
+one evaluation of the chart point's local geometry
+(:meth:`magflows.geometry.MagneticSystem.local_geometry`: one ``local``
+call on ex3-ex6 and the rational bundles, the metric and field on ex1,
+ex2 and ex2b) and one call of the kernel
+:func:`magflows.geometry.hamiltonian_flow`, which forms X_H from it in one
+pass.  The whole path runs on Python floats: G^{-1} is three floats and
+X_H a list of four, so a stage of either stepper builds no ndarray.
 
 Two steppers are provided: the classic fixed-step fourth-order scheme and
 a Dormand-Prince embedded 4(5) pair with a proportional step controller
@@ -47,7 +48,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, EvaluationError, SingularMetric, StepFailure
-from .geometry import MagneticSystem, hamiltonian_gradient, vector_field
+from .geometry import MagneticSystem, hamiltonian_flow
 
 __all__ = [
     "TrajectoryConfig",
@@ -162,8 +163,7 @@ def magnetic_rhs(system: MagneticSystem, phase) -> list:
         phase = phase.tolist()
     x, y, p1, p2 = phase
     system.require_inside(x, y)
-    local = system.local_geometry(x, y)
-    return vector_field(system, x, y, hamiltonian_gradient(system, phase, local), local)
+    return hamiltonian_flow(system.local_geometry(x, y), p1, p2)
 
 
 # Dormand-Prince 4(5) tableau (Hairer, Norsett & Wanner, Solving ODEs I,

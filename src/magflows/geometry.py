@@ -10,14 +10,16 @@ Conventions used throughout the package:
   float chart point is read at each of them by :func:`chart_columns`, and
   everything after that is elementwise, so each sample has the bits of
   the same evaluation at its own point;
-* the Hamiltonian is ``H = (1/2) g^{ij} p_i p_j``; :func:`hamiltonian` and
-  :func:`hamiltonian_gradient` are the only places that contract G^{-1};
+* the Hamiltonian is ``H = (1/2) g^{ij} p_i p_j``, and one private helper
+  writes dH for :func:`hamiltonian_gradient` and :func:`hamiltonian_flow`;
 * the magnetic field is the coefficient ``Omega(x, y)`` of ``dx ^ dy``; it
-  enters only through :func:`vector_field`, the field X_G of a phase
-  function G, so the flow is X_H and the bracket is {F, G} = dF(X_G);
+  enters through :func:`vector_field`, the field X_G of a phase function
+  G, so the bracket is {F, G} = dF(X_G), and :func:`hamiltonian_flow`
+  forms the flow X_H in one pass with the same operations;
 * both read G^{-1}, dG and Omega of a chart point from one
   :meth:`MagneticSystem.local_geometry` call, built from the metric and
-  the field unless the chart supplies all three from one evaluation.
+  the field unless the chart supplies all three from one ``local`` (ex3-ex6
+  and the rational bundles; ex1, ex2 and ex2b take the default path).
 
 A metric is supplied as analytic components together with their exact
 spatial partials.  A metric written from a frame, G = k M^T M (ex3 and the
@@ -47,6 +49,7 @@ __all__ = [
     "conformal_metric",
     "hamiltonian",
     "hamiltonian_gradient",
+    "hamiltonian_flow",
     "vector_field",
     "chart_columns",
     "stack_columns",
@@ -216,7 +219,8 @@ class MagneticSystem:
     ``energy`` is the constant C > 0; integrals attached to the system
     are guaranteed (at least) on the level set {H = C/2}.  ``local``, when
     given, returns (G, dG, Omega) of a chart point from one evaluation and
-    must agree with ``metric`` and ``field``.
+    must agree with ``metric`` and ``field``: frame charts (ex3 and the
+    rational bundles) and ex4-ex6 supply it, ex1, ex2 and ex2b do not.
     """
 
     metric: Metric
@@ -290,6 +294,17 @@ def hamiltonian(system: MagneticSystem, phase, check_domain: bool = True) -> flo
     return 0.5 * (p1 * w1 + p2 * w2)
 
 
+def _gradient(local, p1, p2) -> tuple:
+    """(H_x, H_y, w1, w2) from a chart point's local geometry: dH/dp = w =
+    G^{-1} p and dH/dq_k = -(1/2) w^T (dG/dq_k) w."""
+    inverse, dg, _ = local
+    w1, w2 = _velocity(inverse, p1, p2)
+    (e_x, f_x, g_x), (e_y, f_y, g_y) = dg
+    h_x = -0.5 * (e_x * w1 * w1 + 2.0 * f_x * w1 * w2 + g_x * w2 * w2)
+    h_y = -0.5 * (e_y * w1 * w1 + 2.0 * f_y * w1 * w2 + g_y * w2 * w2)
+    return h_x, h_y, w1, w2
+
+
 def hamiltonian_gradient(system: MagneticSystem, phase, local=None) -> tuple:
     """Phase gradient (H_x, H_y, H_p1, H_p2) of the Hamiltonian, without a
     domain check: dH/dp = w = G^{-1} p and dH/dq_k = -(1/2) w^T (dG/dq_k) w.
@@ -302,12 +317,17 @@ def hamiltonian_gradient(system: MagneticSystem, phase, local=None) -> tuple:
     given.
     """
     x, y, p1, p2 = phase
-    inverse, dg, _ = chart_columns(system.local_geometry, x, y) if local is None else local
-    w1, w2 = _velocity(inverse, p1, p2)
-    (e_x, f_x, g_x), (e_y, f_y, g_y) = dg
-    h_x = -0.5 * (e_x * w1 * w1 + 2.0 * f_x * w1 * w2 + g_x * w2 * w2)
-    h_y = -0.5 * (e_y * w1 * w1 + 2.0 * f_y * w1 * w2 + g_y * w2 * w2)
-    return h_x, h_y, w1, w2
+    return _gradient(chart_columns(system.local_geometry, x, y) if local is None else local, p1, p2)
+
+
+def hamiltonian_flow(local, p1, p2) -> list:
+    """X_H = [w1, w2, -H_x + Omega w2, -H_y - Omega w1] from a chart point's
+    :meth:`MagneticSystem.local_geometry` and momenta, in one pass: the
+    bits of :func:`vector_field` of :func:`hamiltonian_gradient`, for floats
+    and for (P, n) momenta at chart columns with their stacked ``local``."""
+    h_x, h_y, w1, w2 = _gradient(local, p1, p2)
+    omega = local[2]
+    return [w1, w2, -h_x + omega * w2, -h_y - omega * w1]
 
 
 def vector_field(system: MagneticSystem, x: float, y: float, grad, local=None) -> list:

@@ -5,8 +5,8 @@ The magnetic bracket of two phase-space functions F, G is
     {F, G} = dF(X_G) = sum_i (F_{q^i} G_{p_i} - F_{p_i} G_{q^i})
                        + Omega (F_{p_1} G_{p_2} - F_{p_2} G_{p_1}),
 
-with X_G from :func:`magflows.geometry.vector_field` and H, dH from
-:mod:`magflows.geometry`; F is a first integral when {F, H} vanishes,
+with X_G from :func:`magflows.geometry.vector_field`, and X_H, H and dH
+from :mod:`magflows.geometry`; F is a first integral when {F, H} vanishes,
 either at every energy or only on one level set {H = C/2}.  Every
 integral carries its exact analytic gradient, dF + 0.01 dx for the
 ``--corrupt`` control.  Every integral that is a ratio N/D of momentum
@@ -25,10 +25,10 @@ be arrays, (P, n) at chart columns, as
 P = 1 case.  :func:`level_set_bracket_scan` so evaluates the whole grid at
 once: it reads what is scalar at each grid point in one pass (Cholesky
 factor, G^{-1}, dG, Omega and the integral's ``chart`` data), and then
-runs the momentum algebra, the guard mask, the gradient and the bracket
-once on (P, n) arrays.  The bracket is one written-out sum over the four
-gradient rows, so each sample gives the same bits as the single-phase
-bracket oracle ``magnetic_bracket_pair`` in ``tests/oracles.py`` with
+runs the momentum algebra, the guard mask, the gradient, X_H (by
+:func:`magflows.geometry.hamiltonian_flow`) and the bracket once on (P, n)
+arrays.  The bracket is one written-out sum over the four gradient rows,
+so each sample gives the same bits as the single-phase bracket oracle ``magnetic_bracket_pair`` in ``tests/oracles.py`` with
 :func:`hamiltonian_integral` at that phase.
 """
 
@@ -45,11 +45,11 @@ from .geometry import (
     MagneticSystem,
     _stacked,
     hamiltonian,
+    hamiltonian_flow,
     hamiltonian_gradient,
     level_factor,
     level_momenta,
     stack_columns,
-    vector_field,
 )
 
 __all__ = [
@@ -293,14 +293,12 @@ def _grid_pass(system: MagneticSystem, integral: FirstIntegral, points, c: float
     return (*stack_columns(kept), stack_columns(factors), stack_columns(locals_), chart_args)
 
 
-def _bracket_samples(system, integral, phase, local, chart_args) -> np.ndarray:
+def _bracket_samples(integral, phase, local, chart_args) -> np.ndarray:
     """|{F, H}| at every sample of a phase at chart columns, ``local``
     being the stacked local geometry of its points.  The gradients die on
     return, before the scan builds its report from the samples."""
     grad = integral.grad(phase, *chart_args)
-    x_h = vector_field(system, phase[0], phase[1],
-                       hamiltonian_gradient(system, phase, local), local)
-    return np.abs(_pairing(grad, x_h))
+    return np.abs(_pairing(grad, hamiltonian_flow(local, phase[2], phase[3])))
 
 
 def level_set_bracket_scan(
@@ -339,7 +337,7 @@ def level_set_bracket_scan(
         if not admitted.any():
             raise GuardError("guard rejected every sampled phase")
         p1, p2 = np.where(admitted, p1, np.nan), np.where(admitted, p2, np.nan)
-    values = _bracket_samples(system, integral, (x, y, p1, p2), local, chart_args)[admitted]
+    values = _bracket_samples(integral, (x, y, p1, p2), local, chart_args)[admitted]
     # a NaN sample fails the scan like an infinite one; the first largest
     # sample is the worst, and rms sums the squares in sample order
     scores = np.where(np.isnan(values), np.inf, values)

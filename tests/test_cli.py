@@ -138,6 +138,16 @@ class TestSimulate:
         assert code == 2
         assert "unknown example" in err
 
+    def test_unknown_and_missing_example_messages(self, tmp_path, capsys):
+        """The stderr line is the plain message, not a quoted KeyError repr,
+        and a simulate without an example name says that the name is
+        missing; both exit 2."""
+        names = "ex1, ex2, ex2b, ex3, ex4, ex5, ex6"
+        code, _, err = _run(["--out-dir", str(tmp_path), "verify", "ex9"], capsys)
+        assert (code, err) == (2, f"unknown example 'ex9'; available: {names}\n")
+        code, _, err = _run(["--out-dir", str(tmp_path), "simulate"], capsys)
+        assert (code, err) == (2, f"simulate needs an example name; available: {names}\n")
+
     def test_off_domain_start_rejected(self, tmp_path, capsys):
         """A start outside the chart exits 4 and writes nothing."""
         code, _, err = _run(

@@ -16,6 +16,7 @@ from magflows.geometry import (
     conformal_metric,
     gaussian_curvature,
     hamiltonian,
+    hamiltonian_flow,
     hamiltonian_gradient,
     level_factor,
     momentum_on_level,
@@ -203,7 +204,8 @@ class TestVectorField:
         """X_H over an array of 16 momenta at a chart point is a list of
         four arrays whose columns are the bits of 16 single calls, each a
         list of four floats; with Omega read from the local geometry or
-        from the field."""
+        from the field.  The one-pass kernel hamiltonian_flow gives the
+        same bits, at the 16 momenta and at each one."""
         entry = get_example(name)
         system = entry.system
         x, y = entry.sample_phases[0][:2].tolist()
@@ -217,11 +219,15 @@ class TestVectorField:
 
         batch = x_h(p1, p2)
         assert type(batch) is list and len(batch) == 4
+        assert np.array(hamiltonian_flow(local, p1, p2)).tobytes() == np.array(batch).tobytes()
         for i, (m1, m2) in enumerate(zip(p1.tolist(), p2.tolist())):
             single = x_h(m1, m2)
             assert type(single) is list
             assert [type(v) for v in single] == [float] * 4
             assert np.array(single).tobytes() == np.array([c[i] for c in batch]).tobytes()
+            kernel = hamiltonian_flow(local, m1, m2)
+            assert type(kernel) is list and [type(v) for v in kernel] == [float] * 4
+            assert np.array(kernel).tobytes() == np.array(single).tobytes()
 
 
 class TestMomentumOnLevel:

@@ -363,10 +363,11 @@ class TestScanEquivalence:
         assert report.count == 3 * sum(x > 0.0 for x, _ in points) > 0
 
     def test_chart_point_work_does_not_grow_with_angles(self):
-        """Metric components, partials and field are called a fixed number
-        of times per grid point (Cholesky and G^{-1}, dG, Omega), however
-        many angles are sampled, and the domain predicate once per point
-        of the bbox grid: the grid pass does not test it again."""
+        """Each grid point kept costs one ``local`` call (G^{-1}, dG and
+        Omega) and one metric components call (the Cholesky factor),
+        however many angles are sampled; metric partials and field are not
+        called, and the domain predicate runs once per point of the bbox
+        grid: the grid pass does not test it again."""
         entry = get_example("ex5")
         calls = Counter()
 
@@ -383,14 +384,14 @@ class TestScanEquivalence:
                           counted("partials", metric.partials)),
             field=counted("field", entry.system.field),
             domain=ChartDomain(domain.bbox, counted("predicate", domain.predicate)),
+            local=counted("local", entry.system.local),
         )
         for n_angles in (4, 12):
             config = BracketScanConfig(nx=6, ny=6, n_angles=n_angles)
             points = len(system.domain.grid(6, 6, margin=config.grid_margin))
             calls.clear()
             level_set_bracket_scan(system, entry.integrals[0], config=config)
-            assert calls == {"components": 2 * points, "partials": points, "field": points,
-                             "predicate": 6 * 6}
+            assert calls == {"local": points, "components": points, "predicate": 6 * 6}
 
     def test_nan_metric_points_are_skipped(self):
         """Grid points where the metric is NaN are skipped like singular

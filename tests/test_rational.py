@@ -290,14 +290,15 @@ class TestJet:
         kept = [(x, y) for x, y in system.domain.grid(6, 5, config.grid_margin) if x < mid]
         assert len(kept) == 15 and dict(calls) == dict.fromkeys(kept, 1)
 
-    @pytest.mark.parametrize("z", BUNDLE_SOLUTIONS + [None],
-                             ids=lambda z: "ex3" if z is None else z.family)
+    @pytest.mark.parametrize("z", BUNDLE_SOLUTIONS + ["ex3", "ex4", "ex5", "ex6"],
+                             ids=lambda z: z if isinstance(z, str) else z.family)
     def test_local_geometry_equals_default_path(self, z):
-        """A frame chart's one-frame local geometry gives the same bits as
+        """A chart's one-evaluation local geometry gives the same bits as
         the default built from metric components, partials and field, and
-        so does magnetic_rhs: each bundle, and ex3 (``z`` None)."""
-        if z is None:
-            system = get_example("ex3").system
+        so does magnetic_rhs: each bundle, and the catalog entries (``z``
+        their name) that supply a ``local``."""
+        if isinstance(z, str):
+            system = get_example(z).system
         else:
             system = build_bundle(z, rho_range=z.default_rho_range).as_system()
         default = dataclasses.replace(system, local=None)
