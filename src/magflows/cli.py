@@ -46,6 +46,7 @@ from .integrals import (
     functional_independence_rank,
     hamiltonian_integral,
     level_set_bracket_scan,
+    level_set_samples,
 )
 from .rational import (
     SCREEN_BOUND,
@@ -329,11 +330,12 @@ def _corrupted(integral: FirstIntegral) -> FirstIntegral:
                                grad=broken_grad)
 
 
-def _scan_check(system, integral: FirstIntegral, tol: float) -> dict:
-    """The check of a default bracket scan; a failed check with an
-    ``"error"`` entry where the scan raises GuardError or DomainError."""
+def _scan_check(system, integral: FirstIntegral, tol: float, samples=None) -> dict:
+    """The check of a default bracket scan, on the given level-set samples
+    or on its own; a failed check with an ``"error"`` entry where the scan
+    raises GuardError or DomainError."""
     try:
-        report = level_set_bracket_scan(system, integral)
+        report = level_set_bracket_scan(system, integral, samples=samples)
     except (GuardError, DomainError) as exc:
         return {**_check(None, tol, False), "error": str(exc)}
     return _check(report.max_abs, tol, report.max_abs <= tol)
@@ -354,8 +356,12 @@ def _verify_example(entry, tol: float, rng, corrupt: bool) -> dict:
     scanned = list(entry.integrals)
     if corrupt:
         scanned.append(_corrupted(entry.integrals[0]))
+    try:
+        samples = level_set_samples(entry.system, [integral.chart for integral in scanned])
+    except (GuardError, DomainError):
+        samples = None  # then each scan reads its own and fails on the same error
     for integral in scanned:
-        checks[f"bracket_scan_{integral.name}"] = _scan_check(entry.system, integral, tol)
+        checks[f"bracket_scan_{integral.name}"] = _scan_check(entry.system, integral, tol, samples)
 
     ham = hamiltonian_integral(entry.system)
     conserved = (*entry.integrals, ham)

@@ -35,8 +35,8 @@ therefore lies inside the chart, and its time is ``exit_time``.  When the
 tangent stays inside the chart over the failed step (a singular metric
 inside the chart, or a path bending out), the step is halved instead, and
 a step below 1e-12 * t_end ends the run as a flagged exit.  A
-:class:`Trajectory` also counts its right-hand-side evaluations and its
-rejected steps by cause.
+:class:`Trajectory` counts its right-hand-side calls and rejected steps by
+cause.  :func:`conservation_drift` reads a scalar on all its states at once.
 """
 
 from __future__ import annotations
@@ -428,28 +428,37 @@ def _integrate_adaptive(system, y, rhs, rec, config):
 def conservation_drift(
     system: MagneticSystem, trajectory: Trajectory, scalar: Callable
 ) -> ConservationReport:
-    """Evaluate ``scalar`` at every recorded state and report its drift.
+    """Evaluate ``scalar`` on all recorded states in one call and report its drift.
 
-    ``scalar`` receives each state as a list of four floats (x, y, p1, p2).
-    A raised exception or a non-finite value anywhere along the trajectory
-    becomes :class:`EvaluationError`.
+    ``scalar`` receives the N states as chart columns (x, y, p1, p2) of
+    shape (N, 1) and returns values that broadcast to (N, 1), as
+    :func:`magflows.geometry.hamiltonian` and a FirstIntegral do, with the
+    bits of one call per state.  A raised exception or a non-finite value
+    becomes :class:`EvaluationError` naming the time of the first state
+    that raises on its own or is not finite.
     """
-    values = []
-    for i, state in enumerate(trajectory.states.tolist()):
-        try:
-            v = float(scalar(state))
-        except Exception as exc:
-            raise EvaluationError(
-                f"scalar undefined at t = {trajectory.times[i]}: {exc}"
-            ) from exc
-        if not math.isfinite(v):
-            raise EvaluationError(
-                f"scalar non-finite at t = {trajectory.times[i]}"
-            )
-        values.append(v)
-    drift = np.array(values) - values[0]
+    times = trajectory.times.tolist()
+    columns = tuple(column[:, None] for column in trajectory.states.T)
+    try:
+        values = np.broadcast_to(np.asarray(scalar(columns), dtype=float), (len(times), 1))[:, 0]
+    except Exception as exc:
+        t = _first_raising(scalar, columns, times)
+        raise EvaluationError(f"scalar undefined at t = {t}: {exc}") from exc
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise EvaluationError(f"scalar non-finite at t = {times[int(np.argmin(finite))]}")
+    drift = values - values[0]
     return ConservationReport(
-        initial_value=values[0],
+        initial_value=float(values[0]),
         max_abs_drift=float(np.max(np.abs(drift))),
         drift_series=drift,
     )
+
+
+def _first_raising(scalar, columns, times):
+    """The time of the first state at which ``scalar`` raises on its own, or None."""
+    for i, t in enumerate(times):
+        try:
+            scalar(tuple(column[i:i + 1] for column in columns))
+        except Exception:
+            return t

@@ -15,20 +15,22 @@ of N and D at a chart point and their chart partials: ex3's quadratic N
 over D = S^2, and the linear N and D of the catalog's ex4-ex6 and of each
 bundle.  Its value, its one guard |D| >= 1e-8 and its one quotient rule
 serve every degree.  It keeps no memo: one call reads its chart data once
-and hands it to the guard and the value, and a scan reads it once per grid
-point.
+per chart point and hands it to the guard and the value, and a scan reads
+it once per grid point.
 
 An integral's ``func``, ``grad`` and ``guard`` take a phase (x, y, p1, p2)
 whose x and y may be chart columns of shape (P, 1) and whose momenta may
 be arrays, (P, n) at chart columns, as
 :func:`magflows.geometry.hamiltonian_gradient` does; one chart point is the
-P = 1 case.  :func:`level_set_bracket_scan` so evaluates the whole grid at
-once: it reads what is scalar at each grid point in one pass (Cholesky
-factor, G^{-1}, dG, Omega and the integral's ``chart`` data), and then
-runs the momentum algebra, the guard mask, the gradient, X_H (by
+P = 1 case, and so does a call of the integral.  :func:`level_set_samples`
+reads what is scalar at each grid point in one pass (Cholesky factor,
+G^{-1}, dG, Omega and the ``chart`` data of every integral to scan), which
+all scans of a system on a level can share; :func:`level_set_bracket_scan`
+then runs the guard mask, the gradient, X_H (by
 :func:`magflows.geometry.hamiltonian_flow`) and the bracket once on (P, n)
 arrays.  The bracket is one written-out sum over the four gradient rows,
-so each sample gives the same bits as the single-phase bracket oracle ``magnetic_bracket_pair`` in ``tests/oracles.py`` with
+so each sample gives the same bits as the single-phase bracket oracle
+``magnetic_bracket_pair`` in ``tests/oracles.py`` with
 :func:`hamiltonian_integral` at that phase.
 """
 
@@ -58,6 +60,7 @@ __all__ = [
     "ResidualReport",
     "hamiltonian_integral",
     "ratio_integral",
+    "level_set_samples",
     "level_set_bracket_scan",
     "gradient_rows",
     "functional_independence_rank",
@@ -87,8 +90,9 @@ class FirstIntegral:
     point, and ``func``, ``grad`` and ``guard`` then take the list of it
     at the phase's P chart points as an optional second argument, reading
     it themselves when it is not given.  A call and :meth:`admits` read it
-    once at their phase's chart point; a bracket scan reads it in its pass
-    over the grid points, next to the chart geometry.
+    once at each of their phase's chart points; a bracket scan takes it
+    from :func:`level_set_samples`, which reads it in its pass over the
+    grid points, next to the chart geometry.
     """
 
     name: str
@@ -104,19 +108,29 @@ class FirstIntegral:
             raise ValueError(f"unknown integral kind {self.kind!r}")
 
     def _chart_data(self, phase) -> tuple:
-        """The optional ``chart`` argument at one phase: the list of the
-        data at its one chart point."""
-        return () if self.chart is None else ([self.chart(phase[0], phase[1])],)
+        """The optional ``chart`` argument at a phase: the list of the data
+        at its chart points, one for a phase of floats."""
+        x, y = phase[0], phase[1]
+        points = zip(x.ravel().tolist(), y.ravel().tolist()) if isinstance(x, np.ndarray) else [(x, y)]
+        return () if self.chart is None else ([self.chart(u, v) for u, v in points],)
 
     def admits(self, state) -> bool:
         state = np.asarray(state, dtype=float)
         return self.guard is None or bool(self.guard(state, *self._chart_data(state)))
 
-    def __call__(self, state) -> float:
-        """F at one phase, read once into a list of four floats that the
-        guard and ``func`` both take, with the chart data read once for
-        both; GuardError where the guard rejects it."""
+    def __call__(self, state):
+        """F at one phase, read into a list of four floats, or at chart
+        columns; the guard and ``func`` share the chart data, read once per
+        point, and the first rejected phase raises GuardError before ``func`` runs."""
         x, y, p1, p2 = state.tolist() if isinstance(state, np.ndarray) else state
+        if isinstance(x, np.ndarray):
+            charts = self._chart_data(state)
+            admitted = True if self.guard is None else self.guard(state, *charts)
+            if not np.all(admitted):
+                row, col = np.argwhere(~np.broadcast_to(admitted, np.shape(p1)))[0].tolist()
+                first = [float(x[row, 0]), float(y[row, 0]), float(p1[row, col]), float(p2[row, col])]
+                raise GuardError(f"{self.name}: guard rejected phase {first}")
+            return self.func(state, *charts)
         phase = [float(x), float(y), float(p1), float(p2)]
         charts = self._chart_data(phase)
         if self.guard is not None and not self.guard(phase, *charts):
@@ -266,15 +280,28 @@ def _guarded(objs, phase) -> np.ndarray:
     return state
 
 
-def _grid_pass(system: MagneticSystem, integral: FirstIntegral, points, c: float) -> tuple:
-    """The one pass over the grid points.  Skips the points where the
-    metric is not positive definite and returns the others as chart
-    columns x, y, with their level factors and local geometries stacked
-    as columns too, and the integral's optional chart argument: the list
-    of its ``chart`` data at each point, or nothing without ``chart``.  The
-    chart data is read right after the geometry, while a bundle's jet memo
-    still holds the point."""
-    kept, factors, locals_, charts = [], [], [], []
+def level_set_samples(
+    system: MagneticSystem,
+    charts: Sequence = (),
+    energy: Optional[float] = None,
+    config: Optional[BracketScanConfig] = None,
+) -> tuple:
+    """{H = energy/2} on the scan grid of ``config``, in one pass that reads
+    each point's level factor, local geometry and then, while a bundle's
+    jet memo holds the point, the data of each chart function in ``charts``
+    (None entries aside).  Returns (phase, angles, local, data): (x, y, p1,
+    p2) at the P points kept as chart columns with (P, n) momenta at the n
+    angles, their stacked local geometry, and each chart function's data
+    there.  A point with a singular metric is skipped; none left is a
+    GuardError."""
+    if config is None:
+        config = BracketScanConfig()
+    c = system.energy if energy is None else float(energy)
+    points = system.domain.grid(config.nx, config.ny, margin=config.grid_margin)
+    if len(points) == 0:
+        raise DomainError("no grid point passed the domain predicate")
+    data = {chart: [] for chart in charts if chart is not None}
+    kept, factors, locals_ = [], [], []
     for x, y in points:
         try:
             # the grid holds only points of the domain
@@ -285,12 +312,13 @@ def _grid_pass(system: MagneticSystem, integral: FirstIntegral, points, c: float
         kept.append((x, y))
         factors.append(factor)
         locals_.append(local)
-        if integral.chart is not None:
-            charts.append(integral.chart(x, y))
+        for chart, values in data.items():
+            values.append(chart(x, y))
     if not kept:
         raise GuardError("guard rejected every sampled phase")
-    chart_args = () if integral.chart is None else (charts,)
-    return (*stack_columns(kept), stack_columns(factors), stack_columns(locals_), chart_args)
+    angles = np.linspace(0.0, 2.0 * np.pi, config.n_angles, endpoint=False)
+    phase = (*stack_columns(kept), *level_momenta(stack_columns(factors), angles))
+    return phase, angles, stack_columns(locals_), data
 
 
 def _bracket_samples(integral, phase, local, chart_args) -> np.ndarray:
@@ -306,31 +334,28 @@ def level_set_bracket_scan(
     integral: FirstIntegral,
     energy: Optional[float] = None,
     config: Optional[BracketScanConfig] = None,
+    samples: Optional[tuple] = None,
 ) -> ResidualReport:
     """Scan |{F, H}| over a domain grid with momenta on {H = energy/2}.
 
     Grid points outside the domain predicate, points where the metric is
     not positive definite, and phases rejected by the integral's guard are
     skipped (not failed): rational integrals have genuine poles inside
-    otherwise fine domains.  The whole grid is evaluated at once.  One
-    pass over the grid points reads what is scalar at each: the Cholesky
-    factor, G^{-1}, dG, Omega and the integral's ``chart`` data.  The
-    momenta of all angles, the guard mask, the integral's gradient and the
-    bracket are then computed once, on chart columns with (P, n) momenta;
-    the gradient sees NaN momenta in place of rejected ones, a whole row of
-    them at a point whose every angle is rejected.  A NaN sample
-    sets ``max_abs`` to infinity, with ``worst`` at the first such sample,
-    so that it fails any threshold.
+    otherwise fine domains.  ``samples`` from :func:`level_set_samples`,
+    read with the integral's ``chart`` among their charts, fix the energy
+    and grid; without them the scan reads its own.  The guard mask, the
+    integral's gradient and the bracket are then computed once, on chart
+    columns with (P, n) momenta; the gradient sees NaN momenta in place of
+    rejected ones, a whole row of them at a point whose every angle is
+    rejected.  A NaN sample sets ``max_abs`` to infinity, with ``worst`` at
+    the first such sample, so that it fails any threshold.
     """
-    if config is None:
-        config = BracketScanConfig()
-    c = system.energy if energy is None else float(energy)
-    points = system.domain.grid(config.nx, config.ny, margin=config.grid_margin)
-    if len(points) == 0:
-        raise DomainError("no grid point passed the domain predicate")
-    angles = np.linspace(0.0, 2.0 * np.pi, config.n_angles, endpoint=False)
-    x, y, factor, local, chart_args = _grid_pass(system, integral, points, c)
-    p1, p2 = level_momenta(factor, angles)
+    if samples is None:
+        samples = level_set_samples(system, (integral.chart,), energy, config)
+    elif energy is not None or config is not None:
+        raise ValueError("samples fix the energy and the grid; pass neither with them")
+    (x, y, p1, p2), angles, local, charts = samples
+    chart_args = () if integral.chart is None else (charts[integral.chart],)
     admitted = np.ones(p1.shape, dtype=bool)
     if integral.guard is not None:
         admitted &= integral.guard((x, y, p1, p2), *chart_args)

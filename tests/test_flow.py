@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from magflows.flow import (
     magnetic_rhs,
 )
 from magflows.geometry import ChartDomain, MagneticSystem, Metric, hamiltonian, momentum_on_level
+from magflows.integrals import FirstIntegral, hamiltonian_integral
 from magflows.rational import EllipticHalf, build_bundle
 from oracles import convergence_order, larmor_orbit
 
@@ -656,17 +658,79 @@ class TestConservationDrift:
         np.testing.assert_allclose(report.initial_value, math.cos(1.0), rtol=1e-12)
 
     def test_series_matches_the_scalar_on_each_row(self):
-        """The drift of ex5's H and F, evaluated on the states as lists of
-        floats, is bit-identical to the scalar on each ndarray row."""
-        ex5 = get_example("ex5")
-        trajectory = integrate(ex5.system, ex5.sample_phases[0], TrajectoryConfig(t_end=2.0))
-        for scalar in (lambda s: hamiltonian(ex5.system, s, check_domain=False),
-                       ex5.integrals[0]):
-            report = conservation_drift(ex5.system, trajectory, scalar)
-            values = np.array([float(scalar(row)) for row in trajectory.states])
-            assert report.drift_series.tobytes() == (values - values[0]).tobytes()
-            assert report.initial_value == values[0]
-            assert report.max_abs_drift == float(np.max(np.abs(values - values[0])))
+        """The drift of H and of every integral, on all seven catalog
+        entries and an elliptic-half bundle, evaluated once on chart
+        columns, is bit-identical to the scalar called on each state as an
+        ndarray row."""
+        cases = [(entry.system, entry.sample_phases[0], entry.integrals)
+                 for entry in list_examples()]
+        bundle = build_bundle(EllipticHalf())
+        system = bundle.as_system()
+        cases.append((system, (1.2, 0.5, *momentum_on_level(system, 1.2, 0.5, 0.9)),
+                      (bundle.as_integral(),)))
+        for system, phase0, integrals in cases:
+            trajectory = integrate(system, phase0, TrajectoryConfig(t_end=2.0))
+            assert len(trajectory) > 5
+            for scalar in (hamiltonian_integral(system), *integrals):
+                report = conservation_drift(system, trajectory, scalar)
+                values = np.array([scalar(row) for row in trajectory.states])
+                assert report.drift_series.tobytes() == (values - values[0]).tobytes()
+                assert report.initial_value == values[0]
+                assert report.max_abs_drift == float(np.max(np.abs(values - values[0])))
+
+    def test_scalar_receives_chart_columns_once(self):
+        """``scalar`` is called once, with the recorded states as four
+        (N, 1) chart columns."""
+        ex1 = get_example("ex1")
+        trajectory = integrate(ex1.system, ex1.sample_phases[0], TrajectoryConfig(t_end=1.0))
+        seen = []
+
+        def scalar(state):
+            seen.append(state)
+            return state[2]
+
+        report = conservation_drift(ex1.system, trajectory, scalar)
+        assert len(seen) == 1
+        assert [np.shape(column) for column in seen[0]] == [(len(trajectory), 1)] * 4
+        for k, column in enumerate(seen[0]):
+            assert column[:, 0].tolist() == trajectory.states[:, k].tolist()
+        assert report.drift_series.tolist() == (trajectory.states[:, 2]
+                                                - trajectory.states[0, 2]).tolist()
+
+    @staticmethod
+    def _marked_state(k=7):
+        """An ex1 trajectory and the x of its k-th state, which no other
+        recorded state shares."""
+        ex1 = get_example("ex1")
+        trajectory = integrate(ex1.system, ex1.sample_phases[1], TrajectoryConfig(t_end=2.0))
+        x_k = trajectory.states[k, 0]
+        assert (trajectory.states[:, 0] == x_k).sum() == 1
+        return ex1, trajectory, x_k
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_guard_rejected_state_names_its_time(self):
+        """An integral whose guard rejects the k-th state fails the drift
+        with EvaluationError at that state's time.  Its value 1/(x - x_k)
+        would divide by zero there, but the guard is asked first, so no
+        RuntimeWarning escapes."""
+        k = 7
+        ex1, trajectory, x_k = self._marked_state(k)
+        integral = FirstIntegral("F", "rational", lambda s: 1.0 / (s[0] - x_k),
+                                 grad=lambda s: (0.0, 0.0, 0.0, 0.0),
+                                 guard=lambda s: s[0] != x_k)
+        with pytest.raises(EvaluationError, match=re.escape(f"t = {trajectory.times[k]}: ")):
+            conservation_drift(ex1.system, trajectory, integral)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_value_names_its_time(self):
+        """A value that is infinite at the k-th state only fails the drift
+        with EvaluationError at that state's time."""
+        k = 7
+        ex1, trajectory, x_k = self._marked_state(k)
+        with pytest.raises(EvaluationError,
+                           match=re.escape(f"non-finite at t = {trajectory.times[k]}")):
+            conservation_drift(ex1.system, trajectory,
+                               lambda s: np.where(s[0] == x_k, np.inf, s[2]))
 
     def test_broken_scalar_wrapped(self):
         """A scalar that raises becomes EvaluationError, not a crash."""
@@ -677,7 +741,7 @@ class TestConservationDrift:
         def broken(state):
             raise ZeroDivisionError("boom")
 
-        with pytest.raises(EvaluationError):
+        with pytest.raises(EvaluationError, match=re.escape(f"t = {trajectory.times[0]}: boom")):
             conservation_drift(ex1.system, trajectory, broken)
 
 

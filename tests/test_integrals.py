@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from magflows import catalog, hodograph, integrals, rational
 from magflows.catalog import get_example, list_examples
-from magflows.cli import _corrupted, main as cli_main
+from magflows import cli
+from magflows.cli import _corrupted, _scan_check, _verify_example, main as cli_main
 from magflows.errors import DomainError, GuardError, SingularMetric
 from magflows.flow import TrajectoryConfig, conservation_drift, integrate
 from magflows.geometry import (
@@ -26,6 +28,7 @@ from magflows.integrals import (
     functional_independence_rank,
     hamiltonian_integral,
     level_set_bracket_scan,
+    level_set_samples,
 )
 from oracles import magnetic_bracket_pair
 from richardson import richardson_gradient
@@ -99,6 +102,33 @@ class TestFirstIntegral:
         assert calls == {"parts": 2}
         assert integral.admits(row)
         assert calls == {"parts": 3}
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_call_at_chart_columns_asks_the_guard_first(self):
+        """At chart columns a call gives the values of ``func`` there, each
+        with the bits of a call at its phase.  Where the guard rejects a
+        phase, GuardError names the first rejected one and ``func`` is not
+        called, so its division by zero there raises no RuntimeWarning."""
+        calls = Counter()
+
+        def func(s):
+            calls["func"] += 1
+            return 1.0 / s[2]
+
+        integral = FirstIntegral(name="F", kind="rational", func=func,
+                                 grad=lambda s: (0.0, 0.0, -1.0 / s[2] ** 2, 0.0),
+                                 guard=lambda s: abs(s[2]) > 1e-8)
+        x, y = np.array([[0.5], [1.0], [1.5]]), np.array([[0.0], [0.1], [0.2]])
+        p1, p2 = np.array([[2.0], [3.0], [7.0]]), np.array([[1.0], [1.0], [1.0]])
+        values = integral((x, y, p1, p2))
+        assert values.shape == (3, 1)
+        singles = [integral([x[i, 0], y[i, 0], p1[i, 0], p2[i, 0]]) for i in range(3)]
+        assert values[:, 0].tolist() == singles
+        calls.clear()
+        p1[1:, 0] = 0.0
+        with pytest.raises(GuardError, match=re.escape("[1.0, 0.1, 0.0, 1.0]")):
+            integral((x, y, p1, p2))
+        assert calls == {}
 
     def test_bundle_pole_is_guarded(self):
         """A phase on the rational integral's pole line is rejected."""
@@ -404,6 +434,104 @@ class TestScanEquivalence:
         report = level_set_bracket_scan(system, _momentum_p1(), config=config)
         assert report.count == 2 * 4 * 4
         assert report.max_abs == report.rms == 0.0
+
+
+class TestSharedSamples:
+    """One pass over the grid points serves every scan of a system."""
+
+    @pytest.mark.parametrize("name", [entry.name for entry in list_examples()])
+    def test_shared_samples_give_each_scan_its_own_report(self, name):
+        """Every integral of an entry and its --corrupt control, scanned on
+        samples read once for all of them, give the report of a scan on
+        its own, bit for bit."""
+        entry = get_example(name)
+        scanned = [*entry.integrals, _corrupted(entry.integrals[0])]
+        samples = level_set_samples(entry.system, [f.chart for f in scanned])
+        for integral in scanned:
+            shared = level_set_bracket_scan(entry.system, integral, samples=samples)
+            alone = level_set_bracket_scan(entry.system, integral)
+            got = (shared.max_abs, shared.rms, shared.count, shared.worst)
+            assert got == (alone.max_abs, alone.rms, alone.count, alone.worst)
+            assert np.float64(shared.rms).tobytes() == np.float64(alone.rms).tobytes()
+
+    def test_guard_rejecting_every_phase_fails_alone(self):
+        """On shared samples, an integral whose guard rejects every phase
+        fails its check with an ``"error"`` entry, while the integral and
+        the control scanned next to it keep their verdicts."""
+        ex4 = get_example("ex4")
+        blocked = dataclasses.replace(ex4.integrals[0], name="blocked",
+                                      guard=lambda state, charts=None: np.zeros(
+                                          np.shape(state[2]), dtype=bool))
+        scanned = [ex4.integrals[0], blocked, _corrupted(ex4.integrals[0])]
+        samples = level_set_samples(ex4.system, [f.chart for f in scanned])
+        good, failed, control = (_scan_check(ex4.system, f, 1e-6, samples) for f in scanned)
+        assert good["pass"] is True and "error" not in good
+        assert failed == {"value": None, "threshold": 1e-6, "pass": False,
+                          "error": "guard rejected every sampled phase"}
+        assert control["pass"] is False and control["value"] > 1e-3 and "error" not in control
+
+    def test_empty_grid_fails_every_scan_check(self):
+        """An entry whose scan grid holds no point of its domain fails every
+        bracket scan check, the control's too, with the DomainError, while
+        its drifts still pass."""
+        ex1 = get_example("ex1")
+        # the grid lies in x > 10, the sample orbits near the origin
+        domain = ChartDomain(bbox=(10.0, 11.0, 10.0, 11.0), predicate=lambda x, y: x < 5.0)
+        entry = dataclasses.replace(ex1, system=dataclasses.replace(ex1.system, domain=domain))
+        checks = _verify_example(entry, 1e-6, np.random.default_rng(0), corrupt=True)
+        error = {"value": None, "threshold": 1e-6, "pass": False,
+                 "error": "no grid point passed the domain predicate"}
+        assert checks["bracket_scan_F"] == checks["bracket_scan_F_corrupt"] == error
+        assert checks["drift_F"]["pass"] and checks["drift_H"]["pass"]
+
+    def test_samples_fix_energy_and_grid(self):
+        """A scan given samples refuses an energy or a config of its own."""
+        ex1 = get_example("ex1")
+        samples = level_set_samples(ex1.system)
+        with pytest.raises(ValueError):
+            level_set_bracket_scan(ex1.system, ex1.integrals[0], energy=2.0, samples=samples)
+        with pytest.raises(ValueError):
+            level_set_bracket_scan(ex1.system, ex1.integrals[0], config=BracketScanConfig(),
+                                   samples=samples)
+
+    def test_verify_reads_each_grid_point_once_per_entry(self, monkeypatch):
+        """verify's three scans of ex4 (F, F1 and the control) call the
+        system's ``local`` and ``Metric.cholesky`` once per kept grid point
+        for the whole entry, not once per scan.  Only calls made inside the
+        samples pass or a scan are counted, not those of the orbits."""
+        entry = get_example("ex4")
+        calls, inside = Counter(), []
+
+        def counted(key, fn):
+            def wrapper(*args):
+                if inside:
+                    calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        def scoped(fn):
+            def wrapper(*args, **kwargs):
+                inside.append(fn)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return wrapper
+
+        scans = Counter()
+        scan = cli.level_set_bracket_scan
+        monkeypatch.setattr(cli, "level_set_samples", scoped(cli.level_set_samples))
+        monkeypatch.setattr(cli, "level_set_bracket_scan", scoped(
+            lambda *args, **kwargs: scans.update(["scan"]) or scan(*args, **kwargs)))
+        monkeypatch.setattr(Metric, "cholesky", counted("cholesky", Metric.cholesky))
+        system = dataclasses.replace(entry.system, local=counted("local", entry.system.local))
+        checks = _verify_example(dataclasses.replace(entry, system=system), 1e-6,
+                                 np.random.default_rng(0), corrupt=True)
+        points = len(system.domain.grid(20, 20, margin=BracketScanConfig().grid_margin))
+        assert scans == {"scan": 3}
+        assert calls == {"local": points, "cholesky": points}
+        assert [checks[f"bracket_scan_{name}"]["pass"] for name in ("F", "F1", "F_corrupt")] == [
+            True, True, False]
 
 
 def _bundle(family):
