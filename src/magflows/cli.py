@@ -33,6 +33,7 @@ import numpy as np
 from .catalog import EXAMPLE_NAMES, get_example, list_examples
 from .errors import (
     DomainError,
+    EvaluationError,
     GuardError,
     MagflowsError,
     SingularMetric,
@@ -131,6 +132,11 @@ def _out_path(out_dir: str, name: str) -> Path:
 def _check(value, threshold, passed) -> dict:
     """One entry of a JSON check report."""
     return {"value": value, "threshold": threshold, "pass": bool(passed)}
+
+
+def _failed(threshold, exc: Exception) -> dict:
+    """A failed check whose value ``exc`` kept from being computed."""
+    return {**_check(None, threshold, False), "error": str(exc)}
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +343,7 @@ def _scan_check(system, integral: FirstIntegral, tol: float, samples=None) -> di
     try:
         report = level_set_bracket_scan(system, integral, samples=samples)
     except (GuardError, DomainError) as exc:
-        return {**_check(None, tol, False), "error": str(exc)}
+        return _failed(tol, exc)
     return _check(report.max_abs, tol, report.max_abs <= tol)
 
 
@@ -366,14 +372,19 @@ def _verify_example(entry, tol: float, rng, corrupt: bool) -> dict:
     ham = hamiltonian_integral(entry.system)
     conserved = (*entry.integrals, ham)
     traj_config = TrajectoryConfig(t_end=10.0)
-    drifts = {f.name: 0.0 for f in conserved}
+    drifts, errors = {f.name: 0.0 for f in conserved}, {}
     for phase in entry.sample_phases:
         trajectory = integrate(entry.system, phase, traj_config)
         for integral in conserved:
-            report = conservation_drift(entry.system, trajectory, integral)
-            drifts[integral.name] = max(drifts[integral.name], report.max_abs_drift)
+            try:
+                report = conservation_drift(entry.system, trajectory, integral)
+            except EvaluationError as exc:  # the drift check fails with the first one
+                errors.setdefault(integral.name, exc)
+            else:
+                drifts[integral.name] = max(drifts[integral.name], report.max_abs_drift)
     for name, value in drifts.items():
-        checks[f"drift_{name}"] = _check(value, tol, value <= tol)
+        checks[f"drift_{name}"] = (_failed(tol, errors[name]) if name in errors
+                                   else _check(value, tol, value <= tol))
 
     kmax = max(
         abs(gaussian_curvature(entry.system.metric, px, py, h=1e-4))
@@ -385,12 +396,13 @@ def _verify_example(entry, tol: float, rng, corrupt: bool) -> dict:
         checks["curvature_nontrivial"] = _check(kmax, CURVED_FLOOR, kmax > CURVED_FLOOR)
 
     if entry.independent_count is not None:
-        ranks = [
-            functional_independence_rank([ham, *entry.integrals], phase)
-            for phase in _random_phases(entry.system, rng, 20)
-        ]
-        want = entry.independent_count
-        checks["independence_rank"] = _check(min(ranks), want, min(ranks) == want == max(ranks))
+        want, phases = entry.independent_count, _random_phases(entry.system, rng, 20)
+        try:
+            ranks = [functional_independence_rank([ham, *entry.integrals], p) for p in phases]
+        except GuardError as exc:
+            checks["independence_rank"] = _failed(want, exc)
+        else:
+            checks["independence_rank"] = _check(min(ranks), want, min(ranks) == want == max(ranks))
     return checks
 
 

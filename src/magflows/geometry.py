@@ -72,9 +72,13 @@ def stack_columns(values):
     """The values of a function at P chart points as chart columns: P
     floats become one (P, 1) column, and P tuples the tuple of their
     components stacked alike, so P triples unpack into three columns and P
-    pairs of triples into two (3, P, 1) arrays."""
+    pairs of triples into two (3, P, 1) arrays.  P callables, such as the
+    deferred ``partials`` of integral data, become one that stacks their
+    values when it is called."""
+    if callable(values[0]):
+        return lambda: stack_columns([value() for value in values])
     if isinstance(values[0], tuple):
-        return tuple(_stacked(part) for part in zip(*values))
+        return tuple(stack_columns(part) if callable(part[0]) else _stacked(part) for part in zip(*values))
     return _stacked(values)
 
 
@@ -87,7 +91,8 @@ def _stacked(values) -> np.ndarray:
 def chart_columns(fn, x, y):
     """``fn(x, y)`` of a function of one float chart point, read at chart
     columns: at each of the P points of x and y of shape (P, 1), stacked by
-    :func:`stack_columns`.  At one chart point it is ``fn(x, y)`` itself."""
+    :func:`stack_columns`, which leaves a deferred part uncalled until it is
+    used.  At one chart point it is ``fn(x, y)`` itself."""
     if not isinstance(x, np.ndarray):
         return fn(x, y)
     return stack_columns([fn(u, v) for u, v in zip(x.ravel().tolist(), y.ravel().tolist())])

@@ -14,9 +14,9 @@ polynomials is built here by :func:`ratio_integral` from the coefficients
 of N and D at a chart point and their chart partials: ex3's quadratic N
 over D = S^2, and the linear N and D of the catalog's ex4-ex6 and of each
 bundle.  Its value, its one guard |D| >= 1e-8 and its one quotient rule
-serve every degree.  It keeps no memo: one call reads its chart data once
-per chart point and hands it to the guard and the value, and a scan reads
-it once per grid point.
+serve every degree.  It keeps no memo: its chart data is read like any
+chart function, by :func:`magflows.geometry.chart_columns`, once per call
+or scan, and that one read serves the guard and the value or gradient.
 
 An integral's ``func``, ``grad`` and ``guard`` take a phase (x, y, p1, p2)
 whose x and y may be chart columns of shape (P, 1) and whose momenta may
@@ -24,13 +24,13 @@ be arrays, (P, n) at chart columns, as
 :func:`magflows.geometry.hamiltonian_gradient` does; one chart point is the
 P = 1 case, and so does a call of the integral.  :func:`level_set_samples`
 reads what is scalar at each grid point in one pass (Cholesky factor,
-G^{-1}, dG, Omega and the ``chart`` data of every integral to scan), which
-all scans of a system on a level can share; :func:`level_set_bracket_scan`
-then runs the guard mask, the gradient, X_H (by
-:func:`magflows.geometry.hamiltonian_flow`) and the bracket once on (P, n)
-arrays.  The bracket is one written-out sum over the four gradient rows,
-so each sample gives the same bits as the single-phase bracket oracle
-``magnetic_bracket_pair`` in ``tests/oracles.py`` with
+G^{-1}, dG, Omega and the ``chart`` data of every integral to scan) and
+stacks each once, which all scans of a system on a level can share;
+:func:`level_set_bracket_scan` then runs the guard mask, the gradient, X_H
+(by :func:`magflows.geometry.hamiltonian_flow`) and the bracket once on
+(P, n) arrays.  The bracket is one written-out sum over the four gradient
+rows, so each sample gives the same bits as the single-phase bracket
+oracle ``magnetic_bracket_pair`` in ``tests/oracles.py`` with
 :func:`hamiltonian_integral` at that phase.
 """
 
@@ -45,7 +45,7 @@ import numpy as np
 from .errors import DomainError, GuardError, SingularMetric
 from .geometry import (
     MagneticSystem,
-    _stacked,
+    chart_columns,
     hamiltonian,
     hamiltonian_flow,
     hamiltonian_gradient,
@@ -87,12 +87,10 @@ class FirstIntegral:
     energy constant C for one valid only on {H = C/2}.
 
     ``chart``, when given, returns the integral's data at one float chart
-    point, and ``func``, ``grad`` and ``guard`` then take the list of it
-    at the phase's P chart points as an optional second argument, reading
-    it themselves when it is not given.  A call and :meth:`admits` read it
-    once at each of their phase's chart points; a bracket scan takes it
-    from :func:`level_set_samples`, which reads it in its pass over the
-    grid points, next to the chart geometry.
+    point, and ``func``, ``grad`` and ``guard`` then take its read at the
+    phase, ``chart_columns(chart, x, y)``, as an optional second argument,
+    reading it themselves when it is not given.  A call and :meth:`admits`
+    read it once; a bracket scan takes it from :func:`level_set_samples`.
     """
 
     name: str
@@ -108,11 +106,8 @@ class FirstIntegral:
             raise ValueError(f"unknown integral kind {self.kind!r}")
 
     def _chart_data(self, phase) -> tuple:
-        """The optional ``chart`` argument at a phase: the list of the data
-        at its chart points, one for a phase of floats."""
-        x, y = phase[0], phase[1]
-        points = zip(x.ravel().tolist(), y.ravel().tolist()) if isinstance(x, np.ndarray) else [(x, y)]
-        return () if self.chart is None else ([self.chart(u, v) for u, v in points],)
+        """The optional ``chart`` argument at a phase."""
+        return () if self.chart is None else (chart_columns(self.chart, phase[0], phase[1]),)
 
     def admits(self, state) -> bool:
         state = np.asarray(state, dtype=float)
@@ -120,8 +115,8 @@ class FirstIntegral:
 
     def __call__(self, state):
         """F at one phase, read into a list of four floats, or at chart
-        columns; the guard and ``func`` share the chart data, read once per
-        point, and the first rejected phase raises GuardError before ``func`` runs."""
+        columns; the guard and ``func`` share one read of the chart data,
+        and the first rejected phase raises GuardError before ``func`` runs."""
         x, y, p1, p2 = state.tolist() if isinstance(state, np.ndarray) else state
         if isinstance(x, np.ndarray):
             charts = self._chart_data(state)
@@ -168,30 +163,6 @@ def hamiltonian_integral(system: MagneticSystem) -> FirstIntegral:
     return FirstIntegral("H", "quadratic", func, grad=partial(hamiltonian_gradient, system))
 
 
-def _chart_reader(parts: Callable) -> Callable:
-    """``coefficients(state, charts)`` of an integral built from ``parts``,
-    whose data at a chart point ends in the deferred ``partials()``: the
-    data at the phase's chart point, or at chart columns all but
-    ``partials`` stacked into columns and a ``partials`` that stacks the P
-    points' alike.  ``charts`` is the data at the P points when the caller
-    read it already.  Given an ``entry`` index, it gives that entry alone,
-    stacking only that at chart columns, as a guard needs."""
-
-    def coefficients(state, charts, entry=None):
-        x, y = state[0], state[1]
-        if not isinstance(x, np.ndarray):
-            data = parts(x, y) if charts is None else charts[0]
-            return data if entry is None else data[entry]
-        if charts is None:
-            charts = [parts(u, v) for u, v in zip(x.ravel().tolist(), y.ravel().tolist())]
-        if entry is not None:
-            return _stacked([data[entry] for data in charts])
-        values = stack_columns([data[:-1] for data in charts])
-        return (*values, lambda: stack_columns([data[-1]() for data in charts]))
-
-    return coefficients
-
-
 def _poly(c, p1, p2):
     """The momentum polynomial of the coefficients c: c0 for c = (c0,),
     c1 p1 + c2 p2 + c0 for c = (c1, c2, c0), and a11 p1^2 + a12 p1 p2 +
@@ -224,18 +195,20 @@ def ratio_integral(name: str, kind: str, parts: Callable,
     gradient.  Row k of the gradient is (N_k D - N D_k) / D^2, with the
     chart partials N_k = :func:`_poly` of n_k and the momentum partials
     from :func:`_poly_momentum_partials`.  ``parts`` is the integral's
-    ``chart``, read at chart columns by :func:`_chart_reader`.
+    ``chart``, read by :func:`magflows.geometry.chart_columns`.
     """
-    coefficients = _chart_reader(parts)
 
-    def func(state, charts=None):
+    def read(state, data):
+        return chart_columns(parts, state[0], state[1]) if data is None else data
+
+    def func(state, data=None):
         _, _, p1, p2 = state
-        n, d, _ = coefficients(state, charts)
+        n, d, _ = read(state, data)
         return _poly(n, p1, p2) / _poly(d, p1, p2)
 
-    def grad(state, charts=None):
+    def grad(state, data=None):
         _, _, p1, p2 = state
-        n, d, partials = coefficients(state, charts)
+        n, d, partials = read(state, data)
         num, den = _poly(n, p1, p2), _poly(d, p1, p2)
         (n_x, n_y), (d_x, d_y) = partials()
         # (grad N D - N grad D) / D^2 formed in place, one row of grad D at
@@ -249,9 +222,9 @@ def ratio_integral(name: str, kind: str, parts: Callable,
         out /= den * den
         return out
 
-    def guard(state, charts=None):
+    def guard(state, data=None):
         _, _, p1, p2 = state
-        return abs(_poly(coefficients(state, charts, 1), p1, p2)) >= 1e-8
+        return abs(_poly(read(state, data)[1], p1, p2)) >= 1e-8
 
     return FirstIntegral(name, kind, func, grad=grad, level=level, guard=guard, chart=parts)
 
@@ -292,8 +265,8 @@ def level_set_samples(
     (None entries aside).  Returns (phase, angles, local, data): (x, y, p1,
     p2) at the P points kept as chart columns with (P, n) momenta at the n
     angles, their stacked local geometry, and each chart function's data
-    there.  A point with a singular metric is skipped; none left is a
-    GuardError."""
+    there, stacked once at the end of the pass.  A point with a singular
+    metric is skipped; none left is a GuardError."""
     if config is None:
         config = BracketScanConfig()
     c = system.energy if energy is None else float(energy)
@@ -318,7 +291,8 @@ def level_set_samples(
         raise GuardError("guard rejected every sampled phase")
     angles = np.linspace(0.0, 2.0 * np.pi, config.n_angles, endpoint=False)
     phase = (*stack_columns(kept), *level_momenta(stack_columns(factors), angles))
-    return phase, angles, stack_columns(locals_), data
+    return phase, angles, stack_columns(locals_), {
+        chart: stack_columns(values) for chart, values in data.items()}
 
 
 def _bracket_samples(integral, phase, local, chart_args) -> np.ndarray:
@@ -354,8 +328,8 @@ def level_set_bracket_scan(
         samples = level_set_samples(system, (integral.chart,), energy, config)
     elif energy is not None or config is not None:
         raise ValueError("samples fix the energy and the grid; pass neither with them")
-    (x, y, p1, p2), angles, local, charts = samples
-    chart_args = () if integral.chart is None else (charts[integral.chart],)
+    (x, y, p1, p2), angles, local, data = samples
+    chart_args = () if integral.chart is None else (data[integral.chart],)
     admitted = np.ones(p1.shape, dtype=bool)
     if integral.guard is not None:
         admitted &= integral.guard((x, y, p1, p2), *chart_args)

@@ -230,20 +230,14 @@ def solution_from_descriptor(entry: dict) -> ZSolution:
         raise ValueError(f"bad parameters for family {family!r}: {exc}") from None
 
 
-def _residual(rho: float, jet: tuple, scaled: bool) -> float:
-    """Residual of the generating equation from a jet of Z; zero for exact
-    solutions.
-
-    ``scaled`` divides it by max(1, |rho (rho + 1) Z_rr| + |rho Z_r| + |Z_pp|),
-    the size of the terms that cancel, so that round-off on large terms
-    reads as round-off.
-    """
+def _residual(rho: float, jet: tuple) -> float:
+    """Residual of the generating equation from a jet of Z, zero for exact
+    solutions, over max(1, |rho (rho + 1) Z_rr| + |rho Z_r| + |Z_pp|), the
+    size of the terms that cancel, so that round-off on large terms reads
+    as round-off."""
     _, z_r, _, z_rr, _, z_pp = jet[:6]
-    terms = (rho * (rho + 1.0) * z_rr, rho * z_r, z_pp)
-    residual = terms[0] + terms[1] + terms[2]
-    if scaled:
-        residual /= max(1.0, abs(terms[0]) + abs(terms[1]) + abs(terms[2]))
-    return residual
+    t0, t1, t2 = rho * (rho + 1.0) * z_rr, rho * z_r, z_pp
+    return (t0 + t1 + t2) / max(1.0, abs(t0) + abs(t1) + abs(t2))
 
 
 def _discriminant(rho: float, jet: tuple) -> tuple[float, float]:
@@ -268,7 +262,7 @@ def profile_screen(z: ZSolution, lo: float, hi: float) -> tuple[float, float]:
         row = []
         for psi in psis:
             jet = z.jet(rho, psi)
-            residuals.append(_residual(rho, jet, scaled=True))
+            residuals.append(_residual(rho, jet))
             row.append(_discriminant(rho, jet)[0])
         discriminants.append(row)
     d = np.array(discriminants)

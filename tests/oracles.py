@@ -242,9 +242,14 @@ def larmor_orbit(phase0, t: float) -> np.ndarray:
 
 
 def pde511_residual(z: ZSolution, rho: float, psi: float, scaled: bool = False) -> float:
-    """Residual of the generating equation at one chart point; ``scaled``
-    as in the profile screen."""
-    return _residual(rho, z.jet(rho, psi), scaled)
+    """Residual rho (rho + 1) Z_rr + rho Z_r + Z_pp of the generating
+    equation at one chart point; ``scaled`` divides it as the profile
+    screen does."""
+    jet = z.jet(rho, psi)
+    if scaled:
+        return _residual(rho, jet)
+    _, z_r, _, z_rr, _, z_pp = jet[:6]
+    return rho * (rho + 1.0) * z_rr + rho * z_r + z_pp
 
 
 def condition_D(z: ZSolution, rho: float, psi: float) -> float:

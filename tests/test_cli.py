@@ -270,6 +270,33 @@ class TestVerify:
         code, _, _ = _run(["--out-dir", str(tmp_path), "verify", "ex9"], capsys)
         assert code == 2
 
+    def test_unevaluable_drift_and_rank_fail_their_checks(self, tmp_path, capsys, monkeypatch):
+        """ex4 with a second integral G whose guard rejects every phase: G's
+        drift fails with the EvaluationError at t = 0.0 and the rank check
+        with the GuardError, each as a failed check with an ``"error"``
+        entry, nothing is raised, and ex4's own checks keep their values.
+        ``verify`` writes the report and exits 5."""
+        ex4 = get_example("ex4")
+        blocked = dataclasses.replace(ex4.integrals[0], name="G", guard=lambda state, data=None:
+                                      np.zeros(np.shape(state[2]), dtype=bool))
+        entry = dataclasses.replace(ex4, integrals=(*ex4.integrals, blocked))
+        checks = cli._verify_example(entry, 1e-6, np.random.default_rng(0), corrupt=False)
+        own = cli._verify_example(ex4, 1e-6, np.random.default_rng(0), corrupt=False)
+        drift, rank = checks["drift_G"], checks["independence_rank"]
+        assert (drift["value"], drift["pass"]) == (None, False)
+        assert drift["error"].startswith("scalar undefined at t = 0.0: G: guard rejected phase")
+        assert (rank["value"], rank["threshold"], rank["pass"]) == (None, 3, False)
+        assert rank["error"].startswith("G: guard rejected phase")
+        assert checks["bracket_scan_G"]["error"] == "guard rejected every sampled phase"
+        assert own["independence_rank"] == {"value": 3, "threshold": 3, "pass": True}
+        assert {name: checks[name] for name in own if name != "independence_rank"} == {
+            name: check for name, check in own.items() if name != "independence_rank"}
+        monkeypatch.setattr(cli, "get_example", lambda name: entry)
+        code, out, _ = _run(["--out-dir", str(tmp_path), "verify", "ex4"], capsys)
+        assert code == 5 and "FAIL" in out
+        report = _read_strict_json(tmp_path / "verify.json")["ex4"]
+        assert report["drift_G"] == drift and report["independence_rank"] == rank
+
 
     @pytest.mark.parametrize("name", [entry.name for entry in list_examples()])
     def test_corrupt_control_carries_its_gradient(self, name):

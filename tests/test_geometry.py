@@ -13,6 +13,7 @@ from magflows.geometry import (
     ChartDomain,
     MagneticSystem,
     Metric,
+    chart_columns,
     conformal_metric,
     gaussian_curvature,
     hamiltonian,
@@ -20,6 +21,7 @@ from magflows.geometry import (
     hamiltonian_gradient,
     level_factor,
     momentum_on_level,
+    stack_columns,
     vector_field,
 )
 from richardson import metric_partials
@@ -195,6 +197,47 @@ class TestHamiltonian:
             hamiltonian(system, (2.0, 0.0, 1.0, 0.0))
         value = hamiltonian(system, (2.0, 0.0, 1.0, 0.0), check_domain=False)
         np.testing.assert_allclose(value, 0.5, rtol=1e-15)
+
+
+class TestChartColumns:
+    @staticmethod
+    def _data(calls):
+        """A chart function whose data ends in a deferred part, as an
+        integral's ``(n, d, partials)`` does; ``calls`` records the points
+        at which the deferred part is called."""
+        def fn(x, y):
+            def partials():
+                calls.append((x, y))
+                return (math.sin(x) * y, x - y), (math.exp(y),)
+            return (x * y, x + y, 2.0), (math.cos(x),), partials
+        return fn
+
+    def test_deferred_part_stacks_when_used(self):
+        """At chart columns, ``stack_columns`` and ``chart_columns`` leave a
+        deferred part uncalled until it is used; then it gives the bits of
+        each point's ``partials()`` stacked into columns, like the other
+        parts.  At one chart point ``chart_columns`` gives the data as it
+        is."""
+        calls = []
+        fn = self._data(calls)
+        points = [(0.3, -0.4), (1.1, 0.7), (-0.6, 0.2)]
+        x, y = (np.array(points)[:, i:i + 1] for i in (0, 1))
+        lazy = stack_columns([fn(u, v) for u, v in points])[2]
+        n, d, partials = chart_columns(fn, x, y)
+        assert calls == [] and callable(lazy) and callable(partials)
+        assert n.shape == (3, 3, 1) and d.shape == (1, 3, 1)
+        for deferred in (lazy, partials):
+            stacked = deferred()
+            assert calls == points
+            calls.clear()
+            assert stacked[0].shape == (2, 3, 1) and stacked[1].shape == (1, 3, 1)
+            for i, (u, v) in enumerate(points):
+                assert n[:, i, 0].tolist() == list(fn(u, v)[0])
+                assert d[:, i, 0].tolist() == list(fn(u, v)[1])
+                assert stacked[0][:, i, 0].tolist() == [math.sin(u) * v, u - v]
+                assert stacked[1][:, i, 0].tolist() == [math.exp(v)]
+        single = chart_columns(fn, 0.3, -0.4)
+        assert single[:2] == fn(0.3, -0.4)[:2] and calls == []
 
 
 class TestVectorField:

@@ -18,6 +18,7 @@ from magflows.geometry import (
     ChartDomain,
     MagneticSystem,
     Metric,
+    chart_columns,
     hamiltonian,
     momentum_on_level,
     vector_field,
@@ -674,8 +675,9 @@ class TestBroadcastContract:
         entry and a bundle per family.  A rational integral sees one
         momentum on its pole line at the second point, which the guard
         alone rejects.  An integral with ``chart`` data, rational or ex3's
-        quadratic one, gives the same bits with that data passed in as
-        with the data read by the integral itself."""
+        quadratic one, gives the same bits when handed
+        ``chart_columns(integral.chart, x, y)`` as with the data read by the
+        integral itself."""
         if name in SCAN_FAMILIES:
             system, integral = _bundle(name)
             points = list(BUNDLE_POINTS)
@@ -695,10 +697,10 @@ class TestBroadcastContract:
             b = integral.chart(*points[1])[1]
             p1[1, 5], p2[1, 5] = -b[2] / b[0], 0.0
         x, y = (np.array(points)[:, i:i + 1] for i in (0, 1))
-        # with ``chart`` data, also the calls that are handed it
+        # with ``chart`` data, also the calls that are handed its one read
         chart_args = [()]
         if integral.chart is not None:
-            chart_args.append(([integral.chart(u, v) for u, v in points],))
+            chart_args.append((chart_columns(integral.chart, x, y),))
         admitted = np.ones(p1.shape, dtype=bool)
         if integral.guard is not None:
             want = [np.broadcast_to(integral.guard((u, v, q1, q2)), self.ANGLES.shape)
@@ -735,6 +737,42 @@ class TestBroadcastContract:
         report = level_set_bracket_scan(system, counted, config=config)
         assert report.count == points * 4
         assert calls == {"guard": 1, "grad": 1}
+
+    @pytest.mark.parametrize("name", ["ex3", "ex5", "poly-cos"])
+    def test_guard_shares_one_stacked_read(self, name):
+        """A ratio integral's guard and value in a call at chart columns, and
+        its guard and gradient in a scan, are handed one and the same read
+        of its chart data, stacked into chart columns from one ``parts``
+        call per point."""
+        system, integral = _rational_case(name)
+        calls, handed = Counter(), {}
+
+        def recorded(key, fn):
+            def wrapper(state, data):
+                handed[key] = data
+                return fn(state, data)
+            return wrapper
+
+        traced = dataclasses.replace(integral, guard=recorded("guard", integral.guard),
+                                     func=recorded("func", integral.func),
+                                     grad=recorded("grad", integral.grad),
+                                     chart=_counted(calls, "parts", integral.chart))
+        points = BUNDLE_POINTS if name in SCAN_FAMILIES else get_example(name).sample_phases[:, :2]
+        momenta = [momentum_on_level(system, u, v, 0.3) for u, v in points]
+        x, y = (np.array(points, dtype=float)[:, i:i + 1] for i in (0, 1))
+        p1, p2 = (np.array([[m[i]] for m in momenta]) for i in (0, 1))
+        values = traced((x, y, p1, p2))
+        assert values.shape == (len(points), 1)
+        assert handed["guard"] is handed["func"] and "grad" not in handed
+        n, d, _ = handed["func"]
+        assert np.shape(n)[1:] == np.shape(d)[1:] == (len(points), 1)
+        assert calls == {"parts": len(points)}
+        calls.clear()
+        handed.clear()
+        config = BracketScanConfig(nx=6, ny=6, n_angles=4)
+        level_set_bracket_scan(system, traced, config=config)
+        assert handed["guard"] is handed["grad"] and "func" not in handed
+        assert calls == {"parts": len(system.domain.grid(6, 6, margin=config.grid_margin))}
 
     @pytest.mark.parametrize("n_angles", [4, 12])
     @pytest.mark.parametrize("name", ["ex5", "poly-cos"])
