@@ -9,7 +9,6 @@ from .errors import (
     DegenerateD,
     DomainError,
     EvaluationError,
-    GuardError,
     MagflowsError,
     NoConvergence,
     PoleInC,

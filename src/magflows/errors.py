@@ -33,11 +33,7 @@ class EvaluationError(MagflowsError):
     """A scalar diagnostic could not be evaluated along a trajectory."""
 
 
-class GuardError(MagflowsError):
-    """A first integral's domain guard rejected the requested phase point."""
-
-
-class DegenerateD(GuardError):
+class DegenerateD(MagflowsError):
     """The discriminant-like quantity D of the rational-integral
     construction is too close to zero for the bundle to be built."""
 

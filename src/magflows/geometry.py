@@ -13,9 +13,9 @@ Conventions used throughout the package:
 * the Hamiltonian is ``H = (1/2) g^{ij} p_i p_j``, and one private helper
   writes dH for :func:`hamiltonian_gradient` and :func:`hamiltonian_flow`;
 * the magnetic field is the coefficient ``Omega(x, y)`` of ``dx ^ dy``; it
-  enters through :func:`vector_field`, the field X_G of a phase function
-  G, so the bracket is {F, G} = dF(X_G), and :func:`hamiltonian_flow`
-  forms the flow X_H in one pass with the same operations;
+  enters the field X_G = (G_p1, G_p2, -G_x + Omega G_p2, -G_y - Omega G_p1)
+  of a phase function G, so the bracket is {F, G} = dF(X_G), and
+  :func:`hamiltonian_flow` forms the flow X_H in one pass;
 * both read G^{-1}, dG and Omega of a chart point from one
   :meth:`MagneticSystem.local_geometry` call, built from the metric and
   the field unless the chart supplies all three from one ``local`` (ex3-ex6
@@ -50,7 +50,6 @@ __all__ = [
     "hamiltonian",
     "hamiltonian_gradient",
     "hamiltonian_flow",
-    "vector_field",
     "chart_columns",
     "stack_columns",
     "level_factor",
@@ -328,26 +327,12 @@ def hamiltonian_gradient(system: MagneticSystem, phase, local=None) -> tuple:
 def hamiltonian_flow(local, p1, p2) -> list:
     """X_H = [w1, w2, -H_x + Omega w2, -H_y - Omega w1] from a chart point's
     :meth:`MagneticSystem.local_geometry` and momenta, in one pass: the
-    bits of :func:`vector_field` of :func:`hamiltonian_gradient`, for floats
-    and for (P, n) momenta at chart columns with their stacked ``local``."""
+    bits of X_G of G = H, formed from :func:`hamiltonian_gradient`, for
+    floats and for (P, n) momenta at chart columns with their stacked
+    ``local``."""
     h_x, h_y, w1, w2 = _gradient(local, p1, p2)
     omega = local[2]
     return [w1, w2, -h_x + omega * w2, -h_y - omega * w1]
-
-
-def vector_field(system: MagneticSystem, x: float, y: float, grad, local=None) -> list:
-    """Magnetic Hamiltonian vector field X_G at (x, y) of a function G with
-    phase gradient ``grad`` = (G_x, G_y, G_p1, G_p2):
-    X_G = (G_p1, G_p2, -G_x + Omega G_p2, -G_y - Omega G_p1).
-
-    Omega is read from ``local`` (as in :func:`hamiltonian_gradient`) when
-    given.  Returns the list of the four components: floats for one
-    gradient of floats, arrays of n values when the gradient's components
-    are arrays of n values at the same chart point, and (P, n) arrays at
-    chart columns."""
-    g_x, g_y, g_p1, g_p2 = grad
-    omega = chart_columns(system.field, x, y) if local is None else local[2]
-    return [g_p1, g_p2, -g_x + omega * g_p2, -g_y - omega * g_p1]
 
 
 def level_factor(

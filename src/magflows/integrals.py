@@ -5,33 +5,41 @@ The magnetic bracket of two phase-space functions F, G is
     {F, G} = dF(X_G) = sum_i (F_{q^i} G_{p_i} - F_{p_i} G_{q^i})
                        + Omega (F_{p_1} G_{p_2} - F_{p_2} G_{p_1}),
 
-with X_G from :func:`magflows.geometry.vector_field`, and X_H, H and dH
-from :mod:`magflows.geometry`; F is a first integral when {F, H} vanishes,
+with X_G the magnetic Hamiltonian field of G, and X_H, H and dH from
+:mod:`magflows.geometry`; F is a first integral when {F, H} vanishes,
 either at every energy or only on one level set {H = C/2}.  Every
 integral carries its exact analytic gradient, dF + 0.01 dx for the
 ``--corrupt`` control.  Every integral that is a ratio N/D of momentum
 polynomials is built here by :func:`ratio_integral` from the coefficients
 of N and D at a chart point and their chart partials: ex3's quadratic N
 over D = S^2, and the linear N and D of the catalog's ex4-ex6 and of each
-bundle.  Its value, its one guard |D| >= 1e-8 and its one quotient rule
-serve every degree.  It keeps no memo: its chart data is read like any
-chart function, by :func:`magflows.geometry.chart_columns`, once per call
-or scan, and that one read serves the guard and the value or gradient.
+bundle.  Its value and its one quotient rule serve every degree.  It
+keeps no memo: its chart data is read like any chart function, by
+:func:`magflows.geometry.chart_columns`, once per call or scan, and that
+one read serves the value and the gradient.
 
-An integral's ``func``, ``grad`` and ``guard`` take a phase (x, y, p1, p2)
-whose x and y may be chart columns of shape (P, 1) and whose momenta may
-be arrays, (P, n) at chart columns, as
+A ``kind == "rational"`` integral F = N/D with N and D linear is conserved
+exactly when the line [N : D] is, so it is checked as that line: its scan
+sample is the bracket of the angle theta = arctan F,
+{theta, H} = {F, H} / (1 + F^2) = (D{N, H} - N{D, H}) / (N^2 + D^2), which
+stays finite where D = 0 and needs no guard.  Every other integral is
+scanned as |{F, H}|.
+
+An integral's ``func`` and ``grad`` take a phase (x, y, p1, p2) whose x
+and y may be chart columns of shape (P, 1) and whose momenta may be
+arrays, (P, n) at chart columns, as
 :func:`magflows.geometry.hamiltonian_gradient` does; one chart point is the
 P = 1 case, and so does a call of the integral.  :func:`level_set_samples`
 reads what is scalar at each grid point in one pass (Cholesky factor,
 G^{-1}, dG, Omega and the ``chart`` data of every integral to scan) and
 stacks each once, which all scans of a system on a level can share;
-:func:`level_set_bracket_scan` then runs the guard mask, the gradient, X_H
-(by :func:`magflows.geometry.hamiltonian_flow`) and the bracket once on
-(P, n) arrays.  The bracket is one written-out sum over the four gradient
-rows, so each sample gives the same bits as the single-phase bracket
-oracle ``magnetic_bracket_pair`` in ``tests/oracles.py`` with
-:func:`hamiltonian_integral` at that phase.
+:func:`level_set_bracket_scan` then runs the gradient, X_H (by
+:func:`magflows.geometry.hamiltonian_flow`), the bracket and, for a
+rational integral, its value once on (P, n) arrays.  The bracket is one
+written-out sum over the four gradient rows, so each sample gives the same
+bits as the single-phase bracket oracle ``magnetic_bracket_pair`` in
+``tests/oracles.py`` with :func:`hamiltonian_integral` at that phase, and a
+rational sample those bits divided by 1 + F^2 at that phase.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GuardError, SingularMetric
+from .errors import DomainError, SingularMetric
 from .geometry import (
     MagneticSystem,
     chart_columns,
@@ -73,24 +81,22 @@ KINDS = ("linear", "quadratic", "rational", "transcendental")
 class FirstIntegral:
     """A scalar phase-space function with conservation metadata.
 
-    ``func``, its exact gradient ``grad`` = (dF/dx, dF/dy, dF/dp1,
-    dF/dp2) and the optional ``guard`` take a phase (x, y, p1, p2).  x and
-    y are one chart point or chart columns of shape (P, 1); the momenta
-    may be arrays, of shape (P, n) at chart columns, over which everything
-    broadcasts elementwise with the bits of one call per sample.  ``func``
-    then returns the values in the momenta's shape, ``grad`` shape (4,) +
-    that shape, and ``guard`` a bool mask that broadcasts to it; the guard
-    is False where evaluation must be refused (for instance near the zero
-    set of a rational integral's denominator), and func and grad are only
-    asked for phases it admits, or for NaN momenta in their place.
-    ``level`` is None for an integral conserved at every energy and the
-    energy constant C for one valid only on {H = C/2}.
+    ``func`` and its exact gradient ``grad`` = (dF/dx, dF/dy, dF/dp1,
+    dF/dp2) take a phase (x, y, p1, p2).  x and y are one chart point or
+    chart columns of shape (P, 1); the momenta may be arrays, of shape
+    (P, n) at chart columns, over which everything broadcasts elementwise
+    with the bits of one call per sample.  ``func`` then returns the values
+    in the momenta's shape and ``grad`` shape (4,) + that shape.  ``level``
+    is None for an integral conserved at every energy and the energy
+    constant C for one valid only on {H = C/2}.  A ``kind == "rational"``
+    integral is checked as the line [N : D] of its value N/D: a bracket
+    scan divides |{F, H}| by 1 + F^2.
 
     ``chart``, when given, returns the integral's data at one float chart
-    point, and ``func``, ``grad`` and ``guard`` then take its read at the
-    phase, ``chart_columns(chart, x, y)``, as an optional second argument,
-    reading it themselves when it is not given.  A call and :meth:`admits`
-    read it once; a bracket scan takes it from :func:`level_set_samples`.
+    point, and ``func`` and ``grad`` then take its read at the phase,
+    ``chart_columns(chart, x, y)``, as an optional second argument,
+    reading it themselves when it is not given.  A call reads it once; a
+    bracket scan takes it from :func:`level_set_samples`.
     """
 
     name: str
@@ -98,7 +104,6 @@ class FirstIntegral:
     func: Callable
     grad: Callable
     level: Optional[float] = None
-    guard: Optional[Callable] = None
     chart: Optional[Callable] = None
 
     def __post_init__(self):
@@ -109,28 +114,18 @@ class FirstIntegral:
         """The optional ``chart`` argument at a phase."""
         return () if self.chart is None else (chart_columns(self.chart, phase[0], phase[1]),)
 
-    def admits(self, state) -> bool:
-        state = np.asarray(state, dtype=float)
-        return self.guard is None or bool(self.guard(state, *self._chart_data(state)))
-
     def __call__(self, state):
         """F at one phase, read into a list of four floats, or at chart
-        columns; the guard and ``func`` share one read of the chart data,
-        and the first rejected phase raises GuardError before ``func`` runs."""
+        columns.  At one phase it stays on Python floats, and a value that
+        divides by zero, N/D where D = 0, is NaN."""
         x, y, p1, p2 = state.tolist() if isinstance(state, np.ndarray) else state
         if isinstance(x, np.ndarray):
-            charts = self._chart_data(state)
-            admitted = True if self.guard is None else self.guard(state, *charts)
-            if not np.all(admitted):
-                row, col = np.argwhere(~np.broadcast_to(admitted, np.shape(p1)))[0].tolist()
-                first = [float(x[row, 0]), float(y[row, 0]), float(p1[row, col]), float(p2[row, col])]
-                raise GuardError(f"{self.name}: guard rejected phase {first}")
-            return self.func(state, *charts)
+            return self.func(state, *self._chart_data(state))
         phase = [float(x), float(y), float(p1), float(p2)]
-        charts = self._chart_data(phase)
-        if self.guard is not None and not self.guard(phase, *charts):
-            raise GuardError(f"{self.name}: guard rejected phase {phase}")
-        return float(self.func(phase, *charts))
+        try:
+            return float(self.func(phase, *self._chart_data(phase)))
+        except ZeroDivisionError:
+            return float("nan")
 
 
 @dataclass(frozen=True)
@@ -185,7 +180,10 @@ def _poly_momentum_partials(c, p1, p2) -> tuple:
 def ratio_integral(name: str, kind: str, parts: Callable,
                    level: Optional[float] = None) -> FirstIntegral:
     """The integral F = N/D of two polynomials in the momenta, with its
-    quotient-rule gradient and the guard |D| >= 1e-8.
+    quotient-rule gradient.  No phase is refused: where D = 0 the value
+    and gradient are infinite or NaN at chart columns, and a call at one
+    phase is NaN.  A ``kind == "rational"`` one, N and D linear, is
+    checked as the line [N : D], which stays finite there.
 
     ``parts(x, y)`` returns ``(n, d, partials)`` at a chart point: the
     coefficient tuples n of N and d of D, each of length 1, 3 or 6 for
@@ -222,11 +220,7 @@ def ratio_integral(name: str, kind: str, parts: Callable,
         out /= den * den
         return out
 
-    def guard(state, data=None):
-        _, _, p1, p2 = state
-        return abs(_poly(read(state, data)[1], p1, p2)) >= 1e-8
-
-    return FirstIntegral(name, kind, func, grad=grad, level=level, guard=guard, chart=parts)
+    return FirstIntegral(name, kind, func, grad=grad, level=level, chart=parts)
 
 
 def gradient_rows(momentum, rows) -> np.ndarray:
@@ -244,15 +238,6 @@ def _pairing(grad, flow):
     return grad[0] * flow[0] + grad[1] * flow[1] + grad[2] * flow[2] + grad[3] * flow[3]
 
 
-def _guarded(objs, phase) -> np.ndarray:
-    """The phase as an array; GuardError where an integral's guard rejects it."""
-    state = np.asarray(phase, dtype=float)
-    for obj in objs:
-        if not obj.admits(state):
-            raise GuardError(f"{obj.name}: guard rejected phase {state.tolist()}")
-    return state
-
-
 def level_set_samples(
     system: MagneticSystem,
     charts: Sequence = (),
@@ -266,7 +251,7 @@ def level_set_samples(
     p2) at the P points kept as chart columns with (P, n) momenta at the n
     angles, their stacked local geometry, and each chart function's data
     there, stacked once at the end of the pass.  A point with a singular
-    metric is skipped; none left is a GuardError."""
+    metric is skipped; none left is a DomainError."""
     if config is None:
         config = BracketScanConfig()
     c = system.energy if energy is None else float(energy)
@@ -288,7 +273,7 @@ def level_set_samples(
         for chart, values in data.items():
             values.append(chart(x, y))
     if not kept:
-        raise GuardError("guard rejected every sampled phase")
+        raise DomainError("the metric is singular at every grid point")
     angles = np.linspace(0.0, 2.0 * np.pi, config.n_angles, endpoint=False)
     phase = (*stack_columns(kept), *level_momenta(stack_columns(factors), angles))
     return phase, angles, stack_columns(locals_), {
@@ -297,10 +282,15 @@ def level_set_samples(
 
 def _bracket_samples(integral, phase, local, chart_args) -> np.ndarray:
     """|{F, H}| at every sample of a phase at chart columns, ``local``
-    being the stacked local geometry of its points.  The gradients die on
-    return, before the scan builds its report from the samples."""
+    being the stacked local geometry of its points, and |{F, H}| / (1 + F^2)
+    for a rational integral.  The gradients die on return, before the scan
+    builds its report from the samples."""
     grad = integral.grad(phase, *chart_args)
-    return np.abs(_pairing(grad, hamiltonian_flow(local, phase[2], phase[3])))
+    values = np.abs(_pairing(grad, hamiltonian_flow(local, phase[2], phase[3])))
+    if integral.kind == "rational":
+        value = integral.func(phase, *chart_args)
+        values /= 1.0 + value * value
+    return values
 
 
 def level_set_bracket_scan(
@@ -310,19 +300,19 @@ def level_set_bracket_scan(
     config: Optional[BracketScanConfig] = None,
     samples: Optional[tuple] = None,
 ) -> ResidualReport:
-    """Scan |{F, H}| over a domain grid with momenta on {H = energy/2}.
+    """Scan |{F, H}| over a domain grid with momenta on {H = energy/2}, or,
+    for a ``kind == "rational"`` integral F = N/D, the bracket of the angle
+    of the line [N : D], |{F, H}| / (1 + F^2): it is finite where D = 0,
+    where N/D has its poles, so no sample is skipped.
 
-    Grid points outside the domain predicate, points where the metric is
-    not positive definite, and phases rejected by the integral's guard are
-    skipped (not failed): rational integrals have genuine poles inside
-    otherwise fine domains.  ``samples`` from :func:`level_set_samples`,
-    read with the integral's ``chart`` among their charts, fix the energy
-    and grid; without them the scan reads its own.  The guard mask, the
-    integral's gradient and the bracket are then computed once, on chart
-    columns with (P, n) momenta; the gradient sees NaN momenta in place of
-    rejected ones, a whole row of them at a point whose every angle is
-    rejected.  A NaN sample sets ``max_abs`` to infinity, with ``worst`` at
-    the first such sample, so that it fails any threshold.
+    Grid points outside the domain predicate and points where the metric is
+    not positive definite are skipped (not failed).  ``samples`` from
+    :func:`level_set_samples`, read with the integral's ``chart`` among
+    their charts, fix the energy and grid; without them the scan reads its
+    own.  The integral's gradient, the bracket and a rational integral's
+    value are then computed once, on chart columns with (P, n) momenta.  A
+    NaN sample sets ``max_abs`` to infinity, with ``worst`` at the first
+    such sample, so that it fails any threshold.
     """
     if samples is None:
         samples = level_set_samples(system, (integral.chart,), energy, config)
@@ -330,20 +320,13 @@ def level_set_bracket_scan(
         raise ValueError("samples fix the energy and the grid; pass neither with them")
     (x, y, p1, p2), angles, local, data = samples
     chart_args = () if integral.chart is None else (data[integral.chart],)
-    admitted = np.ones(p1.shape, dtype=bool)
-    if integral.guard is not None:
-        admitted &= integral.guard((x, y, p1, p2), *chart_args)
-        if not admitted.any():
-            raise GuardError("guard rejected every sampled phase")
-        p1, p2 = np.where(admitted, p1, np.nan), np.where(admitted, p2, np.nan)
-    values = _bracket_samples(integral, (x, y, p1, p2), local, chart_args)[admitted]
+    values = _bracket_samples(integral, (x, y, p1, p2), local, chart_args)
     # a NaN sample fails the scan like an infinite one; the first largest
     # sample is the worst, and rms sums the squares in sample order
     scores = np.where(np.isnan(values), np.inf, values)
-    k = int(np.argmax(scores))
-    max_abs, worst = float(scores[k]), None
+    row, col = np.unravel_index(int(np.argmax(scores)), values.shape)
+    max_abs, worst = float(scores[row, col]), None
     if max_abs > 0.0:
-        row, col = np.argwhere(admitted)[k].tolist()
         worst = (float(x[row, 0]), float(y[row, 0]), float(angles[col]))
     sumsq = float(np.cumsum(values * values)[-1])
     return ResidualReport(
@@ -357,7 +340,7 @@ def functional_independence_rank(fns: Sequence, phase) -> int:
     Builds the k-by-4 Jacobian (rows = exact gradients over (x, y, p1,
     p2)) and counts singular values above 1e-8 times the largest.
     """
-    state = _guarded(fns, phase)
+    state = np.asarray(phase, dtype=float)
     jac = np.vstack([fn.grad(state) for fn in fns])
     sv = np.linalg.svd(jac, compute_uv=False)
     if sv[0] == 0.0:

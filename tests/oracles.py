@@ -14,8 +14,11 @@ its gradient by complex step; ``ex3_transcribed_integral`` and
 the level and of its metric and S, that the pull-back and the frame form
 replaced.  The oracles read only public
 names of :mod:`magflows.hodograph`.
-``magnetic_bracket_pair`` is the bracket at one phase, which every
-bracket-scan sample must equal bit for bit; ``larmor_orbit`` is ex1's exact
+``vector_field`` is the magnetic field X_G of a phase function G from its
+gradient, which ``hamiltonian_flow`` must equal bit for bit for G = H, and
+``magnetic_bracket_pair`` the bracket {F, G} = dF(X_G) at one phase, which
+every bracket-scan sample must equal bit for bit (divided by 1 + F^2 for a
+rational integral); ``larmor_orbit`` is ex1's exact
 trajectory; ``pde511_residual`` and ``condition_D`` evaluate the generating
 equation's residual and D at one chart point, through the helpers that the
 profile screen calls; ``ex5_level_momenta`` and ``ex6_level_momenta``
@@ -36,14 +39,14 @@ import numpy as np
 from magflows.catalog import get_example
 from magflows.errors import DomainError, StepFailure
 from magflows.flow import TrajectoryConfig, conservation_drift, integrate
-from magflows.geometry import MagneticSystem, vector_field
+from magflows.geometry import MagneticSystem, chart_columns
 from magflows.hodograph import (
     FieldPoint,
     HodographConstants,
     algebraic_jacobian,
     reconstruct_fields,
 )
-from magflows.integrals import _guarded, _pairing
+from magflows.integrals import _pairing
 from magflows.rational import ZSolution, _discriminant, _residual
 from richardson import richardson_gradient
 
@@ -212,11 +215,26 @@ def complex_step_gradient(fn: Callable, phase) -> np.ndarray:
     return np.array(rows)
 
 
+def vector_field(system: MagneticSystem, x: float, y: float, grad, local=None) -> list:
+    """Magnetic Hamiltonian vector field X_G at (x, y) of a function G with
+    phase gradient ``grad`` = (G_x, G_y, G_p1, G_p2):
+    X_G = (G_p1, G_p2, -G_x + Omega G_p2, -G_y - Omega G_p1).
+
+    Omega is read from ``local`` (as in ``hamiltonian_gradient``) when
+    given.  Returns the list of the four components: floats for one
+    gradient of floats, arrays of n values when the gradient's components
+    are arrays of n values at the same chart point, and (P, n) arrays at
+    chart columns."""
+    g_x, g_y, g_p1, g_p2 = grad
+    omega = chart_columns(system.field, x, y) if local is None else local[2]
+    return [g_p1, g_p2, -g_x + omega * g_p2, -g_y - omega * g_p1]
+
+
 def magnetic_bracket_pair(system: MagneticSystem, f_int, g_int, phase) -> float:
     """Magnetic bracket {F, G} = dF(X_G) of two integrals; {F, H} when
     ``g_int`` is :func:`hamiltonian_integral`."""
     system.require_inside(phase[0], phase[1])
-    state = _guarded((f_int, g_int), phase)
+    state = np.asarray(phase, dtype=float)
     x_g = vector_field(system, state[0], state[1], g_int.grad(state))
     return float(_pairing(f_int.grad(state), x_g))
 

@@ -131,8 +131,6 @@ class TestDeclaredLevel:
             p1, p2 = momentum_on_level(entry.system, x, y, float(phi),
                                        energy=2.0 * entry.system.energy)
             phase = (x, y, p1, p2)
-            if not entry.integrals[0].admits(phase):
-                continue
             worst = max(worst, abs(magnetic_bracket_pair(
                 entry.system, entry.integrals[0], hamiltonian_integral(entry.system), phase)))
         assert worst > 1e-3

@@ -709,15 +709,18 @@ class TestConservationDrift:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_guard_rejected_state_names_its_time(self):
-        """An integral whose guard rejects the k-th state fails the drift
-        with EvaluationError at that state's time.  Its value 1/(x - x_k)
-        would divide by zero there, but the guard is asked first, so no
+        """An integral whose ``func`` raises at the k-th state only fails
+        the drift with EvaluationError at that state's time, and no
         RuntimeWarning escapes."""
         k = 7
         ex1, trajectory, x_k = self._marked_state(k)
-        integral = FirstIntegral("F", "rational", lambda s: 1.0 / (s[0] - x_k),
-                                 grad=lambda s: (0.0, 0.0, 0.0, 0.0),
-                                 guard=lambda s: s[0] != x_k)
+
+        def func(s):
+            if np.any(s[0] == x_k):
+                raise ValueError("undefined at x_k")
+            return s[2]
+
+        integral = FirstIntegral("F", "rational", func, grad=lambda s: (0.0, 0.0, 0.0, 0.0))
         with pytest.raises(EvaluationError, match=re.escape(f"t = {trajectory.times[k]}: ")):
             conservation_drift(ex1.system, trajectory, integral)
 

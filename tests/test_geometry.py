@@ -22,8 +22,8 @@ from magflows.geometry import (
     level_factor,
     momentum_on_level,
     stack_columns,
-    vector_field,
 )
+from oracles import vector_field
 from richardson import metric_partials
 
 

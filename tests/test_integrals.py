@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import re
 from collections import Counter
 
 import numpy as np
@@ -11,8 +10,8 @@ import pytest
 from magflows import catalog, hodograph, integrals, rational
 from magflows.catalog import get_example, list_examples
 from magflows import cli
-from magflows.cli import _corrupted, _scan_check, _verify_example, main as cli_main
-from magflows.errors import DomainError, GuardError, SingularMetric
+from magflows.cli import _corrupted, _verify_example, main as cli_main
+from magflows.errors import DomainError, SingularMetric
 from magflows.flow import TrajectoryConfig, conservation_drift, integrate
 from magflows.geometry import (
     ChartDomain,
@@ -21,7 +20,6 @@ from magflows.geometry import (
     chart_columns,
     hamiltonian,
     momentum_on_level,
-    vector_field,
 )
 from magflows.integrals import (
     BracketScanConfig,
@@ -31,7 +29,7 @@ from magflows.integrals import (
     level_set_bracket_scan,
     level_set_samples,
 )
-from oracles import magnetic_bracket_pair
+from oracles import magnetic_bracket_pair, vector_field
 from richardson import richardson_gradient
 
 RNG = np.random.default_rng(0)
@@ -77,22 +75,22 @@ class TestFirstIntegral:
         assert ex1.integrals[0].level is None
         assert ex5.integrals[0].level == ex5.system.energy
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_guard_raises(self):
-        """Calling past the guard raises GuardError."""
-        integral = FirstIntegral(name="F", kind="rational",
-                                 func=lambda s: 1.0 / s[2],
-                                 grad=lambda s: (0.0, 0.0, -1.0 / s[2] ** 2, 0.0),
-                                 guard=lambda s: abs(s[2]) > 1e-8)
-        assert integral.admits((0.0, 0.0, 1.0, 0.0))
-        assert not integral.admits((0.0, 0.0, 0.0, 1.0))
-        with pytest.raises(GuardError):
-            integral((0.0, 0.0, 0.0, 1.0))
+        """No phase is refused: a call at one phase where the value divides
+        by zero is NaN, on Python floats and with no RuntimeWarning.  ex4's
+        N and D both vanish at (1, 0) with the momenta (0.5, 0.5), where
+        its ``func`` raises ZeroDivisionError."""
+        integral = get_example("ex4").integrals[0]
+        with pytest.raises(ZeroDivisionError):
+            integral.func([1.0, 0.0, 0.5, 0.5])
+        assert math.isnan(integral((1.0, 0.0, 0.5, 0.5)))
+        assert math.isnan(integral(np.array([1.0, 0.0, 0.5, 0.5])))
 
     @pytest.mark.parametrize("name", ["ex5", "poly-cos"])
     def test_one_phase_is_read_once(self, name, monkeypatch):
         """An ndarray row and the same values as a list give the same bits,
-        each from one evaluation of the parts that the guard and the value
-        share; ``admits`` reads them once, and neither asks for their
+        each from one evaluation of the parts, and neither asks for their
         partials."""
         calls = _count_rational_parts(monkeypatch)
         system, integral = _rational_case(name)
@@ -101,15 +99,12 @@ class TestFirstIntegral:
         assert calls == {"parts": 1}
         assert integral(row.tolist()).hex() == value.hex()
         assert calls == {"parts": 2}
-        assert integral.admits(row)
-        assert calls == {"parts": 3}
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_call_at_chart_columns_asks_the_guard_first(self):
-        """At chart columns a call gives the values of ``func`` there, each
-        with the bits of a call at its phase.  Where the guard rejects a
-        phase, GuardError names the first rejected one and ``func`` is not
-        called, so its division by zero there raises no RuntimeWarning."""
+        """At chart columns a call gives the values of ``func`` there, from
+        one call of ``func``, each with the bits of a call at its phase.
+        Where the value divides by zero, it is what numpy divides to there
+        (inf), and NaN in a call at that one phase."""
         calls = Counter()
 
         def func(s):
@@ -117,31 +112,32 @@ class TestFirstIntegral:
             return 1.0 / s[2]
 
         integral = FirstIntegral(name="F", kind="rational", func=func,
-                                 grad=lambda s: (0.0, 0.0, -1.0 / s[2] ** 2, 0.0),
-                                 guard=lambda s: abs(s[2]) > 1e-8)
+                                 grad=lambda s: (0.0, 0.0, -1.0 / s[2] ** 2, 0.0))
         x, y = np.array([[0.5], [1.0], [1.5]]), np.array([[0.0], [0.1], [0.2]])
         p1, p2 = np.array([[2.0], [3.0], [7.0]]), np.array([[1.0], [1.0], [1.0]])
         values = integral((x, y, p1, p2))
-        assert values.shape == (3, 1)
+        assert values.shape == (3, 1) and calls == {"func": 1}
         singles = [integral([x[i, 0], y[i, 0], p1[i, 0], p2[i, 0]]) for i in range(3)]
         assert values[:, 0].tolist() == singles
-        calls.clear()
-        p1[1:, 0] = 0.0
-        with pytest.raises(GuardError, match=re.escape("[1.0, 0.1, 0.0, 1.0]")):
-            integral((x, y, p1, p2))
-        assert calls == {}
+        p1[1, 0] = 0.0
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            values = integral((x, y, p1, p2))
+        assert values[:, 0].tolist() == [0.5, math.inf, 1.0 / 7.0]
+        assert math.isnan(integral([1.0, 0.1, 0.0, 1.0]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bundle_pole_is_guarded(self):
-        """A phase on the rational integral's pole line is rejected."""
+        """A call at a phase on a bundle integral's pole line, where D is
+        exactly 0, is NaN with no RuntimeWarning, and its value just off
+        the line is finite."""
         from magflows.rational import PolynomialCos, build_bundle
 
         bundle = build_bundle(PolynomialCos(2))
         _, (b0, _, c0) = bundle._parts(1.0, 0.4)[:2]
         pole = np.array([1.0, 0.4, -c0 / b0, 0.0])
         integral = bundle.as_integral()
-        assert not integral.admits(pole)
-        with pytest.raises(GuardError):
-            integral(pole)
+        assert math.isnan(integral(pole))
+        assert math.isfinite(integral(pole + [0.0, 0.0, 1e-9, 0.0]))
 
 
 class TestMagneticBracket:
@@ -173,8 +169,6 @@ class TestMagneticBracket:
         count = 0
         while count < 50:
             phase = _random_phase(ex5.system, rng)
-            if not integral.admits(phase):
-                continue
             value = magnetic_bracket_pair(ex5.system, integral,
                                           hamiltonian_integral(ex5.system), phase)
             assert abs(value) <= 1e-7
@@ -189,8 +183,6 @@ class TestMagneticBracket:
         count = 0
         while count < 50:
             phase = _random_phase(ex5.system, rng, energy=2.0 * ex5.system.energy)
-            if not integral.admits(phase):
-                continue
             worst = max(worst, abs(magnetic_bracket_pair(
                 ex5.system, integral, hamiltonian_integral(ex5.system), phase)))
             count += 1
@@ -211,8 +203,6 @@ class TestMagneticBracket:
                 backward = v @ vector_field(system, phase[0], phase[1], u)
                 assert abs(forward + backward) <= 1e-12 * max(1.0, abs(forward))
                 for integral in analytic:
-                    if not integral.admits(phase):
-                        continue
                     forward = magnetic_bracket_pair(system, integral, ham, phase)
                     backward = magnetic_bracket_pair(system, ham, integral, phase)
                     assert abs(forward + backward) <= 1e-12 * max(1.0, abs(forward))
@@ -266,12 +256,13 @@ class TestLevelSetScan:
             level_set_bracket_scan(system, _momentum_p1())
 
     def test_all_guarded_raises(self):
-        """A guard that rejects every phase is reported as GuardError."""
-        ex1 = get_example("ex1")
-        blocked = FirstIntegral(name="F", kind="rational", func=lambda s: 0.0,
-                                grad=lambda s: (0.0, 0.0, 0.0, 0.0), guard=lambda s: False)
-        with pytest.raises(GuardError):
-            level_set_bracket_scan(ex1.system, blocked)
+        """A metric that is singular at every grid point leaves no sample:
+        the scan raises DomainError naming the singular metric."""
+        metric = Metric(components=lambda x, y: (1.0, 2.0, 1.0), partials=_zero_partials)
+        system = MagneticSystem(metric=metric, field=lambda x, y: 0.0,
+                                domain=ChartDomain(bbox=(0.0, 1.0, 0.0, 1.0)))
+        with pytest.raises(DomainError, match="metric is singular at every grid point"):
+            level_set_bracket_scan(system, _momentum_p1())
 
     def test_worst_sample_reported(self):
         """The report carries the worst grid point and angle."""
@@ -310,7 +301,8 @@ class TestLevelSetScan:
 
 def _reference_scan(system, integral, config):
     """The scan written per sample: momentum_on_level and the bracket with
-    H for each angle on its own."""
+    H for each angle on its own, divided by 1 + F^2 there for a rational
+    integral."""
     ham = hamiltonian_integral(system)
     points = system.domain.grid(config.nx, config.ny, margin=config.grid_margin)
     angles = np.linspace(0.0, 2.0 * np.pi, config.n_angles, endpoint=False)
@@ -321,11 +313,11 @@ def _reference_scan(system, integral, config):
         except SingularMetric:
             continue
         for phi, (p1, p2) in zip(angles, momenta):
-            try:
-                val = abs(magnetic_bracket_pair(system, integral, ham,
-                                                np.array([x, y, p1, p2])))
-            except GuardError:
-                continue
+            phase = np.array([x, y, p1, p2])
+            val = abs(magnetic_bracket_pair(system, integral, ham, phase))
+            if integral.kind == "rational":
+                value = integral(phase)
+                val /= 1.0 + value * value
             sumsq += val * val
             count += 1
             if val > max_abs:
@@ -348,8 +340,9 @@ class TestScanEquivalence:
     @pytest.mark.parametrize("name, index", SCAN_CASES + [(f, 0) for f in SCAN_FAMILIES])
     def test_matches_per_sample_reference(self, name, index):
         """Evaluating the chart point once for all angles changes no sample,
-        on every catalog integral and one bundle per family: the arithmetic
-        of each sample is unchanged, so the report is equal bit for bit."""
+        on every catalog integral and one bundle per family: each sample is
+        |magnetic_bracket_pair| at its phase, divided by 1 + F^2 there for
+        a rational integral, so the report is equal bit for bit."""
         if name in SCAN_FAMILIES:
             bundle = rational.build_bundle(SCAN_FAMILIES[name]())
             system, integral = bundle.as_system(), bundle.as_integral()
@@ -359,39 +352,6 @@ class TestScanEquivalence:
         report = level_set_bracket_scan(system, integral, config=self.COARSE)
         want = _reference_scan(system, integral, self.COARSE)
         assert (report.max_abs, report.rms, report.count, report.worst) == want
-
-    def test_guard_admitting_some_angles(self):
-        """A guard that admits three of eight angles at every grid point
-        (p2 > 0.1 on ex1's unit circle: pi/4, pi/2, 3 pi/4): the scan takes
-        exactly those samples, each equal to magnetic_bracket_pair there.
-        The corrupted integral's bracket, 0.01 p1, differs between the
-        admitted angles, so a sample paired with the wrong angle shows."""
-        config = BracketScanConfig(nx=6, ny=6, n_angles=8)
-        ex1 = get_example("ex1")
-        guarded = dataclasses.replace(_corrupted(ex1.integrals[0]),
-                                      guard=lambda state: state[3] > 0.1)
-        report = level_set_bracket_scan(ex1.system, guarded, config=config)
-        assert (report.max_abs, report.rms, report.count, report.worst) == _reference_scan(
-            ex1.system, guarded, config)
-        points = ex1.system.domain.grid(6, 6, margin=config.grid_margin)
-        assert report.count == 3 * len(points)
-        assert report.worst == (*points[0], np.pi / 4)
-
-    def test_guard_rejecting_whole_grid_points(self):
-        """A guard that rejects every angle at the grid points with x <= 0
-        and some angles at the others (p2 > 0.1): those points keep their
-        rows with NaN momenta, masked out of the samples, and the scan
-        still equals the per-sample reference, on the corrupted integral
-        so that every sample counts."""
-        config = BracketScanConfig(nx=6, ny=6, n_angles=8)
-        ex1 = get_example("ex1")
-        guarded = dataclasses.replace(_corrupted(ex1.integrals[0]),
-                                      guard=lambda state: (state[0] > 0.0) & (state[3] > 0.1))
-        report = level_set_bracket_scan(ex1.system, guarded, config=config)
-        assert (report.max_abs, report.rms, report.count, report.worst) == _reference_scan(
-            ex1.system, guarded, config)
-        points = ex1.system.domain.grid(6, 6, margin=config.grid_margin)
-        assert report.count == 3 * sum(x > 0.0 for x, _ in points) > 0
 
     def test_chart_point_work_does_not_grow_with_angles(self):
         """Each grid point kept costs one ``local`` call (G^{-1}, dG and
@@ -437,6 +397,56 @@ class TestScanEquivalence:
         assert report.max_abs == report.rms == 0.0
 
 
+# the rational integrals as verify and build-rational check them: ex4-ex6,
+# each family's default bundle, and log-nu1 on the range where N/D has
+# poles inside the scan grid
+LINE_SCAN_CASES = {
+    "ex4": lambda: _entry_case("ex4"),
+    "ex5": lambda: _entry_case("ex5"),
+    "ex6": lambda: _entry_case("ex6"),
+    **{family: (lambda f=family: _default_bundle(f)) for family in sorted(rational.FAMILIES)},
+    "log-nu1-pole": lambda: _default_bundle("log-nu1", (0.261, 3.031)),
+}
+# conserved on every level: ex4's F (declared so) and log-radial's bundle
+ALL_LEVEL = ("ex4", "log-radial")
+
+
+def _entry_case(name):
+    entry = get_example(name)
+    return entry.system, entry.integrals[0]
+
+
+def _default_bundle(family, rho_range=None):
+    """The bundle that ``build-rational <family>`` builds by default."""
+    solution = rational.solution_from_descriptor({"family": family, "parameters": {}})
+    bundle = rational.build_bundle(solution, rho_range=rho_range, check=False)
+    return bundle.as_system(), bundle.as_integral()
+
+
+class TestLineScan:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("variant", ["level", "corrupt", "off-level"])
+    @pytest.mark.parametrize("name", list(LINE_SCAN_CASES))
+    def test_angle_bracket_separates_integrals_from_controls(self, name, variant):
+        """The default scan of |{F, H}| / (1 + F^2), the bracket of the angle
+        of the line [N : D], reads round-off on the level, the pole range of
+        log-nu1 included, and at least 6e-3 on the ``--corrupt`` control; at
+        1.01 C it stays at round-off for the integrals conserved on every
+        level and exceeds 9e-3 for the single-level ones."""
+        system, integral = LINE_SCAN_CASES[name]()
+        assert integral.kind == "rational"
+        if variant == "corrupt":
+            assert level_set_bracket_scan(system, _corrupted(integral)).max_abs >= 6e-3
+        elif variant == "level":
+            assert level_set_bracket_scan(system, integral).max_abs <= 1e-12
+        else:
+            report = level_set_bracket_scan(system, integral, energy=1.01 * system.energy)
+            if name in ALL_LEVEL:
+                assert report.max_abs <= 1e-13
+            else:
+                assert report.max_abs >= 9e-3
+
+
 class TestSharedSamples:
     """One pass over the grid points serves every scan of a system."""
 
@@ -454,22 +464,6 @@ class TestSharedSamples:
             got = (shared.max_abs, shared.rms, shared.count, shared.worst)
             assert got == (alone.max_abs, alone.rms, alone.count, alone.worst)
             assert np.float64(shared.rms).tobytes() == np.float64(alone.rms).tobytes()
-
-    def test_guard_rejecting_every_phase_fails_alone(self):
-        """On shared samples, an integral whose guard rejects every phase
-        fails its check with an ``"error"`` entry, while the integral and
-        the control scanned next to it keep their verdicts."""
-        ex4 = get_example("ex4")
-        blocked = dataclasses.replace(ex4.integrals[0], name="blocked",
-                                      guard=lambda state, charts=None: np.zeros(
-                                          np.shape(state[2]), dtype=bool))
-        scanned = [ex4.integrals[0], blocked, _corrupted(ex4.integrals[0])]
-        samples = level_set_samples(ex4.system, [f.chart for f in scanned])
-        good, failed, control = (_scan_check(ex4.system, f, 1e-6, samples) for f in scanned)
-        assert good["pass"] is True and "error" not in good
-        assert failed == {"value": None, "threshold": 1e-6, "pass": False,
-                          "error": "guard rejected every sampled phase"}
-        assert control["pass"] is False and control["value"] > 1e-3 and "error" not in control
 
     def test_empty_grid_fails_every_scan_check(self):
         """An entry whose scan grid holds no point of its domain fails every
@@ -592,22 +586,15 @@ def _count_rational_parts(monkeypatch):
 
 
 def _assert_broadcasts(integral, x, y, p1, p2):
-    """guard, func and grad at n momenta of one chart point give the bits
-    of n calls at single phases; func and grad are asked only where the
-    guard admits.  Returns the guard mask."""
+    """func and grad at n momenta of one chart point give the bits of n
+    calls at single phases.  Returns the values."""
     singles = [np.array([x, y, q1, q2]) for q1, q2 in zip(p1, p2)]
-    admitted = np.ones(len(singles), dtype=bool)
-    if integral.guard is not None:
-        admitted &= integral.guard((x, y, p1, p2))
-        assert admitted.tolist() == [bool(integral.guard(s)) for s in singles]
-    phase = (x, y, p1[admitted], p2[admitted])
-    singles = [s for s, ok in zip(singles, admitted) if ok]
-    values, grads = integral.func(phase), integral.grad(phase)
+    values, grads = integral.func((x, y, p1, p2)), integral.grad((x, y, p1, p2))
     assert np.shape(grads) == (4, len(singles))
     for value, grad, single in zip(values, grads.T, singles):
         assert np.float64(value).tobytes() == np.float64(integral.func(single)).tobytes()
         assert grad.tobytes() == np.asarray(integral.grad(single), dtype=float).tobytes()
-    return admitted
+    return values
 
 
 BROADCAST_CASES = SCAN_CASES + [(entry.name, "corrupt") for entry in list_examples()]
@@ -624,7 +611,7 @@ def _counted(calls, key, fn):
 
 
 class TestBroadcastContract:
-    """The guard and gradient of every integral take the momenta of all
+    """The value and gradient of every integral take the momenta of all
     angles of a chart point at once, and chart columns of all grid points
     at once, so a bracket scan calls each once per scan."""
 
@@ -638,20 +625,21 @@ class TestBroadcastContract:
         integral = _corrupted(entry.integrals[0]) if index == "corrupt" else entry.integrals[index]
         for x, y in entry.sample_phases[:, :2]:
             p1, p2 = momentum_on_level(entry.system, x, y, self.ANGLES)
-            assert _assert_broadcasts(integral, x, y, p1, p2).all()
+            assert np.isfinite(_assert_broadcasts(integral, x, y, p1, p2)).all()
 
     @pytest.mark.parametrize("family", sorted(SCAN_FAMILIES))
     def test_bundle_arrays_equal_single_phases(self, family):
         system, integral = _bundle(family)
         for x, y in BUNDLE_POINTS:
             p1, p2 = momentum_on_level(system, x, y, self.ANGLES)
-            assert _assert_broadcasts(integral, x, y, p1, p2).all()
+            assert np.isfinite(_assert_broadcasts(integral, x, y, p1, p2)).all()
 
     @pytest.mark.parametrize("name", sorted(SCAN_FAMILIES) + ["ex5", "ex6"])
     def test_guard_rejects_part_of_the_angles(self, name):
         """A momentum on the pole line of the integral among 15 on the
-        level: the mask rejects it alone and the other samples keep their
-        bits.  ex5 and ex6 share the pole line of their bundles."""
+        level: no sample is refused, the value there alone is beyond 1e10
+        or not finite, and every sample keeps the bits of its single call.  ex5 and ex6
+        share the pole line of their bundles."""
         if name in SCAN_FAMILIES:
             bundle = rational.build_bundle(SCAN_FAMILIES[name]())
             system, integral = bundle.as_system(), bundle.as_integral()
@@ -664,18 +652,19 @@ class TestBroadcastContract:
         p1, p2 = momentum_on_level(system, rho, psi, self.ANGLES[:15])
         p1 = np.insert(p1, 5, -c0 / b0)
         p2 = np.insert(p2, 5, 0.0)
-        admitted = _assert_broadcasts(integral, rho, psi, p1, p2)
-        assert np.flatnonzero(~admitted).tolist() == [5]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = _assert_broadcasts(integral, rho, psi, p1, p2)
+        assert np.flatnonzero(~(np.abs(values) < 1e10)).tolist() == [5]
 
     @pytest.mark.parametrize("name, index", COLUMN_CASES)
     def test_chart_columns_equal_stacked_points(self, name, index):
-        """func, grad and guard at chart columns, three chart points with
-        16 momenta each, give the bits of the same calls at each point,
+        """func and grad at chart columns, three chart points with 16
+        momenta each, give the bits of the same calls at each point,
         stacked: every catalog integral, its --corrupt control, H of every
         entry and a bundle per family.  A rational integral sees one
-        momentum on its pole line at the second point, which the guard
-        alone rejects.  An integral with ``chart`` data, rational or ex3's
-        quadratic one, gives the same bits when handed
+        momentum on its pole line at the second point, where its value
+        alone is beyond 1e10 or not finite.  An integral with ``chart`` data, rational or
+        ex3's quadratic one, gives the same bits when handed
         ``chart_columns(integral.chart, x, y)`` as with the data read by the
         integral itself."""
         if name in SCAN_FAMILIES:
@@ -701,49 +690,41 @@ class TestBroadcastContract:
         chart_args = [()]
         if integral.chart is not None:
             chart_args.append((chart_columns(integral.chart, x, y),))
-        admitted = np.ones(p1.shape, dtype=bool)
-        if integral.guard is not None:
-            want = [np.broadcast_to(integral.guard((u, v, q1, q2)), self.ANGLES.shape)
-                    for (u, v), q1, q2 in zip(points, p1, p2)]
-            for args in chart_args:
-                mask = np.broadcast_to(integral.guard((x, y, p1, p2), *args), p1.shape)
-                assert mask.tobytes() == np.array(want).tobytes()
-            admitted &= mask
-        rejected = [16 + 5] if pole else []
-        assert np.flatnonzero(~admitted).tolist() == rejected
-        p1, p2 = np.where(admitted, p1, np.nan), np.where(admitted, p2, np.nan)
         singles = [(u, v, q1, q2) for (u, v), q1, q2 in zip(points, p1, p2)]
-        want_values = np.array([integral.func(s) for s in singles])
-        want_grads = np.stack([np.asarray(integral.grad(s), dtype=float) for s in singles], axis=1)
-        for args in chart_args:
-            values = np.asarray(integral.func((x, y, p1, p2), *args))
-            grads = np.asarray(integral.grad((x, y, p1, p2), *args), dtype=float)
-            assert values.shape == p1.shape and grads.shape == (4,) + p1.shape
-            assert values[admitted].tobytes() == want_values[admitted].tobytes()
-            assert grads[:, admitted].tobytes() == want_grads[:, admitted].tobytes()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want_values = np.array([integral.func(s) for s in singles])
+            want_grads = np.stack([np.asarray(integral.grad(s), dtype=float) for s in singles],
+                                  axis=1)
+            for args in chart_args:
+                values = np.asarray(integral.func((x, y, p1, p2), *args))
+                grads = np.asarray(integral.grad((x, y, p1, p2), *args), dtype=float)
+                assert values.shape == p1.shape and grads.shape == (4,) + p1.shape
+                assert values.tobytes() == want_values.tobytes()
+                assert grads.tobytes() == want_grads.tobytes()
+        at_pole = [16 + 5] if pole else []
+        assert np.flatnonzero(~(np.abs(values) < 1e10)).tolist() == at_pole
 
     @pytest.mark.parametrize("name", ["ex5", "poly-cos"])
     def test_one_guard_and_one_gradient_per_scan(self, name):
-        """A scan asks the integral's guard once and its gradient once for
-        the whole grid, and never its value."""
+        """A scan asks a rational integral's value once and its gradient
+        once for the whole grid."""
         system, integral = _rational_case(name)
         calls = Counter()
         counted = dataclasses.replace(
             integral, func=_counted(calls, "func", integral.func),
-            guard=_counted(calls, "guard", integral.guard),
             grad=_counted(calls, "grad", integral.grad))
         config = BracketScanConfig(nx=6, ny=6, n_angles=4)
         points = len(system.domain.grid(6, 6, margin=config.grid_margin))
         report = level_set_bracket_scan(system, counted, config=config)
         assert report.count == points * 4
-        assert calls == {"guard": 1, "grad": 1}
+        assert calls == {"func": 1, "grad": 1}
 
     @pytest.mark.parametrize("name", ["ex3", "ex5", "poly-cos"])
     def test_guard_shares_one_stacked_read(self, name):
-        """A ratio integral's guard and value in a call at chart columns, and
-        its guard and gradient in a scan, are handed one and the same read
-        of its chart data, stacked into chart columns from one ``parts``
-        call per point."""
+        """A ratio integral's value in a call at chart columns, and its
+        gradient and, for a rational one, its value in a scan, are handed
+        one and the same read of its chart data, stacked into chart columns
+        from one ``parts`` call per point."""
         system, integral = _rational_case(name)
         calls, handed = Counter(), {}
 
@@ -753,8 +734,7 @@ class TestBroadcastContract:
                 return fn(state, data)
             return wrapper
 
-        traced = dataclasses.replace(integral, guard=recorded("guard", integral.guard),
-                                     func=recorded("func", integral.func),
+        traced = dataclasses.replace(integral, func=recorded("func", integral.func),
                                      grad=recorded("grad", integral.grad),
                                      chart=_counted(calls, "parts", integral.chart))
         points = BUNDLE_POINTS if name in SCAN_FAMILIES else get_example(name).sample_phases[:, :2]
@@ -763,7 +743,7 @@ class TestBroadcastContract:
         p1, p2 = (np.array([[m[i]] for m in momenta]) for i in (0, 1))
         values = traced((x, y, p1, p2))
         assert values.shape == (len(points), 1)
-        assert handed["guard"] is handed["func"] and "grad" not in handed
+        assert list(handed) == ["func"]
         n, d, _ = handed["func"]
         assert np.shape(n)[1:] == np.shape(d)[1:] == (len(points), 1)
         assert calls == {"parts": len(points)}
@@ -771,14 +751,15 @@ class TestBroadcastContract:
         handed.clear()
         config = BracketScanConfig(nx=6, ny=6, n_angles=4)
         level_set_bracket_scan(system, traced, config=config)
-        assert handed["guard"] is handed["grad"] and "func" not in handed
+        want = ["grad", "func"] if integral.kind == "rational" else ["grad"]
+        assert list(handed) == want and all(handed[key] is handed["grad"] for key in want)
         assert calls == {"parts": len(system.domain.grid(6, 6, margin=config.grid_margin))}
 
     @pytest.mark.parametrize("n_angles", [4, 12])
     @pytest.mark.parametrize("name", ["ex5", "poly-cos"])
     def test_one_rational_block_per_grid_point(self, name, n_angles, monkeypatch):
         """A rational integral's (N, D) parts are evaluated once per grid
-        point, where the guard and the gradient share them, and its
+        point, where the value and the gradient share them, and its
         gradient rows are built once per grid point: ex5's transcription
         and a bundle alike."""
         calls = _count_rational_parts(monkeypatch)
@@ -791,7 +772,7 @@ class TestBroadcastContract:
 
     @pytest.mark.parametrize("name", ["ex4", "ex5", "ex6", "poly-cos"])
     def test_values_never_build_gradient_rows(self, name, monkeypatch, tmp_path):
-        """The guard and the value read N and D only: drift along an orbit
+        """The value reads N and D only: drift along an orbit
         and the rows of simulate evaluate the parts once per recorded
         state and never ask for (grad N, grad D)."""
         calls = _count_rational_parts(monkeypatch)
@@ -813,7 +794,7 @@ class TestBroadcastContract:
     @pytest.mark.parametrize("family", ["poly-cos", "elliptic-half"])
     def test_one_z_jet_per_grid_point(self, family, n_angles, monkeypatch):
         """A bundle scan evaluates Z's jet once per grid point: the Cholesky
-        factor, G^{-1}, dG, Omega, the guard and the gradient share it."""
+        factor, G^{-1}, dG, Omega, the value and the gradient share it."""
         system, integral = _bundle(family)
         calls = Counter()
         jet = rational.ZSolution.jet
@@ -831,8 +812,8 @@ class TestBroadcastContract:
     @pytest.mark.parametrize("n_angles", [4, 12])
     def test_one_quadratic_block_per_grid_point(self, n_angles, monkeypatch):
         """ex3's scan evaluates its quadratic integral's ``parts`` exactly
-        once per grid point, where the guard and the gradient share them,
-        for all angles.  The ``parts`` that ``example3_system`` hands to
+        once per grid point, where the gradient reads them, for all
+        angles.  The ``parts`` that ``example3_system`` hands to
         ``ratio_integral`` are counted directly."""
         calls = Counter()
         build = hodograph.ratio_integral
@@ -879,8 +860,8 @@ class TestRatioIntegral:
 
     @pytest.mark.parametrize("degrees", [(1, 1), (2, 0), (2, 1), (0, 1)])
     def test_chart_columns_equal_single_phases(self, degrees):
-        """At chart columns of three points with 16 momenta each, guard,
-        value and gradient give the bits of the calls at single phases,
+        """At chart columns of three points with 16 momenta each, value and
+        gradient give the bits of the calls at single phases,
         for every pair of momentum degrees of N and D; the gradient also
         tracks Richardson differences of the value."""
         integral = _ratio_of_degrees(*degrees)
@@ -889,8 +870,6 @@ class TestRatioIntegral:
         x, y = (np.array(self.POINTS)[:, i:i + 1] for i in (0, 1))
         singles = [(u, v, q1, q2) for (u, v), r1, r2 in zip(self.POINTS, p1.tolist(), p2.tolist())
                    for q1, q2 in zip(r1, r2)]
-        mask = np.broadcast_to(integral.guard((x, y, p1, p2)), p1.shape)
-        assert mask.all() and all(integral.guard(s) for s in singles)
         values, grads = integral.func((x, y, p1, p2)), integral.grad((x, y, p1, p2))
         assert values.shape == p1.shape and grads.shape == (4,) + p1.shape
         want_values = np.array([integral.func(s) for s in singles])
@@ -929,8 +908,6 @@ class TestIndependenceRank:
         count = 0
         while count < 20:
             phase = _random_phase(ex4.system, rng)
-            if not all(f.admits(phase) for f in fns):
-                continue
             assert functional_independence_rank(fns, phase) == 3
             count += 1
 
@@ -949,8 +926,6 @@ class TestIndependenceRank:
         count = 0
         while count < 10:
             phase = _random_phase(ex5.system, rng)
-            if not ex5.integrals[0].admits(phase):
-                continue
             rank = functional_independence_rank([ham, ex5.integrals[0]], phase)
             assert rank == 2
             count += 1

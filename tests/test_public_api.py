@@ -5,7 +5,7 @@ import magflows
 PUBLIC_NAMES = [
     "BracketScanConfig", "CatalogEntry", "ChartDomain", "ConservationReport",
     "DegenerateD", "DomainError", "EXAMPLE_NAMES", "EllipticHalf", "EvaluationError",
-    "FirstIntegral", "GuardError", "HodographConstants", "LogNu1", "LogRadial",
+    "FirstIntegral", "HodographConstants", "LogNu1", "LogRadial",
     "MagflowsError", "MagneticSystem", "Metric", "NoConvergence", "PoleInC",
     "PolynomialCos", "RationalFlowBundle", "ResidualReport", "SeriesDivergence",
     "SingularJacobian", "SingularMetric", "SingularPoint", "StepFailure", "Trajectory",
