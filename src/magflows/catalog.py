@@ -118,35 +118,28 @@ def _make_ex1() -> CatalogEntry:
 def _channel_entry(
     name: str,
     description: str,
-    lam: Callable[[float], float],
-    lam_prime: Callable[[float], float],
-    potential: Callable[[float], float],
-    potential_prime: Callable[[float], float],
+    lam: Callable[[float, float], float],
+    lam_partials: Callable[[float, float], tuple[float, float]],
+    potential: Callable[[float, float], float],
+    field: Callable[[float, float], float],
 ) -> CatalogEntry:
-    """Conformal metric lam(y)(dx^2+dy^2) with field -potential'(y) and the
-    linear integral p1 + potential(y), conserved on every level."""
-    metric = conformal_metric(
-        lambda x, y: lam(y), lambda x, y: (0.0, lam_prime(y))
-    )
+    """Conformal metric lam (dx^2 + dy^2) with field Omega = -U_y and the
+    linear integral p1 + U, conserved on every level, from lam, its
+    partials, the potential U and the field as functions of (x, y) that
+    read y alone."""
     system = MagneticSystem(
-        metric=metric,
-        field=lambda x, y: -potential_prime(y),
+        metric=conformal_metric(lam, lam_partials),
+        field=field,
         domain=ChartDomain(bbox=(-8.0, 8.0, -8.0, 8.0)),
         energy=1.0,
         name=name,
     )
 
-    def u(x, y):
-        return potential(y)
-
-    def u_y(x, y):
-        return potential_prime(y)
-
     def func(state):
-        return state[2] + chart_columns(u, state[0], state[1])
+        return state[2] + chart_columns(potential, state[0], state[1])
 
     def grad(state):
-        return gradient_rows(state[2], (0.0, chart_columns(u_y, state[0], state[1]), 1.0, 0.0))
+        return gradient_rows(state[2], (0.0, -chart_columns(field, state[0], state[1]), 1.0, 0.0))
 
     integral = FirstIntegral(name="F1", kind="linear", func=func, grad=grad)
     return CatalogEntry(
@@ -167,10 +160,10 @@ def _make_ex2() -> CatalogEntry:
         "ex2",
         "Conformal channel metric with a cosine profile; linear integral "
         "from translational symmetry.",
-        lam=lambda y: 2.0 + math.cos(y),
-        lam_prime=lambda y: -math.sin(y),
-        potential=math.sin,
-        potential_prime=math.cos,
+        lam=lambda x, y: 2.0 + math.cos(y),
+        lam_partials=lambda x, y: (0.0, -math.sin(y)),
+        potential=lambda x, y: math.sin(y),
+        field=lambda x, y: -math.cos(y),
     )
 
 
@@ -179,10 +172,10 @@ def _make_ex2b() -> CatalogEntry:
         "ex2b",
         "Second translational-symmetry instance with a rational conformal "
         "factor and arctangent potential.",
-        lam=lambda y: 1.0 / (1.0 + y * y),
-        lam_prime=lambda y: -2.0 * y / (1.0 + y * y) ** 2,
-        potential=math.atan,
-        potential_prime=lambda y: 1.0 / (1.0 + y * y),
+        lam=lambda x, y: 1.0 / (1.0 + y * y),
+        lam_partials=lambda x, y: (0.0, -2.0 * y / (1.0 + y * y) ** 2),
+        potential=lambda x, y: math.atan(y),
+        field=lambda x, y: -(1.0 / (1.0 + y * y)),
     )
 
 

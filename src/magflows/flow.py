@@ -6,21 +6,24 @@ The equations of motion are the magnetic Hamiltonian vector field X_H:
     dp1/dt = -dH/dq1 + Omega * dH/dp2,
     dp2/dt = -dH/dq2 - Omega * dH/dp1,
 
-with H = (1/2) p^T G(q)^{-1} p.  :func:`magnetic_rhs` is one domain check,
-one evaluation of the chart point's local geometry
+with H = (1/2) p^T G(q)^{-1} p.  :func:`magnetic_rhs` is the chart
+domain's own test, one evaluation of the chart point's local geometry
 (:meth:`magflows.geometry.MagneticSystem.local_geometry`: one ``local``
 call on ex3-ex6 and the rational bundles, the metric and field on ex1,
 ex2 and ex2b) and one call of the kernel
-:func:`magflows.geometry.hamiltonian_flow`, which forms X_H from it in one
-pass.  The whole path runs on Python floats: G^{-1} is three floats and
-X_H a list of four, so a stage of either stepper builds no ndarray.
+:func:`magflows.geometry.hamiltonian_flow`, which forms dH and X_H from it
+in one frame.  The whole path runs on Python floats: G^{-1} is three
+floats and X_H a list of four, so a stage of either stepper builds no
+ndarray.
 
 Two steppers are provided: the classic fixed-step fourth-order scheme and
 a Dormand-Prince embedded 4(5) pair with a proportional step controller
 (safety 0.9, growth factor clamped to [0.2, 5.0]).  Both step on four
 named Python floats per stage, and every stage sum is written out left to
 right, so the bits of a trajectory depend only on IEEE double arithmetic
-and not on the BLAS kernel numpy picks at run time.
+and not on the BLAS kernel numpy picks at run time.  Each stage is one
+call of :func:`magnetic_rhs`, looked up as this module's global, and each
+step returns the number of stages it evaluated, up to one that raised.
 
 Trajectories that leave the chart domain stop early and carry a
 ``domain_exit`` flag rather than raising.  The fixed-step scheme stops at
@@ -114,10 +117,12 @@ class Trajectory:
     """Recorded solution curve with its work counts.
 
     ``rhs_evals`` counts the calls of :func:`magnetic_rhs`, one that raised
-    included.  Rejected trial steps are counted by cause: the error
-    estimate was above the tolerance (``rejected_error``), a stage or the
-    end point was outside the chart (``rejected_boundary``), or the end
-    state was not finite (``rejected_nonfinite``).
+    included: the stages of each step (7 or 4, or k when stage k raised)
+    and a tangent's call at a state no step gave the rates of.  Rejected
+    trial steps are counted by cause: the error estimate was above the
+    tolerance (``rejected_error``), a stage or the end point was outside
+    the chart (``rejected_boundary``), or the end state was not finite
+    (``rejected_nonfinite``).
 
     ``exit_time`` is None for a run that reached ``t_end``.  For one that
     left the chart it is the time of the last recorded state, which lies
@@ -156,13 +161,15 @@ class ConservationReport:
 
 def magnetic_rhs(system: MagneticSystem, phase) -> list:
     """Right-hand side [dq1, dq2, dp1, dp2] = X_H of the flow at a phase
-    point inside the chart domain, as a list of four floats.  An ndarray
-    phase is read through ``tolist``; the components of any other sequence
-    are used as given."""
+    point, as a list of four floats: one stage of either stepper, the
+    chart domain's test (DomainError outside), one ``local_geometry`` and
+    one ``hamiltonian_flow``.  An ndarray phase is read through ``tolist``;
+    the components of any other sequence are used as given."""
     if isinstance(phase, np.ndarray):
         phase = phase.tolist()
     x, y, p1, p2 = phase
-    system.require_inside(x, y)
+    if not system.domain.contains(x, y):
+        raise DomainError(f"point ({x}, {y}) outside the working domain")
     return hamiltonian_flow(system.local_geometry(x, y), p1, p2)
 
 
@@ -192,68 +199,85 @@ _EXIT_FRACTION = 1e-11
 _APPROACH = 0.99
 
 
-def _rk4_step(rhs, y, h):
+def _rk4_step(system, y, h):
+    """One classic step: (4, new state), or (k, None) if stage k raised."""
     half = 0.5 * h
     y1, y2, y3, y4 = y
-    a1, a2, a3, a4 = rhs(y)
-    b1, b2, b3, b4 = rhs([y1 + half * a1, y2 + half * a2, y3 + half * a3, y4 + half * a4])
-    c1, c2, c3, c4 = rhs([y1 + half * b1, y2 + half * b2, y3 + half * b3, y4 + half * b4])
-    d1, d2, d3, d4 = rhs([y1 + h * c1, y2 + h * c2, y3 + h * c3, y4 + h * c4])
+    stage = 1
+    try:
+        a1, a2, a3, a4 = magnetic_rhs(system, y)
+        stage = 2
+        b1, b2, b3, b4 = magnetic_rhs(
+            system, [y1 + half * a1, y2 + half * a2, y3 + half * a3, y4 + half * a4])
+        stage = 3
+        c1, c2, c3, c4 = magnetic_rhs(
+            system, [y1 + half * b1, y2 + half * b2, y3 + half * b3, y4 + half * b4])
+        stage = 4
+        d1, d2, d3, d4 = magnetic_rhs(system, [y1 + h * c1, y2 + h * c2, y3 + h * c3, y4 + h * c4])
+    except (DomainError, SingularMetric):
+        return stage, None
     sixth = h / 6.0
-    return [y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
-            y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
-            y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
-            y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)]
+    return 4, [y1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+               y2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+               y3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+               y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)]
 
 
-def _dp_step(rhs, y, h):
-    """One Dormand-Prince trial step: returns (y5, error estimate, rhs at
-    y5).  Stage j's rates are the floats named by the j-th letter."""
+def _dp_step(system, y, h, abs_tol, rel_tol):
+    """One Dormand-Prince trial step: (7, y5, error norm, rates at y5), or
+    (k, None, None, None) when stage k raised DomainError or SingularMetric.
+    Stage j's rates are the floats named by the j-th letter.  The norm is
+    the RMS of e / (abs_tol + rel_tol * max(|y|, |y5|)) for the error e,
+    summed left to right as numpy's mean of four values; ``q * q``
+    overflows to inf where ``q ** 2`` would raise."""
     y1, y2, y3, y4 = y
-    a1, a2, a3, a4 = rhs(y)
-    b1, b2, b3, b4 = rhs([y1 + h * (_A21 * a1), y2 + h * (_A21 * a2),
-                          y3 + h * (_A21 * a3), y4 + h * (_A21 * a4)])
-    c1, c2, c3, c4 = rhs([y1 + h * (_A31 * a1 + _A32 * b1), y2 + h * (_A31 * a2 + _A32 * b2),
-                          y3 + h * (_A31 * a3 + _A32 * b3), y4 + h * (_A31 * a4 + _A32 * b4)])
-    d1, d2, d3, d4 = rhs([y1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1),
-                          y2 + h * (_A41 * a2 + _A42 * b2 + _A43 * c2),
-                          y3 + h * (_A41 * a3 + _A42 * b3 + _A43 * c3),
-                          y4 + h * (_A41 * a4 + _A42 * b4 + _A43 * c4)])
-    e1, e2, e3, e4 = rhs([y1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
-                          y2 + h * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
-                          y3 + h * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3),
-                          y4 + h * (_A51 * a4 + _A52 * b4 + _A53 * c4 + _A54 * d4)])
-    f1, f2, f3, f4 = rhs([y1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
-                          y2 + h * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
-                          y3 + h * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3 + _A65 * e3),
-                          y4 + h * (_A61 * a4 + _A62 * b4 + _A63 * c4 + _A64 * d4 + _A65 * e4)])
-    y5 = [y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * f1),
-          y2 + h * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * f2),
-          y3 + h * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * f3),
-          y4 + h * (_B1 * a4 + _B3 * c4 + _B4 * d4 + _B5 * e4 + _B6 * f4)]
-    k7 = rhs(y5)
+    stage = 1
+    try:
+        a1, a2, a3, a4 = magnetic_rhs(system, y)
+        stage = 2
+        b1, b2, b3, b4 = magnetic_rhs(
+            system, [y1 + h * (_A21 * a1), y2 + h * (_A21 * a2),
+                     y3 + h * (_A21 * a3), y4 + h * (_A21 * a4)])
+        stage = 3
+        c1, c2, c3, c4 = magnetic_rhs(
+            system, [y1 + h * (_A31 * a1 + _A32 * b1), y2 + h * (_A31 * a2 + _A32 * b2),
+                     y3 + h * (_A31 * a3 + _A32 * b3), y4 + h * (_A31 * a4 + _A32 * b4)])
+        stage = 4
+        d1, d2, d3, d4 = magnetic_rhs(
+            system, [y1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1),
+                     y2 + h * (_A41 * a2 + _A42 * b2 + _A43 * c2),
+                     y3 + h * (_A41 * a3 + _A42 * b3 + _A43 * c3),
+                     y4 + h * (_A41 * a4 + _A42 * b4 + _A43 * c4)])
+        stage = 5
+        e1, e2, e3, e4 = magnetic_rhs(
+            system, [y1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
+                     y2 + h * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
+                     y3 + h * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3),
+                     y4 + h * (_A51 * a4 + _A52 * b4 + _A53 * c4 + _A54 * d4)])
+        stage = 6
+        f1, f2, f3, f4 = magnetic_rhs(
+            system, [y1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
+                     y2 + h * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
+                     y3 + h * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3 + _A65 * e3),
+                     y4 + h * (_A61 * a4 + _A62 * b4 + _A63 * c4 + _A64 * d4 + _A65 * e4)])
+        z1 = y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * f1)
+        z2 = y2 + h * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * f2)
+        z3 = y3 + h * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * f3)
+        z4 = y4 + h * (_B1 * a4 + _B3 * c4 + _B4 * d4 + _B5 * e4 + _B6 * f4)
+        stage = 7
+        k7 = magnetic_rhs(system, [z1, z2, z3, z4])
+    except (DomainError, SingularMetric):
+        return stage, None, None, None
     g1, g2, g3, g4 = k7
-    err = [h * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1),
-           h * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2),
-           h * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * f3 + _E7 * g3),
-           h * (_E1 * a4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * f4 + _E7 * g4)]
-    return y5, err, k7
-
-
-def _error_norm(err, y, y_new, abs_tol, rel_tol):
-    """Root mean square of err / (abs_tol + rel_tol * max(|y|, |y_new|)).
-
-    The squares are summed left to right, as numpy's mean of four values
-    does; ``q * q`` overflows to inf where ``q ** 2`` would raise.
-    """
-    e1, e2, e3, e4 = err
-    y1, y2, y3, y4 = y
-    z1, z2, z3, z4 = y_new
-    q1 = e1 / (abs_tol + rel_tol * max(abs(y1), abs(z1)))
-    q2 = e2 / (abs_tol + rel_tol * max(abs(y2), abs(z2)))
-    q3 = e3 / (abs_tol + rel_tol * max(abs(y3), abs(z3)))
-    q4 = e4 / (abs_tol + rel_tol * max(abs(y4), abs(z4)))
-    return math.sqrt((q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4) / 4)
+    q1 = (h * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1)
+          / (abs_tol + rel_tol * max(abs(y1), abs(z1))))
+    q2 = (h * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2)
+          / (abs_tol + rel_tol * max(abs(y2), abs(z2))))
+    q3 = (h * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * f3 + _E7 * g3)
+          / (abs_tol + rel_tol * max(abs(y3), abs(z3))))
+    q4 = (h * (_E1 * a4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * f4 + _E7 * g4)
+          / (abs_tol + rel_tol * max(abs(y4), abs(z4))))
+    return 7, [z1, z2, z3, z4], math.sqrt((q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4) / 4), k7
 
 
 class _Recorder:
@@ -311,27 +335,22 @@ def integrate(system: MagneticSystem, phase0, config: TrajectoryConfig) -> Traje
     y = phase.tolist()
     system.require_inside(y[0], y[1])
     rec = _Recorder(y, config.record_every)
-
-    def rhs(state):
-        rec.rhs_evals += 1
-        return magnetic_rhs(system, state)
-
     if config.method == "fixed_rk4":
-        t, y = _integrate_fixed(system, y, rhs, rec, config)
+        t, y = _integrate_fixed(system, y, rec, config)
     else:
-        t, y = _integrate_adaptive(system, y, rhs, rec, config)
+        t, y = _integrate_adaptive(system, y, rec, config)
     return rec.build(t, y)
 
 
-def _integrate_fixed(system, y, rhs, rec, config):
+def _integrate_fixed(system, y, rec, config):
     t = 0.0
     t_end = config.t_end
     step = config.step
     while t < t_end * (1.0 - 1e-14):
         h = min(step, t_end - t)
-        try:
-            y_new = _rk4_step(rhs, y, h)
-        except (DomainError, SingularMetric):
+        stages, y_new = _rk4_step(system, y, h)
+        rec.rhs_evals += stages
+        if y_new is None:
             rec.exit_time = t
             break
         if not all(map(math.isfinite, y_new)):
@@ -363,10 +382,11 @@ def _tangent_exit(contains, y, f, s_out, width):
     return s_in, s_out
 
 
-def _integrate_adaptive(system, y, rhs, rec, config):
+def _integrate_adaptive(system, y, rec, config):
     contains = system.domain.contains
     t = 0.0
     t_end = config.t_end
+    abs_tol, rel_tol = config.abs_tol, config.rel_tol
     h_min = _MIN_STEP_FRACTION * t_end
     exit_tol = _EXIT_FRACTION * t_end
     h = min(1e-3 * t_end, t_end)
@@ -375,17 +395,18 @@ def _integrate_adaptive(system, y, rhs, rec, config):
         h = min(h, t_end - t)
         if h < h_min:
             raise StepFailure(f"step underflow at t = {t}: h = {h}")
-        try:
-            y_new, err, f_new = _dp_step(rhs, y, h)
-        except (DomainError, SingularMetric):
+        stages, y_new, err_norm, f_new = _dp_step(system, y, h, abs_tol, rel_tol)
+        rec.rhs_evals += stages
+        if y_new is None:
             # a stage left the chart or met a singular metric (stage 7 is
             # evaluated at y_new, so this covers the end point too): find
             # where the tangent at y leaves the chart and step to just
             # inside that point, or end the run once it is close enough
             rec.rejected_boundary += 1
             if f is None:
+                rec.rhs_evals += 1
                 try:
-                    f = rhs(y)
+                    f = magnetic_rhs(system, y)
                 except (DomainError, SingularMetric):
                     rec.exit_time = t
                     break
@@ -411,7 +432,6 @@ def _integrate_adaptive(system, y, rhs, rec, config):
             if h < h_min:
                 raise StepFailure(f"non-finite state at t = {t}")
             continue
-        err_norm = _error_norm(err, y, y_new, config.abs_tol, config.rel_tol)
         if err_norm <= 1.0:
             t += h
             y = y_new

@@ -10,12 +10,13 @@ Conventions used throughout the package:
   float chart point is read at each of them by :func:`chart_columns`, and
   everything after that is elementwise, so each sample has the bits of
   the same evaluation at its own point;
-* the Hamiltonian is ``H = (1/2) g^{ij} p_i p_j``, and one private helper
-  writes dH for :func:`hamiltonian_gradient` and :func:`hamiltonian_flow`;
+* the Hamiltonian is ``H = (1/2) g^{ij} p_i p_j``; dH is written once,
+  in :func:`hamiltonian_flow`, and :func:`hamiltonian_gradient` reads it
+  back from there at Omega = 0;
 * the magnetic field is the coefficient ``Omega(x, y)`` of ``dx ^ dy``; it
   enters the field X_G = (G_p1, G_p2, -G_x + Omega G_p2, -G_y - Omega G_p1)
   of a phase function G, so the bracket is {F, G} = dF(X_G), and
-  :func:`hamiltonian_flow` forms the flow X_H in one pass;
+  :func:`hamiltonian_flow` forms dH and the flow X_H in one frame;
 * both read G^{-1}, dG and Omega of a chart point from one
   :meth:`MagneticSystem.local_geometry` call, built from the metric and
   the field unless the chart supplies all three from one ``local`` (ex3-ex6
@@ -298,20 +299,11 @@ def hamiltonian(system: MagneticSystem, phase, check_domain: bool = True) -> flo
     return 0.5 * (p1 * w1 + p2 * w2)
 
 
-def _gradient(local, p1, p2) -> tuple:
-    """(H_x, H_y, w1, w2) from a chart point's local geometry: dH/dp = w =
-    G^{-1} p and dH/dq_k = -(1/2) w^T (dG/dq_k) w."""
-    inverse, dg, _ = local
-    w1, w2 = _velocity(inverse, p1, p2)
-    (e_x, f_x, g_x), (e_y, f_y, g_y) = dg
-    h_x = -0.5 * (e_x * w1 * w1 + 2.0 * f_x * w1 * w2 + g_x * w2 * w2)
-    h_y = -0.5 * (e_y * w1 * w1 + 2.0 * f_y * w1 * w2 + g_y * w2 * w2)
-    return h_x, h_y, w1, w2
-
-
 def hamiltonian_gradient(system: MagneticSystem, phase, local=None) -> tuple:
     """Phase gradient (H_x, H_y, H_p1, H_p2) of the Hamiltonian, without a
-    domain check: dH/dp = w = G^{-1} p and dH/dq_k = -(1/2) w^T (dG/dq_k) w.
+    domain check, read back from :func:`hamiltonian_flow` at Omega = 0,
+    where X_H = (w1, w2, -H_x, -H_y); it is the written-out dH/dp = w =
+    G^{-1} p and dH/dq_k = -(1/2) w^T (dG/dq_k) w up to the sign of a zero.
 
     ``phase`` = (x, y, p1, p2) at one chart point; p1 and p2 may be arrays
     of momenta, over which the four components broadcast, and x, y chart
@@ -321,18 +313,23 @@ def hamiltonian_gradient(system: MagneticSystem, phase, local=None) -> tuple:
     given.
     """
     x, y, p1, p2 = phase
-    return _gradient(chart_columns(system.local_geometry, x, y) if local is None else local, p1, p2)
+    inverse, dg, _ = chart_columns(system.local_geometry, x, y) if local is None else local
+    w1, w2, minus_h_x, minus_h_y = hamiltonian_flow((inverse, dg, 0.0), p1, p2)
+    return -minus_h_x, -minus_h_y, w1, w2
 
 
 def hamiltonian_flow(local, p1, p2) -> list:
     """X_H = [w1, w2, -H_x + Omega w2, -H_y - Omega w1] from a chart point's
-    :meth:`MagneticSystem.local_geometry` and momenta, in one pass: the
-    bits of X_G of G = H, formed from :func:`hamiltonian_gradient`, for
-    floats and for (P, n) momenta at chart columns with their stacked
-    ``local``."""
-    h_x, h_y, w1, w2 = _gradient(local, p1, p2)
-    omega = local[2]
-    return [w1, w2, -h_x + omega * w2, -h_y - omega * w1]
+    :meth:`MagneticSystem.local_geometry` and momenta, in one frame, with
+    dH written out here only: dH/dp = w = G^{-1} p and dH/dq_k = -(1/2)
+    w^T (dG/dq_k) w.  Floats give floats; (P, n) momenta at chart columns,
+    with their stacked ``local``, give (P, n) arrays of the same bits."""
+    inverse, dg, omega = local
+    w1, w2 = _velocity(inverse, p1, p2)
+    (e_x, f_x, g_x), (e_y, f_y, g_y) = dg
+    return [w1, w2,
+            0.5 * (e_x * w1 * w1 + 2.0 * f_x * w1 * w2 + g_x * w2 * w2) + omega * w2,
+            0.5 * (e_y * w1 * w1 + 2.0 * f_y * w1 * w2 + g_y * w2 * w2) - omega * w1]
 
 
 def level_factor(

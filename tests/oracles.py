@@ -14,6 +14,9 @@ its gradient by complex step; ``ex3_transcribed_integral`` and
 the level and of its metric and S, that the pull-back and the frame form
 replaced.  The oracles read only public
 names of :mod:`magflows.hodograph`.
+``hamiltonian_gradient_formula`` is dH written out from a chart point's
+local geometry, which ``hamiltonian_gradient`` must equal (==) though it
+reads dH back from the X_H kernel;
 ``vector_field`` is the magnetic field X_G of a phase function G from its
 gradient, which ``hamiltonian_flow`` must equal bit for bit for G = H, and
 ``magnetic_bracket_pair`` the bracket {F, G} = dF(X_G) at one phase, which
@@ -213,6 +216,17 @@ def complex_step_gradient(fn: Callable, phase) -> np.ndarray:
         probe[k] += 1j * COMPLEX_STEP
         rows.append(fn(probe).imag / COMPLEX_STEP)
     return np.array(rows)
+
+
+def hamiltonian_gradient_formula(local, p1, p2) -> tuple:
+    """(H_x, H_y, H_p1, H_p2) composed from a chart point's local geometry
+    (G^{-1}, dG, Omega): w = G^{-1} p and H_k = -(1/2) w^T (dG/dq_k) w."""
+    (i11, i12, i22), dg, _ = local
+    w1, w2 = i11 * p1 + i12 * p2, i12 * p1 + i22 * p2
+    (e_x, f_x, g_x), (e_y, f_y, g_y) = dg
+    h_x = -0.5 * (e_x * w1 * w1 + 2.0 * f_x * w1 * w2 + g_x * w2 * w2)
+    h_y = -0.5 * (e_y * w1 * w1 + 2.0 * f_y * w1 * w2 + g_y * w2 * w2)
+    return h_x, h_y, w1, w2
 
 
 def vector_field(system: MagneticSystem, x: float, y: float, grad, local=None) -> list:

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from magflows.flow import (
 )
 from magflows.geometry import ChartDomain, MagneticSystem, Metric, hamiltonian, momentum_on_level
 from magflows.integrals import FirstIntegral, hamiltonian_integral
-from magflows.rational import EllipticHalf, build_bundle
+from magflows.rational import FAMILIES, EllipticHalf, build_bundle
 from oracles import convergence_order, larmor_orbit
 
 RNG = np.random.default_rng(0)
@@ -214,14 +215,17 @@ class TestTrajectoryConfig:
 
 class TestWorkCounts:
     @staticmethod
-    def _count_rhs(monkeypatch, corrupt_call=None):
+    def _count_rhs(monkeypatch, corrupt_call=None, raise_call=None):
         """Wrap flow.magnetic_rhs in a closure that counts its calls; the
-        call numbered ``corrupt_call`` returns an infinite dp1."""
+        call numbered ``corrupt_call`` returns an infinite dp1, and the
+        one numbered ``raise_call`` raises DomainError."""
         calls = []
         real = flow.magnetic_rhs
 
         def counting(system, phase, *args, **kwargs):
             calls.append(phase)
+            if len(calls) == raise_call:
+                raise DomainError("raised on purpose")
             out = real(system, phase, *args, **kwargs)
             if len(calls) == corrupt_call:
                 out[2] = math.inf
@@ -293,6 +297,84 @@ class TestWorkCounts:
         with pytest.raises(StepFailure, match="non-finite state at t = 0.2"):
             integrate(ex1.system, (0.0, 0.0, 1.0, 0.0), config)
         assert len(calls) == 8
+
+    @pytest.mark.parametrize("stage", range(1, 8))
+    def test_boundary_rejection_counts_its_stages(self, monkeypatch, stage):
+        """Stage k of the third trial step raises: that step is one
+        boundary rejection that adds k evaluations, and the rates at its
+        start are stage 7 of the step before, so it makes no other call."""
+        calls = self._count_rhs(monkeypatch, raise_call=2 * 7 + stage)
+        ex1 = get_example("ex1")
+        trajectory = integrate(ex1.system, ex1.sample_phases[0], TrajectoryConfig(t_end=3.0))
+        assert trajectory.rejected_boundary == trajectory.rejected == 1
+        assert trajectory.rhs_evals == len(calls) == 7 * trajectory.accepted + stage
+
+    @pytest.mark.parametrize("stage", range(1, 5))
+    def test_fixed_step_counts_the_stages_of_its_last_step(self, monkeypatch, stage):
+        """Stage k of the sixth fixed step raises: the run ends at its
+        fifth whole step, with 4 * 5 + k evaluations."""
+        calls = self._count_rhs(monkeypatch, raise_call=4 * 5 + stage)
+        ex1 = get_example("ex1")
+        config = TrajectoryConfig(t_end=1.0, method="fixed_rk4", step=0.1)
+        trajectory = integrate(ex1.system, ex1.sample_phases[0], config)
+        assert trajectory.domain_exit and trajectory.accepted == 5
+        assert trajectory.exit_time == trajectory.times[-1]
+        assert trajectory.rhs_evals == len(calls) == 4 * 5 + stage
+
+    @pytest.mark.parametrize("stage", range(1, 8))
+    def test_first_boundary_rejection_calls_at_the_start(self, monkeypatch, stage):
+        """Stage k of the first trial step raises: no step has given the
+        rates at the initial state, so the tangent there takes one call
+        of its own, counted after the k of the step."""
+        calls = self._count_rhs(monkeypatch, raise_call=stage)
+        ex1 = get_example("ex1")
+        phase0 = ex1.sample_phases[0]
+        trajectory = integrate(ex1.system, phase0, TrajectoryConfig(t_end=3.0))
+        assert trajectory.rejected_boundary == trajectory.rejected == 1
+        assert list(calls[stage]) == phase0.tolist()
+        assert trajectory.rhs_evals == len(calls) == 7 * trajectory.accepted + stage + 1
+
+
+class TestCallBudget:
+    """The Python calls inside one magnetic_rhs, counted by sys.setprofile:
+    the chart test, the local geometry and the X_H kernel, with no wrapper
+    layer.  The counts repeat exactly, so a layer that comes back shows."""
+
+    BUDGET = {"ex1": 10, "ex2": 12, "ex2b": 12, "ex3": 10, "ex4": 7, "ex5": 7, "ex6": 7,
+              "poly-cos": 12, "log-radial": 12, "log-nu1": 12, "elliptic-half": 12}
+
+    @staticmethod
+    def _python_calls(system, phase):
+        """Names of the Python functions that one magnetic_rhs calls, after
+        a first call has warmed any lazy state."""
+        magnetic_rhs(system, phase)
+        names = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                names.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            magnetic_rhs(system, phase)
+        finally:
+            sys.setprofile(None)
+        assert names[0] == "magnetic_rhs"
+        return names[1:]
+
+    @pytest.mark.parametrize("name", ["ex1", "ex2", "ex2b", "ex3", "ex4", "ex5", "ex6"])
+    def test_catalog_entry(self, name):
+        entry = get_example(name)
+        for phase in entry.sample_phases.tolist():
+            names = self._python_calls(entry.system, phase)
+            assert len(names) == self.BUDGET[name], names
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_bundle_family(self, family):
+        system = build_bundle(FAMILIES[family]()).as_system()
+        x0, x1, y0, y1 = system.domain.bbox
+        names = self._python_calls(system, _on_level(system, 0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.7))
+        assert len(names) == self.BUDGET[family], names
 
 
 # Dormand-Prince 4(5): Hairer, Norsett & Wanner, Solving ODEs I, Table II.5.2
@@ -376,6 +458,20 @@ def _array_dp_step(rhs, y, h):
     return y + h * _left_to_right(DP_B5, k), h * _left_to_right(errors, k), k[-1]
 
 
+def _numpy_error_norm(err, y, y5, abs_tol, rel_tol):
+    """Root mean square of err / (abs_tol + rel_tol * max(|y|, |y5|)) by numpy."""
+    with np.errstate(over="ignore"):
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        return np.sqrt(np.mean((err / scale) ** 2))
+
+
+def _replay(stages):
+    """A stand-in for magnetic_rhs that returns the given rates in turn,
+    whatever the phase."""
+    rates = iter(stages)
+    return lambda system, phase: list(next(rates))
+
+
 @pytest.fixture(scope="module")
 def elliptic_half():
     return build_bundle(EllipticHalf(), rho_range=(0.1, 3.0)).as_system()
@@ -402,21 +498,33 @@ class TestFloatStepping:
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(
-        values=st.lists(st.floats(-10.0, 10.0), min_size=12, max_size=12),
+        rates=st.lists(st.floats(-10.0, 10.0), min_size=28, max_size=28),
+        y=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+        h=st.floats(1e-4, 1.0),
         abs_tol=st.floats(1e-15, 1.0),
         rel_tol=st.floats(1e-15, 1.0),
     )
-    def test_error_norm_is_numpys_bit_for_bit(self, values, abs_tol, rel_tol):
-        err, y, y_new = values[:4], values[4:8], values[8:]
-        with np.errstate(over="ignore"):
-            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            want = np.sqrt(np.mean((np.array(err) / scale) ** 2))
-        assert flow._error_norm(err, y, y_new, abs_tol, rel_tol) == want
+    def test_error_norm_is_numpys_bit_for_bit(self, rates, y, h, abs_tol, rel_tol):
+        """The step's error norm is numpy's root mean square of the
+        tableau's error over abs_tol + rel_tol * max(|y|, |y5|), for
+        seven stage rates drawn at random."""
+        stages = [rates[4 * j:4 * j + 4] for j in range(7)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(flow, "magnetic_rhs", _replay(stages))
+            got = flow._dp_step(None, y, h, abs_tol, rel_tol)
+        replay = _replay(stages)
+        y5, err, _ = _array_dp_step(lambda s: replay(None, s), np.array(y), h)
+        assert got[0] == 7
+        assert np.array(got[1]).tobytes() == y5.tobytes()
+        assert got[2] == _numpy_error_norm(err, y, y5, abs_tol, rel_tol)
 
-    def test_error_norm_overflows_to_inf(self):
-        """q * q overflows to inf where q ** 2 raises OverflowError."""
-        norm = flow._error_norm([1e200, 0.0, 0.0, 0.0], [1.0] * 4, [1.0] * 4, 1.0, 1.0)
-        assert norm == math.inf
+    def test_error_norm_overflows_to_inf(self, monkeypatch):
+        """q * q overflows to inf where q ** 2 raises OverflowError: a rate
+        of 1e200 at stage 7, which y5 does not read, gives an error
+        estimate of -1e200 h / 40."""
+        monkeypatch.setattr(flow, "magnetic_rhs", _replay([[0.0] * 4] * 6 + [[1e200, 0.0, 0.0, 0.0]]))
+        stages, y5, norm, _ = flow._dp_step(None, [1.0] * 4, 1.0, 1.0, 1.0)
+        assert (stages, y5, norm) == (7, [1.0] * 4, math.inf)
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ex2b", "ex3", "ex4", "ex5", "ex6"])
     def test_fixed_rk4_matches_the_array_step_bit_for_bit(self, name):
@@ -451,20 +559,20 @@ class TestFloatStepping:
     def test_dp_step_matches_the_tableau_bit_for_bit(self, name, index, h):
         """The written-out step is the array step of the tableau's
         fractions, each stage sum taken left to right over its nonzero
-        entries."""
+        entries: seven stages, the bits of y5 and of the rates at y5, and
+        an error norm equal to numpy's root mean square of the tableau's
+        error at the default tolerances."""
         entry = get_example(name)
         phase = entry.sample_phases[index]
-
-        def rhs(state):
-            return magnetic_rhs(entry.system, state)
-
         try:
-            want = _array_dp_step(rhs, np.asarray(phase, dtype=float), h)
+            y5, err, k7 = _array_dp_step(lambda s: magnetic_rhs(entry.system, s), phase, h)
         except (DomainError, SingularMetric):
             assume(False)
-        got = flow._dp_step(rhs, list(phase), h)
-        for a, b in zip(got, want):
-            assert np.array(a).tobytes() == b.tobytes()
+        stages, got_y5, norm, got_k7 = flow._dp_step(entry.system, phase.tolist(), h, 1e-12, 1e-11)
+        assert stages == 7
+        assert np.array(got_y5).tobytes() == y5.tobytes()
+        assert np.array(got_k7).tobytes() == k7.tobytes()
+        assert norm == _numpy_error_norm(err, phase, y5, 1e-12, 1e-11)
 
 
 def _on_level(system, rho, psi, phi):
@@ -708,7 +816,7 @@ class TestConservationDrift:
         return ex1, trajectory, x_k
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_guard_rejected_state_names_its_time(self):
+    def test_raising_state_names_its_time(self):
         """An integral whose ``func`` raises at the k-th state only fails
         the drift with EvaluationError at that state's time, and no
         RuntimeWarning escapes."""

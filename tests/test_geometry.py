@@ -1,10 +1,11 @@
 """Charts, metrics, level-set momenta and the difference-quotient curvature."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from magflows.catalog import EXAMPLE_NAMES, get_example, list_examples
@@ -23,8 +24,13 @@ from magflows.geometry import (
     momentum_on_level,
     stack_columns,
 )
-from oracles import vector_field
+from oracles import hamiltonian_gradient_formula, vector_field
 from richardson import metric_partials
+
+
+@functools.cache
+def _entry(name):
+    return get_example(name)
 
 
 def _zero_partials(x, y):
@@ -197,6 +203,39 @@ class TestHamiltonian:
             hamiltonian(system, (2.0, 0.0, 1.0, 0.0))
         value = hamiltonian(system, (2.0, 0.0, 1.0, 0.0), check_domain=False)
         np.testing.assert_allclose(value, 0.5, rtol=1e-15)
+
+    @pytest.mark.parametrize("name", EXAMPLE_NAMES)
+    def test_gradient_is_the_written_out_formula(self, name):
+        """hamiltonian_gradient, read back from the X_H kernel at Omega = 0,
+        equals (==) the composed formula at each sample phase, and at the
+        chart columns of all three with 16 momenta at each."""
+        system = _entry(name).system
+        phases = _entry(name).sample_phases
+        for phase in phases.tolist():
+            want = hamiltonian_gradient_formula(system.local_geometry(*phase[:2]), *phase[2:])
+            assert hamiltonian_gradient(system, phase) == want
+        x, y = phases[:, :1], phases[:, 1:2]
+        p1, p2 = np.random.default_rng(5).normal(size=(2, 3, 16))
+        got = hamiltonian_gradient(system, (x, y, p1, p2))
+        want = hamiltonian_gradient_formula(chart_columns(system.local_geometry, x, y), p1, p2)
+        for a, b in zip(got, want):
+            assert np.shape(a) == (3, 16) and np.array_equal(a, b)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(name=st.sampled_from(EXAMPLE_NAMES), index=st.integers(0, 2),
+           dx=st.floats(-0.05, 0.05), dy=st.floats(-0.05, 0.05),
+           p1=st.floats(-1e3, 1e3), p2=st.floats(-1e3, 1e3))
+    def test_gradient_is_the_formula_at_random_states(self, name, index, dx, dy, p1, p2):
+        """The same equality near the sample points at arbitrary momenta,
+        zeros of either sign included."""
+        system = _entry(name).system
+        x, y = (_entry(name).sample_phases[index, :2] + (dx, dy)).tolist()
+        try:
+            local = system.local_geometry(x, y)
+        except SingularMetric:
+            assume(False)
+        assert hamiltonian_gradient(system, (x, y, p1, p2)) == \
+            hamiltonian_gradient_formula(local, p1, p2)
 
 
 class TestChartColumns:
