@@ -40,7 +40,7 @@ from .errors import (
 )
 from .flow import TrajectoryConfig, conservation_drift, integrate
 from .geometry import gaussian_curvature, hamiltonian, momentum_on_level
-from .hodograph import HodographConstants, algebraic_residual, solve_fields
+from .hodograph import HodographConstants, _sup_norm, algebraic_residual, solve_fields
 from .integrals import (
     FirstIntegral,
     functional_independence_rank,
@@ -437,7 +437,7 @@ def cmd_hodograph(args: argparse.Namespace) -> int:
                 point, omega, residual = solve_fields(constants, x, y)
                 r1, r2 = algebraic_residual(constants, x, y, point.f, point.g)
                 yield [x, y, point.f, point.g, point.lam, point.u0, omega, r1, r2,
-                       float(np.max(np.abs(residual)))]
+                       _sup_norm(residual)]
 
     header = ["x", "y", "f", "g", "Lambda", "u0", "Omega", "res1", "res2", "pde41_inf"]
     path = _out_path(args.out_dir, args.out)

@@ -25,11 +25,11 @@ Conventions used throughout the package:
 A metric is supplied as analytic components together with their exact
 spatial partials.  A metric written from a frame, G = k M^T M (ex3 and the
 rational bundles), is a frame chart: :func:`_frame_system` builds its
-system from one frame function, with the components from :func:`_gram`
-and, from one frame call, G, dG and Omega by the one product rule of
-:func:`_gram_partials`.  Only :func:`gaussian_curvature` differentiates a
-metric numerically: it is the independent oracle for the flat and curved
-checks.
+system from one frame function of (k, M, dk, dM, Omega), with the
+components from :func:`_gram` and, from one frame call, G, dG and Omega
+by the one product rule of :func:`_gram_partials`.  Only
+:func:`gaussian_curvature` differentiates a metric numerically: it is the
+independent oracle for the flat and curved checks.
 """
 
 from __future__ import annotations
@@ -255,19 +255,21 @@ class MagneticSystem:
         return self.metric.inverse(x, y), self.metric.component_partials(x, y), self.field(x, y)
 
 
-def _frame_system(frame, field, domain: ChartDomain, **fields) -> MagneticSystem:
+def _frame_system(frame, domain: ChartDomain, **fields) -> MagneticSystem:
     """The system of a frame chart G = k M^T M, with ``frame(x, y)`` = (k,
-    M, dk, dM) as :func:`_gram_partials` takes them, the field coefficient
-    ``field`` and the other :class:`MagneticSystem` ``fields``: components
-    :func:`_gram` of (k, M), and a ``local`` that gives G, dG and Omega
-    from one frame call, whose dG the metric partials are."""
+    M, dk, dM, Omega), the first four as :func:`_gram_partials` takes them,
+    and the other :class:`MagneticSystem` ``fields``: components
+    :func:`_gram` of (k, M), the field Omega, and a ``local`` that gives G,
+    dG and Omega from one frame call, whose dG the metric partials are."""
 
     def local(x, y):
-        return (*_gram_partials(*frame(x, y)), field(x, y))
+        k, m, dk, dm, omega = frame(x, y)
+        return (*_gram_partials(k, m, dk, dm), omega)
 
     metric = Metric(components=lambda x, y: _gram(*frame(x, y)[:2]),
                     partials=lambda x, y: local(x, y)[1])
-    return MagneticSystem(metric=metric, field=field, domain=domain, local=local, **fields)
+    return MagneticSystem(metric=metric, field=lambda x, y: frame(x, y)[4], domain=domain,
+                          local=local, **fields)
 
 
 def _velocity(inverse, p1, p2) -> tuple[float, float]:

@@ -11,12 +11,14 @@ algebraically and the magnetic field is Omega = (g_x - f_y)/4.
 At alpha = beta = 0 the system has a closed-form solution (real cube-root
 branch), which both seeds the continuation to nonzero alpha, beta and
 serves as an exact oracle for the solver.  The continuation follows that
-branch and reports a fold as SingularPoint; its Newton corrector ends with
-one full polishing step.  The derivatives of the fields, and so Omega and
-the first-order system residual, come exactly from the Jacobian at the
-solution by the implicit function theorem.  The per-point algebra runs on
-Python floats, with a closed-form 2x2 solve and closed-form singular
-values for the Jacobian's conditioning.
+branch along (a, b) = (t alpha, t beta), t from 0 to 1, handing t (1 by
+default) to the residual, the Jacobian and the Newton solve; a fold is a
+SingularPoint, and the corrector ends with one full polishing step.  The
+derivatives of the fields, and so Omega and the first-order system
+residual, come exactly from the Jacobian at the solution by the implicit
+function theorem.  The per-point algebra runs on Python floats, with a
+closed-form 2x2 solve and closed-form singular values for the Jacobian's
+conditioning.
 
 The module also assembles the curved quadratic-integral system at the
 constants (1, 0, 0, 0, 0, 2), in the hodograph chart (X, Y) = (f, g): R is
@@ -79,11 +81,6 @@ class HodographConstants:
         if self.zeta == 0.0:
             raise DomainError("zeta = 0 admits only trivial solutions")
 
-    def with_ab(self, alpha: float, beta: float) -> "HodographConstants":
-        return HodographConstants(
-            alpha, beta, self.gamma, self.delta, self.epsilon, self.zeta
-        )
-
 
 @dataclass(frozen=True)
 class FieldPoint:
@@ -103,12 +100,13 @@ class NewtonResult(NamedTuple):
     jacobian_cond: float
 
 
-def algebraic_residual(k: HodographConstants, x, y, f, g):
-    """The two polynomial relations tying (f, g) to the chart point.
+def algebraic_residual(k: HodographConstants, x, y, f, g, t: float = 1.0):
+    """The two polynomial relations tying (f, g) to the chart point, at
+    (a, b) = (t alpha, t beta) on the continuation path.
 
     Returns (R1, R2); a solution satisfies R1 = R2 = 0.
     """
-    a, b, z = k.alpha, k.beta, k.zeta
+    a, b, z = t * k.alpha, t * k.beta, k.zeta
     z2 = z * z
     r1 = (
         -z2 * f * g * g
@@ -137,10 +135,10 @@ def algebraic_residual(k: HodographConstants, x, y, f, g):
     return r1, r2
 
 
-def algebraic_jacobian(k: HodographConstants, x, y, f, g):
-    """Analytic Jacobian d(R1,R2)/d(f,g) as the float rows ((j11, j12),
-    (j21, j22)); independent of (x, y)."""
-    a, b, z = k.alpha, k.beta, k.zeta
+def algebraic_jacobian(k: HodographConstants, x, y, f, g, t: float = 1.0):
+    """Analytic Jacobian d(R1,R2)/d(f,g) at (a, b) = (t alpha, t beta) as
+    the float rows ((j11, j12), (j21, j22)); independent of (x, y)."""
+    a, b, z = t * k.alpha, t * k.beta, k.zeta
     z2 = z * z
     j11 = -z2 * g * g - 12.0 * b * z * g - 3.0 * z2 * f * f + 52.0 * a * z * f - 192.0 * a * a
     j12 = -2.0 * z2 * f * g - 12.0 * b * z * f + 12.0 * a * z * g + 64.0 * a * b
@@ -181,10 +179,12 @@ def newton_solve(
     y: float,
     guess,
     tol: float = 1e-12,
+    t: float = 1.0,
 ) -> NewtonResult:
-    """Damped Newton iteration on the algebraic system at one point, on
-    Python floats.  Steps are halved (up to 30 times) until max |R| (NaN
-    when R has a NaN) decreases; after 50 steps NoConvergence is raised.
+    """Damped Newton iteration on the algebraic system at one point and
+    continuation parameter t, on Python floats.  Steps are halved (up to 30
+    times) until max |R| (NaN when R has a NaN) decreases; after 50 steps
+    NoConvergence is raised.
     Once max |R| <= tol, which can leave f and g off by about 1e-12
     relative, one full step with the Jacobian at the root polishes it and
     is kept when max |R| does not grow.  ``iterations`` counts the steps
@@ -193,10 +193,10 @@ def newton_solve(
     SingularJacobian is raised where s1 <= 1e-14 max(s0, 1) or J is not finite.
     """
     f, g = float(guess[0]), float(guess[1])
-    r = algebraic_residual(k, x, y, f, g)
+    r = algebraic_residual(k, x, y, f, g, t)
     rnorm = _sup_norm(r)
     for it in range(51):
-        jac = algebraic_jacobian(k, x, y, f, g)
+        jac = algebraic_jacobian(k, x, y, f, g, t)
         s0, s1 = _singular_values(jac)
         if not s1 > 1e-14 * max(s0, 1.0):
             raise SingularJacobian(f"singular Jacobian at ({x}, {y}), f = {f}, g = {g}: "
@@ -205,14 +205,14 @@ def newton_solve(
         df, dg, _ = _solve2(jac, -r[0], -r[1])
         if rnorm <= tol:
             fp, gp = f + df, g + dg
-            pnorm = _sup_norm(algebraic_residual(k, x, y, fp, gp))
+            pnorm = _sup_norm(algebraic_residual(k, x, y, fp, gp, t))
             if pnorm <= rnorm:
                 return NewtonResult(fp, gp, it, pnorm, cond)
             return NewtonResult(f, g, it, rnorm, cond)
         lam = 1.0
         for _ in range(30):
             ft, gt = f + lam * df, g + lam * dg
-            rt = algebraic_residual(k, x, y, ft, gt)
+            rt = algebraic_residual(k, x, y, ft, gt, t)
             rtn = _sup_norm(rt)
             if rtn < rnorm:
                 f, g, r, rnorm = ft, gt, rt, rtn
@@ -229,33 +229,30 @@ def newton_solve(
 
 
 def continued_solve(k: HodographConstants, x: float, y: float) -> NewtonResult:
-    """Follow the branch of the closed form along (alpha, beta) = t (alpha*,
-    beta*), t from 0 to 1 (Allgower & Georg, ch. 2): Euler predictor along
-    -J^{-1} dR/dt, exact as (R(t+1) - R(t-1))/2 since R is quadratic in t,
-    and Newton corrector.  A step halves when the corrector fails, sign(det J)
+    """Follow the branch of the closed form along (a, b) = (t alpha, t beta),
+    t from 0 to 1 (Allgower & Georg, ch. 2), with no constants built on the
+    way: Euler predictor along -J^{-1} dR/dt, exact as (R(t+1) - R(t-1))/2
+    since R is quadratic in t, and Newton corrector.  A step halves when
+    the corrector fails, sign(det J)
     (-1, 0 or 1) leaves its seed value, or the trapezoid rule on the end
     tangents misses the step by over a quarter of its length plus 1e-12 of
     round-off (a jump to another branch); it doubles after at most 3
     iterations.  A step below 1e-4 means the branch folds: SingularPoint.
     """
-    def at(t):
-        return k.with_ab(t * k.alpha, t * k.beta)
-
     def tangent(t, f, g):
-        jac = algebraic_jacobian(at(t), x, y, f, g)
-        up = algebraic_residual(at(t + 1.0), x, y, f, g)
-        down = algebraic_residual(at(t - 1.0), x, y, f, g)
+        jac = algebraic_jacobian(k, x, y, f, g, t)
+        up = algebraic_residual(k, x, y, f, g, t + 1.0)
+        down = algebraic_residual(k, x, y, f, g, t - 1.0)
         sf, sg, det = _solve2(jac, -0.5 * (up[0] - down[0]), -0.5 * (up[1] - down[1]))
         return int(det > 0.0) - int(det < 0.0), sf, sg
 
-    seed, _ = closed_form_abzero(at(0.0), x, y)
-    t, h, f, g = 0.0, 1.0, seed.f, seed.g
+    (f, g, _), t, h = _cube_root_branch(k, x, y), 0.0, 1.0
     sign, sf, sg = tangent(0.0, f, g)
     while h >= 1e-4:
         t_new = 1.0 if h >= 1.0 - t else t + h
         step = t_new - t
         try:
-            result = newton_solve(at(t_new), x, y, (f + step * sf, g + step * sg))
+            result = newton_solve(k, x, y, (f + step * sf, g + step * sg), t=t_new)
             new_sign, nf, ng = tangent(t_new, result.f, result.g)
             df, dg = result.f - f, result.g - g
             miss = math.hypot(df - 0.5 * step * (sf + nf), dg - 0.5 * step * (sg + ng))
@@ -297,18 +294,19 @@ def closed_form_abzero(k: HodographConstants, x: float, y: float):
     """
     if k.alpha != 0.0 or k.beta != 0.0:
         raise DomainError("closed form requires alpha = beta = 0")
-    u = 2.0 * x + k.delta
-    v = 2.0 * y + k.gamma
+    f, g, c = _cube_root_branch(k, x, y)
+    return FieldPoint(f, g, -c / (2.0 * k.zeta), 4.0 * k.epsilon / k.zeta), -2.0 / (3.0 * c)
+
+
+def _cube_root_branch(k: HodographConstants, x: float, y: float) -> tuple:
+    """(f, g, c) of :func:`closed_form_abzero` from gamma, delta and zeta
+    alone: the continuation's seed at t = 0, whatever alpha and beta are."""
+    u, v = 2.0 * x + k.delta, 2.0 * y + k.gamma
     s = k.zeta * (u * u + v * v)
     if s == 0.0:
         raise SingularPoint(f"cube-root branch point at ({x}, {y})")
     c = float(np.cbrt(s))
-    f = v / c
-    g = -u / c
-    lam = -c / (2.0 * k.zeta)
-    u0 = 4.0 * k.epsilon / k.zeta
-    omega = -2.0 / (3.0 * c)
-    return FieldPoint(f=f, g=g, lam=lam, u0=u0), omega
+    return v / c, -u / c, c
 
 
 def _system_residual(lam, f, g, ux, uy):
@@ -353,18 +351,18 @@ EXAMPLE3_BBOX = (3.0, 5.0, -0.72, 0.72)
 
 
 def _ex3_frame(x, y):
-    """(k, M, dk, dM) of the curved system at a chart point: k = -r/2 with
-    r = x^2 - 8x + y^2, the frame M row by row as (-2m, -q, w, 2m) with
+    """(k, M, dk, dM, Omega) of the curved system at a chart point: k = -r/2
+    with r = x^2 - 8x + y^2, the frame M row by row as (-2m, -q, w, 2m) with
     m = xy - 3y, q = x^2 - 6x + 3y^2 and w = (3x - 8)(x - 6) + y^2, so
-    G = k M^T M, and their linear chart partials dk = (k_x, k_y) and
-    dM = (M_x, M_y).  M is the hodograph map's Jacobian -(1/(2 zeta))
-    ((j21, j22), (j11, j12)) and k its Lambda at (1, 0, 0, 0, 0, 2),
-    (f, g) = (x, y)."""
-    m = x * y - 3.0 * y
+    G = k M^T M, their linear chart partials dk = (k_x, k_y) and dM =
+    (M_x, M_y), and the field Omega = -(r + 12).  M is the hodograph map's
+    Jacobian -(1/(2 zeta)) ((j21, j22), (j11, j12)) and k its Lambda at
+    (1, 0, 0, 0, 0, 2), (f, g) = (x, y)."""
+    m, r = x * y - 3.0 * y, x * x - 8.0 * x + y * y
     q, w = x * x - 6.0 * x + 3.0 * y * y, (3.0 * x - 8.0) * (x - 6.0) + y * y
-    return (-0.5 * (x * x - 8.0 * x + y * y), (-2.0 * m, -q, w, 2.0 * m), (4.0 - x, -y),
+    return (-0.5 * r, (-2.0 * m, -q, w, 2.0 * m), (4.0 - x, -y),
             ((-2.0 * y, 6.0 - 2.0 * x, 6.0 * x - 26.0, 2.0 * y),
-             (6.0 - 2.0 * x, -6.0 * y, 2.0 * y, 2.0 * x - 6.0)))
+             (6.0 - 2.0 * x, -6.0 * y, 2.0 * y, 2.0 * x - 6.0)), -(r + 12.0))
 
 
 def _pullback_parts(m, dm, f, g, u0, du0) -> tuple:
@@ -410,7 +408,7 @@ def example3_system() -> tuple[MagneticSystem, FirstIntegral]:
     The chart is the hodograph one, (f, g) = (x, y).  The metric is the
     pull-back Lambda M^T M of Lambda (dx^2 + dy^2) through the hodograph
     map, a frame chart of ``_ex3_frame`` built by
-    :func:`magflows.geometry._frame_system`.  The field is -(r + 12).  The
+    :func:`magflows.geometry._frame_system`, with the field -(r + 12).  The
     integral is the flat chart's, with u0 = 4x, pulled back through the
     same frame by ``_pullback_parts``.  The working domain is
     ``EXAMPLE3_BBOX``.
@@ -418,7 +416,6 @@ def example3_system() -> tuple[MagneticSystem, FirstIntegral]:
     x0, x1, y0, y1 = EXAMPLE3_BBOX
     system = _frame_system(
         _ex3_frame,
-        lambda x, y: -(x * x - 8.0 * x + y * y + 12.0),
         ChartDomain(bbox=EXAMPLE3_BBOX, predicate=lambda x, y: x0 <= x <= x1 and y0 <= y <= y1),
         energy=1.0,
         name="quadratic-hodograph chart",
@@ -426,7 +423,7 @@ def example3_system() -> tuple[MagneticSystem, FirstIntegral]:
     )
 
     def parts(x, y):
-        _, m, _, dm = _ex3_frame(x, y)
+        _, m, _, dm, _ = _ex3_frame(x, y)
         return _pullback_parts(m, dm, x, y, 4.0 * x, (4.0, 0.0))
 
     return system, ratio_integral("F", "quadratic", parts, level=1.0)

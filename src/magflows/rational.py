@@ -19,12 +19,13 @@ partials of Z through third order by the product rule.  A bundle
 reads everything from one jet per point.  Its metric is G = k M^T M, with
 k = gamma^2 (rho + 1) / C and the frame M of columns (Z_rr, W) and
 (rho W, -(rho + 1) Z_rr), W = (rho Z_rp - Z_p) / rho^2; det M = -D / rho.
-M is linear in the jet.  A bundle gives (k, M) and their partials from
-one jet, and ``geometry._frame_system``, which builds ex3 too, makes its
-system.  Its integral is :func:`magflows.integrals.ratio_integral` over
-the momentum coefficient triples of N and D, each pair the half-angle
-rotation (u s + v c, u c - v s), c, s = cos, sin(psi/2), of two forms
-U, V linear in momenta, so F = tan(psi/2 + atan2(V, U)).
+M is linear in the jet.  A bundle gives (k, M), their partials and the
+field from one jet, and ``geometry._frame_system``, which builds ex3 too,
+makes its system.  Its integral is
+:func:`magflows.integrals.ratio_integral` over the momentum coefficient
+triples of N and D, each pair the half-angle rotation (u s + v c, u c -
+v s), c, s = cos, sin(psi/2), of two forms U, V linear in momenta, so
+F = tan(psi/2 + atan2(V, U)).
 """
 
 from __future__ import annotations
@@ -303,10 +304,11 @@ class RationalFlowBundle:
         return last[1]
 
     def _frame(self, rho, psi):
-        """(k, M, dk, dM) at a chart point from the memoized jet, as
-        :func:`magflows.geometry._gram_partials` takes them: the scale k,
+        """(k, M, dk, dM, Omega) at a chart point from the memoized jet, as
+        :func:`magflows.geometry._frame_system` takes them: the scale k,
         M row by row as (Z_rr, rho W, W, -(rho + 1) Z_rr), the scale's
-        partials (gamma^2 / C, 0) and M's rho and psi partials."""
+        partials (gamma^2 / C, 0), M's rho and psi partials and the field
+        (gamma/2) Z_rr."""
         _, _, z_p, z_rr, z_rp, z_pp, z_rrr, z_rrp, z_rpp = self._jet(rho, psi)
         w = (rho * z_rp - z_p) / (rho * rho)
         w_p = (rho * z_rpp - z_pp) / (rho * rho)
@@ -314,7 +316,7 @@ class RationalFlowBundle:
         m_p = (z_rrp, rho * w_p, w_p, -(rho + 1.0) * z_rrp)
         g2 = self.gamma * self.gamma
         return (g2 * (rho + 1.0) / self.c_energy, (z_rr, rho * w, w, -(rho + 1.0) * z_rr),
-                (g2 / self.c_energy, 0.0), (m_r, m_p))
+                (g2 / self.c_energy, 0.0), (m_r, m_p), 0.5 * self.gamma * z_rr)
 
     def metric_components(self, rho, psi):
         """(g11, g12, g22) at a chart point, as the system's metric gives them."""
@@ -365,7 +367,6 @@ class RationalFlowBundle:
 
         return _frame_system(
             self._frame,
-            self.omega,
             ChartDomain(bbox=(lo, hi, 0.0, self.z.psi_period), predicate=predicate),
             energy=self.c_energy,
             name=f"rational flow ({self.z.family})",

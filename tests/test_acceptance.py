@@ -5,6 +5,7 @@ required bound, then asserts.  Run with ``pytest -v`` to get one verdict
 line per check.
 """
 
+import dataclasses
 import json
 import math
 
@@ -133,7 +134,7 @@ def test_a01_newton_grid_reproduces_closed_form():
 def test_a02_field_system_residual_second_order():
     """The first-order system residual shrinks as h^2 and meets 1e-7."""
     points = [(0.7, 0.9), (1.2, 1.7), (2.1, 0.6), (1.8, 2.2)]
-    k_cont = K_REF.with_ab(0.1, 0.05)
+    k_cont = dataclasses.replace(K_REF, alpha=0.1, beta=0.05)
     cont_cache = {}
 
     def closed_sampler(x, y):

@@ -194,7 +194,7 @@ class TestSimulate:
         assert "unknown config key" in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_guard_rejected_row_gets_a_nan_cell(self, tmp_path, capsys):
+    def test_pole_row_gets_a_nan_cell(self, tmp_path, capsys):
         """ex4 from (1, 0) with momenta (0.5, 0.5), where F's N and D both
         vanish: the first row gets NaN in F's column, with no traceback or
         RuntimeWarning, and every other row gets F of its state."""

@@ -1,11 +1,14 @@
 """Algebraic field solves, continuation and the quadratic-integral surface."""
 
+import dataclasses
 import math
 from collections import Counter
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magflows import cli, hodograph
 from magflows.catalog import get_example
@@ -73,11 +76,14 @@ class TestConstants:
         with pytest.raises(DomainError, match=f"{name} must be finite"):
             HodographConstants(**{name: value})
 
-    def test_with_ab(self):
-        """with_ab swaps in new continuation targets, all else equal."""
-        moved = K0.with_ab(0.1, 0.05)
+    def test_replace_moves_only_the_continuation_targets(self):
+        """dataclasses.replace swaps in new continuation targets, all else
+        equal, and refuses a non-finite one as the constructor does."""
+        moved = dataclasses.replace(K0, alpha=0.1, beta=0.05)
         assert (moved.alpha, moved.beta) == (0.1, 0.05)
         assert (moved.gamma, moved.zeta) == (K0.gamma, K0.zeta)
+        with pytest.raises(DomainError, match="alpha must be finite"):
+            dataclasses.replace(K0, alpha=math.nan)
 
 
 class TestClosedForm:
@@ -104,7 +110,7 @@ class TestClosedForm:
     def test_only_at_zero_continuation_targets(self):
         """Nonzero alpha, beta have no closed form here."""
         with pytest.raises(DomainError):
-            closed_form_abzero(K0.with_ab(0.1, 0.0), 1.0, 1.0)
+            closed_form_abzero(dataclasses.replace(K0, alpha=0.1, beta=0.0), 1.0, 1.0)
 
 
 class TestNewton:
@@ -179,7 +185,7 @@ class TestNewton:
 class TestContinuation:
     def test_reaches_target_constants(self):
         """Continuation converges at alpha = 0.1, beta = 0.05."""
-        k = K0.with_ab(0.1, 0.05)
+        k = dataclasses.replace(K0, alpha=0.1, beta=0.05)
         for _ in range(10):
             x, y = RNG.uniform(0.6, 2.4, size=2)
             result = continued_solve(k, x, y)
@@ -216,7 +222,7 @@ class TestFirstOrderSystem:
 
     def test_residual_small_on_continuation(self):
         """Continuation solutions meet the same 1e-7 bar at h = 1e-4."""
-        k = K0.with_ab(0.1, 0.05)
+        k = dataclasses.replace(K0, alpha=0.1, beta=0.05)
         cache = {}
 
         def sampler(x, y):
@@ -240,10 +246,11 @@ class TestFirstOrderSystem:
 
 def _walk(k, x, y, stages):
     """Reference continuation: Newton at `stages` equal steps in t."""
-    point, _ = closed_form_abzero(k.with_ab(0.0, 0.0), x, y)
+    point, _ = closed_form_abzero(dataclasses.replace(k, alpha=0.0, beta=0.0), x, y)
     f, g = point.f, point.g
     for i in range(1, stages + 1):
-        result = newton_solve(k.with_ab(i / stages * k.alpha, i / stages * k.beta), x, y, (f, g))
+        stage = dataclasses.replace(k, alpha=i / stages * k.alpha, beta=i / stages * k.beta)
+        result = newton_solve(stage, x, y, (f, g))
         f, g = result.f, result.g
     return f, g
 
@@ -353,7 +360,7 @@ class TestSolveFields:
         """On continuation solutions the exact Omega agrees with the
         Richardson difference of omega_fd, and the exact residual
         is the limit that pde41_residual_fd approaches as h^2."""
-        k = K0.with_ab(0.1, 0.05)
+        k = dataclasses.replace(K0, alpha=0.1, beta=0.05)
 
         def sampler(x, y):
             return solve_fields(k, x, y)[0]
@@ -401,6 +408,87 @@ class TestSolveFields:
         assert not list(tmp_path.glob("*.csv"))
 
 
+def _bits(values):
+    """The values, nested tuples of floats and ints, with each float as its
+    hex string, so that == compares bits (and -0.0 differs from 0.0)."""
+    if isinstance(values, tuple):
+        return tuple(map(_bits, values))
+    return values.hex() if isinstance(values, float) else values
+
+
+def _outcome(fn, *args, **kwargs):
+    """The bits of ``fn``'s result, or the type and message of the solver
+    error it raises."""
+    try:
+        return _bits(tuple(fn(*args, **kwargs)))
+    except (NoConvergence, SingularJacobian) as exc:
+        return type(exc), str(exc)
+
+
+# the ranges of the constants that magflows hodograph grids are run at
+_CONSTANTS = st.builds(
+    HodographConstants,
+    st.floats(-0.3, 0.3), st.floats(-0.3, 0.3), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+    st.floats(0.0, 2.0),
+    st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(0.5, 3.0)).map(math.prod))
+
+
+class TestContinuationParameter:
+    """The residual, the Jacobian and the Newton solve at the continuation
+    parameter t read (a, b) = (t alpha, t beta): the very products a
+    constants object at those targets stores, so every bit is the same."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(k=_CONSTANTS, t=st.floats(-1.0, 2.0), point=st.tuples(*[st.floats(0.5, 2.5)] * 2),
+           fg=st.tuples(*[st.floats(-3.0, 3.0)] * 2))
+    def test_t_is_the_constants_at_t_alpha_t_beta(self, k, t, point, fg):
+        moved = dataclasses.replace(k, alpha=t * k.alpha, beta=t * k.beta)
+        x, y = point
+        for fn in (algebraic_residual, algebraic_jacobian):
+            assert _bits(fn(k, x, y, *fg, t)) == _bits(fn(moved, x, y, *fg))
+        seed, _ = closed_form_abzero(dataclasses.replace(k, alpha=0.0, beta=0.0), x, y)
+        assert (_outcome(newton_solve, k, x, y, (seed.f, seed.g), t=t)
+                == _outcome(newton_solve, moved, x, y, (seed.f, seed.g)))
+
+    @pytest.mark.parametrize("ab, point, counts", [
+        # (residuals, Jacobians, Newton solves), as with one constants
+        # object per evaluation: the seed and the tangents take one
+        # Jacobian and two residuals each
+        ((0.0, 0.0), (1.3, 0.9), (6, 4, 1)),
+        ((0.1, 0.05), (0.5, 1.25), (27, 21, 3)),
+    ])
+    def test_solve_fields_builds_no_constants(self, monkeypatch, ab, point, counts):
+        """solve_fields constructs no HodographConstants, and makes the
+        residual, Jacobian and Newton calls the continuation always made."""
+        k = dataclasses.replace(K0, alpha=ab[0], beta=ab[1])
+        calls = Counter()
+        post_init = HodographConstants.__post_init__
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(HodographConstants, "__post_init__", counted("constants", post_init))
+        for name in ("algebraic_residual", "algebraic_jacobian", "newton_solve"):
+            monkeypatch.setattr(hodograph, name, counted(name, getattr(hodograph, name)))
+        solve_fields(k, *point)
+        assert calls["constants"] == 0
+        assert (calls["algebraic_residual"], calls["algebraic_jacobian"],
+                calls["newton_solve"]) == counts
+
+    @pytest.mark.parametrize("row", [
+        (math.nan, 1.0, -2.0, 0.5), (1.0, -2.0, 0.5, math.nan), (1.0, -math.inf, 2.0, -3.0),
+        (math.inf, -1.0, 0.0, 2.0), (-0.0, -0.0, -0.0, -0.0), (-0.0, 0.0, -1e-300, 5e-324),
+        (-math.inf, math.nan, math.inf, 1.0)])
+    def test_sup_norm_is_numpys(self, row):
+        """The CSV's pde41_inf, _sup_norm of four floats, is numpy's
+        max |v|: NaN wherever a NaN is, inf for an infinity, +0.0 for zeros."""
+        got, want = hodograph._sup_norm(row), float(np.max(np.abs(row)))
+        assert (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex()
+
+
 def _ex3_columns(system, n=6, n_angles=16):
     """Chart columns x, y of shape (P, 1) at the n x n scan grid of ex3's
     domain, with (P, n_angles) momenta on the level."""
@@ -429,7 +517,7 @@ class TestExample3Surface:
         is the box test alone."""
         x0, x1, y0, y1 = EXAMPLE3_BBOX
         x, y = np.meshgrid(np.linspace(x0, x1, 801), np.linspace(y0, y1, 801))
-        k, (m11, m12, m21, m22), _, _ = hodograph._ex3_frame(x, y)
+        k, (m11, m12, m21, m22), _, _, _ = hodograph._ex3_frame(x, y)
         assert np.max(-2.0 * k) <= -10.0
         assert np.min(np.abs(m11 * m22 - m12 * m21)) >= 10.0
         system, _ = example3_system()
@@ -458,7 +546,7 @@ class TestExample3Surface:
         for x, y in self._chart_points():
             (j11, j12), (j21, j22) = algebraic_jacobian(consts, 0.0, 0.0, x, y)
             jac = -np.array([j21, j22, j11, j12]) / (2.0 * z)
-            k, frame, _, _ = hodograph._ex3_frame(x, y)
+            k, frame, _, _, _ = hodograph._ex3_frame(x, y)
             assert np.max(np.abs(np.array(frame) - jac)) <= 1e-14 * np.max(np.abs(jac))
             lam = reconstruct_fields(consts, x, y)[0]
             assert abs(k - lam) <= 1e-14 * abs(lam)

@@ -76,7 +76,7 @@ class TestFirstIntegral:
         assert ex5.integrals[0].level == ex5.system.energy
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_guard_raises(self):
+    def test_division_by_zero_reads_nan(self):
         """No phase is refused: a call at one phase where the value divides
         by zero is NaN, on Python floats and with no RuntimeWarning.  ex4's
         N and D both vanish at (1, 0) with the momenta (0.5, 0.5), where
@@ -100,7 +100,7 @@ class TestFirstIntegral:
         assert integral(row.tolist()).hex() == value.hex()
         assert calls == {"parts": 2}
 
-    def test_call_at_chart_columns_asks_the_guard_first(self):
+    def test_call_at_chart_columns_calls_func_once(self):
         """At chart columns a call gives the values of ``func`` there, from
         one call of ``func``, each with the bits of a call at its phase.
         Where the value divides by zero, it is what numpy divides to there
@@ -126,7 +126,7 @@ class TestFirstIntegral:
         assert math.isnan(integral([1.0, 0.1, 0.0, 1.0]))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_bundle_pole_is_guarded(self):
+    def test_bundle_pole_reads_nan(self):
         """A call at a phase on a bundle integral's pole line, where D is
         exactly 0, is NaN with no RuntimeWarning, and its value just off
         the line is finite."""
@@ -255,7 +255,7 @@ class TestLevelSetScan:
         with pytest.raises(DomainError):
             level_set_bracket_scan(system, _momentum_p1())
 
-    def test_all_guarded_raises(self):
+    def test_all_singular_raises(self):
         """A metric that is singular at every grid point leaves no sample:
         the scan raises DomainError naming the singular metric."""
         metric = Metric(components=lambda x, y: (1.0, 2.0, 1.0), partials=_zero_partials)

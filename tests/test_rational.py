@@ -481,7 +481,7 @@ class TestBundleIntegral:
                                    ex5.integrals[0](phase), atol=1e-10)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_near_pole_guarded(self):
+    def test_near_pole_angle_bracket_at_round_off(self):
         """Next to the pole line nothing is refused: at the level momentum
         where D is 2e-13, |{F, H}| is of order 1e11, while the bracket of
         the angle of [N : D], |{F, H}| / (1 + F^2), stays at round-off.
@@ -506,7 +506,7 @@ class TestBundleIntegral:
         assert abs(value) > 1e12 and bracket > 1e9
         assert bracket / (1.0 + value * value) <= 1e-14
 
-    def test_guard_outside_the_chart_raises(self):
+    def test_call_outside_the_chart_raises(self):
         """Off the family's validity interval a call raises the jet's
         DomainError instead of answering."""
         integral = build_bundle(LogNu1(), rho_range=(0.05, 5.0)).as_integral()
