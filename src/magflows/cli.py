@@ -40,7 +40,7 @@ from .errors import (
 )
 from .flow import TrajectoryConfig, conservation_drift, integrate
 from .geometry import gaussian_curvature, hamiltonian, momentum_on_level
-from .hodograph import HodographConstants, _sup_norm, algebraic_residual, solve_fields
+from .hodograph import HodographConstants, _sup_norm, solve_fields
 from .integrals import (
     FirstIntegral,
     functional_independence_rank,
@@ -434,8 +434,7 @@ def cmd_hodograph(args: argparse.Namespace) -> int:
         ys = np.linspace(y0, y1, ny).tolist()
         for x in np.linspace(x0, x1, nx).tolist():
             for y in ys:
-                point, omega, residual = solve_fields(constants, x, y)
-                r1, r2 = algebraic_residual(constants, x, y, point.f, point.g)
+                point, omega, residual, (r1, r2) = solve_fields(constants, x, y)
                 yield [x, y, point.f, point.g, point.lam, point.u0, omega, r1, r2,
                        _sup_norm(residual)]
 

@@ -98,6 +98,7 @@ class NewtonResult(NamedTuple):
     iterations: int
     residual_inf: float
     jacobian_cond: float
+    residual: tuple
 
 
 def algebraic_residual(k: HodographConstants, x, y, f, g, t: float = 1.0):
@@ -188,9 +189,10 @@ def newton_solve(
     Once max |R| <= tol, which can leave f and g off by about 1e-12
     relative, one full step with the Jacobian at the root polishes it and
     is kept when max |R| does not grow.  ``iterations`` counts the steps
-    before the polish; ``jacobian_cond`` = s0 / s1 is the condition number
-    at the root, from the closed-form singular values s0 >= s1 of J, and
-    SingularJacobian is raised where s1 <= 1e-14 max(s0, 1) or J is not finite.
+    before the polish, ``residual`` is (R1, R2) at the root and
+    ``jacobian_cond`` = s0 / s1 its condition number, from the closed-form
+    singular values s0 >= s1 of J; SingularJacobian is raised where s1 <=
+    1e-14 max(s0, 1) or J is not finite.
     """
     f, g = float(guess[0]), float(guess[1])
     r = algebraic_residual(k, x, y, f, g, t)
@@ -205,10 +207,11 @@ def newton_solve(
         df, dg, _ = _solve2(jac, -r[0], -r[1])
         if rnorm <= tol:
             fp, gp = f + df, g + dg
-            pnorm = _sup_norm(algebraic_residual(k, x, y, fp, gp, t))
+            rp = algebraic_residual(k, x, y, fp, gp, t)
+            pnorm = _sup_norm(rp)
             if pnorm <= rnorm:
-                return NewtonResult(fp, gp, it, pnorm, cond)
-            return NewtonResult(f, g, it, rnorm, cond)
+                return NewtonResult(fp, gp, it, pnorm, cond, rp)
+            return NewtonResult(f, g, it, rnorm, cond, r)
         lam = 1.0
         for _ in range(30):
             ft, gt = f + lam * df, g + lam * dg
@@ -323,12 +326,12 @@ def _system_residual(lam, f, g, ux, uy):
 
 def solve_fields(k: HodographConstants, x: float, y: float):
     """(FieldPoint, Omega = (g_x - f_y)/4, residual A U_x + B U_y as four
-    floats) at one chart point from one continued solve.  R depends on
-    (x, y) only through 2 zeta y in R1 and 2 zeta x in R2, so
+    floats, (R1, R2) of the solve) at one chart point from one continued
+    solve.  R depends on (x, y) only through 2 zeta y in R1 and 2 zeta x in R2, so
     d(f, g)/dx = -2 zeta J^{-1} (0, 1) and d(f, g)/dy = -2 zeta J^{-1} (1, 0)
     exactly; (Lambda, u0) follow by the chain rule.
     """
-    f, g = continued_solve(k, x, y)[:2]
+    f, g, *_, r = continued_solve(k, x, y)
     lam, u0 = reconstruct_fields(k, f, g)
     jac = algebraic_jacobian(k, x, y, f, g)
     fx, gx, _ = _solve2(jac, 0.0, -2.0 * k.zeta)
@@ -336,7 +339,7 @@ def solve_fields(k: HodographConstants, x: float, y: float):
     a8, b8 = 8.0 * k.alpha / k.zeta, 8.0 * k.beta / k.zeta
     ux = ((-f + a8) * fx + (-g - b8) * gx, a8 * fx + b8 * gx, fx, gx)
     uy = ((-f + a8) * fy + (-g - b8) * gy, a8 * fy + b8 * gy, fy, gy)
-    return FieldPoint(f, g, lam, u0), 0.25 * (gx - fy), _system_residual(lam, f, g, ux, uy)
+    return FieldPoint(f, g, lam, u0), 0.25 * (gx - fy), _system_residual(lam, f, g, ux, uy), r
 
 
 # ---------------------------------------------------------------------------

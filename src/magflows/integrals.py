@@ -246,7 +246,7 @@ def level_set_samples(
 ) -> tuple:
     """{H = energy/2} on the scan grid of ``config``, in one pass that reads
     each point's level factor, local geometry and then, while a bundle's
-    jet memo holds the point, the data of each chart function in ``charts``
+    Z keeps R's jet at its rho, the data of each chart function in ``charts``
     (None entries aside).  Returns (phase, angles, local, data): (x, y, p1,
     p2) at the P points kept as chart columns with (P, n) momenta at the n
     angles, their stacked local geometry, and each chart function's data

@@ -15,24 +15,24 @@ Every family has the form Z = R(rho) cos(nu (psi + psi0)) (nu = k for
 poly-cos, 1 for log-nu1, 1/2 for elliptic-half, 0 for log-radial) and
 supplies only R, R', R'', nu and psi0; :meth:`ZSolution.jet` takes R'''
 from the generating equation differentiated once and gives the nine
-partials of Z through third order by the product rule.  A bundle
-reads everything from one jet per point.  Its metric is G = k M^T M, with
-k = gamma^2 (rho + 1) / C and the frame M of columns (Z_rr, W) and
-(rho W, -(rho + 1) Z_rr), W = (rho Z_rp - Z_p) / rho^2; det M = -D / rho.
-M is linear in the jet.  A bundle gives (k, M), their partials and the
-field from one jet, and ``geometry._frame_system``, which builds ex3 too,
-makes its system.  Its integral is
-:func:`magflows.integrals.ratio_integral` over the momentum coefficient
-triples of N and D, each pair the half-angle rotation (u s + v c, u c -
-v s), c, s = cos, sin(psi/2), of two forms U, V linear in momenta, so
-F = tan(psi/2 + atan2(V, U)).
+partials of Z through third order by the product rule, keeping R's jet
+at the last rho, so that a grid row or a bundle's reads at one point run
+R once.  A bundle's metric is G = k M^T M, with k = gamma^2 (rho + 1) / C
+and the frame M of columns (Z_rr, W) and (rho W, -(rho + 1) Z_rr), W =
+(rho Z_rp - Z_p) / rho^2; det M = -D / rho.  M is linear in the jet.  A
+bundle gives (k, M), their partials and the field from one jet, and
+``geometry._frame_system``, which builds ex3 too, makes its system.  Its
+integral is :func:`magflows.integrals.ratio_integral` over the momentum
+coefficient triples of N and D, each pair the half-angle rotation (u s +
+v c, u c - v s), c, s = cos, sin(psi/2), of two forms U, V linear in
+momenta, so F = tan(psi/2 + atan2(V, U)).
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -77,6 +77,7 @@ class ZSolution:
     psi_period: float = TWO_PI
     valid_rho: tuple = (-math.inf, math.inf)
     default_rho_range: tuple = (0.05, 5.0)
+    _radial_jet: tuple = (None, 0.0, 0.0, 0.0, 0.0)
 
     def params(self) -> dict:
         return {}
@@ -90,17 +91,23 @@ class ZSolution:
         point, by the product rule from (R, R', R'') and
         R''' = ((nu^2 - 1) R' - (3 rho + 1) R'') / (rho (rho + 1)), the rho
         derivative of rho (rho + 1) R'' + rho R' - nu^2 R = 0.  DomainError
-        where rho (rho + 1) is 0 or not finite."""
-        lo, hi = self.valid_rho
-        if not (lo < rho < hi):
-            raise DomainError(f"rho = {rho} outside the validity interval ({lo}, {hi}) "
-                              f"of family {self.family!r}")
-        q = rho * (rho + 1.0)
-        if not (q != 0.0 and math.isfinite(q)):
-            raise DomainError(f"the generating equation degenerates at rho = {rho}")
-        r, r1, r2 = self._radial(rho)
+        where rho (rho + 1) is 0 or not finite.  ``_radial_jet`` keeps (rho,
+        R, R', R'', R''') of the last rho, so calls at one rho check it and
+        run ``_radial`` once; an equal rho has its bits, as rho = +-0 is
+        refused before it is kept, and NaN equals nothing."""
+        kept, r, r1, r2, r3 = self._radial_jet
         nu = self.nu
-        r3 = ((nu * nu - 1.0) * r1 - (3.0 * rho + 1.0) * r2) / q
+        if rho != kept:
+            lo, hi = self.valid_rho
+            if not (lo < rho < hi):
+                raise DomainError(f"rho = {rho} outside the validity interval ({lo}, {hi}) "
+                                  f"of family {self.family!r}")
+            q = rho * (rho + 1.0)
+            if not (q != 0.0 and math.isfinite(q)):
+                raise DomainError(f"the generating equation degenerates at rho = {rho}")
+            r, r1, r2 = self._radial(rho)
+            r3 = ((nu * nu - 1.0) * r1 - (3.0 * rho + 1.0) * r2) / q
+            self._radial_jet = rho, r, r1, r2, r3
         u = nu * (psi + self.psi0)
         c, s = math.cos(u), math.sin(u)
         return (r * c, r1 * c, -nu * r * s, r2 * c, -nu * r1 * s, -nu * nu * r * c,
@@ -251,7 +258,7 @@ def _discriminant(rho: float, jet: tuple) -> tuple[float, float]:
 
 def profile_screen(z: ZSolution, lo: float, hi: float) -> tuple[float, float]:
     """(largest scaled generating-equation residual, smallest |D|) over a
-    30 x 30 grid of [lo, hi] x [0, psi_period], from one jet per point.
+    30 x 30 grid of [lo, hi] x [0, psi_period]: a jet per point, R per row.
 
     The smallest |D| is 0 where D changes sign between grid neighbours,
     since a zero of D lies between them.  A NaN anywhere is kept in the
@@ -291,25 +298,14 @@ class RationalFlowBundle:
     gamma: float
     c_energy: float
     rho_range: tuple
-    _last_jet: list = field(default_factory=lambda: [None, None], init=False,
-                            repr=False, compare=False)
-
-    def _jet(self, rho, psi):
-        """``ZSolution.jet``, kept for the last chart point, so that the
-        metric, its partials, the field and the integral at one point share
-        one evaluation."""
-        last = self._last_jet
-        if (rho, psi) != last[0]:
-            last[:] = (rho, psi), self.z.jet(rho, psi)
-        return last[1]
 
     def _frame(self, rho, psi):
-        """(k, M, dk, dM, Omega) at a chart point from the memoized jet, as
+        """(k, M, dk, dM, Omega) at a chart point from one jet of Z, as
         :func:`magflows.geometry._frame_system` takes them: the scale k,
         M row by row as (Z_rr, rho W, W, -(rho + 1) Z_rr), the scale's
         partials (gamma^2 / C, 0), M's rho and psi partials and the field
         (gamma/2) Z_rr."""
-        _, _, z_p, z_rr, z_rp, z_pp, z_rrr, z_rrp, z_rpp = self._jet(rho, psi)
+        _, _, z_p, z_rr, z_rp, z_pp, z_rrr, z_rrp, z_rpp = self.z.jet(rho, psi)
         w = (rho * z_rp - z_p) / (rho * rho)
         w_p = (rho * z_rpp - z_pp) / (rho * rho)
         m_r = (z_rrr, z_rrp - w, (z_rrp - 2.0 * w) / rho, -z_rr - (rho + 1.0) * z_rrr)
@@ -324,12 +320,12 @@ class RationalFlowBundle:
 
     def omega(self, rho, psi):
         """Magnetic coefficient (gamma/2) Z_rr."""
-        return 0.5 * self.gamma * self._jet(rho, psi)[3]
+        return 0.5 * self.gamma * self.z.jet(rho, psi)[3]
 
     def _parts(self, rho, psi):
         """Momentum coefficient triples (p_r, p_p, constant) of the
         integral's numerator and denominator and their deferred chart
-        partials from one ``_jet`` call, as
+        partials from one jet of Z, which reuses R's jet at its rho, as
         :func:`magflows.integrals.ratio_integral` takes them: the
         rotations (u s + v c) and (u c - v s), c, s = cos, sin(psi/2), of
         (u, v) = (rho Z_rp - Z_p, Z_pp + rho Z_r), (-rho Z_rr, -t) and
@@ -337,7 +333,7 @@ class RationalFlowBundle:
         rotates (u_r, v_r), a psi partial (u_p - v/2, v_p + u/2), with
         Z_ppp = -rho (rho + 1) Z_rrp - rho Z_rp from the defining equation.
         """
-        jet = self._jet(rho, psi)
+        jet = self.z.jet(rho, psi)
         _, z_r, z_p, z_rr, z_rp, z_pp = jet[:6]
         c, s = math.cos(0.5 * psi), math.sin(0.5 * psi)
         d, t = _discriminant(rho, jet)
@@ -425,7 +421,7 @@ def build_bundle(
     # constants, not in between
     for rho in (lo, hi):
         try:
-            jet = bundle._jet(rho, 0.0)
+            jet = z.jet(rho, 0.0)
             (g11, g12, g22), (d_r, d_p), omega = local(rho, 0.0)
             finite = all(map(math.isfinite, (*jet, g11, g12, g22, *d_r, *d_p, omega)))
         except (ArithmeticError, DomainError):  # under- or overflow, rho (rho + 1) = 0

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from magflows import rational
 from magflows.catalog import get_example, list_examples
-from magflows.errors import SingularPoint
+from magflows.errors import DomainError, SingularPoint
 from magflows import cli, hodograph
 from magflows.cli import _check, _corrupted, _write_json, build_parser, config_actions, main
 from magflows.hodograph import HodographConstants, closed_form_abzero
@@ -497,6 +497,28 @@ class TestBuildRational:
             _run(["--seed", seed, "--out-dir", str(tmp_path), "build-rational", "log-nu1",
                   "--out", f"seed_{seed}.json"], capsys)
         assert (tmp_path / "seed_0.json").read_bytes() == (tmp_path / "seed_7.json").read_bytes()
+
+    @pytest.mark.parametrize("argv", [["poly-cos", "--k", "6"], ["log-nu1"],
+                                      ["elliptic-half", "--rho-range", "0.1", "3.0"]])
+    def test_report_does_not_depend_on_earlier_points(self, argv, tmp_path, capsys, monkeypatch):
+        """A report built from a solution that has already evaluated other
+        points, and refused one, so that it keeps the radial jet of another
+        rho or of the range's first, has the bytes of one built from a
+        fresh solution."""
+        head = ["--out-dir", str(tmp_path), "build-rational", *argv]
+        assert _run(head + ["--out", "fresh.json"], capsys)[0] == 0
+        build = cli.solution_from_descriptor
+
+        def used(entry):
+            z = build(entry)
+            for rho in (1.7, 0.0, 0.05, 0.1):
+                with contextlib.suppress(DomainError):
+                    z.jet(rho, 0.9)
+            return z
+
+        monkeypatch.setattr(cli, "solution_from_descriptor", used)
+        assert _run(head + ["--out", "used.json"], capsys)[0] == 0
+        assert (tmp_path / "used.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
 
     @pytest.mark.parametrize("family, lo, hi", [
         ("log-nu1", "1e-300", "1"), ("log-nu1", "1", "1e300"), ("poly-cos", "1", "1e300"),

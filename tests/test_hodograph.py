@@ -124,6 +124,7 @@ class TestNewton:
             np.testing.assert_allclose((result.f, result.g), (point.f, point.g),
                                        atol=1e-10)
             assert result.residual_inf <= 1e-13
+            assert result.residual == algebraic_residual(K0, x, y, result.f, result.g)
             assert result.iterations <= 50
             assert np.isfinite(result.jacobian_cond)
             jac = algebraic_jacobian(K0, x, y, result.f, result.g)
@@ -349,7 +350,7 @@ class TestSolveFields:
         fields equal the closed form."""
         for _ in range(40):
             x, y = RNG.uniform(0.4, 3.0, size=2)
-            point, omega, residual = solve_fields(K0, x, y)
+            point, omega, residual, _ = solve_fields(K0, x, y)
             exact, want = closed_form_abzero(K0, x, y)
             np.testing.assert_allclose(omega, want, rtol=1e-14, atol=0.0)
             np.testing.assert_allclose((point.f, point.g, point.lam, point.u0),
@@ -366,7 +367,7 @@ class TestSolveFields:
             return solve_fields(k, x, y)[0]
 
         for x, y in ((0.8, 1.1), (1.9, 0.7), (1.4, 2.2)):
-            _, omega, residual = solve_fields(k, x, y)
+            _, omega, residual, _ = solve_fields(k, x, y)
             np.testing.assert_allclose(omega, omega_fd(sampler, x, y, h=1e-3),
                                        rtol=1e-10)
             assert np.max(np.abs(residual)) <= 1e-13
@@ -385,6 +386,36 @@ class TestSolveFields:
                 "--grid", "3", "4", "--bbox", "0.8", "1.8", "0.8", "1.8"]
         assert cli.main(argv) == 0
         assert len(calls) == 12 == len(set(calls))
+
+    def test_csv_residuals_come_from_the_solve(self, tmp_path, monkeypatch):
+        """magflows hodograph evaluates R exactly as often as solve_fields
+        at its grid points, no more, and writes as res1, res2 the bits of R
+        at each row's (f, g), which the solve's last Newton step returns."""
+        k = dataclasses.replace(K0, alpha=0.1, beta=0.05)
+        calls = Counter()
+        residual = hodograph.algebraic_residual
+
+        def counted(*args):
+            calls["residual"] += 1
+            return residual(*args)
+
+        monkeypatch.setattr(hodograph, "algebraic_residual", counted)
+        xs, ys = np.linspace(0.8, 1.8, 3).tolist(), np.linspace(0.8, 1.8, 4).tolist()
+        for x in xs:
+            for y in ys:
+                solve_fields(k, x, y)
+        per_solve = calls["residual"]
+        calls.clear()
+        argv = ["--out-dir", str(tmp_path), "hodograph", "--grid", "3", "4",
+                "--bbox", "0.8", "1.8", "0.8", "1.8",
+                *(f"--{name}={value!r}" for name, value in vars(k).items())]
+        assert cli.main(argv) == 0
+        assert calls["residual"] == per_solve
+        rows = (tmp_path / "hodograph.csv").read_text().splitlines()[1:]
+        assert len(rows) == 12
+        for row in rows:
+            x, y, f, g, *_, r1, r2, _ = map(float, row.split(","))
+            assert _bits((r1, r2)) == _bits(residual(k, x, y, f, g))
 
     @pytest.mark.parametrize("extra", [["--gamma", "0.5", "--delta", "-0.3", "--grid", "6", "6"],
                                        ["--alpha", "0.1", "--beta", "0.05", "--grid", "4", "4",

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from magflows import catalog, hodograph, integrals, rational
+from magflows import catalog, hodograph, integrals, rational, specfun
 from magflows.catalog import get_example, list_examples
 from magflows import cli
 from magflows.cli import _corrupted, _verify_example, main as cli_main
@@ -792,22 +792,26 @@ class TestBroadcastContract:
 
     @pytest.mark.parametrize("n_angles", [4, 12])
     @pytest.mark.parametrize("family", ["poly-cos", "elliptic-half"])
-    def test_one_z_jet_per_grid_point(self, family, n_angles, monkeypatch):
-        """A bundle scan evaluates Z's jet once per grid point: the Cholesky
-        factor, G^{-1}, dG, Omega, the value and the gradient share it."""
-        system, integral = _bundle(family)
+    def test_one_radial_profile_per_grid_row(self, family, n_angles, monkeypatch):
+        """A bundle scan reads Z's jet three times per grid point, for the
+        Cholesky factor, the local geometry (G^{-1}, dG, Omega) and the
+        integral's parts (value and gradient), and Z's radial profile once
+        per rho of the grid: on elliptic-half one AGM run per grid row."""
+        bundle = rational.build_bundle(SCAN_FAMILIES[family]())
+        system, integral = bundle.as_system(), bundle.as_integral()
         calls = Counter()
-        jet = rational.ZSolution.jet
-
-        def counted(self, rho, psi):
-            calls["jet"] += 1
-            return jet(self, rho, psi)
-
-        monkeypatch.setattr(rational.ZSolution, "jet", counted)
+        z_class = type(bundle.z)
+        monkeypatch.setattr(z_class, "jet", _counted(calls, "jet", z_class.jet))
+        monkeypatch.setattr(z_class, "_radial", _counted(calls, "radial", z_class._radial))
+        monkeypatch.setattr(specfun, "_agm", _counted(calls, "agm", specfun._agm))
         config = BracketScanConfig(nx=6, ny=6, n_angles=n_angles)
-        points = len(system.domain.grid(6, 6, margin=config.grid_margin))
-        level_set_bracket_scan(system, integral, config=config)
-        assert calls["jet"] == points
+        points = system.domain.grid(6, 6, margin=config.grid_margin)
+        report = level_set_bracket_scan(system, integral, config=config)
+        assert report.count == len(points) * n_angles
+        rows = len({rho for rho, _ in points})
+        assert rows == 6
+        assert (calls["jet"], calls["radial"], calls["agm"]) == (
+            3 * len(points), rows, rows if family == "elliptic-half" else 0)
 
     @pytest.mark.parametrize("n_angles", [4, 12])
     def test_one_quadratic_block_per_grid_point(self, n_angles, monkeypatch):

@@ -219,6 +219,25 @@ CLOSED_FORMS = [
                                                * mpmath.cos(p / 2)), (-0.9, 3.0), id="elliptic-half"),
 ]
 JET_ORDERS = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2)]
+# each family with a rho window where its jet is defined and rho it refuses
+KEPT_RADIAL_CASES = [
+    pytest.param(lambda: PolynomialCos(3, psi0=0.4), (-0.95, 5.0),
+                 (0.0, -0.0, -1.0, math.inf, 1e200, math.nan), id="poly-cos"),
+    pytest.param(LogRadial, (-0.95, 5.0), (0.0, -0.0, -1.0, -1.5, math.inf, math.nan),
+                 id="log-radial"),
+    pytest.param(LogNu1, (0.01, 5.0), (0.0, -0.0, -1.0, -0.5, math.inf, math.nan), id="log-nu1"),
+    pytest.param(EllipticHalf, (-0.95, 3.0), (0.0, -0.0, -1.0, -1.5, math.inf, math.nan),
+                 id="elliptic-half"),
+]
+
+
+def _jet_outcome(z, rho, psi):
+    """The bits of ``z.jet(rho, psi)``, as hex strings, or the type and
+    message of the error it raises."""
+    try:
+        return [v.hex() for v in z.jet(rho, psi)]
+    except (ArithmeticError, DomainError) as exc:
+        return type(exc), str(exc)
 
 
 class TestJet:
@@ -237,6 +256,23 @@ class TestJet:
                         for order in JET_ORDERS]
             np.testing.assert_allclose(jet, want, rtol=0.0,
                                        atol=1e-13 * max(abs(v) for v in want))
+
+    @pytest.mark.parametrize("make, window, refused", KEPT_RADIAL_CASES)
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(steps=st.lists(st.tuples(st.sampled_from(("new", "again", "refused")),
+                                    st.floats(0.0, 1.0), st.integers(0, 5),
+                                    st.floats(0.0, 4.0 * math.pi)), min_size=1, max_size=16))
+    def test_kept_radial_jet_equals_a_fresh_solution(self, make, window, refused, steps):
+        """A run of calls that comes back to a rho with a new psi, with
+        refused rho (0, -0, -1, outside the valid interval, NaN) in between,
+        gives at each call the bits of a fresh solution's jet, or the same
+        error: a refusal leaves the kept radial jet as it was."""
+        z, rho = make(), window[0]
+        for kind, u, index, psi in steps:
+            if kind == "new":
+                rho = window[0] + u * (window[1] - window[0])
+            at = refused[index] if kind == "refused" else rho
+            assert _jet_outcome(z, at, psi) == _jet_outcome(make(), at, psi)
 
     @pytest.mark.parametrize("z", BUNDLE_SOLUTIONS, ids=lambda z: z.family)
     def test_one_jet_per_rhs_call(self, z, monkeypatch):
@@ -418,12 +454,15 @@ class TestBuildBundle:
             build_bundle(z, rho_range=(-0.9, -0.1))
 
     def test_screen_reads_one_jet_per_grid_point(self, monkeypatch):
-        """The screen evaluates Z's jet once at each of the 30 x 30 points."""
-        calls = []
-        jet = PolynomialCos.jet
+        """The screen evaluates Z's jet once at each of the 30 x 30 points,
+        and its radial profile once at each of the 30 rho."""
+        calls, radials = [], []
+        jet, radial = PolynomialCos.jet, PolynomialCos._radial
         monkeypatch.setattr(PolynomialCos, "jet", lambda z, rho, psi: calls.append(rho) or jet(z, rho, psi))
+        monkeypatch.setattr(PolynomialCos, "_radial", lambda z, rho: radials.append(rho) or radial(z, rho))
         profile_screen(PolynomialCos(2), 0.05, 5.0)
         assert len(calls) == 900
+        assert radials == np.linspace(0.05, 5.0, 30).tolist()
 
     def test_bad_ranges_rejected(self):
         """Empty, zero-crossing or out-of-validity ranges are refused."""
