@@ -18,9 +18,11 @@ Conventions used throughout the package:
   of a phase function G, so the bracket is {F, G} = dF(X_G), and
   :func:`hamiltonian_flow` forms dH and the flow X_H in one frame;
 * both read G^{-1}, dG and Omega of a chart point from one
-  :meth:`MagneticSystem.local_geometry` call, built from the metric and
-  the field unless the chart supplies all three from one ``local`` (ex3-ex6
-  and the rational bundles; ex1, ex2 and ex2b take the default path).
+  :meth:`MagneticSystem.local_geometry` call, built from the metric and the
+  field unless the chart supplies all three from one ``local`` (ex3-ex6 and
+  the rational bundles; ex1, ex2 and ex2b take the default path); a scan
+  reads (G, dG, Omega) once per grid point, and G^{-1} and the level factor
+  from that G by :func:`_inverse_and_cholesky`.
 
 A metric is supplied as analytic components together with their exact
 spatial partials.  A metric written from a frame, G = k M^T M (ex3 and the
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,9 +76,9 @@ def stack_columns(values):
     components stacked alike, so P triples unpack into three columns and P
     pairs of triples into two (3, P, 1) arrays.  P callables, such as the
     deferred ``partials`` of integral data, become one that stacks their
-    values when it is called."""
+    values at the first call and returns that stack, to be read only."""
     if callable(values[0]):
-        return lambda: stack_columns([value() for value in values])
+        return cache(lambda: stack_columns([value() for value in values]))
     if isinstance(values[0], tuple):
         return tuple(stack_columns(part) if callable(part[0]) else _stacked(part) for part in zip(*values))
     return _stacked(values)
@@ -106,6 +108,22 @@ def _inverse(g, x: float, y: float) -> tuple[float, float, float]:
     if not (det > 0.0 and g11 > 0.0):
         raise SingularMetric(f"metric not positive definite at ({x}, {y}): det = {det}")
     return g22 / det, -g12 / det, g11 / det
+
+
+def _inverse_and_cholesky(g, x: float, y: float) -> tuple:
+    """(G^{-1}, L) from the components g = (g11, g12, g22): :func:`_inverse`
+    and the lower Cholesky factor (l11, l21, l22) in closed form, l11 =
+    sqrt(g11), l21 = g12 (1 / l11), l22 = sqrt(g22 - l21^2), LAPACK's bit
+    for bit.  SingularMetric also where g22 - l21^2 is not positive."""
+    inverse = _inverse(g, x, y)
+    g11, g12, g22 = g
+    l11 = math.sqrt(g11)
+    l21 = g12 * (1.0 / l11)
+    schur = g22 - l21 * l21
+    if not schur > 0.0:
+        raise SingularMetric(f"Cholesky factorization failed at ({x}, {y}): "
+                             f"g22 - l21^2 = {schur}")
+    return inverse, (l11, l21, math.sqrt(schur))
 
 
 def _gram(k: float, m) -> tuple[float, float, float]:
@@ -182,19 +200,8 @@ class Metric:
 
     def cholesky(self, x: float, y: float) -> tuple[float, float, float]:
         """Entries (l11, l21, l22) of the lower-triangular L with positive
-        diagonal and G = L L^T, in closed form: l11 = sqrt(g11), l21 = g12
-        (1 / l11), l22 = sqrt(g22 - l21^2), which gives LAPACK's factor bit
-        for bit.  Raises SingularMetric on the test of :meth:`inverse`, or
-        where g22 - l21^2 is not positive after round-off."""
-        g11, g12, g22 = g = self.components(x, y)
-        _inverse(g, x, y)
-        l11 = math.sqrt(g11)
-        l21 = g12 * (1.0 / l11)
-        schur = g22 - l21 * l21
-        if not schur > 0.0:
-            raise SingularMetric(f"Cholesky factorization failed at ({x}, {y}): "
-                                 f"g22 - l21^2 = {schur}")
-        return l11, l21, math.sqrt(schur)
+        diagonal and G = L L^T, by :func:`_inverse_and_cholesky`."""
+        return _inverse_and_cholesky(self.components(x, y), x, y)[1]
 
     def component_partials(self, x: float, y: float):
         """Spatial partials of (g11, g12, g22) at a chart point."""
@@ -336,19 +343,16 @@ def hamiltonian_flow(local, p1, p2) -> list:
 
 def level_factor(
     system: MagneticSystem, x: float, y: float, energy: Optional[float] = None,
-    check_domain: bool = True,
 ) -> tuple[float, float, float]:
     """Entries (l11, l21, l22) of sqrt(C) L at a chart point, with L the
     lower Cholesky factor of G(x, y) and C = ``energy`` (the system's when
     not given): the factor that maps the unit circle of angles onto the
-    momenta on {H = C/2}.  DomainError for C <= 0 or, when
-    ``check_domain`` asks for it, a point outside the domain;
-    SingularMetric where the factor does not exist."""
+    momenta on {H = C/2}.  DomainError for C <= 0 or a point outside the
+    domain; SingularMetric where the factor does not exist."""
     c = system.energy if energy is None else float(energy)
     if not c > 0.0:
         raise DomainError(f"energy constant must be positive, got {c}")
-    if check_domain:
-        system.require_inside(x, y)
+    system.require_inside(x, y)
     l11, l21, l22 = system.metric.cholesky(x, y)
     s = math.sqrt(c)
     return s * l11, s * l21, s * l22

@@ -30,8 +30,8 @@ and y may be chart columns of shape (P, 1) and whose momenta may be
 arrays, (P, n) at chart columns, as
 :func:`magflows.geometry.hamiltonian_gradient` does; one chart point is the
 P = 1 case, and so does a call of the integral.  :func:`level_set_samples`
-reads what is scalar at each grid point in one pass (Cholesky factor,
-G^{-1}, dG, Omega and the ``chart`` data of every integral to scan) and
+reads each grid point once, in one pass: (G, dG, Omega), whence the level
+factor and G^{-1}, and the ``chart`` data of every integral to scan; it
 stacks each once, which all scans of a system on a level can share;
 :func:`level_set_bracket_scan` then runs the gradient, X_H (by
 :func:`magflows.geometry.hamiltonian_flow`), the bracket and, for a
@@ -53,11 +53,11 @@ import numpy as np
 from .errors import DomainError, SingularMetric
 from .geometry import (
     MagneticSystem,
+    _inverse_and_cholesky,
     chart_columns,
     hamiltonian,
     hamiltonian_flow,
     hamiltonian_gradient,
-    level_factor,
     level_momenta,
     stack_columns,
 )
@@ -245,37 +245,46 @@ def level_set_samples(
     config: Optional[BracketScanConfig] = None,
 ) -> tuple:
     """{H = energy/2} on the scan grid of ``config``, in one pass that reads
-    each point's level factor, local geometry and then, while a bundle's
-    Z keeps R's jet at its rho, the data of each chart function in ``charts``
-    (None entries aside).  Returns (phase, angles, local, data): (x, y, p1,
-    p2) at the P points kept as chart columns with (P, n) momenta at the n
-    angles, their stacked local geometry, and each chart function's data
-    there, stacked once at the end of the pass.  A point with a singular
-    metric is skipped; none left is a DomainError."""
+    each point's (G, dG, Omega) once, from the system's ``local`` or else its
+    metric and field, with the level factor and G^{-1} from that G in the
+    bits of ``level_factor`` and ``local_geometry``, and then, while a
+    bundle's Z keeps R's jet at its rho, the data of each chart function in
+    ``charts`` (None entries aside).  Returns (phase, angles, local, data):
+    (x, y, p1, p2) at the P points kept as chart columns with (P, n) momenta
+    at the n angles, their stacked local geometry, and each chart function's
+    data there, stacked once at the end of the pass.  A point with a
+    singular metric is skipped; an empty grid, then C <= 0, then none left
+    is a DomainError."""
     if config is None:
         config = BracketScanConfig()
     c = system.energy if energy is None else float(energy)
     points = system.domain.grid(config.nx, config.ny, margin=config.grid_margin)
     if len(points) == 0:
         raise DomainError("no grid point passed the domain predicate")
+    if not c > 0.0:
+        raise DomainError(f"energy constant must be positive, got {c}")
     data = {chart: [] for chart in charts if chart is not None}
     kept, factors, locals_ = [], [], []
     for x, y in points:
         try:
-            # the grid holds only points of the domain
-            factor = level_factor(system, x, y, c, check_domain=False)
-            local = system.local_geometry(x, y)
+            if system.local is not None:
+                g, dg, omega = system.local(x, y)
+                inverse, factor = _inverse_and_cholesky(g, x, y)
+            else:  # the partials and the field only where G is positive definite
+                inverse, factor = _inverse_and_cholesky(system.metric.components(x, y), x, y)
+                dg, omega = system.metric.component_partials(x, y), system.field(x, y)
         except SingularMetric:
             continue
         kept.append((x, y))
         factors.append(factor)
-        locals_.append(local)
+        locals_.append((inverse, dg, omega))
         for chart, values in data.items():
             values.append(chart(x, y))
     if not kept:
         raise DomainError("the metric is singular at every grid point")
     angles = np.linspace(0.0, 2.0 * np.pi, config.n_angles, endpoint=False)
-    phase = (*stack_columns(kept), *level_momenta(stack_columns(factors), angles))
+    scaled = [np.sqrt(c) * entry for entry in stack_columns(factors)]  # sqrt(C) L
+    phase = (*stack_columns(kept), *level_momenta(scaled, angles))
     return phase, angles, stack_columns(locals_), {
         chart: stack_columns(values) for chart, values in data.items()}
 

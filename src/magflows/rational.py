@@ -15,12 +15,12 @@ Every family has the form Z = R(rho) cos(nu (psi + psi0)) (nu = k for
 poly-cos, 1 for log-nu1, 1/2 for elliptic-half, 0 for log-radial) and
 supplies only R, R', R'', nu and psi0; :meth:`ZSolution.jet` takes R'''
 from the generating equation differentiated once and gives the nine
-partials of Z through third order by the product rule, keeping R's jet
-at the last rho, so that a grid row or a bundle's reads at one point run
-R once.  A bundle's metric is G = k M^T M, with k = gamma^2 (rho + 1) / C
-and the frame M of columns (Z_rr, W) and (rho W, -(rho + 1) Z_rr), W =
-(rho Z_rp - Z_p) / rho^2; det M = -D / rho.  M is linear in the jet.  A
-bundle gives (k, M), their partials and the field from one jet, and
+partials of Z through third order by the product rule, keeping R's jet at
+the last rho, so that a grid row, with the two jets a scan reads per point,
+runs R once.  A bundle's metric is G = k M^T M, with k = gamma^2 (rho +
+1) / C and the frame M of columns (Z_rr, W) and (rho W, -(rho + 1) Z_rr),
+W = (rho Z_rp - Z_p) / rho^2; det M = -D / rho.  M is linear in the jet.
+A bundle gives (k, M), their partials and the field from one jet, and
 ``geometry._frame_system``, which builds ex3 too, makes its system.  Its
 integral is :func:`magflows.integrals.ratio_integral` over the momentum
 coefficient triples of N and D, each pair the half-angle rotation (u s +
@@ -238,18 +238,18 @@ def solution_from_descriptor(entry: dict) -> ZSolution:
         raise ValueError(f"bad parameters for family {family!r}: {exc}") from None
 
 
-def _residual(rho: float, jet: tuple) -> float:
-    """Residual of the generating equation from a jet of Z, zero for exact
-    solutions, over max(1, |rho (rho + 1) Z_rr| + |rho Z_r| + |Z_pp|), the
-    size of the terms that cancel, so that round-off on large terms reads
-    as round-off."""
+def _residual(rho, jet):
+    """Residual of the generating equation from a jet of Z, elementwise,
+    zero for exact solutions, over max(1, |rho (rho + 1) Z_rr| + |rho Z_r|
+    + |Z_pp|) (``np.fmax``: a NaN size reads 1), the size of the terms that
+    cancel, so that round-off on large terms reads as round-off."""
     _, z_r, _, z_rr, _, z_pp = jet[:6]
     t0, t1, t2 = rho * (rho + 1.0) * z_rr, rho * z_r, z_pp
-    return (t0 + t1 + t2) / max(1.0, abs(t0) + abs(t1) + abs(t2))
+    return (t0 + t1 + t2) / np.fmax(1.0, abs(t0) + abs(t1) + abs(t2))
 
 
-def _discriminant(rho: float, jet: tuple) -> tuple[float, float]:
-    """(D, t) from a jet of Z, with t = Z_rp - Z_p / rho and
+def _discriminant(rho, jet) -> tuple:
+    """(D, t) from a jet of Z, elementwise, with t = Z_rp - Z_p / rho and
     D = rho (rho + 1) Z_rr^2 + t^2."""
     _, _, z_p, z_rr, z_rp = jet[:5]
     t = z_rp - z_p / rho
@@ -258,22 +258,18 @@ def _discriminant(rho: float, jet: tuple) -> tuple[float, float]:
 
 def profile_screen(z: ZSolution, lo: float, hi: float) -> tuple[float, float]:
     """(largest scaled generating-equation residual, smallest |D|) over a
-    30 x 30 grid of [lo, hi] x [0, psi_period]: a jet per point, R per row.
+    30 x 30 grid of [lo, hi] x [0, psi_period]: a jet per point, R per row,
+    and the residual and D on the 30 x 30 arrays of the jets' entries.
 
     The smallest |D| is 0 where D changes sign between grid neighbours,
     since a zero of D lies between them.  A NaN anywhere is kept in the
     result.  The range must exclude 0.
     """
-    psis = np.linspace(0.0, z.psi_period, 30).tolist()
-    residuals, discriminants = [], []
-    for rho in np.linspace(lo, hi, 30).tolist():
-        row = []
-        for psi in psis:
-            jet = z.jet(rho, psi)
-            residuals.append(_residual(rho, jet))
-            row.append(_discriminant(rho, jet)[0])
-        discriminants.append(row)
-    d = np.array(discriminants)
+    rhos, psis = np.linspace(lo, hi, 30), np.linspace(0.0, z.psi_period, 30).tolist()
+    jets = np.array([[z.jet(rho, psi) for psi in psis] for rho in rhos.tolist()])
+    jet, rho = np.moveaxis(jets, -1, 0), rhos[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN as on floats, unwarned
+        residuals, d = _residual(rho, jet), _discriminant(rho, jet)[0]
     sign = np.sign(d)
     crossed = np.any(sign[1:] * sign[:-1] < 0.0) or np.any(sign[:, 1:] * sign[:, :-1] < 0.0)
     return float(np.max(np.abs(residuals))), 0.0 if crossed else float(np.min(np.abs(d)))

@@ -255,7 +255,8 @@ class TestChartColumns:
         """At chart columns, ``stack_columns`` and ``chart_columns`` leave a
         deferred part uncalled until it is used; then it gives the bits of
         each point's ``partials()`` stacked into columns, like the other
-        parts.  At one chart point ``chart_columns`` gives the data as it
+        parts, and a second use returns that stack without calling them
+        again.  At one chart point ``chart_columns`` gives the data as it
         is."""
         calls = []
         fn = self._data(calls)
@@ -269,6 +270,7 @@ class TestChartColumns:
             stacked = deferred()
             assert calls == points
             calls.clear()
+            assert deferred() is stacked and calls == []
             assert stacked[0].shape == (2, 3, 1) and stacked[1].shape == (1, 3, 1)
             for i, (u, v) in enumerate(points):
                 assert n[:, i, 0].tolist() == list(fn(u, v)[0])
@@ -341,15 +343,13 @@ class TestMomentumOnLevel:
 
     def test_level_factor_domain_check(self):
         """The level factor refuses a point outside the domain predicate
-        unless the caller has checked the point, and is the same either
-        way inside."""
+        and is sqrt(C) L inside it."""
         system = MagneticSystem(metric=_euclidean(), field=lambda x, y: 0.0,
                                 domain=ChartDomain(bbox=(-5.0, 5.0, -5.0, 5.0),
                                                    predicate=lambda x, y: x < 1.0))
         with pytest.raises(DomainError):
             level_factor(system, 2.0, 0.0, energy=4.0)
-        assert level_factor(system, 2.0, 0.0, energy=4.0, check_domain=False) == (2.0, 0.0, 2.0)
-        assert level_factor(system, 0.5, 0.0, check_domain=False) == level_factor(system, 0.5, 0.0)
+        assert level_factor(system, 0.5, 0.0, energy=4.0) == (2.0, 0.0, 2.0)
 
 
 class TestGaussianCurvature:

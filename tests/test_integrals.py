@@ -255,6 +255,17 @@ class TestLevelSetScan:
         with pytest.raises(DomainError):
             level_set_bracket_scan(system, _momentum_p1())
 
+    @pytest.mark.parametrize("energy", [0.0, -1.0, math.nan])
+    def test_non_positive_energy_raises_after_an_empty_grid(self, energy):
+        """A level constant C <= 0, or NaN, is a DomainError naming C; on a
+        grid with no point in the domain the empty grid's comes first."""
+        ex1 = get_example("ex1")
+        with pytest.raises(DomainError, match=f"^energy constant must be positive, got {energy}$"):
+            level_set_samples(ex1.system, energy=energy)
+        domain = ChartDomain(bbox=ex1.system.domain.bbox, predicate=lambda x, y: False)
+        with pytest.raises(DomainError, match="^no grid point passed the domain predicate$"):
+            level_set_samples(dataclasses.replace(ex1.system, domain=domain), energy=energy)
+
     def test_all_singular_raises(self):
         """A metric that is singular at every grid point leaves no sample:
         the scan raises DomainError naming the singular metric."""
@@ -354,11 +365,11 @@ class TestScanEquivalence:
         assert (report.max_abs, report.rms, report.count, report.worst) == want
 
     def test_chart_point_work_does_not_grow_with_angles(self):
-        """Each grid point kept costs one ``local`` call (G^{-1}, dG and
-        Omega) and one metric components call (the Cholesky factor),
-        however many angles are sampled; metric partials and field are not
-        called, and the domain predicate runs once per point of the bbox
-        grid: the grid pass does not test it again."""
+        """Each grid point kept costs one ``local`` call, whose G gives the
+        Cholesky factor and G^{-1}, however many angles are sampled; the
+        metric components, partials and field are not called, and the
+        domain predicate runs once per point of the bbox grid: the grid
+        pass does not test it again."""
         entry = get_example("ex5")
         calls = Counter()
 
@@ -382,7 +393,7 @@ class TestScanEquivalence:
             points = len(system.domain.grid(6, 6, margin=config.grid_margin))
             calls.clear()
             level_set_bracket_scan(system, entry.integrals[0], config=config)
-            assert calls == {"local": points, "components": points, "predicate": 6 * 6}
+            assert calls == {"local": points, "predicate": 6 * 6}
 
     def test_nan_metric_points_are_skipped(self):
         """Grid points where the metric is NaN are skipped like singular
@@ -489,12 +500,13 @@ class TestSharedSamples:
             level_set_bracket_scan(ex1.system, ex1.integrals[0], config=BracketScanConfig(),
                                    samples=samples)
 
-    def test_verify_reads_each_grid_point_once_per_entry(self, monkeypatch):
-        """verify's three scans of ex4 (F, F1 and the control) call the
-        system's ``local`` and ``Metric.cholesky`` once per kept grid point
-        for the whole entry, not once per scan.  Only calls made inside the
-        samples pass or a scan are counted, not those of the orbits."""
-        entry = get_example("ex4")
+    @staticmethod
+    def _calls_inside_verify(monkeypatch, count) -> tuple:
+        """Runs ``verify --corrupt`` on the entry that ``count(counted)``
+        returns, having routed the calls to count through ``counted(key,
+        fn)``.  Returns the calls made inside the samples pass or a scan,
+        not those of the orbits, with the number of kept grid points and
+        the checks; each integral and the control get one scan."""
         calls, inside = Counter(), []
 
         def counted(key, fn):
@@ -518,15 +530,82 @@ class TestSharedSamples:
         monkeypatch.setattr(cli, "level_set_samples", scoped(cli.level_set_samples))
         monkeypatch.setattr(cli, "level_set_bracket_scan", scoped(
             lambda *args, **kwargs: scans.update(["scan"]) or scan(*args, **kwargs)))
-        monkeypatch.setattr(Metric, "cholesky", counted("cholesky", Metric.cholesky))
-        system = dataclasses.replace(entry.system, local=counted("local", entry.system.local))
-        checks = _verify_example(dataclasses.replace(entry, system=system), 1e-6,
-                                 np.random.default_rng(0), corrupt=True)
-        points = len(system.domain.grid(20, 20, margin=BracketScanConfig().grid_margin))
-        assert scans == {"scan": 3}
-        assert calls == {"local": points, "cholesky": points}
+        entry = count(counted)
+        checks = _verify_example(entry, 1e-6, np.random.default_rng(0), corrupt=True)
+        assert scans == {"scan": len(entry.integrals) + 1}
+        points = len(level_set_samples(entry.system)[0][0])
+        assert points == len(entry.system.domain.grid(20, 20, margin=BracketScanConfig().grid_margin))
+        return calls, points, checks
+
+    def test_verify_reads_each_grid_point_once_per_entry(self, monkeypatch):
+        """verify's three scans of ex4 (F, F1 and the control) call the
+        system's ``local`` once per kept grid point for the whole entry, not
+        once per scan, and ``Metric.cholesky`` never: the level factor
+        and G^{-1} both come from the G of that one ``local`` call."""
+        def count(counted):
+            monkeypatch.setattr(Metric, "cholesky", counted("cholesky", Metric.cholesky))
+            entry = get_example("ex4")
+            return dataclasses.replace(entry, system=dataclasses.replace(
+                entry.system, local=counted("local", entry.system.local)))
+
+        calls, points, checks = self._calls_inside_verify(monkeypatch, count)
+        assert calls == {"local": points}
         assert [checks[f"bracket_scan_{name}"]["pass"] for name in ("F", "F1", "F_corrupt")] == [
             True, True, False]
+
+    def test_frame_chart_reads_one_frame_per_grid_point(self, monkeypatch):
+        """verify's two scans of ex3, a frame chart, build its frame (k, M,
+        dk, dM, Omega) once per kept grid point for the level factor, G^{-1},
+        dG and Omega together."""
+        def count(counted):
+            build = hodograph._frame_system
+            monkeypatch.setattr(hodograph, "_frame_system", lambda frame, domain, **fields: build(
+                counted("frame", frame), domain, **fields))
+            return get_example("ex3")
+
+        calls, points, checks = self._calls_inside_verify(monkeypatch, count)
+        assert calls == {"frame": points}
+        assert [checks[f"bracket_scan_{name}"]["pass"] for name in ("F", "F_corrupt")] == [
+            True, False]
+
+    def test_chart_without_local_reads_components_once_per_grid_point(self, monkeypatch):
+        """verify's two scans of ex2, which has no ``local``, read the
+        metric components once per kept grid point, for the level factor
+        and G^{-1} both, and never call ``Metric.inverse`` or
+        ``Metric.cholesky``."""
+        def count(counted):
+            for name in ("inverse", "cholesky"):
+                monkeypatch.setattr(Metric, name, counted(name, getattr(Metric, name)))
+            entry = get_example("ex2")
+            metric = entry.system.metric
+            metric = dataclasses.replace(metric, components=counted("components", metric.components))
+            return dataclasses.replace(entry, system=dataclasses.replace(entry.system, metric=metric))
+
+        calls, points, checks = self._calls_inside_verify(monkeypatch, count)
+        assert calls == {"components": points}
+        assert [checks[f"bracket_scan_{name}"]["pass"] for name in ("F1", "F1_corrupt")] == [
+            True, False]
+
+    def test_one_partials_call_per_grid_point(self, monkeypatch):
+        """verify's scans of ex6's rational F and its control share one
+        stacked read of F's chart data, and between them ask each kept
+        grid point's deferred chart partials exactly once."""
+        def count(counted):
+            make = integrals.ratio_integral
+
+            def counting(name, kind, parts, level=None):
+                def counted_parts(x, y):
+                    n, d, partials = parts(x, y)
+                    return n, d, counted("partials", partials)
+                return make(name, kind, counted_parts, level)
+
+            monkeypatch.setattr(catalog, "ratio_integral", counting)
+            return get_example("ex6")
+
+        calls, points, checks = self._calls_inside_verify(monkeypatch, count)
+        assert calls == {"partials": points}
+        assert [checks[f"bracket_scan_{name}"]["pass"] for name in ("F", "F_corrupt")] == [
+            True, False]
 
 
 def _bundle(family):
@@ -635,7 +714,7 @@ class TestBroadcastContract:
             assert np.isfinite(_assert_broadcasts(integral, x, y, p1, p2)).all()
 
     @pytest.mark.parametrize("name", sorted(SCAN_FAMILIES) + ["ex5", "ex6"])
-    def test_guard_rejects_part_of_the_angles(self, name):
+    def test_pole_momentum_among_the_angles(self, name):
         """A momentum on the pole line of the integral among 15 on the
         level: no sample is refused, the value there alone is beyond 1e10
         or not finite, and every sample keeps the bits of its single call.  ex5 and ex6
@@ -705,7 +784,7 @@ class TestBroadcastContract:
         assert np.flatnonzero(~(np.abs(values) < 1e10)).tolist() == at_pole
 
     @pytest.mark.parametrize("name", ["ex5", "poly-cos"])
-    def test_one_guard_and_one_gradient_per_scan(self, name):
+    def test_one_value_and_one_gradient_per_scan(self, name):
         """A scan asks a rational integral's value once and its gradient
         once for the whole grid."""
         system, integral = _rational_case(name)
@@ -720,7 +799,7 @@ class TestBroadcastContract:
         assert calls == {"func": 1, "grad": 1}
 
     @pytest.mark.parametrize("name", ["ex3", "ex5", "poly-cos"])
-    def test_guard_shares_one_stacked_read(self, name):
+    def test_value_and_gradient_share_one_stacked_read(self, name):
         """A ratio integral's value in a call at chart columns, and its
         gradient and, for a rational one, its value in a scan, are handed
         one and the same read of its chart data, stacked into chart columns
@@ -793,8 +872,8 @@ class TestBroadcastContract:
     @pytest.mark.parametrize("n_angles", [4, 12])
     @pytest.mark.parametrize("family", ["poly-cos", "elliptic-half"])
     def test_one_radial_profile_per_grid_row(self, family, n_angles, monkeypatch):
-        """A bundle scan reads Z's jet three times per grid point, for the
-        Cholesky factor, the local geometry (G^{-1}, dG, Omega) and the
+        """A bundle scan reads Z's jet twice per grid point, once for its
+        frame (the level factor, G^{-1}, dG and Omega) and once for the
         integral's parts (value and gradient), and Z's radial profile once
         per rho of the grid: on elliptic-half one AGM run per grid row."""
         bundle = rational.build_bundle(SCAN_FAMILIES[family]())
@@ -811,7 +890,7 @@ class TestBroadcastContract:
         rows = len({rho for rho, _ in points})
         assert rows == 6
         assert (calls["jet"], calls["radial"], calls["agm"]) == (
-            3 * len(points), rows, rows if family == "elliptic-half" else 0)
+            2 * len(points), rows, rows if family == "elliptic-half" else 0)
 
     @pytest.mark.parametrize("n_angles", [4, 12])
     def test_one_quadratic_block_per_grid_point(self, n_angles, monkeypatch):

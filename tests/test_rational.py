@@ -302,10 +302,10 @@ class TestJet:
     @pytest.mark.parametrize("z", BUNDLE_SOLUTIONS, ids=lambda z: z.family)
     def test_one_local_geometry_per_kept_scan_point(self, z, monkeypatch):
         """A bracket scan evaluates the bundle system's ``local`` once at
-        each grid point it keeps: the Cholesky factor reads only the metric
-        components, and a point whose factor fails (here every point past
-        the middle of the rho range, where the frame's scale is negated)
-        takes none."""
+        each grid point, and the Cholesky factor and G^{-1} come from its
+        G.  A point whose factor fails (here every point past the middle of
+        the rho range, where the frame's scale is negated) takes that one
+        call too, and is not sampled."""
         frame = RationalFlowBundle._frame
         mid = sum(z.default_rho_range) / 2.0
         calls = Counter()
@@ -323,9 +323,11 @@ class TestJet:
             return _local(rho, psi)
 
         system = dataclasses.replace(system, local=counted_local)
-        level_set_bracket_scan(system, bundle.as_integral(), config=config)
-        kept = [(x, y) for x, y in system.domain.grid(6, 5, config.grid_margin) if x < mid]
-        assert len(kept) == 15 and dict(calls) == dict.fromkeys(kept, 1)
+        report = level_set_bracket_scan(system, bundle.as_integral(), config=config)
+        points = system.domain.grid(6, 5, config.grid_margin)
+        kept = [(x, y) for x, y in points if x < mid]
+        assert len(kept) == 15 and report.count == 15 * 4
+        assert dict(calls) == dict.fromkeys(points, 1)
 
     @pytest.mark.parametrize("z", BUNDLE_SOLUTIONS + ["ex3", "ex4", "ex5", "ex6"],
                              ids=lambda z: z if isinstance(z, str) else z.family)
@@ -463,6 +465,17 @@ class TestBuildBundle:
         profile_screen(PolynomialCos(2), 0.05, 5.0)
         assert len(calls) == 900
         assert radials == np.linspace(0.05, 5.0, 30).tolist()
+
+    def test_screen_overflow_reads_nan_without_warning(self):
+        """A jet whose terms overflow gives the screen a NaN residual and an
+        infinite |D|, as the same arithmetic on floats does, with no
+        RuntimeWarning."""
+        class Huge(ZSolution):
+            def _radial(self, rho):
+                return 1.0, 1.0, 1e308
+
+        residual, d_min = profile_screen(Huge(), 1.0, 2.0)
+        assert math.isnan(residual) and d_min == math.inf
 
     def test_bad_ranges_rejected(self):
         """Empty, zero-crossing or out-of-validity ranges are refused."""
