@@ -38,7 +38,7 @@ from .errors import (
     SingularMetric,
     SingularPoint,
 )
-from .flow import TrajectoryConfig, conservation_drift, integrate
+from .flow import METHODS, TrajectoryConfig, conservation_drift, integrate
 from .geometry import gaussian_curvature, hamiltonian, momentum_on_level
 from .hodograph import HodographConstants, _sup_norm, solve_fields
 from .integrals import (
@@ -365,7 +365,7 @@ def _verify_example(entry, tol: float, rng, corrupt: bool) -> dict:
 
     ham = hamiltonian_integral(entry.system)
     conserved = (*entry.integrals, ham)
-    traj_config = TrajectoryConfig(t_end=10.0)
+    traj_config = TrajectoryConfig(t_end=10.0, method="dop853")
     drifts, errors = {f.name: 0.0 for f in conserved}, {}
     for phase in entry.sample_phases:
         trajectory = integrate(entry.system, phase, traj_config)
@@ -504,10 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--position", nargs=2, type=float, metavar=("Q1", "Q2"))
     p.add_argument("--angle", type=float, help="momentum angle on the declared level")
     p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--method", choices=("embedded_rk45", "fixed_rk4"), default="embedded_rk45")
+    p.add_argument("--method", choices=METHODS, default="embedded_rk45")
     p.add_argument("--step", type=float, help="step size of fixed_rk4")
-    p.add_argument("--rel-tol", type=float, help="embedded_rk45 only (default 1e-11)")
-    p.add_argument("--abs-tol", type=float, help="embedded_rk45 only (default 1e-12)")
+    p.add_argument("--rel-tol", type=float, help="adaptive methods only (default 1e-11)")
+    p.add_argument("--abs-tol", type=float, help="adaptive methods only (default 1e-12)")
     p.add_argument("--record-every", type=int, default=1)
     p.add_argument("--out", help="output CSV name")
 

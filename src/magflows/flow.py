@@ -13,31 +13,38 @@ call on ex3-ex6 and the rational bundles, the metric and field on ex1,
 ex2 and ex2b) and one call of the kernel
 :func:`magflows.geometry.hamiltonian_flow`, which forms dH and X_H from it
 in one frame.  The whole path runs on Python floats: G^{-1} is three
-floats and X_H a list of four, so a stage of either stepper builds no
+floats and X_H a list of four, so a stage of any stepper builds no
 ndarray.
 
-Two steppers are provided: the classic fixed-step fourth-order scheme and
-a Dormand-Prince embedded 4(5) pair with a proportional step controller
-(safety 0.9, growth factor clamped to [0.2, 5.0]).  Both step on four
-named Python floats per stage, and every stage sum is written out left to
-right, so the bits of a trajectory depend only on IEEE double arithmetic
-and not on the BLAS kernel numpy picks at run time.  Each stage is one
-call of :func:`magnetic_rhs`, looked up as this module's global, and each
-step returns the number of stages it evaluated, up to one that raised.
+Three steppers are provided (:data:`METHODS`): the classic fixed-step
+fourth-order scheme and two embedded pairs sharing one proportional step
+controller (safety 0.9, growth factor clamped to [0.2, 5.0]), the
+Dormand-Prince 4(5) pair (``embedded_rk45``, the default; step exponent
+-1/5) and Hairer's eighth-order DOP853 (``dop853``; exponent -1/8).
+DOP853 takes its stage 1 from the rates at the step's start, which the
+last stage of the step before evaluated ("first same as last"), so it
+makes 12 calls per trial step; the Dormand-Prince step evaluates all 7 of
+its stages on every trial.  Every stepper steps on four named Python
+floats per stage, and every stage sum is written out left to right, so
+the bits of a trajectory depend only on IEEE double arithmetic and not on
+the BLAS kernel numpy picks at run time.  Each stage is one call of
+:func:`magnetic_rhs`, looked up as this module's global, and each step
+returns the number of stages it evaluated, up to one that raised.
 
 Trajectories that leave the chart domain stop early and carry a
 ``domain_exit`` flag rather than raising.  The fixed-step scheme stops at
-its last whole step inside the chart.  The adaptive one locates the chart
-edge: when a stage of a trial step falls outside the chart, the tangent
-line (q1, q2) + s (dq1/dt, dq2/dt) at the last accepted state is bisected
-on the chart predicate, which needs no further right-hand-side call (the
-rates at that state are stage 7 of the step that reached it).  The next
-trial step goes to 0.99 of the predicted crossing, and the run ends once
-the predicted crossing is within 1e-11 * t_end.  The last recorded state
-therefore lies inside the chart, and its time is ``exit_time``.  When the
-tangent stays inside the chart over the failed step (a singular metric
-inside the chart, or a path bending out), the step is halved instead, and
-a step below 1e-12 * t_end ends the run as a flagged exit.  A
+its last whole step inside the chart.  The adaptive ones locate the chart
+edge in one shared loop: when a stage of a trial step falls outside the
+chart, the tangent line (q1, q2) + s (dq1/dt, dq2/dt) at the last accepted
+state is bisected on the chart predicate, which needs no further
+right-hand-side call (the rates at that state are the last stage of the
+step that reached it).  The next trial step goes to 0.99 of the predicted
+crossing, and the run ends once the predicted crossing is within
+1e-11 * t_end.  The last recorded state therefore lies inside the chart,
+and its time is ``exit_time``.  When the tangent stays inside the chart
+over the failed step (a singular metric inside the chart, or a path
+bending out), the step is halved instead, and a step below 1e-12 * t_end
+ends the run as a flagged exit.  A
 :class:`Trajectory` counts its right-hand-side calls and rejected steps by
 cause.  :func:`conservation_drift` reads a scalar on all its states at once.
 """
@@ -54,6 +61,7 @@ from .errors import DomainError, EvaluationError, SingularMetric, StepFailure
 from .geometry import MagneticSystem, hamiltonian_flow
 
 __all__ = [
+    "METHODS",
     "TrajectoryConfig",
     "Trajectory",
     "ConservationReport",
@@ -67,10 +75,11 @@ __all__ = [
 class TrajectoryConfig:
     """Integration settings.
 
-    ``method`` is ``"fixed_rk4"`` (requires a ``step`` of at least
-    ``t_end`` / 1e7, so that a run takes at most 1e7 steps, and refuses
-    tolerances) or ``"embedded_rk45"`` (uses ``rel_tol``/``abs_tol``,
-    by default 1e-11 and 1e-12, and refuses a ``step``).  ``record_every``
+    ``method`` is one of :data:`METHODS`: ``"fixed_rk4"`` (requires a
+    ``step`` of at least ``t_end`` / 1e7, so that a run takes at most 1e7
+    steps, and refuses tolerances), or one of the adaptive methods
+    ``"embedded_rk45"`` and ``"dop853"`` (use ``rel_tol``/``abs_tol``,
+    by default 1e-11 and 1e-12, and refuse a ``step``).  ``record_every``
     keeps every n-th accepted state; the initial and final states are
     always recorded.  Times and tolerances must be finite.
     """
@@ -91,7 +100,7 @@ class TrajectoryConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.t_end > 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.method not in ("fixed_rk4", "embedded_rk45"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "fixed_rk4":
             # 1e7 steps take minutes, 1e12 months, and a tiny step stops t advancing
@@ -99,10 +108,12 @@ class TrajectoryConfig:
                 raise ValueError(f"fixed_rk4 requires a step of at least "
                                  f"t_end / {_MAX_FIXED_STEPS:.0f}, got {self.step}")
             if self.rel_tol is not None or self.abs_tol is not None:
-                raise ValueError("fixed_rk4 takes no rel_tol or abs_tol; they are for embedded_rk45")
+                raise ValueError("fixed_rk4 takes no rel_tol or abs_tol; "
+                                 "they are for the adaptive methods")
         else:
             if self.step is not None:
-                raise ValueError("embedded_rk45 chooses its own steps; a step is only for fixed_rk4")
+                raise ValueError(f"{self.method} chooses its own steps; "
+                                 "a step is only for fixed_rk4")
             # frozen: the adaptive defaults go in through object.__setattr__
             object.__setattr__(self, "rel_tol", 1e-11 if self.rel_tol is None else self.rel_tol)
             object.__setattr__(self, "abs_tol", 1e-12 if self.abs_tol is None else self.abs_tol)
@@ -117,8 +128,13 @@ class Trajectory:
     """Recorded solution curve with its work counts.
 
     ``rhs_evals`` counts the calls of :func:`magnetic_rhs`, one that raised
-    included: the stages of each step (7 or 4, or k when stage k raised)
-    and a tangent's call at a state no step gave the rates of.  Rejected
+    included: the stages of each step and a tangent's call at a state no
+    step gave the rates of.  A trial step of ``embedded_rk45`` makes 7
+    calls and one of ``fixed_rk4`` 4, or k when stage k raised.  One of
+    ``dop853`` makes 12, or k - 1, as its stage 1 is the rates at its
+    start; it evaluates them itself, as a 13th call, only where no step
+    or tangent has given them, which is at the initial state until a
+    step from there is accepted.  Rejected
     trial steps are counted by cause: the error estimate was above the
     tolerance (``rejected_error``), a stage or the end point was outside
     the chart (``rejected_boundary``), or the end state was not finite
@@ -126,7 +142,7 @@ class Trajectory:
 
     ``exit_time`` is None for a run that reached ``t_end``.  For one that
     left the chart it is the time of the last recorded state, which lies
-    inside the chart: for the adaptive method within 1e-11 * t_end of the
+    inside the chart: for the adaptive methods within 1e-11 * t_end of the
     crossing predicted along the tangent there (or at a step underflow,
     where a singular metric stopped the run inside the chart), for the
     fixed-step method at the last whole step inside.
@@ -187,6 +203,41 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
 )
 
+# DOP853, Hairer's eighth-order pair (Hairer, Norsett & Wanner, Solving
+# ODEs I, ch. II; the coefficients of scipy.integrate's DOP853, which
+# transcribes Hairer's Fortran code): the stage rows _D8A, the
+# eighth-order weights _D8B and the fifth- and third-order error weights
+# _D8E5 and _D8E3.  Zero entries are left out; stages 2-5 have no weight,
+# and the third-order weights of stages 6, 7, 8, 10 and 11 are the _D8B.
+_D8A2_1 = 0.05260015195876773
+_D8A3_1, _D8A3_2 = 0.0197250569845379, 0.0591751709536137
+_D8A4_1, _D8A4_3 = 0.02958758547680685, 0.08876275643042054
+_D8A5_1, _D8A5_3, _D8A5_4 = 0.2413651341592667, -0.8845494793282861, 0.924834003261792
+_D8A6_1, _D8A6_4, _D8A6_5 = 0.037037037037037035, 0.17082860872947386, 0.12546768756682242
+_D8A7_1, _D8A7_4, _D8A7_5 = 0.037109375, 0.17025221101954405, 0.06021653898045596
+_D8A7_6 = -0.017578125
+_D8A8_1, _D8A8_4, _D8A8_5 = 0.03709200011850479, 0.17038392571223998, 0.10726203044637328
+_D8A8_6, _D8A8_7 = -0.015319437748624402, 0.008273789163814023
+_D8A9_1, _D8A9_4, _D8A9_5 = 0.6241109587160757, -3.3608926294469414, -0.868219346841726
+_D8A9_6, _D8A9_7, _D8A9_8 = 27.59209969944671, 20.154067550477894, -43.48988418106996
+_D8A10_1, _D8A10_4, _D8A10_5 = 0.47766253643826434, -2.4881146199716677, -0.590290826836843
+_D8A10_6, _D8A10_7, _D8A10_8 = 21.230051448181193, 15.279233632882423, -33.28821096898486
+_D8A10_9 = -0.020331201708508627
+_D8A11_1, _D8A11_4, _D8A11_5 = -0.9371424300859873, 5.186372428844064, 1.0914373489967295
+_D8A11_6, _D8A11_7, _D8A11_8 = -8.149787010746927, -18.52006565999696, 22.739487099350505
+_D8A11_9, _D8A11_10 = 2.4936055526796523, -3.0467644718982196
+_D8A12_1, _D8A12_4, _D8A12_5 = 2.273310147516538, -10.53449546673725, -2.0008720582248625
+_D8A12_6, _D8A12_7, _D8A12_8 = -17.9589318631188, 27.94888452941996, -2.8589982771350235
+_D8A12_9, _D8A12_10, _D8A12_11 = -8.87285693353063, 12.360567175794303, 0.6433927460157636
+_D8B1, _D8B6, _D8B7 = 0.054293734116568765, 4.450312892752409, 1.8915178993145003
+_D8B8, _D8B9, _D8B10 = -5.801203960010585, 0.3111643669578199, -0.1521609496625161
+_D8B11, _D8B12 = 0.20136540080403034, 0.04471061572777259
+_D8E5_1, _D8E5_6, _D8E5_7 = 0.01312004499419488, -1.2251564463762044, -0.4957589496572502
+_D8E5_8, _D8E5_9, _D8E5_10 = 1.6643771824549864, -0.35032884874997366, 0.3341791187130175
+_D8E5_11, _D8E5_12 = 0.08192320648511571, -0.022355307863886294
+_D8E3_1, _D8E3_9, _D8E3_12 = -0.18980075407240762, -0.4226823213237919, 0.02265179219836082
+_D8E3_6, _D8E3_7, _D8E3_8, _D8E3_10, _D8E3_11 = _D8B6, _D8B7, _D8B8, _D8B10, _D8B11
+
 _SAFETY = 0.9
 _SHRINK_LIMIT = 0.2
 _GROWTH_LIMIT = 5.0
@@ -223,9 +274,11 @@ def _rk4_step(system, y, h):
                y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)]
 
 
-def _dp_step(system, y, h, abs_tol, rel_tol):
+def _dp_step(system, y, h, abs_tol, rel_tol, f=None):
     """One Dormand-Prince trial step: (7, y5, error norm, rates at y5), or
     (k, None, None, None) when stage k raised DomainError or SingularMetric.
+    Stage 1 is evaluated on every trial step; ``f``, the rates at y, is
+    taken only so that both adaptive steps share one signature.
     Stage j's rates are the floats named by the j-th letter.  The norm is
     the RMS of e / (abs_tol + rel_tol * max(|y|, |y5|)) for the error e,
     summed left to right as numpy's mean of four values; ``q * q``
@@ -278,6 +331,150 @@ def _dp_step(system, y, h, abs_tol, rel_tol):
     q4 = (h * (_E1 * a4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * f4 + _E7 * g4)
           / (abs_tol + rel_tol * max(abs(y4), abs(z4))))
     return 7, [z1, z2, z3, z4], math.sqrt((q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4) / 4), k7
+
+
+def _dop853_step(system, y, h, abs_tol, rel_tol, f=None):
+    """One DOP853 trial step: (stages evaluated, y8, error norm, rates at
+    y8), or (k, None, None, None) when a stage raised DomainError or
+    SingularMetric at the k-th evaluation.  Stage 1 is ``f``, the rates at
+    y, and is evaluated only when f is None, so a step makes 12
+    evaluations (13 without f); stage 13 is evaluated at y8, so a step
+    whose end point leaves the chart raises there, and its rates are the
+    next step's stage 1.  Stage j's rates are the floats aj, bj, cj, dj.  The norm is Hairer's
+    combined estimate |h| s5 / sqrt((s5 + 0.01 s3) * 4), where s5 and s3
+    are the sums of the squares of the fifth- and third-order error
+    estimates over abs_tol + rel_tol * max(|y|, |y8|), each written out
+    left to right; it is 0 when both sums are 0 and inf when the
+    denominator overflows, where inf / inf would give NaN."""
+    y1, y2, y3, y4 = y
+    given = f is not None
+    stage = 1
+    try:
+        a1, b1, c1, d1 = f if given else magnetic_rhs(system, y)
+        stage = 2
+        a2, b2, c2, d2 = magnetic_rhs(system, [
+            y1 + h * (_D8A2_1 * a1),
+            y2 + h * (_D8A2_1 * b1),
+            y3 + h * (_D8A2_1 * c1),
+            y4 + h * (_D8A2_1 * d1)])
+        stage = 3
+        a3, b3, c3, d3 = magnetic_rhs(system, [
+            y1 + h * (_D8A3_1 * a1 + _D8A3_2 * a2),
+            y2 + h * (_D8A3_1 * b1 + _D8A3_2 * b2),
+            y3 + h * (_D8A3_1 * c1 + _D8A3_2 * c2),
+            y4 + h * (_D8A3_1 * d1 + _D8A3_2 * d2)])
+        stage = 4
+        a4, b4, c4, d4 = magnetic_rhs(system, [
+            y1 + h * (_D8A4_1 * a1 + _D8A4_3 * a3),
+            y2 + h * (_D8A4_1 * b1 + _D8A4_3 * b3),
+            y3 + h * (_D8A4_1 * c1 + _D8A4_3 * c3),
+            y4 + h * (_D8A4_1 * d1 + _D8A4_3 * d3)])
+        stage = 5
+        a5, b5, c5, d5 = magnetic_rhs(system, [
+            y1 + h * (_D8A5_1 * a1 + _D8A5_3 * a3 + _D8A5_4 * a4),
+            y2 + h * (_D8A5_1 * b1 + _D8A5_3 * b3 + _D8A5_4 * b4),
+            y3 + h * (_D8A5_1 * c1 + _D8A5_3 * c3 + _D8A5_4 * c4),
+            y4 + h * (_D8A5_1 * d1 + _D8A5_3 * d3 + _D8A5_4 * d4)])
+        stage = 6
+        a6, b6, c6, d6 = magnetic_rhs(system, [
+            y1 + h * (_D8A6_1 * a1 + _D8A6_4 * a4 + _D8A6_5 * a5),
+            y2 + h * (_D8A6_1 * b1 + _D8A6_4 * b4 + _D8A6_5 * b5),
+            y3 + h * (_D8A6_1 * c1 + _D8A6_4 * c4 + _D8A6_5 * c5),
+            y4 + h * (_D8A6_1 * d1 + _D8A6_4 * d4 + _D8A6_5 * d5)])
+        stage = 7
+        a7, b7, c7, d7 = magnetic_rhs(system, [
+            y1 + h * (_D8A7_1 * a1 + _D8A7_4 * a4 + _D8A7_5 * a5 + _D8A7_6 * a6),
+            y2 + h * (_D8A7_1 * b1 + _D8A7_4 * b4 + _D8A7_5 * b5 + _D8A7_6 * b6),
+            y3 + h * (_D8A7_1 * c1 + _D8A7_4 * c4 + _D8A7_5 * c5 + _D8A7_6 * c6),
+            y4 + h * (_D8A7_1 * d1 + _D8A7_4 * d4 + _D8A7_5 * d5 + _D8A7_6 * d6)])
+        stage = 8
+        a8, b8, c8, d8 = magnetic_rhs(system, [
+            y1 + h * (_D8A8_1 * a1 + _D8A8_4 * a4 + _D8A8_5 * a5 + _D8A8_6 * a6 + _D8A8_7 * a7),
+            y2 + h * (_D8A8_1 * b1 + _D8A8_4 * b4 + _D8A8_5 * b5 + _D8A8_6 * b6 + _D8A8_7 * b7),
+            y3 + h * (_D8A8_1 * c1 + _D8A8_4 * c4 + _D8A8_5 * c5 + _D8A8_6 * c6 + _D8A8_7 * c7),
+            y4 + h * (_D8A8_1 * d1 + _D8A8_4 * d4 + _D8A8_5 * d5 + _D8A8_6 * d6 + _D8A8_7 * d7)])
+        stage = 9
+        a9, b9, c9, d9 = magnetic_rhs(system, [
+            y1 + h * (_D8A9_1 * a1 + _D8A9_4 * a4 + _D8A9_5 * a5 + _D8A9_6 * a6 + _D8A9_7 * a7
+                      + _D8A9_8 * a8),
+            y2 + h * (_D8A9_1 * b1 + _D8A9_4 * b4 + _D8A9_5 * b5 + _D8A9_6 * b6 + _D8A9_7 * b7
+                      + _D8A9_8 * b8),
+            y3 + h * (_D8A9_1 * c1 + _D8A9_4 * c4 + _D8A9_5 * c5 + _D8A9_6 * c6 + _D8A9_7 * c7
+                      + _D8A9_8 * c8),
+            y4 + h * (_D8A9_1 * d1 + _D8A9_4 * d4 + _D8A9_5 * d5 + _D8A9_6 * d6 + _D8A9_7 * d7
+                      + _D8A9_8 * d8)])
+        stage = 10
+        a10, b10, c10, d10 = magnetic_rhs(system, [
+            y1 + h * (_D8A10_1 * a1 + _D8A10_4 * a4 + _D8A10_5 * a5 + _D8A10_6 * a6 + _D8A10_7 * a7
+                      + _D8A10_8 * a8 + _D8A10_9 * a9),
+            y2 + h * (_D8A10_1 * b1 + _D8A10_4 * b4 + _D8A10_5 * b5 + _D8A10_6 * b6 + _D8A10_7 * b7
+                      + _D8A10_8 * b8 + _D8A10_9 * b9),
+            y3 + h * (_D8A10_1 * c1 + _D8A10_4 * c4 + _D8A10_5 * c5 + _D8A10_6 * c6 + _D8A10_7 * c7
+                      + _D8A10_8 * c8 + _D8A10_9 * c9),
+            y4 + h * (_D8A10_1 * d1 + _D8A10_4 * d4 + _D8A10_5 * d5 + _D8A10_6 * d6 + _D8A10_7 * d7
+                      + _D8A10_8 * d8 + _D8A10_9 * d9)])
+        stage = 11
+        a11, b11, c11, d11 = magnetic_rhs(system, [
+            y1 + h * (_D8A11_1 * a1 + _D8A11_4 * a4 + _D8A11_5 * a5 + _D8A11_6 * a6 + _D8A11_7 * a7
+                      + _D8A11_8 * a8 + _D8A11_9 * a9 + _D8A11_10 * a10),
+            y2 + h * (_D8A11_1 * b1 + _D8A11_4 * b4 + _D8A11_5 * b5 + _D8A11_6 * b6 + _D8A11_7 * b7
+                      + _D8A11_8 * b8 + _D8A11_9 * b9 + _D8A11_10 * b10),
+            y3 + h * (_D8A11_1 * c1 + _D8A11_4 * c4 + _D8A11_5 * c5 + _D8A11_6 * c6 + _D8A11_7 * c7
+                      + _D8A11_8 * c8 + _D8A11_9 * c9 + _D8A11_10 * c10),
+            y4 + h * (_D8A11_1 * d1 + _D8A11_4 * d4 + _D8A11_5 * d5 + _D8A11_6 * d6 + _D8A11_7 * d7
+                      + _D8A11_8 * d8 + _D8A11_9 * d9 + _D8A11_10 * d10)])
+        stage = 12
+        a12, b12, c12, d12 = magnetic_rhs(system, [
+            y1 + h * (_D8A12_1 * a1 + _D8A12_4 * a4 + _D8A12_5 * a5 + _D8A12_6 * a6 + _D8A12_7 * a7
+                      + _D8A12_8 * a8 + _D8A12_9 * a9 + _D8A12_10 * a10 + _D8A12_11 * a11),
+            y2 + h * (_D8A12_1 * b1 + _D8A12_4 * b4 + _D8A12_5 * b5 + _D8A12_6 * b6 + _D8A12_7 * b7
+                      + _D8A12_8 * b8 + _D8A12_9 * b9 + _D8A12_10 * b10 + _D8A12_11 * b11),
+            y3 + h * (_D8A12_1 * c1 + _D8A12_4 * c4 + _D8A12_5 * c5 + _D8A12_6 * c6 + _D8A12_7 * c7
+                      + _D8A12_8 * c8 + _D8A12_9 * c9 + _D8A12_10 * c10 + _D8A12_11 * c11),
+            y4 + h * (_D8A12_1 * d1 + _D8A12_4 * d4 + _D8A12_5 * d5 + _D8A12_6 * d6 + _D8A12_7 * d7
+                      + _D8A12_8 * d8 + _D8A12_9 * d9 + _D8A12_10 * d10 + _D8A12_11 * d11)])
+        z1 = y1 + h * (_D8B1 * a1 + _D8B6 * a6 + _D8B7 * a7 + _D8B8 * a8 + _D8B9 * a9
+                       + _D8B10 * a10 + _D8B11 * a11 + _D8B12 * a12)
+        z2 = y2 + h * (_D8B1 * b1 + _D8B6 * b6 + _D8B7 * b7 + _D8B8 * b8 + _D8B9 * b9
+                       + _D8B10 * b10 + _D8B11 * b11 + _D8B12 * b12)
+        z3 = y3 + h * (_D8B1 * c1 + _D8B6 * c6 + _D8B7 * c7 + _D8B8 * c8 + _D8B9 * c9
+                       + _D8B10 * c10 + _D8B11 * c11 + _D8B12 * c12)
+        z4 = y4 + h * (_D8B1 * d1 + _D8B6 * d6 + _D8B7 * d7 + _D8B8 * d8 + _D8B9 * d9
+                       + _D8B10 * d10 + _D8B11 * d11 + _D8B12 * d12)
+        stage = 13
+        k13 = magnetic_rhs(system, [z1, z2, z3, z4])
+    except (DomainError, SingularMetric):
+        return stage - given, None, None, None
+    w1 = abs_tol + rel_tol * max(abs(y1), abs(z1))
+    u1 = (_D8E5_1 * a1 + _D8E5_6 * a6 + _D8E5_7 * a7 + _D8E5_8 * a8 + _D8E5_9 * a9
+          + _D8E5_10 * a10 + _D8E5_11 * a11 + _D8E5_12 * a12) / w1
+    v1 = (_D8E3_1 * a1 + _D8E3_6 * a6 + _D8E3_7 * a7 + _D8E3_8 * a8 + _D8E3_9 * a9
+          + _D8E3_10 * a10 + _D8E3_11 * a11 + _D8E3_12 * a12) / w1
+    w2 = abs_tol + rel_tol * max(abs(y2), abs(z2))
+    u2 = (_D8E5_1 * b1 + _D8E5_6 * b6 + _D8E5_7 * b7 + _D8E5_8 * b8 + _D8E5_9 * b9
+          + _D8E5_10 * b10 + _D8E5_11 * b11 + _D8E5_12 * b12) / w2
+    v2 = (_D8E3_1 * b1 + _D8E3_6 * b6 + _D8E3_7 * b7 + _D8E3_8 * b8 + _D8E3_9 * b9
+          + _D8E3_10 * b10 + _D8E3_11 * b11 + _D8E3_12 * b12) / w2
+    w3 = abs_tol + rel_tol * max(abs(y3), abs(z3))
+    u3 = (_D8E5_1 * c1 + _D8E5_6 * c6 + _D8E5_7 * c7 + _D8E5_8 * c8 + _D8E5_9 * c9
+          + _D8E5_10 * c10 + _D8E5_11 * c11 + _D8E5_12 * c12) / w3
+    v3 = (_D8E3_1 * c1 + _D8E3_6 * c6 + _D8E3_7 * c7 + _D8E3_8 * c8 + _D8E3_9 * c9
+          + _D8E3_10 * c10 + _D8E3_11 * c11 + _D8E3_12 * c12) / w3
+    w4 = abs_tol + rel_tol * max(abs(y4), abs(z4))
+    u4 = (_D8E5_1 * d1 + _D8E5_6 * d6 + _D8E5_7 * d7 + _D8E5_8 * d8 + _D8E5_9 * d9
+          + _D8E5_10 * d10 + _D8E5_11 * d11 + _D8E5_12 * d12) / w4
+    v4 = (_D8E3_1 * d1 + _D8E3_6 * d6 + _D8E3_7 * d7 + _D8E3_8 * d8 + _D8E3_9 * d9
+          + _D8E3_10 * d10 + _D8E3_11 * d11 + _D8E3_12 * d12) / w4
+    s5 = u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4
+    s3 = v1 * v1 + v2 * v2 + v3 * v3 + v4 * v4
+    denom = (s5 + 0.01 * s3) * 4
+    if denom == 0.0:
+        norm = 0.0
+    elif denom == math.inf:
+        norm = math.inf
+    else:
+        norm = abs(h) * s5 / math.sqrt(denom)
+    return 13 - given, [z1, z2, z3, z4], norm, k13
 
 
 class _Recorder:
@@ -382,7 +579,14 @@ def _tangent_exit(contains, y, f, s_out, width):
     return s_in, s_out
 
 
+# the trial step of each adaptive method and the exponent of its controller
+_ADAPTIVE = {"embedded_rk45": (_dp_step, -0.2), "dop853": (_dop853_step, -0.125)}
+# every integration method: the adaptive pairs, then the fixed-step scheme
+METHODS = (*_ADAPTIVE, "fixed_rk4")
+
+
 def _integrate_adaptive(system, y, rec, config):
+    step, exponent = _ADAPTIVE[config.method]
     contains = system.domain.contains
     t = 0.0
     t_end = config.t_end
@@ -390,18 +594,19 @@ def _integrate_adaptive(system, y, rec, config):
     h_min = _MIN_STEP_FRACTION * t_end
     exit_tol = _EXIT_FRACTION * t_end
     h = min(1e-3 * t_end, t_end)
-    f = None  # the rates at y: stage 7 of the step that reached y
+    f = None  # the rates at y: the last stage of the step that reached y
     while t < t_end * (1.0 - 1e-14):
         h = min(h, t_end - t)
         if h < h_min:
             raise StepFailure(f"step underflow at t = {t}: h = {h}")
-        stages, y_new, err_norm, f_new = _dp_step(system, y, h, abs_tol, rel_tol)
+        stages, y_new, err_norm, f_new = step(system, y, h, abs_tol, rel_tol, f)
         rec.rhs_evals += stages
         if y_new is None:
-            # a stage left the chart or met a singular metric (stage 7 is
-            # evaluated at y_new, so this covers the end point too): find
-            # where the tangent at y leaves the chart and step to just
-            # inside that point, or end the run once it is close enough
+            # a stage left the chart or met a singular metric (the last
+            # stage is evaluated at y_new, so this covers the end point
+            # too): find where the tangent at y leaves the chart and step
+            # to just inside that point, or end the run once it is close
+            # enough
             rec.rejected_boundary += 1
             if f is None:
                 rec.rhs_evals += 1
@@ -437,10 +642,10 @@ def _integrate_adaptive(system, y, rec, config):
             y = y_new
             f = f_new
             rec.push(t, y)
-            factor = _GROWTH_LIMIT if err_norm == 0.0 else _SAFETY * err_norm ** -0.2
+            factor = _GROWTH_LIMIT if err_norm == 0.0 else _SAFETY * err_norm ** exponent
         else:
             rec.rejected_error += 1
-            factor = max(_SHRINK_LIMIT, _SAFETY * err_norm ** -0.2)
+            factor = max(_SHRINK_LIMIT, _SAFETY * err_norm ** exponent)
         h *= min(_GROWTH_LIMIT, max(_SHRINK_LIMIT, factor))
     return t, y
 

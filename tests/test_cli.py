@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from magflows import rational
 from magflows.catalog import get_example, list_examples
 from magflows.errors import DomainError, SingularPoint
+from magflows.flow import METHODS, TrajectoryConfig, integrate
 from magflows import cli, hodograph
 from magflows.cli import _check, _corrupted, _write_json, build_parser, config_actions, main
 from magflows.hodograph import HodographConstants, closed_form_abzero
@@ -218,6 +219,41 @@ class TestSimulate:
             assert code == 0
             blobs.append((d / "ex5_trace.csv").read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_dop853_from_flag_or_config(self, tmp_path, capsys):
+        """--method dop853 and a config file's "method": "dop853" write the
+        same trace, the trajectory of integrate with that method; the
+        adaptive tolerances are taken."""
+        argv = ["simulate", "ex1", "--phase", "0", "0", "1", "0", "--t-end", "3",
+                "--rel-tol", "1e-10", "--abs-tol", "1e-11"]
+        code, _, _ = _run(["--out-dir", str(tmp_path / "flag")] + argv + ["--method", "dop853"],
+                          capsys)
+        assert code == 0
+        config = tmp_path / "dop853.json"
+        config.write_text(json.dumps({"method": "dop853"}))
+        code, _, _ = _run(["--config", str(config), "--out-dir", str(tmp_path / "file")] + argv,
+                          capsys)
+        assert code == 0
+        flag = (tmp_path / "flag" / "ex1_trace.csv").read_bytes()
+        assert flag == (tmp_path / "file" / "ex1_trace.csv").read_bytes()
+        _, data = _read_csv(tmp_path / "flag" / "ex1_trace.csv")
+        want = integrate(get_example("ex1").system, (0.0, 0.0, 1.0, 0.0),
+                         TrajectoryConfig(t_end=3.0, method="dop853", rel_tol=1e-10,
+                                          abs_tol=1e-11))
+        assert data[:, 1:5].tobytes() == want.states.tobytes()
+
+    def test_dop853_refuses_a_step(self, tmp_path, capsys):
+        """A --step with dop853 exits 2 with the adaptive method's message
+        and writes no trace."""
+        code, _, err = _run(["--out-dir", str(tmp_path), "simulate", "ex1", "--phase", "0", "0",
+                             "1", "0", "--method", "dop853", "--step", "0.1"], capsys)
+        assert code == 2
+        assert "dop853 chooses its own steps; a step is only for fixed_rk4" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_method_choices_are_the_flow_table(self):
+        action = config_actions(build_parser(), "simulate")["method"]
+        assert tuple(action.choices) == METHODS and action.default == "embedded_rk45"
 
 
 class TestVerify:

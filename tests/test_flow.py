@@ -11,6 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate._ivp.rk import DOP853
 
 from magflows import flow
 from magflows.catalog import get_example, list_examples
@@ -212,6 +214,25 @@ class TestTrajectoryConfig:
         assert (config.rel_tol, config.abs_tol) == (1e-11, 1e-12)
         assert config == TrajectoryConfig(t_end=1.0, rel_tol=1e-11, abs_tol=1e-12)
 
+    def test_one_method_table(self):
+        """The config takes the methods of flow.METHODS and no other;
+        embedded_rk45 stays the default."""
+        assert flow.METHODS == ("embedded_rk45", "dop853", "fixed_rk4")
+        assert TrajectoryConfig(t_end=1.0).method == "embedded_rk45"
+        with pytest.raises(ValueError, match="unknown method 'rk2'"):
+            TrajectoryConfig(t_end=1.0, method="rk2")
+
+    def test_dop853_is_an_adaptive_method(self):
+        """dop853 takes the adaptive defaults and given tolerances, and
+        refuses a step as embedded_rk45 does."""
+        config = TrajectoryConfig(t_end=1.0, method="dop853")
+        assert (config.rel_tol, config.abs_tol) == (1e-11, 1e-12)
+        config = TrajectoryConfig(t_end=1.0, method="dop853", rel_tol=1e-8, abs_tol=1e-9)
+        assert (config.rel_tol, config.abs_tol) == (1e-8, 1e-9)
+        with pytest.raises(ValueError, match="dop853 chooses its own steps; a step is only "
+                                             "for fixed_rk4"):
+            TrajectoryConfig(t_end=1.0, method="dop853", step=0.1)
+
 
 class TestWorkCounts:
     @staticmethod
@@ -333,6 +354,67 @@ class TestWorkCounts:
         assert trajectory.rejected_boundary == trajectory.rejected == 1
         assert list(calls[stage]) == phase0.tolist()
         assert trajectory.rhs_evals == len(calls) == 7 * trajectory.accepted + stage + 1
+
+    DOP853_CONFIG = TrajectoryConfig(t_end=3.0, method="dop853")
+
+    def test_dop853_makes_twelve_evaluations_per_trial_step(self, monkeypatch):
+        """One call at the start, then 12 per trial step: stage 1 is the
+        rates at the step's start, stage 13 of the step before."""
+        calls = self._count_rhs(monkeypatch)
+        ex1 = get_example("ex1")
+        trajectory = integrate(ex1.system, ex1.sample_phases[0], self.DOP853_CONFIG)
+        assert (trajectory.accepted, trajectory.rejected) == (16, 0)
+        assert trajectory.rhs_evals == len(calls) == 1 + 12 * 16 == 193
+
+    @pytest.mark.parametrize("stage", range(2, 14))
+    def test_dop853_boundary_rejection_counts_its_stages(self, monkeypatch, stage):
+        """Stage k of the third trial step raises: that step is one
+        boundary rejection that adds k - 1 evaluations, as its stage 1 is
+        stage 13 of the step before, and it makes no other call."""
+        calls = self._count_rhs(monkeypatch, raise_call=1 + 12 + 12 + stage - 1)
+        ex1 = get_example("ex1")
+        trajectory = integrate(ex1.system, ex1.sample_phases[0], self.DOP853_CONFIG)
+        assert trajectory.rejected_boundary == trajectory.rejected == 1
+        assert trajectory.rhs_evals == len(calls) == 1 + 12 * trajectory.accepted + stage - 1
+
+    @pytest.mark.parametrize("stage", range(1, 14))
+    def test_dop853_first_boundary_rejection_calls_at_the_start(self, monkeypatch, stage):
+        """Stage k of the first trial step raises after k calls; the
+        tangent at the initial state takes one call of its own, whose
+        rates are stage 1 of the next trial step."""
+        calls = self._count_rhs(monkeypatch, raise_call=stage)
+        ex1 = get_example("ex1")
+        phase0 = ex1.sample_phases[0]
+        trajectory = integrate(ex1.system, phase0, self.DOP853_CONFIG)
+        assert trajectory.rejected_boundary == trajectory.rejected == 1
+        assert list(calls[stage]) == phase0.tolist()
+        assert trajectory.rhs_evals == len(calls) == stage + 1 + 12 * trajectory.accepted
+
+    def test_dop853_non_finite_end_state_is_its_own_cause(self, monkeypatch):
+        """An infinite rate at stage 12 of the third trial step gives an
+        infinite momentum at an end point inside the chart; the retry
+        from the same state takes stage 1 from the rates kept there."""
+        calls = self._count_rhs(monkeypatch, corrupt_call=1 + 12 + 12 + 11)
+        ex1 = get_example("ex1")
+        trajectory = integrate(ex1.system, ex1.sample_phases[0], self.DOP853_CONFIG)
+        assert trajectory.rejected_nonfinite == trajectory.rejected == 1
+        assert trajectory.rhs_evals == len(calls) == 1 + 12 * (trajectory.accepted + 1)
+
+    def test_dop853_exit_orbit_counts(self, monkeypatch):
+        """The ex6 orbit that leaves the chart: the first trial step is
+        rejected on its error before any step has given the rates at the
+        start, so it evaluates stage 1 there a second time; six trial
+        steps meet the edge, the first at stage 5 and the others at stage
+        2, and locating the edge makes no call of its own."""
+        calls = self._count_rhs(monkeypatch)
+        ex6 = get_example("ex6")
+        config = TrajectoryConfig(t_end=20.0, method="dop853")
+        trajectory = integrate(ex6.system, (1.0, 0.6, 1.0, 0.5), config)
+        assert trajectory.domain_exit
+        counts = (trajectory.accepted, trajectory.rejected_error, trajectory.rejected_boundary,
+                  trajectory.rejected_nonfinite, trajectory.rhs_evals, len(trajectory))
+        assert counts == (84, 3, 6, 0, 1055, 85)
+        assert len(calls) == 2 + 12 * (84 + 3) + 4 + 1 * 5
 
 
 class TestCallBudget:
@@ -585,6 +667,121 @@ class TestFloatStepping:
         assert norm == _numpy_error_norm(err, phase, y5, 1e-12, 1e-11)
 
 
+# DOP853: scipy's transcription of Hairer's coefficients, the 12 stage
+# rows and the weights of the eighth-order solution and of the fifth- and
+# third-order error estimates (the entries of stage 13 are zero)
+D8_ROWS = dop853_coefficients.A[:12, :12]
+D8_B, D8_E5, D8_E3 = dop853_coefficients.B, dop853_coefficients.E5, dop853_coefficients.E3
+
+
+def _array_dop853_step(rhs, y, h, f=None):
+    """One DOP853 step on arrays, as a loop over the tableau rows with each
+    stage sum taken left to right over its nonzero entries: returns (y8,
+    fifth-order error sum, third-order error sum, rates at y8)."""
+    k = [np.array(rhs(y) if f is None else f)]
+    for row in D8_ROWS[1:]:
+        k.append(np.array(rhs(y + h * _left_to_right(row[:len(k)], k))))
+    y8 = y + h * _left_to_right(D8_B, k)
+    return y8, _left_to_right(D8_E5[:12], k), _left_to_right(D8_E3[:12], k), np.array(rhs(y8))
+
+
+def _dop853_norm(e5, e3, y, y8, h, abs_tol, rel_tol):
+    """Hairer's combined error norm |h| s5 / sqrt((s5 + 0.01 s3) * 4) for
+    the error sums over abs_tol + rel_tol * max(|y|, |y8|), with the
+    squares summed left to right."""
+    scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y8))
+    s5 = s3 = 0.0
+    for q5, q3 in zip((e5 / scale).tolist(), (e3 / scale).tolist()):
+        s5, s3 = s5 + q5 * q5, s3 + q3 * q3
+    return abs(h) * s5 / math.sqrt((s5 + 0.01 * s3) * 4)
+
+
+class TestDop853Step:
+    def test_literals_are_scipys_coefficients(self):
+        """Each stage row entry _D8Aij, weight _D8Bj and error weight
+        _D8E5_j, _D8E3_j is the float of scipy's DOP853 tables, bit for
+        bit; the zero entries have no name."""
+        expected = {f"_D8A{i + 1}_{j + 1}": D8_ROWS[i, j] for i in range(12) for j in range(i)}
+        expected.update({f"_D8B{j + 1}": D8_B[j] for j in range(12)})
+        expected.update({f"_D8E5_{j + 1}": D8_E5[j] for j in range(12)})
+        expected.update({f"_D8E3_{j + 1}": D8_E3[j] for j in range(12)})
+        assert D8_E5[12] == D8_E3[12] == 0.0
+        named = {name for name in vars(flow) if name.startswith("_D8")}
+        assert named == {name for name, value in expected.items() if value != 0.0}
+        assert len(named) == 50 + 8 + 8 + 8
+        for name in named:
+            assert getattr(flow, name) == float(expected[name]), name
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        name=st.sampled_from(["ex1", "ex2", "ex2b", "ex3", "ex4", "ex5", "ex6"]),
+        index=st.integers(0, 2),
+        h=st.floats(1e-4, 0.5),
+        given_rates=st.booleans(),
+    )
+    def test_step_matches_the_tableau_bit_for_bit(self, name, index, h, given_rates):
+        """The written-out step is the tableau loop over scipy's tables:
+        13 stages, or 12 when the rates at y are given, the bits of y8
+        and of the rates at y8, and the error norm of the loop's sums."""
+        entry = get_example(name)
+        phase = entry.sample_phases[index]
+        f = magnetic_rhs(entry.system, phase) if given_rates else None
+        try:
+            y8, e5, e3, k13 = _array_dop853_step(
+                lambda s: magnetic_rhs(entry.system, s), phase, h, f)
+        except (DomainError, SingularMetric):
+            assume(False)
+        stages, got_y8, norm, got_k13 = flow._dop853_step(
+            entry.system, phase.tolist(), h, 1e-12, 1e-11, f)
+        assert stages == 12 if given_rates else 13
+        assert np.array(got_y8).tobytes() == y8.tobytes()
+        assert np.array(got_k13).tobytes() == k13.tobytes()
+        assert norm == _dop853_norm(e5, e3, phase, y8, h, 1e-12, 1e-11)
+
+    def test_error_norm_is_scipys(self, monkeypatch):
+        """For 13 stage rates drawn at random, the step's error norm is
+        scipy's DOP853 norm on the same stages and scale to 1e-12: the
+        two sum the estimates in different orders."""
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            rates = rng.uniform(-10.0, 10.0, (13, 4))
+            y, h = rng.uniform(-10.0, 10.0, 4).tolist(), float(rng.uniform(1e-3, 1.0))
+            abs_tol, rel_tol = 10.0 ** rng.uniform(-12.0, 0.0, 2)
+            monkeypatch.setattr(flow, "magnetic_rhs", _replay(rates[1:].tolist()))
+            _, y8, norm, _ = flow._dop853_step(None, y, h, abs_tol, rel_tol, rates[0].tolist())
+            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y8))
+            want = DOP853._estimate_error_norm(DOP853, rates, h, scale)
+            assert abs(norm - want) <= 1e-12 * want
+
+    def test_error_norm_ends(self, monkeypatch):
+        """Zero error sums give a norm of 0; error sums whose squares
+        overflow give inf, which rejects the step, where the formula
+        alone would give inf / inf = NaN.  A rate of 1e200 at stage 12 in
+        the first component leaves y8 finite."""
+        zero = [[0.0] * 4] * 12
+        monkeypatch.setattr(flow, "magnetic_rhs", _replay(zero))
+        assert flow._dop853_step(None, [1.0] * 4, 0.5, 1e-12, 1e-11, [0.0] * 4)[2] == 0.0
+        big = [[0.0] * 4] * 10 + [[1e200, 0.0, 0.0, 0.0], [0.0] * 4]
+        monkeypatch.setattr(flow, "magnetic_rhs", _replay(big))
+        stages, y8, norm, _ = flow._dop853_step(None, [1.0] * 4, 0.5, 1e-200, 1e-200, [0.0] * 4)
+        assert stages == 12 and all(map(math.isfinite, y8))
+        assert norm == math.inf
+
+    def test_eighth_order_on_the_larmor_circle(self):
+        """Fixed steps of h on ex1's circle: halving h divides the error
+        at t = 4 against the closed form by about 2^8 = 256."""
+        ex1 = get_example("ex1").system
+        phase0 = (0.0, 0.0, 1.0, 0.0)
+        errors = []
+        for n in (4, 8, 16):
+            y, f = list(phase0), None
+            for _ in range(n):
+                _, y, _, f = flow._dop853_step(ex1, y, 4.0 / n, 1e-12, 1e-11, f)
+            errors.append(float(np.max(np.abs(np.array(y) - larmor_orbit(phase0, 4.0)))))
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 128.0 <= coarse / fine <= 512.0, errors
+
+
 def _on_level(system, rho, psi, phi):
     return (rho, psi, *momentum_on_level(system, rho, psi, phi))
 
@@ -676,6 +873,53 @@ class TestChartExit:
                                 domain=ChartDomain(bbox=(-2.0, 2.0, -2.0, 2.0)),
                                 energy=1.0, name="degenerate at x >= 0")
         trajectory = integrate(system, (0.0, 0.0, 1.0, 0.0), TrajectoryConfig(t_end=1.0))
+        assert trajectory.domain_exit and trajectory.exit_time == 0.0
+        assert (trajectory.rejected_boundary, trajectory.rhs_evals, len(trajectory)) == (1, 2, 1)
+
+
+class TestDop853Exits:
+    """dop853 ends an orbit that leaves its chart as embedded_rk45 does:
+    the boundary handling is shared, so only the steps that reach the
+    edge differ."""
+
+    @pytest.mark.parametrize("name, t_end", [("ex3", 60.0), ("ex5", 1000.0), ("ex6", 60.0)])
+    def test_exit_times_agree_with_dormand_prince(self, name, t_end):
+        """Every sample orbit leaves the chart; the two methods' exit
+        times agree to 1e-8 relative, and each last state is inside."""
+        entry = get_example(name)
+        contains = entry.system.domain.contains
+        for phase in entry.sample_phases:
+            dp5, dop853 = (integrate(entry.system, phase, TrajectoryConfig(t_end=t_end, method=m))
+                           for m in ("embedded_rk45", "dop853"))
+            assert dp5.domain_exit and dop853.domain_exit
+            assert dop853.exit_time == dop853.times[-1]
+            assert abs(dop853.exit_time - dp5.exit_time) <= 1e-8 * dp5.exit_time
+            assert contains(dop853.states[-1][0], dop853.states[-1][1])
+
+    @pytest.mark.parametrize("phase0, x_b", [
+        ((0.0, 0.0, 1.0, 0.0), 0.5),
+        ((0.2, -0.3, 0.8, 0.6), 1.0),
+    ])
+    def test_larmor_half_plane_crossing(self, phase0, x_b):
+        """The exit time is the closed-form crossing to 1e-9."""
+        system = _half_plane(x_b)
+        trajectory = integrate(system, phase0, TrajectoryConfig(t_end=10.0, method="dop853"))
+        assert trajectory.domain_exit
+        assert abs(trajectory.exit_time - _larmor_crossing(phase0, x_b)) <= 1e-9
+        last = trajectory.states[-1]
+        assert system.domain.contains(last[0], last[1])
+        np.testing.assert_allclose(last, larmor_orbit(phase0, trajectory.exit_time), atol=1e-10)
+
+    def test_singular_start_is_a_flagged_exit(self):
+        """A start on a degenerate metric ends at t = 0 after one trial,
+        with the two calls at the start that embedded_rk45 makes."""
+        metric = Metric(components=lambda x, y: (1.0, 0.0, -x),
+                        partials=lambda x, y: ((0.0, 0.0, -1.0), (0.0, 0.0, 0.0)))
+        system = MagneticSystem(metric=metric, field=lambda x, y: 0.0,
+                                domain=ChartDomain(bbox=(-2.0, 2.0, -2.0, 2.0)),
+                                energy=1.0, name="degenerate at x >= 0")
+        config = TrajectoryConfig(t_end=1.0, method="dop853")
+        trajectory = integrate(system, (0.0, 0.0, 1.0, 0.0), config)
         assert trajectory.domain_exit and trajectory.exit_time == 0.0
         assert (trajectory.rejected_boundary, trajectory.rhs_evals, len(trajectory)) == (1, 2, 1)
 
