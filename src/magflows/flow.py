@@ -20,14 +20,16 @@ Three steppers are provided (:data:`METHODS`): the classic fixed-step
 fourth-order scheme and two embedded pairs sharing one proportional step
 controller (safety 0.9, growth factor clamped to [0.2, 5.0]), the
 Dormand-Prince 4(5) pair (``embedded_rk45``, the default; step exponent
--1/5) and Hairer's eighth-order DOP853 (``dop853``; exponent -1/8).
-DOP853 takes its stage 1 from the rates at the step's start, which the
-last stage of the step before evaluated ("first same as last"), so it
-makes 12 calls per trial step; the Dormand-Prince step evaluates all 7 of
-its stages on every trial.  Every stepper steps on four named Python
-floats per stage, and every stage sum is written out left to right, so
-the bits of a trajectory depend only on IEEE double arithmetic and not on
-the BLAS kernel numpy picks at run time.  Each stage is one call of
+-1/5) and Hairer's eighth-order DOP853 (``dop853``; exponent -1/8).  Each
+pair is written once, as its Butcher tableau (:class:`_Pair`), and
+:func:`_embedded_step` compiles its trial step from it at import.  Every
+stepper steps on four named Python floats per stage with every stage sum
+written out left to right, so the bits of a trajectory depend only on
+IEEE double arithmetic and not on the BLAS kernel numpy picks at run
+time.  DOP853's stage 1 is the rates at the step's start, the last stage
+of the step before ("first same as last") or one call at the initial
+state, so it makes 12 calls per trial step; the Dormand-Prince step
+evaluates all 7 of its stages on every trial.  Each stage is one call of
 :func:`magnetic_rhs`, looked up as this module's global, and each step
 returns the number of stages it evaluated, up to one that raised.
 
@@ -51,6 +53,7 @@ cause.  :func:`conservation_drift` reads a scalar on all its states at once.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -132,12 +135,12 @@ class Trajectory:
     step gave the rates of.  A trial step of ``embedded_rk45`` makes 7
     calls and one of ``fixed_rk4`` 4, or k when stage k raised.  One of
     ``dop853`` makes 12, or k - 1, as its stage 1 is the rates at its
-    start; it evaluates them itself, as a 13th call, only where no step
-    or tangent has given them, which is at the initial state until a
-    step from there is accepted.  Rejected
-    trial steps are counted by cause: the error estimate was above the
-    tolerance (``rejected_error``), a stage or the end point was outside
-    the chart (``rejected_boundary``), or the end state was not finite
+    start: the last stage of the step before, or one call at the initial
+    state before the first trial step, kept across its rejections (a
+    raise there ends the run).  Rejected trial steps are counted by
+    cause: the error estimate was above the tolerance
+    (``rejected_error``), a stage or the end point was outside the chart
+    (``rejected_boundary``), or the end state was not finite
     (``rejected_nonfinite``).
 
     ``exit_time`` is None for a run that reached ``t_end``.  For one that
@@ -189,54 +192,74 @@ def magnetic_rhs(system: MagneticSystem, phase) -> list:
     return hamiltonian_flow(system.local_geometry(x, y), p1, p2)
 
 
-# Dormand-Prince 4(5) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
-# Table II.5.2): the stage rows _A; the fifth-order weights _B, which are
-# also the stage-7 row, so stage 7 is evaluated at the new state; and the
-# error weights _E = b5 - b4 as exact fractions.  Zero entries are left out.
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71 / 57600, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40
+@dataclass(frozen=True)
+class _Pair:
+    """An embedded Runge-Kutta pair's Butcher tableau, nonzero entries only:
+    the rows {j: a_ij} of stages i = 2..s, the weights b_j of the solution
+    z, at which stage s + 1 is evaluated, and one map of weights over
+    stages 1..s + 1 per error estimate.  With ``first_given``, stage 1 is
+    the rates ``f`` at the step's start whenever they are passed."""
+
+    rows: dict
+    weights: dict
+    errors: tuple
+    first_given: bool
+
+
+# Dormand-Prince 4(5) (Hairer, Norsett & Wanner, Solving ODEs I, Table
+# II.5.2) as exact fractions: the fifth-order weights are also the stage-7
+# row, and the error weights are b5 - b4.  Stage 1 is evaluated on every
+# trial step.
+_DP5 = _Pair(
+    rows={2: {1: 1 / 5},
+          3: {1: 3 / 40, 2: 9 / 40},
+          4: {1: 44 / 45, 2: -56 / 15, 3: 32 / 9},
+          5: {1: 19372 / 6561, 2: -25360 / 2187, 3: 64448 / 6561, 4: -212 / 729},
+          6: {1: 9017 / 3168, 2: -355 / 33, 3: 46732 / 5247, 4: 49 / 176, 5: -5103 / 18656}},
+    weights={1: 35 / 384, 3: 500 / 1113, 4: 125 / 192, 5: -2187 / 6784, 6: 11 / 84},
+    errors=({1: 71 / 57600, 3: -71 / 16695, 4: 71 / 1920, 5: -17253 / 339200, 6: 22 / 525,
+             7: -1 / 40},),
+    first_given=False,
 )
 
 # DOP853, Hairer's eighth-order pair (Hairer, Norsett & Wanner, Solving
-# ODEs I, ch. II; the coefficients of scipy.integrate's DOP853, which
-# transcribes Hairer's Fortran code): the stage rows _D8A, the
-# eighth-order weights _D8B and the fifth- and third-order error weights
-# _D8E5 and _D8E3.  Zero entries are left out; stages 2-5 have no weight,
-# and the third-order weights of stages 6, 7, 8, 10 and 11 are the _D8B.
-_D8A2_1 = 0.05260015195876773
-_D8A3_1, _D8A3_2 = 0.0197250569845379, 0.0591751709536137
-_D8A4_1, _D8A4_3 = 0.02958758547680685, 0.08876275643042054
-_D8A5_1, _D8A5_3, _D8A5_4 = 0.2413651341592667, -0.8845494793282861, 0.924834003261792
-_D8A6_1, _D8A6_4, _D8A6_5 = 0.037037037037037035, 0.17082860872947386, 0.12546768756682242
-_D8A7_1, _D8A7_4, _D8A7_5 = 0.037109375, 0.17025221101954405, 0.06021653898045596
-_D8A7_6 = -0.017578125
-_D8A8_1, _D8A8_4, _D8A8_5 = 0.03709200011850479, 0.17038392571223998, 0.10726203044637328
-_D8A8_6, _D8A8_7 = -0.015319437748624402, 0.008273789163814023
-_D8A9_1, _D8A9_4, _D8A9_5 = 0.6241109587160757, -3.3608926294469414, -0.868219346841726
-_D8A9_6, _D8A9_7, _D8A9_8 = 27.59209969944671, 20.154067550477894, -43.48988418106996
-_D8A10_1, _D8A10_4, _D8A10_5 = 0.47766253643826434, -2.4881146199716677, -0.590290826836843
-_D8A10_6, _D8A10_7, _D8A10_8 = 21.230051448181193, 15.279233632882423, -33.28821096898486
-_D8A10_9 = -0.020331201708508627
-_D8A11_1, _D8A11_4, _D8A11_5 = -0.9371424300859873, 5.186372428844064, 1.0914373489967295
-_D8A11_6, _D8A11_7, _D8A11_8 = -8.149787010746927, -18.52006565999696, 22.739487099350505
-_D8A11_9, _D8A11_10 = 2.4936055526796523, -3.0467644718982196
-_D8A12_1, _D8A12_4, _D8A12_5 = 2.273310147516538, -10.53449546673725, -2.0008720582248625
-_D8A12_6, _D8A12_7, _D8A12_8 = -17.9589318631188, 27.94888452941996, -2.8589982771350235
-_D8A12_9, _D8A12_10, _D8A12_11 = -8.87285693353063, 12.360567175794303, 0.6433927460157636
-_D8B1, _D8B6, _D8B7 = 0.054293734116568765, 4.450312892752409, 1.8915178993145003
-_D8B8, _D8B9, _D8B10 = -5.801203960010585, 0.3111643669578199, -0.1521609496625161
-_D8B11, _D8B12 = 0.20136540080403034, 0.04471061572777259
-_D8E5_1, _D8E5_6, _D8E5_7 = 0.01312004499419488, -1.2251564463762044, -0.4957589496572502
-_D8E5_8, _D8E5_9, _D8E5_10 = 1.6643771824549864, -0.35032884874997366, 0.3341791187130175
-_D8E5_11, _D8E5_12 = 0.08192320648511571, -0.022355307863886294
-_D8E3_1, _D8E3_9, _D8E3_12 = -0.18980075407240762, -0.4226823213237919, 0.02265179219836082
-_D8E3_6, _D8E3_7, _D8E3_8, _D8E3_10, _D8E3_11 = _D8B6, _D8B7, _D8B8, _D8B10, _D8B11
+# ODEs I, ch. II), with the coefficients of scipy.integrate's DOP853, which
+# transcribes Hairer's Fortran code: the stage rows, the eighth-order
+# weights, then the fifth- and third-order error weights.  Stages 2-5 have
+# no weight, and the third-order weights of stages 6, 7, 8, 10 and 11 are
+# the eighth-order ones.
+_DOP853 = _Pair(
+    rows={2: {1: 0.05260015195876773},
+          3: {1: 0.0197250569845379, 2: 0.0591751709536137},
+          4: {1: 0.02958758547680685, 3: 0.08876275643042054},
+          5: {1: 0.2413651341592667, 3: -0.8845494793282861, 4: 0.924834003261792},
+          6: {1: 0.037037037037037035, 4: 0.17082860872947386, 5: 0.12546768756682242},
+          7: {1: 0.037109375, 4: 0.17025221101954405, 5: 0.06021653898045596,
+              6: -0.017578125},
+          8: {1: 0.03709200011850479, 4: 0.17038392571223998, 5: 0.10726203044637328,
+              6: -0.015319437748624402, 7: 0.008273789163814023},
+          9: {1: 0.6241109587160757, 4: -3.3608926294469414, 5: -0.868219346841726,
+              6: 27.59209969944671, 7: 20.154067550477894, 8: -43.48988418106996},
+          10: {1: 0.47766253643826434, 4: -2.4881146199716677, 5: -0.590290826836843,
+               6: 21.230051448181193, 7: 15.279233632882423, 8: -33.28821096898486,
+               9: -0.020331201708508627},
+          11: {1: -0.9371424300859873, 4: 5.186372428844064, 5: 1.0914373489967295,
+               6: -8.149787010746927, 7: -18.52006565999696, 8: 22.739487099350505,
+               9: 2.4936055526796523, 10: -3.0467644718982196},
+          12: {1: 2.273310147516538, 4: -10.53449546673725, 5: -2.0008720582248625,
+               6: -17.9589318631188, 7: 27.94888452941996, 8: -2.8589982771350235,
+               9: -8.87285693353063, 10: 12.360567175794303, 11: 0.6433927460157636}},
+    weights={1: 0.054293734116568765, 6: 4.450312892752409, 7: 1.8915178993145003,
+             8: -5.801203960010585, 9: 0.3111643669578199, 10: -0.1521609496625161,
+             11: 0.20136540080403034, 12: 0.04471061572777259},
+    errors=({1: 0.01312004499419488, 6: -1.2251564463762044, 7: -0.4957589496572502,
+             8: 1.6643771824549864, 9: -0.35032884874997366, 10: 0.3341791187130175,
+             11: 0.08192320648511571, 12: -0.022355307863886294},
+            {1: -0.18980075407240762, 6: 4.450312892752409, 7: 1.8915178993145003,
+             8: -5.801203960010585, 9: -0.4226823213237919, 10: -0.1521609496625161,
+             11: 0.20136540080403034, 12: 0.02265179219836082}),
+    first_given=True,
+)
 
 _SAFETY = 0.9
 _SHRINK_LIMIT = 0.2
@@ -274,207 +297,85 @@ def _rk4_step(system, y, h):
                y4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4)]
 
 
-def _dp_step(system, y, h, abs_tol, rel_tol, f=None):
-    """One Dormand-Prince trial step: (7, y5, error norm, rates at y5), or
-    (k, None, None, None) when stage k raised DomainError or SingularMetric.
-    Stage 1 is evaluated on every trial step; ``f``, the rates at y, is
-    taken only so that both adaptive steps share one signature.
-    Stage j's rates are the floats named by the j-th letter.  The norm is
-    the RMS of e / (abs_tol + rel_tol * max(|y|, |y5|)) for the error e,
-    summed left to right as numpy's mean of four values; ``q * q``
-    overflows to inf where ``q ** 2`` would raise."""
-    y1, y2, y3, y4 = y
-    stage = 1
-    try:
-        a1, a2, a3, a4 = magnetic_rhs(system, y)
-        stage = 2
-        b1, b2, b3, b4 = magnetic_rhs(
-            system, [y1 + h * (_A21 * a1), y2 + h * (_A21 * a2),
-                     y3 + h * (_A21 * a3), y4 + h * (_A21 * a4)])
-        stage = 3
-        c1, c2, c3, c4 = magnetic_rhs(
-            system, [y1 + h * (_A31 * a1 + _A32 * b1), y2 + h * (_A31 * a2 + _A32 * b2),
-                     y3 + h * (_A31 * a3 + _A32 * b3), y4 + h * (_A31 * a4 + _A32 * b4)])
-        stage = 4
-        d1, d2, d3, d4 = magnetic_rhs(
-            system, [y1 + h * (_A41 * a1 + _A42 * b1 + _A43 * c1),
-                     y2 + h * (_A41 * a2 + _A42 * b2 + _A43 * c2),
-                     y3 + h * (_A41 * a3 + _A42 * b3 + _A43 * c3),
-                     y4 + h * (_A41 * a4 + _A42 * b4 + _A43 * c4)])
-        stage = 5
-        e1, e2, e3, e4 = magnetic_rhs(
-            system, [y1 + h * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
-                     y2 + h * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
-                     y3 + h * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3),
-                     y4 + h * (_A51 * a4 + _A52 * b4 + _A53 * c4 + _A54 * d4)])
-        stage = 6
-        f1, f2, f3, f4 = magnetic_rhs(
-            system, [y1 + h * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1 + _A65 * e1),
-                     y2 + h * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2 + _A65 * e2),
-                     y3 + h * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3 + _A65 * e3),
-                     y4 + h * (_A61 * a4 + _A62 * b4 + _A63 * c4 + _A64 * d4 + _A65 * e4)])
-        z1 = y1 + h * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * f1)
-        z2 = y2 + h * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * f2)
-        z3 = y3 + h * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * f3)
-        z4 = y4 + h * (_B1 * a4 + _B3 * c4 + _B4 * d4 + _B5 * e4 + _B6 * f4)
-        stage = 7
-        k7 = magnetic_rhs(system, [z1, z2, z3, z4])
-    except (DomainError, SingularMetric):
-        return stage, None, None, None
-    g1, g2, g3, g4 = k7
-    q1 = (h * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * f1 + _E7 * g1)
-          / (abs_tol + rel_tol * max(abs(y1), abs(z1))))
-    q2 = (h * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * f2 + _E7 * g2)
-          / (abs_tol + rel_tol * max(abs(y2), abs(z2))))
-    q3 = (h * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * f3 + _E7 * g3)
-          / (abs_tol + rel_tol * max(abs(y3), abs(z3))))
-    q4 = (h * (_E1 * a4 + _E3 * c4 + _E4 * d4 + _E5 * e4 + _E6 * f4 + _E7 * g4)
-          / (abs_tol + rel_tol * max(abs(y4), abs(z4))))
-    return 7, [z1, z2, z3, z4], math.sqrt((q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4) / 4), k7
+def _dp_norm(h, w1, w2, w3, w4, e1, e2, e3, e4):
+    """Dormand-Prince's error norm: the RMS of h e / w for the error sums e
+    over the scales w, summed left to right as numpy's mean of four values;
+    ``q * q`` overflows to inf where ``q ** 2`` would raise."""
+    q1, q2, q3, q4 = h * e1 / w1, h * e2 / w2, h * e3 / w3, h * e4 / w4
+    return math.sqrt((q1 * q1 + q2 * q2 + q3 * q3 + q4 * q4) / 4)
 
 
-def _dop853_step(system, y, h, abs_tol, rel_tol, f=None):
-    """One DOP853 trial step: (stages evaluated, y8, error norm, rates at
-    y8), or (k, None, None, None) when a stage raised DomainError or
-    SingularMetric at the k-th evaluation.  Stage 1 is ``f``, the rates at
-    y, and is evaluated only when f is None, so a step makes 12
-    evaluations (13 without f); stage 13 is evaluated at y8, so a step
-    whose end point leaves the chart raises there, and its rates are the
-    next step's stage 1.  Stage j's rates are the floats aj, bj, cj, dj.  The norm is Hairer's
-    combined estimate |h| s5 / sqrt((s5 + 0.01 s3) * 4), where s5 and s3
-    are the sums of the squares of the fifth- and third-order error
-    estimates over abs_tol + rel_tol * max(|y|, |y8|), each written out
-    left to right; it is 0 when both sums are 0 and inf when the
-    denominator overflows, where inf / inf would give NaN."""
-    y1, y2, y3, y4 = y
-    given = f is not None
-    stage = 1
-    try:
-        a1, b1, c1, d1 = f if given else magnetic_rhs(system, y)
-        stage = 2
-        a2, b2, c2, d2 = magnetic_rhs(system, [
-            y1 + h * (_D8A2_1 * a1),
-            y2 + h * (_D8A2_1 * b1),
-            y3 + h * (_D8A2_1 * c1),
-            y4 + h * (_D8A2_1 * d1)])
-        stage = 3
-        a3, b3, c3, d3 = magnetic_rhs(system, [
-            y1 + h * (_D8A3_1 * a1 + _D8A3_2 * a2),
-            y2 + h * (_D8A3_1 * b1 + _D8A3_2 * b2),
-            y3 + h * (_D8A3_1 * c1 + _D8A3_2 * c2),
-            y4 + h * (_D8A3_1 * d1 + _D8A3_2 * d2)])
-        stage = 4
-        a4, b4, c4, d4 = magnetic_rhs(system, [
-            y1 + h * (_D8A4_1 * a1 + _D8A4_3 * a3),
-            y2 + h * (_D8A4_1 * b1 + _D8A4_3 * b3),
-            y3 + h * (_D8A4_1 * c1 + _D8A4_3 * c3),
-            y4 + h * (_D8A4_1 * d1 + _D8A4_3 * d3)])
-        stage = 5
-        a5, b5, c5, d5 = magnetic_rhs(system, [
-            y1 + h * (_D8A5_1 * a1 + _D8A5_3 * a3 + _D8A5_4 * a4),
-            y2 + h * (_D8A5_1 * b1 + _D8A5_3 * b3 + _D8A5_4 * b4),
-            y3 + h * (_D8A5_1 * c1 + _D8A5_3 * c3 + _D8A5_4 * c4),
-            y4 + h * (_D8A5_1 * d1 + _D8A5_3 * d3 + _D8A5_4 * d4)])
-        stage = 6
-        a6, b6, c6, d6 = magnetic_rhs(system, [
-            y1 + h * (_D8A6_1 * a1 + _D8A6_4 * a4 + _D8A6_5 * a5),
-            y2 + h * (_D8A6_1 * b1 + _D8A6_4 * b4 + _D8A6_5 * b5),
-            y3 + h * (_D8A6_1 * c1 + _D8A6_4 * c4 + _D8A6_5 * c5),
-            y4 + h * (_D8A6_1 * d1 + _D8A6_4 * d4 + _D8A6_5 * d5)])
-        stage = 7
-        a7, b7, c7, d7 = magnetic_rhs(system, [
-            y1 + h * (_D8A7_1 * a1 + _D8A7_4 * a4 + _D8A7_5 * a5 + _D8A7_6 * a6),
-            y2 + h * (_D8A7_1 * b1 + _D8A7_4 * b4 + _D8A7_5 * b5 + _D8A7_6 * b6),
-            y3 + h * (_D8A7_1 * c1 + _D8A7_4 * c4 + _D8A7_5 * c5 + _D8A7_6 * c6),
-            y4 + h * (_D8A7_1 * d1 + _D8A7_4 * d4 + _D8A7_5 * d5 + _D8A7_6 * d6)])
-        stage = 8
-        a8, b8, c8, d8 = magnetic_rhs(system, [
-            y1 + h * (_D8A8_1 * a1 + _D8A8_4 * a4 + _D8A8_5 * a5 + _D8A8_6 * a6 + _D8A8_7 * a7),
-            y2 + h * (_D8A8_1 * b1 + _D8A8_4 * b4 + _D8A8_5 * b5 + _D8A8_6 * b6 + _D8A8_7 * b7),
-            y3 + h * (_D8A8_1 * c1 + _D8A8_4 * c4 + _D8A8_5 * c5 + _D8A8_6 * c6 + _D8A8_7 * c7),
-            y4 + h * (_D8A8_1 * d1 + _D8A8_4 * d4 + _D8A8_5 * d5 + _D8A8_6 * d6 + _D8A8_7 * d7)])
-        stage = 9
-        a9, b9, c9, d9 = magnetic_rhs(system, [
-            y1 + h * (_D8A9_1 * a1 + _D8A9_4 * a4 + _D8A9_5 * a5 + _D8A9_6 * a6 + _D8A9_7 * a7
-                      + _D8A9_8 * a8),
-            y2 + h * (_D8A9_1 * b1 + _D8A9_4 * b4 + _D8A9_5 * b5 + _D8A9_6 * b6 + _D8A9_7 * b7
-                      + _D8A9_8 * b8),
-            y3 + h * (_D8A9_1 * c1 + _D8A9_4 * c4 + _D8A9_5 * c5 + _D8A9_6 * c6 + _D8A9_7 * c7
-                      + _D8A9_8 * c8),
-            y4 + h * (_D8A9_1 * d1 + _D8A9_4 * d4 + _D8A9_5 * d5 + _D8A9_6 * d6 + _D8A9_7 * d7
-                      + _D8A9_8 * d8)])
-        stage = 10
-        a10, b10, c10, d10 = magnetic_rhs(system, [
-            y1 + h * (_D8A10_1 * a1 + _D8A10_4 * a4 + _D8A10_5 * a5 + _D8A10_6 * a6 + _D8A10_7 * a7
-                      + _D8A10_8 * a8 + _D8A10_9 * a9),
-            y2 + h * (_D8A10_1 * b1 + _D8A10_4 * b4 + _D8A10_5 * b5 + _D8A10_6 * b6 + _D8A10_7 * b7
-                      + _D8A10_8 * b8 + _D8A10_9 * b9),
-            y3 + h * (_D8A10_1 * c1 + _D8A10_4 * c4 + _D8A10_5 * c5 + _D8A10_6 * c6 + _D8A10_7 * c7
-                      + _D8A10_8 * c8 + _D8A10_9 * c9),
-            y4 + h * (_D8A10_1 * d1 + _D8A10_4 * d4 + _D8A10_5 * d5 + _D8A10_6 * d6 + _D8A10_7 * d7
-                      + _D8A10_8 * d8 + _D8A10_9 * d9)])
-        stage = 11
-        a11, b11, c11, d11 = magnetic_rhs(system, [
-            y1 + h * (_D8A11_1 * a1 + _D8A11_4 * a4 + _D8A11_5 * a5 + _D8A11_6 * a6 + _D8A11_7 * a7
-                      + _D8A11_8 * a8 + _D8A11_9 * a9 + _D8A11_10 * a10),
-            y2 + h * (_D8A11_1 * b1 + _D8A11_4 * b4 + _D8A11_5 * b5 + _D8A11_6 * b6 + _D8A11_7 * b7
-                      + _D8A11_8 * b8 + _D8A11_9 * b9 + _D8A11_10 * b10),
-            y3 + h * (_D8A11_1 * c1 + _D8A11_4 * c4 + _D8A11_5 * c5 + _D8A11_6 * c6 + _D8A11_7 * c7
-                      + _D8A11_8 * c8 + _D8A11_9 * c9 + _D8A11_10 * c10),
-            y4 + h * (_D8A11_1 * d1 + _D8A11_4 * d4 + _D8A11_5 * d5 + _D8A11_6 * d6 + _D8A11_7 * d7
-                      + _D8A11_8 * d8 + _D8A11_9 * d9 + _D8A11_10 * d10)])
-        stage = 12
-        a12, b12, c12, d12 = magnetic_rhs(system, [
-            y1 + h * (_D8A12_1 * a1 + _D8A12_4 * a4 + _D8A12_5 * a5 + _D8A12_6 * a6 + _D8A12_7 * a7
-                      + _D8A12_8 * a8 + _D8A12_9 * a9 + _D8A12_10 * a10 + _D8A12_11 * a11),
-            y2 + h * (_D8A12_1 * b1 + _D8A12_4 * b4 + _D8A12_5 * b5 + _D8A12_6 * b6 + _D8A12_7 * b7
-                      + _D8A12_8 * b8 + _D8A12_9 * b9 + _D8A12_10 * b10 + _D8A12_11 * b11),
-            y3 + h * (_D8A12_1 * c1 + _D8A12_4 * c4 + _D8A12_5 * c5 + _D8A12_6 * c6 + _D8A12_7 * c7
-                      + _D8A12_8 * c8 + _D8A12_9 * c9 + _D8A12_10 * c10 + _D8A12_11 * c11),
-            y4 + h * (_D8A12_1 * d1 + _D8A12_4 * d4 + _D8A12_5 * d5 + _D8A12_6 * d6 + _D8A12_7 * d7
-                      + _D8A12_8 * d8 + _D8A12_9 * d9 + _D8A12_10 * d10 + _D8A12_11 * d11)])
-        z1 = y1 + h * (_D8B1 * a1 + _D8B6 * a6 + _D8B7 * a7 + _D8B8 * a8 + _D8B9 * a9
-                       + _D8B10 * a10 + _D8B11 * a11 + _D8B12 * a12)
-        z2 = y2 + h * (_D8B1 * b1 + _D8B6 * b6 + _D8B7 * b7 + _D8B8 * b8 + _D8B9 * b9
-                       + _D8B10 * b10 + _D8B11 * b11 + _D8B12 * b12)
-        z3 = y3 + h * (_D8B1 * c1 + _D8B6 * c6 + _D8B7 * c7 + _D8B8 * c8 + _D8B9 * c9
-                       + _D8B10 * c10 + _D8B11 * c11 + _D8B12 * c12)
-        z4 = y4 + h * (_D8B1 * d1 + _D8B6 * d6 + _D8B7 * d7 + _D8B8 * d8 + _D8B9 * d9
-                       + _D8B10 * d10 + _D8B11 * d11 + _D8B12 * d12)
-        stage = 13
-        k13 = magnetic_rhs(system, [z1, z2, z3, z4])
-    except (DomainError, SingularMetric):
-        return stage - given, None, None, None
-    w1 = abs_tol + rel_tol * max(abs(y1), abs(z1))
-    u1 = (_D8E5_1 * a1 + _D8E5_6 * a6 + _D8E5_7 * a7 + _D8E5_8 * a8 + _D8E5_9 * a9
-          + _D8E5_10 * a10 + _D8E5_11 * a11 + _D8E5_12 * a12) / w1
-    v1 = (_D8E3_1 * a1 + _D8E3_6 * a6 + _D8E3_7 * a7 + _D8E3_8 * a8 + _D8E3_9 * a9
-          + _D8E3_10 * a10 + _D8E3_11 * a11 + _D8E3_12 * a12) / w1
-    w2 = abs_tol + rel_tol * max(abs(y2), abs(z2))
-    u2 = (_D8E5_1 * b1 + _D8E5_6 * b6 + _D8E5_7 * b7 + _D8E5_8 * b8 + _D8E5_9 * b9
-          + _D8E5_10 * b10 + _D8E5_11 * b11 + _D8E5_12 * b12) / w2
-    v2 = (_D8E3_1 * b1 + _D8E3_6 * b6 + _D8E3_7 * b7 + _D8E3_8 * b8 + _D8E3_9 * b9
-          + _D8E3_10 * b10 + _D8E3_11 * b11 + _D8E3_12 * b12) / w2
-    w3 = abs_tol + rel_tol * max(abs(y3), abs(z3))
-    u3 = (_D8E5_1 * c1 + _D8E5_6 * c6 + _D8E5_7 * c7 + _D8E5_8 * c8 + _D8E5_9 * c9
-          + _D8E5_10 * c10 + _D8E5_11 * c11 + _D8E5_12 * c12) / w3
-    v3 = (_D8E3_1 * c1 + _D8E3_6 * c6 + _D8E3_7 * c7 + _D8E3_8 * c8 + _D8E3_9 * c9
-          + _D8E3_10 * c10 + _D8E3_11 * c11 + _D8E3_12 * c12) / w3
-    w4 = abs_tol + rel_tol * max(abs(y4), abs(z4))
-    u4 = (_D8E5_1 * d1 + _D8E5_6 * d6 + _D8E5_7 * d7 + _D8E5_8 * d8 + _D8E5_9 * d9
-          + _D8E5_10 * d10 + _D8E5_11 * d11 + _D8E5_12 * d12) / w4
-    v4 = (_D8E3_1 * d1 + _D8E3_6 * d6 + _D8E3_7 * d7 + _D8E3_8 * d8 + _D8E3_9 * d9
-          + _D8E3_10 * d10 + _D8E3_11 * d11 + _D8E3_12 * d12) / w4
+def _dop853_norm(h, w1, w2, w3, w4, u1, u2, u3, u4, v1, v2, v3, v4):
+    """Hairer's combined error norm |h| s5 / sqrt((s5 + 0.01 s3) * 4), where
+    s5 and s3 are the sums of the squares of the fifth- and third-order
+    error sums u and v over the scales w, each written out left to right;
+    0 when both sums are 0 and inf when the denominator overflows, where
+    inf / inf would give NaN."""
+    u1, u2, u3, u4 = u1 / w1, u2 / w2, u3 / w3, u4 / w4
+    v1, v2, v3, v4 = v1 / w1, v2 / w2, v3 / w3, v4 / w4
     s5 = u1 * u1 + u2 * u2 + u3 * u3 + u4 * u4
     s3 = v1 * v1 + v2 * v2 + v3 * v3 + v4 * v4
     denom = (s5 + 0.01 * s3) * 4
     if denom == 0.0:
-        norm = 0.0
-    elif denom == math.inf:
-        norm = math.inf
-    else:
-        norm = abs(h) * s5 / math.sqrt(denom)
-    return 13 - given, [z1, z2, z3, z4], norm, k13
+        return 0.0
+    if denom == math.inf:
+        return math.inf
+    return abs(h) * s5 / math.sqrt(denom)
+
+
+def _embedded_step(name, pair, norm, doc):
+    """The trial step of ``pair``, compiled once from source written out as
+    an unrolled step: stage i's rates are the floats ki_1 .. ki_4, each
+    stage sum y_c + h * (a_i1 k1_c + ...) runs left to right over the
+    nonzero entries with the coefficients as literals, and ``stage`` is set
+    before each call of magnetic_rhs, for the count a raising step returns.
+    The function named ``norm`` takes h, the scales abs_tol + rel_tol *
+    max(|y|, |z|) and the error sums.  The step runs in this module's
+    globals, so each stage looks up magnetic_rhs here, and its source is in
+    linecache for tracebacks and ``inspect``."""
+    last, given = len(pair.rows) + 2, " - given" if pair.first_given else ""
+
+    def total(weights, c):
+        return " + ".join(f"{w!r} * k{j}_{c}" for j, w in sorted(weights.items()))
+
+    def stage(i, rates):
+        return [f"        stage = {i}", f"        k{i}_1, k{i}_2, k{i}_3, k{i}_4 = {rates}"]
+
+    lines = [f"def {name}(system, y, h, abs_tol, rel_tol, f=None):", "    y1, y2, y3, y4 = y",
+             *(["    given = f is not None"] if pair.first_given else []), "    try:",
+             *stage(1, f"{'f if given else ' if pair.first_given else ''}magnetic_rhs(system, y)")]
+    for i, row in pair.rows.items():
+        lines += stage(i, "magnetic_rhs(system, [")
+        lines += [f"            y{c} + h * ({total(row, c)})," for c in range(1, 5)] + ["        ])"]
+    lines += [f"        z{c} = y{c} + h * ({total(pair.weights, c)})" for c in range(1, 5)]
+    lines += [f"        stage = {last}", f"        k{last} = magnetic_rhs(system, [z1, z2, z3, z4])",
+              "    except (DomainError, SingularMetric):", f"        return stage{given}, None, None, None"]
+    if any(last in errors for errors in pair.errors):
+        lines += [f"    k{last}_1, k{last}_2, k{last}_3, k{last}_4 = k{last}"]
+    lines += [f"    w{c} = abs_tol + rel_tol * max(abs(y{c}), abs(z{c}))" for c in range(1, 5)]
+    lines += [f"    return {last}{given}, [z1, z2, z3, z4], {norm}(h, w1, w2, w3, w4,"]
+    lines += [f"        {total(errors, c)}," for errors in pair.errors for c in range(1, 5)]
+    source = "\n".join(lines + [f"    ), k{last}", ""])
+    filename = f"<{__name__}.{name}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    namespace[name].__doc__ = doc
+    return namespace[name]
+
+
+_dp_step = _embedded_step("_dp_step", _DP5, "_dp_norm", """\
+One Dormand-Prince trial step: (7, y5, error norm, rates at y5), or
+(k, None, None, None) when stage k raised DomainError or SingularMetric.
+Stage 1 is evaluated on every trial step; ``f``, the rates at y, is taken
+only so that both adaptive steps share one signature.""")
+
+_dop853_step = _embedded_step("_dop853_step", _DOP853, "_dop853_norm", """\
+One DOP853 trial step: (stages evaluated, y8, error norm, rates at y8), or
+(k, None, None, None) when the k-th evaluation raised DomainError or
+SingularMetric.  Stage 1 is ``f``, the rates at y, evaluated only when f is
+None, so a step makes 12 evaluations (13 without f); stage 13 is evaluated
+at y8, so a step whose end point leaves the chart raises there.""")
 
 
 class _Recorder:
@@ -579,14 +480,16 @@ def _tangent_exit(contains, y, f, s_out, width):
     return s_in, s_out
 
 
-# the trial step of each adaptive method and the exponent of its controller
-_ADAPTIVE = {"embedded_rk45": (_dp_step, -0.2), "dop853": (_dop853_step, -0.125)}
+# the trial step of each adaptive method, the exponent of its controller and
+# whether its stage 1 is the rates at the step's start
+_ADAPTIVE = {"embedded_rk45": (_dp_step, -0.2, _DP5.first_given),
+             "dop853": (_dop853_step, -0.125, _DOP853.first_given)}
 # every integration method: the adaptive pairs, then the fixed-step scheme
 METHODS = (*_ADAPTIVE, "fixed_rk4")
 
 
 def _integrate_adaptive(system, y, rec, config):
-    step, exponent = _ADAPTIVE[config.method]
+    step, exponent, first_given = _ADAPTIVE[config.method]
     contains = system.domain.contains
     t = 0.0
     t_end = config.t_end
@@ -595,6 +498,15 @@ def _integrate_adaptive(system, y, rec, config):
     exit_tol = _EXIT_FRACTION * t_end
     h = min(1e-3 * t_end, t_end)
     f = None  # the rates at y: the last stage of the step that reached y
+    if first_given:
+        # stage 1 of the first step, kept across its rejections
+        rec.rhs_evals += 1
+        try:
+            f = magnetic_rhs(system, y)
+        except (DomainError, SingularMetric):
+            rec.rejected_boundary += 1
+            rec.exit_time = t
+            return t, y
     while t < t_end * (1.0 - 1e-14):
         h = min(h, t_end - t)
         if h < h_min:

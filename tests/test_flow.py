@@ -1,9 +1,11 @@
 """Equations of motion, the two integrators and the drift diagnostics."""
 
 import dataclasses
+import inspect
 import math
 import re
 import sys
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -379,16 +381,23 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("stage", range(1, 14))
     def test_dop853_first_boundary_rejection_calls_at_the_start(self, monkeypatch, stage):
-        """Stage k of the first trial step raises after k calls; the
-        tangent at the initial state takes one call of its own, whose
-        rates are stage 1 of the next trial step."""
+        """Stage 1 of the first trial step is the one call at the start,
+        made before the step.  Where it raises, the run ends there after
+        that call.  Where stage k > 1 raises, after k calls, the tangent
+        at the initial state reads the kept stage 1 and makes no call of
+        its own."""
         calls = self._count_rhs(monkeypatch, raise_call=stage)
         ex1 = get_example("ex1")
         phase0 = ex1.sample_phases[0]
         trajectory = integrate(ex1.system, phase0, self.DOP853_CONFIG)
         assert trajectory.rejected_boundary == trajectory.rejected == 1
-        assert list(calls[stage]) == phase0.tolist()
-        assert trajectory.rhs_evals == len(calls) == stage + 1 + 12 * trajectory.accepted
+        assert list(calls[0]) == phase0.tolist()
+        if stage == 1:
+            assert trajectory.domain_exit and trajectory.exit_time == 0.0
+            assert trajectory.rhs_evals == len(calls) == 1
+        else:
+            assert not trajectory.domain_exit
+            assert trajectory.rhs_evals == len(calls) == stage + 12 * trajectory.accepted
 
     def test_dop853_non_finite_end_state_is_its_own_cause(self, monkeypatch):
         """An infinite rate at stage 12 of the third trial step gives an
@@ -402,10 +411,10 @@ class TestWorkCounts:
 
     def test_dop853_exit_orbit_counts(self, monkeypatch):
         """The ex6 orbit that leaves the chart: the first trial step is
-        rejected on its error before any step has given the rates at the
-        start, so it evaluates stage 1 there a second time; six trial
-        steps meet the edge, the first at stage 5 and the others at stage
-        2, and locating the edge makes no call of its own."""
+        rejected on its error, and the retry takes stage 1 from the rates
+        evaluated once at the start; six trial steps meet the edge, the
+        first at stage 5 and the others at stage 2, and locating the edge
+        makes no call of its own."""
         calls = self._count_rhs(monkeypatch)
         ex6 = get_example("ex6")
         config = TrajectoryConfig(t_end=20.0, method="dop853")
@@ -413,8 +422,8 @@ class TestWorkCounts:
         assert trajectory.domain_exit
         counts = (trajectory.accepted, trajectory.rejected_error, trajectory.rejected_boundary,
                   trajectory.rejected_nonfinite, trajectory.rhs_evals, len(trajectory))
-        assert counts == (84, 3, 6, 0, 1055, 85)
-        assert len(calls) == 2 + 12 * (84 + 3) + 4 + 1 * 5
+        assert counts == (84, 3, 6, 0, 1054, 85)
+        assert len(calls) == 1 + 12 * (84 + 3) + 4 + 1 * 5
 
 
 class TestCallBudget:
@@ -557,6 +566,12 @@ def _numpy_error_norm(err, y, y5, abs_tol, rel_tol):
         return np.sqrt(np.mean((err / scale) ** 2))
 
 
+def _hex_rows(rows):
+    """Rows of tableau entries {i: {j: value}} with each value as the hex
+    string of its double, so that equal rows are equal bit for bit."""
+    return {i: {j: float(value).hex() for j, value in row.items()} for i, row in rows.items()}
+
+
 def _replay(stages):
     """A stand-in for magnetic_rhs that returns the given rates in turn,
     whatever the phase."""
@@ -577,16 +592,19 @@ class TestFloatStepping:
         assert sum(DP_B5) == sum(DP_B4) == 1
 
     def test_written_out_coefficients_are_the_fractions(self):
-        """Stage rows _Aij, weights _Bj and error weights _Ej = b5 - b4,
-        each the double nearest to its fraction; zero entries have none."""
-        expected = {f"_A{i}{j}": a for i, row in enumerate(DP_ROWS[:-1], start=2)
-                    for j, a in enumerate(row, start=1)}
-        expected.update({f"_B{j}": b for j, b in enumerate(DP_B5, start=1) if b})
-        expected.update({f"_E{j}": b5 - b4 for j, (b5, b4) in
-                         enumerate(zip(DP_B5, DP_B4), start=1) if b5 != b4})
-        assert len(expected) == 15 + 5 + 6
-        for name, value in expected.items():
-            assert getattr(flow, name) == float(value), name
+        """flow._DP5 stores the stage rows a_ij, the weights b_j and the
+        error weights e_j = b5 - b4, each the double nearest to its
+        fraction, bit for bit; every nonzero entry is stored and no zero
+        one."""
+        rows = {i: {j: a for j, a in enumerate(row, start=1) if a}
+                for i, row in enumerate(DP_ROWS[:-1], start=2)}
+        weights = {j: b for j, b in enumerate(DP_B5, start=1) if b}
+        errors = {j: b5 - b4 for j, (b5, b4) in enumerate(zip(DP_B5, DP_B4), start=1) if b5 != b4}
+        pair = flow._DP5
+        assert (sum(map(len, rows.values())), len(weights), len(errors)) == (15, 5, 6)
+        assert _hex_rows(pair.rows) == _hex_rows(rows)
+        assert _hex_rows({0: pair.weights, 1: pair.errors[0]}) == _hex_rows({0: weights, 1: errors})
+        assert len(pair.errors) == 1 and not pair.first_given
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(
@@ -698,19 +716,22 @@ def _dop853_norm(e5, e3, y, y8, h, abs_tol, rel_tol):
 
 class TestDop853Step:
     def test_literals_are_scipys_coefficients(self):
-        """Each stage row entry _D8Aij, weight _D8Bj and error weight
-        _D8E5_j, _D8E3_j is the float of scipy's DOP853 tables, bit for
-        bit; the zero entries have no name."""
-        expected = {f"_D8A{i + 1}_{j + 1}": D8_ROWS[i, j] for i in range(12) for j in range(i)}
-        expected.update({f"_D8B{j + 1}": D8_B[j] for j in range(12)})
-        expected.update({f"_D8E5_{j + 1}": D8_E5[j] for j in range(12)})
-        expected.update({f"_D8E3_{j + 1}": D8_E3[j] for j in range(12)})
+        """flow._DOP853 stores each stage row entry a_ij, weight b_j and
+        fifth- and third-order error weight as the float of scipy's DOP853
+        tables, bit for bit; every nonzero entry is stored and no zero
+        one."""
+        def nonzero(values):
+            return {j: value for j, value in enumerate(values.tolist(), start=1) if value}
+
+        rows = {i: nonzero(D8_ROWS[i - 1, :i - 1]) for i in range(2, 13)}
+        weights, e5, e3 = nonzero(D8_B), nonzero(D8_E5), nonzero(D8_E3)
         assert D8_E5[12] == D8_E3[12] == 0.0
-        named = {name for name in vars(flow) if name.startswith("_D8")}
-        assert named == {name for name, value in expected.items() if value != 0.0}
-        assert len(named) == 50 + 8 + 8 + 8
-        for name in named:
-            assert getattr(flow, name) == float(expected[name]), name
+        assert (sum(map(len, rows.values())), len(weights), len(e5), len(e3)) == (50, 8, 8, 8)
+        pair = flow._DOP853
+        assert _hex_rows(pair.rows) == _hex_rows(rows)
+        assert (_hex_rows(dict(enumerate((pair.weights, *pair.errors))))
+                == _hex_rows(dict(enumerate((weights, e5, e3)))))
+        assert pair.first_given
 
     @settings(max_examples=200, derandomize=True, database=None, deadline=None)
     @given(
@@ -780,6 +801,28 @@ class TestDop853Step:
             errors.append(float(np.max(np.abs(np.array(y) - larmor_orbit(phase0, 4.0)))))
         for coarse, fine in zip(errors, errors[1:]):
             assert 128.0 <= coarse / fine <= 512.0, errors
+
+
+class TestGeneratedSteps:
+    @pytest.mark.parametrize("name", ["_dp_step", "_dop853_step"])
+    def test_a_stage_runs_in_the_module_and_shows_its_line(self, monkeypatch, name):
+        """Each embedded step is compiled with flow's globals, so a stage
+        calls the magnetic_rhs patched into flow, and a traceback through
+        the stage and inspect.getsource both show its generated line."""
+        step = getattr(flow, name)
+        assert step.__globals__ is vars(flow)
+
+        def raising(system, phase):
+            raise RuntimeError("stage 1 raised")
+
+        monkeypatch.setattr(flow, "magnetic_rhs", raising)
+        with pytest.raises(RuntimeError, match="stage 1 raised") as info:
+            step(None, [1.0] * 4, 0.1, 1e-12, 1e-11)
+        frame = traceback.extract_tb(info.value.__traceback__)[-2]
+        assert (frame.name, frame.filename) == (name, step.__code__.co_filename)
+        assert frame.line.startswith("k1_1, k1_2, k1_3, k1_4 = ")
+        assert frame.line.endswith("magnetic_rhs(system, y)")
+        assert inspect.getsource(step).splitlines()[frame.lineno - 1].strip() == frame.line
 
 
 def _on_level(system, rho, psi, phi):
@@ -911,8 +954,9 @@ class TestDop853Exits:
         np.testing.assert_allclose(last, larmor_orbit(phase0, trajectory.exit_time), atol=1e-10)
 
     def test_singular_start_is_a_flagged_exit(self):
-        """A start on a degenerate metric ends at t = 0 after one trial,
-        with the two calls at the start that embedded_rk45 makes."""
+        """A start on a degenerate metric ends at t = 0: stage 1 of the
+        first trial step raises there, one boundary rejection after one
+        call, where embedded_rk45's step and tangent make two."""
         metric = Metric(components=lambda x, y: (1.0, 0.0, -x),
                         partials=lambda x, y: ((0.0, 0.0, -1.0), (0.0, 0.0, 0.0)))
         system = MagneticSystem(metric=metric, field=lambda x, y: 0.0,
@@ -921,7 +965,7 @@ class TestDop853Exits:
         config = TrajectoryConfig(t_end=1.0, method="dop853")
         trajectory = integrate(system, (0.0, 0.0, 1.0, 0.0), config)
         assert trajectory.domain_exit and trajectory.exit_time == 0.0
-        assert (trajectory.rejected_boundary, trajectory.rhs_evals, len(trajectory)) == (1, 2, 1)
+        assert (trajectory.rejected_boundary, trajectory.rhs_evals, len(trajectory)) == (1, 1, 1)
 
 
 class TestFixedStepEnds:
