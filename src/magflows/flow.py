@@ -26,29 +26,31 @@ pair is written once, as its Butcher tableau (:class:`_Pair`), and
 stepper steps on four named Python floats per stage with every stage sum
 written out left to right, so the bits of a trajectory depend only on
 IEEE double arithmetic and not on the BLAS kernel numpy picks at run
-time.  DOP853's stage 1 is the rates at the step's start, the last stage
-of the step before ("first same as last") or one call at the initial
-state, so it makes 12 calls per trial step; the Dormand-Prince step
-evaluates all 7 of its stages on every trial.  Each stage is one call of
-:func:`magnetic_rhs`, looked up as this module's global, and each step
-returns the number of stages it evaluated, up to one that raised.
+time.  Every call of :func:`magnetic_rhs`, looked up as this module's
+global, is a stage of a step, and each step returns the number of stages
+it evaluated, up to one that raised, with the rates at its start and end.
+DOP853 takes stage 1 from the rates at the step's start once a step has
+given them (the last stage of the step before, "first same as last"), so
+only its first trial step makes 13 calls and every other 12; the
+Dormand-Prince step evaluates all 7 of its stages on every trial.
 
 Trajectories that leave the chart domain stop early and carry a
-``domain_exit`` flag rather than raising.  The fixed-step scheme stops at
-its last whole step inside the chart.  The adaptive ones locate the chart
-edge in one shared loop: when a stage of a trial step falls outside the
-chart, the tangent line (q1, q2) + s (dq1/dt, dq2/dt) at the last accepted
-state is bisected on the chart predicate, which needs no further
-right-hand-side call (the rates at that state are the last stage of the
-step that reached it).  The next trial step goes to 0.99 of the predicted
-crossing, and the run ends once the predicted crossing is within
-1e-11 * t_end.  The last recorded state therefore lies inside the chart,
-and its time is ``exit_time``.  When the tangent stays inside the chart
-over the failed step (a singular metric inside the chart, or a path
-bending out), the step is halved instead, and a step below 1e-12 * t_end
-ends the run as a flagged exit.  A
-:class:`Trajectory` counts its right-hand-side calls and rejected steps by
-cause.  :func:`conservation_drift` reads a scalar on all its states at once.
+``domain_exit`` flag rather than raising.  The fixed-step scheme stops
+at its last whole step inside the chart.  The adaptive ones locate the
+chart edge in one shared loop: when a stage of a trial step falls
+outside the chart, the tangent line (q1, q2) + s (dq1/dt, dq2/dt) at the
+last accepted state is bisected on the chart predicate, which needs no
+further right-hand-side call (the failed step hands back the rates at
+that state; where stage 1 itself raised, the run ends there).  The next
+trial step goes to 0.99 of the predicted crossing, and the run ends once
+the predicted crossing is within 1e-11 * t_end.  The last recorded state
+therefore lies inside the chart, and its time is ``exit_time``.  When
+the tangent stays inside the chart over the failed step (a singular
+metric inside the chart, or a path bending out), the step is halved
+instead, and a step below 1e-12 * t_end ends the run as a flagged exit.
+A :class:`Trajectory` counts its right-hand-side calls and rejected
+steps by cause.  :func:`conservation_drift` reads a scalar on all its
+states at once.
 """
 
 from __future__ import annotations
@@ -131,14 +133,14 @@ class Trajectory:
     """Recorded solution curve with its work counts.
 
     ``rhs_evals`` counts the calls of :func:`magnetic_rhs`, one that raised
-    included: the stages of each step and a tangent's call at a state no
-    step gave the rates of.  A trial step of ``embedded_rk45`` makes 7
-    calls and one of ``fixed_rk4`` 4, or k when stage k raised.  One of
-    ``dop853`` makes 12, or k - 1, as its stage 1 is the rates at its
-    start: the last stage of the step before, or one call at the initial
-    state before the first trial step, kept across its rejections (a
-    raise there ends the run).  Rejected trial steps are counted by
-    cause: the error estimate was above the tolerance
+    included; every call is a stage of a step.  A trial step of
+    ``embedded_rk45`` makes 7 calls and one of ``fixed_rk4`` 4, or k when
+    stage k raised.  The first trial step of ``dop853`` makes 13, and each
+    other one 12, or k - 1, as its stage 1 is the rates at its start: the
+    last stage of the step before, or stage 1 of the first trial step,
+    kept across its rejections.  Where stage 1 raises at the initial
+    state, the run ends there after that one call.  Rejected trial steps
+    are counted by cause: the error estimate was above the tolerance
     (``rejected_error``), a stage or the end point was outside the chart
     (``rejected_boundary``), or the end state was not finite
     (``rejected_nonfinite``).
@@ -198,7 +200,8 @@ class _Pair:
     the rows {j: a_ij} of stages i = 2..s, the weights b_j of the solution
     z, at which stage s + 1 is evaluated, and one map of weights over
     stages 1..s + 1 per error estimate.  With ``first_given``, stage 1 is
-    the rates ``f`` at the step's start whenever they are passed."""
+    the rates ``f`` at the step's start whenever they are passed, and is
+    evaluated only when f is None."""
 
     rows: dict
     weights: dict
@@ -330,9 +333,11 @@ def _embedded_step(name, pair, norm, doc):
     nonzero entries with the coefficients as literals, and ``stage`` is set
     before each call of magnetic_rhs, for the count a raising step returns.
     The function named ``norm`` takes h, the scales abs_tol + rel_tol *
-    max(|y|, |z|) and the error sums.  The step runs in this module's
-    globals, so each stage looks up magnetic_rhs here, and its source is in
-    linecache for tracebacks and ``inspect``."""
+    max(|y|, |z|) and the error sums.  ``k1``, stage 1's rates, is the
+    ``f`` given until stage 1 is evaluated, so a step hands back the rates
+    at y whenever it has them.  The step runs in this module's globals, so
+    each stage looks up magnetic_rhs here, and its source is in linecache
+    for tracebacks and ``inspect``."""
     last, given = len(pair.rows) + 2, " - given" if pair.first_given else ""
 
     def total(weights, c):
@@ -341,21 +346,21 @@ def _embedded_step(name, pair, norm, doc):
     def stage(i, rates):
         return [f"        stage = {i}", f"        k{i}_1, k{i}_2, k{i}_3, k{i}_4 = {rates}"]
 
-    lines = [f"def {name}(system, y, h, abs_tol, rel_tol, f=None):", "    y1, y2, y3, y4 = y",
-             *(["    given = f is not None"] if pair.first_given else []), "    try:",
-             *stage(1, f"{'f if given else ' if pair.first_given else ''}magnetic_rhs(system, y)")]
+    lines = [f"def {name}(system, y, h, abs_tol, rel_tol, f):", "    y1, y2, y3, y4 = y",
+             "    k1 = f", *(["    given = f is not None"] if pair.first_given else []), "    try:",
+             *stage(1, f"k1 = {'f if given else ' if pair.first_given else ''}magnetic_rhs(system, y)")]
     for i, row in pair.rows.items():
         lines += stage(i, "magnetic_rhs(system, [")
         lines += [f"            y{c} + h * ({total(row, c)})," for c in range(1, 5)] + ["        ])"]
     lines += [f"        z{c} = y{c} + h * ({total(pair.weights, c)})" for c in range(1, 5)]
     lines += [f"        stage = {last}", f"        k{last} = magnetic_rhs(system, [z1, z2, z3, z4])",
-              "    except (DomainError, SingularMetric):", f"        return stage{given}, None, None, None"]
+              "    except (DomainError, SingularMetric):", f"        return stage{given}, None, None, k1, None"]
     if any(last in errors for errors in pair.errors):
         lines += [f"    k{last}_1, k{last}_2, k{last}_3, k{last}_4 = k{last}"]
     lines += [f"    w{c} = abs_tol + rel_tol * max(abs(y{c}), abs(z{c}))" for c in range(1, 5)]
     lines += [f"    return {last}{given}, [z1, z2, z3, z4], {norm}(h, w1, w2, w3, w4,"]
     lines += [f"        {total(errors, c)}," for errors in pair.errors for c in range(1, 5)]
-    source = "\n".join(lines + [f"    ), k{last}", ""])
+    source = "\n".join(lines + [f"    ), k1, k{last}", ""])
     filename = f"<{__name__}.{name}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
@@ -365,17 +370,19 @@ def _embedded_step(name, pair, norm, doc):
 
 
 _dp_step = _embedded_step("_dp_step", _DP5, "_dp_norm", """\
-One Dormand-Prince trial step: (7, y5, error norm, rates at y5), or
-(k, None, None, None) when stage k raised DomainError or SingularMetric.
-Stage 1 is evaluated on every trial step; ``f``, the rates at y, is taken
-only so that both adaptive steps share one signature.""")
+One Dormand-Prince trial step: (7, y5, error norm, rates at y, rates at
+y5), or (k, None, None, rates at y, None) when stage k raised DomainError
+or SingularMetric.  Stage 1 is evaluated on every trial step; where it
+raised, the rates at y handed back are ``f``, the rates at y or None.""")
 
 _dop853_step = _embedded_step("_dop853_step", _DOP853, "_dop853_norm", """\
-One DOP853 trial step: (stages evaluated, y8, error norm, rates at y8), or
-(k, None, None, None) when the k-th evaluation raised DomainError or
-SingularMetric.  Stage 1 is ``f``, the rates at y, evaluated only when f is
-None, so a step makes 12 evaluations (13 without f); stage 13 is evaluated
-at y8, so a step whose end point leaves the chart raises there.""")
+One DOP853 trial step: (stages evaluated, y8, error norm, rates at y,
+rates at y8), or (k, None, None, rates at y, None) when the k-th
+evaluation raised DomainError or SingularMetric.  Stage 1 is ``f``, the
+rates at y, evaluated only when f is None, so a step makes 12 evaluations
+(13 without f) and hands back the rates at y unless stage 1 raised, where
+they are None; stage 13 is evaluated at y8, so a step whose end point
+leaves the chart raises there.""")
 
 
 class _Recorder:
@@ -480,16 +487,14 @@ def _tangent_exit(contains, y, f, s_out, width):
     return s_in, s_out
 
 
-# the trial step of each adaptive method, the exponent of its controller and
-# whether its stage 1 is the rates at the step's start
-_ADAPTIVE = {"embedded_rk45": (_dp_step, -0.2, _DP5.first_given),
-             "dop853": (_dop853_step, -0.125, _DOP853.first_given)}
+# the trial step of each adaptive method and the exponent of its controller
+_ADAPTIVE = {"embedded_rk45": (_dp_step, -0.2), "dop853": (_dop853_step, -0.125)}
 # every integration method: the adaptive pairs, then the fixed-step scheme
 METHODS = (*_ADAPTIVE, "fixed_rk4")
 
 
 def _integrate_adaptive(system, y, rec, config):
-    step, exponent, first_given = _ADAPTIVE[config.method]
+    step, exponent = _ADAPTIVE[config.method]
     contains = system.domain.contains
     t = 0.0
     t_end = config.t_end
@@ -497,36 +502,23 @@ def _integrate_adaptive(system, y, rec, config):
     h_min = _MIN_STEP_FRACTION * t_end
     exit_tol = _EXIT_FRACTION * t_end
     h = min(1e-3 * t_end, t_end)
-    f = None  # the rates at y: the last stage of the step that reached y
-    if first_given:
-        # stage 1 of the first step, kept across its rejections
-        rec.rhs_evals += 1
-        try:
-            f = magnetic_rhs(system, y)
-        except (DomainError, SingularMetric):
-            rec.rejected_boundary += 1
-            rec.exit_time = t
-            return t, y
+    f = None  # the rates at y: the last stage of the step that reached y, or stage 1 at y
     while t < t_end * (1.0 - 1e-14):
         h = min(h, t_end - t)
         if h < h_min:
             raise StepFailure(f"step underflow at t = {t}: h = {h}")
-        stages, y_new, err_norm, f_new = step(system, y, h, abs_tol, rel_tol, f)
+        stages, y_new, err_norm, f, f_new = step(system, y, h, abs_tol, rel_tol, f)
         rec.rhs_evals += stages
         if y_new is None:
             # a stage left the chart or met a singular metric (the last
             # stage is evaluated at y_new, so this covers the end point
             # too): find where the tangent at y leaves the chart and step
             # to just inside that point, or end the run once it is close
-            # enough
+            # enough; where stage 1 raised at y itself, the run ends there
             rec.rejected_boundary += 1
             if f is None:
-                rec.rhs_evals += 1
-                try:
-                    f = magnetic_rhs(system, y)
-                except (DomainError, SingularMetric):
-                    rec.exit_time = t
-                    break
+                rec.exit_time = t
+                break
             bracket = _tangent_exit(contains, y, f, h, 0.25 * exit_tol)
             if bracket is None:
                 # the tangent stays inside: a singular metric inside the
@@ -557,7 +549,7 @@ def _integrate_adaptive(system, y, rec, config):
             factor = _GROWTH_LIMIT if err_norm == 0.0 else _SAFETY * err_norm ** exponent
         else:
             rec.rejected_error += 1
-            factor = max(_SHRINK_LIMIT, _SAFETY * err_norm ** exponent)
+            factor = _SAFETY * err_norm ** exponent
         h *= min(_GROWTH_LIMIT, max(_SHRINK_LIMIT, factor))
     return t, y
 

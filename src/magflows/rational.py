@@ -67,14 +67,16 @@ class ZSolution:
 
     ``valid_rho`` is the open interval on which the formulas make sense;
     ``psi_period`` is the period of the generated integral in the angular
-    variable; ``default_rho_range`` is the working annulus used when none
-    is given.
+    variable, and ``_every_level`` whether it is conserved on every energy
+    level, not only on {H = C/2}; ``default_rho_range`` is the working
+    annulus used when none is given.
     """
 
     family: str = ""
     nu: float = 0.0
     psi0: float = 0.0
     psi_period: float = TWO_PI
+    _every_level: bool = False
     valid_rho: tuple = (-math.inf, math.inf)
     default_rho_range: tuple = (0.05, 5.0)
     _radial_jet: tuple = (None, 0.0, 0.0, 0.0, 0.0)
@@ -158,10 +160,11 @@ class PolynomialCos(ZSolution):
 class LogRadial(ZSolution):
     """Z = ln(1 + rho), the angle-independent solution (nu = 0).
 
-    The generated flow is flat.
+    The generated flow is flat, and its integral holds on every level.
     """
 
     family = "log-radial"
+    _every_level = True
     valid_rho = (-1.0, math.inf)
 
     def _radial(self, rho):
@@ -366,7 +369,8 @@ class RationalFlowBundle:
         )
 
     def as_integral(self) -> FirstIntegral:
-        return ratio_integral("F", "rational", self._parts, self.c_energy)
+        level = None if self.z._every_level else self.c_energy
+        return ratio_integral("F", "rational", self._parts, level)
 
     def descriptor(self) -> dict:
         return {**self.z.descriptor(), "gamma": self.gamma, "c_energy": self.c_energy,

@@ -290,7 +290,8 @@ class TestWorkCounts:
     def test_exit_orbit_counts(self, monkeypatch):
         """The ex6 orbit that leaves the chart: five trial steps meet the
         edge, each stops at stage 2, and locating the edge makes no call of
-        its own, as the rates at the last state are stage 7 of its step."""
+        its own, as the rates at the last state are stage 1 of the step
+        that met the edge."""
         calls = self._count_rhs(monkeypatch)
         ex6 = get_example("ex6")
         trajectory = integrate(ex6.system, (1.0, 0.6, 1.0, 0.5), TrajectoryConfig(t_end=20.0))
@@ -324,8 +325,9 @@ class TestWorkCounts:
     @pytest.mark.parametrize("stage", range(1, 8))
     def test_boundary_rejection_counts_its_stages(self, monkeypatch, stage):
         """Stage k of the third trial step raises: that step is one
-        boundary rejection that adds k evaluations, and the rates at its
-        start are stage 7 of the step before, so it makes no other call."""
+        boundary rejection that adds k evaluations, and the tangent at its
+        start reads its stage 1, or where that raised the rates kept from
+        stage 7 of the step before, so it makes no other call."""
         calls = self._count_rhs(monkeypatch, raise_call=2 * 7 + stage)
         ex1 = get_example("ex1")
         trajectory = integrate(ex1.system, ex1.sample_phases[0], TrajectoryConfig(t_end=3.0))
@@ -346,22 +348,29 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("stage", range(1, 8))
     def test_first_boundary_rejection_calls_at_the_start(self, monkeypatch, stage):
-        """Stage k of the first trial step raises: no step has given the
-        rates at the initial state, so the tangent there takes one call
-        of its own, counted after the k of the step."""
+        """Stage k of the first trial step raises.  Where stage 1 raises,
+        no rates at the initial state exist, and the run ends there after
+        that one call.  Where stage k > 1 raises, after k calls, the
+        tangent at the initial state reads that step's stage 1 and makes
+        no call of its own."""
         calls = self._count_rhs(monkeypatch, raise_call=stage)
         ex1 = get_example("ex1")
         phase0 = ex1.sample_phases[0]
         trajectory = integrate(ex1.system, phase0, TrajectoryConfig(t_end=3.0))
         assert trajectory.rejected_boundary == trajectory.rejected == 1
-        assert list(calls[stage]) == phase0.tolist()
-        assert trajectory.rhs_evals == len(calls) == 7 * trajectory.accepted + stage + 1
+        assert list(calls[0]) == phase0.tolist()
+        if stage == 1:
+            assert trajectory.domain_exit and trajectory.exit_time == 0.0
+            assert trajectory.rhs_evals == len(calls) == 1
+        else:
+            assert not trajectory.domain_exit
+            assert trajectory.rhs_evals == len(calls) == 7 * trajectory.accepted + stage
 
     DOP853_CONFIG = TrajectoryConfig(t_end=3.0, method="dop853")
 
     def test_dop853_makes_twelve_evaluations_per_trial_step(self, monkeypatch):
-        """One call at the start, then 12 per trial step: stage 1 is the
-        rates at the step's start, stage 13 of the step before."""
+        """13 calls in the first trial step, then 12 per trial step: stage
+        1 is the rates at the step's start, stage 13 of the step before."""
         calls = self._count_rhs(monkeypatch)
         ex1 = get_example("ex1")
         trajectory = integrate(ex1.system, ex1.sample_phases[0], self.DOP853_CONFIG)
@@ -381,11 +390,11 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("stage", range(1, 14))
     def test_dop853_first_boundary_rejection_calls_at_the_start(self, monkeypatch, stage):
-        """Stage 1 of the first trial step is the one call at the start,
-        made before the step.  Where it raises, the run ends there after
-        that call.  Where stage k > 1 raises, after k calls, the tangent
-        at the initial state reads the kept stage 1 and makes no call of
-        its own."""
+        """Stage 1 of the first trial step is the one call at the start.
+        Where it raises, the run ends there after that call.  Where stage
+        k > 1 raises, after k calls, the tangent at the initial state
+        reads the step's stage 1, which the retry reuses, and makes no
+        call of its own."""
         calls = self._count_rhs(monkeypatch, raise_call=stage)
         ex1 = get_example("ex1")
         phase0 = ex1.sample_phases[0]
@@ -412,9 +421,9 @@ class TestWorkCounts:
     def test_dop853_exit_orbit_counts(self, monkeypatch):
         """The ex6 orbit that leaves the chart: the first trial step is
         rejected on its error, and the retry takes stage 1 from the rates
-        evaluated once at the start; six trial steps meet the edge, the
-        first at stage 5 and the others at stage 2, and locating the edge
-        makes no call of its own."""
+        that step evaluated at the start; six trial steps meet the edge,
+        the first at stage 5 and the others at stage 2, and locating the
+        edge makes no call of its own."""
         calls = self._count_rhs(monkeypatch)
         ex6 = get_example("ex6")
         config = TrajectoryConfig(t_end=20.0, method="dop853")
@@ -424,6 +433,40 @@ class TestWorkCounts:
                   trajectory.rejected_nonfinite, trajectory.rhs_evals, len(trajectory))
         assert counts == (84, 3, 6, 0, 1054, 85)
         assert len(calls) == 1 + 12 * (84 + 3) + 4 + 1 * 5
+
+    # the ex4 orbit from (0.052, 0) at angle pi, whose first trial step
+    # meets the chart edge: its counts and exit time per method
+    EX4_EDGE_EXIT = {"embedded_rk45": ((5, 1, 5, 0, 54, 6), 0.00885660376315877),
+                     "dop853": ((5, 0, 6, 0, 74, 6), 0.008856603898869862)}
+
+    @pytest.mark.parametrize("method, step", [("embedded_rk45", "_dp_step"),
+                                              ("dop853", "_dop853_step")])
+    @pytest.mark.parametrize("orbit", ["ex6", "ex4"])
+    def test_every_call_is_a_stage(self, monkeypatch, method, step, orbit):
+        """Every call of magnetic_rhs in an adaptive run is made by a trial
+        step, and the loop makes none of its own: not at the start, and not
+        for the tangent where the first trial step meets the chart edge, as
+        on the ex4 orbit, where the tangent reads that step's stage 1."""
+        callers = []
+        real = flow.magnetic_rhs
+
+        def recording(system, phase):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(system, phase)
+
+        monkeypatch.setattr(flow, "magnetic_rhs", recording)
+        config = TrajectoryConfig(t_end=20.0, method=method)
+        if orbit == "ex6":
+            trajectory = integrate(get_example("ex6").system, (1.0, 0.6, 1.0, 0.5), config)
+        else:
+            ex4 = get_example("ex4").system
+            trajectory = integrate(ex4, _on_level(ex4, 0.052, 0.0, math.pi), config)
+            counts = (trajectory.accepted, trajectory.rejected_error, trajectory.rejected_boundary,
+                      trajectory.rejected_nonfinite, trajectory.rhs_evals, len(trajectory))
+            assert (counts, trajectory.exit_time) == self.EX4_EDGE_EXIT[method]
+        assert trajectory.domain_exit
+        assert set(callers) == {step}
+        assert trajectory.rhs_evals == len(callers)
 
 
 class TestCallBudget:
@@ -621,19 +664,19 @@ class TestFloatStepping:
         stages = [rates[4 * j:4 * j + 4] for j in range(7)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(flow, "magnetic_rhs", _replay(stages))
-            got = flow._dp_step(None, y, h, abs_tol, rel_tol)
+            got_stages, got_y5, got_norm, _, _ = flow._dp_step(None, y, h, abs_tol, rel_tol, None)
         replay = _replay(stages)
         y5, err, _ = _array_dp_step(lambda s: replay(None, s), np.array(y), h)
-        assert got[0] == 7
-        assert np.array(got[1]).tobytes() == y5.tobytes()
-        assert got[2] == _numpy_error_norm(err, y, y5, abs_tol, rel_tol)
+        assert got_stages == 7
+        assert np.array(got_y5).tobytes() == y5.tobytes()
+        assert got_norm == _numpy_error_norm(err, y, y5, abs_tol, rel_tol)
 
     def test_error_norm_overflows_to_inf(self, monkeypatch):
         """q * q overflows to inf where q ** 2 raises OverflowError: a rate
         of 1e200 at stage 7, which y5 does not read, gives an error
         estimate of -1e200 h / 40."""
         monkeypatch.setattr(flow, "magnetic_rhs", _replay([[0.0] * 4] * 6 + [[1e200, 0.0, 0.0, 0.0]]))
-        stages, y5, norm, _ = flow._dp_step(None, [1.0] * 4, 1.0, 1.0, 1.0)
+        stages, y5, norm, _, _ = flow._dp_step(None, [1.0] * 4, 1.0, 1.0, 1.0, None)
         assert (stages, y5, norm) == (7, [1.0] * 4, math.inf)
 
     @pytest.mark.parametrize("name", ["ex1", "ex2", "ex2b", "ex3", "ex4", "ex5", "ex6"])
@@ -678,7 +721,8 @@ class TestFloatStepping:
             y5, err, k7 = _array_dp_step(lambda s: magnetic_rhs(entry.system, s), phase, h)
         except (DomainError, SingularMetric):
             assume(False)
-        stages, got_y5, norm, got_k7 = flow._dp_step(entry.system, phase.tolist(), h, 1e-12, 1e-11)
+        stages, got_y5, norm, _, got_k7 = flow._dp_step(
+            entry.system, phase.tolist(), h, 1e-12, 1e-11, None)
         assert stages == 7
         assert np.array(got_y5).tobytes() == y5.tobytes()
         assert np.array(got_k7).tobytes() == k7.tobytes()
@@ -752,7 +796,7 @@ class TestDop853Step:
                 lambda s: magnetic_rhs(entry.system, s), phase, h, f)
         except (DomainError, SingularMetric):
             assume(False)
-        stages, got_y8, norm, got_k13 = flow._dop853_step(
+        stages, got_y8, norm, _, got_k13 = flow._dop853_step(
             entry.system, phase.tolist(), h, 1e-12, 1e-11, f)
         assert stages == 12 if given_rates else 13
         assert np.array(got_y8).tobytes() == y8.tobytes()
@@ -769,7 +813,7 @@ class TestDop853Step:
             y, h = rng.uniform(-10.0, 10.0, 4).tolist(), float(rng.uniform(1e-3, 1.0))
             abs_tol, rel_tol = 10.0 ** rng.uniform(-12.0, 0.0, 2)
             monkeypatch.setattr(flow, "magnetic_rhs", _replay(rates[1:].tolist()))
-            _, y8, norm, _ = flow._dop853_step(None, y, h, abs_tol, rel_tol, rates[0].tolist())
+            _, y8, norm, _, _ = flow._dop853_step(None, y, h, abs_tol, rel_tol, rates[0].tolist())
             scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y8))
             want = DOP853._estimate_error_norm(DOP853, rates, h, scale)
             assert abs(norm - want) <= 1e-12 * want
@@ -781,10 +825,11 @@ class TestDop853Step:
         the first component leaves y8 finite."""
         zero = [[0.0] * 4] * 12
         monkeypatch.setattr(flow, "magnetic_rhs", _replay(zero))
-        assert flow._dop853_step(None, [1.0] * 4, 0.5, 1e-12, 1e-11, [0.0] * 4)[2] == 0.0
+        _, _, norm, _, _ = flow._dop853_step(None, [1.0] * 4, 0.5, 1e-12, 1e-11, [0.0] * 4)
+        assert norm == 0.0
         big = [[0.0] * 4] * 10 + [[1e200, 0.0, 0.0, 0.0], [0.0] * 4]
         monkeypatch.setattr(flow, "magnetic_rhs", _replay(big))
-        stages, y8, norm, _ = flow._dop853_step(None, [1.0] * 4, 0.5, 1e-200, 1e-200, [0.0] * 4)
+        stages, y8, norm, _, _ = flow._dop853_step(None, [1.0] * 4, 0.5, 1e-200, 1e-200, [0.0] * 4)
         assert stages == 12 and all(map(math.isfinite, y8))
         assert norm == math.inf
 
@@ -797,7 +842,7 @@ class TestDop853Step:
         for n in (4, 8, 16):
             y, f = list(phase0), None
             for _ in range(n):
-                _, y, _, f = flow._dop853_step(ex1, y, 4.0 / n, 1e-12, 1e-11, f)
+                _, y, _, _, f = flow._dop853_step(ex1, y, 4.0 / n, 1e-12, 1e-11, f)
             errors.append(float(np.max(np.abs(np.array(y) - larmor_orbit(phase0, 4.0)))))
         for coarse, fine in zip(errors, errors[1:]):
             assert 128.0 <= coarse / fine <= 512.0, errors
@@ -817,12 +862,42 @@ class TestGeneratedSteps:
 
         monkeypatch.setattr(flow, "magnetic_rhs", raising)
         with pytest.raises(RuntimeError, match="stage 1 raised") as info:
-            step(None, [1.0] * 4, 0.1, 1e-12, 1e-11)
+            step(None, [1.0] * 4, 0.1, 1e-12, 1e-11, None)
         frame = traceback.extract_tb(info.value.__traceback__)[-2]
         assert (frame.name, frame.filename) == (name, step.__code__.co_filename)
         assert frame.line.startswith("k1_1, k1_2, k1_3, k1_4 = ")
         assert frame.line.endswith("magnetic_rhs(system, y)")
         assert inspect.getsource(step).splitlines()[frame.lineno - 1].strip() == frame.line
+
+    @pytest.mark.parametrize("name", ["_dp_step", "_dop853_step"])
+    @pytest.mark.parametrize("given", [False, True])
+    @pytest.mark.parametrize("raise_call", [None, 1, 2])
+    def test_a_step_hands_back_the_rates_at_its_start(self, monkeypatch, name, given, raise_call):
+        """A step returns the stages it called, then the rates at y: stage
+        1's, or the ``f`` given where stage 1 was not evaluated or raised,
+        so None only where stage 1 raised with no f given.  The rates at
+        the end point come last, None on a raise."""
+        calls = []
+
+        def stand_in(system, phase):
+            calls.append(phase)
+            if len(calls) == raise_call:
+                raise DomainError("raised on purpose")
+            return [float(len(calls))] * 4
+
+        monkeypatch.setattr(flow, "magnetic_rhs", stand_in)
+        f = [0.5] * 4 if given else None
+        stages, z, _, at_y, at_z = getattr(flow, name)(None, [1.0] * 4, 0.1, 1e-12, 1e-11, f)
+        assert stages == len(calls)
+        evaluated = name == "_dp_step" or not given
+        if evaluated and raise_call != 1:
+            assert at_y == [1.0] * 4
+        else:
+            assert at_y is f
+        if raise_call is None:
+            assert len(z) == 4 and at_z == [float(stages)] * 4
+        else:
+            assert z is None and at_z is None
 
 
 def _on_level(system, rho, psi, phi):
@@ -909,7 +984,9 @@ class TestChartExit:
         assert 1.0 - 1e-9 < trajectory.exit_time < 1.0
 
     def test_singular_start_is_a_flagged_exit(self):
-        """A start on a degenerate metric ends at t = 0 after one trial."""
+        """A start on a degenerate metric ends at t = 0: stage 1 of the
+        first trial step raises there, one boundary rejection after one
+        call."""
         metric = Metric(components=lambda x, y: (1.0, 0.0, -x),
                         partials=lambda x, y: ((0.0, 0.0, -1.0), (0.0, 0.0, 0.0)))
         system = MagneticSystem(metric=metric, field=lambda x, y: 0.0,
@@ -917,7 +994,7 @@ class TestChartExit:
                                 energy=1.0, name="degenerate at x >= 0")
         trajectory = integrate(system, (0.0, 0.0, 1.0, 0.0), TrajectoryConfig(t_end=1.0))
         assert trajectory.domain_exit and trajectory.exit_time == 0.0
-        assert (trajectory.rejected_boundary, trajectory.rhs_evals, len(trajectory)) == (1, 2, 1)
+        assert (trajectory.rejected_boundary, trajectory.rhs_evals, len(trajectory)) == (1, 1, 1)
 
 
 class TestDop853Exits:
@@ -956,7 +1033,7 @@ class TestDop853Exits:
     def test_singular_start_is_a_flagged_exit(self):
         """A start on a degenerate metric ends at t = 0: stage 1 of the
         first trial step raises there, one boundary rejection after one
-        call, where embedded_rk45's step and tangent make two."""
+        call, as for embedded_rk45."""
         metric = Metric(components=lambda x, y: (1.0, 0.0, -x),
                         partials=lambda x, y: ((0.0, 0.0, -1.0), (0.0, 0.0, 0.0)))
         system = MagneticSystem(metric=metric, field=lambda x, y: 0.0,

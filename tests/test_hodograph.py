@@ -464,6 +464,51 @@ _CONSTANTS = st.builds(
     st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(0.5, 3.0)).map(math.prod))
 
 
+class TestSixConstantSymmetries:
+    """Two symmetries of the six-constant family, at the base constants
+    and four chart points: a change of epsilon is a translation of the
+    chart, and a weighted scaling of (alpha, beta, epsilon, zeta) scales
+    the fields.  Each quantity agrees to 4e-15 relative."""
+
+    BASE = HodographConstants(alpha=0.0462, beta=0.0303, gamma=0.2, delta=-0.1,
+                              epsilon=0.7, zeta=1.3)
+    POINTS = [(1.0, 1.2), (1.5, 0.8), (2.1, 1.9), (0.7, 2.3)]
+
+    @staticmethod
+    def _fields(k, x, y):
+        point, omega, *_ = solve_fields(k, x, y)
+        return point.f, point.g, point.lam, point.u0, omega
+
+    @staticmethod
+    def _assert_close(got, want):
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 4e-15 * abs(w), (got, want)
+
+    def test_epsilon_is_a_translation(self):
+        """Raising epsilon by d moves the solution by (-16 beta d / zeta,
+        16 alpha d / zeta): f, g, Lambda and Omega agree there, and u0,
+        whose shift is a constant added to F, grows by 4 d / zeta."""
+        k, d = self.BASE, 0.37
+        moved = dataclasses.replace(k, epsilon=k.epsilon + d)
+        dx, dy = -16.0 * k.beta * d / k.zeta, 16.0 * k.alpha * d / k.zeta
+        for x, y in self.POINTS:
+            f, g, lam, u0, omega = self._fields(k, x, y)
+            self._assert_close(self._fields(moved, x + dx, y + dy),
+                               (f, g, lam, u0 + 4.0 * d / k.zeta, omega))
+
+    def test_weighted_scaling_scales_the_fields(self):
+        """(alpha, beta, epsilon, zeta) -> (alpha / s^2, beta / s^2,
+        epsilon / s, zeta / s^3) at fixed (x, y) scales (f, g, Lambda, u0,
+        Omega) by (s, s, s^2, s^2, s), as every row of R is homogeneous
+        under these weights."""
+        k, s = self.BASE, 1.6
+        scaled = dataclasses.replace(k, alpha=k.alpha / s ** 2, beta=k.beta / s ** 2,
+                                     epsilon=k.epsilon / s, zeta=k.zeta / s ** 3)
+        for x, y in self.POINTS:
+            want = [v * w for v, w in zip(self._fields(k, x, y), (s, s, s * s, s * s, s))]
+            self._assert_close(self._fields(scaled, x, y), want)
+
+
 class TestContinuationParameter:
     """The residual, the Jacobian and the Newton solve at the continuation
     parameter t read (a, b) = (t alpha, t beta): the very products a

@@ -593,6 +593,22 @@ class TestBundleIntegral:
             np.testing.assert_allclose(got / scale, want / scale, atol=1e-6)
             checked += 1
 
+    @pytest.mark.parametrize("gamma, c_energy", [(1.0, 1.0), (1.3, 0.7)])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_declared_level_agrees_with_off_level_scans(self, family, gamma, c_energy):
+        """log-radial's integral is declared with level None and the other
+        families' at C: default scans at 0.5 C, 1.01 C and 2 C read
+        round-off for the one and at least 1e-3 for the others."""
+        bundle = build_bundle(FAMILIES[family](), gamma=gamma, c_energy=c_energy)
+        system, integral = bundle.as_system(), bundle.as_integral()
+        assert integral.level == (None if family == "log-radial" else c_energy)
+        for factor in (0.5, 1.01, 2.0):
+            report = level_set_bracket_scan(system, integral, energy=factor * c_energy)
+            if integral.level is None:
+                assert report.max_abs <= 1e-12, factor
+            else:
+                assert report.max_abs >= 1e-3, factor
+
     def test_conserved_along_flow(self):
         """The bundle integral drifts below 1e-6 over t = 10."""
         bundle = build_bundle(PolynomialCos(2))
