@@ -19,10 +19,12 @@ ndarray.
 Three steppers are provided (:data:`METHODS`): the classic fixed-step
 fourth-order scheme and two embedded pairs sharing one proportional step
 controller (safety 0.9, growth factor clamped to [0.2, 5.0]), the
-Dormand-Prince 4(5) pair (``embedded_rk45``, the default; step exponent
--1/5) and Hairer's eighth-order DOP853 (``dop853``; exponent -1/8).  Each
-pair is written once, as its Butcher tableau (:class:`_Pair`), and
-:func:`_embedded_step` compiles its trial step from it at import.  Every
+Dormand-Prince 4(5) pair (``embedded_rk45``, :class:`TrajectoryConfig`'s
+default; step exponent -1/5) and Hairer's eighth-order DOP853
+(``dop853``, which every orbit of the command line runs by default;
+exponent -1/8).  Each pair is written once, as its Butcher tableau
+(:class:`_Pair`), and :func:`_embedded_step` compiles its trial step
+from it at import.  Every
 stepper steps on four named Python floats per stage with every stage sum
 written out left to right, so the bits of a trajectory depend only on
 IEEE double arithmetic and not on the BLAS kernel numpy picks at run
@@ -84,7 +86,10 @@ class TrajectoryConfig:
     ``step`` of at least ``t_end`` / 1e7, so that a run takes at most 1e7
     steps, and refuses tolerances), or one of the adaptive methods
     ``"embedded_rk45"`` and ``"dop853"`` (use ``rel_tol``/``abs_tol``,
-    by default 1e-11 and 1e-12, and refuse a ``step``).  ``record_every``
+    by default 1e-11 and 1e-12, and refuse a ``step``).  The default
+    method is ``"embedded_rk45"``; the command line's ``simulate`` and
+    ``verify`` integrate with ``"dop853"`` instead, which takes several
+    times fewer right-hand-side calls at these tolerances.  ``record_every``
     keeps every n-th accepted state; the initial and final states are
     always recorded.  Times and tolerances must be finite.
     """

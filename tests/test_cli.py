@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -252,8 +253,48 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == []
 
     def test_method_choices_are_the_flow_table(self):
+        """--method offers flow's method table and defaults to the CLI's
+        method, dop853, which verify's drift orbits run too; the library's
+        TrajectoryConfig keeps embedded_rk45."""
         action = config_actions(build_parser(), "simulate")["method"]
-        assert tuple(action.choices) == METHODS and action.default == "embedded_rk45"
+        assert tuple(action.choices) == METHODS and action.default == cli.CLI_METHOD == "dop853"
+        assert TrajectoryConfig(t_end=1.0).method == "embedded_rk45"
+
+    # the CI orbit of ex5, whose bytes the workflow compares run to run
+    _EX5_ORBIT = ["simulate", "ex5", "--position", "0.3", "0.4", "--angle", "0.7",
+                  "--t-end", "5"]
+    # sha256 of that orbit's CSV with --method embedded_rk45, the default
+    # before dop853 became the CLI's default
+    _EX5_RK45_SHA256 = "d9fb95db913a3a1509ab9796652c05d18ae87c147fd60ef0e67958ed5de94256"
+
+    def _ex5_trace(self, tmp_path, capsys, name, *method):
+        code, _, err = _run(["--out-dir", str(tmp_path / name)] + self._EX5_ORBIT + list(method),
+                            capsys)
+        assert code == 0, err
+        return (tmp_path / name / "ex5_trace.csv").read_bytes()
+
+    def test_default_method_writes_the_dop853_trace(self, tmp_path, capsys):
+        """simulate with no --method writes the same bytes as --method
+        dop853."""
+        default = self._ex5_trace(tmp_path, capsys, "default")
+        assert default == self._ex5_trace(tmp_path, capsys, "dop853", "--method", "dop853")
+
+    def test_embedded_rk45_keeps_its_bytes(self, tmp_path, capsys):
+        """--method embedded_rk45 writes the bytes that simulate wrote by
+        default before the switch to dop853, and the trace of integrate
+        under TrajectoryConfig's default."""
+        blob = self._ex5_trace(tmp_path, capsys, "rk45", "--method", "embedded_rk45")
+        assert hashlib.sha256(blob).hexdigest() == self._EX5_RK45_SHA256
+        _, data = _read_csv(tmp_path / "rk45" / "ex5_trace.csv")
+        want = integrate(get_example("ex5").system, data[0, 1:5], TrajectoryConfig(t_end=5.0))
+        assert data[:, 1:5].tobytes() == want.states.tobytes()
+
+    @pytest.mark.parametrize("method, rows", [("dop853", 26), ("embedded_rk45", 99)])
+    def test_ex5_orbit_row_counts(self, method, rows, tmp_path, capsys):
+        """The CI ex5 orbit writes 26 data rows with dop853 and 99 with
+        embedded_rk45: about a quarter of the accepted steps."""
+        blob = self._ex5_trace(tmp_path, capsys, method, "--method", method)
+        assert blob.count(b"\n") == 1 + rows
 
 
 class TestVerify:

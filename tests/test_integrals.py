@@ -418,8 +418,6 @@ LINE_SCAN_CASES = {
     **{family: (lambda f=family: _default_bundle(f)) for family in sorted(rational.FAMILIES)},
     "log-nu1-pole": lambda: _default_bundle("log-nu1", (0.261, 3.031)),
 }
-# conserved on every level: ex4's F (declared so) and log-radial's bundle
-ALL_LEVEL = ("ex4", "log-radial")
 
 
 def _entry_case(name):
@@ -442,8 +440,10 @@ class TestLineScan:
         """The default scan of |{F, H}| / (1 + F^2), the bracket of the angle
         of the line [N : D], reads round-off on the level, the pole range of
         log-nu1 included, and at least 6e-3 on the ``--corrupt`` control; at
-        1.01 C it stays at round-off for the integrals conserved on every
-        level and exceeds 9e-3 for the single-level ones."""
+        1.01 C it stays at round-off for the integrals declared conserved on
+        every level (``level`` None: ex4's F and log-radial's bundle) and
+        exceeds 9e-3 for the single-level ones, so a wrong declaration
+        fails here."""
         system, integral = LINE_SCAN_CASES[name]()
         assert integral.kind == "rational"
         if variant == "corrupt":
@@ -452,7 +452,7 @@ class TestLineScan:
             assert level_set_bracket_scan(system, integral).max_abs <= 1e-12
         else:
             report = level_set_bracket_scan(system, integral, energy=1.01 * system.energy)
-            if name in ALL_LEVEL:
+            if integral.level is None:
                 assert report.max_abs <= 1e-13
             else:
                 assert report.max_abs >= 9e-3
