@@ -499,9 +499,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list", help="print the example table")
+    p.set_defaults(run=cmd_list)
     p.add_argument("--bundle", help="bundle descriptor, or build-rational report, to append as a row")
 
     p = sub.add_parser("simulate", help="integrate one example and write a CSV trace")
+    p.set_defaults(run=cmd_simulate)
     p.add_argument("example", nargs="?", help="catalog example name")
     p.add_argument("--phase", nargs=4, type=float, metavar=("Q1", "Q2", "P1", "P2"))
     p.add_argument("--position", nargs=2, type=float, metavar=("Q1", "Q2"))
@@ -515,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output CSV name")
 
     p = sub.add_parser("verify", help="run conservation, bracket and curvature checks")
+    p.set_defaults(run=cmd_verify)
     p.add_argument("example", nargs="?", default="all", help="example name or 'all'")
     p.add_argument(
         "--corrupt",
@@ -524,6 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="verify.json", help="output JSON name")
 
     p = sub.add_parser("hodograph", help="solve the field system on a chart grid")
+    p.set_defaults(run=cmd_hodograph)
     for name, default in zip(("alpha", "beta", "gamma", "delta", "epsilon", "zeta"),
                              (0.0, 0.0, 0.0, 0.0, 1.0, 2.0)):
         p.add_argument(f"--{name}", type=float, default=default)
@@ -533,6 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="hodograph.csv", help="output CSV name")
 
     p = sub.add_parser("build-rational", help="construct a flow bundle and check it")
+    p.set_defaults(run=cmd_build_rational)
     p.add_argument("family", nargs="?", help="radial family name")
     p.add_argument("--k", type=int, help="polynomial degree (poly-cos only, default 2)")
     p.add_argument("--psi0", type=float, help="angular offset (poly-cos only, default 0)")
@@ -549,15 +554,6 @@ def _shared_parser() -> argparse.ArgumentParser:
     """The parser of every call to :func:`main` in this process, built on
     first use; nothing writes to it after that."""
     return build_parser()
-
-
-_DISPATCH = {
-    "list": cmd_list,
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
-    "hodograph": cmd_hodograph,
-    "build-rational": cmd_build_rational,
-}
 
 
 # argparse takes "-5e-05" for an option string: it reads negative numbers
@@ -581,7 +577,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         if not (math.isfinite(args.tol) and args.tol > 0.0):
             raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except Exception as exc:
         for types, code, prefix in EXIT_CODES:
             if isinstance(exc, types):

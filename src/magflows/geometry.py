@@ -28,8 +28,8 @@ A metric is supplied as analytic components together with their exact
 spatial partials.  A metric written from a frame, G = k M^T M (ex3 and the
 rational bundles), is a frame chart: :func:`_frame_system` builds its
 system from one frame function of (k, M, dk, dM, Omega), with the
-components from :func:`_gram` and, from one frame call, G, dG and Omega
-by the one product rule of :func:`_gram_partials`.  Only
+components from :func:`_gram` and, from one frame call, G, dG and Omega,
+dG by the product rule written out in its ``local``.  Only
 :func:`gaussian_curvature` differentiates a metric numerically: it is the
 independent oracle for the flat and curved checks.
 """
@@ -133,24 +133,6 @@ def _gram(k: float, m) -> tuple[float, float, float]:
     return k * (m11 * m11 + m21 * m21), k * (m11 * m12 + m21 * m22), k * (m12 * m12 + m22 * m22)
 
 
-def _gram_partials(k: float, m, dk, dm) -> tuple:
-    """(G, dG) of G = k M^T M, with M as in :func:`_gram`: its components
-    and their partials by the product rule dG = dk M^T M + k (dM^T M +
-    M^T dM), from the partials dk = (k_x, k_y) of the scale and dm =
-    (M_x, M_y) of the frame, each row by row as M is."""
-    m11, m12, m21, m22 = m
-    (k_x, k_y), ((x11, x12, x21, x22), (y11, y12, y21, y22)) = dk, dm
-    g11, g12, g22 = m11 * m11 + m21 * m21, m11 * m12 + m21 * m22, m12 * m12 + m22 * m22
-    k2 = 2.0 * k
-    return (k * g11, k * g12, k * g22), (
-        (k_x * g11 + k2 * (m11 * x11 + m21 * x21),
-         k_x * g12 + k * (m11 * x12 + x11 * m12 + m21 * x22 + x21 * m22),
-         k_x * g22 + k2 * (m12 * x12 + m22 * x22)),
-        (k_y * g11 + k2 * (m11 * y11 + m21 * y21),
-         k_y * g12 + k * (m11 * y12 + y11 * m12 + m21 * y22 + y21 * m22),
-         k_y * g22 + k2 * (m12 * y12 + m22 * y22)))
-
-
 @dataclass(frozen=True)
 class ChartDomain:
     """Working domain of a chart.
@@ -197,15 +179,6 @@ class Metric:
         """Entries (i11, i12, i22) of G^{-1} as floats; raises
         SingularMetric where G is not positive definite."""
         return _inverse(self.components(x, y), x, y)
-
-    def cholesky(self, x: float, y: float) -> tuple[float, float, float]:
-        """Entries (l11, l21, l22) of the lower-triangular L with positive
-        diagonal and G = L L^T, by :func:`_inverse_and_cholesky`."""
-        return _inverse_and_cholesky(self.components(x, y), x, y)[1]
-
-    def component_partials(self, x: float, y: float):
-        """Spatial partials of (g11, g12, g22) at a chart point."""
-        return self.partials(x, y)
 
 
 def conformal_metric(factor, factor_partials) -> Metric:
@@ -259,19 +232,30 @@ class MagneticSystem:
         if self.local is not None:
             g, dg, omega = self.local(x, y)
             return _inverse(g, x, y), dg, omega
-        return self.metric.inverse(x, y), self.metric.component_partials(x, y), self.field(x, y)
+        return self.metric.inverse(x, y), self.metric.partials(x, y), self.field(x, y)
 
 
 def _frame_system(frame, domain: ChartDomain, **fields) -> MagneticSystem:
     """The system of a frame chart G = k M^T M, with ``frame(x, y)`` = (k,
-    M, dk, dM, Omega), the first four as :func:`_gram_partials` takes them,
-    and the other :class:`MagneticSystem` ``fields``: components
-    :func:`_gram` of (k, M), the field Omega, and a ``local`` that gives G,
-    dG and Omega from one frame call, whose dG the metric partials are."""
+    M, dk, dM, Omega): the scale k, the frame M as :func:`_gram` takes it,
+    the partials dk = (k_x, k_y) and dM = (M_x, M_y), each row by row as M
+    is, and the field; with the other :class:`MagneticSystem` ``fields``.
+    Its components are :func:`_gram` of (k, M), and its ``local`` gives G,
+    dG and Omega from one frame call, dG by the product rule dG = dk M^T M
+    + k (dM^T M + M^T dM); that dG is also the metric partials."""
 
     def local(x, y):
-        k, m, dk, dm, omega = frame(x, y)
-        return (*_gram_partials(k, m, dk, dm), omega)
+        k, m, (k_x, k_y), ((x11, x12, x21, x22), (y11, y12, y21, y22)), omega = frame(x, y)
+        m11, m12, m21, m22 = m
+        g11, g12, g22 = m11 * m11 + m21 * m21, m11 * m12 + m21 * m22, m12 * m12 + m22 * m22
+        k2 = 2.0 * k
+        return (k * g11, k * g12, k * g22), (
+            (k_x * g11 + k2 * (m11 * x11 + m21 * x21),
+             k_x * g12 + k * (m11 * x12 + x11 * m12 + m21 * x22 + x21 * m22),
+             k_x * g22 + k2 * (m12 * x12 + m22 * x22)),
+            (k_y * g11 + k2 * (m11 * y11 + m21 * y21),
+             k_y * g12 + k * (m11 * y12 + y11 * m12 + m21 * y22 + y21 * m22),
+             k_y * g22 + k2 * (m12 * y12 + m22 * y22))), omega
 
     metric = Metric(components=lambda x, y: _gram(*frame(x, y)[:2]),
                     partials=lambda x, y: local(x, y)[1])
@@ -308,7 +292,7 @@ def hamiltonian(system: MagneticSystem, phase, check_domain: bool = True) -> flo
     return 0.5 * (p1 * w1 + p2 * w2)
 
 
-def hamiltonian_gradient(system: MagneticSystem, phase, local=None) -> tuple:
+def hamiltonian_gradient(system: MagneticSystem, phase) -> tuple:
     """Phase gradient (H_x, H_y, H_p1, H_p2) of the Hamiltonian, without a
     domain check, read back from :func:`hamiltonian_flow` at Omega = 0,
     where X_H = (w1, w2, -H_x, -H_y); it is the written-out dH/dp = w =
@@ -316,13 +300,11 @@ def hamiltonian_gradient(system: MagneticSystem, phase, local=None) -> tuple:
 
     ``phase`` = (x, y, p1, p2) at one chart point; p1 and p2 may be arrays
     of momenta, over which the four components broadcast, and x, y chart
-    columns.  ``local`` is the point's
-    :meth:`MagneticSystem.local_geometry`, or at chart columns the
-    :func:`stack_columns` of the points' ones, evaluated here when not
-    given.
+    columns, whose :meth:`MagneticSystem.local_geometry` is read by
+    :func:`chart_columns`.
     """
     x, y, p1, p2 = phase
-    inverse, dg, _ = chart_columns(system.local_geometry, x, y) if local is None else local
+    inverse, dg, _ = chart_columns(system.local_geometry, x, y)
     w1, w2, minus_h_x, minus_h_y = hamiltonian_flow((inverse, dg, 0.0), p1, p2)
     return -minus_h_x, -minus_h_y, w1, w2
 
@@ -353,7 +335,7 @@ def level_factor(
     if not c > 0.0:
         raise DomainError(f"energy constant must be positive, got {c}")
     system.require_inside(x, y)
-    l11, l21, l22 = system.metric.cholesky(x, y)
+    l11, l21, l22 = _inverse_and_cholesky(system.metric.components(x, y), x, y)[1]
     s = math.sqrt(c)
     return s * l11, s * l21, s * l22
 
@@ -394,6 +376,7 @@ def gaussian_curvature(metric: Metric, x: float, y: float, h: float = 1e-4) -> f
     G = g22 are O(h^2) central differences of ``metric.components``, so
     the result converges at second order in h.  Intended as a plain FD
     oracle; it deliberately ignores the metric's analytic partials.
+    SingularMetric where the determinant is not positive (NaN fails too).
     """
 
     def comp(a, b):
@@ -419,7 +402,7 @@ def gaussian_curvature(metric: Metric, x: float, y: float, h: float = 1e-4) -> f
     f_xy = d_xy[1]
 
     det = e * g - f * f
-    if det <= 0.0:
+    if not det > 0.0:
         raise SingularMetric(f"metric degenerate at ({x}, {y}): det = {det}")
 
     m1 = np.array(

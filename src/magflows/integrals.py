@@ -272,7 +272,7 @@ def level_set_samples(
                 inverse, factor = _inverse_and_cholesky(g, x, y)
             else:  # the partials and the field only where G is positive definite
                 inverse, factor = _inverse_and_cholesky(system.metric.components(x, y), x, y)
-                dg, omega = system.metric.component_partials(x, y), system.field(x, y)
+                dg, omega = system.metric.partials(x, y), system.field(x, y)
         except SingularMetric:
             continue
         kept.append((x, y))

@@ -234,7 +234,7 @@ def vector_field(system: MagneticSystem, x: float, y: float, grad, local=None) -
     phase gradient ``grad`` = (G_x, G_y, G_p1, G_p2):
     X_G = (G_p1, G_p2, -G_x + Omega G_p2, -G_y - Omega G_p1).
 
-    Omega is read from ``local`` (as in ``hamiltonian_gradient``) when
+    Omega is read from ``local``, a chart point's local geometry, when
     given.  Returns the list of the four components: floats for one
     gradient of floats, arrays of n values when the gradient's components
     are arrays of n values at the same chart point, and (P, n) arrays at

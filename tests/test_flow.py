@@ -474,10 +474,10 @@ class TestCallBudget:
     the chart test, the local geometry and the X_H kernel, with no wrapper
     layer.  The counts repeat exactly, so a layer that comes back shows."""
 
-    BUDGET = {"ex1": 10, "ex2": 12, "ex2b": 12, "ex3": 9, "ex4": 7, "ex5": 7, "ex6": 7,
-              "poly-cos": 11, "log-radial": 11, "log-nu1": 11, "elliptic-half": 13}
+    BUDGET = {"ex1": 9, "ex2": 11, "ex2b": 11, "ex3": 8, "ex4": 7, "ex5": 7, "ex6": 7,
+              "poly-cos": 10, "log-radial": 10, "log-nu1": 10, "elliptic-half": 12}
     # a bundle at the rho of its last call reuses Z's radial jet
-    SAME_RHO_BUDGET = 10
+    SAME_RHO_BUDGET = 9
 
     @staticmethod
     def _python_calls(system, phase, warm):

@@ -73,6 +73,14 @@ class TestChartDomain:
             assert x > 1.0
 
 
+def _factor(metric, x=0.0, y=0.0):
+    """The level factor of ``metric`` at (x, y) at C = 1, where sqrt(C) L
+    is L itself: the lower Cholesky factor of G."""
+    system = MagneticSystem(metric=metric, field=lambda x, y: 0.0,
+                            domain=ChartDomain(bbox=(-5.0, 5.0, -5.0, 5.0)))
+    return level_factor(system, x, y)
+
+
 def _matrix(e11, e12, e22):
     """The symmetric 2x2 matrix with entries (e11, e12, e22), such as the
     components of G or the entries of G^{-1}."""
@@ -95,17 +103,18 @@ class TestMetric:
         np.testing.assert_allclose(product, np.eye(2), atol=1e-14)
 
     def test_cholesky_reconstructs(self):
-        """L L^T recovers the matrix for a positive definite metric."""
+        """L L^T of the level factor recovers the matrix for a positive
+        definite metric."""
         metric = Metric(components=lambda x, y: (2.0 + x * x, 0.3, 1.5),
                         partials=lambda x, y: ((2.0 * x, 0.0, 0.0), (0.0, 0.0, 0.0)))
-        l11, l21, l22 = metric.cholesky(0.7, -0.2)
+        l11, l21, l22 = _factor(metric, 0.7, -0.2)
         low = np.array([[l11, 0.0], [l21, l22]])
         np.testing.assert_allclose(low @ low.T, _matrix(*metric.components(0.7, -0.2)), atol=1e-14)
 
     def test_cholesky_matches_lapack_bit_for_bit(self):
-        """The closed-form entries, with the zero above the diagonal, equal
-        numpy's LAPACK factor bit for bit on seeded random SPD matrices,
-        well and ill conditioned."""
+        """The closed-form entries of the level factor at C = 1, with the
+        zero above the diagonal, equal numpy's LAPACK factor bit for bit
+        on seeded random SPD matrices, well and ill conditioned."""
         rng = np.random.default_rng(20)
         checked = 0
         for i in range(3000):
@@ -121,39 +130,41 @@ class TestMetric:
                 continue
             metric = Metric(components=lambda x, y, g=g: (g[0, 0], g[0, 1], g[1, 1]),
                             partials=_zero_partials)
-            l11, l21, l22 = metric.cholesky(0.0, 0.0)
+            l11, l21, l22 = _factor(metric)
             assert np.array([[l11, 0.0], [l21, l22]]).tobytes() == want.tobytes()
             checked += 1
         assert checked > 2900
 
     def test_cholesky_rejects_round_off_breakdown(self):
         """g11 > 0 and det > 0 pass the inverse's test, but g22 - l21^2
-        rounds to 0: SingularMetric, as LAPACK refuses the factor too."""
+        rounds to 0: the level factor raises SingularMetric, as LAPACK
+        refuses the factor too."""
         g = (3.521126228224603, 0.24876732149455005, 0.017575393846296767)
         assert g[0] * g[2] - g[1] * g[1] > 0.0
         metric = Metric(components=lambda x, y: g, partials=_zero_partials)
         metric.inverse(0.0, 0.0)
         with pytest.raises(SingularMetric):
-            metric.cholesky(0.0, 0.0)
+            _factor(metric)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(_matrix(*metric.components(0.0, 0.0)))
 
     def test_singular_rejected(self):
-        """A non-positive-definite point raises SingularMetric."""
+        """A non-positive-definite point raises SingularMetric, from the
+        inverse and from the level factor."""
         metric = Metric(components=lambda x, y: (1.0, 2.0, 1.0), partials=_zero_partials)
         with pytest.raises(SingularMetric):
             metric.inverse(0.0, 0.0)
         with pytest.raises(SingularMetric):
-            metric.cholesky(0.0, 0.0)
+            _factor(metric)
 
     def test_nan_metric_rejected(self):
-        """NaN components fail the positive-definiteness test of both
-        inverse and cholesky instead of giving a NaN matrix."""
+        """NaN components fail the positive-definiteness test of both the
+        inverse and the level factor instead of giving a NaN matrix."""
         metric = Metric(components=lambda x, y: (math.nan, 0.0, 1.0), partials=_zero_partials)
         with pytest.raises(SingularMetric):
             metric.inverse(0.0, 0.0)
         with pytest.raises(SingularMetric):
-            metric.cholesky(0.0, 0.0)
+            _factor(metric)
 
     @pytest.mark.parametrize("name", EXAMPLE_NAMES)
     def test_partials_match_differences(self, name):
@@ -162,7 +173,7 @@ class TestMetric:
         entry = get_example(name)
         metric = entry.system.metric
         for x, y in entry.curvature_probes:
-            got = np.asarray(metric.component_partials(x, y))
+            got = np.asarray(metric.partials(x, y))
             want = metric_partials(metric, x, y, 1e-4)
             scale = max(1.0, float(np.max(np.abs(got))))
             np.testing.assert_allclose(got / scale, want / scale, atol=1e-9)
@@ -298,7 +309,7 @@ class TestVectorField:
         local = system.local_geometry(x, y)
 
         def x_h(m1, m2):
-            grad = hamiltonian_gradient(system, (x, y, m1, m2), local)
+            grad = hamiltonian_gradient(system, (x, y, m1, m2))
             return vector_field(system, x, y, grad, local if shared_local else None)
 
         batch = x_h(p1, p2)
@@ -356,6 +367,13 @@ class TestGaussianCurvature:
     def test_flat_plane(self):
         """The Euclidean metric has exactly zero curvature."""
         assert gaussian_curvature(_euclidean(), 0.3, -0.8, h=1e-4) == 0.0
+
+    def test_nan_metric_rejected(self):
+        """A NaN determinant fails the positive-definiteness test as the
+        inverse's does: SingularMetric, not a NaN curvature."""
+        metric = Metric(components=lambda x, y: (math.nan, 0.0, 1.0), partials=_zero_partials)
+        with pytest.raises(SingularMetric):
+            gaussian_curvature(metric, 0.0, 0.0)
 
     def test_conformal_oracle(self):
         """K = (1 - y^2)/(1 + y^2) for the factor 1/(1 + y^2)."""

@@ -540,13 +540,14 @@ class TestSharedSamples:
     def test_verify_reads_each_grid_point_once_per_entry(self, monkeypatch):
         """verify's three scans of ex4 (F, F1 and the control) call the
         system's ``local`` once per kept grid point for the whole entry, not
-        once per scan, and ``Metric.cholesky`` never: the level factor
+        once per scan, and the metric components never: the level factor
         and G^{-1} both come from the G of that one ``local`` call."""
         def count(counted):
-            monkeypatch.setattr(Metric, "cholesky", counted("cholesky", Metric.cholesky))
             entry = get_example("ex4")
+            metric = entry.system.metric
+            metric = dataclasses.replace(metric, components=counted("components", metric.components))
             return dataclasses.replace(entry, system=dataclasses.replace(
-                entry.system, local=counted("local", entry.system.local)))
+                entry.system, metric=metric, local=counted("local", entry.system.local)))
 
         calls, points, checks = self._calls_inside_verify(monkeypatch, count)
         assert calls == {"local": points}
@@ -571,11 +572,9 @@ class TestSharedSamples:
     def test_chart_without_local_reads_components_once_per_grid_point(self, monkeypatch):
         """verify's two scans of ex2, which has no ``local``, read the
         metric components once per kept grid point, for the level factor
-        and G^{-1} both, and never call ``Metric.inverse`` or
-        ``Metric.cholesky``."""
+        and G^{-1} both, and never call ``Metric.inverse``."""
         def count(counted):
-            for name in ("inverse", "cholesky"):
-                monkeypatch.setattr(Metric, name, counted(name, getattr(Metric, name)))
+            monkeypatch.setattr(Metric, "inverse", counted("inverse", Metric.inverse))
             entry = get_example("ex2")
             metric = entry.system.metric
             metric = dataclasses.replace(metric, components=counted("components", metric.components))
