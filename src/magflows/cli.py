@@ -383,10 +383,8 @@ def _verify_example(entry, tol: float, rng, corrupt: bool) -> dict:
         checks[f"drift_{name}"] = (_failed(tol, errors[name]) if name in errors
                                    else _check(value, tol, value <= tol))
 
-    kmax = max(
-        abs(gaussian_curvature(entry.system.metric, px, py, h=1e-4))
-        for px, py in entry.curvature_probes
-    )
+    kmax = max(abs(gaussian_curvature(entry.system.metric, px, py))
+               for px, py in entry.curvature_probes)
     if entry.curvature_kind == "flat":
         checks["curvature_flat"] = _check(kmax, FLAT_CEILING, kmax <= FLAT_CEILING)
     else:

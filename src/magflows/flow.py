@@ -91,7 +91,8 @@ class TrajectoryConfig:
     ``verify`` integrate with ``"dop853"`` instead, which takes several
     times fewer right-hand-side calls at these tolerances.  ``record_every``
     keeps every n-th accepted state; the initial and final states are
-    always recorded.  Times and tolerances must be finite.
+    always recorded.  Times and tolerances must be finite, and the minimum
+    step 1e-12 ``t_end`` must not round to 0.
     """
 
     t_end: float
@@ -108,8 +109,10 @@ class TrajectoryConfig:
             # an infinite step never ends
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if not self.t_end > 0.0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
+        # at a minimum step of 0 the adaptive loop accepts zero-length steps for ever
+        if not _MIN_STEP_FRACTION * self.t_end > 0.0:
+            raise ValueError(f"t_end must be positive, with a nonzero minimum step "
+                             f"{_MIN_STEP_FRACTION:g} * t_end, got {self.t_end}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.method == "fixed_rk4":

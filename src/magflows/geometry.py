@@ -29,9 +29,9 @@ spatial partials.  A metric written from a frame, G = k M^T M (ex3 and the
 rational bundles), is a frame chart: :func:`_frame_system` builds its
 system from one frame function of (k, M, dk, dM, Omega), with the
 components from :func:`_gram` and, from one frame call, G, dG and Omega,
-dG by the product rule written out in its ``local``.  Only
-:func:`gaussian_curvature` differentiates a metric numerically: it is the
-independent oracle for the flat and curved checks.
+dG by the product rule written out in its ``local``.  No function
+differences G itself: :func:`gaussian_curvature`, for the flat and curved
+checks, differences only the exact dG, for its three second partials.
 """
 
 from __future__ import annotations
@@ -369,54 +369,29 @@ def momentum_on_level(
     return level_momenta(level_factor(system, x, y, energy), phi)
 
 
-def gaussian_curvature(metric: Metric, x: float, y: float, h: float = 1e-4) -> float:
-    """Gaussian curvature by the Brioschi formula with central FD.
+def gaussian_curvature(metric: Metric, x: float, y: float, h: float = 1e-5) -> float:
+    """Gaussian curvature by the Brioschi formula, on Python floats.
 
-    All first and second derivatives of the components E = g11, F = g12,
-    G = g22 are O(h^2) central differences of ``metric.components``, so
-    the result converges at second order in h.  Intended as a plain FD
-    oracle; it deliberately ignores the metric's analytic partials.
-    SingularMetric where the determinant is not positive (NaN fails too).
+    E = g11, F = g12, G = g22 and their first partials are read exactly
+    from ``metric.components`` and ``metric.partials`` at the point.  Only
+    the second partials E_yy, F_xy (from ``partials`` at y +- h) and G_xx
+    (at x +- h) are differenced, centrally: the error is O(h^2) and the
+    round-off grows like eps/h.  SingularMetric where the determinant is
+    not positive (NaN fails too).
     """
-
-    def comp(a, b):
-        return np.asarray(metric.components(a, b), dtype=float)
-
-    c0 = comp(x, y)
-    cxp, cxm = comp(x + h, y), comp(x - h, y)
-    cyp, cym = comp(x, y + h), comp(x, y - h)
-    cpp, cpm = comp(x + h, y + h), comp(x + h, y - h)
-    cmp_, cmm = comp(x - h, y + h), comp(x - h, y - h)
-
-    d_x = (cxp - cxm) / (2.0 * h)
-    d_y = (cyp - cym) / (2.0 * h)
-    d_xx = (cxp - 2.0 * c0 + cxm) / (h * h)
-    d_yy = (cyp - 2.0 * c0 + cym) / (h * h)
-    d_xy = (cpp - cpm - cmp_ + cmm) / (4.0 * h * h)
-
-    e, f, g = c0
-    e_x, f_x, g_x = d_x
-    e_y, f_y, g_y = d_y
-    e_yy = d_yy[0]
-    g_xx = d_xx[2]
-    f_xy = d_xy[1]
-
+    e, f, g = metric.components(x, y)
     det = e * g - f * f
     if not det > 0.0:
         raise SingularMetric(f"metric degenerate at ({x}, {y}): det = {det}")
-
-    m1 = np.array(
-        [
-            [-0.5 * e_yy + f_xy - 0.5 * g_xx, 0.5 * e_x, f_x - 0.5 * e_y],
-            [f_y - 0.5 * g_x, e, f],
-            [0.5 * g_y, f, g],
-        ]
-    )
-    m2 = np.array(
-        [
-            [0.0, 0.5 * e_y, 0.5 * g_x],
-            [0.5 * e_y, e, f],
-            [0.5 * g_x, f, g],
-        ]
-    )
-    return float((np.linalg.det(m1) - np.linalg.det(m2)) / (det * det))
+    (e_x, f_x, g_x), (e_y, f_y, g_y) = metric.partials(x, y)
+    (_, f_x_up, _), (e_y_up, _, _) = metric.partials(x, y + h)
+    (_, f_x_down, _), (e_y_down, _, _) = metric.partials(x, y - h)
+    g_x_right, g_x_left = metric.partials(x + h, y)[0][2], metric.partials(x - h, y)[0][2]
+    # -E_yy/2 + F_xy - G_xx/2, the corner of the first determinant
+    a = (f_x_up - f_x_down - 0.5 * (e_y_up - e_y_down + g_x_right - g_x_left)) / (2.0 * h)
+    # both 3x3 determinants, expanded along their first rows
+    ey, gx = 0.5 * e_y, 0.5 * g_x
+    b, c, u, v = 0.5 * e_x, f_x - ey, f_y - gx, 0.5 * g_y
+    det1 = a * det - b * (u * g - f * v) + c * (u * f - e * v)
+    det2 = 2.0 * f * ey * gx - g * ey * ey - e * gx * gx
+    return float((det1 - det2) / (det * det))

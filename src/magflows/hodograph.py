@@ -80,6 +80,9 @@ class HodographConstants:
                 raise DomainError(f"{name} must be finite, got {value}")
         if self.zeta == 0.0:
             raise DomainError("zeta = 0 admits only trivial solutions")
+        # the closed-form seed's f^3 and Lambda scale like 1/zeta and overflow with it
+        if not math.isfinite(1.0 / self.zeta):
+            raise DomainError(f"zeta must have a finite reciprocal, got {self.zeta}")
 
 
 @dataclass(frozen=True)

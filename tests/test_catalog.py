@@ -148,6 +148,26 @@ class TestCurvature:
         else:
             assert max(values) > 1e-3
 
+    def test_flat_ex4_reads_zero_to_round_off(self):
+        """ex4's second partials are differences of its exact dG, so its
+        probes read at round-off, below 1e-9."""
+        entry = get_example("ex4")
+        for x, y in entry.curvature_probes:
+            assert abs(gaussian_curvature(entry.system.metric, x, y)) <= 1e-9
+
+    @pytest.mark.parametrize("name, closed_form", [
+        ("ex2", lambda y: (1.0 + 2.0 * math.cos(y)) / (2.0 * (2.0 + math.cos(y)) ** 3)),
+        ("ex2b", lambda y: (1.0 - y * y) / (1.0 + y * y)),
+    ])
+    def test_channel_probes_match_closed_form(self, name, closed_form):
+        """K = -(Lambda_yy Lambda - Lambda_y^2) / (2 Lambda^3) for a factor
+        Lambda(y): (1 + 2 cos y)/(2 (2 + cos y)^3) on ex2 and
+        (1 - y^2)/(1 + y^2) on ex2b, matched to 1e-9 at the default h."""
+        entry = get_example(name)
+        for x, y in entry.curvature_probes:
+            np.testing.assert_allclose(gaussian_curvature(entry.system.metric, x, y),
+                                       closed_form(y), rtol=1e-9)
+
     def test_curved_probe_stable_under_refinement(self):
         """The quadratic-integral entry's probe survives h-halving."""
         entry = get_example("ex3")

@@ -783,6 +783,10 @@ class TestErrorContract:
         (["build-rational", "poly-cos", "--c-energy", "1e300"], 2),
         (["build-rational", "poly-cos", "--k", "1"], 5),
         (["build-rational", "poly-cos", "--rho-range", "-1", "-0.5"], 2),
+        (["simulate", "ex1", "--position", "0", "0", "--angle", "0", "--t-end", "1e-322"], 2),
+        (["simulate", "ex1", "--position", "0", "0", "--angle", "0", "--t-end", "1e-322",
+          "--method", "embedded_rk45"], 2),
+        (["hodograph", "--zeta", "1e-310", "--grid", "3", "3"], 2),
     ]
 
     @pytest.mark.parametrize("argv, want, message", [
@@ -903,7 +907,7 @@ class TestErrorContract:
         assert f"config key {next(iter(config))!r} must be" in err
 
 
-_BAD_NUMBERS = st.sampled_from(["0", "-1", "-1e300", "nan", "-inf", "abc", "1e", ""])
+_BAD_NUMBERS = st.sampled_from(["0", "-1", "-1e300", "1e-310", "nan", "-inf", "abc", "1e", ""])
 # a finite float in about half of the draws, else a huge, infinite or bad value
 _NUMBERS = st.one_of(st.floats(-3.0, 3.0).map(repr), st.floats(-5.0, 5.0).map(repr),
                      st.sampled_from(["1e300", "inf"]), _BAD_NUMBERS)
@@ -911,16 +915,16 @@ _NUMBERS = st.one_of(st.floats(-3.0, 3.0).map(repr), st.floats(-5.0, 5.0).map(re
 
 @st.composite
 def _cheap_argv(draw):
-    """list, simulate runs of at most 0.5 time units or of an infinite
-    end time (rejected), and bad numeric options; a single value is passed
-    as --option=value so that negative numbers reach the option instead of
-    being read as flags."""
+    """list, simulate runs of at most 0.5 time units or of an infinite or
+    subnormal end time (rejected), and bad numeric options; a single value
+    is passed as --option=value so that negative numbers reach the option
+    instead of being read as flags."""
     kind = draw(st.sampled_from(["list", "simulate", "simulate", "bad"]))
     if kind == "list":
         return ["list"]
     example = draw(st.sampled_from(["ex1", "ex2", "ex2b", "ex3", "ex4", "ex5", "ex6", "ex9"]))
     if kind == "simulate":
-        argv = ["simulate", example, f"--t-end={draw(st.sampled_from(['0.05', '0.2', '0.5', 'inf']))}"]
+        argv = ["simulate", example, f"--t-end={draw(st.sampled_from(['0.05', '0.2', '0.5', 'inf', '5e-324']))}"]
         if draw(st.booleans()):
             argv += ["--phase"] + [draw(_NUMBERS) for _ in range(4)]
         else:

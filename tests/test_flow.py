@@ -184,6 +184,21 @@ class TestTrajectoryConfig:
         with pytest.raises(ValueError, match="finite"):
             TrajectoryConfig(**kwargs)
 
+    @pytest.mark.parametrize("method", ["embedded_rk45", "dop853", "fixed_rk4"])
+    @pytest.mark.parametrize("t_end", [5e-324, 1e-322, 1e-320])
+    def test_end_time_whose_minimum_step_underflows_is_rejected(self, method, t_end):
+        """At a subnormal t_end both the first step and the minimum step
+        1e-12 t_end round to 0, and the adaptive loop accepted
+        zero-length steps for ever; the config refuses it for every
+        method, before anything is integrated."""
+        step = t_end if method == "fixed_rk4" else None
+        with pytest.raises(ValueError, match="nonzero minimum step"):
+            TrajectoryConfig(t_end=t_end, method=method, step=step)
+
+    def test_smallest_end_time_with_a_nonzero_minimum_step_is_accepted(self):
+        """1e-310 is subnormal, but its minimum step 1e-322 is not 0."""
+        assert TrajectoryConfig(t_end=1e-310).t_end == 1e-310
+
     def test_adaptive_method_refuses_a_step(self):
         """embedded_rk45 chooses its own steps, so a step given with it
         would be silently ignored."""

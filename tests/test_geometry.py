@@ -375,6 +375,22 @@ class TestGaussianCurvature:
         with pytest.raises(SingularMetric):
             gaussian_curvature(metric, 0.0, 0.0)
 
+    def test_reads_components_once_and_partials_five_times(self):
+        """G is read at the point only; dG at the point and at the four
+        stencil neighbours (x, y +- h) and (x +- h, y)."""
+        base = _entry("ex2").system.metric
+        reads = {"components": 0, "partials": 0}
+
+        def counted(name):
+            def read(x, y):
+                reads[name] += 1
+                return getattr(base, name)(x, y)
+            return read
+
+        metric = Metric(components=counted("components"), partials=counted("partials"))
+        gaussian_curvature(metric, 0.5, 0.4)
+        assert reads == {"components": 1, "partials": 5}
+
     def test_conformal_oracle(self):
         """K = (1 - y^2)/(1 + y^2) for the factor 1/(1 + y^2)."""
         metric = conformal_metric(lambda x, y: 1.0 / (1.0 + y * y),

@@ -69,6 +69,17 @@ class TestConstants:
         with pytest.raises(DomainError, match="trivial"):
             HodographConstants(zeta=0.0)
 
+    @pytest.mark.parametrize("zeta", [1e-310, -1e-310, 5e-324])
+    def test_zeta_with_an_infinite_reciprocal_rejected(self, zeta):
+        """A zeta whose reciprocal overflows is refused before any solve,
+        not left to overflow in the closed-form seed's residual."""
+        with pytest.raises(DomainError, match="zeta must have a finite reciprocal"):
+            HodographConstants(zeta=zeta)
+
+    def test_zeta_with_a_finite_reciprocal_accepted(self):
+        """1e-308 is subnormal too, but its reciprocal 1e308 is finite."""
+        assert HodographConstants(zeta=1e-308).zeta == 1e-308
+
     @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_constant_named(self, name, value):
