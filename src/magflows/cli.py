@@ -424,12 +424,14 @@ def cmd_hodograph(args: argparse.Namespace) -> int:
         args.alpha, args.beta, args.gamma, args.delta, args.epsilon, args.zeta
     )
     nx, ny = args.grid
-    if min(nx, ny) < 1 or not all(np.isfinite(args.bbox)):
-        raise ConfigError(f"need grid entries >= 1 and a finite bbox, got {nx} x {ny}, {args.bbox}")
+    x0, x1, y0, y1 = args.bbox
+    # finite widths imply finite corners, and np.linspace overflows without them
+    if min(nx, ny) < 1 or not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise ConfigError(f"need grid entries >= 1 and a finite bbox of finite width, "
+                          f"got {nx} x {ny}, {args.bbox}")
     if nx * ny > _MAX_GRID_POINTS:
         raise ConfigError(f"--grid {nx} {ny} asks for {nx * ny} points; "
                           f"a grid may have at most {_MAX_GRID_POINTS}")
-    x0, x1, y0, y1 = args.bbox
 
     def rows():
         ys = np.linspace(y0, y1, ny).tolist()

@@ -329,15 +329,16 @@ def level_set_bracket_scan(
         raise ValueError("samples fix the energy and the grid; pass neither with them")
     (x, y, p1, p2), angles, local, data = samples
     chart_args = () if integral.chart is None else (data[integral.chart],)
-    values = _bracket_samples(integral, (x, y, p1, p2), local, chart_args)
-    # a NaN sample fails the scan like an infinite one; the first largest
-    # sample is the worst, and rms sums the squares in sample order
-    scores = np.where(np.isnan(values), np.inf, values)
-    row, col = np.unravel_index(int(np.argmax(scores)), values.shape)
-    max_abs, worst = float(scores[row, col]), None
-    if max_abs > 0.0:
-        worst = (float(x[row, 0]), float(y[row, 0]), float(angles[col]))
-    sumsq = float(np.cumsum(values * values)[-1])
+    # an overflowing, infinite or NaN sample fails the scan, unwarned; the
+    # first largest sample is the worst, and rms sums the squares in sample order
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        values = _bracket_samples(integral, (x, y, p1, p2), local, chart_args)
+        scores = np.where(np.isnan(values), np.inf, values)
+        row, col = np.unravel_index(int(np.argmax(scores)), values.shape)
+        max_abs, worst = float(scores[row, col]), None
+        if max_abs > 0.0:
+            worst = (float(x[row, 0]), float(y[row, 0]), float(angles[col]))
+        sumsq = float(np.cumsum(values * values)[-1])
     return ResidualReport(
         max_abs=max_abs, rms=float(np.sqrt(sumsq / values.size)), count=values.size, worst=worst
     )

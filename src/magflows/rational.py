@@ -133,8 +133,6 @@ class PolynomialCos(ZSolution):
     family = "poly-cos"
 
     def __init__(self, k: int = 2, psi0: float = 0.0):
-        if k < 1:
-            raise DomainError("the polynomial family needs k >= 1")
         raw = terminating_2f1_coeffs(k)
         self.k = self.nu = int(k)
         self.psi0 = float(psi0)

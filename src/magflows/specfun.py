@@ -12,9 +12,13 @@ The derivative of E follows the classical identity (DLMF 19.4)
     dE/dm = (E - K) / (2 m),
 
 which is 0/0 at m = 0 and cancels to O(eps / m) near it, so for |m| below
-0.05 it comes from the Maclaurin series of E summed to convergence
-instead.  Higher derivatives are not needed: the elliptic-half profile
-takes its third radial derivative from the generating equation.
+0.05 it comes from E = (pi/2) 2F1(-1/2, 1/2; 1; m) (DLMF 19.5.2)
+differentiated by DLMF 15.5.1:
+
+    dE/dm = -(pi/8) 2F1(1/2, 3/2; 2; m).
+
+Higher derivatives are not needed: the elliptic-half profile takes its
+third radial derivative from the generating equation.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ _MAX_TERMS = 4000
 _SERIES_EPS = 1e-16
 _AGM_GAP = 1e-15
 _AGM_MAX_ITER = 40
-# switch from the closed-form derivative identity to the Maclaurin series;
+# switch from the closed-form derivative identity to the 2F1 series;
 # shipped elliptic-half outputs use m <= -0.1, on the closed-form side
 _SMALL_M = 0.05
 
@@ -77,30 +81,19 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     if _nonpositive_integer(c):
         raise PoleInC(f"lower parameter c = {c} is a nonpositive integer")
 
-    degree = None
-    for s in (a, b):
-        if _nonpositive_integer(s):
-            d = int(round(-s))
-            degree = d if degree is None else min(degree, d)
-
-    term = 1.0
-    total = 1.0
-    if degree is not None:
-        # polynomial: exactly degree+1 terms, valid for every z
-        for n in range(degree):
-            term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-            total += term
-        return total
-
-    if abs(z) >= 1.0:
+    degrees = [int(-s) for s in (a, b) if _nonpositive_integer(s)]
+    if not degrees and abs(z) >= 1.0:
         raise SeriesDivergence(
             f"series argument |z| = {abs(z)} >= 1 outside the convergence disc"
         )
-    for n in range(_MAX_TERMS):
+    term = total = 1.0
+    for n in range(min(degrees, default=_MAX_TERMS)):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
-        if abs(term) < _SERIES_EPS * abs(total):
+        if not degrees and abs(term) < _SERIES_EPS * abs(total):
             return total
+    if degrees:
+        return total
     raise SeriesDivergence(
         f"no convergence after {_MAX_TERMS} terms at z = {z}"
     )
@@ -160,30 +153,14 @@ def _agm(m: float) -> tuple[float, float]:
     return k, k * (1.0 - s)
 
 
-def _series_derivative(m: float) -> float:
-    """dE/dm at |m| < _SMALL_M from the Maclaurin series
-    E = (pi/2) sum c_n m^n / (1 - 2n), where c_0 = 1 and
-    c_n = c_{n-1} ((2n-1)/(2n))^2 are the coefficients of K, summed to
-    convergence."""
-    c, power = 1.0, 1.0  # c_n, m^(n-1)
-    de = 0.0
-    for n in range(1, _MAX_TERMS):
-        c *= ((2 * n - 1) / (2 * n)) ** 2
-        term = n * (c / (1 - 2 * n)) * power
-        de += term
-        if abs(term) <= _SERIES_EPS * abs(de):
-            break
-        power *= m
-    return 0.5 * math.pi * de
-
-
 def elliptic_jet(m: float) -> tuple[float, float, float]:
     """(K, E, dE/dm) at m < 1 from one AGM run, in the parameter
     convention K(m) = int_0^{pi/2} (1 - m sin^2 t)^{-1/2} dt and
     E(m) = int_0^{pi/2} (1 - m sin^2 t)^{1/2} dt; the derivative is the
-    closed form of the module docstring, or the series near 0."""
+    closed form (E - K) / (2 m) for |m| >= 0.05 and
+    -(pi/8) 2F1(1/2, 3/2; 2; m) (DLMF 19.5.2, 15.5.1) below it."""
     if m >= 1.0:
         raise DomainError(f"the elliptic jet requires m < 1, got {m}")
     k, e = _agm(m)
-    de = _series_derivative(m) if abs(m) < _SMALL_M else (e - k) / (2.0 * m)
+    de = -0.125 * math.pi * hyp2f1(0.5, 1.5, 2.0, m) if abs(m) < _SMALL_M else (e - k) / (2.0 * m)
     return k, e, de

@@ -787,6 +787,11 @@ class TestErrorContract:
         (["simulate", "ex1", "--position", "0", "0", "--angle", "0", "--t-end", "1e-322",
           "--method", "embedded_rk45"], 2),
         (["hodograph", "--zeta", "1e-310", "--grid", "3", "3"], 2),
+        (["build-rational", "poly-cos", "--gamma", "1e-160", "--c-energy", "1e-160"], 5),
+        (["build-rational", "poly-cos", "--gamma", "1e20", "--c-energy", "1e200"], 5),
+        (["hodograph", "--bbox", "1e308", "-1e308", "0.5", "2.5", "--grid", "2", "2"], 2),
+        (["hodograph", "--bbox", "-1e308", "1e308", "0.5", "2.5", "--grid", "2", "2"], 2),
+        (["build-rational", "poly-cos", "--k", "0"], 2),
     ]
 
     @pytest.mark.parametrize("argv, want, message", [

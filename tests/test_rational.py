@@ -788,6 +788,13 @@ class TestDescriptors:
         with pytest.raises(DomainError, match="psi0"):
             solution_from_descriptor({"family": "poly-cos", "parameters": {"k": 2, "psi0": psi0}})
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_degree_below_one_rejected(self, k):
+        """The coefficient recurrence is the family's one degree check: it
+        refuses k < 1."""
+        with pytest.raises(DomainError, match="positive integer"):
+            PolynomialCos(k)
+
     def test_family_registry(self):
         """The registry lists exactly the four shipped families."""
         assert set(FAMILIES) == {"poly-cos", "log-radial", "log-nu1", "elliptic-half"}

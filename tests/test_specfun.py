@@ -161,11 +161,11 @@ class TestEllipticDerivatives:
         np.testing.assert_allclose(elliptic_jet(m)[2], fd, rtol=1e-8)
 
     def test_small_modulus_series_branch(self):
-        """Near m = 0 the closed forms switch to series and stay smooth."""
+        """Near m = 0 the closed form switches to hyp2f1 and stays smooth."""
         np.testing.assert_allclose(elliptic_jet(1e-6)[2], -math.pi / 8.0, rtol=1e-5)
 
 
-# both sides of the series switch at |m| = specfun._SMALL_M = 0.05, and a
+# both sides of the hyp2f1 switch at |m| = specfun._SMALL_M = 0.05, and a
 # spread over [-5, 0.9]
 JET_PARAMETERS = [-5.0, -2.5, -1.0, -0.3, -0.0501, -0.0499, -1e-3, -1.0001e-4, -1e-4, -9.999e-5,
                   -1e-6, 0.0, 1e-6, 9.999e-5, 1e-4, 1.0001e-4, 1e-3, 0.0499, 0.0501, 0.3, 0.6,
@@ -179,7 +179,7 @@ class TestEllipticJet:
 
         K and E hold to 2e-15 relative.  The closed-form derivative divides
         a difference of size K by m, so its error is bounded by
-        8 eps K / |m|; below |m| = 0.05 the series summed to convergence
+        8 eps K / |m|; below |m| = 0.05, -(pi/8) hyp2f1(1/2, 3/2; 2; m)
         holds to 1e-15 relative.
         """
         k, e, de = elliptic_jet(m)
@@ -197,9 +197,9 @@ class TestEllipticJet:
     @pytest.mark.parametrize("m", [-0.0499, -0.01, -1e-3, -1.01e-4, -1e-4, 0.0, 1e-4, 1.01e-4,
                                    1e-3, 0.01, 0.0499])
     def test_series_near_zero_to_round_off(self, m):
-        """Below |m| = 0.05 the derivative comes from the Maclaurin series
-        summed to convergence: dE/dm holds to 1e-15 relative, where the
-        closed form cancels to O(eps / m)."""
+        """Below |m| = 0.05 the derivative is -(pi/8) hyp2f1(1/2, 3/2; 2; m):
+        dE/dm holds to 1e-15 relative, where the closed form cancels to
+        O(eps / m)."""
         with mpmath.workdps(40):
             want = float(mpmath.diff(mpmath.ellipe, mpmath.mpf(m)))
         np.testing.assert_allclose(elliptic_jet(m)[2], want, rtol=1e-15, atol=0.0)
