@@ -25,6 +25,7 @@ from .geometry import (
     ChartDomain,
     MagneticSystem,
     Metric,
+    _local_system,
     chart_columns,
     conformal_metric,
     momentum_on_level,
@@ -53,15 +54,6 @@ class CatalogEntry:
     curvature_probes: tuple
     independent_count: Optional[int] = None
     bundle_descriptor: Optional[dict] = field(default=None)
-
-
-def _local_system(local, **fields) -> MagneticSystem:
-    """The system of a chart whose ``local(x, y)`` gives (G, dG, Omega) from
-    one evaluation, with the other :class:`MagneticSystem` ``fields``: its
-    metric components and partials and its field are read from ``local``."""
-    metric = Metric(components=lambda x, y: local(x, y)[0],
-                    partials=lambda x, y: local(x, y)[1])
-    return MagneticSystem(metric=metric, field=lambda x, y: local(x, y)[2], local=local, **fields)
 
 
 def _phases(system: MagneticSystem, points_angles) -> np.ndarray:

@@ -25,11 +25,9 @@ Conventions used throughout the package:
   from that G by :func:`_inverse_and_cholesky`.
 
 A metric is supplied as analytic components together with their exact
-spatial partials.  A metric written from a frame, G = k M^T M (ex3 and the
-rational bundles), is a frame chart: :func:`_frame_system` builds its
-system from one frame function of (k, M, dk, dM, Omega), with the
-components from :func:`_gram` and, from one frame call, G, dG and Omega,
-dG by the product rule written out in its ``local``.  No function
+spatial partials, or as views of a ``local`` by :func:`_local_system`; a
+frame chart, G = k M^T M (ex3 and the rational bundles), writes that
+``local`` in :func:`_frame_system`, dG by the product rule.  No function
 differences G itself: :func:`gaussian_curvature`, for the flat and curved
 checks, differences only the exact dG, for its three second partials.
 """
@@ -126,13 +124,6 @@ def _inverse_and_cholesky(g, x: float, y: float) -> tuple:
     return inverse, (l11, l21, math.sqrt(schur))
 
 
-def _gram(k: float, m) -> tuple[float, float, float]:
-    """Components (g11, g12, g22) of G = k M^T M, from a scale k and a frame
-    M given row by row as (m11, m12, m21, m22)."""
-    m11, m12, m21, m22 = m
-    return k * (m11 * m11 + m21 * m21), k * (m11 * m12 + m21 * m22), k * (m12 * m12 + m22 * m22)
-
-
 @dataclass(frozen=True)
 class ChartDomain:
     """Working domain of a chart.
@@ -203,9 +194,9 @@ class MagneticSystem:
 
     ``energy`` is the constant C > 0; integrals attached to the system
     are guaranteed (at least) on the level set {H = C/2}.  ``local``, when
-    given, returns (G, dG, Omega) of a chart point from one evaluation and
-    must agree with ``metric`` and ``field``: frame charts (ex3 and the
-    rational bundles) and ex4-ex6 supply it, ex1, ex2 and ex2b do not.
+    given, returns (G, dG, Omega) of a chart point from one evaluation, and
+    ``metric`` and ``field`` are its views (:func:`_local_system`): ex3-ex6
+    and the rational bundles supply it, ex1, ex2 and ex2b do not.
     """
 
     metric: Metric
@@ -235,14 +226,22 @@ class MagneticSystem:
         return self.metric.inverse(x, y), self.metric.partials(x, y), self.field(x, y)
 
 
+def _local_system(local, **fields) -> MagneticSystem:
+    """The system of a chart whose ``local(x, y)`` gives (G, dG, Omega) from
+    one evaluation, with the other :class:`MagneticSystem` ``fields``: its
+    metric components and partials and its field are views of ``local``."""
+    metric = Metric(components=lambda x, y: local(x, y)[0],
+                    partials=lambda x, y: local(x, y)[1])
+    return MagneticSystem(metric=metric, field=lambda x, y: local(x, y)[2], local=local, **fields)
+
+
 def _frame_system(frame, domain: ChartDomain, **fields) -> MagneticSystem:
-    """The system of a frame chart G = k M^T M, with ``frame(x, y)`` = (k,
-    M, dk, dM, Omega): the scale k, the frame M as :func:`_gram` takes it,
-    the partials dk = (k_x, k_y) and dM = (M_x, M_y), each row by row as M
-    is, and the field; with the other :class:`MagneticSystem` ``fields``.
-    Its components are :func:`_gram` of (k, M), and its ``local`` gives G,
-    dG and Omega from one frame call, dG by the product rule dG = dk M^T M
-    + k (dM^T M + M^T dM); that dG is also the metric partials."""
+    """The :func:`_local_system` of a frame chart G = k M^T M, with
+    ``frame(x, y)`` = (k, M, dk, dM, Omega): the scale k, the frame M row by
+    row as (m11, m12, m21, m22), its partials dk = (k_x, k_y) and dM = (M_x,
+    M_y), each row by row as M is, and the field; and the other ``fields``.
+    Its ``local`` gives G, dG and Omega from one frame call, dG by the
+    product rule dG = dk M^T M + k (dM^T M + M^T dM)."""
 
     def local(x, y):
         k, m, (k_x, k_y), ((x11, x12, x21, x22), (y11, y12, y21, y22)), omega = frame(x, y)
@@ -257,10 +256,7 @@ def _frame_system(frame, domain: ChartDomain, **fields) -> MagneticSystem:
              k_y * g12 + k * (m11 * y12 + y11 * m12 + m21 * y22 + y21 * m22),
              k_y * g22 + k2 * (m12 * y12 + m22 * y22))), omega
 
-    metric = Metric(components=lambda x, y: _gram(*frame(x, y)[:2]),
-                    partials=lambda x, y: local(x, y)[1])
-    return MagneticSystem(metric=metric, field=lambda x, y: frame(x, y)[4], domain=domain,
-                          local=local, **fields)
+    return _local_system(local, domain=domain, **fields)
 
 
 def _velocity(inverse, p1, p2) -> tuple[float, float]:

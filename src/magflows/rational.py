@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateD, DomainError
-from .geometry import ChartDomain, MagneticSystem, _frame_system, _gram
+from .geometry import ChartDomain, MagneticSystem, _frame_system
 from .integrals import FirstIntegral, ratio_integral
 from .specfun import elliptic_jet, terminating_2f1_coeffs
 
@@ -312,12 +312,12 @@ class RationalFlowBundle:
                 (g2 / self.c_energy, 0.0), (m_r, m_p), 0.5 * self.gamma * z_rr)
 
     def metric_components(self, rho, psi):
-        """(g11, g12, g22) at a chart point, as the system's metric gives them."""
-        return _gram(*self._frame(rho, psi)[:2])
+        """(g11, g12, g22) at a chart point, read from the system's metric."""
+        return self.as_system().metric.components(rho, psi)
 
     def omega(self, rho, psi):
-        """Magnetic coefficient (gamma/2) Z_rr."""
-        return 0.5 * self.gamma * self.z.jet(rho, psi)[3]
+        """Magnetic coefficient (gamma/2) Z_rr, read from the system's field."""
+        return self.as_system().field(rho, psi)
 
     def _parts(self, rho, psi):
         """Momentum coefficient triples (p_r, p_p, constant) of the

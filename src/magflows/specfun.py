@@ -75,8 +75,8 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     PoleInC
         If c is in {0, -1, -2, ...}.
     SeriesDivergence
-        If |z| >= 1 in the non-polynomial case, or 4000 terms did not
-        reach the stopping criterion.
+        If |z| >= 1 in the non-polynomial case, the terminating degree
+        exceeds 4000, or 4000 terms did not reach the stopping criterion.
     """
     if _nonpositive_integer(c):
         raise PoleInC(f"lower parameter c = {c} is a nonpositive integer")
@@ -86,17 +86,18 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
         raise SeriesDivergence(
             f"series argument |z| = {abs(z)} >= 1 outside the convergence disc"
         )
+    n_terms = min(degrees, default=_MAX_TERMS)
+    if n_terms > _MAX_TERMS:
+        raise SeriesDivergence(f"terminating degree {n_terms} exceeds the {_MAX_TERMS}-term budget")
     term = total = 1.0
-    for n in range(min(degrees, default=_MAX_TERMS)):
+    for n in range(n_terms):
         term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         total += term
         if not degrees and abs(term) < _SERIES_EPS * abs(total):
             return total
     if degrees:
         return total
-    raise SeriesDivergence(
-        f"no convergence after {_MAX_TERMS} terms at z = {z}"
-    )
+    raise SeriesDivergence(f"no convergence after {_MAX_TERMS} terms at z = {z}")
 
 
 def terminating_2f1_coeffs(k: int) -> list[float]:
@@ -111,9 +112,8 @@ def terminating_2f1_coeffs(k: int) -> list[float]:
     normalization fixes c_1 = 1; callers that want a different scaling
     (for example monic) rescale the list.  The limit k <= 60 is on the
     coefficients alone: on the default rho range (0.05, 5) the poly-cos
-    bundle passes ``build-rational`` for k <= 17, k = 18 fails the
-    bracket scan's absolute bound (3.0e-6) and k >= 19 fails d_min
-    (9.4e-11 at k = 19), so higher degrees need a range away from 0.05.
+    bundle passes ``build-rational`` for k <= 18 and k >= 19 fails d_min
+    (9.35e-11 at k = 19), so higher degrees need a range away from 0.05.
 
     Raises
     ------

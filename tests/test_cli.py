@@ -918,35 +918,70 @@ _NUMBERS = st.one_of(st.floats(-3.0, 3.0).map(repr), st.floats(-5.0, 5.0).map(re
                      st.sampled_from(["1e300", "inf"]), _BAD_NUMBERS)
 
 
+# the parser's own schema: every option a config file or argv may set
+_PARSER = build_parser()
+_GLOBAL_KEYS = {action.dest for action in _PARSER._actions}
+
+
+def _options(command):
+    """(key, action, n) of each option the parser declares for ``command``
+    (:func:`magflows.cli.config_actions`), with n the list length where
+    nargs is a positive int and None for a scalar; out_dir, which names a
+    directory, is left out.  A new option is fuzzed with no edit here."""
+    return [(key, action, action.nargs if isinstance(action.nargs, int) and action.nargs > 0 else None)
+            for key, action in sorted(config_actions(_PARSER, command).items()) if key != "out_dir"]
+
+
+# values that keep a cheap base cheap: end times of at most 0.5, or an
+# infinite, subnormal or bad one (rejected), and grids of at most 3 x 3
+_CAPPED = {"t_end": st.one_of(st.sampled_from(["0.05", "0.2", "0.5", "inf", "5e-324"]), _BAD_NUMBERS),
+           "grid": st.sampled_from(["1", "2", "3", "0", "-1", "2.5", "abc"])}
+
+
+def _simulate_base(draw):
+    """simulate of a drawn example from a drawn start, adaptive or with
+    fixed_rk4 at step 0.01, for a capped end time."""
+    example = draw(st.sampled_from(["ex1", "ex2", "ex2b", "ex3", "ex4", "ex5", "ex6", "ex9"]))
+    argv = ["simulate", example, f"--t-end={draw(_CAPPED['t_end'])}"]
+    if draw(st.booleans()):
+        argv += ["--phase"] + [draw(_NUMBERS) for _ in range(4)]
+    else:
+        argv += ["--position", draw(_NUMBERS), draw(_NUMBERS), f"--angle={draw(_NUMBERS)}"]
+    return argv + (["--method=fixed_rk4", "--step=0.01"] if draw(st.booleans()) else [])
+
+
+# per command, a cheap argv that gives its positional
+_CHEAP_BASES = {
+    "list": lambda draw: ["list"],
+    "simulate": _simulate_base,
+    "verify": lambda draw: ["verify", "ex1"],
+    "hodograph": lambda draw: ["hodograph", "--grid", "3", "3"],
+    "build-rational": lambda draw: ["build-rational", draw(st.sampled_from(sorted(rational.FAMILIES)))],
+}
+
+
 @st.composite
 def _cheap_argv(draw):
-    """list, simulate runs of at most 0.5 time units or of an infinite or
-    subnormal end time (rejected), and bad numeric options; a single value
-    is passed as --option=value so that negative numbers reach the option
-    instead of being read as flags."""
-    kind = draw(st.sampled_from(["list", "simulate", "simulate", "bad"]))
-    if kind == "list":
-        return ["list"]
-    example = draw(st.sampled_from(["ex1", "ex2", "ex2b", "ex3", "ex4", "ex5", "ex6", "ex9"]))
-    if kind == "simulate":
-        argv = ["simulate", example, f"--t-end={draw(st.sampled_from(['0.05', '0.2', '0.5', 'inf', '5e-324']))}"]
-        if draw(st.booleans()):
-            argv += ["--phase"] + [draw(_NUMBERS) for _ in range(4)]
-        else:
-            argv += ["--position", draw(_NUMBERS), draw(_NUMBERS), f"--angle={draw(_NUMBERS)}"]
-        option = draw(st.sampled_from(["--rel-tol", "--abs-tol", "--record-every", "--step"]))
-        return argv + [f"{option}={draw(_NUMBERS)}"]
-    option = draw(st.sampled_from([
-        ["simulate", example, "--phase", "0.1", "0.1", "1", "0", "--t-end"],
-        ["simulate", example, "--phase", "0.1", "0.1", "1", "0", "--method=fixed_rk4",
-         "--t-end=0.1", "--step"],
-        ["hodograph", "--grid", "3", "3", "--alpha"],
-        ["hodograph", "--grid", "3", "3", "--zeta"],
-        ["build-rational", "poly-cos", "--k"],
-        ["build-rational", "log-radial", "--c-energy"],
-        ["--seed"],
-    ]))
-    return option[:-1] + [f"{option[-1]}={draw(_BAD_NUMBERS)}"]
+    """A cheap base with one flag the parser declares for its command set
+    to drawn values: a number, a capped value or one of its choices, or
+    bad ones.  A single value is passed as --option=value so that negative
+    numbers reach the option instead of being read as flags, and a global
+    option goes before the command."""
+    command = draw(st.sampled_from(sorted(_CHEAP_BASES)))
+    argv = _CHEAP_BASES[command](draw)
+    key, action, n = draw(st.sampled_from([o for o in _options(command) if o[1].option_strings]))
+    flag = action.option_strings[-1]
+    if action.choices is not None:
+        pool = st.one_of(st.sampled_from(sorted(action.choices)), _BAD_NUMBERS)
+    else:
+        pool = _CAPPED.get(key, _NUMBERS)
+    if action.nargs == 0:
+        option = [flag]
+    elif n is None:
+        option = [f"{flag}={draw(pool)}"]
+    else:
+        option = [flag] + [draw(pool) for _ in range(n)]
+    return option + argv if key in _GLOBAL_KEYS else argv + option
 
 
 # raw JSON values for a config file: non-finite numbers (NaN and Infinity
@@ -969,18 +1004,14 @@ def _bad_lists(n):
     return lists
 
 
-# per command: the argv after the config file, a cheap base config, the
-# scalar keys and the list keys with their lengths
+# per command: the argv after the config file and a cheap base config;
+# the keys come from the parser (_options)
 _CONFIG_COMMANDS = [
-    (["simulate", "ex1"], {"position": [0.1, 0.2], "angle": 0.3, "t_end": 0.2},
-     ["t_end", "angle", "step", "rel_tol", "abs_tol", "record_every", "example", "seed"],
-     {"position": 2, "phase": 4}),
-    (["hodograph"], {"grid": [2, 2]},
-     ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "out"],
-     {"bbox": 4, "grid": 2}),
-    (["build-rational", "poly-cos"], {},
-     ["gamma", "c_energy", "k", "family"],
-     {"rho_range": 2}),
+    (["list"], {}),
+    (["simulate", "ex1"], {"position": [0.1, 0.2], "angle": 0.3, "t_end": 0.2}),
+    (["verify", "ex1"], {}),
+    (["hodograph"], {"grid": [2, 2]}),
+    (["build-rational", "poly-cos"], {}),
 ]
 
 
@@ -989,9 +1020,9 @@ def _cheap_config(draw):
     """A cheap command whose config file sets one option to a non-finite
     number, a value of the wrong type, or an empty, inverted or non-finite
     range; returns (argv, config text)."""
-    argv, base, scalars, lists = draw(st.sampled_from(_CONFIG_COMMANDS))
-    key = draw(st.sampled_from(scalars + sorted(lists)))
-    pool = _bad_lists(lists[key]) if key in lists else _BAD_JSON_NUMBERS
+    argv, base = draw(st.sampled_from(_CONFIG_COMMANDS))
+    key, _, n = draw(st.sampled_from(_options(argv[0])))
+    pool = _BAD_JSON_NUMBERS if n is None else _bad_lists(n)
     value = draw(st.sampled_from(pool + _WRONG_TYPES))
     fields = {k: json.dumps(v) for k, v in base.items()}
     fields[key] = value
@@ -1000,7 +1031,7 @@ def _cheap_config(draw):
 
 
 class TestFuzzedArgv:
-    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=1500, derandomize=True, database=None, deadline=None)
     @given(argv=_cheap_argv())
     def test_documented_exit_code_and_no_traceback(self, argv):
         """Any argv of cheap commands ends in a documented exit code with
@@ -1015,7 +1046,7 @@ class TestFuzzedArgv:
         assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
 
-    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(case=_cheap_config())
     def test_config_file_documented_exit_code_and_no_traceback(self, case):
         """A config file with non-finite numbers, wrong types or empty or

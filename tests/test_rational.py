@@ -676,6 +676,35 @@ class TestFrameIdentities:
         assert checked >= 30
 
 
+def _local_chart(name):
+    """(system, bundle) of a catalog entry (bundle None) or of a bundle of
+    the named family."""
+    if name not in FAMILIES:
+        return get_example(name).system, None
+    bundle = build_bundle(FAMILIES[name](), gamma=0.7, c_energy=1.3)
+    return bundle.as_system(), bundle
+
+
+class TestLocalViews:
+    @pytest.mark.parametrize("name", ["ex3", "ex4", "ex5", "ex6", *sorted(FAMILIES)])
+    def test_metric_and_field_are_views_of_local(self, name):
+        """On every chart with a ``local`` (ex3-ex6 and a bundle of each
+        family), the metric components, metric partials and field are its
+        entries bit for bit, and a bundle's ``metric_components`` and
+        ``omega`` are its system's."""
+        system, bundle = _local_chart(name)
+        points = system.domain.grid(3, 3, margin=0.1)
+        assert len(points) >= 4, name
+        for x, y in points:
+            g, dg, omega = system.local(x, y)
+            assert system.metric.components(x, y) == g
+            assert system.metric.partials(x, y) == dg
+            assert system.field(x, y) == omega
+            if bundle is not None:
+                assert bundle.metric_components(x, y) == g
+                assert bundle.omega(x, y) == omega
+
+
 class TestDualPath:
     @pytest.mark.parametrize("name", ["ex5", "ex6"])
     def test_builder_reproduces_catalog(self, name):

@@ -61,6 +61,14 @@ class TestHyp2F1:
         with pytest.raises(SeriesDivergence):
             hyp2f1(0.5, 0.5, 1.0, -1.2)
 
+    def test_terminating_degree_above_the_term_budget_raises(self):
+        """A terminating degree above the 4000-term budget is refused at
+        once instead of summed one term per unit of degree; degree 4000
+        itself is still summed, (1 - 1e-4)^4000 = 0.67030663887..."""
+        with pytest.raises(SeriesDivergence, match="degree 1000000000000"):
+            hyp2f1(-1e12, 1.0, 1.0, 0.5)
+        np.testing.assert_allclose(hyp2f1(-4000, 1.0, 1.0, 1e-4), (1.0 - 1e-4) ** 4000, rtol=1e-12)
+
     def test_terminating_beats_divergence(self):
         """A negative-integer parameter truncates the series for any z."""
         value = hyp2f1(-2.0, 4.0, 2.0, -3.0)
